@@ -90,26 +90,5 @@ fn bench_round(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_wire(c: &mut Criterion) {
-    use criterion::Throughput;
-    use dvdc_checkpoint::strategy::Checkpointer;
-    use dvdc_checkpoint::wire;
-    use dvdc_vcluster::ids::VmId;
-    use dvdc_vcluster::memory::MemoryImage;
-
-    // 1 MiB full checkpoint frame.
-    let mut mem = MemoryImage::patterned(256, 4096, 1);
-    let ckpt = Checkpointer::new(Mode::Full).capture(VmId(0), 0, &mut mem);
-    let frame = wire::encode(&ckpt);
-
-    let mut g = c.benchmark_group("wire_1MiB_full");
-    g.throughput(Throughput::Bytes(frame.len() as u64));
-    g.bench_function("encode", |b| b.iter(|| wire::encode(black_box(&ckpt))));
-    g.bench_function("decode", |b| {
-        b.iter(|| wire::decode(black_box(&frame)).unwrap())
-    });
-    g.finish();
-}
-
-criterion_group!(benches, bench_round, bench_wire);
+criterion_group!(benches, bench_round);
 criterion_main!(benches);

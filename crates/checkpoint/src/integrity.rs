@@ -14,21 +14,9 @@
 //! injector models (a single flipped byte changes the digest with
 //! probability ~1 − 2⁻⁶⁴).
 
-/// FNV-1a 64-bit offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a 64-bit prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
 /// FNV-1a/64 digest of `bytes` — the block checksum stored alongside
 /// every checkpoint image and parity block.
-pub fn checksum(bytes: &[u8]) -> u64 {
-    let mut hash = FNV_OFFSET;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
+pub use dvdc_simcore::rng::fnv1a64 as checksum;
 
 /// True when `bytes` still matches the `expected` digest recorded at
 /// write time.

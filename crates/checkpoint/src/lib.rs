@@ -29,8 +29,6 @@
 //! * [`adaptive`] — the Section II-B1 runtime cost–benefit trigger:
 //!   checkpoint when the expected rollback saved outweighs the (dirty-set
 //!   dependent) cost of checkpointing now.
-//! * [`wire`] — the binary frame checkpoints travel in between nodes,
-//!   with strict (fuzz-style tested) decoding.
 //!
 //! ## Example: incremental capture and recovery
 //!
@@ -67,11 +65,9 @@ pub mod integrity;
 pub mod payload;
 pub mod store;
 pub mod strategy;
-pub mod wire;
 
 pub use accounting::CheckpointCost;
 pub use adaptive::AdaptivePolicy;
 pub use payload::{Checkpoint, CheckpointPayload, PageDelta};
 pub use store::{DoubleBufferedStore, MaterializedStore, ParityStore, StoreError};
 pub use strategy::{Checkpointer, Mode};
-pub use wire::{decode as decode_frame, encode as encode_frame, WireError};

@@ -52,6 +52,7 @@ use dvdc_parity::code::{CodeError, ErasureCode};
 use dvdc_parity::raid5::XorCode;
 use dvdc_parity::rdp::{RdpCode, ZeroPaddedRdp};
 use dvdc_parity::rs::ReedSolomon;
+use dvdc_simcore::rng::{splitmix64, SPLITMIX_GAMMA};
 use dvdc_simcore::time::{Duration, SimTime};
 use dvdc_vcluster::cluster::Cluster;
 use dvdc_vcluster::ids::{NodeId, VmId};
@@ -500,14 +501,13 @@ struct IntegritySweep {
     corrupt_parity: Vec<(GroupId, usize)>,
 }
 
-/// SplitMix64 — a tiny deterministic generator for corruption targeting
-/// (no external RNG dependency; reproducibility from the fault seed).
+/// Next output of a stateful SplitMix64 stream — a tiny deterministic
+/// generator for corruption targeting (no external RNG dependency;
+/// reproducibility from the fault seed).
 fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    let out = splitmix64(*state);
+    *state = state.wrapping_add(SPLITMIX_GAMMA);
+    out
 }
 
 /// The DVDC protocol state.

@@ -52,6 +52,7 @@ use dvdc_observe::{MetricsSnapshot, TimedEvent};
 use dvdc_parity::code::ErasureCode;
 use dvdc_parity::raid5::XorCode;
 use dvdc_parity::rs::ReedSolomon;
+use dvdc_simcore::rng::splitmix64;
 use dvdc_simcore::time::{Duration, SimTime};
 use dvdc_vcluster::ids::NodeId;
 use dvdc_vcluster::messaging::FenceRegistry;
@@ -328,9 +329,9 @@ pub enum Msg {
     TraceTailResp {
         /// The responding node.
         node: NodeId,
-        /// The node's own clock at scrape time (seconds since its
-        /// process start).
-        now_secs: f64,
+        /// The node's own clock at scrape time (since its process
+        /// start).
+        now: SimTime,
         /// Older events evicted from the ring.
         dropped: u64,
         /// The buffered tail, oldest first.
@@ -552,22 +553,7 @@ impl Default for ClusterSpec {
 
 /// FNV-1a 64-bit digest — the cheap content fingerprint `dvdc-ctl`
 /// compares across rebuilds (byte-exactness checks use it end to end).
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
+pub use dvdc_simcore::rng::fnv1a64 as fnv64;
 
 fn fill_pseudo(seed: u64, buf: &mut [u8]) {
     let mut s = seed;

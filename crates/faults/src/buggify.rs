@@ -38,6 +38,7 @@
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 
+use dvdc_simcore::rng::{fnv1a64, splitmix64, SPLITMIX_GAMMA};
 use dvdc_simcore::time::Duration;
 
 /// Environment variable that seeds a registry for swarm repro runs (the
@@ -264,8 +265,8 @@ impl FaultRegistry {
         *state.fired.entry(point).or_insert(0) += 1;
         // An independent magnitude: re-finalize so it is not correlated
         // with the activation decision bits.
-        let mut m = h ^ 0x6c62_272e_07bb_0142;
-        Some((splitmix(&mut m) >> 11) as f64 / (1u64 << 53) as f64)
+        let m = h ^ 0x6c62_272e_07bb_0142;
+        Some((splitmix64(m) >> 11) as f64 / (1u64 << 53) as f64)
     }
 
     /// Restricts firing to `allowed` (evaluation counts still advance for
@@ -361,26 +362,10 @@ where
     }
 }
 
-/// splitmix64 finalizer — the same dependency-free mixer the corruption
-/// injector uses; good avalanche for consecutive occurrence counts.
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// `hash(seed, point, occurrence)`: FNV-1a over the name, folded with the
 /// seed and occurrence count through splitmix64.
 fn activation_hash(seed: u64, point: &str, occurrence: u64) -> u64 {
-    let mut name_hash = 0xcbf2_9ce4_8422_2325u64;
-    for b in point.bytes() {
-        name_hash ^= b as u64;
-        name_hash = name_hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    let mut state = seed ^ name_hash ^ occurrence.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    splitmix(&mut state)
+    splitmix64(seed ^ fnv1a64(point.as_bytes()) ^ occurrence.wrapping_mul(SPLITMIX_GAMMA))
 }
 
 /// Scales a firing's magnitude into a bounded extra delay.

@@ -13,14 +13,7 @@ use dvdc_vcluster::memory::MemoryImage;
 
 /// 64-bit FNV-1a over a page. Collisions are ~2⁻⁶⁴ per pair — acceptable
 /// for a simulation; a production system would use a cryptographic hash.
-pub fn hash_page(page: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in page {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
+pub use dvdc_simcore::rng::fnv1a64 as hash_page;
 
 /// A destination node's index of page hashes.
 #[derive(Debug, Clone, Default)]

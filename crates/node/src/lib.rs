@@ -230,12 +230,12 @@ pub fn ctl_trace_tail(
     match ctl_request(addr, &Msg::TraceTailReq { max }, timeout)? {
         Msg::TraceTailResp {
             node,
-            now_secs,
+            now,
             dropped,
             events,
         } => Ok(NodeTail {
             node: node.0,
-            now: SimTime::from_secs(now_secs),
+            now,
             dropped,
             events,
         }),

@@ -24,6 +24,7 @@ use std::collections::BTreeMap;
 
 use serde::Value;
 
+use crate::event::{Arg, NO_TOKEN};
 use crate::{Event, TimedEvent};
 
 use dvdc_simcore::time::SimTime;
@@ -304,7 +305,7 @@ pub fn chrome_trace_value(events: &[TimedEvent], other_data: &[(String, Value)])
                         ("bytes", Value::U64(open.bytes as u64)),
                         ("outcome", Value::Str(outcome.to_owned())),
                     ];
-                    if open.token_epoch != crate::event::NO_TOKEN {
+                    if open.token_epoch != NO_TOKEN {
                         arg_fields.push(("token_epoch", Value::U64(open.token_epoch)));
                     }
                     fields.push(args(arg_fields));
@@ -577,135 +578,20 @@ pub struct NodeTail {
     pub events: Vec<TimedEvent>,
 }
 
-/// Argument fields for rendering any event generically (instant `args`).
+/// Argument fields for rendering any event generically (instant
+/// `args`): a walk over the event's own field list, so a new [`Event`]
+/// variant needs no line here.
 fn event_args(event: &Event) -> Vec<(&'static str, Value)> {
-    let n = |v: usize| Value::U64(v as u64);
-    match *event {
-        Event::RoundBegin { epoch } | Event::RoundCommitted { epoch } => {
-            vec![("epoch", Value::U64(epoch))]
-        }
-        Event::RoundPhase { epoch, phase } => vec![
-            ("epoch", Value::U64(epoch)),
-            ("phase", Value::Str(phase.to_owned())),
-        ],
-        Event::RoundAborted { epoch, phase } => vec![
-            ("epoch", Value::U64(epoch)),
-            ("phase", Value::Str(phase.to_owned())),
-        ],
-        Event::TransferLaunched {
-            id,
-            from,
-            to,
-            bytes,
-            token_epoch,
-        } => {
-            let mut fields = vec![
-                ("id", Value::U64(id)),
-                ("from", n(from)),
-                ("to", n(to)),
-                ("bytes", n(bytes)),
-            ];
-            if token_epoch != crate::event::NO_TOKEN {
-                fields.push(("token_epoch", Value::U64(token_epoch)));
-            }
-            fields
-        }
-        Event::TransferArrived {
-            id,
-            from,
-            to,
-            bytes,
-        }
-        | Event::TransferDropped {
-            id,
-            from,
-            to,
-            bytes,
-        } => vec![
-            ("id", Value::U64(id)),
-            ("from", n(from)),
-            ("to", n(to)),
-            ("bytes", n(bytes)),
-        ],
-        Event::TransferFenced {
-            id,
-            node,
-            held_epoch,
-            current_epoch,
-        } => vec![
-            ("id", Value::U64(id)),
-            ("node", n(node)),
-            ("held_epoch", Value::U64(held_epoch)),
-            ("current_epoch", Value::U64(current_epoch)),
-        ],
-        Event::TransferRetried { id, attempt } => vec![
-            ("id", Value::U64(id)),
-            ("attempt", Value::U64(attempt as u64)),
-        ],
-        Event::HeartbeatArrived { node }
-        | Event::Suspected { node }
-        | Event::Confirmed { node }
-        | Event::Refuted { node }
-        | Event::NodeHealed { node }
-        | Event::JobRestarted { node } => vec![("node", n(node))],
-        Event::FenceRaised { node, epoch } | Event::FenceReadmitted { node, epoch } => {
-            vec![("node", n(node)), ("epoch", Value::U64(epoch))]
-        }
-        Event::RebuildBegin {
-            victim,
-            mode,
-            epoch,
-        } => vec![
-            ("victim", n(victim)),
-            ("mode", Value::Str(mode.to_owned())),
-            ("epoch", Value::U64(epoch)),
-        ],
-        Event::RebuildPhase { victim, phase } => vec![
-            ("victim", n(victim)),
-            ("phase", Value::Str(phase.to_owned())),
-        ],
-        Event::RebuildCompleted { victim } => vec![("victim", n(victim))],
-        Event::RebuildAborted { victim, phase } => vec![
-            ("victim", n(victim)),
-            ("phase", Value::Str(phase.to_owned())),
-        ],
-        Event::ScrubCompleted {
-            verified,
-            corrupt,
-            repaired,
-        } => vec![
-            ("verified", n(verified)),
-            ("corrupt", n(corrupt)),
-            ("repaired", n(repaired)),
-        ],
-        Event::CorruptionInjected { node, blocks } => {
-            vec![("node", n(node)), ("blocks", n(blocks))]
-        }
-        Event::DataLoss { node, group } => vec![("node", n(node)), ("group", n(group))],
-        Event::SessionEstablished { peer } | Event::ResyncServed { peer } => {
-            vec![("peer", n(peer))]
-        }
-        Event::SessionRejected {
-            peer,
-            required_epoch,
-        } => vec![
-            ("peer", n(peer)),
-            ("required_epoch", Value::U64(required_epoch)),
-        ],
-        Event::StaleDropped {
-            from,
-            held_epoch,
-            current_epoch,
-        } => vec![
-            ("from", n(from)),
-            ("held_epoch", Value::U64(held_epoch)),
-            ("current_epoch", Value::U64(current_epoch)),
-        ],
-        Event::PayloadDropped { from } => vec![("from", n(from))],
-        Event::FaultInjected { node, kind } => {
-            vec![("node", n(node)), ("kind", Value::Str(kind.to_owned()))]
-        }
-    }
+    event
+        .fields()
+        .into_iter()
+        // A launch without a fence token renders no `token_epoch` arg.
+        .filter(|&(name, arg)| (name, arg) != ("token_epoch", Arg::U64(NO_TOKEN)))
+        .map(|(name, arg)| match arg {
+            Arg::U64(v) => (name, Value::U64(v)),
+            Arg::Str(s) => (name, Value::Str(s.to_owned())),
+        })
+        .collect()
 }
 
 /// Merges the scraped trace tails of several live nodes into one
@@ -1064,6 +950,35 @@ mod tests {
         assert!(
             one.contains("\"round_committed\""),
             "orphan commit is an instant"
+        );
+    }
+
+    #[test]
+    fn event_args_follow_the_declaration_and_omit_a_missing_token() {
+        let launch = |token_epoch| Event::TransferLaunched {
+            id: 7,
+            from: 0,
+            to: 4,
+            bytes: 4096,
+            token_epoch,
+        };
+        let names = |e: &Event| -> Vec<&str> { event_args(e).iter().map(|a| a.0).collect() };
+        assert_eq!(names(&launch(NO_TOKEN)), ["id", "from", "to", "bytes"]);
+        assert_eq!(
+            event_args(&launch(3)).last(),
+            Some(&("token_epoch", Value::U64(3)))
+        );
+        assert_eq!(
+            event_args(&Event::RebuildBegin {
+                victim: 1,
+                mode: "Failover",
+                epoch: 3,
+            }),
+            [
+                ("victim", Value::U64(1)),
+                ("mode", Value::Str("Failover".to_owned())),
+                ("epoch", Value::U64(3)),
+            ]
         );
     }
 

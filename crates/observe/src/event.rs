@@ -7,33 +7,98 @@
 /// epoch.
 pub const NO_TOKEN: u64 = u64::MAX;
 
-/// One observable protocol event.
-///
-/// Node, VM, and group identifiers are raw indices; phase and mode names
-/// are the `Debug` names of the protocol's own enums. Span-like pairs
-/// (round begin/commit, rebuild begin/complete) share a key (`epoch`,
-/// `victim`) so exporters can reconstruct durations.
+/// One field value in an event's generic `(name, value)` view
+/// ([`Event::fields`]) — what exporters render without knowing the
+/// variant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Event {
+pub enum Arg {
+    /// Any integer field (ids, epochs, indices, counts, sizes).
+    U64(u64),
+    /// A phase/mode/kind name.
+    Str(&'static str),
+}
+
+macro_rules! arg_from_int {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Arg {
+            fn from(v: $t) -> Arg {
+                Arg::U64(v as u64)
+            }
+        }
+    )*};
+}
+arg_from_int!(u32, u64, usize);
+
+impl From<&'static str> for Arg {
+    fn from(s: &'static str) -> Arg {
+        Arg::Str(s)
+    }
+}
+
+/// The single declaration of the event vocabulary: each entry names a
+/// variant once, with its stable exporter name and its fields, and the
+/// enum, [`Event::name`] and [`Event::fields`] are generated from it. A
+/// new event is one entry here (plus its tag line in
+/// `dvdc_transport::wire`); the trace exporters pick it up unchanged.
+macro_rules! events {
+    ($(
+        $(#[$vmeta:meta])*
+        $variant:ident $name:literal {
+            $( $(#[$fmeta:meta])* $field:ident : $ty:ty ),* $(,)?
+        }
+    ),* $(,)?) => {
+        /// One observable protocol event.
+        ///
+        /// Node, VM, and group identifiers are raw indices; phase and mode names
+        /// are the `Debug` names of the protocol's own enums. Span-like pairs
+        /// (round begin/commit, rebuild begin/complete) share a key (`epoch`,
+        /// `victim`) so exporters can reconstruct durations.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum Event {
+            $( $(#[$vmeta])* $variant { $( $(#[$fmeta])* $field: $ty ),* } ),*
+        }
+
+        impl Event {
+            /// Short stable name for exporters and summaries.
+            pub fn name(&self) -> &'static str {
+                match self {
+                    $( Event::$variant { .. } => $name ),*
+                }
+            }
+
+            /// The variant's fields as `(field name, value)` pairs, in
+            /// declaration order.
+            pub fn fields(&self) -> Vec<(&'static str, Arg)> {
+                match *self {
+                    $( Event::$variant { $($field),* } => {
+                        vec![$( (stringify!($field), Arg::from($field)) ),*]
+                    } )*
+                }
+            }
+        }
+    };
+}
+
+events! {
     /// A coordinated checkpoint round opened at `epoch`.
-    RoundBegin {
+    RoundBegin "round_begin" {
         /// Epoch the round will commit.
         epoch: u64,
     },
     /// The open round entered a phase (Capture, Transfer, Fold, Commit).
-    RoundPhase {
+    RoundPhase "round_phase" {
         /// Epoch of the open round.
         epoch: u64,
         /// Phase name.
         phase: &'static str,
     },
     /// The open round committed.
-    RoundCommitted {
+    RoundCommitted "round_committed" {
         /// Epoch that committed.
         epoch: u64,
     },
     /// The open round was aborted (rolled back) while in `phase`.
-    RoundAborted {
+    RoundAborted "round_aborted" {
         /// Epoch that was abandoned.
         epoch: u64,
         /// Phase the round was in when aborted.
@@ -41,7 +106,7 @@ pub enum Event {
     },
 
     /// A node-to-node bulk transfer was launched.
-    TransferLaunched {
+    TransferLaunched "transfer_launched" {
         /// Ledger handle.
         id: u64,
         /// Sending node index.
@@ -54,7 +119,7 @@ pub enum Event {
         token_epoch: u64,
     },
     /// A transfer arrived and its payload was accepted.
-    TransferArrived {
+    TransferArrived "transfer_arrived" {
         /// Ledger handle.
         id: u64,
         /// Sending node index.
@@ -66,7 +131,7 @@ pub enum Event {
     },
     /// A transfer arrived carrying a stale fence token; the payload was
     /// rejected.
-    TransferFenced {
+    TransferFenced "transfer_fenced" {
         /// Ledger handle.
         id: u64,
         /// Node whose token went stale.
@@ -77,7 +142,7 @@ pub enum Event {
         current_epoch: u64,
     },
     /// A failed send is being retried after backoff.
-    TransferRetried {
+    TransferRetried "transfer_retried" {
         /// Ledger handle.
         id: u64,
         /// Which attempt just failed, 1-based.
@@ -85,7 +150,7 @@ pub enum Event {
     },
     /// A transfer was abandoned (retry budget spent, endpoint went dark,
     /// or the round was abandoned).
-    TransferDropped {
+    TransferDropped "transfer_dropped" {
         /// Ledger handle.
         id: u64,
         /// Sending node index.
@@ -97,35 +162,35 @@ pub enum Event {
     },
 
     /// A heartbeat from `node` reached the detector.
-    HeartbeatArrived {
+    HeartbeatArrived "heartbeat" {
         /// Monitored node index.
         node: usize,
     },
     /// The detector began suspecting `node` (heartbeat deadline missed).
-    Suspected {
+    Suspected "suspected" {
         /// Suspect node index.
         node: usize,
     },
     /// The detector confirmed `node` failed (grace period expired).
-    Confirmed {
+    Confirmed "confirmed" {
         /// Confirmed-dead node index.
         node: usize,
     },
     /// A heartbeat arrived in time to clear the suspicion of `node`.
-    Refuted {
+    Refuted "refuted" {
         /// Cleared node index.
         node: usize,
     },
 
     /// `node` was fenced; its fence epoch bumped to `epoch`.
-    FenceRaised {
+    FenceRaised "fence_raised" {
         /// Fenced node index.
         node: usize,
         /// The node's new fence epoch.
         epoch: u64,
     },
     /// A fenced node was readmitted after resyncing (epoch unchanged).
-    FenceReadmitted {
+    FenceReadmitted "fence_readmitted" {
         /// Readmitted node index.
         node: usize,
         /// The fence epoch the node re-enters at.
@@ -133,7 +198,7 @@ pub enum Event {
     },
 
     /// A rebuild pipeline started for `victim`.
-    RebuildBegin {
+    RebuildBegin "rebuild_begin" {
         /// Node being rebuilt (or scrubbed).
         victim: usize,
         /// Rebuild mode name (InPlace, Failover, Resync, Scrub).
@@ -143,7 +208,7 @@ pub enum Event {
     },
     /// The open rebuild entered a phase (FetchSurvivors, Decode, Place,
     /// Readmit).
-    RebuildPhase {
+    RebuildPhase "rebuild_phase" {
         /// Node being rebuilt.
         victim: usize,
         /// Phase name.
@@ -151,13 +216,13 @@ pub enum Event {
     },
     /// The open rebuild completed and the cluster was readmitted/rolled
     /// back.
-    RebuildCompleted {
+    RebuildCompleted "rebuild_completed" {
         /// Node that was rebuilt.
         victim: usize,
     },
     /// The open rebuild was abandoned (e.g. a cascading failure hit a
     /// decode source) while in `phase`.
-    RebuildAborted {
+    RebuildAborted "rebuild_aborted" {
         /// Node whose rebuild was abandoned.
         victim: usize,
         /// Phase the rebuild was in when abandoned.
@@ -165,7 +230,7 @@ pub enum Event {
     },
 
     /// An integrity scrub pass finished.
-    ScrubCompleted {
+    ScrubCompleted "scrub_completed" {
         /// Blocks whose checksum was verified.
         verified: usize,
         /// Blocks found corrupt.
@@ -174,14 +239,14 @@ pub enum Event {
         repaired: usize,
     },
     /// Silent corruption was injected into `node`'s committed blocks.
-    CorruptionInjected {
+    CorruptionInjected "corruption_injected" {
         /// Corrupted node index.
         node: usize,
         /// Blocks flipped.
         blocks: usize,
     },
     /// A group exceeded its erasure tolerance — the data is gone.
-    DataLoss {
+    DataLoss "data_loss" {
         /// Node whose failure/corruption pushed the group past tolerance.
         node: usize,
         /// Group that could not be decoded.
@@ -189,13 +254,13 @@ pub enum Event {
     },
 
     /// A transport session handshake with `peer` completed.
-    SessionEstablished {
+    SessionEstablished "session_established" {
         /// Peer node index.
         peer: usize,
     },
     /// A session hello from `peer` was rejected as pre-fence; the peer
     /// must resync before rejoining.
-    SessionRejected {
+    SessionRejected "session_rejected" {
         /// Rejected peer node index.
         peer: usize,
         /// Fence epoch the peer must present to be admitted.
@@ -203,7 +268,7 @@ pub enum Event {
     },
     /// A message from `from` was dropped for carrying a stale fence
     /// epoch.
-    StaleDropped {
+    StaleDropped "stale_dropped" {
         /// Sender node index.
         from: usize,
         /// Fence epoch the message carried.
@@ -213,71 +278,33 @@ pub enum Event {
     },
     /// A checkpoint payload from `from` was dropped (no open round,
     /// wrong epoch, or duplicate slot).
-    PayloadDropped {
+    PayloadDropped "payload_dropped" {
         /// Sender node index.
         from: usize,
     },
     /// A fence/resync request from `peer` was served (state shipped).
-    ResyncServed {
+    ResyncServed "resync_served" {
         /// Resynced peer node index.
         peer: usize,
     },
 
     /// A fault was injected into the cluster (driver-level view).
-    FaultInjected {
+    FaultInjected "fault_injected" {
         /// Faulted node index.
         node: usize,
         /// Fault kind name (Crash, Hang, Partition, Corruption).
         kind: &'static str,
     },
     /// A transiently-faulted node woke up / healed.
-    NodeHealed {
+    NodeHealed "node_healed" {
         /// Healed node index.
         node: usize,
     },
     /// The job restarted from scratch after an unrecoverable failure.
-    JobRestarted {
+    JobRestarted "job_restarted" {
         /// Node whose failure forced the restart.
         node: usize,
     },
-}
-
-impl Event {
-    /// Short stable name for exporters and summaries.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Event::RoundBegin { .. } => "round_begin",
-            Event::RoundPhase { .. } => "round_phase",
-            Event::RoundCommitted { .. } => "round_committed",
-            Event::RoundAborted { .. } => "round_aborted",
-            Event::TransferLaunched { .. } => "transfer_launched",
-            Event::TransferArrived { .. } => "transfer_arrived",
-            Event::TransferFenced { .. } => "transfer_fenced",
-            Event::TransferRetried { .. } => "transfer_retried",
-            Event::TransferDropped { .. } => "transfer_dropped",
-            Event::HeartbeatArrived { .. } => "heartbeat",
-            Event::Suspected { .. } => "suspected",
-            Event::Confirmed { .. } => "confirmed",
-            Event::Refuted { .. } => "refuted",
-            Event::FenceRaised { .. } => "fence_raised",
-            Event::FenceReadmitted { .. } => "fence_readmitted",
-            Event::RebuildBegin { .. } => "rebuild_begin",
-            Event::RebuildPhase { .. } => "rebuild_phase",
-            Event::RebuildCompleted { .. } => "rebuild_completed",
-            Event::RebuildAborted { .. } => "rebuild_aborted",
-            Event::ScrubCompleted { .. } => "scrub_completed",
-            Event::CorruptionInjected { .. } => "corruption_injected",
-            Event::DataLoss { .. } => "data_loss",
-            Event::SessionEstablished { .. } => "session_established",
-            Event::SessionRejected { .. } => "session_rejected",
-            Event::StaleDropped { .. } => "stale_dropped",
-            Event::PayloadDropped { .. } => "payload_dropped",
-            Event::ResyncServed { .. } => "resync_served",
-            Event::FaultInjected { .. } => "fault_injected",
-            Event::NodeHealed { .. } => "node_healed",
-            Event::JobRestarted { .. } => "job_restarted",
-        }
-    }
 }
 
 #[cfg(test)]

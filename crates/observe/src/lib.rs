@@ -59,7 +59,7 @@ mod event;
 pub mod metrics;
 pub mod registry;
 
-pub use event::{Event, NO_TOKEN};
+pub use event::{Arg, Event, NO_TOKEN};
 pub use registry::{
     intern, Counter, Gauge, HistSnapshot, HistogramHandle, LogHistogram, MetricsHub,
     MetricsSnapshot, Stamp,

@@ -59,8 +59,8 @@ impl RngHub {
         let mut seed = [0u8; 32];
         let mut x = self
             .master_seed
-            .wrapping_add(fnv1a(name.as_bytes()))
-            .wrapping_add(index.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            .wrapping_add(fnv1a64(name.as_bytes()))
+            .wrapping_add(index.wrapping_mul(SPLITMIX_GAMMA));
         for chunk in seed.chunks_exact_mut(8) {
             x = splitmix64(x);
             chunk.copy_from_slice(&x.to_le_bytes());
@@ -73,25 +73,35 @@ impl RngHub {
     pub fn subhub(&self, name: &str, index: u64) -> RngHub {
         let derived = splitmix64(
             self.master_seed
-                .wrapping_add(fnv1a(name.as_bytes()))
+                .wrapping_add(fnv1a64(name.as_bytes()))
                 .wrapping_add(index.wrapping_mul(0xD1B5_4A32_D192_ED03)),
         );
         RngHub::new(derived)
     }
 }
 
-/// SplitMix64 finalizer: a cheap, well-mixed 64-bit permutation.
+/// The SplitMix64 increment (2⁶⁴/φ): the step a stateful SplitMix64
+/// generator adds to its state between outputs.
+pub const SPLITMIX_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// SplitMix64 as a pure function: the generator's output for state `x`
+/// (increment, then finalize) — a cheap, well-mixed 64-bit permutation.
+/// The one copy in the workspace; a stateful stream calls it and then
+/// advances its state by [`SPLITMIX_GAMMA`].
 #[inline]
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+pub fn splitmix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(SPLITMIX_GAMMA);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
 }
 
-/// FNV-1a over bytes, used only to fold stream names into the seed.
+/// FNV-1a/64 over bytes — the one copy in the workspace. It folds stream
+/// names into seeds here and is re-exported as the block checksum
+/// (`dvdc_checkpoint::integrity::checksum`), the frame trailer and
+/// content digest (`node_core::fnv64`) and the migration page hash.
 #[inline]
-fn fnv1a(bytes: &[u8]) -> u64 {
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xCBF2_9CE4_8422_2325;
     for &b in bytes {
         h ^= u64::from(b);
@@ -143,6 +153,13 @@ mod tests {
         let t1: u64 = hub.subhub("trial", 1).stream("fail").random();
         assert_ne!(t0, t1);
         assert_eq!(hub.subhub("trial", 0).stream("fail").random::<u64>(), t0);
+    }
+
+    #[test]
+    fn splitmix64_matches_the_reference_stream() {
+        // First two outputs of the reference SplitMix64 seeded with 0.
+        assert_eq!(splitmix64(0), 0xE220_A839_7B1D_CDAF);
+        assert_eq!(splitmix64(SPLITMIX_GAMMA), 0x6E78_9E6A_A1B9_65F4);
     }
 
     #[test]

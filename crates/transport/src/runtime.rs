@@ -350,7 +350,7 @@ impl NodeRuntime {
                                 }
                                 let resp = Msg::TraceTailResp {
                                     node: config.id,
-                                    now_secs: clock.now().as_secs(),
+                                    now: clock.now(),
                                     dropped,
                                     events,
                                 };

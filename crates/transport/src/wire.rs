@@ -1,18 +1,22 @@
 //! Binary wire format for DVDC protocol messages.
 //!
 //! One frame payload carries one *envelope*: the sender's [`NodeId`] as a
-//! `u64`, followed by a tagged [`Msg`] body. Encoding is hand-rolled and
-//! self-contained (little-endian integers, `u32`-length-prefixed byte
-//! strings) so the deployment path adds no serialization dependency and
-//! every decode failure is a typed [`WireError`] — a hostile or torn
-//! payload can never panic the daemon.
+//! `u64`, followed by a tagged [`Msg`] body. Encoding is self-contained
+//! (little-endian integers, `u32`-length-prefixed byte strings and lists)
+//! so the deployment path adds no serialization dependency and every
+//! decode failure is a typed [`WireError`] — a hostile or torn payload
+//! can never panic the daemon.
 //!
-//! Variant tags are assigned in declaration order of
-//! [`Msg`](dvdc::protocol::node_core::Msg) starting at 1; tag 0 is
-//! reserved as invalid so zero-filled buffers decode to a typed error.
+//! The codec is declarative. [`Wire`] is implemented once per field
+//! *type*; each enum is one table (`tag => Variant { field, … }`) from
+//! which both directions are generated, with the field types inferred
+//! from the enum itself. **Adding a message or an event is one table
+//! line.** Tag rules: tags are explicit, a tag is never reused or
+//! renumbered once released, and tag 0 stays unassigned so a zero-filled
+//! buffer decodes to a typed error.
 
 use dvdc::protocol::node_core::{BlockInfo, BlockKind, DigestSource, Msg, StatusView};
-use dvdc_observe::registry::{intern, HistSnapshot, MetricsSnapshot};
+use dvdc_observe::registry::{intern, HistSnapshot, MetricsSnapshot, HIST_BUCKETS};
 use dvdc_observe::{Event, TimedEvent};
 use dvdc_simcore::time::SimTime;
 use dvdc_vcluster::ids::NodeId;
@@ -20,7 +24,7 @@ use dvdc_vcluster::ids::NodeId;
 /// Typed decode failures.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireError {
-    /// The message tag byte names no known [`Msg`] variant.
+    /// The tag byte names no known [`Msg`] (or trace [`Event`]) variant.
     UnknownTag(u8),
     /// The buffer ended before the message did.
     Truncated,
@@ -31,6 +35,8 @@ pub enum WireError {
     BadLength,
     /// A string field was not valid UTF-8.
     BadUtf8,
+    /// A trace timestamp was NaN, infinite or negative.
+    BadTimestamp,
 }
 
 impl std::fmt::Display for WireError {
@@ -41,303 +47,22 @@ impl std::fmt::Display for WireError {
             WireError::TrailingBytes => write!(f, "trailing bytes after message body"),
             WireError::BadLength => write!(f, "impossible length or discriminant in message body"),
             WireError::BadUtf8 => write!(f, "string field is not valid UTF-8"),
+            WireError::BadTimestamp => write!(f, "trace timestamp is not a finite time >= 0"),
         }
     }
 }
 
 impl std::error::Error for WireError {}
 
-// ---------------------------------------------------------------------
-// Writer
-// ---------------------------------------------------------------------
-
-fn put_u8(out: &mut Vec<u8>, v: u8) {
-    out.push(v);
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_node(out: &mut Vec<u8>, n: NodeId) {
-    put_u64(out, n.0 as u64);
-}
-
-fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
-    put_u32(out, b.len() as u32);
-    out.extend_from_slice(b);
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_bytes(out, s.as_bytes());
-}
-
-fn put_nodes(out: &mut Vec<u8>, ns: &[NodeId]) {
-    put_u32(out, ns.len() as u32);
-    for n in ns {
-        put_node(out, *n);
-    }
-}
-
-fn put_bool(out: &mut Vec<u8>, v: bool) {
-    put_u8(out, v as u8);
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    put_u64(out, v.to_bits());
-}
-
-fn put_hist(out: &mut Vec<u8>, h: &HistSnapshot) {
-    put_u64(out, h.count);
-    put_u64(out, h.sum);
-    put_u32(out, h.buckets.len() as u32);
-    for &(i, n) in &h.buckets {
-        put_u8(out, i);
-        put_u64(out, n);
-    }
-}
-
-fn put_snapshot(out: &mut Vec<u8>, s: &MetricsSnapshot) {
-    put_u32(out, s.counters.len() as u32);
-    for (k, v) in &s.counters {
-        put_str(out, k);
-        put_u64(out, *v);
-    }
-    put_u32(out, s.gauges.len() as u32);
-    for (k, v) in &s.gauges {
-        put_str(out, k);
-        put_u64(out, *v as u64);
-    }
-    put_u32(out, s.histograms.len() as u32);
-    for (k, h) in &s.histograms {
-        put_str(out, k);
-        put_hist(out, h);
-    }
-}
-
-fn put_usize(out: &mut Vec<u8>, v: usize) {
-    put_u64(out, v as u64);
-}
-
-/// Serialize one observe [`Event`]. Tags are assigned in declaration
-/// order of the enum starting at 1 (0 invalid), a tag space independent
-/// of [`Msg`]'s.
-fn put_event(out: &mut Vec<u8>, e: &Event) {
-    match *e {
-        Event::RoundBegin { epoch } => {
-            put_u8(out, 1);
-            put_u64(out, epoch);
-        }
-        Event::RoundPhase { epoch, phase } => {
-            put_u8(out, 2);
-            put_u64(out, epoch);
-            put_str(out, phase);
-        }
-        Event::RoundCommitted { epoch } => {
-            put_u8(out, 3);
-            put_u64(out, epoch);
-        }
-        Event::RoundAborted { epoch, phase } => {
-            put_u8(out, 4);
-            put_u64(out, epoch);
-            put_str(out, phase);
-        }
-        Event::TransferLaunched {
-            id,
-            from,
-            to,
-            bytes,
-            token_epoch,
-        } => {
-            put_u8(out, 5);
-            put_u64(out, id);
-            put_usize(out, from);
-            put_usize(out, to);
-            put_usize(out, bytes);
-            put_u64(out, token_epoch);
-        }
-        Event::TransferArrived {
-            id,
-            from,
-            to,
-            bytes,
-        } => {
-            put_u8(out, 6);
-            put_u64(out, id);
-            put_usize(out, from);
-            put_usize(out, to);
-            put_usize(out, bytes);
-        }
-        Event::TransferFenced {
-            id,
-            node,
-            held_epoch,
-            current_epoch,
-        } => {
-            put_u8(out, 7);
-            put_u64(out, id);
-            put_usize(out, node);
-            put_u64(out, held_epoch);
-            put_u64(out, current_epoch);
-        }
-        Event::TransferRetried { id, attempt } => {
-            put_u8(out, 8);
-            put_u64(out, id);
-            put_u32(out, attempt);
-        }
-        Event::TransferDropped {
-            id,
-            from,
-            to,
-            bytes,
-        } => {
-            put_u8(out, 9);
-            put_u64(out, id);
-            put_usize(out, from);
-            put_usize(out, to);
-            put_usize(out, bytes);
-        }
-        Event::HeartbeatArrived { node } => {
-            put_u8(out, 10);
-            put_usize(out, node);
-        }
-        Event::Suspected { node } => {
-            put_u8(out, 11);
-            put_usize(out, node);
-        }
-        Event::Confirmed { node } => {
-            put_u8(out, 12);
-            put_usize(out, node);
-        }
-        Event::Refuted { node } => {
-            put_u8(out, 13);
-            put_usize(out, node);
-        }
-        Event::FenceRaised { node, epoch } => {
-            put_u8(out, 14);
-            put_usize(out, node);
-            put_u64(out, epoch);
-        }
-        Event::FenceReadmitted { node, epoch } => {
-            put_u8(out, 15);
-            put_usize(out, node);
-            put_u64(out, epoch);
-        }
-        Event::RebuildBegin {
-            victim,
-            mode,
-            epoch,
-        } => {
-            put_u8(out, 16);
-            put_usize(out, victim);
-            put_str(out, mode);
-            put_u64(out, epoch);
-        }
-        Event::RebuildPhase { victim, phase } => {
-            put_u8(out, 17);
-            put_usize(out, victim);
-            put_str(out, phase);
-        }
-        Event::RebuildCompleted { victim } => {
-            put_u8(out, 18);
-            put_usize(out, victim);
-        }
-        Event::RebuildAborted { victim, phase } => {
-            put_u8(out, 19);
-            put_usize(out, victim);
-            put_str(out, phase);
-        }
-        Event::ScrubCompleted {
-            verified,
-            corrupt,
-            repaired,
-        } => {
-            put_u8(out, 20);
-            put_usize(out, verified);
-            put_usize(out, corrupt);
-            put_usize(out, repaired);
-        }
-        Event::CorruptionInjected { node, blocks } => {
-            put_u8(out, 21);
-            put_usize(out, node);
-            put_usize(out, blocks);
-        }
-        Event::DataLoss { node, group } => {
-            put_u8(out, 22);
-            put_usize(out, node);
-            put_usize(out, group);
-        }
-        Event::SessionEstablished { peer } => {
-            put_u8(out, 23);
-            put_usize(out, peer);
-        }
-        Event::SessionRejected {
-            peer,
-            required_epoch,
-        } => {
-            put_u8(out, 24);
-            put_usize(out, peer);
-            put_u64(out, required_epoch);
-        }
-        Event::StaleDropped {
-            from,
-            held_epoch,
-            current_epoch,
-        } => {
-            put_u8(out, 25);
-            put_usize(out, from);
-            put_u64(out, held_epoch);
-            put_u64(out, current_epoch);
-        }
-        Event::PayloadDropped { from } => {
-            put_u8(out, 26);
-            put_usize(out, from);
-        }
-        Event::ResyncServed { peer } => {
-            put_u8(out, 27);
-            put_usize(out, peer);
-        }
-        Event::FaultInjected { node, kind } => {
-            put_u8(out, 28);
-            put_usize(out, node);
-            put_str(out, kind);
-        }
-        Event::NodeHealed { node } => {
-            put_u8(out, 29);
-            put_usize(out, node);
-        }
-        Event::JobRestarted { node } => {
-            put_u8(out, 30);
-            put_usize(out, node);
-        }
-    }
-}
-
-fn put_timed_event(out: &mut Vec<u8>, te: &TimedEvent) {
-    put_f64(out, te.at.as_secs());
-    put_u64(out, te.seq);
-    put_event(out, &te.event);
-}
-
-fn put_block(out: &mut Vec<u8>, b: &BlockInfo) {
-    put_node(out, b.holder);
-    put_u8(
-        out,
-        match b.kind {
-            BlockKind::Data => 0,
-            BlockKind::Parity => 1,
-        },
-    );
-    put_u64(out, b.epoch);
-    put_bytes(out, &b.data);
+/// The tags an enum's table assigns, so tests can prove their samples
+/// cover every line of it.
+pub trait Tagged {
+    /// Every assigned tag, in table order.
+    const TAGS: &'static [u8];
 }
 
 // ---------------------------------------------------------------------
-// Reader
+// Reader and the per-type codec
 // ---------------------------------------------------------------------
 
 struct Reader<'a> {
@@ -346,12 +71,13 @@ struct Reader<'a> {
 }
 
 impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
+    /// Bytes not yet consumed.
+    fn left(&self) -> usize {
+        self.buf.len() - self.pos
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.buf.len() - self.pos < n {
+        if self.left() < n {
             return Err(WireError::Truncated);
         }
         let s = &self.buf[self.pos..self.pos + n];
@@ -359,267 +85,8 @@ impl<'a> Reader<'a> {
         Ok(s)
     }
 
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, WireError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, WireError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    fn node(&mut self) -> Result<NodeId, WireError> {
-        let v = self.u64()?;
-        usize::try_from(v)
-            .map(NodeId)
-            .map_err(|_| WireError::BadLength)
-    }
-
-    fn bytes(&mut self) -> Result<Vec<u8>, WireError> {
-        let len = self.u32()? as usize;
-        Ok(self.take(len)?.to_vec())
-    }
-
-    fn string(&mut self) -> Result<String, WireError> {
-        String::from_utf8(self.bytes()?).map_err(|_| WireError::BadUtf8)
-    }
-
-    fn nodes(&mut self) -> Result<Vec<NodeId>, WireError> {
-        let n = self.u32()? as usize;
-        // Each node costs 8 bytes — reject counts the buffer cannot hold
-        // before reserving anything.
-        if self.buf.len() - self.pos < n * 8 {
-            return Err(WireError::Truncated);
-        }
-        (0..n).map(|_| self.node()).collect()
-    }
-
-    fn boolean(&mut self) -> Result<bool, WireError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(WireError::BadLength),
-        }
-    }
-
-    fn block(&mut self) -> Result<BlockInfo, WireError> {
-        let holder = self.node()?;
-        let kind = match self.u8()? {
-            0 => BlockKind::Data,
-            1 => BlockKind::Parity,
-            _ => return Err(WireError::BadLength),
-        };
-        let epoch = self.u64()?;
-        let data = self.bytes()?;
-        Ok(BlockInfo {
-            holder,
-            kind,
-            epoch,
-            data,
-        })
-    }
-
-    fn f64(&mut self) -> Result<f64, WireError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn usize(&mut self) -> Result<usize, WireError> {
-        usize::try_from(self.u64()?).map_err(|_| WireError::BadLength)
-    }
-
-    /// Rejects an element count the remaining buffer cannot possibly
-    /// hold (each element costs at least `min_each` bytes) before any
-    /// allocation happens.
-    fn count(&mut self, min_each: usize) -> Result<usize, WireError> {
-        let n = self.u32()? as usize;
-        if (self.buf.len() - self.pos) / min_each.max(1) < n {
-            return Err(WireError::Truncated);
-        }
-        Ok(n)
-    }
-
-    fn hist(&mut self) -> Result<HistSnapshot, WireError> {
-        let count = self.u64()?;
-        let sum = self.u64()?;
-        // Each bucket entry costs 9 bytes.
-        let n = self.count(9)?;
-        let mut buckets = Vec::with_capacity(n);
-        for _ in 0..n {
-            let i = self.u8()?;
-            if i as usize >= dvdc_observe::registry::HIST_BUCKETS {
-                return Err(WireError::BadLength);
-            }
-            buckets.push((i, self.u64()?));
-        }
-        Ok(HistSnapshot {
-            count,
-            sum,
-            buckets,
-        })
-    }
-
-    fn snapshot(&mut self) -> Result<MetricsSnapshot, WireError> {
-        // Minimum entry: empty name (4) + u64 value (8).
-        let n = self.count(12)?;
-        let mut counters = Vec::with_capacity(n);
-        for _ in 0..n {
-            counters.push((self.string()?, self.u64()?));
-        }
-        let n = self.count(12)?;
-        let mut gauges = Vec::with_capacity(n);
-        for _ in 0..n {
-            gauges.push((self.string()?, self.u64()? as i64));
-        }
-        // Minimum histogram entry: name (4) + count/sum (16) + bucket
-        // count (4).
-        let n = self.count(24)?;
-        let mut histograms = Vec::with_capacity(n);
-        for _ in 0..n {
-            histograms.push((self.string()?, self.hist()?));
-        }
-        Ok(MetricsSnapshot {
-            counters,
-            gauges,
-            histograms,
-        })
-    }
-
-    fn event(&mut self) -> Result<Event, WireError> {
-        let tag = self.u8()?;
-        let e = match tag {
-            1 => Event::RoundBegin { epoch: self.u64()? },
-            2 => Event::RoundPhase {
-                epoch: self.u64()?,
-                phase: intern(&self.string()?),
-            },
-            3 => Event::RoundCommitted { epoch: self.u64()? },
-            4 => Event::RoundAborted {
-                epoch: self.u64()?,
-                phase: intern(&self.string()?),
-            },
-            5 => Event::TransferLaunched {
-                id: self.u64()?,
-                from: self.usize()?,
-                to: self.usize()?,
-                bytes: self.usize()?,
-                token_epoch: self.u64()?,
-            },
-            6 => Event::TransferArrived {
-                id: self.u64()?,
-                from: self.usize()?,
-                to: self.usize()?,
-                bytes: self.usize()?,
-            },
-            7 => Event::TransferFenced {
-                id: self.u64()?,
-                node: self.usize()?,
-                held_epoch: self.u64()?,
-                current_epoch: self.u64()?,
-            },
-            8 => Event::TransferRetried {
-                id: self.u64()?,
-                attempt: self.u32()?,
-            },
-            9 => Event::TransferDropped {
-                id: self.u64()?,
-                from: self.usize()?,
-                to: self.usize()?,
-                bytes: self.usize()?,
-            },
-            10 => Event::HeartbeatArrived {
-                node: self.usize()?,
-            },
-            11 => Event::Suspected {
-                node: self.usize()?,
-            },
-            12 => Event::Confirmed {
-                node: self.usize()?,
-            },
-            13 => Event::Refuted {
-                node: self.usize()?,
-            },
-            14 => Event::FenceRaised {
-                node: self.usize()?,
-                epoch: self.u64()?,
-            },
-            15 => Event::FenceReadmitted {
-                node: self.usize()?,
-                epoch: self.u64()?,
-            },
-            16 => Event::RebuildBegin {
-                victim: self.usize()?,
-                mode: intern(&self.string()?),
-                epoch: self.u64()?,
-            },
-            17 => Event::RebuildPhase {
-                victim: self.usize()?,
-                phase: intern(&self.string()?),
-            },
-            18 => Event::RebuildCompleted {
-                victim: self.usize()?,
-            },
-            19 => Event::RebuildAborted {
-                victim: self.usize()?,
-                phase: intern(&self.string()?),
-            },
-            20 => Event::ScrubCompleted {
-                verified: self.usize()?,
-                corrupt: self.usize()?,
-                repaired: self.usize()?,
-            },
-            21 => Event::CorruptionInjected {
-                node: self.usize()?,
-                blocks: self.usize()?,
-            },
-            22 => Event::DataLoss {
-                node: self.usize()?,
-                group: self.usize()?,
-            },
-            23 => Event::SessionEstablished {
-                peer: self.usize()?,
-            },
-            24 => Event::SessionRejected {
-                peer: self.usize()?,
-                required_epoch: self.u64()?,
-            },
-            25 => Event::StaleDropped {
-                from: self.usize()?,
-                held_epoch: self.u64()?,
-                current_epoch: self.u64()?,
-            },
-            26 => Event::PayloadDropped {
-                from: self.usize()?,
-            },
-            27 => Event::ResyncServed {
-                peer: self.usize()?,
-            },
-            28 => Event::FaultInjected {
-                node: self.usize()?,
-                kind: intern(&self.string()?),
-            },
-            29 => Event::NodeHealed {
-                node: self.usize()?,
-            },
-            30 => Event::JobRestarted {
-                node: self.usize()?,
-            },
-            t => return Err(WireError::UnknownTag(t)),
-        };
-        Ok(e)
-    }
-
-    fn timed_event(&mut self) -> Result<TimedEvent, WireError> {
-        let at = SimTime::from_secs(self.f64()?);
-        let seq = self.u64()?;
-        let event = self.event()?;
-        Ok(TimedEvent { at, seq, event })
+    fn get<T: Wire>(&mut self) -> Result<T, WireError> {
+        T::get(self)
     }
 
     fn done(&self) -> Result<(), WireError> {
@@ -631,384 +98,405 @@ impl<'a> Reader<'a> {
     }
 }
 
-// ---------------------------------------------------------------------
-// Msg codec
-// ---------------------------------------------------------------------
+/// One field type's encoding. Everything a message can carry implements
+/// this exactly once; messages themselves are tables over it.
+trait Wire: Sized {
+    /// Fewest bytes any value of the type encodes to (never 0). A list
+    /// decoder divides the bytes left by this to reject a hostile element
+    /// count before allocating anything.
+    const MIN_LEN: usize;
 
-/// Serialize one message body (tag + fields) into `out`.
-pub fn encode_msg(out: &mut Vec<u8>, msg: &Msg) {
-    match msg {
-        Msg::Hello {
-            node,
-            cluster_id,
-            fence_epoch,
-        } => {
-            put_u8(out, 1);
-            put_node(out, *node);
-            put_u64(out, *cluster_id);
-            put_u64(out, *fence_epoch);
+    fn put(&self, out: &mut Vec<u8>);
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError>;
+
+    /// Encodes list elements back to back; `u8` overrides it with one
+    /// bulk copy so image bytes never move element by element.
+    fn put_all(items: &[Self], out: &mut Vec<u8>) {
+        for item in items {
+            item.put(out);
         }
-        Msg::Welcome { node, fence_epoch } => {
-            put_u8(out, 2);
-            put_node(out, *node);
-            put_u64(out, *fence_epoch);
-        }
-        Msg::Rejected {
-            node,
-            required_epoch,
-            coordinator,
-        } => {
-            put_u8(out, 3);
-            put_node(out, *node);
-            put_u64(out, *required_epoch);
-            put_node(out, *coordinator);
-        }
-        Msg::Heartbeat { node } => {
-            put_u8(out, 4);
-            put_node(out, *node);
-        }
-        Msg::RoundBegin {
-            epoch,
-            sources,
-            holders,
-        } => {
-            put_u8(out, 5);
-            put_u64(out, *epoch);
-            put_nodes(out, sources);
-            put_nodes(out, holders);
-        }
-        Msg::Payload {
-            epoch,
-            source,
-            fence_epoch,
-            data,
-        } => {
-            put_u8(out, 6);
-            put_u64(out, *epoch);
-            put_node(out, *source);
-            put_u64(out, *fence_epoch);
-            put_bytes(out, data);
-        }
-        Msg::CaptureAck { epoch, node } => {
-            put_u8(out, 7);
-            put_u64(out, *epoch);
-            put_node(out, *node);
-        }
-        Msg::FoldAck { epoch, node } => {
-            put_u8(out, 8);
-            put_u64(out, *epoch);
-            put_node(out, *node);
-        }
-        Msg::Commit { epoch } => {
-            put_u8(out, 9);
-            put_u64(out, *epoch);
-        }
-        Msg::CommitAck { epoch, node } => {
-            put_u8(out, 10);
-            put_u64(out, *epoch);
-            put_node(out, *node);
-        }
-        Msg::AbortRound { epoch, reason } => {
-            put_u8(out, 11);
-            put_u64(out, *epoch);
-            put_str(out, reason);
-        }
-        Msg::Fence { node, epoch } => {
-            put_u8(out, 12);
-            put_node(out, *node);
-            put_u64(out, *epoch);
-        }
-        Msg::FetchReq { victim } => {
-            put_u8(out, 13);
-            put_node(out, *victim);
-        }
-        Msg::FetchBlocks {
-            node,
-            fence_epoch,
-            blocks,
-        } => {
-            put_u8(out, 14);
-            put_node(out, *node);
-            put_u64(out, *fence_epoch);
-            put_u32(out, blocks.len() as u32);
-            for b in blocks {
-                put_block(out, b);
+    }
+
+    /// Decodes `n` elements; the caller has bounded `n` by [`Wire::MIN_LEN`].
+    fn get_all(r: &mut Reader<'_>, n: usize) -> Result<Vec<Self>, WireError> {
+        (0..n).map(|_| Self::get(r)).collect()
+    }
+}
+
+impl Wire for u8 {
+    const MIN_LEN: usize = 1;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(*self);
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(r.take(1)?[0])
+    }
+
+    fn put_all(items: &[u8], out: &mut Vec<u8>) {
+        out.extend_from_slice(items);
+    }
+
+    fn get_all(r: &mut Reader<'_>, n: usize) -> Result<Vec<u8>, WireError> {
+        Ok(r.take(n)?.to_vec())
+    }
+}
+
+/// Fixed-width little-endian integers (`i64` as its two's-complement
+/// bits).
+macro_rules! wire_int {
+    ($($t:ty),*) => {$(
+        impl Wire for $t {
+            const MIN_LEN: usize = std::mem::size_of::<$t>();
+
+            fn put(&self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.to_le_bytes());
+            }
+
+            fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+                let bytes = r.take(Self::MIN_LEN)?.try_into();
+                Ok(<$t>::from_le_bytes(bytes.expect("take returns the length asked for")))
             }
         }
-        Msg::ResyncReq { node } => {
-            put_u8(out, 15);
-            put_node(out, *node);
-        }
-        Msg::ResyncState {
-            node,
-            fence_epoch,
-            committed_epoch,
-            image,
-        } => {
-            put_u8(out, 16);
-            put_node(out, *node);
-            put_u64(out, *fence_epoch);
-            put_u64(out, *committed_epoch);
-            match image {
-                None => put_u8(out, 0),
-                Some(bytes) => {
-                    put_u8(out, 1);
-                    put_bytes(out, bytes);
-                }
-            }
-        }
-        Msg::ResyncDone { node, fence_epoch } => {
-            put_u8(out, 17);
-            put_node(out, *node);
-            put_u64(out, *fence_epoch);
-        }
-        Msg::Readmit {
-            node,
-            fence_epoch,
-            rollback_epoch,
-        } => {
-            put_u8(out, 18);
-            put_node(out, *node);
-            put_u64(out, *fence_epoch);
-            put_u64(out, *rollback_epoch);
-        }
-        Msg::StatusReq => put_u8(out, 19),
-        Msg::StatusResp(view) => {
-            put_u8(out, 20);
-            put_node(out, view.node);
-            put_node(out, view.coordinator);
-            put_u64(out, view.committed_epoch);
-            put_u64(out, view.fence_epoch);
-            put_nodes(out, &view.peers_established);
-            put_nodes(out, &view.suspected);
-            put_nodes(out, &view.confirmed);
-            put_nodes(out, &view.custody);
-            put_u64(out, view.rounds_committed);
-            put_bool(out, view.data_loss);
-        }
-        Msg::CheckpointReq => put_u8(out, 21),
-        Msg::CheckpointDone { epoch } => {
-            put_u8(out, 22);
-            put_u64(out, *epoch);
-        }
-        Msg::CheckpointFailed { reason } => {
-            put_u8(out, 23);
-            put_str(out, reason);
-        }
-        Msg::DigestReq { node } => {
-            put_u8(out, 24);
-            put_node(out, *node);
-        }
-        Msg::DigestResp {
-            node,
-            epoch,
-            digest,
-            source,
-        } => {
-            put_u8(out, 25);
-            put_node(out, *node);
-            put_u64(out, *epoch);
-            put_u64(out, *digest);
-            put_u8(
-                out,
-                match source {
-                    DigestSource::Committed => 0,
-                    DigestSource::Custody => 1,
-                    DigestSource::Missing => 2,
-                },
-            );
-        }
-        Msg::KillQueryReq => put_u8(out, 26),
-        Msg::KillQueryResp {
-            confirmed,
-            suspected,
-        } => {
-            put_u8(out, 27);
-            put_nodes(out, confirmed);
-            put_nodes(out, suspected);
-        }
-        Msg::MetricsReq => put_u8(out, 28),
-        Msg::MetricsResp(snapshot) => {
-            put_u8(out, 29);
-            put_snapshot(out, snapshot);
-        }
-        Msg::TraceTailReq { max } => {
-            put_u8(out, 30);
-            put_u32(out, *max);
-        }
-        Msg::TraceTailResp {
-            node,
-            now_secs,
-            dropped,
-            events,
-        } => {
-            put_u8(out, 31);
-            put_node(out, *node);
-            put_f64(out, *now_secs);
-            put_u64(out, *dropped);
-            put_u32(out, events.len() as u32);
-            for te in events {
-                put_timed_event(out, te);
-            }
+    )*};
+}
+wire_int!(u32, u64, i64);
+
+/// `usize` travels as a `u64`, so both ends agree whatever their width.
+impl Wire for usize {
+    const MIN_LEN: usize = 8;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        (*self as u64).put(out);
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        usize::try_from(u64::get(r)?).map_err(|_| WireError::BadLength)
+    }
+}
+
+impl Wire for NodeId {
+    const MIN_LEN: usize = 8;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        self.0.put(out);
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        r.get().map(NodeId)
+    }
+}
+
+impl Wire for f64 {
+    const MIN_LEN: usize = 8;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        self.to_bits().put(out);
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        r.get().map(f64::from_bits)
+    }
+}
+
+/// A trace timestamp. [`SimTime::from_secs`] asserts its argument, so
+/// hostile bits are rejected here, before the constructor can panic.
+impl Wire for SimTime {
+    const MIN_LEN: usize = 8;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        self.as_secs().put(out);
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let secs: f64 = r.get()?;
+        if secs.is_finite() && secs >= 0.0 {
+            Ok(SimTime::from_secs(secs))
+        } else {
+            Err(WireError::BadTimestamp)
         }
     }
 }
 
-fn decode_msg(r: &mut Reader<'_>) -> Result<Msg, WireError> {
-    let tag = r.u8()?;
-    let msg = match tag {
-        1 => Msg::Hello {
-            node: r.node()?,
-            cluster_id: r.u64()?,
-            fence_epoch: r.u64()?,
-        },
-        2 => Msg::Welcome {
-            node: r.node()?,
-            fence_epoch: r.u64()?,
-        },
-        3 => Msg::Rejected {
-            node: r.node()?,
-            required_epoch: r.u64()?,
-            coordinator: r.node()?,
-        },
-        4 => Msg::Heartbeat { node: r.node()? },
-        5 => Msg::RoundBegin {
-            epoch: r.u64()?,
-            sources: r.nodes()?,
-            holders: r.nodes()?,
-        },
-        6 => Msg::Payload {
-            epoch: r.u64()?,
-            source: r.node()?,
-            fence_epoch: r.u64()?,
-            data: r.bytes()?,
-        },
-        7 => Msg::CaptureAck {
-            epoch: r.u64()?,
-            node: r.node()?,
-        },
-        8 => Msg::FoldAck {
-            epoch: r.u64()?,
-            node: r.node()?,
-        },
-        9 => Msg::Commit { epoch: r.u64()? },
-        10 => Msg::CommitAck {
-            epoch: r.u64()?,
-            node: r.node()?,
-        },
-        11 => Msg::AbortRound {
-            epoch: r.u64()?,
-            reason: r.string()?,
-        },
-        12 => Msg::Fence {
-            node: r.node()?,
-            epoch: r.u64()?,
-        },
-        13 => Msg::FetchReq { victim: r.node()? },
-        14 => {
-            let node = r.node()?;
-            let fence_epoch = r.u64()?;
-            let n = r.u32()? as usize;
-            let mut blocks = Vec::new();
-            for _ in 0..n {
-                blocks.push(r.block()?);
-            }
-            Msg::FetchBlocks {
-                node,
-                fence_epoch,
-                blocks,
+impl Wire for bool {
+    const MIN_LEN: usize = 1;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(*self as u8);
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        match u8::get(r)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(WireError::BadLength),
+        }
+    }
+}
+
+/// `u32` element count, then the elements. `Vec<u8>` is the byte-string
+/// case and moves in bulk through the `u8` list hooks.
+impl<T: Wire> Wire for Vec<T> {
+    const MIN_LEN: usize = 4;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        (self.len() as u32).put(out);
+        T::put_all(self, out);
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let n = u32::get(r)? as usize;
+        if r.left() / T::MIN_LEN < n {
+            return Err(WireError::Truncated);
+        }
+        T::get_all(r, n)
+    }
+}
+
+/// Strings are byte strings that must be UTF-8.
+fn put_str(s: &str, out: &mut Vec<u8>) {
+    (s.len() as u32).put(out);
+    out.extend_from_slice(s.as_bytes());
+}
+
+impl Wire for String {
+    const MIN_LEN: usize = 4;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        put_str(self, out);
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        String::from_utf8(r.get()?).map_err(|_| WireError::BadUtf8)
+    }
+}
+
+/// Event phase/mode/kind names: sent as strings, interned on receipt.
+impl Wire for &'static str {
+    const MIN_LEN: usize = 4;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        put_str(self, out);
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(intern(&String::get(r)?))
+    }
+}
+
+/// Presence byte (0/1), then the value if present.
+impl<T: Wire> Wire for Option<T> {
+    const MIN_LEN: usize = 1;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            None => out.push(0),
+            Some(v) => {
+                out.push(1);
+                v.put(out);
             }
         }
-        15 => Msg::ResyncReq { node: r.node()? },
-        16 => {
-            let node = r.node()?;
-            let fence_epoch = r.u64()?;
-            let committed_epoch = r.u64()?;
-            let image = match r.u8()? {
-                0 => None,
-                1 => Some(r.bytes()?),
-                _ => return Err(WireError::BadLength),
-            };
-            Msg::ResyncState {
-                node,
-                fence_epoch,
-                committed_epoch,
-                image,
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        match u8::get(r)? {
+            0 => Ok(None),
+            1 => r.get().map(Some),
+            _ => Err(WireError::BadLength),
+        }
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    const MIN_LEN: usize = A::MIN_LEN + B::MIN_LEN;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        self.0.put(out);
+        self.1.put(out);
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok((r.get()?, r.get()?))
+    }
+}
+
+/// A struct is its fields in order. The types are listed (and checked
+/// against the struct by the compiler) so `MIN_LEN` is their sum.
+macro_rules! wire_struct {
+    ($name:ident { $($field:ident : $ty:ty),* $(,)? }) => {
+        impl Wire for $name {
+            const MIN_LEN: usize = 0 $(+ <$ty as Wire>::MIN_LEN)*;
+
+            fn put(&self, out: &mut Vec<u8>) {
+                $(self.$field.put(out);)*
+            }
+
+            fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+                Ok($name { $($field: r.get::<$ty>()?),* })
             }
         }
-        17 => Msg::ResyncDone {
-            node: r.node()?,
-            fence_epoch: r.u64()?,
-        },
-        18 => Msg::Readmit {
-            node: r.node()?,
-            fence_epoch: r.u64()?,
-            rollback_epoch: r.u64()?,
-        },
-        19 => Msg::StatusReq,
-        20 => Msg::StatusResp(StatusView {
-            node: r.node()?,
-            coordinator: r.node()?,
-            committed_epoch: r.u64()?,
-            fence_epoch: r.u64()?,
-            peers_established: r.nodes()?,
-            suspected: r.nodes()?,
-            confirmed: r.nodes()?,
-            custody: r.nodes()?,
-            rounds_committed: r.u64()?,
-            data_loss: r.boolean()?,
-        }),
-        21 => Msg::CheckpointReq,
-        22 => Msg::CheckpointDone { epoch: r.u64()? },
-        23 => Msg::CheckpointFailed {
-            reason: r.string()?,
-        },
-        24 => Msg::DigestReq { node: r.node()? },
-        25 => {
-            let node = r.node()?;
-            let epoch = r.u64()?;
-            let digest = r.u64()?;
-            let source = match r.u8()? {
-                0 => DigestSource::Committed,
-                1 => DigestSource::Custody,
-                2 => DigestSource::Missing,
-                _ => return Err(WireError::BadLength),
-            };
-            Msg::DigestResp {
-                node,
-                epoch,
-                digest,
-                source,
-            }
-        }
-        26 => Msg::KillQueryReq,
-        27 => Msg::KillQueryResp {
-            confirmed: r.nodes()?,
-            suspected: r.nodes()?,
-        },
-        28 => Msg::MetricsReq,
-        29 => Msg::MetricsResp(r.snapshot()?),
-        30 => Msg::TraceTailReq { max: r.u32()? },
-        31 => {
-            let node = r.node()?;
-            let now_secs = r.f64()?;
-            let dropped = r.u64()?;
-            // Minimum timed event: at (8) + seq (8) + tag (1).
-            let n = r.count(17)?;
-            let mut events = Vec::with_capacity(n);
-            for _ in 0..n {
-                events.push(r.timed_event()?);
-            }
-            Msg::TraceTailResp {
-                node,
-                now_secs,
-                dropped,
-                events,
-            }
-        }
-        t => return Err(WireError::UnknownTag(t)),
     };
-    Ok(msg)
+}
+
+wire_struct!(BlockInfo {
+    holder: NodeId,
+    kind: BlockKind,
+    epoch: u64,
+    data: Vec<u8>,
+});
+wire_struct!(StatusView {
+    node: NodeId,
+    coordinator: NodeId,
+    committed_epoch: u64,
+    fence_epoch: u64,
+    peers_established: Vec<NodeId>,
+    suspected: Vec<NodeId>,
+    confirmed: Vec<NodeId>,
+    custody: Vec<NodeId>,
+    rounds_committed: u64,
+    data_loss: bool,
+});
+wire_struct!(MetricsSnapshot {
+    counters: Vec<(String, u64)>,
+    gauges: Vec<(String, i64)>,
+    histograms: Vec<(String, HistSnapshot)>,
+});
+wire_struct!(TimedEvent {
+    at: SimTime,
+    seq: u64,
+    event: Event,
+});
+
+/// Count, sum, then sparse `(bucket index, count)` pairs; an index past
+/// the histogram's bucket range is rejected.
+impl Wire for HistSnapshot {
+    const MIN_LEN: usize = 8 + 8 + 4;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        self.count.put(out);
+        self.sum.put(out);
+        self.buckets.put(out);
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let h = HistSnapshot {
+            count: r.get()?,
+            sum: r.get()?,
+            buckets: r.get()?,
+        };
+        if h.buckets.iter().any(|&(i, _)| i as usize >= HIST_BUCKETS) {
+            return Err(WireError::BadLength);
+        }
+        Ok(h)
+    }
+}
+
+/// An enum is a tag byte, then the variant's fields in the order the
+/// table lists them. `$unknown` turns an unassigned tag into the error.
+macro_rules! wire_enum {
+    ($name:ident, $unknown:expr; $(
+        $tag:literal => $variant:ident $({ $($field:ident),* })? $(( $inner:ident ))?
+    ),* $(,)?) => {
+        impl Tagged for $name {
+            const TAGS: &'static [u8] = &[$($tag),*];
+        }
+
+        impl Wire for $name {
+            const MIN_LEN: usize = 1;
+
+            fn put(&self, out: &mut Vec<u8>) {
+                match self {$(
+                    $name::$variant $({ $($field),* })? $(( $inner ))? => {
+                        out.push($tag);
+                        $($($field.put(out);)*)?
+                        $($inner.put(out);)?
+                    }
+                )*}
+            }
+
+            fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+                Ok(match u8::get(r)? {
+                    $($tag => $name::$variant
+                        $({ $($field: r.get()?),* })?
+                        $(({ let $inner = r.get()?; $inner }))?,)*
+                    t => return Err($unknown(t)),
+                })
+            }
+        }
+    };
+}
+
+wire_enum! { BlockKind, |_| WireError::BadLength; 0 => Data, 1 => Parity }
+wire_enum! { DigestSource, |_| WireError::BadLength; 0 => Committed, 1 => Custody, 2 => Missing }
+
+wire_enum! { Msg, WireError::UnknownTag;
+    1 => Hello { node, cluster_id, fence_epoch },
+    2 => Welcome { node, fence_epoch },
+    3 => Rejected { node, required_epoch, coordinator },
+    4 => Heartbeat { node },
+    5 => RoundBegin { epoch, sources, holders },
+    6 => Payload { epoch, source, fence_epoch, data },
+    7 => CaptureAck { epoch, node },
+    8 => FoldAck { epoch, node },
+    9 => Commit { epoch },
+    10 => CommitAck { epoch, node },
+    11 => AbortRound { epoch, reason },
+    12 => Fence { node, epoch },
+    13 => FetchReq { victim },
+    14 => FetchBlocks { node, fence_epoch, blocks },
+    15 => ResyncReq { node },
+    16 => ResyncState { node, fence_epoch, committed_epoch, image },
+    17 => ResyncDone { node, fence_epoch },
+    18 => Readmit { node, fence_epoch, rollback_epoch },
+    19 => StatusReq,
+    20 => StatusResp(view),
+    21 => CheckpointReq,
+    22 => CheckpointDone { epoch },
+    23 => CheckpointFailed { reason },
+    24 => DigestReq { node },
+    25 => DigestResp { node, epoch, digest, source },
+    26 => KillQueryReq,
+    27 => KillQueryResp { confirmed, suspected },
+    28 => MetricsReq,
+    29 => MetricsResp(snapshot),
+    30 => TraceTailReq { max },
+    31 => TraceTailResp { node, now, dropped, events },
+}
+
+// A tag space of its own, independent of `Msg`'s.
+wire_enum! { Event, WireError::UnknownTag;
+    1 => RoundBegin { epoch },
+    2 => RoundPhase { epoch, phase },
+    3 => RoundCommitted { epoch },
+    4 => RoundAborted { epoch, phase },
+    5 => TransferLaunched { id, from, to, bytes, token_epoch },
+    6 => TransferArrived { id, from, to, bytes },
+    7 => TransferFenced { id, node, held_epoch, current_epoch },
+    8 => TransferRetried { id, attempt },
+    9 => TransferDropped { id, from, to, bytes },
+    10 => HeartbeatArrived { node },
+    11 => Suspected { node },
+    12 => Confirmed { node },
+    13 => Refuted { node },
+    14 => FenceRaised { node, epoch },
+    15 => FenceReadmitted { node, epoch },
+    16 => RebuildBegin { victim, mode, epoch },
+    17 => RebuildPhase { victim, phase },
+    18 => RebuildCompleted { victim },
+    19 => RebuildAborted { victim, phase },
+    20 => ScrubCompleted { verified, corrupt, repaired },
+    21 => CorruptionInjected { node, blocks },
+    22 => DataLoss { node, group },
+    23 => SessionEstablished { peer },
+    24 => SessionRejected { peer, required_epoch },
+    25 => StaleDropped { from, held_epoch, current_epoch },
+    26 => PayloadDropped { from },
+    27 => ResyncServed { peer },
+    28 => FaultInjected { node, kind },
+    29 => NodeHealed { node },
+    30 => JobRestarted { node },
 }
 
 // ---------------------------------------------------------------------
@@ -1019,17 +507,17 @@ fn decode_msg(r: &mut Reader<'_>) -> Result<Msg, WireError> {
 /// carries.
 pub fn encode_envelope(from: NodeId, msg: &Msg) -> Vec<u8> {
     let mut out = Vec::with_capacity(16 + msg.payload_len().unwrap_or(0));
-    put_node(&mut out, from);
-    encode_msg(&mut out, msg);
+    from.put(&mut out);
+    msg.put(&mut out);
     out
 }
 
 /// Decode a `[sender][msg]` envelope. The whole buffer must be consumed
 /// — surplus bytes are [`WireError::TrailingBytes`].
 pub fn decode_envelope(bytes: &[u8]) -> Result<(NodeId, Msg), WireError> {
-    let mut r = Reader::new(bytes);
-    let from = r.node()?;
-    let msg = decode_msg(&mut r)?;
+    let mut r = Reader { buf: bytes, pos: 0 };
+    let from = r.get()?;
+    let msg = r.get()?;
     r.done()?;
     Ok((from, msg))
 }
@@ -1037,7 +525,9 @@ pub fn decode_envelope(bytes: &[u8]) -> Result<(NodeId, Msg), WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dvdc::protocol::node_core::CTL;
+    use dvdc::protocol::node_core::{fnv64, CTL};
+    use dvdc_observe::NO_TOKEN;
+    use std::collections::BTreeSet;
 
     fn rt(from: NodeId, msg: Msg) {
         let bytes = encode_envelope(from, &msg);
@@ -1046,8 +536,114 @@ mod tests {
         assert_eq!(m2, msg);
     }
 
-    #[test]
-    fn every_variant_round_trips() {
+    /// One sample of every [`Event`] variant.
+    fn event_samples() -> Vec<Event> {
+        vec![
+            Event::RoundBegin { epoch: 1 },
+            Event::RoundPhase {
+                epoch: 1,
+                phase: "Transfer",
+            },
+            Event::RoundCommitted { epoch: 1 },
+            Event::RoundAborted {
+                epoch: 2,
+                phase: "Capture",
+            },
+            Event::TransferLaunched {
+                id: 7,
+                from: 0,
+                to: 4,
+                bytes: 4096,
+                token_epoch: NO_TOKEN,
+            },
+            Event::TransferArrived {
+                id: 7,
+                from: 0,
+                to: 4,
+                bytes: 4096,
+            },
+            Event::TransferFenced {
+                id: 8,
+                node: 2,
+                held_epoch: 1,
+                current_epoch: 2,
+            },
+            Event::TransferRetried { id: 8, attempt: 3 },
+            Event::TransferDropped {
+                id: 8,
+                from: 2,
+                to: 4,
+                bytes: 512,
+            },
+            Event::HeartbeatArrived { node: 1 },
+            Event::Suspected { node: 1 },
+            Event::Confirmed { node: 1 },
+            Event::Refuted { node: 1 },
+            Event::FenceRaised { node: 1, epoch: 2 },
+            Event::FenceReadmitted { node: 1, epoch: 2 },
+            Event::RebuildBegin {
+                victim: 1,
+                mode: "Failover",
+                epoch: 3,
+            },
+            Event::RebuildPhase {
+                victim: 1,
+                phase: "Decode",
+            },
+            Event::RebuildCompleted { victim: 1 },
+            Event::RebuildAborted {
+                victim: 1,
+                phase: "Fetch",
+            },
+            Event::ScrubCompleted {
+                verified: 5,
+                corrupt: 1,
+                repaired: 1,
+            },
+            Event::CorruptionInjected { node: 3, blocks: 2 },
+            Event::DataLoss { node: 3, group: 0 },
+            Event::SessionEstablished { peer: 2 },
+            Event::SessionRejected {
+                peer: 2,
+                required_epoch: 4,
+            },
+            Event::StaleDropped {
+                from: 2,
+                held_epoch: 1,
+                current_epoch: 4,
+            },
+            Event::PayloadDropped { from: 2 },
+            Event::ResyncServed { peer: 2 },
+            Event::FaultInjected {
+                node: 0,
+                kind: "Crash",
+            },
+            Event::NodeHealed { node: 0 },
+            Event::JobRestarted { node: 0 },
+        ]
+    }
+
+    /// A `TraceTailResp` carrying every [`Event`] variant.
+    fn trace_tail_of_every_event() -> Msg {
+        Msg::TraceTailResp {
+            node: NodeId(0),
+            now: SimTime::from_secs(99.5),
+            dropped: 0,
+            events: event_samples()
+                .into_iter()
+                .enumerate()
+                .map(|(i, event)| TimedEvent {
+                    at: SimTime::from_secs(i as f64 * 0.5),
+                    seq: i as u64,
+                    event,
+                })
+                .collect(),
+        }
+    }
+
+    /// At least one sample of every [`Msg`] variant (both arms of each
+    /// optional or possibly-empty field).
+    fn msg_samples() -> Vec<Msg> {
         let n = NodeId(3);
         let view = StatusView {
             node: NodeId(0),
@@ -1067,7 +663,7 @@ mod tests {
             epoch: 5,
             data: vec![9u8; 64],
         };
-        let all = vec![
+        vec![
             Msg::Hello {
                 node: n,
                 cluster_id: 42,
@@ -1165,141 +761,80 @@ mod tests {
             }),
             Msg::MetricsResp(MetricsSnapshot::default()),
             Msg::TraceTailReq { max: 64 },
-            Msg::TraceTailResp {
-                node: NodeId(2),
-                now_secs: 12.75,
-                dropped: 9,
-                events: vec![
-                    TimedEvent {
-                        at: SimTime::from_secs(1.5),
-                        seq: 0,
-                        event: Event::RoundBegin { epoch: 4 },
-                    },
-                    TimedEvent {
-                        at: SimTime::from_secs(2.25),
-                        seq: 1,
-                        event: Event::RoundPhase {
-                            epoch: 4,
-                            phase: "Capture",
-                        },
-                    },
-                    TimedEvent {
-                        at: SimTime::from_secs(3.0),
-                        seq: 2,
-                        event: Event::SessionRejected {
-                            peer: 3,
-                            required_epoch: 2,
-                        },
-                    },
-                ],
-            },
-        ];
-        for msg in all {
+            trace_tail_of_every_event(),
+        ]
+    }
+
+    /// The tag a value encodes under (its first byte).
+    fn tag_of<T: Wire>(value: &T) -> u8 {
+        let mut out = Vec::new();
+        value.put(&mut out);
+        out[0]
+    }
+
+    #[test]
+    fn samples_cover_every_table_line() {
+        // A variant added to a table without a sample here fails this
+        // test, so the round-trip and golden tests below stay exhaustive.
+        let msgs: BTreeSet<u8> = msg_samples().iter().map(tag_of).collect();
+        assert_eq!(msgs, Msg::TAGS.iter().copied().collect());
+        let events: BTreeSet<u8> = event_samples().iter().map(tag_of).collect();
+        assert_eq!(events, Event::TAGS.iter().copied().collect());
+        // Tags are unique and 0 stays unassigned.
+        for tags in [Msg::TAGS, Event::TAGS] {
+            assert_eq!(tags.iter().collect::<BTreeSet<_>>().len(), tags.len());
+            assert!(!tags.contains(&0));
+        }
+    }
+
+    #[test]
+    fn every_variant_round_trips() {
+        for msg in msg_samples() {
             rt(NodeId(1), msg);
         }
     }
 
     #[test]
     fn every_event_variant_round_trips_in_a_trace_tail() {
-        use dvdc_observe::NO_TOKEN;
-        let events = vec![
-            Event::RoundBegin { epoch: 1 },
-            Event::RoundPhase {
-                epoch: 1,
-                phase: "Transfer",
-            },
-            Event::RoundCommitted { epoch: 1 },
-            Event::RoundAborted {
-                epoch: 2,
-                phase: "Capture",
-            },
-            Event::TransferLaunched {
-                id: 7,
-                from: 0,
-                to: 4,
-                bytes: 4096,
-                token_epoch: NO_TOKEN,
-            },
-            Event::TransferArrived {
-                id: 7,
-                from: 0,
-                to: 4,
-                bytes: 4096,
-            },
-            Event::TransferFenced {
-                id: 8,
-                node: 2,
-                held_epoch: 1,
-                current_epoch: 2,
-            },
-            Event::TransferRetried { id: 8, attempt: 3 },
-            Event::TransferDropped {
-                id: 8,
-                from: 2,
-                to: 4,
-                bytes: 512,
-            },
-            Event::HeartbeatArrived { node: 1 },
-            Event::Suspected { node: 1 },
-            Event::Confirmed { node: 1 },
-            Event::Refuted { node: 1 },
-            Event::FenceRaised { node: 1, epoch: 2 },
-            Event::FenceReadmitted { node: 1, epoch: 2 },
-            Event::RebuildBegin {
-                victim: 1,
-                mode: "Failover",
-                epoch: 3,
-            },
-            Event::RebuildPhase {
-                victim: 1,
-                phase: "Decode",
-            },
-            Event::RebuildCompleted { victim: 1 },
-            Event::RebuildAborted {
-                victim: 1,
-                phase: "Fetch",
-            },
-            Event::ScrubCompleted {
-                verified: 5,
-                corrupt: 1,
-                repaired: 1,
-            },
-            Event::CorruptionInjected { node: 3, blocks: 2 },
-            Event::DataLoss { node: 3, group: 0 },
-            Event::SessionEstablished { peer: 2 },
-            Event::SessionRejected {
-                peer: 2,
-                required_epoch: 4,
-            },
-            Event::StaleDropped {
-                from: 2,
-                held_epoch: 1,
-                current_epoch: 4,
-            },
-            Event::PayloadDropped { from: 2 },
-            Event::ResyncServed { peer: 2 },
-            Event::FaultInjected {
-                node: 0,
-                kind: "Crash",
-            },
-            Event::NodeHealed { node: 0 },
-            Event::JobRestarted { node: 0 },
-        ];
+        rt(NodeId(0), trace_tail_of_every_event());
+    }
+
+    #[test]
+    fn wire_bytes_match_the_golden_digest() {
+        // Length and FNV-1a/64 of every sample's envelope, concatenated,
+        // recorded with the hand-written codec this table replaced (parent
+        // commit 6032028). A mismatch means the on-wire format changed:
+        // that needs a frame version bump, not a new digest.
+        let bytes: Vec<u8> = msg_samples()
+            .iter()
+            .flat_map(|m| encode_envelope(NodeId(1), m))
+            .collect();
+        assert_eq!(bytes.len(), 2169);
+        assert_eq!(fnv64(&bytes), 0x3927_044d_7a83_59a6);
+    }
+
+    #[test]
+    fn hostile_trace_timestamp_is_a_typed_error() {
         let msg = Msg::TraceTailResp {
             node: NodeId(0),
-            now_secs: 99.5,
+            now: SimTime::from_secs(1.0),
             dropped: 0,
-            events: events
-                .into_iter()
-                .enumerate()
-                .map(|(i, event)| TimedEvent {
-                    at: SimTime::from_secs(i as f64 * 0.5),
-                    seq: i as u64,
-                    event,
-                })
-                .collect(),
+            events: vec![TimedEvent {
+                at: SimTime::from_secs(1.5),
+                seq: 0,
+                event: Event::RoundBegin { epoch: 4 },
+            }],
         };
-        rt(NodeId(0), msg);
+        let valid = encode_envelope(NodeId(0), &msg);
+        // The envelope starts [sender u64][tag u8][node u64][now f64] and
+        // ends [at f64][seq u64][tag u8][epoch u64].
+        for at in [8 + 1 + 8, valid.len() - (8 + 8 + 1 + 8)] {
+            for hostile in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0] {
+                let mut bytes = valid.clone();
+                bytes[at..at + 8].copy_from_slice(&hostile.to_bits().to_le_bytes());
+                assert_eq!(decode_envelope(&bytes), Err(WireError::BadTimestamp));
+            }
+        }
     }
 
     #[test]

@@ -13,6 +13,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 
 use crate::ids::{NodeId, VmId};
+use dvdc_simcore::rng::{splitmix64, SPLITMIX_GAMMA};
 use dvdc_simcore::time::Duration;
 
 /// An application message: an opaque 64-bit payload plus a sequence
@@ -408,13 +409,9 @@ impl RetryPolicy {
     /// seed instead of a wall clock keeps buggify-injected retries
     /// bit-for-bit reproducible under the same `DVDC_BUGGIFY_SEED`.
     pub fn backoff_with_jitter(&self, attempt: u32, seed: u64) -> Duration {
-        let mut state =
-            seed ^ (attempt as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ 0x243f_6a88_85a3_08d3;
-        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^= z >> 31;
+        let z = splitmix64(
+            seed ^ (attempt as u64).wrapping_mul(SPLITMIX_GAMMA) ^ 0x243f_6a88_85a3_08d3,
+        );
         let unit = (z >> 11) as f64 / (1u64 << 53) as f64; // [0, 1)
         self.backoff_for(attempt) * (0.5 + unit)
     }

@@ -627,96 +627,6 @@ proptest! {
     }
 }
 
-// ---------- checkpoint wire format ----------
-
-use bytes::Bytes;
-use dvdc_checkpoint::payload::{Checkpoint, CheckpointPayload, PageDelta};
-use dvdc_checkpoint::wire;
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn wire_roundtrips_full_frames(
-        vm in 0usize..1000,
-        epoch in any::<u64>(),
-        pages in 0usize..8,
-    ) {
-        let page_size = 16;
-        let image: Vec<u8> = (0..pages * page_size).map(|i| (i % 255) as u8).collect();
-        let ckpt = Checkpoint {
-            vm: VmId(vm),
-            epoch,
-            payload: CheckpointPayload::Full {
-                image: Bytes::from(image),
-                page_size,
-            },
-        };
-        let frame = wire::encode(&ckpt);
-        prop_assert_eq!(wire::decode(&frame).unwrap(), ckpt);
-    }
-
-    #[test]
-    fn wire_roundtrips_incremental_frames(
-        vm in 0usize..1000,
-        epoch in 1u64..1_000_000,
-        idxs in proptest::collection::btree_set(0usize..32, 0..8),
-    ) {
-        let page_size = 16;
-        let image_len = 32 * page_size;
-        let pages: Vec<PageDelta> = idxs
-            .into_iter()
-            .map(|index| PageDelta {
-                index,
-                bytes: Bytes::from(vec![(index % 250) as u8 + 1; page_size]),
-            })
-            .collect();
-        let ckpt = Checkpoint {
-            vm: VmId(vm),
-            epoch,
-            payload: CheckpointPayload::Incremental {
-                base_epoch: epoch - 1,
-                page_size,
-                image_len,
-                pages,
-            },
-        };
-        let frame = wire::encode(&ckpt);
-        prop_assert_eq!(wire::decode(&frame).unwrap(), ckpt);
-    }
-
-    #[test]
-    fn wire_decode_never_panics_on_garbage(bytes in vec(any::<u8>(), 0..256)) {
-        // Any input: decode must return Ok or a typed error, never panic.
-        let _ = wire::decode(&bytes);
-    }
-
-    #[test]
-    fn wire_decode_never_panics_on_mutated_frames(
-        flips in vec((any::<prop::sample::Index>(), any::<u8>()), 1..6),
-    ) {
-        let ckpt = Checkpoint {
-            vm: VmId(1),
-            epoch: 9,
-            payload: CheckpointPayload::Incremental {
-                base_epoch: 8,
-                page_size: 8,
-                image_len: 64,
-                pages: vec![PageDelta {
-                    index: 3,
-                    bytes: Bytes::from(vec![5u8; 8]),
-                }],
-            },
-        };
-        let mut frame = wire::encode(&ckpt);
-        for (at, val) in flips {
-            let i = at.index(frame.len());
-            frame[i] = val;
-        }
-        let _ = wire::decode(&frame);
-    }
-}
-
 // ---------- hierarchical topology and rack-aware placement ----------
 
 use dvdc_vcluster::cluster::TopologySpec;
