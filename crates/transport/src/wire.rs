@@ -56,7 +56,8 @@ impl std::error::Error for WireError {}
 
 /// The tags an enum's table assigns, so tests can prove their samples
 /// cover every line of it.
-pub trait Tagged {
+#[cfg(test)]
+trait Tagged {
     /// Every assigned tag, in table order.
     const TAGS: &'static [u8];
 }
@@ -399,6 +400,7 @@ macro_rules! wire_enum {
     ($name:ident, $unknown:expr; $(
         $tag:literal => $variant:ident $({ $($field:ident),* })? $(( $inner:ident ))?
     ),* $(,)?) => {
+        #[cfg(test)]
         impl Tagged for $name {
             const TAGS: &'static [u8] = &[$($tag),*];
         }
