@@ -619,6 +619,16 @@ struct PartRound {
     staged_parity: Option<Vec<u8>>,
 }
 
+/// A `Payload` that reached a parity holder before the `RoundBegin` of
+/// the round it belongs to.
+#[derive(Debug, Clone)]
+struct EarlyBlock {
+    from: NodeId,
+    epoch: u64,
+    fence_epoch: u64,
+    data: Vec<u8>,
+}
+
 /// Coordinator-side bookkeeping of one rebuild in flight.
 #[derive(Debug, Clone)]
 struct Rebuild {
@@ -658,9 +668,12 @@ pub struct NodeCore {
     /// Victims whose rebuild ended in typed data loss — not retried.
     lost: BTreeSet<NodeId>,
     resync: Option<ResyncClient>,
-    /// Highest round epoch ever begun (committed or not) — keeps retry
-    /// epochs strictly increasing across aborts.
+    /// Highest round epoch this node has begun or been told of (committed
+    /// or not) — keeps retry epochs strictly increasing across aborts,
+    /// and tells an early block from a stale one.
     last_begun: u64,
+    /// Blocks parked ahead of their round, by source slot.
+    early: BTreeMap<NodeId, EarlyBlock>,
     next_heartbeat: SimTime,
     next_hello: SimTime,
     ctl_waiting: bool,
@@ -703,6 +716,7 @@ impl NodeCore {
             lost: BTreeSet::new(),
             resync: None,
             last_begun: 0,
+            early: BTreeMap::new(),
             next_heartbeat: SimTime::ZERO,
             next_hello: SimTime::ZERO,
             ctl_waiting: false,
@@ -1570,6 +1584,17 @@ impl NodeCore {
             payloads: BTreeMap::new(),
             staged_parity: None,
         });
+        self.last_begun = self.last_begun.max(epoch);
+        // Blocks that arrived ahead of this RoundBegin go through every
+        // check a block arriving now would; ones for rounds this one has
+        // passed are dropped there, ones for later rounds stay parked.
+        let (due, later): (BTreeMap<_, _>, _) = std::mem::take(&mut self.early)
+            .into_iter()
+            .partition(|(_, b)| b.epoch <= epoch);
+        self.early = later;
+        for (source, b) in due {
+            self.on_payload(b.from, b.epoch, source, b.fence_epoch, b.data, out);
+        }
         // A zero capture delay fires immediately.
         if let Some(due) = self.part_round.as_ref().and_then(|r| r.capture_due) {
             if now >= due {
@@ -1593,31 +1618,14 @@ impl NodeCore {
         let holders = r.holders.clone();
         let sources = r.sources.clone();
         let window_secs = now.since(r.started_at).as_secs();
+        // Two copies of the image: the staged block this node commits,
+        // and the snapshot that travels.
         let Some(img) = self.live.clone() else {
             return;
         };
-        if let Some(r) = &mut self.part_round {
-            r.staged_image = Some(img.clone());
-        }
-        let my_epoch = self.fences.epoch_of(self.id);
+        r.staged_image = Some(img.clone());
         let coordinator = self.coordinator();
-        for &h in &holders {
-            let payload = Msg::Payload {
-                epoch,
-                source: self.id,
-                fence_epoch: my_epoch,
-                data: img.clone(),
-            };
-            if h == self.id {
-                let acts = self.on_message(self.id, payload, SimTime::ZERO);
-                out.extend(acts);
-            } else {
-                out.push(Action::Send {
-                    to: h,
-                    msg: payload,
-                });
-            }
-        }
+        self.ship(epoch, self.id, img, &holders, out);
         let ack = Msg::CaptureAck {
             epoch,
             node: self.id,
@@ -1638,31 +1646,45 @@ impl NodeCore {
         // Coordinator ships custody orphans' frozen committed blocks.
         if self.is_acting_coordinator() {
             for &s in &sources {
-                let Some((_, BlockKind::Data, bytes)) =
-                    self.custody.get(&s).map(|(e, k, b)| (*e, *k, b.clone()))
-                else {
-                    continue;
-                };
-                for &h in &holders {
-                    let payload = Msg::Payload {
-                        epoch,
-                        source: s,
-                        fence_epoch: my_epoch,
-                        data: bytes.clone(),
-                    };
-                    if h == self.id {
-                        let acts = self.on_message(self.id, payload, SimTime::ZERO);
-                        out.extend(acts);
-                    } else {
-                        out.push(Action::Send {
-                            to: h,
-                            msg: payload,
-                        });
-                    }
+                if let Some((_, BlockKind::Data, block)) = self.custody.get(&s) {
+                    self.ship(epoch, s, block.clone(), &holders, out);
                 }
             }
         }
         self.maybe_commit(out);
+    }
+
+    /// Sends `block` as slot `source`'s capture to every holder: the last
+    /// one's message takes the `Vec` itself, each earlier one a copy.
+    fn ship(
+        &mut self,
+        epoch: u64,
+        source: NodeId,
+        mut block: Vec<u8>,
+        holders: &[NodeId],
+        out: &mut Vec<Action>,
+    ) {
+        let fence_epoch = self.fences.epoch_of(self.id);
+        for (i, &h) in holders.iter().enumerate() {
+            let last = i + 1 == holders.len();
+            let data = if last {
+                std::mem::take(&mut block)
+            } else {
+                block.clone()
+            };
+            let msg = Msg::Payload {
+                epoch,
+                source,
+                fence_epoch,
+                data,
+            };
+            if h == self.id {
+                let acts = self.on_message(self.id, msg, SimTime::ZERO);
+                out.extend(acts);
+            } else {
+                out.push(Action::Send { to: h, msg });
+            }
+        }
     }
 
     fn on_payload(
@@ -1674,7 +1696,9 @@ impl NodeCore {
         data: Vec<u8>,
         out: &mut Vec<Action>,
     ) {
+        let dropped = |reason: String| Action::Note(Note::PayloadDropped { from, reason });
         if !self.spec.is_parity(self.id) {
+            out.push(dropped("this node holds no parity".to_string()));
             return;
         }
         // Epoch-fenced data plane: a stale sender's blocks never land.
@@ -1690,20 +1714,48 @@ impl NodeCore {
             return;
         }
         if data.len() != self.spec.image_len {
-            out.push(Action::Note(Note::PayloadDropped {
-                from,
-                reason: format!(
-                    "block of {} bytes, expected {}",
-                    data.len(),
-                    self.spec.image_len
-                ),
-            }));
+            out.push(dropped(format!(
+                "block of {} bytes, expected {}",
+                data.len(),
+                self.spec.image_len
+            )));
             return;
         }
-        let Some(r) = &mut self.part_round else {
+        if !self.spec.is_data(source) {
+            out.push(dropped(format!("{source} is not a data slot")));
+            return;
+        }
+        // A block can overtake its RoundBegin (they travel on different
+        // connections): park it until the round it names opens. One per
+        // source, newest epoch wins, so at most k blocks are ever held.
+        if epoch > self.last_begun {
+            let parked = self.early.get(&source).map_or(0, |b| b.epoch);
+            if parked > 0 {
+                out.push(dropped(format!(
+                    "round {} not begun and round {} parked",
+                    epoch.min(parked),
+                    epoch.max(parked)
+                )));
+            }
+            if epoch > parked {
+                let block = EarlyBlock {
+                    from,
+                    epoch,
+                    fence_epoch,
+                    data,
+                };
+                self.early.insert(source, block);
+            }
+            return;
+        }
+        let Some(r) = self.part_round.as_mut().filter(|r| r.epoch == epoch) else {
+            out.push(dropped(format!("round {epoch} is not open here")));
             return;
         };
-        if r.epoch != epoch || !r.sources.contains(&source) {
+        if !r.sources.contains(&source) {
+            out.push(dropped(format!(
+                "{source} is not a source of round {epoch}"
+            )));
             return;
         }
         r.payloads.insert(source, data);
@@ -1712,15 +1764,13 @@ impl NodeCore {
         }
         // All k blocks in: fold our shard.
         let epoch = r.epoch;
-        let blocks: Vec<Vec<u8>> = (0..self.spec.data_nodes)
-            .map(|i| r.payloads.get(&NodeId(i)).cloned())
-            .collect::<Option<Vec<_>>>()
-            .unwrap_or_default();
-        if blocks.len() != self.spec.data_nodes {
+        let blocks: Option<Vec<&[u8]>> = (0..self.spec.data_nodes)
+            .map(|i| r.payloads.get(&NodeId(i)).map(Vec::as_slice))
+            .collect();
+        let Some(blocks) = blocks else {
             return; // sources didn't cover every slot — wait for more
-        }
-        let refs: Vec<&[u8]> = blocks.iter().map(|b| b.as_slice()).collect();
-        let parity = self.code.encode(&refs);
+        };
+        let parity = self.code.encode(&blocks);
         let j = self.id.index() - self.spec.data_nodes;
         let Some(shard) = parity.into_iter().nth(j) else {
             return;

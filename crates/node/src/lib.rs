@@ -16,8 +16,8 @@ use dvdc_observe::chrome::NodeTail;
 use dvdc_observe::registry::{Counter, HistogramHandle, MetricsHub, MetricsSnapshot, Stamp};
 use dvdc_observe::Event;
 use dvdc_simcore::time::{Duration, SimTime};
-use dvdc_transport::frame::{read_frame, write_frame};
-use dvdc_transport::wire::{decode_envelope, encode_envelope};
+use dvdc_transport::frame::{read_frame, write_frame, MAX_FRAME};
+use dvdc_transport::wire::{decode_envelope, encode_envelope, envelope_len};
 use dvdc_vcluster::ids::NodeId;
 
 /// Parsed `dvdc-node` command line.
@@ -135,6 +135,21 @@ impl NodeOptions {
                 opts.addrs.len(),
                 opts.data,
                 opts.parity
+            ));
+        }
+        // A captured image travels as one `Payload` in one frame.
+        let empty = Msg::Payload {
+            epoch: 0,
+            source: CTL,
+            fence_epoch: 0,
+            data: Vec::new(),
+        };
+        let max_image = MAX_FRAME as usize - envelope_len(CTL, &empty);
+        if opts.image_len > max_image {
+            return Err(format!(
+                "--image-len {} is over the limit of {max_image} bytes: an image and its \
+                 message header must fit one {MAX_FRAME}-byte frame",
+                opts.image_len
             ));
         }
         if opts.id >= opts.addrs.len() {
@@ -503,6 +518,20 @@ mod tests {
         ))
         .unwrap_err();
         assert!(err.contains("out of range"));
+    }
+
+    #[test]
+    fn image_too_large_for_one_frame_is_a_usage_error() {
+        // A Payload envelope is 37 bytes of header around the image.
+        let parse = |len: usize| {
+            NodeOptions::parse(args(&format!(
+                "--data 1 --parity 1 --addrs 127.0.0.1:1,127.0.0.1:2 --image-len {len}"
+            )))
+        };
+        let max = MAX_FRAME as usize - 37;
+        assert_eq!(parse(max).unwrap().image_len, max);
+        let err = parse(max + 1).unwrap_err();
+        assert!(err.contains("--image-len") && err.contains(&format!("limit of {max} bytes")));
     }
 
     #[test]

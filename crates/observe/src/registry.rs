@@ -10,7 +10,8 @@
 //!   once (registration takes a short-lived lock) and the hot path is
 //!   then a single `Option` branch plus a relaxed atomic — the same
 //!   attached-but-off ≡ baseline discipline the recorder and buggify
-//!   layers keep, asserted by the `loopback_throughput` bench.
+//!   layers keep; `benchmark` reports what attaching a live hub costs a
+//!   round as `observe.registry.trace_overhead_frac`.
 //! * [`LogHistogram`] — a fixed array of 65 log₂ buckets over `u64`
 //!   samples (nanoseconds by convention). Bounded memory regardless of
 //!   sample count, mergeable across nodes, and quantile extraction

@@ -4,25 +4,35 @@
 //!
 //! ```text
 //! magic   u32 LE   0x4456_4443  ("DVDC" read as big-endian ASCII)
-//! version u8       1
+//! version u8       2
 //! flags   u8       0 (reserved)
 //! len     u32 LE   payload length in bytes, <= MAX_FRAME
 //! payload len bytes
-//! digest  u64 LE   FNV-1a 64 of the payload
+//! digest  u64 LE   XXH64 (seed 0) of the payload
 //! ```
 //!
 //! Every malformed input maps to a typed [`FrameError`] — the decoder
 //! never panics and never silently resynchronises on garbage (a stream
 //! with a bad magic or checksum is dead; the link layer reconnects).
+//! Version 1 (FNV-1a trailer) is not spoken: a v1 frame is
+//! [`FrameError::Version`].
+//!
+//! A frame is built in memory ([`encode_frame`]) or streamed: the codec in
+//! [`wire`](crate::wire) emits a message into a [`Sink`] and reads one
+//! from a [`Source`], and [`FrameSink`] / [`FrameSource`] put a stream
+//! behind each, keeping the digest as the bytes pass, so an image crosses
+//! this layer without being copied.
 
-use dvdc::protocol::node_core::fnv64;
+use std::io::{BufWriter, Read, Write};
+
+use dvdc_simcore::rng::{xxh64, Xxh64};
 
 /// Frame magic: the ASCII bytes `DVDC` packed big-endian-first into a
 /// `u32`, serialized little-endian on the wire.
 pub const MAGIC: u32 = 0x4456_4443;
 
 /// Codec version carried in every frame header.
-pub const VERSION: u8 = 1;
+pub const VERSION: u8 = 2;
 
 /// Hard cap on payload size (64 MiB). Larger `len` fields are rejected
 /// before any allocation — a corrupt or hostile length cannot OOM the
@@ -98,26 +108,138 @@ impl From<std::io::Error> for FrameError {
     }
 }
 
+/// Small writes gather in a buffer this large before they reach the
+/// stream; a byte string at least this long bypasses it.
+const WRITE_BUF: usize = 4096;
+
+/// A large byte string is digested and moved this much at a time, so the
+/// second of the two passes finds the bytes still in cache.
+const CHUNK: usize = 256 << 10;
+
+/// Where a codec puts the bytes of a payload: a `Vec`, a length counter,
+/// or a stream behind a digest.
+pub(crate) trait Sink {
+    fn put(&mut self, bytes: &[u8]);
+}
+
+impl Sink for Vec<u8> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+}
+
+/// A `usize` counts what an encoding would occupy — the length a frame
+/// header announces before the payload is streamed behind it.
+impl Sink for usize {
+    fn put(&mut self, bytes: &[u8]) {
+        *self += bytes.len();
+    }
+}
+
+/// Where a codec takes the bytes of a payload from: a slice, or a stream
+/// behind a digest. `None`: the payload ended (or its stream failed)
+/// before the field did.
+pub(crate) trait Source {
+    /// Payload bytes not yet taken. A length field larger than this is
+    /// rejected before anything is allocated for it.
+    fn left(&self) -> usize;
+
+    /// Fills `out` with the next `out.len()` bytes.
+    fn fill(&mut self, out: &mut [u8]) -> Option<()>;
+
+    /// The next `n` bytes as the `Vec` the decoded message will own.
+    fn bytes(&mut self, n: usize) -> Option<Vec<u8>>;
+}
+
+impl Source for &[u8] {
+    fn left(&self) -> usize {
+        self.len()
+    }
+
+    fn fill(&mut self, out: &mut [u8]) -> Option<()> {
+        let (head, rest) = self.split_at_checked(out.len())?;
+        out.copy_from_slice(head);
+        *self = rest;
+        Some(())
+    }
+
+    fn bytes(&mut self, n: usize) -> Option<Vec<u8>> {
+        let (head, rest) = self.split_at_checked(n)?;
+        *self = rest;
+        Some(head.to_vec())
+    }
+}
+
+/// The payload of one outbound frame on its way into a stream. The first
+/// stream error sticks; [`write_frame_with`] reports it.
+pub(crate) struct FrameSink<W: Write> {
+    w: BufWriter<W>,
+    digest: Xxh64,
+    put_len: usize,
+    err: Option<std::io::ErrorKind>,
+}
+
+impl<W: Write> FrameSink<W> {
+    /// Writes framing bytes (header, trailer), which no digest covers.
+    fn frame(&mut self, bytes: &[u8]) {
+        if self.err.is_none() {
+            self.err = self.w.write_all(bytes).err().map(|e| e.kind());
+        }
+    }
+}
+
+impl<W: Write> Sink for FrameSink<W> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.put_len += bytes.len();
+        for chunk in bytes.chunks(CHUNK) {
+            self.digest.update(chunk);
+            self.frame(chunk);
+        }
+    }
+}
+
+/// Streams one frame into `w`: the header for a payload of `len` bytes,
+/// whatever `fill` puts (exactly `len` bytes), the trailer. An oversized
+/// `len` is refused before anything is written, so the stream stays
+/// usable.
+pub(crate) fn write_frame_with<W: Write>(
+    w: &mut W,
+    len: usize,
+    fill: impl FnOnce(&mut FrameSink<&mut W>),
+) -> Result<(), FrameError> {
+    let len32 = u32::try_from(len).unwrap_or(u32::MAX);
+    if len32 > MAX_FRAME {
+        return Err(FrameError::Oversized { len: len32 });
+    }
+    let mut sink = FrameSink {
+        w: BufWriter::with_capacity(WRITE_BUF, w),
+        digest: Xxh64::default(),
+        put_len: 0,
+        err: None,
+    };
+    let mut header = [0u8; HEADER_LEN]; // flags (byte 5) reserved, 0
+    header[..4].copy_from_slice(&MAGIC.to_le_bytes());
+    header[4] = VERSION;
+    header[6..].copy_from_slice(&len32.to_le_bytes());
+    sink.frame(&header);
+    fill(&mut sink);
+    assert_eq!(sink.put_len, len, "payload is as long as its header says");
+    sink.frame(&sink.digest.finish().to_le_bytes());
+    match sink.err {
+        Some(kind) => Err(FrameError::Io(kind)),
+        None => Ok(sink.w.flush()?),
+    }
+}
+
 /// Encode one payload into a complete frame (header + payload + trailer).
 ///
 /// # Panics
 ///
-/// Panics if `payload.len()` exceeds [`MAX_FRAME`] — senders control
-/// their own payload sizes, so an oversized *outbound* frame is a local
-/// logic bug, unlike inbound ones which are typed errors.
+/// Panics if `payload.len()` exceeds [`MAX_FRAME`]; [`write_frame`]
+/// returns [`FrameError::Oversized`] instead.
 pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
-    assert!(
-        payload.len() <= MAX_FRAME as usize,
-        "outbound frame of {} bytes exceeds MAX_FRAME",
-        payload.len()
-    );
     let mut out = Vec::with_capacity(HEADER_LEN + payload.len() + TRAILER_LEN);
-    out.extend_from_slice(&MAGIC.to_le_bytes());
-    out.push(VERSION);
-    out.push(0); // flags, reserved
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&fnv64(payload).to_le_bytes());
+    write_frame(&mut out, payload).expect("outbound frame exceeds MAX_FRAME");
     out
 }
 
@@ -138,17 +260,27 @@ fn parse_header(header: &[u8]) -> Result<usize, FrameError> {
     Ok(len as usize)
 }
 
-/// Verify the trailer digest and return the payload.
-fn check_payload(payload: &[u8], trailer: &[u8]) -> Result<(), FrameError> {
-    let got = u64::from_le_bytes([
-        trailer[0], trailer[1], trailer[2], trailer[3], trailer[4], trailer[5], trailer[6],
-        trailer[7],
-    ]);
-    let expected = fnv64(payload);
+/// Compare the digest of a received payload with its trailer.
+fn check_digest(expected: u64, trailer: &[u8]) -> Result<(), FrameError> {
+    let got = u64::from_le_bytes(trailer.try_into().expect("trailer is TRAILER_LEN bytes"));
     if expected != got {
         return Err(FrameError::Checksum { expected, got });
     }
     Ok(())
+}
+
+/// The verified payload length of the frame at the head of `buf`, or
+/// `None` while `buf` holds less than that whole frame.
+fn whole_frame(buf: &[u8]) -> Result<Option<usize>, FrameError> {
+    let Some(header) = buf.get(..HEADER_LEN) else {
+        return Ok(None);
+    };
+    let len = parse_header(header)?;
+    let Some(rest) = buf[HEADER_LEN..].get(..len + TRAILER_LEN) else {
+        return Ok(None);
+    };
+    check_digest(xxh64(&rest[..len]), &rest[len..])?;
+    Ok(Some(len))
 }
 
 /// Incremental decoder for a byte stream that arrives in arbitrary
@@ -186,30 +318,16 @@ impl FrameDecoder {
         if let Some(e) = &self.poisoned {
             return Err(e.clone());
         }
-        if self.buf.len() < HEADER_LEN {
+        let Some(len) = whole_frame(&self.buf).inspect_err(|e| self.poisoned = Some(e.clone()))?
+        else {
             return Ok(None);
-        }
-        let len = match parse_header(&self.buf[..HEADER_LEN]) {
-            Ok(len) => len,
-            Err(e) => {
-                self.poisoned = Some(e.clone());
-                return Err(e);
-            }
         };
-        let total = HEADER_LEN + len + TRAILER_LEN;
-        if self.buf.len() < total {
-            return Ok(None);
-        }
-        let payload_end = HEADER_LEN + len;
-        if let Err(e) = check_payload(
-            &self.buf[HEADER_LEN..payload_end],
-            &self.buf[payload_end..total],
-        ) {
-            self.poisoned = Some(e.clone());
-            return Err(e);
-        }
-        let payload = self.buf[HEADER_LEN..payload_end].to_vec();
-        self.buf.drain(..total);
+        // The buffer becomes the payload in place (header shifted out,
+        // trailer cut off); only bytes of later frames are copied.
+        let later = self.buf.split_off(HEADER_LEN + len + TRAILER_LEN);
+        let mut payload = std::mem::replace(&mut self.buf, later);
+        payload.truncate(HEADER_LEN + len);
+        payload.drain(..HEADER_LEN);
         Ok(Some(payload))
     }
 }
@@ -220,42 +338,121 @@ impl FrameDecoder {
 /// also `Truncated` (the caller's "exactly one" expectation was torn
 /// either way).
 pub fn decode_exact(bytes: &[u8]) -> Result<Vec<u8>, FrameError> {
-    if bytes.len() < HEADER_LEN {
-        return Err(FrameError::Truncated);
+    match whole_frame(bytes)? {
+        Some(len) if bytes.len() == HEADER_LEN + len + TRAILER_LEN => {
+            Ok(bytes[HEADER_LEN..HEADER_LEN + len].to_vec())
+        }
+        _ => Err(FrameError::Truncated),
     }
-    let len = parse_header(&bytes[..HEADER_LEN])?;
-    let total = HEADER_LEN + len + TRAILER_LEN;
-    if bytes.len() != total {
-        return Err(FrameError::Truncated);
+}
+
+/// The payload of one inbound frame on its way out of `r`. The first
+/// stream error sticks; [`read_frame_with`] reports it.
+pub(crate) struct FrameSource<'a, R: Read> {
+    r: &'a mut R,
+    left: usize,
+    digest: Xxh64,
+    err: Option<std::io::ErrorKind>,
+}
+
+impl<R: Read> FrameSource<'_, R> {
+    fn fail<T>(&mut self, kind: std::io::ErrorKind) -> Option<T> {
+        self.err = Some(kind);
+        self.left = 0;
+        None
     }
-    check_payload(
-        &bytes[HEADER_LEN..HEADER_LEN + len],
-        &bytes[HEADER_LEN + len..total],
-    )?;
-    Ok(bytes[HEADER_LEN..HEADER_LEN + len].to_vec())
+
+    /// Digests what the decoder did not take, so the trailer can still
+    /// be judged: a decoder that gave up on a corrupt payload leaves the
+    /// corruption to be reported as what it is.
+    fn skip_rest(&mut self) {
+        let mut scratch = [0u8; WRITE_BUF];
+        while self.left > 0
+            && self
+                .fill(&mut scratch[..self.left.min(WRITE_BUF)])
+                .is_some()
+        {}
+    }
+}
+
+impl<R: Read> Source for FrameSource<'_, R> {
+    fn left(&self) -> usize {
+        self.left
+    }
+
+    fn fill(&mut self, out: &mut [u8]) -> Option<()> {
+        if self.left < out.len() {
+            return None;
+        }
+        if let Err(e) = self.r.read_exact(out) {
+            return self.fail(e.kind());
+        }
+        self.digest.update(out);
+        self.left -= out.len();
+        Some(())
+    }
+
+    fn bytes(&mut self, n: usize) -> Option<Vec<u8>> {
+        if self.left < n {
+            return None;
+        }
+        // `read_to_end` on a `Take` appends into spare capacity: the
+        // bytes go from the stream into the Vec the message keeps, with
+        // no zero-fill first and no staging copy after.
+        let mut out = Vec::with_capacity(n);
+        while out.len() < n {
+            let start = out.len();
+            let want = (n - start).min(CHUNK) as u64;
+            match self.r.by_ref().take(want).read_to_end(&mut out) {
+                Ok(0) => return self.fail(std::io::ErrorKind::UnexpectedEof),
+                Ok(_) => self.digest.update(&out[start..]),
+                Err(e) => return self.fail(e.kind()),
+            }
+        }
+        self.left -= n;
+        Some(out)
+    }
+}
+
+/// Reads one frame from `r`, handing its payload to `decode` as a
+/// [`Source`] while it arrives. The trailer is verified before the
+/// decoder's verdict is returned, whatever that verdict was, so a
+/// corrupt frame is always a [`FrameError::Checksum`] and a decoded
+/// value is never released unverified.
+pub(crate) fn read_frame_with<R: Read, T>(
+    r: &mut R,
+    decode: impl FnOnce(&mut FrameSource<'_, R>) -> T,
+) -> Result<T, FrameError> {
+    let mut header = [0u8; HEADER_LEN];
+    r.read_exact(&mut header)?;
+    let mut source = FrameSource {
+        left: parse_header(&header)?,
+        r,
+        digest: Xxh64::default(),
+        err: None,
+    };
+    let decoded = decode(&mut source);
+    source.skip_rest();
+    if let Some(kind) = source.err {
+        return Err(FrameError::Io(kind));
+    }
+    let expected = source.digest.finish();
+    let mut trailer = [0u8; TRAILER_LEN];
+    r.read_exact(&mut trailer)?;
+    check_digest(expected, &trailer)?;
+    Ok(decoded)
 }
 
 /// Blocking read of one whole frame from a stream. EOF before the first
 /// header byte is reported as `Io(UnexpectedEof)` like any other torn
 /// read — callers that treat clean EOF as normal shutdown match on it.
-pub fn read_frame<R: std::io::Read>(r: &mut R) -> Result<Vec<u8>, FrameError> {
-    let mut header = [0u8; HEADER_LEN];
-    r.read_exact(&mut header)?;
-    let len = parse_header(&header)?;
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
-    let mut trailer = [0u8; TRAILER_LEN];
-    r.read_exact(&mut trailer)?;
-    check_payload(&payload, &trailer)?;
-    Ok(payload)
+pub fn read_frame<R: Read>(r: &mut R) -> Result<Vec<u8>, FrameError> {
+    read_frame_with(r, |payload| payload.bytes(payload.left()))?.ok_or(FrameError::Truncated)
 }
 
 /// Blocking write of one payload as a whole frame.
-pub fn write_frame<W: std::io::Write>(w: &mut W, payload: &[u8]) -> Result<(), FrameError> {
-    let frame = encode_frame(payload);
-    w.write_all(&frame)?;
-    w.flush()?;
-    Ok(())
+pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<(), FrameError> {
+    write_frame_with(w, payload.len(), |sink| sink.put(payload))
 }
 
 #[cfg(test)]
@@ -310,6 +507,25 @@ mod tests {
         let mut frame = encode_frame(b"x");
         frame[4] = 9;
         assert_eq!(decode_exact(&frame), Err(FrameError::Version { got: 9 }));
+    }
+
+    #[test]
+    fn version_1_frame_is_refused_by_version() {
+        // What the previous format put on the wire: version byte 1 and
+        // an FNV-1a trailer.
+        let payload = b"from an old daemon";
+        let mut frame = encode_frame(payload);
+        frame[4] = 1;
+        let at = frame.len() - TRAILER_LEN;
+        frame[at..].copy_from_slice(&dvdc_simcore::rng::fnv1a64(payload).to_le_bytes());
+        assert_eq!(decode_exact(&frame), Err(FrameError::Version { got: 1 }));
+        assert_eq!(
+            read_frame(&mut frame.as_slice()),
+            Err(FrameError::Version { got: 1 })
+        );
+        let mut dec = FrameDecoder::new();
+        dec.feed(&frame);
+        assert_eq!(dec.next_frame(), Err(FrameError::Version { got: 1 }));
     }
 
     #[test]
@@ -373,6 +589,30 @@ mod tests {
             read_frame(&mut cursor),
             Err(FrameError::Io(std::io::ErrorKind::UnexpectedEof))
         );
+    }
+
+    #[test]
+    fn decoder_keeps_the_bytes_of_later_frames() {
+        let mut stream = encode_frame(&[7u8; 5000]);
+        stream.extend_from_slice(&encode_frame(b"next"));
+        stream.extend_from_slice(&encode_frame(b"torn")[..6]);
+        let mut dec = FrameDecoder::new();
+        dec.feed(&stream);
+        assert_eq!(dec.next_frame().unwrap().unwrap(), [7u8; 5000]);
+        assert_eq!(dec.next_frame().unwrap().unwrap(), b"next");
+        assert_eq!(dec.next_frame(), Ok(None));
+        assert_eq!(dec.buffered(), 6);
+    }
+
+    #[test]
+    fn oversized_outbound_payload_is_typed_not_a_panic() {
+        let mut out = Vec::new();
+        let too_long = vec![0u8; MAX_FRAME as usize + 1];
+        assert_eq!(
+            write_frame(&mut out, &too_long),
+            Err(FrameError::Oversized { len: MAX_FRAME + 1 })
+        );
+        assert!(out.is_empty());
     }
 
     #[test]

@@ -2,9 +2,11 @@
 //!
 //! Topology: every member listens on one TCP port. Inbound connections
 //! (peer dials and `dvdc-ctl` clients alike) get a reader thread that
-//! decodes frames into envelopes and queues them on the single event
-//! channel. Outbound, each peer gets a writer thread owning its own
-//! dialed socket, reconnecting with the cluster's
+//! decodes envelopes straight off its socket and queues them on the
+//! single event channel. Outbound, each peer gets a writer thread owning
+//! its own dialed socket — messages are queued to it as they are and
+//! encoded onto the socket there, off the event loop — reconnecting with
+//! the cluster's
 //! [`RetryPolicy`](dvdc_vcluster::messaging::RetryPolicy) jittered
 //! backoff and a holdoff after exhaustion so a dead peer cannot turn the
 //! writer into a dial spin-loop. The event loop is single-threaded: it
@@ -23,7 +25,7 @@
 //! plane ([`CTL`] sender) is whoever can reach the loopback port.
 
 use std::collections::BTreeMap;
-use std::io::Write;
+use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
@@ -40,8 +42,8 @@ use dvdc_vcluster::messaging::RetryPolicy;
 
 use crate::clock::WallClock;
 use crate::conn::{connect_with_retry, ConnectError, LinkState};
-use crate::frame::{encode_frame, read_frame, FrameError};
-use crate::wire::{decode_envelope, encode_envelope};
+use crate::frame::{FrameError, HEADER_LEN, TRAILER_LEN};
+use crate::wire::{envelope_len, read_envelope, write_envelope};
 
 /// Configuration for one [`NodeRuntime`].
 #[derive(Debug, Clone)]
@@ -140,7 +142,7 @@ struct Incoming {
 /// connection. The connection that sent `CheckpointReq` is therefore
 /// pinned separately until its outcome is delivered.
 pub struct TcpTransport {
-    peers: BTreeMap<NodeId, Sender<Vec<u8>>>,
+    peers: BTreeMap<NodeId, Sender<(NodeId, Msg)>>,
     /// The most recent ctl connection: immediate replies (status,
     /// digest, kill-query) go here.
     ctl: Option<Arc<Mutex<TcpStream>>>,
@@ -148,7 +150,8 @@ pub struct TcpTransport {
     checkpoint_waiter: Option<Arc<Mutex<TcpStream>>>,
     /// Frames handed to any outbound path (peer queue or ctl write).
     frames_out: Counter,
-    /// Encoded bytes across those frames.
+    /// Bytes of those frames on the wire (header, envelope, trailer),
+    /// counted when the message is handed over, not when it is written.
     bytes_out: Counter,
     /// Per-peer write-queue depth: +1 on enqueue here, -1 when the
     /// writer thread dequeues. A stuck peer shows as a climbing gauge.
@@ -169,21 +172,11 @@ impl TcpTransport {
     }
 }
 
-fn write_ctl(conn: &Arc<Mutex<TcpStream>>, frame: &[u8]) -> Result<(), TransportError> {
-    let mut stream = conn
-        .lock()
-        .map_err(|_| TransportError::Closed { to: CTL })?;
-    stream
-        .write_all(frame)
-        .and_then(|()| stream.flush())
-        .map_err(|_| TransportError::Closed { to: CTL })
-}
-
 impl Transport for TcpTransport {
     fn send(&mut self, from: NodeId, to: NodeId, msg: Msg) -> Result<(), TransportError> {
-        let frame = encode_frame(&encode_envelope(from, &msg));
         self.frames_out.inc();
-        self.bytes_out.add(frame.len() as u64);
+        self.bytes_out
+            .add((HEADER_LEN + envelope_len(from, &msg) + TRAILER_LEN) as u64);
         if to == CTL {
             let conn = if matches!(
                 msg,
@@ -195,13 +188,15 @@ impl Transport for TcpTransport {
                 self.ctl.clone()
             };
             let conn = conn.ok_or(TransportError::Unreachable { to })?;
-            write_ctl(&conn, &frame)
+            let mut stream = conn.lock().map_err(|_| TransportError::Closed { to })?;
+            write_envelope(&mut *stream, from, &msg).map_err(|_| TransportError::Closed { to })
         } else {
             let tx = self
                 .peers
                 .get(&to)
                 .ok_or(TransportError::Unreachable { to })?;
-            tx.send(frame).map_err(|_| TransportError::Closed { to })?;
+            tx.send((from, msg))
+                .map_err(|_| TransportError::Closed { to })?;
             if let Some(q) = self.peer_queues.get(&to) {
                 q.add(1);
             }
@@ -290,8 +285,9 @@ impl NodeRuntime {
         let connects = hub.counter("transport.connects");
         let connect_retries = hub.counter("transport.connect_retries");
         let redials = hub.counter("transport.redials");
+        let oversized = hub.counter("transport.oversized_dropped");
         for (peer, addr) in &config.peers {
-            let (tx, rx) = mpsc::channel::<Vec<u8>>();
+            let (tx, rx) = mpsc::channel();
             transport.peers.insert(*peer, tx);
             let queue = hub.gauge(&format!("transport.write_queue.peer{}", peer.0));
             transport.peer_queues.insert(*peer, queue.clone());
@@ -307,6 +303,7 @@ impl NodeRuntime {
                 connects: connects.clone(),
                 connect_retries: connect_retries.clone(),
                 redials: redials.clone(),
+                oversized: oversized.clone(),
                 queue,
             };
             let peer = *peer;
@@ -426,35 +423,37 @@ fn accept_loop(
     }
 }
 
-/// Decode frames off one inbound connection until it closes or violates
-/// framing; every envelope becomes an event. Framing violations kill
-/// only this connection — the peer's reconnect machinery dials anew.
+/// Decode envelopes off one inbound connection until it closes or
+/// violates framing; every envelope becomes an event. Framing violations
+/// kill only this connection — the peer's reconnect machinery dials anew.
 fn reader_loop(
-    mut stream: TcpStream,
+    stream: TcpStream,
     writer: Option<Arc<Mutex<TcpStream>>>,
     event_tx: Sender<Incoming>,
     metrics: ReaderMetrics,
 ) {
+    // Headers, trailers and small messages come out of this buffer; an
+    // image is read past it, into the message.
+    let mut stream = BufReader::new(stream);
     loop {
-        let payload = match read_frame(&mut stream) {
-            Ok(p) => p,
+        let (from, msg) = match read_envelope(&mut stream) {
+            Ok(Ok(envelope)) => envelope,
             Err(FrameError::Io(_)) => return, // closed / reset / torn
             Err(_) => {
                 // Framing violation: drop conn.
                 metrics.frame_errors.inc();
                 return;
             }
-        };
-        metrics.frames_in.inc();
-        metrics.bytes_in.add(payload.len() as u64);
-        let (from, msg) = match decode_envelope(&payload) {
-            Ok(x) => x,
-            Err(_) => {
+            Ok(Err(_)) => {
                 // Hostile or version-skewed peer: drop conn.
+                metrics.frames_in.inc();
                 metrics.codec_errors.inc();
                 return;
             }
         };
+        metrics.frames_in.inc();
+        // The encoding is canonical, so this is the payload length read.
+        metrics.bytes_in.add(envelope_len(from, &msg) as u64);
         let incoming = Incoming {
             writer: writer.clone(),
             from,
@@ -475,6 +474,7 @@ struct WriterConfig {
     connects: Counter,
     connect_retries: Counter,
     redials: Counter,
+    oversized: Counter,
     queue: Gauge,
 }
 
@@ -484,20 +484,20 @@ fn set_link(links: &Arc<Mutex<BTreeMap<NodeId, LinkState>>>, peer: NodeId, state
     }
 }
 
-/// Own the outbound socket to one peer: dial lazily, write queued
-/// frames, reconnect with jittered backoff on failure, hold off after
-/// exhaustion. Frames that cannot be delivered are dropped — the
+/// Own the outbound socket to one peer: dial lazily, encode queued
+/// messages onto it, reconnect with jittered backoff on failure, hold off
+/// after exhaustion. Messages that cannot be delivered are dropped — the
 /// protocol retries at its own layer.
 fn writer_loop(
     peer: NodeId,
     cfg: WriterConfig,
-    rx: Receiver<Vec<u8>>,
+    rx: Receiver<(NodeId, Msg)>,
     links: Arc<Mutex<BTreeMap<NodeId, LinkState>>>,
 ) {
     let mut stream: Option<TcpStream> = None;
     let mut holdoff_until: Option<Instant> = None;
     let mut was_established = false;
-    while let Ok(frame) = rx.recv() {
+    while let Ok((from, msg)) = rx.recv() {
         cfg.queue.add(-1);
         // During holdoff the peer is known-dead: shed load instead of
         // dialing per frame.
@@ -538,12 +538,15 @@ fn writer_loop(
                     }
                 }
             }
-            let ok = match stream.as_mut() {
-                Some(s) => s.write_all(&frame).and_then(|()| s.flush()).is_ok(),
-                None => false,
-            };
-            if ok {
-                break;
+            match stream.as_mut().map(|s| write_envelope(s, from, &msg)) {
+                Some(Ok(())) => break,
+                // Refused before a byte was written: the socket is fine,
+                // the message is lost like any other undeliverable one.
+                Some(Err(FrameError::Oversized { .. })) => {
+                    cfg.oversized.inc();
+                    break;
+                }
+                _ => {}
             }
             stream = None;
             set_link(&links, peer, LinkState::Disconnected);
@@ -551,5 +554,96 @@ fn writer_loop(
                 break; // second failure: drop the frame
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::frame::MAX_FRAME;
+    use std::io::Write;
+
+    fn image(len: usize) -> Msg {
+        Msg::Payload {
+            epoch: 1,
+            source: NodeId(0),
+            fence_epoch: 0,
+            data: vec![0xA5; len],
+        }
+    }
+
+    #[test]
+    fn corrupt_image_never_reaches_the_event_channel() {
+        let hub = MetricsHub::new();
+        let metrics = ReaderMetrics {
+            frames_in: hub.counter("frames_in"),
+            bytes_in: hub.counter("bytes_in"),
+            frame_errors: hub.counter("frame_errors"),
+            codec_errors: hub.counter("codec_errors"),
+        };
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut tx = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (rx, _) = listener.accept().unwrap();
+        let (event_tx, event_rx) = mpsc::channel();
+        let reader = std::thread::spawn(move || reader_loop(rx, None, event_tx, metrics));
+
+        let mut good = Vec::new();
+        write_envelope(&mut good, NodeId(0), &Msg::Commit { epoch: 1 }).unwrap();
+        let mut bad = Vec::new();
+        write_envelope(&mut bad, NodeId(0), &image(1 << 20)).unwrap();
+        bad[1 << 19] ^= 0x01;
+        tx.write_all(&good).unwrap();
+        tx.write_all(&bad).unwrap();
+        // Valid, but behind the corruption: the connection is dead by
+        // then (so the write itself may already fail).
+        let _ = tx.write_all(&good);
+
+        // The reader drops the connection at the bad trailer; its sender
+        // goes with it, so the channel ends after the one good message.
+        reader.join().unwrap();
+        let got: Vec<Msg> = event_rx.iter().map(|incoming| incoming.msg).collect();
+        assert_eq!(got, vec![Msg::Commit { epoch: 1 }]);
+        let snap = hub.snapshot();
+        assert_eq!(snap.counter("frame_errors"), Some(1));
+        assert_eq!(snap.counter("frames_in"), Some(1));
+    }
+
+    #[test]
+    fn oversized_message_is_dropped_and_the_link_carries_on() {
+        let hub = MetricsHub::new();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let cfg = WriterConfig {
+            addr: listener.local_addr().unwrap(),
+            retry: RetryPolicy::default(),
+            seed: 1,
+            connect_timeout: StdDuration::from_secs(5),
+            redial_holdoff: StdDuration::from_millis(1),
+            connects: hub.counter("connects"),
+            connect_retries: hub.counter("connect_retries"),
+            redials: hub.counter("redials"),
+            oversized: hub.counter("oversized"),
+            queue: hub.gauge("queue"),
+        };
+        let links = Arc::new(Mutex::new(BTreeMap::new()));
+        let (tx, rx) = mpsc::channel();
+        let writer = std::thread::spawn(move || writer_loop(NodeId(1), cfg, rx, links));
+
+        tx.send((NodeId(0), Msg::Commit { epoch: 1 })).unwrap();
+        tx.send((NodeId(0), image(MAX_FRAME as usize))).unwrap();
+        tx.send((NodeId(0), Msg::Commit { epoch: 2 })).unwrap();
+        drop(tx);
+        writer.join().unwrap();
+
+        // Both small messages arrive on the one connection ever dialed.
+        let mut conn = listener.accept().unwrap().0;
+        for epoch in [1, 2] {
+            assert_eq!(
+                read_envelope(&mut conn),
+                Ok(Ok((NodeId(0), Msg::Commit { epoch })))
+            );
+        }
+        let snap = hub.snapshot();
+        assert_eq!(snap.counter("oversized"), Some(1));
+        assert_eq!(snap.counter("connects"), Some(1));
     }
 }

@@ -14,12 +14,23 @@
 //! line.** Tag rules: tags are explicit, a tag is never reused or
 //! renumbered once released, and tag 0 stays unassigned so a zero-filled
 //! buffer decodes to a typed error.
+//!
+//! Both directions run against a byte [`Sink`] or [`Source`] rather than
+//! a buffer, so the same tables fill a `Vec` ([`encode_envelope`]), read
+//! a slice ([`decode_envelope`]) and stream a message to or from a
+//! socket inside a frame ([`write_envelope`], [`read_envelope`]) — an
+//! image then moves between the `Msg`'s own `Vec` and the kernel without
+//! an envelope or frame buffer in between.
+
+use std::io::{Read, Write};
 
 use dvdc::protocol::node_core::{BlockInfo, BlockKind, DigestSource, Msg, StatusView};
 use dvdc_observe::registry::{intern, HistSnapshot, MetricsSnapshot, HIST_BUCKETS};
 use dvdc_observe::{Event, TimedEvent};
 use dvdc_simcore::time::SimTime;
 use dvdc_vcluster::ids::NodeId;
+
+use crate::frame::{read_frame_with, write_frame_with, FrameError, Sink, Source};
 
 /// Typed decode failures.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -63,41 +74,8 @@ trait Tagged {
 }
 
 // ---------------------------------------------------------------------
-// Reader and the per-type codec
+// The per-type codec
 // ---------------------------------------------------------------------
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    /// Bytes not yet consumed.
-    fn left(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.left() < n {
-            return Err(WireError::Truncated);
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn get<T: Wire>(&mut self) -> Result<T, WireError> {
-        T::get(self)
-    }
-
-    fn done(&self) -> Result<(), WireError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(WireError::TrailingBytes)
-        }
-    }
-}
 
 /// One field type's encoding. Everything a message can carry implements
 /// this exactly once; messages themselves are tables over it.
@@ -107,41 +85,48 @@ trait Wire: Sized {
     /// count before allocating anything.
     const MIN_LEN: usize;
 
-    fn put(&self, out: &mut Vec<u8>);
+    fn put(&self, out: &mut impl Sink);
 
-    fn get(r: &mut Reader<'_>) -> Result<Self, WireError>;
+    fn get(r: &mut impl Source) -> Result<Self, WireError>;
 
     /// Encodes list elements back to back; `u8` overrides it with one
-    /// bulk copy so image bytes never move element by element.
-    fn put_all(items: &[Self], out: &mut Vec<u8>) {
+    /// bulk put so image bytes never move element by element.
+    fn put_all(items: &[Self], out: &mut impl Sink) {
         for item in items {
             item.put(out);
         }
     }
 
     /// Decodes `n` elements; the caller has bounded `n` by [`Wire::MIN_LEN`].
-    fn get_all(r: &mut Reader<'_>, n: usize) -> Result<Vec<Self>, WireError> {
+    fn get_all(r: &mut impl Source, n: usize) -> Result<Vec<Self>, WireError> {
         (0..n).map(|_| Self::get(r)).collect()
     }
+}
+
+/// The next `N` bytes of `r`, for the fixed-width types.
+fn take<const N: usize>(r: &mut impl Source) -> Result<[u8; N], WireError> {
+    let mut bytes = [0u8; N];
+    r.fill(&mut bytes).ok_or(WireError::Truncated)?;
+    Ok(bytes)
 }
 
 impl Wire for u8 {
     const MIN_LEN: usize = 1;
 
-    fn put(&self, out: &mut Vec<u8>) {
-        out.push(*self);
+    fn put(&self, out: &mut impl Sink) {
+        out.put(&[*self]);
     }
 
-    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(r.take(1)?[0])
+    fn get(r: &mut impl Source) -> Result<Self, WireError> {
+        Ok(take::<1>(r)?[0])
     }
 
-    fn put_all(items: &[u8], out: &mut Vec<u8>) {
-        out.extend_from_slice(items);
+    fn put_all(items: &[u8], out: &mut impl Sink) {
+        out.put(items);
     }
 
-    fn get_all(r: &mut Reader<'_>, n: usize) -> Result<Vec<u8>, WireError> {
-        Ok(r.take(n)?.to_vec())
+    fn get_all(r: &mut impl Source, n: usize) -> Result<Vec<u8>, WireError> {
+        r.bytes(n).ok_or(WireError::Truncated)
     }
 }
 
@@ -152,13 +137,12 @@ macro_rules! wire_int {
         impl Wire for $t {
             const MIN_LEN: usize = std::mem::size_of::<$t>();
 
-            fn put(&self, out: &mut Vec<u8>) {
-                out.extend_from_slice(&self.to_le_bytes());
+            fn put(&self, out: &mut impl Sink) {
+                out.put(&self.to_le_bytes());
             }
 
-            fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
-                let bytes = r.take(Self::MIN_LEN)?.try_into();
-                Ok(<$t>::from_le_bytes(bytes.expect("take returns the length asked for")))
+            fn get(r: &mut impl Source) -> Result<Self, WireError> {
+                take(r).map(<$t>::from_le_bytes)
             }
         }
     )*};
@@ -169,11 +153,11 @@ wire_int!(u32, u64, i64);
 impl Wire for usize {
     const MIN_LEN: usize = 8;
 
-    fn put(&self, out: &mut Vec<u8>) {
+    fn put(&self, out: &mut impl Sink) {
         (*self as u64).put(out);
     }
 
-    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+    fn get(r: &mut impl Source) -> Result<Self, WireError> {
         usize::try_from(u64::get(r)?).map_err(|_| WireError::BadLength)
     }
 }
@@ -181,24 +165,24 @@ impl Wire for usize {
 impl Wire for NodeId {
     const MIN_LEN: usize = 8;
 
-    fn put(&self, out: &mut Vec<u8>) {
+    fn put(&self, out: &mut impl Sink) {
         self.0.put(out);
     }
 
-    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        r.get().map(NodeId)
+    fn get(r: &mut impl Source) -> Result<Self, WireError> {
+        usize::get(r).map(NodeId)
     }
 }
 
 impl Wire for f64 {
     const MIN_LEN: usize = 8;
 
-    fn put(&self, out: &mut Vec<u8>) {
+    fn put(&self, out: &mut impl Sink) {
         self.to_bits().put(out);
     }
 
-    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        r.get().map(f64::from_bits)
+    fn get(r: &mut impl Source) -> Result<Self, WireError> {
+        u64::get(r).map(f64::from_bits)
     }
 }
 
@@ -207,12 +191,12 @@ impl Wire for f64 {
 impl Wire for SimTime {
     const MIN_LEN: usize = 8;
 
-    fn put(&self, out: &mut Vec<u8>) {
+    fn put(&self, out: &mut impl Sink) {
         self.as_secs().put(out);
     }
 
-    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let secs: f64 = r.get()?;
+    fn get(r: &mut impl Source) -> Result<Self, WireError> {
+        let secs = f64::get(r)?;
         if secs.is_finite() && secs >= 0.0 {
             Ok(SimTime::from_secs(secs))
         } else {
@@ -224,11 +208,11 @@ impl Wire for SimTime {
 impl Wire for bool {
     const MIN_LEN: usize = 1;
 
-    fn put(&self, out: &mut Vec<u8>) {
-        out.push(*self as u8);
+    fn put(&self, out: &mut impl Sink) {
+        (*self as u8).put(out);
     }
 
-    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+    fn get(r: &mut impl Source) -> Result<Self, WireError> {
         match u8::get(r)? {
             0 => Ok(false),
             1 => Ok(true),
@@ -242,12 +226,12 @@ impl Wire for bool {
 impl<T: Wire> Wire for Vec<T> {
     const MIN_LEN: usize = 4;
 
-    fn put(&self, out: &mut Vec<u8>) {
+    fn put(&self, out: &mut impl Sink) {
         (self.len() as u32).put(out);
         T::put_all(self, out);
     }
 
-    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+    fn get(r: &mut impl Source) -> Result<Self, WireError> {
         let n = u32::get(r)? as usize;
         if r.left() / T::MIN_LEN < n {
             return Err(WireError::Truncated);
@@ -257,20 +241,20 @@ impl<T: Wire> Wire for Vec<T> {
 }
 
 /// Strings are byte strings that must be UTF-8.
-fn put_str(s: &str, out: &mut Vec<u8>) {
+fn put_str(s: &str, out: &mut impl Sink) {
     (s.len() as u32).put(out);
-    out.extend_from_slice(s.as_bytes());
+    out.put(s.as_bytes());
 }
 
 impl Wire for String {
     const MIN_LEN: usize = 4;
 
-    fn put(&self, out: &mut Vec<u8>) {
+    fn put(&self, out: &mut impl Sink) {
         put_str(self, out);
     }
 
-    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        String::from_utf8(r.get()?).map_err(|_| WireError::BadUtf8)
+    fn get(r: &mut impl Source) -> Result<Self, WireError> {
+        String::from_utf8(Vec::get(r)?).map_err(|_| WireError::BadUtf8)
     }
 }
 
@@ -278,11 +262,11 @@ impl Wire for String {
 impl Wire for &'static str {
     const MIN_LEN: usize = 4;
 
-    fn put(&self, out: &mut Vec<u8>) {
+    fn put(&self, out: &mut impl Sink) {
         put_str(self, out);
     }
 
-    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+    fn get(r: &mut impl Source) -> Result<Self, WireError> {
         Ok(intern(&String::get(r)?))
     }
 }
@@ -291,20 +275,20 @@ impl Wire for &'static str {
 impl<T: Wire> Wire for Option<T> {
     const MIN_LEN: usize = 1;
 
-    fn put(&self, out: &mut Vec<u8>) {
+    fn put(&self, out: &mut impl Sink) {
         match self {
-            None => out.push(0),
+            None => 0u8.put(out),
             Some(v) => {
-                out.push(1);
+                1u8.put(out);
                 v.put(out);
             }
         }
     }
 
-    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+    fn get(r: &mut impl Source) -> Result<Self, WireError> {
         match u8::get(r)? {
             0 => Ok(None),
-            1 => r.get().map(Some),
+            1 => T::get(r).map(Some),
             _ => Err(WireError::BadLength),
         }
     }
@@ -313,13 +297,13 @@ impl<T: Wire> Wire for Option<T> {
 impl<A: Wire, B: Wire> Wire for (A, B) {
     const MIN_LEN: usize = A::MIN_LEN + B::MIN_LEN;
 
-    fn put(&self, out: &mut Vec<u8>) {
+    fn put(&self, out: &mut impl Sink) {
         self.0.put(out);
         self.1.put(out);
     }
 
-    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok((r.get()?, r.get()?))
+    fn get(r: &mut impl Source) -> Result<Self, WireError> {
+        Ok((A::get(r)?, B::get(r)?))
     }
 }
 
@@ -330,12 +314,12 @@ macro_rules! wire_struct {
         impl Wire for $name {
             const MIN_LEN: usize = 0 $(+ <$ty as Wire>::MIN_LEN)*;
 
-            fn put(&self, out: &mut Vec<u8>) {
+            fn put(&self, out: &mut impl Sink) {
                 $(self.$field.put(out);)*
             }
 
-            fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
-                Ok($name { $($field: r.get::<$ty>()?),* })
+            fn get(r: &mut impl Source) -> Result<Self, WireError> {
+                Ok($name { $($field: <$ty>::get(r)?),* })
             }
         }
     };
@@ -375,17 +359,17 @@ wire_struct!(TimedEvent {
 impl Wire for HistSnapshot {
     const MIN_LEN: usize = 8 + 8 + 4;
 
-    fn put(&self, out: &mut Vec<u8>) {
+    fn put(&self, out: &mut impl Sink) {
         self.count.put(out);
         self.sum.put(out);
         self.buckets.put(out);
     }
 
-    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+    fn get(r: &mut impl Source) -> Result<Self, WireError> {
         let h = HistSnapshot {
-            count: r.get()?,
-            sum: r.get()?,
-            buckets: r.get()?,
+            count: Wire::get(r)?,
+            sum: Wire::get(r)?,
+            buckets: Wire::get(r)?,
         };
         if h.buckets.iter().any(|&(i, _)| i as usize >= HIST_BUCKETS) {
             return Err(WireError::BadLength);
@@ -408,21 +392,21 @@ macro_rules! wire_enum {
         impl Wire for $name {
             const MIN_LEN: usize = 1;
 
-            fn put(&self, out: &mut Vec<u8>) {
+            fn put(&self, out: &mut impl Sink) {
                 match self {$(
                     $name::$variant $({ $($field),* })? $(( $inner ))? => {
-                        out.push($tag);
+                        out.put(&[$tag]);
                         $($($field.put(out);)*)?
                         $($inner.put(out);)?
                     }
                 )*}
             }
 
-            fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+            fn get(r: &mut impl Source) -> Result<Self, WireError> {
                 Ok(match u8::get(r)? {
                     $($tag => $name::$variant
-                        $({ $($field: r.get()?),* })?
-                        $(({ let $inner = r.get()?; $inner }))?,)*
+                        $({ $($field: Wire::get(r)?),* })?
+                        $(({ let $inner = Wire::get(r)?; $inner }))?,)*
                     t => return Err($unknown(t)),
                 })
             }
@@ -514,22 +498,56 @@ pub fn encode_envelope(from: NodeId, msg: &Msg) -> Vec<u8> {
     out
 }
 
+/// Bytes [`encode_envelope`] would produce, without producing them.
+pub fn envelope_len(from: NodeId, msg: &Msg) -> usize {
+    let mut len = 0usize;
+    from.put(&mut len);
+    msg.put(&mut len);
+    len
+}
+
+fn get_envelope(r: &mut impl Source) -> Result<(NodeId, Msg), WireError> {
+    let envelope = (Wire::get(r)?, Wire::get(r)?);
+    if r.left() > 0 {
+        return Err(WireError::TrailingBytes);
+    }
+    Ok(envelope)
+}
+
 /// Decode a `[sender][msg]` envelope. The whole buffer must be consumed
 /// — surplus bytes are [`WireError::TrailingBytes`].
-pub fn decode_envelope(bytes: &[u8]) -> Result<(NodeId, Msg), WireError> {
-    let mut r = Reader { buf: bytes, pos: 0 };
-    let from = r.get()?;
-    let msg = r.get()?;
-    r.done()?;
-    Ok((from, msg))
+pub fn decode_envelope(mut bytes: &[u8]) -> Result<(NodeId, Msg), WireError> {
+    get_envelope(&mut bytes)
+}
+
+/// Streams `msg` into `w` as one frame, straight from the message: the
+/// bytes `write_frame(w, &encode_envelope(from, msg))` would write, with
+/// neither buffer built. A message too large for a frame is
+/// [`FrameError::Oversized`] and leaves `w` untouched.
+pub fn write_envelope<W: Write>(w: &mut W, from: NodeId, msg: &Msg) -> Result<(), FrameError> {
+    write_frame_with(w, envelope_len(from, msg), |sink| {
+        from.put(sink);
+        msg.put(sink);
+    })
+}
+
+/// Reads one frame from `r` and decodes its envelope as it arrives. The
+/// outer error is the frame's (stream, header, digest), the inner one
+/// the body's; a message is only returned from a frame whose trailer
+/// verified.
+pub fn read_envelope<R: Read>(r: &mut R) -> Result<Result<(NodeId, Msg), WireError>, FrameError> {
+    read_frame_with(r, |payload| get_envelope(payload))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::{encode_frame, MAX_FRAME};
     use dvdc::protocol::node_core::{fnv64, CTL};
     use dvdc_observe::NO_TOKEN;
     use std::collections::BTreeSet;
+    use std::io::BufReader;
+    use std::net::{TcpListener, TcpStream};
 
     fn rt(from: NodeId, msg: Msg) {
         let bytes = encode_envelope(from, &msg);
@@ -813,6 +831,139 @@ mod tests {
             .collect();
         assert_eq!(bytes.len(), 2169);
         assert_eq!(fnv64(&bytes), 0x3927_044d_7a83_59a6);
+    }
+
+    /// A stream whose every `read` returns one byte.
+    struct Trickle<'a>(&'a [u8]);
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            match (self.0.split_first(), buf.first_mut()) {
+                (Some((byte, rest)), Some(slot)) => {
+                    *slot = *byte;
+                    self.0 = rest;
+                    Ok(1)
+                }
+                _ => Ok(0),
+            }
+        }
+    }
+
+    fn image_payload(len: usize) -> Msg {
+        Msg::Payload {
+            epoch: 9,
+            source: NodeId(2),
+            fence_epoch: 1,
+            data: (0..len).map(|i| ((i * 31) >> 3) as u8).collect(),
+        }
+    }
+
+    #[test]
+    fn streamed_frames_are_the_buffered_bytes_and_read_back_off_any_stream() {
+        // The golden set plus an image that takes the unbuffered path on
+        // both sides, several chunks long with a ragged end.
+        let mut msgs = msg_samples();
+        msgs.push(image_payload((1 << 20) + 5));
+        let from = NodeId(1);
+        let mut wire = Vec::new();
+        for msg in &msgs {
+            let mut streamed = Vec::new();
+            write_envelope(&mut streamed, from, msg).unwrap();
+            assert_eq!(streamed, encode_frame(&encode_envelope(from, msg)));
+            wire.extend(streamed);
+        }
+
+        let mut trickle = Trickle(&wire);
+        for msg in &msgs {
+            assert_eq!(read_envelope(&mut trickle), Ok(Ok((from, msg.clone()))));
+        }
+        assert!(trickle.0.is_empty());
+
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut tx = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let mut rx = BufReader::new(listener.accept().unwrap().0);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for msg in &msgs {
+                    write_envelope(&mut tx, from, msg).unwrap();
+                }
+            });
+            for msg in &msgs {
+                assert_eq!(read_envelope(&mut rx), Ok(Ok((from, msg.clone()))));
+            }
+        });
+    }
+
+    #[test]
+    fn one_flipped_bit_in_an_image_in_flight_is_a_checksum_error() {
+        let mut frame = Vec::new();
+        write_envelope(&mut frame, NodeId(2), &image_payload(1 << 20)).unwrap();
+        let middle = frame.len() / 2;
+        frame[middle] ^= 0x10;
+        assert!(matches!(
+            read_envelope(&mut frame.as_slice()),
+            Err(FrameError::Checksum { .. })
+        ));
+    }
+
+    #[test]
+    fn corrupt_body_is_reported_as_the_corruption_not_as_a_codec_error() {
+        // The flipped tag byte makes the body undecodable; the frame is
+        // still read to its trailer and judged there.
+        let mut frame = Vec::new();
+        write_envelope(&mut frame, NodeId(1), &Msg::Commit { epoch: 9 }).unwrap();
+        frame[crate::frame::HEADER_LEN + 8] = 0xEE;
+        assert!(matches!(
+            read_envelope(&mut frame.as_slice()),
+            Err(FrameError::Checksum { .. })
+        ));
+        // The same body under a valid trailer is the codec's to reject.
+        let mut body = encode_envelope(NodeId(1), &Msg::Commit { epoch: 9 });
+        body[8] = 0xEE;
+        assert_eq!(
+            read_envelope(&mut encode_frame(&body).as_slice()),
+            Ok(Err(WireError::UnknownTag(0xEE)))
+        );
+    }
+
+    #[test]
+    fn byte_string_longer_than_its_frame_is_truncated_not_allocated() {
+        // A Payload whose data length field claims 4 GiB - 1 inside a
+        // frame that ends right there: refused on the length alone.
+        let mut body = encode_envelope(
+            NodeId(1),
+            &Msg::Payload {
+                epoch: 1,
+                source: NodeId(0),
+                fence_epoch: 0,
+                data: Vec::new(),
+            },
+        );
+        let n = body.len();
+        body[n - 4..].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(decode_envelope(&body), Err(WireError::Truncated));
+        assert_eq!(
+            read_envelope(&mut encode_frame(&body).as_slice()),
+            Ok(Err(WireError::Truncated))
+        );
+    }
+
+    #[test]
+    fn message_too_large_for_a_frame_is_refused_before_a_byte_is_written() {
+        let msg = Msg::Payload {
+            epoch: 1,
+            source: NodeId(0),
+            fence_epoch: 0,
+            data: vec![0; MAX_FRAME as usize],
+        };
+        let mut out = Vec::new();
+        assert_eq!(
+            write_envelope(&mut out, NodeId(0), &msg),
+            Err(FrameError::Oversized {
+                len: MAX_FRAME + 37
+            })
+        );
+        assert!(out.is_empty());
     }
 
     #[test]

@@ -29,7 +29,9 @@ fn spec() -> ClusterSpec {
         detector: DetectorConfig::from_millis(50.0, 250.0, 200.0),
         round_timeout: Duration::from_secs(3.0),
         rebuild_timeout: Duration::from_secs(3.0),
-        capture_delay: Duration::from_millis(5.0),
+        // No capture window: blocks race the RoundBegin on separate
+        // connections, and holders must cope with losing that race.
+        capture_delay: Duration::ZERO,
     }
 }
 

@@ -22,6 +22,10 @@ struct Sim {
     notes: Vec<(NodeId, Note)>,
     now: SimTime,
     tick: Duration,
+    /// Deliver each step's `Payload`s ahead of everything else due with
+    /// them — what separate TCP connections do to a block and the
+    /// `RoundBegin` it belongs to.
+    payloads_overtake: bool,
 }
 
 impl Sim {
@@ -35,6 +39,7 @@ impl Sim {
             notes: Vec::new(),
             now: SimTime::ZERO,
             tick: Duration::from_millis(1.0),
+            payloads_overtake: false,
             spec,
         }
     }
@@ -65,7 +70,10 @@ impl Sim {
             if self.nodes[i].is_none() {
                 continue;
             }
-            let due = self.net.take_due(id, self.now);
+            let mut due = self.net.take_due(id, self.now);
+            if self.payloads_overtake {
+                due.sort_by_key(|(_, msg)| !matches!(msg, Msg::Payload { .. }));
+            }
             for (from, msg) in due {
                 let Some(node) = self.nodes[i].as_mut() else {
                     break;
@@ -341,4 +349,53 @@ fn three_failures_exceed_m2_and_surface_typed_data_loss() {
     // A round cannot start with an unrebuildable member — typed, no hang.
     let err = run_checkpoint(&mut sim, 0, 1000.0).expect_err("round must fail");
     assert!(err.contains("not yet rebuilt"), "got: {err}");
+}
+
+#[test]
+fn payload_overtaking_its_round_begin_is_parked_and_the_round_commits() {
+    // No capture delay, and every block delivered ahead of the RoundBegin
+    // that arrives with it: the coordinator's own block reaches both
+    // holders before they have heard of the round.
+    let mut sim = Sim::new(ClusterSpec {
+        capture_delay: Duration::ZERO,
+        ..spec_k3_m2()
+    });
+    sim.payloads_overtake = true;
+    sim.run_until(500.0, "full mesh", |s| s.fully_meshed());
+    for want in 1..=3u64 {
+        assert_eq!(run_checkpoint(&mut sim, 0, 1000.0), Ok(want));
+    }
+    for i in 0..5 {
+        assert_eq!(sim.node(i).status().committed_epoch, 3, "node{i}");
+    }
+    // Parked, not dropped: nothing was discarded on the way.
+    let drops = |sim: &Sim| {
+        sim.notes
+            .iter()
+            .filter(|(_, n)| matches!(n, Note::PayloadDropped { .. }))
+            .count()
+    };
+    assert_eq!(drops(&sim), 0, "{:?}", sim.notes);
+
+    // A block for a round already over is still refused, and says so.
+    let holder = 3;
+    let stale = Msg::Payload {
+        epoch: 2,
+        source: NodeId(1),
+        fence_epoch: 0,
+        data: vec![0; sim.spec.image_len],
+    };
+    let now = sim.now;
+    let actions = sim.nodes[holder]
+        .as_mut()
+        .expect("holder is live")
+        .on_message(NodeId(1), stale, now);
+    sim.apply(NodeId(holder), actions);
+    assert!(matches!(
+        sim.notes.last(),
+        Some((n, Note::PayloadDropped { from, reason }))
+            if *n == NodeId(holder) && *from == NodeId(1) && reason.contains("round 2 is not open")
+    ));
+    assert_eq!(drops(&sim), 1);
+    assert_eq!(run_checkpoint(&mut sim, 0, 1000.0), Ok(4));
 }
