@@ -28,9 +28,9 @@
 //! * A round is the paper's two-phase commit: `RoundBegin` → each data
 //!   node captures its image (after a configurable delay — the real
 //!   mid-round fault window), ships it to every parity holder and
-//!   `CaptureAck`s; holders encode once all `k` blocks arrive and
-//!   `FoldAck`; the coordinator broadcasts `Commit`; everyone promotes
-//!   staged state and `CommitAck`s.
+//!   `CaptureAck`s; holders fold each block into their shard as it
+//!   arrives and `FoldAck` on the `k`-th; the coordinator broadcasts
+//!   `Commit`; everyone promotes staged state and `CommitAck`s.
 //! * Heartbeats flow between established sessions; each node feeds its
 //!   own detector. When the acting coordinator's detector **Confirms** a
 //!   silent node it fences it (epoch bump, broadcast), aborts any open
@@ -555,13 +555,19 @@ impl Default for ClusterSpec {
 /// compares across rebuilds (byte-exactness checks use it end to end).
 pub use dvdc_simcore::rng::fnv1a64 as fnv64;
 
-fn fill_pseudo(seed: u64, buf: &mut [u8]) {
+/// XORs the `splitmix64` stream of `seed` into `buf`, a little-endian word
+/// at a time and then the tail bytes; over zeros that stores the stream.
+fn xor_pseudo(seed: u64, buf: &mut [u8]) {
     let mut s = seed;
-    for chunk in buf.chunks_mut(8) {
+    let mut words = buf.chunks_exact_mut(8);
+    for word in &mut words {
         s = splitmix64(s);
-        for (i, b) in chunk.iter_mut().enumerate() {
-            *b = (s >> (8 * i)) as u8;
-        }
+        let word: &mut [u8; 8] = word.try_into().expect("chunks_exact_mut(8)");
+        *word = (u64::from_le_bytes(*word) ^ s).to_le_bytes();
+    }
+    let tail = splitmix64(s).to_le_bytes();
+    for (b, x) in words.into_remainder().iter_mut().zip(tail) {
+        *b ^= x;
     }
 }
 
@@ -570,7 +576,7 @@ fn fill_pseudo(seed: u64, buf: &mut [u8]) {
 /// without shipping golden files around.
 pub fn initial_image(cluster_id: u64, node: NodeId, len: usize) -> Vec<u8> {
     let mut img = vec![0u8; len];
-    fill_pseudo(
+    xor_pseudo(
         splitmix64(cluster_id).wrapping_add(node.index() as u64),
         &mut img,
     );
@@ -582,20 +588,15 @@ pub fn initial_image(cluster_id: u64, node: NodeId, len: usize) -> Vec<u8> {
 fn churn_image(cluster_id: u64, node: NodeId, epoch: u64, image: &mut [u8]) {
     let seed = splitmix64(cluster_id ^ epoch.wrapping_mul(0x9e37_79b9_7f4a_7c15))
         .wrapping_add(node.index() as u64);
-    let mut s = seed;
-    for chunk in image.chunks_mut(8) {
-        s = splitmix64(s);
-        for (i, b) in chunk.iter_mut().enumerate() {
-            *b ^= (s >> (8 * i)) as u8;
-        }
-    }
+    xor_pseudo(seed, image);
 }
 
 /// Coordinator-side bookkeeping of one open round.
 #[derive(Debug, Clone)]
 struct CoordRound {
     epoch: u64,
-    started_at: SimTime,
+    /// When the round is aborted for want of acks.
+    deadline: SimTime,
     sources: Vec<NodeId>,
     holders: Vec<NodeId>,
     capture_pending: BTreeSet<NodeId>,
@@ -614,8 +615,12 @@ struct PartRound {
     /// Data member: when the deferred capture fires (`None` once done or
     /// for non-members).
     capture_due: Option<SimTime>,
+    /// When the round is given up here if its coordinator died silent.
+    expires_at: SimTime,
     staged_image: Option<Vec<u8>>,
-    payloads: BTreeMap<NodeId, Vec<u8>>,
+    /// Parity holder: the sources whose blocks are in `staged_parity`,
+    /// which is this holder's shard once all `k` are.
+    folded: BTreeSet<NodeId>,
     staged_parity: Option<Vec<u8>>,
 }
 
@@ -633,7 +638,8 @@ struct EarlyBlock {
 #[derive(Debug, Clone)]
 struct Rebuild {
     victim: NodeId,
-    started_at: SimTime,
+    /// When the decode goes ahead with the blocks that have arrived.
+    deadline: SimTime,
     awaiting: BTreeSet<NodeId>,
     blocks: Vec<BlockInfo>,
 }
@@ -831,9 +837,53 @@ impl NodeCore {
         }
     }
 
+    /// The earliest instant [`on_tick`](Self::on_tick) has work to do: the
+    /// minimum of the timers it checks, each fired there at `now >=` the
+    /// instant returned here, so a tick at the deadline always moves it
+    /// later. A rebuild backlog is due at once. Drivers sleep until then
+    /// or the next message.
+    pub fn next_deadline(&self) -> Option<SimTime> {
+        if self.rebuild_backlog().is_some() {
+            return Some(SimTime::ZERO);
+        }
+        let (coord, part) = (self.coord_round.as_ref(), self.part_round.as_ref());
+        let rebuild = self.rebuild.as_ref().filter(|rb| !rb.awaiting.is_empty());
+        let timers = [
+            Some(self.next_heartbeat),
+            Some(self.next_hello),
+            part.and_then(|r| r.capture_due),
+            coord.map(|r| r.deadline),
+            part.filter(|_| coord.is_none()).map(|r| r.expires_at),
+            rebuild.map(|rb| rb.deadline),
+            self.resync.as_ref().map(|rs| rs.next_retry),
+        ];
+        let detector = &self.detector;
+        let polls = detector
+            .monitored()
+            .filter_map(|n| detector.next_deadline(n));
+        timers.into_iter().flatten().chain(polls).min()
+    }
+
+    /// A fenced, confirmed-dead member not yet rebuilt, when this node
+    /// coordinates and has no rebuild in flight: one confirmed while
+    /// another rebuild ran, or whose first attempt raced a second failure.
+    fn rebuild_backlog(&self) -> Option<NodeId> {
+        if self.rebuild.is_some() || !self.is_acting_coordinator() {
+            return None;
+        }
+        (0..self.spec.total()).map(NodeId).find(|n| {
+            *n != self.id
+                && self.fences.is_fenced(*n)
+                && self.detector.is_confirmed(n.index())
+                && !self.custody.contains_key(n)
+                && !self.lost.contains(n)
+        })
+    }
+
     /// Drives time-based behaviour: heartbeat sends, detector deadlines,
     /// deferred captures, round/rebuild timeouts, handshake retries.
-    /// Call at least every heartbeat interval with a monotone `now`.
+    /// Call with a monotone `now`, no later than
+    /// [`next_deadline`](Self::next_deadline).
     pub fn on_tick(&mut self, now: SimTime) -> Vec<Action> {
         let mut out = Vec::new();
 
@@ -884,7 +934,7 @@ impl NodeCore {
 
         // Round timeout (coordinator).
         if let Some(r) = &self.coord_round {
-            if now.since(r.started_at) > self.spec.round_timeout {
+            if now >= r.deadline {
                 let epoch = r.epoch;
                 self.abort_round(epoch, "round timed out".to_string(), &mut out);
             }
@@ -892,8 +942,7 @@ impl NodeCore {
 
         // Stale participant round (coordinator died without aborting).
         if let Some(r) = &self.part_round {
-            if self.coord_round.is_none() && now.since(r.started_at) > self.spec.round_timeout * 2.0
-            {
+            if self.coord_round.is_none() && now >= r.expires_at {
                 let epoch = r.epoch;
                 self.part_round = None;
                 out.push(Action::Note(Note::RoundAborted {
@@ -905,25 +954,15 @@ impl NodeCore {
 
         // Rebuild timeout: decide with the blocks that arrived.
         if let Some(rb) = &self.rebuild {
-            if !rb.awaiting.is_empty() && now.since(rb.started_at) > self.spec.rebuild_timeout {
+            if !rb.awaiting.is_empty() && now >= rb.deadline {
                 self.finish_rebuild(now, &mut out);
             }
         }
 
-        // Rebuild backlog: a victim confirmed while another rebuild was
-        // in flight (or whose first attempt raced a second failure) is
-        // picked up here once the coordinator is free again.
-        if self.rebuild.is_none() && self.is_acting_coordinator() {
-            let next = (0..self.spec.total()).map(NodeId).find(|n| {
-                *n != self.id
-                    && self.fences.is_fenced(*n)
-                    && self.detector.is_confirmed(n.index())
-                    && !self.custody.contains_key(n)
-                    && !self.lost.contains(n)
-            });
-            if let Some(victim) = next {
-                self.start_rebuild(victim, now, &mut out);
-            }
+        // Each pass leaves a rebuild in flight or the victim settled (in
+        // custody or lost), so the backlog is empty when the tick ends.
+        while let Some(victim) = self.rebuild_backlog() {
+            self.start_rebuild(victim, now, &mut out);
         }
 
         // Resync retry.
@@ -1363,7 +1402,7 @@ impl NodeCore {
         }
         self.rebuild = Some(Rebuild {
             victim,
-            started_at: now,
+            deadline: now + self.spec.rebuild_timeout,
             awaiting: peers.iter().copied().collect(),
             blocks,
         });
@@ -1396,37 +1435,33 @@ impl NodeCore {
         let total = self.spec.total();
 
         // Newest epoch with >= k distinct slots present.
-        let mut by_epoch: BTreeMap<u64, BTreeMap<usize, &BlockInfo>> = BTreeMap::new();
-        for b in &rb.blocks {
+        let mut by_epoch: BTreeMap<u64, BTreeMap<usize, Vec<u8>>> = BTreeMap::new();
+        for b in rb.blocks {
             if b.holder.index() < total && b.holder != victim && b.data.len() == self.spec.image_len
             {
                 by_epoch
                     .entry(b.epoch)
                     .or_default()
-                    .insert(b.holder.index(), b);
+                    .insert(b.holder.index(), b.data);
             }
         }
-        let chosen = by_epoch
-            .iter()
-            .rev()
-            .find(|(_, slots)| slots.len() >= k)
-            .map(|(e, slots)| (*e, slots.clone()));
+        let best = by_epoch.values().map(|s| s.len()).max().unwrap_or(0);
+        let chosen = by_epoch.into_iter().rev().find(|(_, s)| s.len() >= k);
         let Some((epoch, slots)) = chosen else {
             self.data_loss = true;
             self.lost.insert(victim);
             out.push(Action::Note(Note::DataLoss {
                 victim,
                 reason: format!(
-                    "no committed epoch has the {k} blocks needed (best coverage: {})",
-                    by_epoch.values().map(|s| s.len()).max().unwrap_or(0)
+                    "no committed epoch has the {k} blocks needed (best coverage: {best})"
                 ),
             }));
             return;
         };
 
         let mut shards: Vec<Option<Vec<u8>>> = vec![None; total];
-        for (idx, b) in &slots {
-            shards[*idx] = Some(b.data.clone());
+        for (idx, data) in slots {
+            shards[idx] = Some(data);
         }
         if let Err(e) = self.code.reconstruct(&mut shards) {
             self.data_loss = true;
@@ -1528,7 +1563,7 @@ impl NodeCore {
         self.last_begun = epoch;
         self.coord_round = Some(CoordRound {
             epoch,
-            started_at: now,
+            deadline: now + self.spec.round_timeout,
             sources: sources.clone(),
             holders: holders.clone(),
             capture_pending: sources
@@ -1580,8 +1615,9 @@ impl NodeCore {
             sources,
             holders,
             capture_due: i_capture.then(|| now + self.spec.capture_delay),
+            expires_at: now + self.spec.round_timeout * 2.0,
             staged_image: None,
-            payloads: BTreeMap::new(),
+            folded: BTreeSet::new(),
             staged_parity: None,
         });
         self.last_begun = self.last_begun.max(epoch);
@@ -1758,25 +1794,19 @@ impl NodeCore {
             )));
             return;
         }
-        r.payloads.insert(source, data);
-        if r.payloads.len() < self.spec.data_nodes {
+        if !r.folded.insert(source) {
+            out.push(dropped(format!(
+                "{source} is already folded in round {epoch}"
+            )));
             return;
         }
-        // All k blocks in: fold our shard.
-        let epoch = r.epoch;
-        let blocks: Option<Vec<&[u8]>> = (0..self.spec.data_nodes)
-            .map(|i| r.payloads.get(&NodeId(i)).map(Vec::as_slice))
-            .collect();
-        let Some(blocks) = blocks else {
-            return; // sources didn't cover every slot — wait for more
-        };
-        let parity = self.code.encode(&blocks);
+        // Fold the block into our shard and drop it. The codes are
+        // GF(2)-linear, so k folds in any order equal `encode`'s shard.
         let j = self.id.index() - self.spec.data_nodes;
-        let Some(shard) = parity.into_iter().nth(j) else {
+        let shard = r.staged_parity.get_or_insert_with(|| vec![0; data.len()]);
+        self.code.apply_delta(j, shard, source.index(), 0, &data);
+        if r.folded.len() < self.spec.data_nodes {
             return;
-        };
-        if let Some(r) = &mut self.part_round {
-            r.staged_parity = Some(shard);
         }
         let coordinator = self.coordinator();
         if coordinator == self.id {
@@ -1859,7 +1889,10 @@ impl NodeCore {
         if r.epoch != epoch {
             return;
         }
-        let staged = r.staged_image.take().or_else(|| r.staged_parity.take());
+        // A shard short of a block is not parity of anything: drop it.
+        let whole = r.folded.len() == self.spec.data_nodes;
+        let parity = r.staged_parity.take().filter(|_| whole);
+        let staged = r.staged_image.take().or(parity);
         self.part_round = None;
         if let Some(block) = staged {
             self.committed = Some((epoch, block));
@@ -1963,6 +1996,191 @@ mod tests {
         let mut b = orig.clone();
         churn_image(7, NodeId(0), 1, &mut b);
         assert_eq!(a, b);
+    }
+
+    /// The byte-at-a-time loops `xor_pseudo` replaced (`fill_pseudo`
+    /// stored, `churn_image` XORed), kept as its reference.
+    fn byte_serial(seed: u64, buf: &mut [u8], store: bool) {
+        let mut s = seed;
+        for chunk in buf.chunks_mut(8) {
+            s = splitmix64(s);
+            for (i, b) in chunk.iter_mut().enumerate() {
+                let x = (s >> (8 * i)) as u8;
+                *b = if store { x } else { *b ^ x };
+            }
+        }
+    }
+
+    #[test]
+    fn word_wise_pseudo_random_bytes_match_the_byte_serial_reference() {
+        for len in (0..=17).chain([4096 + 3]) {
+            let seed = 0xDEAD_BEEF ^ len as u64;
+            let mut want = vec![0xFF; len];
+            byte_serial(seed, &mut want, true);
+            let mut got = vec![0; len];
+            xor_pseudo(seed, &mut got);
+            assert_eq!(got, want, "fill, len {len}");
+
+            byte_serial(seed + 1, &mut want, false);
+            xor_pseudo(seed + 1, &mut got);
+            assert_eq!(got, want, "churn, len {len}");
+        }
+    }
+
+    fn block(epoch: u64, source: usize, data: Vec<u8>) -> Msg {
+        Msg::Payload {
+            epoch,
+            source: NodeId(source),
+            fence_epoch: 0,
+            data,
+        }
+    }
+
+    /// The parity holder of `spec()`, with round 1 open.
+    fn holder_in_round_1() -> NodeCore {
+        let mut p = NodeCore::new(NodeId(3), spec());
+        let begin = Msg::RoundBegin {
+            epoch: 1,
+            sources: (0..3).map(NodeId).collect(),
+            holders: vec![NodeId(3)],
+        };
+        p.on_message(NodeId(0), begin, SimTime::ZERO);
+        p
+    }
+
+    #[test]
+    fn duplicate_payload_is_dropped_and_the_committed_parity_is_unchanged() {
+        let mut p = holder_in_round_1();
+        let images: Vec<Vec<u8>> = (0..3).map(|i| initial_image(7, NodeId(i), 64)).collect();
+        let is_drop = |out: &[Action], source: usize| {
+            matches!(
+                out,
+                [Action::Note(Note::PayloadDropped { from, reason })]
+                    if *from == NodeId(source) && reason.contains("already folded")
+            )
+        };
+        for source in [0, 1] {
+            let out = p.on_message(
+                NodeId(source),
+                block(1, source, images[source].clone()),
+                SimTime::ZERO,
+            );
+            assert!(out.is_empty(), "{out:?}");
+        }
+        // Once with other bytes, once with the same: neither is XORed in.
+        let out = p.on_message(NodeId(1), block(1, 1, vec![0xFF; 64]), SimTime::ZERO);
+        assert!(is_drop(&out, 1), "{out:?}");
+        let out = p.on_message(NodeId(0), block(1, 0, images[0].clone()), SimTime::ZERO);
+        assert!(is_drop(&out, 0), "{out:?}");
+        p.on_message(NodeId(2), block(1, 2, images[2].clone()), SimTime::ZERO);
+        p.on_message(NodeId(0), Msg::Commit { epoch: 1 }, SimTime::ZERO);
+
+        let refs: Vec<&[u8]> = images.iter().map(Vec::as_slice).collect();
+        let want = spec().code().encode(&refs).remove(0);
+        assert_eq!(p.committed(), Some((1, want.as_slice())));
+    }
+
+    #[test]
+    fn shard_short_of_a_block_is_never_promoted() {
+        let mut p = holder_in_round_1();
+        for source in [0, 1] {
+            p.on_message(NodeId(source), block(1, source, vec![1; 64]), SimTime::ZERO);
+        }
+        p.on_message(NodeId(0), Msg::Commit { epoch: 1 }, SimTime::ZERO);
+        assert_eq!(p.committed(), None);
+    }
+
+    /// Node 0 of `spec()` with sessions to every peer and a ctl-requested
+    /// round open at t = 0.
+    fn coordinator_in_round_1(spec: ClusterSpec) -> NodeCore {
+        let mut c = NodeCore::new(NodeId(0), spec.clone());
+        for peer in 1..spec.total() {
+            let hello = NodeCore::new(NodeId(peer), spec.clone()).hello();
+            c.on_message(NodeId(peer), hello, SimTime::ZERO);
+        }
+        let out = c.on_message(CTL, Msg::CheckpointReq, SimTime::ZERO);
+        assert!(out.contains(&Action::Note(Note::RoundStarted { epoch: 1 })));
+        c
+    }
+
+    /// Ticks `n` at its own deadlines only, up to `until`, after letting
+    /// `before_tick` feed it messages stamped with the same instant.
+    /// Every tick must move the deadline strictly later, or a driver that
+    /// sleeps until `next_deadline` would spin.
+    fn run_on_deadlines(
+        n: &mut NodeCore,
+        until: SimTime,
+        mut before_tick: impl FnMut(&mut NodeCore, SimTime),
+    ) -> Vec<(SimTime, Note)> {
+        let mut notes = Vec::new();
+        loop {
+            let due = n.next_deadline().expect("heartbeats never end");
+            if due > until {
+                return notes;
+            }
+            before_tick(n, due);
+            for action in n.on_tick(due) {
+                if let Action::Note(note) = action {
+                    notes.push((due, note));
+                }
+            }
+            let next = n.next_deadline().expect("heartbeats never end");
+            assert!(next > due, "tick at {due} left the deadline at {next}");
+        }
+    }
+
+    #[test]
+    fn round_times_out_on_the_tick_at_its_deadline() {
+        let s = ClusterSpec {
+            capture_delay: Duration::from_millis(5.0),
+            ..spec()
+        };
+        let mut c = coordinator_in_round_1(s.clone());
+        // Peers stay alive but never ack.
+        let notes = run_on_deadlines(&mut c, SimTime::from_secs(1.0), |c, now| {
+            for peer in 1..4 {
+                c.on_message(NodeId(peer), Msg::Heartbeat { node: NodeId(peer) }, now);
+            }
+        });
+        let at = |want: &dyn Fn(&Note) -> bool| {
+            let hit = notes.iter().find(|(_, n)| want(n));
+            hit.unwrap_or_else(|| panic!("note missing in {notes:?}")).0
+        };
+        let captured = at(&|n| matches!(n, Note::CaptureShipped { .. }));
+        assert_eq!(captured, SimTime::ZERO + s.capture_delay);
+        let aborted =
+            at(&|n| matches!(n, Note::RoundAborted { reason, .. } if reason == "round timed out"));
+        assert_eq!(aborted, SimTime::ZERO + s.round_timeout);
+        assert!(!notes
+            .iter()
+            .any(|(_, n)| matches!(n, Note::PeerVerdict { .. })));
+    }
+
+    #[test]
+    fn silent_peers_walk_every_failure_timer_without_a_stuck_deadline() {
+        let s = spec();
+        let mut c = coordinator_in_round_1(s.clone());
+        let notes = run_on_deadlines(&mut c, SimTime::from_secs(2.0), |_, _| {});
+        // Suspected at the timeout, confirmed a grace later, to the instant.
+        let verdict_at = |want: Verdict| {
+            let hit = notes
+                .iter()
+                .find(|(_, n)| matches!(n, Note::PeerVerdict { verdict, .. } if *verdict == want));
+            hit.expect("verdict reached").0
+        };
+        let suspected = SimTime::ZERO + s.detector.timeout;
+        assert_eq!(verdict_at(Verdict::Suspected), suspected);
+        assert_eq!(
+            verdict_at(Verdict::Confirmed),
+            suspected + s.detector.confirm_grace
+        );
+        // The first victim's rebuild waits out its timeout; the other two
+        // come off the backlog. Nothing was ever committed: typed loss.
+        let lost = notes
+            .iter()
+            .filter(|(_, n)| matches!(n, Note::DataLoss { .. }));
+        assert_eq!(lost.count(), 3, "{notes:?}");
+        assert!(c.saw_data_loss());
     }
 
     #[test]

@@ -203,6 +203,13 @@ impl SimNet {
         &self.ledger
     }
 
+    /// When the oldest queued delivery for `to` comes due — with
+    /// [`NodeCore::next_deadline`](super::NodeCore::next_deadline), all a
+    /// driver needs to step from event to event instead of by a fixed tick.
+    pub fn next_delivery(&self, to: NodeId) -> Option<SimTime> {
+        self.inboxes.get(&to)?.front().map(|m| m.deliver_at)
+    }
+
     /// Pops every delivery for `to` due at or before `now`, in send
     /// order. Completed bulk transfers are credited to the ledger.
     pub fn take_due(&mut self, to: NodeId, now: SimTime) -> Vec<(NodeId, Msg)> {
@@ -285,6 +292,8 @@ mod tests {
         net.send(NodeId(2), NodeId(1), hb(2)).unwrap();
 
         assert!(net.take_due(NodeId(1), at_ms(4.0)).is_empty());
+        assert_eq!(net.next_delivery(NodeId(1)), Some(at_ms(5.0)));
+        assert_eq!(net.next_delivery(NodeId(0)), None);
         let due = net.take_due(NodeId(1), at_ms(5.0));
         assert_eq!(due.len(), 1);
         assert_eq!(due[0].0, NodeId(0));

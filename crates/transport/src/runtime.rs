@@ -10,10 +10,13 @@
 //! [`RetryPolicy`](dvdc_vcluster::messaging::RetryPolicy) jittered
 //! backoff and a holdoff after exhaustion so a dead peer cannot turn the
 //! writer into a dial spin-loop. The event loop is single-threaded: it
-//! owns the `NodeCore`, feeds it messages and ticks stamped by
-//! [`WallClock`](crate::clock::WallClock), and carries out the returned
-//! actions through the shared [`dispatch`] helper — the same code path
-//! the deterministic sim driver uses.
+//! owns the `NodeCore`, feeds it messages stamped by
+//! [`WallClock`](crate::clock::WallClock), ticks it when its
+//! [`next_deadline`](NodeCore::next_deadline) arrives, and carries out
+//! the returned actions through the shared [`dispatch`] helper — the same
+//! code path the deterministic sim driver uses. Nothing polls: the accept
+//! thread blocks in `accept()`, readers in `read()`, writers on their
+//! queue, the event loop on its channel until the next deadline.
 //!
 //! Loss model: sends to an unreachable peer are dropped after typed
 //! retry exhaustion. The protocol is built for exactly that (hellos and
@@ -54,9 +57,6 @@ pub struct RuntimeConfig {
     pub spec: ClusterSpec,
     /// Every *other* member: protocol id and listen address.
     pub peers: Vec<(NodeId, SocketAddr)>,
-    /// Event-loop tick: the `on_tick` cadence and the `recv_timeout`
-    /// granularity. Keep well under the detector heartbeat interval.
-    pub tick: StdDuration,
     /// Reconnect pacing for outbound peer links.
     pub retry: RetryPolicy,
     /// Jitter seed; combined with the peer id so parallel redials to
@@ -87,14 +87,13 @@ pub struct ObserveConfig {
 }
 
 impl RuntimeConfig {
-    /// Sensible loopback defaults: 2 ms tick, default retry policy,
-    /// 250 ms connect timeout, 200 ms redial holdoff.
+    /// Sensible loopback defaults: default retry policy, 250 ms connect
+    /// timeout, 200 ms redial holdoff.
     pub fn new(id: NodeId, spec: ClusterSpec, peers: Vec<(NodeId, SocketAddr)>, seed: u64) -> Self {
         RuntimeConfig {
             id,
             spec,
             peers,
-            tick: StdDuration::from_millis(2),
             retry: RetryPolicy::default(),
             seed,
             connect_timeout: StdDuration::from_millis(250),
@@ -107,9 +106,7 @@ impl RuntimeConfig {
 /// Typed runtime startup/shutdown failures.
 #[derive(Debug)]
 pub enum RuntimeError {
-    /// The listener could not be configured (bind succeeded earlier —
-    /// the listener is handed in pre-bound — but e.g. `set_nonblocking`
-    /// failed).
+    /// The pre-bound listener handed in could not name its own address.
     Listener(std::io::Error),
 }
 
@@ -122,6 +119,9 @@ impl std::fmt::Display for RuntimeError {
 }
 
 impl std::error::Error for RuntimeError {}
+
+/// The longest the event loop sleeps before it looks at `stop` again.
+const STOP_CHECK: StdDuration = StdDuration::from_millis(50);
 
 /// One decoded envelope arriving from any inbound connection, paired
 /// with a writable clone of that connection so control-plane replies can
@@ -258,10 +258,8 @@ impl NodeRuntime {
         let (event_tx, event_rx): (Sender<Incoming>, Receiver<Incoming>) = mpsc::channel();
 
         // --- inbound: accept loop + per-connection readers ---
-        listener
-            .set_nonblocking(true)
-            .map_err(RuntimeError::Listener)?;
-        {
+        let listen_addr = listener.local_addr().map_err(RuntimeError::Listener)?;
+        let acceptor = {
             let event_tx = event_tx.clone();
             let stop = Arc::clone(&stop);
             let reader_metrics = ReaderMetrics {
@@ -270,8 +268,8 @@ impl NodeRuntime {
                 frame_errors: hub.counter("transport.frame_errors"),
                 codec_errors: hub.counter("transport.codec_errors"),
             };
-            std::thread::spawn(move || accept_loop(listener, event_tx, stop, reader_metrics));
-        }
+            std::thread::spawn(move || accept_loop(listener, event_tx, stop, reader_metrics))
+        };
 
         // --- outbound: one reconnecting writer thread per peer ---
         let mut transport = TcpTransport {
@@ -314,12 +312,10 @@ impl NodeRuntime {
         // --- event loop: owns the NodeCore ---
         let hb_gap = hub.histogram("node.heartbeat_gap_ns");
         let mut last_hb: BTreeMap<NodeId, SimTime> = BTreeMap::new();
-        let mut last_tick = Instant::now();
-        loop {
-            if stop.load(Ordering::Relaxed) {
-                return Ok(());
-            }
-            match event_rx.recv_timeout(config.tick) {
+        while !stop.load(Ordering::Relaxed) {
+            let due = core.next_deadline().map_or(f64::MAX, SimTime::as_secs);
+            let wait = (due - clock.now().as_secs()).clamp(0.0, STOP_CHECK.as_secs_f64());
+            match event_rx.recv_timeout(StdDuration::from_secs_f64(wait)) {
                 Ok(incoming) => {
                     if incoming.from == CTL {
                         transport.note_ctl_request(incoming.writer.clone(), &incoming.msg);
@@ -371,17 +367,24 @@ impl NodeRuntime {
                     }
                 }
                 Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => return Ok(()),
+                Err(RecvTimeoutError::Disconnected) => break,
             }
-            if last_tick.elapsed() >= config.tick {
-                last_tick = Instant::now();
-                let now = clock.now();
+            let now = clock.now();
+            if core.next_deadline().is_some_and(|due| now >= due) {
                 let actions = core.on_tick(now);
                 for note in dispatch(&mut transport, config.id, actions).notes {
                     on_note(now, &note);
                 }
             }
         }
+        // `accept()` returns only for a connection: make the one that lets
+        // the accept thread see `stop` (set here too, for the exit on a dead
+        // channel), then wait for it to close the port.
+        stop.store(true, Ordering::Relaxed);
+        if TcpStream::connect_timeout(&listen_addr, config.connect_timeout).is_ok() {
+            let _ = acceptor.join();
+        }
+        Ok(())
     }
 }
 
@@ -395,29 +398,28 @@ struct ReaderMetrics {
     codec_errors: Counter,
 }
 
-/// Accept inbound connections until `stop`; each gets a reader thread.
+/// Accept inbound connections, blocking, until `stop` (seen on the next
+/// connection, which `run` makes); each gets a reader thread.
 fn accept_loop(
     listener: TcpListener,
     event_tx: Sender<Incoming>,
     stop: Arc<AtomicBool>,
     metrics: ReaderMetrics,
 ) {
-    while !stop.load(Ordering::Relaxed) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if stop.load(Ordering::Relaxed) {
+            return;
+        }
+        match accepted {
             Ok((stream, _)) => {
                 let _ = stream.set_nodelay(true);
-                // Blocking reads on the per-connection reader thread.
-                if stream.set_nonblocking(false).is_err() {
-                    continue;
-                }
                 let writer = stream.try_clone().ok().map(|w| Arc::new(Mutex::new(w)));
                 let event_tx = event_tx.clone();
                 let metrics = metrics.clone();
                 std::thread::spawn(move || reader_loop(stream, writer, event_tx, metrics));
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(StdDuration::from_millis(5));
-            }
+            // E.g. out of descriptors: back off, do not spin on the error.
             Err(_) => std::thread::sleep(StdDuration::from_millis(5)),
         }
     }

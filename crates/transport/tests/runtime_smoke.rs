@@ -18,7 +18,7 @@ use dvdc_transport::runtime::{NodeRuntime, RuntimeConfig};
 use dvdc_transport::wire::{decode_envelope, encode_envelope};
 use dvdc_vcluster::ids::NodeId;
 
-fn spec() -> ClusterSpec {
+fn spec(capture_delay: Duration) -> ClusterSpec {
     ClusterSpec {
         cluster_id: 7,
         data_nodes: 2,
@@ -29,9 +29,57 @@ fn spec() -> ClusterSpec {
         detector: DetectorConfig::from_millis(50.0, 250.0, 200.0),
         round_timeout: Duration::from_secs(3.0),
         rebuild_timeout: Duration::from_secs(3.0),
-        // No capture window: blocks race the RoundBegin on separate
+        // With no capture window, blocks race the RoundBegin on separate
         // connections, and holders must cope with losing that race.
-        capture_delay: Duration::ZERO,
+        capture_delay,
+    }
+}
+
+/// One runtime per member on ephemeral loopback ports, each in a thread.
+struct Cluster {
+    addrs: Vec<SocketAddr>,
+    stop: Arc<AtomicBool>,
+    handles: Vec<std::thread::JoinHandle<()>>,
+}
+
+impl Cluster {
+    fn launch(spec: &ClusterSpec) -> Cluster {
+        let n = spec.total();
+        // Claim ephemeral ports first so every config can name every peer.
+        let listeners: Vec<TcpListener> = (0..n)
+            .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind"))
+            .collect();
+        let addrs: Vec<SocketAddr> = listeners
+            .iter()
+            .map(|l| l.local_addr().expect("addr"))
+            .collect();
+        let stop = Arc::new(AtomicBool::new(false));
+        let mut handles = Vec::new();
+        for (i, listener) in listeners.into_iter().enumerate() {
+            let peers: Vec<(NodeId, SocketAddr)> = (0..n)
+                .filter(|j| *j != i)
+                .map(|j| (NodeId(j), addrs[j]))
+                .collect();
+            let config = RuntimeConfig::new(NodeId(i), spec.clone(), peers, 0xDECAF + i as u64);
+            let runtime = NodeRuntime::new(config, listener);
+            let stop = Arc::clone(&stop);
+            handles.push(std::thread::spawn(move || {
+                runtime.run(stop, |_, _| {}).expect("runtime run");
+            }));
+        }
+        Cluster {
+            addrs,
+            stop,
+            handles,
+        }
+    }
+
+    /// Sets `stop` and waits for every `run` to return.
+    fn shutdown(self) {
+        self.stop.store(true, Ordering::Relaxed);
+        for h in self.handles {
+            h.join().expect("runtime thread join");
+        }
     }
 }
 
@@ -55,32 +103,19 @@ fn status(addr: SocketAddr) -> StatusView {
 
 #[test]
 fn three_process_style_runtimes_commit_a_round_over_loopback() {
-    let spec = spec();
+    commit_a_round(Duration::ZERO);
+}
+
+#[test]
+fn runtimes_commit_a_round_behind_a_10_ms_capture_window() {
+    commit_a_round(Duration::from_millis(10.0));
+}
+
+fn commit_a_round(capture_delay: Duration) {
+    let spec = spec(capture_delay);
     let n = spec.total();
-
-    // Claim ephemeral ports first so every config can name every peer.
-    let listeners: Vec<TcpListener> = (0..n)
-        .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind"))
-        .collect();
-    let addrs: Vec<SocketAddr> = listeners
-        .iter()
-        .map(|l| l.local_addr().expect("addr"))
-        .collect();
-
-    let stop = Arc::new(AtomicBool::new(false));
-    let mut handles = Vec::new();
-    for (i, listener) in listeners.into_iter().enumerate() {
-        let peers: Vec<(NodeId, SocketAddr)> = (0..n)
-            .filter(|j| *j != i)
-            .map(|j| (NodeId(j), addrs[j]))
-            .collect();
-        let config = RuntimeConfig::new(NodeId(i), spec.clone(), peers, 0xDECAF + i as u64);
-        let runtime = NodeRuntime::new(config, listener);
-        let stop = Arc::clone(&stop);
-        handles.push(std::thread::spawn(move || {
-            runtime.run(stop, |_, _| {}).expect("runtime run");
-        }));
-    }
+    let cluster = Cluster::launch(&spec);
+    let addrs = &cluster.addrs;
 
     // Wait until node 0 has sessions with both peers.
     let deadline = Instant::now() + StdDuration::from_secs(10);
@@ -123,8 +158,43 @@ fn three_process_style_runtimes_commit_a_round_over_loopback() {
         other => panic!("expected CheckpointFailed, got {other:?}"),
     }
 
-    stop.store(true, Ordering::Relaxed);
-    for h in handles {
-        h.join().expect("runtime thread join");
+    cluster.shutdown();
+}
+
+#[test]
+fn stopped_runtime_returns_and_frees_its_port() {
+    let cluster = Cluster::launch(&spec(Duration::ZERO));
+    let addrs = cluster.addrs.clone();
+    for addr in &addrs {
+        status(*addr); // every accept thread is up and serving
     }
+    let stopped = Instant::now();
+    cluster.shutdown();
+    // `run` only returns once its accept thread has closed the listener,
+    // so the port can be bound again at once.
+    for addr in &addrs {
+        TcpListener::bind(addr).expect("port is free once run returns");
+    }
+    let took = stopped.elapsed();
+    assert!(took < StdDuration::from_millis(200), "stop took {took:?}");
+}
+
+#[test]
+fn idle_runtime_answers_ctl_on_a_fresh_connection_without_a_poll() {
+    let cluster = Cluster::launch(&spec(Duration::ZERO));
+    let addr = cluster.addrs[0];
+    status(addr); // warm-up: the node is up
+                  // Back-to-back requests, each on a new connection. An accept loop that
+                  // polls on a sleep adds most of its period to every one of them, so
+                  // even the fastest is slow; the minimum is immune to a loaded host.
+    let fastest = (0..50)
+        .map(|_| {
+            let sent = Instant::now();
+            status(addr);
+            sent.elapsed()
+        })
+        .min()
+        .expect("50 samples");
+    assert!(fastest < StdDuration::from_millis(1), "fastest {fastest:?}");
+    cluster.shutdown();
 }

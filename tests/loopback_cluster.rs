@@ -21,7 +21,9 @@ struct Sim {
     nodes: Vec<Option<NodeCore>>,
     notes: Vec<(NodeId, Note)>,
     now: SimTime,
-    tick: Duration,
+    /// The fixed step, or `None` to step from event to event: to the next
+    /// delivery or `NodeCore::next_deadline`, whichever is first.
+    tick: Option<Duration>,
     /// Deliver each step's `Payload`s ahead of everything else due with
     /// them — what separate TCP connections do to a block and the
     /// `RoundBegin` it belongs to.
@@ -38,7 +40,7 @@ impl Sim {
             nodes,
             notes: Vec::new(),
             now: SimTime::ZERO,
-            tick: Duration::from_millis(1.0),
+            tick: Some(Duration::from_millis(1.0)),
             payloads_overtake: false,
             spec,
         }
@@ -61,9 +63,24 @@ impl Sim {
         }
     }
 
-    /// One time step: deliver due messages, then tick every live node.
+    /// When the next thing happens anywhere: a delivery, or a timer of
+    /// some live node.
+    fn next_event(&self) -> SimTime {
+        let events = self.nodes.iter().flatten().flat_map(|node| {
+            [self.net.next_delivery(node.id()), node.next_deadline()]
+                .into_iter()
+                .flatten()
+        });
+        events.min().expect("heartbeats never end").max(self.now)
+    }
+
+    /// One time step: deliver due messages, then tick every live node
+    /// (fixed tick) or the nodes whose deadline has come (event-driven).
     fn step(&mut self) {
-        self.now += self.tick;
+        self.now = match self.tick {
+            Some(tick) => self.now + tick,
+            None => self.next_event(),
+        };
         self.net.advance(self.now);
         for i in 0..self.nodes.len() {
             let id = NodeId(i);
@@ -81,8 +98,16 @@ impl Sim {
                 let actions = node.on_message(from, msg, self.now);
                 self.apply(id, actions);
             }
-            if let Some(node) = self.nodes[i].as_mut() {
-                let actions = node.on_tick(self.now);
+            let (now, every_node) = (self.now, self.tick.is_some());
+            let ticks = |n: &NodeCore| every_node || n.next_deadline().is_some_and(|d| d <= now);
+            if let Some(node) = self.nodes[i].as_mut().filter(|n| ticks(n)) {
+                let actions = node.on_tick(now);
+                // Or a driver sleeping until the deadline would spin.
+                let next = node.next_deadline().expect("heartbeats never end");
+                assert!(
+                    next > now,
+                    "{id}: tick at {now} left the deadline at {next}"
+                );
                 self.apply(id, actions);
             }
         }
@@ -397,5 +422,45 @@ fn payload_overtaking_its_round_begin_is_parked_and_the_round_commits() {
             if *n == NodeId(holder) && *from == NodeId(1) && reason.contains("round 2 is not open")
     ));
     assert_eq!(drops(&sim), 1);
+    assert_eq!(run_checkpoint(&mut sim, 0, 1000.0), Ok(4));
+}
+
+#[test]
+fn cluster_stepped_only_at_deadlines_commits_detects_on_time_and_rebuilds() {
+    // No fixed tick: time jumps from one delivery or deadline to the next,
+    // and a node is ticked only when its own deadline has come — what the
+    // TCP runtime's event loop does with `recv_timeout`.
+    let spec = spec_k3_m2();
+    let mut sim = Sim::new(spec.clone());
+    sim.tick = None;
+    sim.run_until(500.0, "full mesh", |s| s.fully_meshed());
+    for want in 1..=3u64 {
+        assert_eq!(run_checkpoint(&mut sim, 0, 1000.0), Ok(want));
+    }
+    for i in 0..5 {
+        assert_eq!(sim.node(i).status().committed_epoch, 3, "node{i}");
+    }
+
+    // A silent node is confirmed dead within the detector's own bound:
+    // no tick quantisation is added on top of it.
+    let victim = 2;
+    let pre_kill = sim.node(victim).committed().expect("committed").1.to_vec();
+    let killed_at = sim.now;
+    sim.kill(victim);
+    sim.run_until(500.0, "coordinator confirms the victim", |s| {
+        s.node(0).status().confirmed.contains(&NodeId(victim))
+    });
+    let took = sim.now.since(killed_at);
+    let bound = spec.detector.worst_case_detection();
+    assert!(took <= bound, "confirmed after {took}, bound {bound}");
+
+    sim.run_until(1000.0, "victim rebuilt into custody", |s| {
+        s.node(0).custody_block(NodeId(victim)).is_some()
+    });
+    assert_eq!(
+        sim.node(0).custody_block(NodeId(victim)).unwrap().1,
+        &pre_kill[..]
+    );
+    // Degraded round: custody stands in for the victim.
     assert_eq!(run_checkpoint(&mut sim, 0, 1000.0), Ok(4));
 }

@@ -8,6 +8,7 @@ use proptest::prelude::*;
 
 use dvdc::placement::GroupPlacement;
 use dvdc::protocol::delta_parity_update;
+use dvdc::protocol::node_core::{ClusterSpec, Msg, NodeCore};
 use dvdc_checkpoint::delta::{change_fraction, compress, decompress};
 use dvdc_migrate::pagehash::PageHashIndex;
 use dvdc_model::analytic;
@@ -16,7 +17,9 @@ use dvdc_parity::raid5::{Raid5Layout, XorCode};
 use dvdc_parity::rdp::{RdpCode, ZeroPaddedRdp};
 use dvdc_parity::rs::ReedSolomon;
 use dvdc_parity::xor::{is_zero, xor_all};
+use dvdc_simcore::time::SimTime;
 use dvdc_vcluster::cluster::ClusterBuilder;
+use dvdc_vcluster::ids::NodeId;
 use dvdc_vcluster::memory::MemoryImage;
 use dvdc_vcluster::workload::DirtyRateModel;
 
@@ -24,6 +27,22 @@ use dvdc_vcluster::workload::DirtyRateModel;
 
 fn shards_strategy(k: usize, len: usize) -> impl Strategy<Value = Vec<Vec<u8>>> {
     vec(vec(any::<u8>(), len), k)
+}
+
+/// Every ordering of `0..n`.
+fn permutations(n: usize) -> Vec<Vec<usize>> {
+    if n == 0 {
+        return vec![Vec::new()];
+    }
+    let mut out = Vec::new();
+    for shorter in permutations(n - 1) {
+        for at in 0..n {
+            let mut p = shorter.clone();
+            p.insert(at, n - 1);
+            out.push(p);
+        }
+    }
+    out
 }
 
 proptest! {
@@ -206,6 +225,50 @@ proptest! {
                 &code.encode(&refs2),
                 "k={} m={}", code.data_shards(), code.parity_shards()
             );
+        }
+    }
+
+    // ---------- parity holder: fold on arrival ----------
+
+    #[test]
+    fn arrival_order_fold_matches_encode_for_every_holder_and_order(
+        data in shards_strategy(4, 40),
+    ) {
+        // Every holder j of a k=4 XOR (m=1) and Reed-Solomon (m=2) group,
+        // fed the round's blocks in each of the 4! arrival orders, commits
+        // exactly the shard `encode` computes from all four at once.
+        let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
+        for m in [1, 2] {
+            let spec = ClusterSpec { parity_nodes: m, image_len: 40, ..ClusterSpec::default() };
+            let want = spec.code().encode(&refs);
+            let sources: Vec<NodeId> = (0..4).map(NodeId).collect();
+            let holders: Vec<NodeId> = (4..4 + m).map(NodeId).collect();
+            for order in permutations(4) {
+                for (j, &holder) in holders.iter().enumerate() {
+                    let mut node = NodeCore::new(holder, spec.clone());
+                    let begin = Msg::RoundBegin {
+                        epoch: 1,
+                        sources: sources.clone(),
+                        holders: holders.clone(),
+                    };
+                    node.on_message(NodeId(0), begin, SimTime::ZERO);
+                    for &i in &order {
+                        let block = Msg::Payload {
+                            epoch: 1,
+                            source: NodeId(i),
+                            fence_epoch: 0,
+                            data: data[i].clone(),
+                        };
+                        node.on_message(NodeId(i), block, SimTime::ZERO);
+                    }
+                    node.on_message(NodeId(0), Msg::Commit { epoch: 1 }, SimTime::ZERO);
+                    prop_assert_eq!(
+                        node.committed(),
+                        Some((1, want[j].as_slice())),
+                        "m={} holder={} order={:?}", m, j, order
+                    );
+                }
+            }
         }
     }
 
@@ -402,7 +465,6 @@ use dvdc::protocol::{CheckpointProtocol, DvdcProtocol, RoundStep};
 use dvdc_checkpoint::strategy::Mode;
 use dvdc_simcore::time::Duration;
 use dvdc_vcluster::cluster::Cluster;
-use dvdc_vcluster::ids::NodeId;
 
 fn cluster_snapshots(c: &Cluster) -> Vec<Vec<u8>> {
     c.vm_ids()
@@ -536,7 +598,6 @@ proptest! {
 
 use dvdc::protocol::{run_round_with_faults, PhasedOutcome};
 use dvdc_faults::{ClusterFaultPlan, NodeFault, PeerSet, PlanCursor};
-use dvdc_simcore::time::SimTime;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
