@@ -32,11 +32,12 @@
 //!   arrives and `FoldAck` on the `k`-th; the coordinator broadcasts
 //!   `Commit`; everyone promotes staged state and `CommitAck`s.
 //! * Heartbeats flow between established sessions; each node feeds its
-//!   own detector. When the acting coordinator's detector **Confirms** a
-//!   silent node it fences it (epoch bump, broadcast), aborts any open
-//!   round, and rebuilds the victim's committed block from survivor
-//!   blocks + parity, holding the result in *custody* so later rounds
-//!   stay fully encoded.
+//!   own detector, which confirms a node after enough silence, or a heartbeat
+//!   interval after the driver says its port refuses connections. When
+//!   the acting coordinator's detector **Confirms** a node it fences it
+//!   (epoch bump, broadcast), aborts any open round, and rebuilds the
+//!   victim's committed block from survivor blocks + parity, holding the
+//!   result in *custody* so later rounds stay fully encoded.
 //! * A restarted victim comes back empty (diskless!), is `Rejected` at
 //!   the handshake for holding a pre-fence epoch, resyncs from the
 //!   coordinator's custody, and is readmitted cluster-wide at its
@@ -390,6 +391,9 @@ pub enum Note {
         node: NodeId,
         /// The verdict.
         verdict: Verdict,
+        /// True when link evidence reached it ([`NodeCore::on_peer_refused`]),
+        /// false when heartbeats and the detector's timers did.
+        evidence: bool,
     },
     /// A node was fenced (locally decided or learned by broadcast).
     Fenced {
@@ -521,6 +525,14 @@ impl ClusterSpec {
     /// True if `node` is one of the `m` parity slots.
     pub fn is_parity(&self, node: NodeId) -> bool {
         node.index() >= self.data_nodes && node.index() < self.total()
+    }
+
+    /// What member `node`'s block is: an image, or a parity shard.
+    fn kind_of(&self, node: NodeId) -> BlockKind {
+        match self.is_data(node) {
+            true => BlockKind::Data,
+            false => BlockKind::Parity,
+        }
     }
 
     /// Instantiates the group's erasure code: XOR for `m == 1`,
@@ -666,8 +678,9 @@ pub struct NodeCore {
     live: Option<Vec<u8>>,
     /// Committed checkpoint block: data image or parity shard.
     committed: Option<(u64, Vec<u8>)>,
-    /// Rebuilt blocks held on behalf of fenced nodes.
-    custody: BTreeMap<NodeId, (u64, BlockKind, Vec<u8>)>,
+    /// Rebuilt blocks held on behalf of fenced nodes, each with the
+    /// [`fnv64`] digest its rebuild computed.
+    custody: BTreeMap<NodeId, (u64, BlockKind, Vec<u8>, u64)>,
     coord_round: Option<CoordRound>,
     part_round: Option<PartRound>,
     rebuild: Option<Rebuild>,
@@ -755,7 +768,9 @@ impl NodeCore {
 
     /// The custody block held for `node`, if any.
     pub fn custody_block(&self, node: NodeId) -> Option<(u64, &[u8])> {
-        self.custody.get(&node).map(|(e, _, b)| (*e, b.as_slice()))
+        self.custody
+            .get(&node)
+            .map(|(e, _, b, _)| (*e, b.as_slice()))
     }
 
     /// True if a session with `peer` is established.
@@ -920,8 +935,9 @@ impl NodeCore {
         // Detector deadlines.
         let monitored: Vec<usize> = self.detector.monitored().collect();
         for n in monitored {
+            let evidence = self.detector.has_evidence(n);
             if let Some(verdict) = self.detector.poll(n, now) {
-                self.note_verdict(NodeId(n), verdict, now, &mut out);
+                self.note_verdict(NodeId(n), verdict, evidence, now, &mut out);
             }
         }
 
@@ -1062,7 +1078,7 @@ impl NodeCore {
             }
             Msg::Heartbeat { node } => {
                 if let Some(verdict) = self.detector.heartbeat(node.index(), now) {
-                    self.note_verdict(node, verdict, now, &mut out);
+                    self.note_verdict(node, verdict, false, now, &mut out);
                 }
             }
             Msg::RoundBegin {
@@ -1125,35 +1141,12 @@ impl NodeCore {
                 out.push(Action::Note(Note::Fenced { node, epoch }));
             }
             Msg::FetchReq { victim } => {
-                let mut blocks = Vec::new();
-                if let Some((e, b)) = &self.committed {
-                    blocks.push(BlockInfo {
-                        holder: self.id,
-                        kind: if self.spec.is_data(self.id) {
-                            BlockKind::Data
-                        } else {
-                            BlockKind::Parity
-                        },
-                        epoch: *e,
-                        data: b.clone(),
-                    });
-                }
-                for (&n, (e, k, b)) in &self.custody {
-                    if n != victim {
-                        blocks.push(BlockInfo {
-                            holder: n,
-                            kind: *k,
-                            epoch: *e,
-                            data: b.clone(),
-                        });
-                    }
-                }
                 out.push(Action::Send {
                     to: from,
                     msg: Msg::FetchBlocks {
                         node: self.id,
                         fence_epoch: self.fences.epoch_of(self.id),
-                        blocks,
+                        blocks: self.held_blocks(victim),
                     },
                 });
             }
@@ -1302,7 +1295,7 @@ impl NodeCore {
                     }
                 } else {
                     match self.custody.get(&node) {
-                        Some((e, _, b)) => (*e, fnv64(b), DigestSource::Custody),
+                        Some((e, _, _, digest)) => (*e, *digest, DigestSource::Custody),
                         None => (0, 0, DigestSource::Missing),
                     }
                 };
@@ -1330,16 +1323,37 @@ impl NodeCore {
         out
     }
 
+    /// Link evidence that `peer`'s process is gone: its connection to this
+    /// node closed and a redial was refused. A peer this node holds a
+    /// session with and monitors is suspected now, not a timeout later, and
+    /// confirmed by the tick one heartbeat interval after that, not a grace
+    /// later, unless a heartbeat refutes it; a wrong confirmation is handled
+    /// like any other (fence, resync). Evidence about anyone else is ignored.
+    pub fn on_peer_refused(&mut self, peer: NodeId, now: SimTime) -> Vec<Action> {
+        let mut out = Vec::new();
+        if self.sessions.contains(&peer) {
+            if let Some(verdict) = self.detector.suspect_now(peer.index(), now) {
+                self.note_verdict(peer, verdict, true, now, &mut out);
+            }
+        }
+        out
+    }
+
     /// Emits a verdict note and, on confirmation by the acting
     /// coordinator, fences the victim and starts the rebuild.
     fn note_verdict(
         &mut self,
         node: NodeId,
         verdict: Verdict,
+        evidence: bool,
         now: SimTime,
         out: &mut Vec<Action>,
     ) {
-        out.push(Action::Note(Note::PeerVerdict { node, verdict }));
+        out.push(Action::Note(Note::PeerVerdict {
+            node,
+            verdict,
+            evidence,
+        }));
         if verdict != Verdict::Confirmed {
             return;
         }
@@ -1369,6 +1383,22 @@ impl NodeCore {
         self.start_rebuild(node, now, out);
     }
 
+    /// What this node can give a rebuild of `victim`: its own committed
+    /// block, and every block it holds in custody for somebody else.
+    fn held_blocks(&self, victim: NodeId) -> Vec<BlockInfo> {
+        let own = self.committed.iter();
+        let own = own.map(|(e, b)| (self.id, self.spec.kind_of(self.id), *e, b));
+        let custody = self.custody.iter().filter(|(n, _)| **n != victim);
+        let custody = custody.map(|(n, (e, k, b, _))| (*n, *k, *e, b));
+        let tag = |(holder, kind, epoch, data): (_, _, _, &Vec<u8>)| BlockInfo {
+            holder,
+            kind,
+            epoch,
+            data: data.clone(),
+        };
+        own.chain(custody).map(tag).collect()
+    }
+
     fn start_rebuild(&mut self, victim: NodeId, now: SimTime, out: &mut Vec<Action>) {
         if self.rebuild.is_some() || self.custody.contains_key(&victim) {
             return;
@@ -1379,32 +1409,11 @@ impl NodeCore {
             phase: "Fetch",
         }));
         let peers = self.live_peers();
-        let mut blocks = Vec::new();
-        if let Some((e, b)) = &self.committed {
-            blocks.push(BlockInfo {
-                holder: self.id,
-                kind: if self.spec.is_data(self.id) {
-                    BlockKind::Data
-                } else {
-                    BlockKind::Parity
-                },
-                epoch: *e,
-                data: b.clone(),
-            });
-        }
-        for (&n, (e, k, b)) in &self.custody {
-            blocks.push(BlockInfo {
-                holder: n,
-                kind: *k,
-                epoch: *e,
-                data: b.clone(),
-            });
-        }
         self.rebuild = Some(Rebuild {
             victim,
             deadline: now + self.spec.rebuild_timeout,
             awaiting: peers.iter().copied().collect(),
-            blocks,
+            blocks: self.held_blocks(victim),
         });
         for &p in &peers {
             out.push(Action::Send {
@@ -1482,12 +1491,8 @@ impl NodeCore {
             return;
         };
         let digest = fnv64(&block);
-        let kind = if self.spec.is_data(victim) {
-            BlockKind::Data
-        } else {
-            BlockKind::Parity
-        };
-        self.custody.insert(victim, (epoch, kind, block));
+        let kind = self.spec.kind_of(victim);
+        self.custody.insert(victim, (epoch, kind, block, digest));
         out.push(Action::Note(Note::RebuildCompleted {
             victim,
             epoch,
@@ -1508,8 +1513,8 @@ impl NodeCore {
         let image = self
             .custody
             .get(&node)
-            .filter(|(e, _, _)| !self.spec.is_parity(node) || *e == committed_epoch)
-            .map(|(_, _, b)| b.clone());
+            .filter(|(e, ..)| !self.spec.is_parity(node) || *e == committed_epoch)
+            .map(|(_, _, b, _)| b.clone());
         out.push(Action::Send {
             to: node,
             msg: Msg::ResyncState {
@@ -1682,7 +1687,7 @@ impl NodeCore {
         // Coordinator ships custody orphans' frozen committed blocks.
         if self.is_acting_coordinator() {
             for &s in &sources {
-                if let Some((_, BlockKind::Data, block)) = self.custody.get(&s) {
+                if let Some((_, BlockKind::Data, block, _)) = self.custody.get(&s) {
                     self.ship(epoch, s, block.clone(), &holders, out);
                 }
             }
@@ -1901,7 +1906,7 @@ impl NodeCore {
             churn_image(self.spec.cluster_id, self.id, epoch, live);
         }
         // Custody orphans' blocks re-committed at this epoch (same bytes).
-        for (e, _, _) in self.custody.values_mut() {
+        for (e, ..) in self.custody.values_mut() {
             *e = epoch;
         }
         self.rounds_committed += 1;
@@ -2181,6 +2186,199 @@ mod tests {
             .filter(|(_, n)| matches!(n, Note::DataLoss { .. }));
         assert_eq!(lost.count(), 3, "{notes:?}");
         assert!(c.saw_data_loss());
+    }
+
+    /// Node `id` of `spec()` with a session to every other member.
+    fn meshed(id: usize) -> NodeCore {
+        let mut n = NodeCore::new(NodeId(id), spec());
+        for peer in (0..4).filter(|p| *p != id) {
+            let hello = NodeCore::new(NodeId(peer), spec()).hello();
+            n.on_message(NodeId(peer), hello, SimTime::ZERO);
+        }
+        n
+    }
+
+    fn notes(out: &[Action]) -> Vec<Note> {
+        let note = |a: &Action| match a {
+            Action::Note(n) => Some(n.clone()),
+            Action::Send { .. } => None,
+        };
+        out.iter().filter_map(note).collect()
+    }
+
+    fn sent_to(out: &[Action], want: impl Fn(&Msg) -> bool) -> Vec<NodeId> {
+        let to = |a: &Action| match a {
+            Action::Send { to, msg } if want(msg) => Some(*to),
+            _ => None,
+        };
+        out.iter().filter_map(to).collect()
+    }
+
+    fn verdict(node: usize, verdict: Verdict) -> Note {
+        Note::PeerVerdict {
+            node: NodeId(node),
+            verdict,
+            evidence: true,
+        }
+    }
+
+    /// Evidence against `peer` at `at`, then the tick one heartbeat interval
+    /// later that confirms it; returns what that tick did.
+    fn refused_and_confirmed(n: &mut NodeCore, peer: usize, at: SimTime) -> Vec<Action> {
+        n.on_tick(at);
+        let out = n.on_peer_refused(NodeId(peer), at);
+        assert_eq!(notes(&out), [verdict(peer, Verdict::Suspected)]);
+        assert!(sent_to(&out, |_| true).is_empty(), "{out:?}");
+        let due = at + spec().detector.heartbeat_interval;
+        assert_eq!(n.next_deadline(), Some(due));
+        n.on_tick(due)
+    }
+
+    #[test]
+    fn evidence_suspects_at_once_and_the_coordinator_fences_once_a_heartbeat_interval_later() {
+        let mut c = meshed(0);
+        let at = SimTime::from_secs(0.003);
+        let out = refused_and_confirmed(&mut c, 2, at);
+        // The timers' own path, a heartbeat interval after the evidence.
+        assert_eq!(
+            notes(&out),
+            [
+                verdict(2, Verdict::Confirmed),
+                Note::Fenced {
+                    node: NodeId(2),
+                    epoch: 1
+                },
+                Note::RebuildStarted { victim: NodeId(2) },
+                Note::RebuildPhase {
+                    victim: NodeId(2),
+                    phase: "Fetch"
+                },
+            ]
+        );
+        let survivors = [NodeId(1), NodeId(3)];
+        assert_eq!(sent_to(&out, |m| matches!(m, Msg::Fence { .. })), survivors);
+        assert_eq!(
+            sent_to(&out, |m| matches!(m, Msg::FetchReq { .. })),
+            survivors
+        );
+        assert_eq!(c.status().confirmed, [NodeId(2)]);
+        // The other survivors' writers report the same death; so may this
+        // node's own, twice. None of it is news.
+        assert!(c.on_peer_refused(NodeId(2), at).is_empty());
+    }
+
+    #[test]
+    fn a_heartbeat_inside_the_interval_refutes_the_evidence() {
+        let mut c = meshed(0);
+        let at = SimTime::from_secs(0.003);
+        c.on_peer_refused(NodeId(2), at);
+        let alive = Msg::Heartbeat { node: NodeId(2) };
+        let out = c.on_message(NodeId(2), alive, at + Duration::from_millis(1.0));
+        let refuted = Note::PeerVerdict {
+            node: NodeId(2),
+            verdict: Verdict::Refuted,
+            evidence: false,
+        };
+        assert_eq!(notes(&out), [refuted]);
+        let out = c.on_tick(at + spec().detector.heartbeat_interval);
+        assert!(notes(&out).is_empty(), "{out:?}");
+        assert!(c.has_session(NodeId(2)) && c.status().confirmed.is_empty());
+    }
+
+    #[test]
+    fn evidence_about_a_stranger_or_about_self_is_ignored() {
+        // At boot a dial is refused because the peer does not listen yet.
+        let mut n = NodeCore::new(NodeId(0), spec());
+        assert!(n.on_peer_refused(NodeId(2), SimTime::ZERO).is_empty());
+        let mut n = meshed(0);
+        assert!(n.on_peer_refused(NodeId(0), SimTime::ZERO).is_empty());
+        assert!(n.on_peer_refused(NodeId(9), SimTime::ZERO).is_empty());
+        assert!(n.status().suspected.is_empty());
+        // A fenced peer has no session: the fence already says it all.
+        let fence = Msg::Fence {
+            node: NodeId(2),
+            epoch: 1,
+        };
+        n.on_message(NodeId(1), fence, SimTime::ZERO);
+        assert!(n.on_peer_refused(NodeId(2), SimTime::ZERO).is_empty());
+    }
+
+    #[test]
+    fn evidence_on_a_non_coordinator_drops_the_session_and_fences_nothing() {
+        let mut n = meshed(1);
+        let out = refused_and_confirmed(&mut n, 2, SimTime::ZERO);
+        assert_eq!(notes(&out), [verdict(2, Verdict::Confirmed)]);
+        assert!(
+            sent_to(&out, |m| !matches!(m, Msg::Heartbeat { .. })).is_empty(),
+            "{out:?}"
+        );
+        assert!(!n.has_session(NodeId(2)));
+        assert_eq!(n.coordinator(), NodeId(0));
+    }
+
+    #[test]
+    fn evidence_against_the_coordinator_promotes_the_next_member_which_fences_it() {
+        let mut n = meshed(1);
+        assert_eq!(n.coordinator(), NodeId(0));
+        let out = refused_and_confirmed(&mut n, 0, SimTime::ZERO);
+        assert_eq!(n.coordinator(), NodeId(1));
+        let fenced = Note::Fenced {
+            node: NodeId(0),
+            epoch: 1,
+        };
+        assert!(notes(&out).contains(&fenced), "{out:?}");
+        assert_eq!(
+            sent_to(&out, |m| matches!(m, Msg::Fence { .. })),
+            [NodeId(2), NodeId(3)]
+        );
+    }
+
+    #[test]
+    fn custody_digest_is_the_one_the_rebuild_computed() {
+        let images: Vec<Vec<u8>> = (0..3).map(|i| initial_image(7, NodeId(i), 64)).collect();
+        let refs: Vec<&[u8]> = images.iter().map(Vec::as_slice).collect();
+        let parity = spec().code().encode(&refs).remove(0);
+        let mut c = meshed(0);
+        c.committed = Some((1, images[0].clone()));
+        refused_and_confirmed(&mut c, 2, SimTime::ZERO);
+        for (holder, kind, data) in [
+            (1, BlockKind::Data, images[1].clone()),
+            (3, BlockKind::Parity, parity),
+        ] {
+            let blocks = vec![BlockInfo {
+                holder: NodeId(holder),
+                kind,
+                epoch: 1,
+                data,
+            }];
+            let fetched = Msg::FetchBlocks {
+                node: NodeId(holder),
+                fence_epoch: 0,
+                blocks,
+            };
+            c.on_message(NodeId(holder), fetched, SimTime::ZERO);
+        }
+        assert_eq!(c.custody_block(NodeId(2)), Some((1, images[2].as_slice())));
+
+        let served = |c: &mut NodeCore| {
+            let out = c.on_message(CTL, Msg::DigestReq { node: NodeId(2) }, SimTime::ZERO);
+            match &out[..] {
+                [Action::Send {
+                    msg:
+                        Msg::DigestResp {
+                            digest,
+                            source: DigestSource::Custody,
+                            ..
+                        },
+                    ..
+                }] => *digest,
+                other => panic!("expected a custody digest, got {other:?}"),
+            }
+        };
+        assert_eq!(served(&mut c), fnv64(&images[2]));
+        // Not hashed again per request: the answer does not follow the bytes.
+        c.custody.get_mut(&NodeId(2)).expect("in custody").2.fill(0);
+        assert_eq!(served(&mut c), fnv64(&images[2]));
     }
 
     #[test]

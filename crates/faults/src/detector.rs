@@ -16,7 +16,9 @@
 //! * a suspected node that heartbeats again is [`Verdict::Refuted`]
 //!   (a *false suspicion* — the node was alive all along);
 //! * a suspicion that survives `confirm_grace` becomes
-//!   [`Verdict::Confirmed`] — the one verdict that may trigger failover.
+//!   [`Verdict::Confirmed`] — the one verdict that may trigger failover;
+//! * a caller that *knows* the node's process is gone (its port refuses)
+//!   raises the suspicion at once, and it stands one heartbeat interval.
 //!
 //! The two-stage deadline (suspect, then confirm) is the discrete,
 //! deterministic cousin of φ-accrual detection: the suspicion threshold
@@ -76,8 +78,8 @@ impl DetectorConfig {
         self.heartbeat_interval + self.timeout + self.confirm_grace
     }
 
-    /// Best-case time-to-confirmation (fault strikes right as a
-    /// heartbeat was heard).
+    /// Best-case time-to-confirmation by the timers alone (fault strikes as a
+    /// heartbeat is heard); [`FailureDetector::suspect_now`] is not bound by it.
     pub fn best_case_detection(&self) -> Duration {
         self.timeout + self.confirm_grace
     }
@@ -115,10 +117,12 @@ pub enum Verdict {
 enum Health {
     /// Heartbeats arriving on schedule.
     Alive,
-    /// Silent past the timeout since `since`.
+    /// Silent past the timeout, or known gone on `evidence`, since `since`.
     Suspected {
         /// When the suspicion was raised.
         since: SimTime,
+        /// Raised by [`FailureDetector::suspect_now`]: a shorter grace.
+        evidence: bool,
     },
     /// Suspicion survived the grace; terminal until the node is fenced,
     /// resynced, and re-admitted to monitoring.
@@ -249,37 +253,60 @@ impl FailureDetector {
     /// a confirmed node's fate is sealed until it is resynced).
     pub fn heartbeat(&mut self, node: usize, at: SimTime) -> Option<Verdict> {
         let (last, health) = self.nodes.get_mut(&node)?;
-        self.stats.heartbeats += 1;
-        if self.journal_enabled {
-            self.journal.push(DetectorEvent {
-                at,
-                node,
-                kind: DetectorEventKind::Heartbeat,
-            });
+        let was = *health;
+        if was != Health::Confirmed {
+            (*last, *health) = (at, Health::Alive);
         }
-        match *health {
+        self.stats.heartbeats += 1;
+        self.record(at, node, DetectorEventKind::Heartbeat);
+        match was {
             Health::Confirmed => {
                 self.stats.late_heartbeats_after_confirm += 1;
                 None
             }
             Health::Suspected { .. } => {
-                *last = at;
-                *health = Health::Alive;
                 self.stats.refutations += 1;
-                if self.journal_enabled {
-                    self.journal.push(DetectorEvent {
-                        at,
-                        node,
-                        kind: DetectorEventKind::Refuted,
-                    });
-                }
+                self.record(at, node, DetectorEventKind::Refuted);
                 Some(Verdict::Refuted)
             }
-            Health::Alive => {
-                *last = at;
-                None
-            }
+            Health::Alive => None,
         }
+    }
+
+    /// Appends to the journal, when it is on.
+    fn record(&mut self, at: SimTime, node: usize, kind: DetectorEventKind) {
+        if self.journal_enabled {
+            self.journal.push(DetectorEvent { at, node, kind });
+        }
+    }
+
+    /// Moves `node` one step towards failed at `now`, whatever its timers
+    /// say: alive to suspected, suspected to confirmed.
+    fn escalate(&mut self, node: usize, now: SimTime, evidence: bool) -> Option<Verdict> {
+        let (_, health) = self.nodes.get_mut(&node)?;
+        let (next, kind, verdict) = match *health {
+            Health::Alive => (
+                Health::Suspected {
+                    since: now,
+                    evidence,
+                },
+                DetectorEventKind::Suspected,
+                Verdict::Suspected,
+            ),
+            Health::Suspected { .. } => (
+                Health::Confirmed,
+                DetectorEventKind::Confirmed,
+                Verdict::Confirmed,
+            ),
+            Health::Confirmed => return None,
+        };
+        *health = next;
+        match verdict {
+            Verdict::Suspected => self.stats.suspicions += 1,
+            _ => self.stats.confirmations += 1,
+        }
+        self.record(now, node, kind);
+        Some(verdict)
     }
 
     /// Evaluates `node`'s deadline at `now`. Returns a verdict transition
@@ -293,42 +320,37 @@ impl FailureDetector {
     /// `timeout` in f64.
     pub fn poll(&mut self, node: usize, now: SimTime) -> Option<Verdict> {
         let eps = Duration::from_secs(1e-9);
-        let (last, health) = self.nodes.get_mut(&node)?;
-        match *health {
-            Health::Alive => {
-                if now.since(*last) + eps >= self.config.timeout {
-                    *health = Health::Suspected { since: now };
-                    self.stats.suspicions += 1;
-                    if self.journal_enabled {
-                        self.journal.push(DetectorEvent {
-                            at: now,
-                            node,
-                            kind: DetectorEventKind::Suspected,
-                        });
-                    }
-                    Some(Verdict::Suspected)
-                } else {
-                    None
-                }
+        let due = match *self.nodes.get(&node)? {
+            (last, Health::Alive) => now.since(last) + eps >= self.config.timeout,
+            (_, Health::Suspected { since, evidence }) => {
+                now.since(since) + eps >= self.grace(evidence)
             }
-            Health::Suspected { since } => {
-                if now.since(since) + eps >= self.config.confirm_grace {
-                    *health = Health::Confirmed;
-                    self.stats.confirmations += 1;
-                    if self.journal_enabled {
-                        self.journal.push(DetectorEvent {
-                            at: now,
-                            node,
-                            kind: DetectorEventKind::Confirmed,
-                        });
-                    }
-                    Some(Verdict::Confirmed)
-                } else {
-                    None
-                }
-            }
-            Health::Confirmed => None,
+            (_, Health::Confirmed) => false,
+        };
+        due.then(|| self.escalate(node, now, false)).flatten()
+    }
+
+    /// How long a suspicion stands before it is confirmed.
+    fn grace(&self, evidence: bool) -> Duration {
+        if evidence {
+            self.config.heartbeat_interval
+        } else {
+            self.config.confirm_grace
         }
+    }
+
+    /// Suspects an alive `node` at `now`, on evidence that its process is
+    /// gone, not after `timeout`; the suspicion stands one heartbeat interval,
+    /// not `confirm_grace`: a live node says so with its next heartbeat.
+    pub fn suspect_now(&mut self, node: usize, now: SimTime) -> Option<Verdict> {
+        let alive = matches!(self.nodes.get(&node)?, (_, Health::Alive));
+        alive.then(|| self.escalate(node, now, true)).flatten()
+    }
+
+    /// True while `node` stands suspected on evidence.
+    pub fn has_evidence(&self, node: usize) -> bool {
+        let health = self.nodes.get(&node).map(|(_, health)| health);
+        matches!(health, Some(Health::Suspected { evidence: true, .. }))
     }
 
     /// When `node`'s current state next needs a [`FailureDetector::poll`]:
@@ -338,7 +360,7 @@ impl FailureDetector {
         let (last, health) = self.nodes.get(&node)?;
         match *health {
             Health::Alive => Some(*last + self.config.timeout),
-            Health::Suspected { since } => Some(since + self.config.confirm_grace),
+            Health::Suspected { since, evidence } => Some(since + self.grace(evidence)),
             Health::Confirmed => None,
         }
     }
@@ -489,6 +511,49 @@ mod tests {
         let mut quiet = FailureDetector::new(cfg(), [0], SimTime::ZERO);
         quiet.heartbeat(0, ms(10.0));
         assert!(quiet.take_events().is_empty(), "journal off by default");
+    }
+
+    #[test]
+    fn evidence_suspects_at_once_and_confirms_one_heartbeat_interval_later() {
+        let mut d = FailureDetector::new(cfg(), [0, 1, 2], SimTime::ZERO);
+        d.enable_journal();
+        d.heartbeat(0, ms(10.0));
+        // Alive: suspected at the instant of the evidence, confirmed by the
+        // ordinary poll one heartbeat interval (10 ms) later, not a grace.
+        assert_eq!(d.suspect_now(0, ms(12.0)), Some(Verdict::Suspected));
+        assert!(d.has_evidence(0));
+        assert_eq!(d.suspect_now(0, ms(13.0)), None, "already standing");
+        assert!(close(d.next_deadline(0).unwrap(), ms(22.0)));
+        assert_eq!(d.poll(0, ms(21.9)), None);
+        assert_eq!(d.poll(0, ms(22.0)), Some(Verdict::Confirmed));
+        let journal: Vec<_> = d.take_events().iter().map(|e| (e.at, e.kind)).collect();
+        assert_eq!(
+            journal,
+            [
+                (ms(10.0), DetectorEventKind::Heartbeat),
+                (ms(12.0), DetectorEventKind::Suspected),
+                (ms(22.0), DetectorEventKind::Confirmed),
+            ]
+        );
+        assert!(d.is_confirmed(0) && !d.has_evidence(0));
+        assert_eq!(d.next_deadline(0), None, "confirmed is terminal");
+        // Suspected by its timer at 35: its grace runs to 60 whatever
+        // evidence arrives; on an alive node a heartbeat refutes an
+        // evidence suspicion like any other.
+        assert_eq!(d.poll(1, ms(35.0)), Some(Verdict::Suspected));
+        assert_eq!(d.suspect_now(1, ms(36.0)), None);
+        assert!(close(d.next_deadline(1).unwrap(), ms(60.0)) && !d.has_evidence(1));
+        assert_eq!(d.suspect_now(2, ms(36.0)), Some(Verdict::Suspected));
+        assert_eq!(d.heartbeat(2, ms(40.0)), Some(Verdict::Refuted));
+        assert_eq!(d.poll(2, ms(46.0)), None);
+        // Confirmed or unmonitored: nothing to do, nothing journalled.
+        assert_eq!(d.suspect_now(0, ms(40.0)), None);
+        assert_eq!(d.suspect_now(7, ms(40.0)), None);
+        let s = d.stats();
+        assert_eq!((s.suspicions, s.confirmations, s.refutations), (3, 1, 1));
+        // The verdict stands like any other until the node is re-admitted.
+        assert_eq!(d.heartbeat(0, ms(41.0)), None);
+        assert!(d.is_confirmed(0));
     }
 
     #[test]

@@ -292,7 +292,7 @@ pub fn format_status(view: &StatusView) -> String {
 /// log. The `Option` return stays for call-site stability.
 pub fn note_event(note: &Note) -> Option<Event> {
     Some(match note {
-        Note::PeerVerdict { node, verdict } => match verdict {
+        Note::PeerVerdict { node, verdict, .. } => match verdict {
             Verdict::Suspected => Event::Suspected { node: node.0 },
             Verdict::Confirmed => Event::Confirmed { node: node.0 },
             Verdict::Refuted => Event::Refuted { node: node.0 },
@@ -372,6 +372,8 @@ pub struct NodeMetrics {
     readmitted: Counter,
     suspected: Counter,
     confirmed: Counter,
+    confirmed_by_evidence: Counter,
+    confirmed_by_timeout: Counter,
     sessions_established: Counter,
     hellos_rejected: Counter,
     stale_dropped: Counter,
@@ -399,6 +401,8 @@ impl NodeMetrics {
             readmitted: hub.counter("node.readmitted"),
             suspected: hub.counter("node.suspected"),
             confirmed: hub.counter("node.confirmed"),
+            confirmed_by_evidence: hub.counter("faults.detector.confirmed_by_evidence"),
+            confirmed_by_timeout: hub.counter("faults.detector.confirmed_by_timeout"),
             sessions_established: hub.counter("node.sessions_established"),
             hellos_rejected: hub.counter("node.hellos_rejected"),
             stale_dropped: hub.counter("node.stale_dropped"),
@@ -435,9 +439,18 @@ impl NodeMetrics {
                 self.capture_window
                     .record(Stamp::Sim(SimTime::from_secs(*window_secs)).nanos());
             }
-            Note::PeerVerdict { verdict, .. } => match verdict {
+            Note::PeerVerdict {
+                verdict, evidence, ..
+            } => match verdict {
                 Verdict::Suspected => self.suspected.inc(),
-                Verdict::Confirmed => self.confirmed.inc(),
+                Verdict::Confirmed => {
+                    self.confirmed.inc();
+                    if *evidence {
+                        self.confirmed_by_evidence.inc();
+                    } else {
+                        self.confirmed_by_timeout.inc();
+                    }
+                }
                 Verdict::Refuted => {}
             },
             Note::Fenced { .. } => self.fences.inc(),
@@ -568,6 +581,7 @@ mod tests {
         let verdict = Note::PeerVerdict {
             node: NodeId(3),
             verdict: Verdict::Confirmed,
+            evidence: true,
         };
         assert_eq!(note_event(&verdict), Some(Event::Confirmed { node: 3 }));
         let chatter = Note::SessionEstablished { peer: NodeId(1) };
@@ -637,7 +651,28 @@ mod tests {
             SimTime::from_secs(3.0),
             &Note::SessionEstablished { peer: NodeId(1) },
         );
+        // One death confirmed on link evidence, one by the timers: each
+        // is suspected first, and `node.confirmed` counts both.
+        for (node, evidence) in [(3, true), (2, false)] {
+            for verdict in [Verdict::Suspected, Verdict::Confirmed] {
+                let note = Note::PeerVerdict {
+                    node: NodeId(node),
+                    verdict,
+                    evidence,
+                };
+                m.observe(SimTime::from_secs(2.0), &note);
+            }
+        }
         let snap = hub.snapshot();
+        assert_eq!(snap.counter("node.confirmed"), Some(2));
+        assert_eq!(
+            snap.counter("faults.detector.confirmed_by_evidence"),
+            Some(1)
+        );
+        assert_eq!(
+            snap.counter("faults.detector.confirmed_by_timeout"),
+            Some(1)
+        );
         assert_eq!(snap.counter("node.rounds_committed"), Some(1));
         assert_eq!(snap.counter("node.rebuilds"), Some(1));
         assert_eq!(snap.counter("node.sessions_established"), Some(1));

@@ -5,8 +5,9 @@
 //! genuine OS processes. The test drives checkpoint rounds through the
 //! ctl plane, SIGKILLs a data node in the middle of a round's capture
 //! window, and asserts the paper's whole recovery arc over real sockets:
-//! the round aborts with a typed reason, survivors confirm the death via
-//! missed heartbeats, the coordinator rebuilds the victim's committed
+//! the round aborts with a typed reason, survivors confirm the death on
+//! link evidence (the victim's connections close and its port refuses a
+//! redial) well inside the heartbeat timeout, the coordinator rebuilds the victim's committed
 //! block byte-exactly from parity (digest-verified), a degraded round
 //! commits, and the restarted (empty — diskless) process rejoins through
 //! fence/resync with a post-fence epoch. Zero panics, all failures
@@ -19,7 +20,7 @@ use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use dvdc::protocol::node_core::{DigestSource, Msg, StatusView};
-use dvdc_node::{ctl_request, ctl_status, format_status};
+use dvdc_node::{ctl_metrics, ctl_request, ctl_status, format_status};
 use dvdc_vcluster::ids::NodeId;
 
 const N: usize = 5; // k=4 + m=1
@@ -223,7 +224,10 @@ fn five_process_cluster_survives_sigkill_and_victim_rejoins() {
         "abort reason must be typed: {err}"
     );
 
-    // Survivors confirm the death via genuinely missed heartbeats.
+    // The coordinator has confirmed the death, and not by waiting out
+    // 450 ms of missed heartbeats: the victim's kernel closed its
+    // connections and refused the redial, and that is what the detector
+    // acted on. Counted, not timed, so a slow host cannot fail it.
     match ctl_request(addrs[0], &Msg::KillQueryReq, RPC).expect("kill-query") {
         Msg::KillQueryResp { confirmed, .. } => {
             assert!(
@@ -233,6 +237,11 @@ fn five_process_cluster_survives_sigkill_and_victim_rejoins() {
         }
         other => panic!("unexpected kill-query reply: {other:?}"),
     }
+    let metrics = ctl_metrics(addrs[0], RPC).expect("coordinator metrics");
+    let count = |name: &str| metrics.counter(name).unwrap_or(0);
+    assert_eq!(count("faults.detector.confirmed_by_evidence"), 1);
+    assert_eq!(count("faults.detector.confirmed_by_timeout"), 0);
+    assert!(count("transport.peer_closed") >= 1 && count("transport.peer_refused") >= 1);
 
     // The coordinator rebuilds the victim's block from parity,
     // byte-exact (same FNV-1a digest, same epoch), into custody.

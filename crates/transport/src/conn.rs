@@ -24,6 +24,9 @@ pub enum ConnectError {
         attempts: u32,
         /// The error from the final attempt.
         last: std::io::Error,
+        /// True when every attempt was answered `ConnectionRefused` (the host
+        /// is up, nothing listens); one timeout or reset leaves it false.
+        all_refused: bool,
     },
     /// The caller asked for zero attempts — nothing was tried.
     NoAttempts,
@@ -32,7 +35,7 @@ pub enum ConnectError {
 impl std::fmt::Display for ConnectError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ConnectError::Exhausted { attempts, last } => {
+            ConnectError::Exhausted { attempts, last, .. } => {
                 write!(f, "connect failed after {attempts} attempts: {last}")
             }
             ConnectError::NoAttempts => write!(f, "connect policy allows zero attempts"),
@@ -73,48 +76,58 @@ pub fn backoff_schedule(policy: &RetryPolicy, seed: u64) -> Vec<Duration> {
         .collect()
 }
 
-/// Dial `addr`, retrying per `policy` with jittered backoff between
-/// attempts. `sleep` is injected so tests can record the schedule
-/// instead of blocking; production passes `std::thread::sleep`.
+/// Dial, retrying per `policy` with jittered backoff between attempts.
+/// `dial` and `sleep` are injected so tests can script the outcome of each
+/// attempt and record the schedule instead of blocking; production passes
+/// `TcpStream::connect_timeout` and `std::thread::sleep`.
 /// On success, also reports the number of attempts the dial took
 /// (1 = first try) so callers can count retries.
-pub fn connect_with_retry_using<S: FnMut(StdDuration)>(
-    addr: SocketAddr,
+pub fn connect_with_retry_using<D, S>(
     policy: &RetryPolicy,
     seed: u64,
-    connect_timeout: StdDuration,
+    mut dial: D,
     mut sleep: S,
-) -> Result<(TcpStream, u32), ConnectError> {
+) -> Result<(TcpStream, u32), ConnectError>
+where
+    D: FnMut() -> std::io::Result<TcpStream>,
+    S: FnMut(StdDuration),
+{
     if policy.max_attempts == 0 {
         return Err(ConnectError::NoAttempts);
     }
     let mut last: Option<std::io::Error> = None;
+    let mut all_refused = true;
     for attempt in 1..=policy.max_attempts {
         if attempt > 1 {
             sleep(to_std(policy.backoff_with_jitter(attempt - 1, seed)));
         }
-        match TcpStream::connect_timeout(&addr, connect_timeout) {
+        match dial() {
             Ok(stream) => {
                 let _ = stream.set_nodelay(true);
                 return Ok((stream, attempt));
             }
-            Err(e) => last = Some(e),
+            Err(e) => {
+                all_refused &= e.kind() == std::io::ErrorKind::ConnectionRefused;
+                last = Some(e);
+            }
         }
     }
     Err(ConnectError::Exhausted {
         attempts: policy.max_attempts,
         last: last.expect("max_attempts >= 1 guarantees at least one dial error"),
+        all_refused,
     })
 }
 
-/// [`connect_with_retry_using`] with real `std::thread::sleep` backoff.
+/// [`connect_with_retry_using`] on `addr` with real `sleep` backoff.
 pub fn connect_with_retry(
     addr: SocketAddr,
     policy: &RetryPolicy,
     seed: u64,
     connect_timeout: StdDuration,
 ) -> Result<(TcpStream, u32), ConnectError> {
-    connect_with_retry_using(addr, policy, seed, connect_timeout, std::thread::sleep)
+    let dial = || TcpStream::connect_timeout(&addr, connect_timeout);
+    connect_with_retry_using(policy, seed, dial, std::thread::sleep)
 }
 
 #[cfg(test)]
@@ -174,11 +187,16 @@ mod tests {
         };
         let p = policy(3, 1.0);
         let mut slept = Vec::new();
-        let res = connect_with_retry_using(addr, &p, 42, StdDuration::from_millis(200), |d| {
-            slept.push(d)
-        });
+        let dial = || TcpStream::connect_timeout(&addr, StdDuration::from_millis(200));
+        let res = connect_with_retry_using(&p, 42, dial, |d| slept.push(d));
         match res {
-            Err(ConnectError::Exhausted { attempts, .. }) => assert_eq!(attempts, 3),
+            // Nothing listens there and the host is up: every attempt is
+            // refused, which is what makes an exhausted dial evidence.
+            Err(ConnectError::Exhausted {
+                attempts,
+                all_refused,
+                ..
+            }) => assert_eq!((attempts, all_refused), (3, true)),
             other => panic!("expected Exhausted, got {other:?}"),
         }
         let expected: Vec<StdDuration> = backoff_schedule(&p, 42).into_iter().map(to_std).collect();
@@ -190,28 +208,43 @@ mod tests {
         let l = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = l.local_addr().unwrap();
         let mut slept = Vec::new();
-        let res = connect_with_retry_using(
-            addr,
-            &policy(3, 1.0),
-            7,
-            StdDuration::from_millis(500),
-            |d| slept.push(d),
-        );
+        let dial = || TcpStream::connect_timeout(&addr, StdDuration::from_millis(500));
+        let res = connect_with_retry_using(&policy(3, 1.0), 7, dial, |d| slept.push(d));
         let (_, attempts) = res.expect("live listener accepts");
         assert_eq!(attempts, 1, "first attempt succeeded");
         assert!(slept.is_empty(), "first attempt succeeded, no backoff due");
     }
 
     #[test]
+    fn one_attempt_that_is_not_refused_makes_an_exhausted_dial_no_evidence() {
+        // A partition (timeout) or a reset among the refusals: the peer's
+        // host may be unreachable rather than its process gone.
+        use std::io::ErrorKind::{ConnectionRefused, ConnectionReset, TimedOut};
+        for (script, want) in [
+            (
+                [ConnectionRefused, ConnectionRefused, ConnectionRefused],
+                true,
+            ),
+            ([ConnectionRefused, TimedOut, ConnectionRefused], false),
+            (
+                [ConnectionRefused, ConnectionRefused, ConnectionReset],
+                false,
+            ),
+            ([TimedOut, TimedOut, TimedOut], false),
+        ] {
+            let mut script = script.into_iter();
+            let dial = || Err(script.next().expect("three attempts").into());
+            match connect_with_retry_using(&policy(3, 1.0), 1, dial, |_| {}) {
+                Err(ConnectError::Exhausted { all_refused, .. }) => assert_eq!(all_refused, want),
+                other => panic!("expected Exhausted, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn zero_attempt_policy_is_typed() {
-        let addr: SocketAddr = "127.0.0.1:1".parse().unwrap();
-        let res = connect_with_retry_using(
-            addr,
-            &policy(0, 1.0),
-            0,
-            StdDuration::from_millis(10),
-            |_| {},
-        );
+        let dial = || panic!("a zero-attempt policy never dials");
+        let res = connect_with_retry_using(&policy(0, 1.0), 0, dial, |_| {});
         assert!(matches!(res, Err(ConnectError::NoAttempts)));
     }
 }

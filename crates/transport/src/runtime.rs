@@ -18,6 +18,12 @@
 //! thread blocks in `accept()`, readers in `read()`, writers on their
 //! queue, the event loop on its channel until the next deadline.
 //!
+//! Link state reaches the protocol by one path, reader → event loop →
+//! writer → event loop: a reader whose connection ends after carrying a
+//! peer's envelopes says so, that peer's writer dials at once, and a dial
+//! refused on every attempt (the host is up, the port is shut: the process
+//! is gone) comes back as [`NodeCore::on_peer_refused`].
+//!
 //! Loss model: sends to an unreachable peer are dropped after typed
 //! retry exhaustion. The protocol is built for exactly that (hellos and
 //! heartbeats repeat, rounds time out typed, fencing handles the rest) —
@@ -28,7 +34,7 @@
 //! plane ([`CTL`] sender) is whoever can reach the loopback port.
 
 use std::collections::BTreeMap;
-use std::io::BufReader;
+use std::io::{BufReader, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
@@ -132,6 +138,28 @@ struct Incoming {
     msg: Msg,
 }
 
+/// What the event loop waits on: envelopes, and what the reader and writer
+/// threads learn about a peer's link. `CTL` connections report no link.
+enum Event {
+    Envelope(Incoming),
+    /// A connection delivered its first envelope, and this peer sent it.
+    Opened(NodeId),
+    /// A connection that carried this peer's envelopes ended.
+    Closed(NodeId),
+    /// A dial to this peer was answered `ConnectionRefused` every attempt.
+    Refused(NodeId),
+}
+
+/// What the event loop queues to a peer's writer thread.
+enum ToWriter {
+    /// Encode this message, from this sender, onto the socket.
+    Send(NodeId, Msg),
+    /// The peer opened a connection to us: it is up, shed nothing for it.
+    EndHoldoff,
+    /// The peer closed a connection to us: dial now, holdoff or not.
+    Check,
+}
+
 /// The real-socket [`Transport`]: peer sends are queued to per-peer
 /// writer threads (never blocking the event loop), control-plane sends
 /// are written inline to the requesting ctl connection.
@@ -142,7 +170,7 @@ struct Incoming {
 /// connection. The connection that sent `CheckpointReq` is therefore
 /// pinned separately until its outcome is delivered.
 pub struct TcpTransport {
-    peers: BTreeMap<NodeId, Sender<(NodeId, Msg)>>,
+    peers: BTreeMap<NodeId, Sender<ToWriter>>,
     /// The most recent ctl connection: immediate replies (status,
     /// digest, kill-query) go here.
     ctl: Option<Arc<Mutex<TcpStream>>>,
@@ -170,6 +198,12 @@ impl TcpTransport {
         }
         self.ctl = conn;
     }
+
+    fn tell_writer(&self, peer: NodeId, command: ToWriter) {
+        if let Some(tx) = self.peers.get(&peer) {
+            let _ = tx.send(command);
+        }
+    }
 }
 
 impl Transport for TcpTransport {
@@ -195,7 +229,7 @@ impl Transport for TcpTransport {
                 .peers
                 .get(&to)
                 .ok_or(TransportError::Unreachable { to })?;
-            tx.send((from, msg))
+            tx.send(ToWriter::Send(from, msg))
                 .map_err(|_| TransportError::Closed { to })?;
             if let Some(q) = self.peer_queues.get(&to) {
                 q.add(1);
@@ -255,7 +289,7 @@ impl NodeRuntime {
         let mut core = NodeCore::new(config.id, config.spec.clone());
         let hub = config.observe.metrics.clone();
 
-        let (event_tx, event_rx): (Sender<Incoming>, Receiver<Incoming>) = mpsc::channel();
+        let (event_tx, event_rx): (Sender<Event>, Receiver<Event>) = mpsc::channel();
 
         // --- inbound: accept loop + per-connection readers ---
         let listen_addr = listener.local_addr().map_err(RuntimeError::Listener)?;
@@ -284,6 +318,8 @@ impl NodeRuntime {
         let connect_retries = hub.counter("transport.connect_retries");
         let redials = hub.counter("transport.redials");
         let oversized = hub.counter("transport.oversized_dropped");
+        let peer_closed = hub.counter("transport.peer_closed");
+        let peer_refused = hub.counter("transport.peer_refused");
         for (peer, addr) in &config.peers {
             let (tx, rx) = mpsc::channel();
             transport.peers.insert(*peer, tx);
@@ -305,8 +341,8 @@ impl NodeRuntime {
                 queue,
             };
             let peer = *peer;
-            let links = Arc::clone(&links);
-            std::thread::spawn(move || writer_loop(peer, writer, rx, links));
+            let (links, events) = (Arc::clone(&links), event_tx.clone());
+            std::thread::spawn(move || writer_loop(peer, writer, rx, links, events));
         }
 
         // --- event loop: owns the NodeCore ---
@@ -316,7 +352,20 @@ impl NodeRuntime {
             let due = core.next_deadline().map_or(f64::MAX, SimTime::as_secs);
             let wait = (due - clock.now().as_secs()).clamp(0.0, STOP_CHECK.as_secs_f64());
             match event_rx.recv_timeout(StdDuration::from_secs_f64(wait)) {
-                Ok(incoming) => {
+                Ok(Event::Opened(peer)) => transport.tell_writer(peer, ToWriter::EndHoldoff),
+                Ok(Event::Closed(peer)) => {
+                    peer_closed.inc();
+                    transport.tell_writer(peer, ToWriter::Check);
+                }
+                Ok(Event::Refused(peer)) => {
+                    peer_refused.inc();
+                    let now = clock.now();
+                    let actions = core.on_peer_refused(peer, now);
+                    for note in dispatch(&mut transport, config.id, actions).notes {
+                        on_note(now, &note);
+                    }
+                }
+                Ok(Event::Envelope(incoming)) => {
                     if incoming.from == CTL {
                         transport.note_ctl_request(incoming.writer.clone(), &incoming.msg);
                         // Observability scrapes are answered by the
@@ -402,7 +451,7 @@ struct ReaderMetrics {
 /// connection, which `run` makes); each gets a reader thread.
 fn accept_loop(
     listener: TcpListener,
-    event_tx: Sender<Incoming>,
+    event_tx: Sender<Event>,
     stop: Arc<AtomicBool>,
     metrics: ReaderMetrics,
 ) {
@@ -426,31 +475,34 @@ fn accept_loop(
 }
 
 /// Decode envelopes off one inbound connection until it closes or
-/// violates framing; every envelope becomes an event. Framing violations
-/// kill only this connection — the peer's reconnect machinery dials anew.
+/// violates framing; every envelope becomes an event, and so do a peer's
+/// first envelope and the end of a connection that carried one. Framing
+/// violations kill only this connection — the peer's reconnect machinery
+/// dials anew.
 fn reader_loop(
     stream: TcpStream,
     writer: Option<Arc<Mutex<TcpStream>>>,
-    event_tx: Sender<Incoming>,
+    event_tx: Sender<Event>,
     metrics: ReaderMetrics,
 ) {
     // Headers, trailers and small messages come out of this buffer; an
     // image is read past it, into the message.
     let mut stream = BufReader::new(stream);
+    let mut peer = None;
     loop {
         let (from, msg) = match read_envelope(&mut stream) {
             Ok(Ok(envelope)) => envelope,
-            Err(FrameError::Io(_)) => return, // closed / reset / torn
+            Err(FrameError::Io(_)) => break, // closed / reset / torn
             Err(_) => {
                 // Framing violation: drop conn.
                 metrics.frame_errors.inc();
-                return;
+                break;
             }
             Ok(Err(_)) => {
                 // Hostile or version-skewed peer: drop conn.
                 metrics.frames_in.inc();
                 metrics.codec_errors.inc();
-                return;
+                break;
             }
         };
         metrics.frames_in.inc();
@@ -461,9 +513,15 @@ fn reader_loop(
             from,
             msg,
         };
-        if event_tx.send(incoming).is_err() {
+        if from != CTL && peer.replace(from).is_none() {
+            let _ = event_tx.send(Event::Opened(from));
+        }
+        if event_tx.send(Event::Envelope(incoming)).is_err() {
             return; // runtime stopped
         }
+    }
+    if let Some(peer) = peer {
+        let _ = event_tx.send(Event::Closed(peer));
     }
 }
 
@@ -486,6 +544,14 @@ fn set_link(links: &Arc<Mutex<BTreeMap<NodeId, LinkState>>>, peer: NodeId, state
     }
 }
 
+/// Whether the peer closes or resets `stream` within `wait`: it never
+/// writes on a connection it accepted, so the only other outcome is a timeout.
+fn closes_within(mut stream: &TcpStream, wait: StdDuration) -> bool {
+    use std::io::ErrorKind::{TimedOut, WouldBlock};
+    stream.set_read_timeout(Some(wait)).is_ok()
+        && !matches!(stream.read(&mut [0]), Err(e) if matches!(e.kind(), TimedOut | WouldBlock))
+}
+
 /// Own the outbound socket to one peer: dial lazily, encode queued
 /// messages onto it, reconnect with jittered backoff on failure, hold off
 /// after exhaustion. Messages that cannot be delivered are dropped — the
@@ -493,54 +559,98 @@ fn set_link(links: &Arc<Mutex<BTreeMap<NodeId, LinkState>>>, peer: NodeId, state
 fn writer_loop(
     peer: NodeId,
     cfg: WriterConfig,
-    rx: Receiver<(NodeId, Msg)>,
+    rx: Receiver<ToWriter>,
     links: Arc<Mutex<BTreeMap<NodeId, LinkState>>>,
+    events: Sender<Event>,
 ) {
     let mut stream: Option<TcpStream> = None;
     let mut holdoff_until: Option<Instant> = None;
     let mut was_established = false;
-    while let Ok((from, msg)) = rx.recv() {
+    // The one dial. Refused on every attempt (`Err(true)`), nothing listens
+    // where the peer did, and the event loop hears of it.
+    let mut dial = |policy: &RetryPolicy| {
+        set_link(&links, peer, LinkState::Connecting { attempt: 1 });
+        if was_established {
+            cfg.redials.inc();
+        }
+        match connect_with_retry(cfg.addr, policy, cfg.seed, cfg.connect_timeout) {
+            Ok((stream, attempts)) => {
+                set_link(&links, peer, LinkState::Established);
+                cfg.connects.inc();
+                cfg.connect_retries
+                    .add(u64::from(attempts.saturating_sub(1)));
+                was_established = true;
+                Ok(stream)
+            }
+            Err(e) => {
+                set_link(&links, peer, LinkState::Disconnected);
+                cfg.connect_retries.add(u64::from(policy.max_attempts));
+                let refused = matches!(
+                    e,
+                    ConnectError::Exhausted {
+                        all_refused: true,
+                        ..
+                    }
+                );
+                if refused {
+                    let _ = events.send(Event::Refused(peer));
+                }
+                Err(refused)
+            }
+        }
+    };
+    while let Ok(command) = rx.recv() {
+        let (from, msg) = match command {
+            ToWriter::Send(from, msg) => (from, msg),
+            ToWriter::EndHoldoff => {
+                holdoff_until = None;
+                continue;
+            }
+            ToWriter::Check => {
+                // One attempt a dial, no holdoff after. A dial into an
+                // exiting peer's backlog is reset with it, or is itself
+                // reset: ask again. Keep what stays open a holdoff long, the
+                // old socket if there is one (DESIGN.md "Threading").
+                let once = RetryPolicy {
+                    max_attempts: 1,
+                    ..cfg.retry
+                };
+                let mut old = stream.take();
+                for _ in 0..cfg.retry.max_attempts {
+                    match dial(&once) {
+                        Ok(fresh) => {
+                            let kept = old.take().unwrap_or(fresh);
+                            if !closes_within(&kept, cfg.redial_holdoff) {
+                                stream = Some(kept);
+                                break;
+                            }
+                        }
+                        Err(true) => break,
+                        Err(false) => {}
+                    }
+                }
+                holdoff_until = None;
+                continue;
+            }
+        };
         cfg.queue.add(-1);
         // During holdoff the peer is known-dead: shed load instead of
         // dialing per frame.
-        if let Some(until) = holdoff_until {
-            if Instant::now() < until {
-                continue;
-            }
-            holdoff_until = None;
+        if holdoff_until.is_some_and(|until| Instant::now() < until) {
+            continue;
         }
         // One reconnect attempt per frame: a write failure invalidates
         // the socket, the retry dials fresh, a second failure drops the
         // frame.
         for attempt in 0..2 {
             if stream.is_none() {
-                set_link(&links, peer, LinkState::Connecting { attempt: 1 });
-                if was_established {
-                    cfg.redials.inc();
-                }
-                match connect_with_retry(cfg.addr, &cfg.retry, cfg.seed, cfg.connect_timeout) {
-                    Ok((s, attempts)) => {
-                        set_link(&links, peer, LinkState::Established);
-                        cfg.connects.inc();
-                        cfg.connect_retries
-                            .add(u64::from(attempts.saturating_sub(1)));
-                        was_established = true;
-                        stream = Some(s);
-                    }
-                    Err(ConnectError::Exhausted { attempts, .. }) => {
-                        set_link(&links, peer, LinkState::Disconnected);
-                        cfg.connect_retries.add(u64::from(attempts));
-                        holdoff_until = Some(Instant::now() + cfg.redial_holdoff);
-                        break; // drop this frame
-                    }
-                    Err(ConnectError::NoAttempts) => {
-                        set_link(&links, peer, LinkState::Disconnected);
-                        holdoff_until = Some(Instant::now() + cfg.redial_holdoff);
-                        break; // drop this frame
-                    }
-                }
+                stream = dial(&cfg.retry).ok();
+                holdoff_until = stream
+                    .is_none()
+                    .then(|| Instant::now() + cfg.redial_holdoff);
             }
             match stream.as_mut().map(|s| write_envelope(s, from, &msg)) {
+                None => break, // the dial failed: drop this frame
                 Some(Ok(())) => break,
                 // Refused before a byte was written: the socket is fine,
                 // the message is lost like any other undeliverable one.
@@ -548,7 +658,7 @@ fn writer_loop(
                     cfg.oversized.inc();
                     break;
                 }
-                _ => {}
+                Some(Err(_)) => {}
             }
             stream = None;
             set_link(&links, peer, LinkState::Disconnected);
@@ -574,52 +684,105 @@ mod tests {
         }
     }
 
-    #[test]
-    fn corrupt_image_never_reaches_the_event_channel() {
-        let hub = MetricsHub::new();
-        let metrics = ReaderMetrics {
+    fn reader_metrics(hub: &MetricsHub) -> ReaderMetrics {
+        ReaderMetrics {
             frames_in: hub.counter("frames_in"),
             bytes_in: hub.counter("bytes_in"),
             frame_errors: hub.counter("frame_errors"),
             codec_errors: hub.counter("codec_errors"),
-        };
+        }
+    }
+
+    /// Runs a reader over `bytes` written to a loopback connection that is
+    /// then closed, and returns everything it queued, by name.
+    fn read_to_close(hub: &MetricsHub, bytes: &[&[u8]]) -> Vec<String> {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let mut tx = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (rx, _) = listener.accept().unwrap();
         let (event_tx, event_rx) = mpsc::channel();
+        let metrics = reader_metrics(hub);
         let reader = std::thread::spawn(move || reader_loop(rx, None, event_tx, metrics));
-
-        let mut good = Vec::new();
-        write_envelope(&mut good, NodeId(0), &Msg::Commit { epoch: 1 }).unwrap();
-        let mut bad = Vec::new();
-        write_envelope(&mut bad, NodeId(0), &image(1 << 20)).unwrap();
-        bad[1 << 19] ^= 0x01;
-        tx.write_all(&good).unwrap();
-        tx.write_all(&bad).unwrap();
-        // Valid, but behind the corruption: the connection is dead by
-        // then (so the write itself may already fail).
-        let _ = tx.write_all(&good);
-
-        // The reader drops the connection at the bad trailer; its sender
-        // goes with it, so the channel ends after the one good message.
+        for chunk in bytes {
+            // Behind a corruption the connection is dead, and the write
+            // itself may already fail.
+            let _ = tx.write_all(chunk);
+        }
+        drop(tx);
+        // The reader's sender goes with it, so the channel ends.
         reader.join().unwrap();
-        let got: Vec<Msg> = event_rx.iter().map(|incoming| incoming.msg).collect();
-        assert_eq!(got, vec![Msg::Commit { epoch: 1 }]);
+        let name = |event| match event {
+            Event::Envelope(incoming) => format!("{:?} from {}", incoming.msg, incoming.from.0),
+            Event::Opened(peer) => format!("opened {}", peer.0),
+            Event::Closed(peer) => format!("closed {}", peer.0),
+            Event::Refused(peer) => format!("refused {}", peer.0),
+        };
+        event_rx.iter().map(name).collect()
+    }
+
+    fn encoded(from: NodeId, msg: &Msg) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        write_envelope(&mut bytes, from, msg).unwrap();
+        bytes
+    }
+
+    #[test]
+    fn corrupt_image_never_reaches_the_event_channel() {
+        let hub = MetricsHub::new();
+        let good = encoded(NodeId(0), &Msg::Commit { epoch: 1 });
+        let mut bad = encoded(NodeId(0), &image(1 << 20));
+        bad[1 << 19] ^= 0x01;
+        // The reader drops the connection at the bad trailer: the valid
+        // message behind the corruption is never read.
+        let got = read_to_close(&hub, &[&good, &bad, &good]);
+        assert_eq!(
+            got,
+            ["opened 0", "Commit { epoch: 1 } from 0", "closed 0"],
+            "a peer's connection opens at its first envelope and closes once"
+        );
         let snap = hub.snapshot();
         assert_eq!(snap.counter("frame_errors"), Some(1));
         assert_eq!(snap.counter("frames_in"), Some(1));
     }
 
     #[test]
-    fn oversized_message_is_dropped_and_the_link_carries_on() {
+    fn ctl_and_silent_connections_report_no_link() {
         let hub = MetricsHub::new();
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        // A dvdc-ctl client comes and goes with every request.
+        let request = encoded(CTL, &Msg::StatusReq);
+        let got = read_to_close(&hub, &[&request]);
+        assert_eq!(got, [format!("StatusReq from {}", CTL.0)]);
+        // So does a writer's probe dial, which carries nothing at all.
+        assert!(read_to_close(&hub, &[]).is_empty());
+    }
+
+    /// A writer for peer 1 at `addr`, its command queue, and the events it
+    /// reports. The holdoff outlasts any test: only a command ends it.
+    fn writer_at(
+        hub: &MetricsHub,
+        addr: SocketAddr,
+    ) -> (
+        Sender<ToWriter>,
+        Receiver<Event>,
+        std::thread::JoinHandle<()>,
+    ) {
+        writer_with(hub, addr, StdDuration::from_secs(3600))
+    }
+
+    fn writer_with(
+        hub: &MetricsHub,
+        addr: SocketAddr,
+        redial_holdoff: StdDuration,
+    ) -> (
+        Sender<ToWriter>,
+        Receiver<Event>,
+        std::thread::JoinHandle<()>,
+    ) {
         let cfg = WriterConfig {
-            addr: listener.local_addr().unwrap(),
+            addr,
             retry: RetryPolicy::default(),
             seed: 1,
             connect_timeout: StdDuration::from_secs(5),
-            redial_holdoff: StdDuration::from_millis(1),
+            redial_holdoff,
             connects: hub.counter("connects"),
             connect_retries: hub.counter("connect_retries"),
             redials: hub.counter("redials"),
@@ -628,11 +791,25 @@ mod tests {
         };
         let links = Arc::new(Mutex::new(BTreeMap::new()));
         let (tx, rx) = mpsc::channel();
-        let writer = std::thread::spawn(move || writer_loop(NodeId(1), cfg, rx, links));
+        let (event_tx, event_rx) = mpsc::channel();
+        let writer = std::thread::spawn(move || writer_loop(NodeId(1), cfg, rx, links, event_tx));
+        (tx, event_rx, writer)
+    }
 
-        tx.send((NodeId(0), Msg::Commit { epoch: 1 })).unwrap();
-        tx.send((NodeId(0), image(MAX_FRAME as usize))).unwrap();
-        tx.send((NodeId(0), Msg::Commit { epoch: 2 })).unwrap();
+    fn commit(epoch: u64) -> ToWriter {
+        ToWriter::Send(NodeId(0), Msg::Commit { epoch })
+    }
+
+    #[test]
+    fn oversized_message_is_dropped_and_the_link_carries_on() {
+        let hub = MetricsHub::new();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let (tx, _events, writer) = writer_at(&hub, listener.local_addr().unwrap());
+
+        tx.send(commit(1)).unwrap();
+        tx.send(ToWriter::Send(NodeId(0), image(MAX_FRAME as usize)))
+            .unwrap();
+        tx.send(commit(2)).unwrap();
         drop(tx);
         writer.join().unwrap();
 
@@ -647,5 +824,85 @@ mod tests {
         let snap = hub.snapshot();
         assert_eq!(snap.counter("oversized"), Some(1));
         assert_eq!(snap.counter("connects"), Some(1));
+    }
+
+    #[test]
+    fn refused_dial_is_reported_and_the_peer_coming_back_ends_its_holdoff() {
+        let hub = MetricsHub::new();
+        // Bound and dropped: the host is up, nothing listens on the port.
+        let addr = {
+            let gone = TcpListener::bind("127.0.0.1:0").unwrap();
+            gone.local_addr().unwrap()
+        };
+        let (tx, events, writer) = writer_at(&hub, addr);
+        tx.send(commit(1)).unwrap();
+        assert!(matches!(events.recv(), Ok(Event::Refused(NodeId(1)))));
+
+        // The peer restarts on its port. What is sent inside the holdoff is
+        // shed; once the peer has been heard from, what is sent arrives.
+        let listener = TcpListener::bind(addr).expect("std sets SO_REUSEADDR");
+        tx.send(commit(2)).unwrap();
+        tx.send(ToWriter::EndHoldoff).unwrap();
+        tx.send(commit(3)).unwrap();
+        drop(tx);
+        writer.join().unwrap();
+        let mut conn = listener.accept().unwrap().0;
+        assert_eq!(
+            read_envelope(&mut conn),
+            Ok(Ok((NodeId(0), Msg::Commit { epoch: 3 })))
+        );
+        assert!(events.try_recv().is_err(), "one refusal, reported once");
+    }
+
+    #[test]
+    fn check_beside_a_live_socket_keeps_it_and_reports_nothing() {
+        let hub = MetricsHub::new();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        // The check watches the socket it keeps for one holdoff.
+        let holdoff = StdDuration::from_millis(50);
+        let (tx, events, writer) = writer_with(&hub, listener.local_addr().unwrap(), holdoff);
+        tx.send(commit(1)).unwrap();
+        tx.send(ToWriter::Check).unwrap();
+        tx.send(commit(2)).unwrap();
+        drop(tx);
+        writer.join().unwrap();
+
+        // The first connection carries both messages; the probe beside it
+        // was closed before it carried any.
+        let mut first = listener.accept().unwrap().0;
+        for epoch in [1, 2] {
+            assert_eq!(
+                read_envelope(&mut first),
+                Ok(Ok((NodeId(0), Msg::Commit { epoch })))
+            );
+        }
+        let mut probe = listener.accept().unwrap().0;
+        assert!(matches!(read_envelope(&mut probe), Err(FrameError::Io(_))));
+        assert!(events.try_recv().is_err());
+        assert_eq!(hub.snapshot().counter("connects"), Some(2));
+    }
+
+    #[test]
+    fn check_sees_through_the_backlog_of_a_listener_that_dies_with_its_process() {
+        let hub = MetricsHub::new();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        // A holdoff so long that this thread, however late it is
+        // scheduled, closes the backlog before the writer trusts it.
+        let (tx, events, writer) = writer_at(&hub, listener.local_addr().unwrap());
+        tx.send(commit(1)).unwrap();
+        let first = listener.accept().unwrap().0;
+
+        // An exiting process: its sockets close one by one, the listener
+        // last. Until then the kernel completes handshakes nobody accepts.
+        drop(first);
+        tx.send(ToWriter::Check).unwrap();
+        // The probe beside the (dead) first socket, then the redial that
+        // replaces it: both sit in the backlog when the listener goes.
+        let backlog = [listener.accept().unwrap().0, listener.accept().unwrap().0];
+        drop(listener);
+        drop(backlog);
+        assert!(matches!(events.recv(), Ok(Event::Refused(NodeId(1)))));
+        drop(tx);
+        writer.join().unwrap();
     }
 }

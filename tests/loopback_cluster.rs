@@ -10,7 +10,7 @@
 
 use dvdc::protocol::node_core::{fnv64, Action, ClusterSpec, Msg, NodeCore, Note, CTL};
 use dvdc::protocol::transport::{SimNet, Transport};
-use dvdc_faults::detector::DetectorConfig;
+use dvdc_faults::detector::{DetectorConfig, Verdict};
 use dvdc_simcore::time::{Duration, SimTime};
 use dvdc_vcluster::ids::NodeId;
 
@@ -20,6 +20,8 @@ struct Sim {
     net: SimNet,
     nodes: Vec<Option<NodeCore>>,
     notes: Vec<(NodeId, Note)>,
+    /// When each of `notes` was emitted.
+    noted_at: Vec<SimTime>,
     now: SimTime,
     /// The fixed step, or `None` to step from event to event: to the next
     /// delivery or `NodeCore::next_deadline`, whichever is first.
@@ -39,6 +41,7 @@ impl Sim {
             net: SimNet::new(Duration::from_millis(1.0)),
             nodes,
             notes: Vec::new(),
+            noted_at: Vec::new(),
             now: SimTime::ZERO,
             tick: Some(Duration::from_millis(1.0)),
             payloads_overtake: false,
@@ -58,7 +61,10 @@ impl Sim {
                     // detection window, never a panic.
                     let _ = self.net.send(id, to, msg);
                 }
-                Action::Note(note) => self.notes.push((id, note)),
+                Action::Note(note) => {
+                    self.notes.push((id, note));
+                    self.noted_at.push(self.now);
+                }
             }
         }
     }
@@ -145,11 +151,32 @@ impl Sim {
             .collect()
     }
 
-    /// SIGKILL semantics: the process is gone, its queued and in-flight
-    /// traffic with it.
+    /// The node goes silent, its queued and in-flight traffic with it, and
+    /// nobody is told: a host that lost power, or a partition. Survivors
+    /// have only their timers.
     fn kill(&mut self, id: usize) {
         self.net.kill(NodeId(id));
         self.nodes[id] = None;
+    }
+
+    /// The process dies on a host that stays up (SIGKILL, panic, OOM-kill):
+    /// its kernel closes its connections and refuses the survivors'
+    /// redials, which is the evidence the TCP runtime hands each of them.
+    fn crash(&mut self, id: usize) {
+        self.kill(id);
+        let now = self.now;
+        for i in 0..self.nodes.len() {
+            let Some(node) = self.nodes[i].as_mut() else {
+                continue;
+            };
+            let actions = node.on_peer_refused(NodeId(id), now);
+            let next = node.next_deadline().expect("heartbeats never end");
+            assert!(
+                next > now,
+                "node{i}: evidence at {now} left the deadline at {next}"
+            );
+            self.apply(NodeId(i), actions);
+        }
     }
 
     /// Restart at the same address with **empty** state — diskless.
@@ -251,9 +278,8 @@ fn cluster_survives_sigkill_mid_round_and_victim_rejoins() {
     });
     assert!(
         sim.notes.iter().any(|(n, note)| *n == NodeId(0)
-            && matches!(note, Note::PeerVerdict { node, verdict }
-                if *node == NodeId(victim)
-                    && *verdict == dvdc_faults::detector::Verdict::Suspected)),
+            && matches!(note, Note::PeerVerdict { node, verdict, .. }
+                if *node == NodeId(victim) && *verdict == Verdict::Suspected)),
         "a Suspected verdict must precede confirmation"
     );
 
@@ -324,6 +350,157 @@ fn cluster_survives_sigkill_mid_round_and_victim_rejoins() {
     }
     // The whole arc ran without a single data-loss event.
     assert!(sim.nodes.iter().flatten().all(|n| !n.saw_data_loss()));
+}
+
+/// The verdicts `at` reached about `victim`, in order: when, which, and
+/// whether link evidence reached it.
+fn verdicts(sim: &Sim, at: usize, victim: usize) -> Vec<(SimTime, Verdict, bool)> {
+    let about_victim = |((n, note), when): (&(NodeId, Note), &SimTime)| match note {
+        Note::PeerVerdict {
+            node,
+            verdict,
+            evidence,
+        } if *n == NodeId(at) && *node == NodeId(victim) => Some((*when, *verdict, *evidence)),
+        _ => None,
+    };
+    let timed = sim.notes.iter().zip(&sim.noted_at);
+    timed.filter_map(about_victim).collect()
+}
+
+/// The fence epochs of `victim` that `at` raised or learned, in order.
+fn fences_seen_by(sim: &Sim, at: usize, victim: usize) -> Vec<u64> {
+    let of_victim = |(n, note): &(NodeId, Note)| match note {
+        Note::Fenced { node, epoch } if *n == NodeId(at) && *node == NodeId(victim) => Some(*epoch),
+        _ => None,
+    };
+    sim.notes.iter().filter_map(of_victim).collect()
+}
+
+#[test]
+fn crash_is_suspected_at_once_confirmed_a_heartbeat_interval_later_and_fenced_once() {
+    let spec = spec_k3_m2();
+    let mut sim = Sim::new(spec.clone());
+    sim.tick = None;
+    sim.run_until(500.0, "full mesh", |s| s.fully_meshed());
+    for want in 1..=2u64 {
+        assert_eq!(run_checkpoint(&mut sim, 0, 1000.0), Ok(want));
+    }
+    let victim = 2;
+    let pre_crash = sim.node(victim).committed().expect("committed").1.to_vec();
+
+    // No step is taken between the crash and these checks: the suspicion
+    // carries the instant of the evidence, on every node, and nothing else
+    // has happened yet.
+    let crashed_at = sim.now;
+    sim.crash(victim);
+    for i in [0, 1, 3, 4] {
+        let suspected = [(crashed_at, Verdict::Suspected, true)];
+        assert_eq!(verdicts(&sim, i, victim), suspected, "node{i}");
+        assert!(sim.node(i).has_session(NodeId(victim)), "node{i}");
+    }
+    assert_eq!(fences_seen_by(&sim, 0, victim), []);
+
+    // One heartbeat interval later, to the instant, every node confirms.
+    sim.run_until(100.0, "every survivor confirms the victim", |s| {
+        [0, 1, 3, 4]
+            .iter()
+            .all(|i| !s.node(*i).has_session(NodeId(victim)))
+    });
+    let confirmed_at = crashed_at + spec.detector.heartbeat_interval;
+    let by_evidence = [
+        (crashed_at, Verdict::Suspected, true),
+        (confirmed_at, Verdict::Confirmed, true),
+    ];
+    for i in [0, 1, 3, 4] {
+        assert_eq!(verdicts(&sim, i, victim), by_evidence, "node{i}");
+    }
+    assert_eq!(sim.node(0).status().confirmed, [NodeId(victim)]);
+    // Only the coordinator fences; the others wait for its broadcast.
+    assert_eq!(fences_seen_by(&sim, 0, victim), [1]);
+    assert_eq!(fences_seen_by(&sim, 1, victim), []);
+
+    sim.run_until(100.0, "victim rebuilt into custody", |s| {
+        s.node(0).custody_block(NodeId(victim)).is_some()
+    });
+    // The interval and two hops for the fetch: no timeout, no grace.
+    assert!(sim.now.since(crashed_at) < spec.detector.heartbeat_interval * 2.0);
+    assert!(sim.now.since(crashed_at) < spec.detector.timeout);
+    assert_eq!(
+        sim.node(0).custody_block(NodeId(victim)).unwrap().1,
+        &pre_crash[..]
+    );
+    assert_eq!(run_checkpoint(&mut sim, 0, 1000.0), Ok(3));
+
+    // Long after every timer about the victim has run out, the one fence
+    // stands and nobody has judged the victim a second time.
+    let rest = spec.detector.worst_case_detection().as_secs() * 2e3;
+    sim.run_until(rest + 1.0, "the detectors' timers to run out", |s| {
+        s.now.since(crashed_at).as_secs() * 1e3 >= rest
+    });
+    for i in [0, 1, 3, 4] {
+        assert_eq!(verdicts(&sim, i, victim), by_evidence, "node{i}");
+        assert_eq!(fences_seen_by(&sim, i, victim), [1], "node{i}");
+    }
+    assert!(sim.nodes.iter().flatten().all(|n| !n.saw_data_loss()));
+}
+
+#[test]
+fn crashed_coordinator_is_fenced_by_the_next_member() {
+    let mut sim = Sim::new(spec_k3_m2());
+    sim.run_until(500.0, "full mesh", |s| s.fully_meshed());
+    assert_eq!(run_checkpoint(&mut sim, 0, 1000.0), Ok(1));
+    let pre_crash = sim.node(0).committed().expect("committed").1.to_vec();
+
+    sim.crash(0);
+    sim.run_until(100.0, "the next member takes over", |s| {
+        (1..5).all(|i| s.node(i).coordinator() == NodeId(1))
+    });
+    assert_eq!(fences_seen_by(&sim, 1, 0), [1]);
+    sim.run_until(100.0, "old coordinator rebuilt into custody", |s| {
+        s.node(1).custody_block(NodeId(0)).is_some()
+    });
+    assert_eq!(
+        sim.node(1).custody_block(NodeId(0)).unwrap().1,
+        &pre_crash[..]
+    );
+    assert_eq!(run_checkpoint(&mut sim, 1, 1000.0), Ok(2));
+}
+
+#[test]
+fn silent_kill_reaches_no_verdict_before_its_timers() {
+    // The same arc as the crash, minus the evidence: a partition or a dead
+    // host closes nothing and refuses nothing.
+    let spec = spec_k3_m2();
+    let mut sim = Sim::new(spec.clone());
+    sim.tick = None;
+    sim.run_until(500.0, "full mesh", |s| s.fully_meshed());
+    assert_eq!(run_checkpoint(&mut sim, 0, 1000.0), Ok(1));
+    let victim = 2;
+    let killed_at = sim.now;
+    sim.kill(victim);
+    sim.run_until(500.0, "coordinator confirms the victim", |s| {
+        s.node(0).status().confirmed.contains(&NodeId(victim))
+    });
+    let [(suspected, Verdict::Suspected, false), (confirmed, Verdict::Confirmed, false)] =
+        verdicts(&sim, 0, victim)[..]
+    else {
+        panic!("{:?}", verdicts(&sim, 0, victim));
+    };
+    // The timeout runs from the last heartbeat heard, at most an interval
+    // (and a hop) before the kill; the grace from the suspicion, exactly.
+    let DetectorConfig {
+        heartbeat_interval,
+        timeout,
+        confirm_grace,
+    } = spec.detector;
+    let silent = suspected.since(killed_at);
+    let hop = Duration::from_millis(1.0);
+    assert!(
+        silent <= timeout && silent + heartbeat_interval + hop >= timeout,
+        "suspected after {silent} of silence, timeout {timeout}"
+    );
+    let grace = confirmed.since(suspected);
+    assert!((grace.as_secs() - confirm_grace.as_secs()).abs() < 1e-9);
 }
 
 #[test]
