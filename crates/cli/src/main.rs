@@ -55,8 +55,10 @@ COMMANDS:
               --mtbf-secs M (400, per node)  --repair-secs R (5)  --seed S (42)
               --trace FILE (replay a time,node[,repair] CSV failure log)
               --trace-out FILE (write a Chrome trace-event JSON of the run,
-                loadable in Perfetto / chrome://tracing; a metrics snapshot
-                lands next to it as FILE.metrics.json)
+                loadable in Perfetto / chrome://tracing; FILE.metrics.json
+                lands next to it: the run's counters and latency
+                histograms under the names `dvdc-ctl metrics --json`
+                prints for a live node)
     model   Section V analytics (Figure 5 optima)
               --mtbf-hours H (3)  --job-days D (2)
               --nodes N (4)  --vms-per-node V (3)  --image-gib G (1)

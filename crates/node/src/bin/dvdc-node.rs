@@ -30,7 +30,7 @@ use std::sync::Arc;
 use std::time::Duration as StdDuration;
 
 use dvdc::protocol::node_core::Note;
-use dvdc_node::{note_event, NodeMetrics, NodeOptions};
+use dvdc_node::{NodeMetrics, NodeOptions};
 use dvdc_observe::registry::MetricsHub;
 use dvdc_observe::{dump_tail, Recorder, SyncRingRecorder, TraceTail};
 use dvdc_transport::runtime::{NodeRuntime, ObserveConfig, RuntimeConfig};
@@ -122,10 +122,7 @@ fn main() -> ExitCode {
         if let Note::RoundCommitted { epoch } = note {
             committed.store(*epoch, Ordering::Relaxed);
         }
-        metrics.observe(at, note);
-        if let Some(event) = note_event(note) {
-            ring.record(at, &event);
-        }
+        ring.record(at, &metrics.fold(at, note));
     });
     match result {
         Ok(()) => ExitCode::SUCCESS,

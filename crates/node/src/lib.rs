@@ -1,19 +1,21 @@
 //! Shared plumbing for the DVDC deployment binaries (`dvdc-node`,
 //! `dvdc-ctl`) and their integration tests: daemon option parsing, the
 //! ctl request/reply client, human-readable status formatting, and the
-//! [`Note`] → [`Event`] mapping that feeds the daemon's panic-dump ring.
+//! [`Note`] → [`Event`] mapping that feeds the daemon's trace ring and
+//! metrics.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration as StdDuration;
 
 use dvdc::protocol::node_core::{ClusterSpec, Msg, Note, StatusView, CTL};
 use dvdc_faults::detector::{DetectorConfig, Verdict};
 use dvdc_observe::chrome::NodeTail;
+use dvdc_observe::metrics::EventMetrics;
 use dvdc_observe::registry::{Counter, HistogramHandle, MetricsHub, MetricsSnapshot, Stamp};
+use dvdc_observe::spans::OPEN_SPAN_CAP;
 use dvdc_observe::Event;
 use dvdc_simcore::time::{Duration, SimTime};
 use dvdc_transport::frame::{read_frame, write_frame, MAX_FRAME};
@@ -285,13 +287,12 @@ pub fn format_status(view: &StatusView) -> String {
     )
 }
 
-/// Maps a protocol [`Note`] onto the observe [`Event`] vocabulary for
-/// the daemon's trace ring. Every note now has an event analogue, so
-/// session chatter and drop decisions survive into panic dumps and
-/// `dvdc-ctl trace-tail` scrapes instead of existing only in the stderr
-/// log. The `Option` return stays for call-site stability.
-pub fn note_event(note: &Note) -> Option<Event> {
-    Some(match note {
+/// Maps a protocol [`Note`] onto the observe [`Event`] vocabulary, so
+/// session chatter and drop decisions reach the trace ring (panic dumps,
+/// `dvdc-ctl trace-tail`) and the metrics fold instead of existing only
+/// in the stderr log. Every note has exactly one event.
+pub fn note_event(note: &Note) -> Event {
+    match note {
         Note::PeerVerdict { node, verdict, .. } => match verdict {
             Verdict::Suspected => Event::Suspected { node: node.0 },
             Verdict::Confirmed => Event::Confirmed { node: node.0 },
@@ -340,154 +341,75 @@ pub fn note_event(note: &Note) -> Option<Event> {
         },
         Note::PayloadDropped { from, .. } => Event::PayloadDropped { from: from.0 },
         Note::ResyncServed { peer } => Event::ResyncServed { peer: peer.0 },
+        // The capture has shipped, so what begins is the transfer; the
+        // window before it travels as `window_secs`.
         Note::CaptureShipped { epoch, .. } => Event::RoundPhase {
             epoch: *epoch,
-            phase: "Capture",
+            phase: "Transfer",
         },
         Note::RebuildPhase { victim, phase } => Event::RebuildPhase {
             victim: victim.0,
             phase,
         },
-    })
+    }
 }
 
-/// Caps the open-round / open-rebuild correlation maps so a pathological
-/// note stream (aborts that never resolve) cannot grow them unbounded.
-const OPEN_SPAN_CAP: usize = 64;
-
-/// Derives the node-level metrics plane from the protocol's [`Note`]
-/// stream: round begin→commit latency, capture-window duration, rebuild
-/// phase durations, and counters for every failure-plane decision. Feed
-/// it from the daemon's `on_note` callback; all handles come from one
-/// [`MetricsHub`], so a no-op hub makes every call a single branch.
+/// The node-level metrics plane, derived from the protocol's [`Note`]
+/// stream: each note folds through [`EventMetrics`] as its
+/// [`note_event`], which gives a live node the instruments a traced
+/// simulation reports under the same names, plus the two facts no
+/// [`Event`] carries — the capture window, and whether a death was
+/// confirmed on link evidence or by the timers. Feed it from the
+/// daemon's `on_note` callback; all handles come from one
+/// [`MetricsHub`], so a no-op hub makes every call a few branches.
 #[derive(Debug)]
 pub struct NodeMetrics {
-    round_latency: HistogramHandle,
+    events: EventMetrics,
     capture_window: HistogramHandle,
-    rebuild_fetch: HistogramHandle,
-    rebuild_total: HistogramHandle,
-    rounds_committed: Counter,
-    rounds_aborted: Counter,
-    fences: Counter,
-    readmitted: Counter,
-    suspected: Counter,
-    confirmed: Counter,
     confirmed_by_evidence: Counter,
     confirmed_by_timeout: Counter,
-    sessions_established: Counter,
-    hellos_rejected: Counter,
-    stale_dropped: Counter,
-    payloads_dropped: Counter,
-    resyncs_served: Counter,
-    rebuilds: Counter,
-    data_loss: Counter,
-    /// Open rounds: epoch → start stamp, for begin→commit latency.
-    round_open: BTreeMap<u64, SimTime>,
-    /// Open rebuilds: victim → start stamp, for phase durations.
-    rebuild_open: BTreeMap<usize, SimTime>,
 }
 
 impl NodeMetrics {
     /// Registers every node-plane instrument on `hub`.
     pub fn new(hub: &MetricsHub) -> Self {
         NodeMetrics {
-            round_latency: hub.histogram("node.round_latency_ns"),
+            events: EventMetrics::new(hub, OPEN_SPAN_CAP),
             capture_window: hub.histogram("node.capture_window_ns"),
-            rebuild_fetch: hub.histogram("node.rebuild_fetch_ns"),
-            rebuild_total: hub.histogram("node.rebuild_total_ns"),
-            rounds_committed: hub.counter("node.rounds_committed"),
-            rounds_aborted: hub.counter("node.rounds_aborted"),
-            fences: hub.counter("node.fences"),
-            readmitted: hub.counter("node.readmitted"),
-            suspected: hub.counter("node.suspected"),
-            confirmed: hub.counter("node.confirmed"),
             confirmed_by_evidence: hub.counter("faults.detector.confirmed_by_evidence"),
             confirmed_by_timeout: hub.counter("faults.detector.confirmed_by_timeout"),
-            sessions_established: hub.counter("node.sessions_established"),
-            hellos_rejected: hub.counter("node.hellos_rejected"),
-            stale_dropped: hub.counter("node.stale_dropped"),
-            payloads_dropped: hub.counter("node.payloads_dropped"),
-            resyncs_served: hub.counter("node.resyncs_served"),
-            rebuilds: hub.counter("node.rebuilds"),
-            data_loss: hub.counter("node.data_loss"),
-            round_open: BTreeMap::new(),
-            rebuild_open: BTreeMap::new(),
         }
     }
 
     /// Folds one timed note into the instruments.
     pub fn observe(&mut self, at: SimTime, note: &Note) {
+        self.fold(at, note);
+    }
+
+    /// [`NodeMetrics::observe`], handing back the event the note folded
+    /// as, so the caller's trace ring records that same event.
+    pub fn fold(&mut self, at: SimTime, note: &Note) -> Event {
         match note {
-            Note::RoundStarted { epoch } => {
-                if self.round_open.len() >= OPEN_SPAN_CAP {
-                    self.round_open.pop_first();
-                }
-                self.round_open.insert(*epoch, at);
-            }
-            Note::RoundCommitted { epoch } => {
-                self.rounds_committed.inc();
-                if let Some(begun) = self.round_open.remove(epoch) {
-                    self.round_latency
-                        .record(Stamp::Sim(at).nanos_since(Stamp::Sim(begun)));
-                }
-            }
-            Note::RoundAborted { epoch, .. } => {
-                self.rounds_aborted.inc();
-                self.round_open.remove(epoch);
-            }
             Note::CaptureShipped { window_secs, .. } => {
                 self.capture_window
                     .record(Stamp::Sim(SimTime::from_secs(*window_secs)).nanos());
             }
             Note::PeerVerdict {
-                verdict, evidence, ..
-            } => match verdict {
-                Verdict::Suspected => self.suspected.inc(),
-                Verdict::Confirmed => {
-                    self.confirmed.inc();
-                    if *evidence {
-                        self.confirmed_by_evidence.inc();
-                    } else {
-                        self.confirmed_by_timeout.inc();
-                    }
-                }
-                Verdict::Refuted => {}
-            },
-            Note::Fenced { .. } => self.fences.inc(),
-            Note::Readmitted { .. } => self.readmitted.inc(),
-            Note::RebuildStarted { victim } => {
-                self.rebuilds.inc();
-                if self.rebuild_open.len() >= OPEN_SPAN_CAP {
-                    self.rebuild_open.pop_first();
-                }
-                self.rebuild_open.insert(victim.0, at);
-            }
-            Note::RebuildPhase { victim, phase } => {
-                // "Decode" marks the end of the fetch phase: every
-                // fragment is home and reconstruction begins.
-                if *phase == "Decode" {
-                    if let Some(begun) = self.rebuild_open.get(&victim.0) {
-                        self.rebuild_fetch
-                            .record(Stamp::Sim(at).nanos_since(Stamp::Sim(*begun)));
-                    }
+                verdict: Verdict::Confirmed,
+                evidence,
+                ..
+            } => {
+                if *evidence {
+                    self.confirmed_by_evidence.inc();
+                } else {
+                    self.confirmed_by_timeout.inc();
                 }
             }
-            Note::RebuildCompleted { victim, .. } => {
-                if let Some(begun) = self.rebuild_open.remove(&victim.0) {
-                    self.rebuild_total
-                        .record(Stamp::Sim(at).nanos_since(Stamp::Sim(begun)));
-                }
-            }
-            Note::DataLoss { victim, .. } => {
-                self.data_loss.inc();
-                self.rebuild_open.remove(&victim.0);
-            }
-            Note::SessionEstablished { .. } => self.sessions_established.inc(),
-            Note::HelloRejected { .. } => self.hellos_rejected.inc(),
-            Note::StaleRejected { .. } => self.stale_dropped.inc(),
-            Note::PayloadDropped { .. } => self.payloads_dropped.inc(),
-            Note::ResyncServed { .. } => self.resyncs_served.inc(),
+            _ => {}
         }
+        let event = note_event(note);
+        self.events.observe(at, &event);
+        event
     }
 }
 
@@ -576,19 +498,16 @@ mod tests {
         };
         assert_eq!(
             note_event(&fenced),
-            Some(Event::FenceRaised { node: 2, epoch: 1 })
+            Event::FenceRaised { node: 2, epoch: 1 }
         );
         let verdict = Note::PeerVerdict {
             node: NodeId(3),
             verdict: Verdict::Confirmed,
             evidence: true,
         };
-        assert_eq!(note_event(&verdict), Some(Event::Confirmed { node: 3 }));
+        assert_eq!(note_event(&verdict), Event::Confirmed { node: 3 });
         let chatter = Note::SessionEstablished { peer: NodeId(1) };
-        assert_eq!(
-            note_event(&chatter),
-            Some(Event::SessionEstablished { peer: 1 })
-        );
+        assert_eq!(note_event(&chatter), Event::SessionEstablished { peer: 1 });
         let stale = Note::StaleRejected {
             from: NodeId(4),
             held_epoch: 1,
@@ -596,11 +515,11 @@ mod tests {
         };
         assert_eq!(
             note_event(&stale),
-            Some(Event::StaleDropped {
+            Event::StaleDropped {
                 from: 4,
                 held_epoch: 1,
                 current_epoch: 3
-            })
+            }
         );
         let capture = Note::CaptureShipped {
             epoch: 5,
@@ -608,10 +527,10 @@ mod tests {
         };
         assert_eq!(
             note_event(&capture),
-            Some(Event::RoundPhase {
+            Event::RoundPhase {
                 epoch: 5,
-                phase: "Capture"
-            })
+                phase: "Transfer"
+            }
         );
     }
 
@@ -702,6 +621,99 @@ mod tests {
                 &Note::RoundStarted { epoch },
             );
         }
-        assert!(m.round_open.len() <= OPEN_SPAN_CAP);
+        // The live fold keeps OPEN_SPAN_CAP rounds: the oldest begin is
+        // gone, so its commit measures nothing; the newest still pairs.
+        let at = SimTime::from_secs(1000.0);
+        m.observe(at, &Note::RoundCommitted { epoch: 0 });
+        m.observe(at, &Note::RoundCommitted { epoch: 999 });
+        let snap = hub.snapshot();
+        assert_eq!(snap.counter("node.rounds_committed"), Some(2));
+        assert_eq!(snap.histogram("node.round_latency_ns").unwrap().count, 1);
+    }
+
+    #[test]
+    fn a_note_folds_exactly_as_its_event() {
+        let notes = [
+            (1.0, Note::RoundStarted { epoch: 1 }),
+            (
+                1.1,
+                Note::PayloadDropped {
+                    from: NodeId(2),
+                    reason: "no open round".into(),
+                },
+            ),
+            (1.5, Note::RoundCommitted { epoch: 1 }),
+            (2.0, Note::RoundStarted { epoch: 2 }),
+            (
+                2.5,
+                Note::RoundAborted {
+                    epoch: 2,
+                    reason: "round timed out".into(),
+                },
+            ),
+            (
+                3.0,
+                Note::Fenced {
+                    node: NodeId(3),
+                    epoch: 1,
+                },
+            ),
+            (3.0, Note::RebuildStarted { victim: NodeId(3) }),
+            (
+                3.0,
+                Note::RebuildPhase {
+                    victim: NodeId(3),
+                    phase: "Fetch",
+                },
+            ),
+            (
+                3.25,
+                Note::RebuildPhase {
+                    victim: NodeId(3),
+                    phase: "Decode",
+                },
+            ),
+            (
+                3.5,
+                Note::RebuildCompleted {
+                    victim: NodeId(3),
+                    epoch: 1,
+                    digest: 9,
+                },
+            ),
+            (4.0, Note::ResyncServed { peer: NodeId(3) }),
+            (
+                4.0,
+                Note::Readmitted {
+                    node: NodeId(3),
+                    epoch: 1,
+                },
+            ),
+        ];
+        let through_notes = MetricsHub::new();
+        let mut m = NodeMetrics::new(&through_notes);
+        let mut events = Vec::new();
+        for (seq, (secs, note)) in notes.iter().enumerate() {
+            let at = SimTime::from_secs(*secs);
+            let event = m.fold(at, note);
+            assert_eq!(event, note_event(note));
+            events.push(dvdc_observe::TimedEvent {
+                at,
+                seq: seq as u64,
+                event,
+            });
+        }
+        // None of these notes carries a capture window or a verdict, so
+        // the note plane adds only its own three zero-valued names.
+        let mut through_events = dvdc_observe::metrics::fold_events(&events);
+        let own = MetricsHub::new();
+        own.histogram("node.capture_window_ns");
+        own.counter("faults.detector.confirmed_by_evidence");
+        own.counter("faults.detector.confirmed_by_timeout");
+        through_events.merge(&own.snapshot());
+        assert_eq!(through_notes.snapshot(), through_events);
+        assert_eq!(through_events.counter("node.rebuilds"), Some(1));
+        let fetch = through_events.histogram("node.rebuild_fetch_ns").unwrap();
+        assert_eq!((fetch.count, fetch.sum), (1, 250_000_000));
     }
 }

@@ -1,48 +1,56 @@
 //! Chrome trace-event JSON export.
 //!
-//! Renders a recorded timeline in the [Trace Event Format] consumed by
-//! Perfetto and `chrome://tracing`. The mapping:
+//! Renders event streams in the [Trace Event Format] consumed by Perfetto
+//! and `chrome://tracing`. One renderer serves two entry points, which
+//! differ only in where a stream draws:
 //!
-//! * **pid 0** is the cluster: rounds (tid 0) and rebuilds/scrubs
-//!   (tid 1) as nested `B`/`E` duration slices — the round slice wraps
-//!   one slice per phase, so the Capture→Transfer→Fold→Commit
-//!   decomposition reads directly off the timeline.
-//! * **pid n+1** is physical node *n*: transfers appear as `X` complete
-//!   slices on the *sender's* process (one track per destination, named
-//!   `→ node m`), with launch→arrival duration and byte counts in
-//!   `args`; detector verdicts, fences, faults, corruption, and data
-//!   loss are `i` instant events.
-//! * A `M` metadata record names every process/track, and caller-supplied
-//!   run metadata (RNG seed, config) lands in `otherData`.
+//! * [`chrome_trace`] — one whole-cluster stream (a simulation). **pid 0**
+//!   is the cluster: rounds on tid 0 and rebuilds/scrubs on tid 1 as
+//!   nested `B`/`E` slices, each wrapping one slice per phase, so the
+//!   Capture→Transfer→Fold→Commit decomposition reads off the timeline.
+//!   **pid n+1** is physical node *n*: its transfers as `X` complete
+//!   slices (one track per destination, `→ node m`), and every other
+//!   event naming it as an `i` instant on tid 0.
+//! * [`merge_node_traces`] — one scraped ring tail per live node, each on
+//!   its own **pid node+1** (rounds tid 0, rebuilds tid 1, instants
+//!   tid 2), rebased onto one time axis.
 //!
-//! Everything is rendered through the deterministic `serde::Value` tree,
-//! so equal event streams produce byte-identical JSON.
+//! Which events pair into slices is [`crate::spans`]' table; every event
+//! that opens or closes nothing renders as an instant whose `cat` and
+//! `args` come from its declaration in `events!`. A terminator whose
+//! opener is missing (a ring that wrapped) is such an instant, and a span
+//! still open when the stream ends closes at its right edge, so `B`/`E`
+//! always balance per track.
+//!
+//! A `M` metadata record names every process/track, and caller-supplied
+//! run metadata (RNG seed, config) lands in `otherData`. Everything is
+//! rendered through the deterministic `serde::Value` tree, so equal
+//! event streams produce byte-identical JSON.
 //!
 //! [Trace Event Format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use serde::Value;
 
 use crate::event::{Arg, NO_TOKEN};
+use crate::spans::{Edge, End, Span, SpanFold};
 use crate::{Event, TimedEvent};
 
 use dvdc_simcore::time::SimTime;
 
-/// Cluster-wide spans (rounds, rebuilds) live on this pid.
+/// The cluster process of a whole-cluster trace.
 const CLUSTER_PID: u64 = 0;
-/// Round slices on the cluster process.
+/// Round slices, on any process that draws them.
 const ROUNDS_TID: u64 = 0;
-/// Rebuild/scrub slices on the cluster process.
+/// Rebuild/scrub slices, on any process that draws them.
 const REBUILDS_TID: u64 = 1;
+/// Instants, on a process that also draws rounds and rebuilds.
+const EVENTS_TID: u64 = 2;
 
 /// Physical node `n` renders as process `n + 1`.
 fn node_pid(node: usize) -> u64 {
     node as u64 + 1
-}
-
-fn us(at: SimTime) -> Value {
-    Value::F64(at.as_secs() * 1e6)
 }
 
 fn obj(entries: Vec<(&str, Value)>) -> Value {
@@ -54,510 +62,280 @@ fn obj(entries: Vec<(&str, Value)>) -> Value {
     )
 }
 
-fn base(
-    ph: &str,
-    name: &str,
-    cat: &str,
-    ts: Value,
+/// One track of the trace, named in the metadata pass.
+struct Track {
     pid: u64,
     tid: u64,
-    mut extra: Vec<(&str, Value)>,
-) -> Value {
-    let mut entries = vec![
-        ("name", Value::Str(name.to_owned())),
-        ("cat", Value::Str(cat.to_owned())),
-        ("ph", Value::Str(ph.to_owned())),
-        ("ts", ts),
-        ("pid", Value::U64(pid)),
-        ("tid", Value::U64(tid)),
-    ];
-    entries.append(&mut extra);
-    obj(entries)
+    name: String,
 }
 
-fn args(entries: Vec<(&str, Value)>) -> (&'static str, Value) {
+/// Where one event stream draws.
+#[derive(Clone, Copy)]
+enum Lane {
+    /// A whole-cluster stream: rounds and rebuilds on the cluster
+    /// process, everything else on the process of the node it names.
+    Cluster,
+    /// One node's tail: everything on that node's process.
+    Node(u64),
+}
+
+impl Lane {
+    /// The track instants draw on for an event naming `node`, and
+    /// whether they mark the whole process (`p`) or that thread (`t`).
+    fn instants(self, node: Option<usize>) -> (Track, &'static str) {
+        let (pid, tid, name, scope) = match (self, node) {
+            (Lane::Node(pid), _) => (pid, EVENTS_TID, "events", "t"),
+            (Lane::Cluster, Some(node)) => (node_pid(node), 0, "events", "p"),
+            // Cluster-wide instants (a scrub summary) sit beside the
+            // rebuild/scrub slices.
+            (Lane::Cluster, None) => (CLUSTER_PID, REBUILDS_TID, "rebuilds", "p"),
+        };
+        let name = name.to_owned();
+        (Track { pid, tid, name }, scope)
+    }
+
+    /// The track a span draws on: transfers on one track per destination
+    /// after the sender's instants, rounds and rebuilds on their own.
+    fn track(self, span: &Span) -> Track {
+        let pid = match self {
+            Lane::Cluster => CLUSTER_PID,
+            Lane::Node(pid) => pid,
+        };
+        let (tid, name) = match span.opener {
+            Event::TransferLaunched { from, to, .. } => {
+                let (events, _) = self.instants(Some(from));
+                return Track {
+                    tid: events.tid + 1 + to as u64,
+                    name: format!("\u{2192} node{to}"),
+                    ..events
+                };
+            }
+            Event::RebuildBegin { .. } | Event::RebuildPhase { .. } => (REBUILDS_TID, "rebuilds"),
+            _ => (ROUNDS_TID, "rounds"),
+        };
+        let name = name.to_owned();
+        Track { pid, tid, name }
+    }
+}
+
+/// The slice name of a span.
+fn label(span: &Span) -> String {
+    match span.opener {
+        Event::RoundBegin { epoch } => format!("round {epoch}"),
+        Event::RebuildBegin { victim, mode, .. } => format!("rebuild node{victim} ({mode})"),
+        Event::TransferLaunched { from, to, .. } => format!("xfer node{from} \u{2192} node{to}"),
+        Event::RoundPhase { phase, .. } | Event::RebuildPhase { phase, .. } => phase.to_owned(),
+        other => other.name().to_owned(),
+    }
+}
+
+/// Argument fields for rendering any event generically: a walk over the
+/// event's own field list, so a new [`Event`] variant needs no line here.
+fn event_args(event: &Event) -> Vec<(&'static str, Value)> {
+    event
+        .fields()
+        .into_iter()
+        // A launch without a fence token renders no `token_epoch` arg.
+        .filter(|&(name, arg)| (name, arg) != ("token_epoch", Arg::U64(NO_TOKEN)))
+        .map(|(name, arg)| match arg {
+            Arg::U64(v) => (name, Value::U64(v)),
+            Arg::Str(s) => (name, Value::Str(s.to_owned())),
+        })
+        .collect()
+}
+
+fn args(entries: Vec<(&'static str, Value)>) -> (&'static str, Value) {
     ("args", obj(entries))
 }
 
-/// Tracks a launched transfer until its terminal event arrives.
-#[derive(Clone, Copy)]
-struct OpenTransfer {
-    at: SimTime,
-    from: usize,
-    to: usize,
-    bytes: usize,
-    token_epoch: u64,
+/// The trace under construction: rendered records, plus every track that
+/// appeared, for the metadata pass.
+#[derive(Default)]
+struct Trace {
+    out: Vec<Value>,
+    threads: BTreeMap<(u64, u64), String>,
 }
 
-/// Builds the full trace envelope as a `Value` tree. See
-/// [`chrome_trace`] for the rendered form.
-pub fn chrome_trace_value(events: &[TimedEvent], other_data: &[(String, Value)]) -> Value {
-    let mut out: Vec<Value> = Vec::new();
-    let mut threads: BTreeMap<(u64, u64), String> = BTreeMap::new();
-    threads.insert((CLUSTER_PID, ROUNDS_TID), "rounds".to_owned());
-    let mut open_transfers: BTreeMap<u64, OpenTransfer> = BTreeMap::new();
-    // (epoch, phase-slice-open) for the round track, ditto for rebuilds.
-    let mut round_open: Option<(u64, bool)> = None;
-    let mut rebuild_open: Option<(usize, bool)> = None;
+impl Trace {
+    fn push(
+        &mut self,
+        ph: &str,
+        name: &str,
+        cat: &str,
+        ts: Value,
+        track: Track,
+        extra: Vec<(&str, Value)>,
+    ) {
+        let mut entries = vec![
+            ("name", Value::Str(name.to_owned())),
+            ("cat", Value::Str(cat.to_owned())),
+            ("ph", Value::Str(ph.to_owned())),
+            ("ts", ts),
+            ("pid", Value::U64(track.pid)),
+            ("tid", Value::U64(track.tid)),
+        ];
+        entries.extend(extra);
+        self.out.push(obj(entries));
+        self.threads
+            .entry((track.pid, track.tid))
+            .or_insert(track.name);
+    }
 
-    let instant = |out: &mut Vec<Value>,
-                   threads: &mut BTreeMap<(u64, u64), String>,
-                   at: SimTime,
-                   name: &str,
-                   cat: &str,
-                   node: usize,
-                   extra: Vec<(&str, Value)>| {
-        let pid = node_pid(node);
-        threads
-            .entry((pid, 0))
-            .or_insert_with(|| "events".to_owned());
-        let mut fields = vec![("s", Value::Str("p".to_owned()))];
-        fields.push(args(extra));
-        out.push(base("i", name, cat, us(at), pid, 0, fields));
-    };
-
-    for te in events {
-        let at = te.at;
-        match te.event {
-            Event::RoundBegin { epoch } => {
-                out.push(base(
-                    "B",
-                    &format!("round {epoch}"),
-                    "round",
-                    us(at),
-                    CLUSTER_PID,
-                    ROUNDS_TID,
-                    vec![args(vec![("epoch", Value::U64(epoch))])],
-                ));
-                round_open = Some((epoch, false));
-            }
-            Event::RoundPhase { epoch, phase } => {
-                if let Some((_, phase_open)) = round_open.as_mut() {
-                    if *phase_open {
-                        out.push(base(
-                            "E",
-                            "",
-                            "phase",
-                            us(at),
-                            CLUSTER_PID,
-                            ROUNDS_TID,
-                            vec![],
-                        ));
+    /// Renders one stream on `lane` through a fresh span fold. `ts` maps
+    /// the stream's clock onto the trace axis; spans still open when the
+    /// stream ends close at `right_edge`.
+    fn stream(
+        &mut self,
+        lane: Lane,
+        events: &[TimedEvent],
+        right_edge: SimTime,
+        ts: impl Fn(SimTime) -> Value,
+    ) {
+        let mut spans = SpanFold::new(events.len().max(1));
+        for te in events {
+            let event = &te.event;
+            let mut named = event.lane();
+            let mut drew = false;
+            for edge in spans.observe(te.at, event) {
+                match edge {
+                    // A transfer draws once, as a whole, when it closes.
+                    Edge::Open(span) => {
+                        drew = true;
+                        if !matches!(event, Event::TransferLaunched { .. }) {
+                            let fields = vec![args(event_args(event))];
+                            let track = lane.track(&span);
+                            self.push(
+                                "B",
+                                &label(&span),
+                                event.category(),
+                                ts(te.at),
+                                track,
+                                fields,
+                            );
+                        }
                     }
-                    *phase_open = true;
-                }
-                out.push(base(
-                    "B",
-                    phase,
-                    "phase",
-                    us(at),
-                    CLUSTER_PID,
-                    ROUNDS_TID,
-                    vec![args(vec![("epoch", Value::U64(epoch))])],
-                ));
-            }
-            Event::RoundCommitted { epoch } | Event::RoundAborted { epoch, .. } => {
-                let outcome = match te.event {
-                    Event::RoundCommitted { .. } => "committed",
-                    _ => "aborted",
-                };
-                if let Some((_, phase_open)) = round_open.take() {
-                    if phase_open {
-                        out.push(base(
-                            "E",
-                            "",
-                            "phase",
-                            us(at),
-                            CLUSTER_PID,
-                            ROUNDS_TID,
-                            vec![],
-                        ));
+                    Edge::Close(span, end) => {
+                        drew = true;
+                        let by = (end == End::Terminated).then_some(event);
+                        self.close(lane, &span, end, by, te.at, &ts);
                     }
-                    out.push(base(
-                        "E",
-                        "",
-                        "round",
-                        us(at),
-                        CLUSTER_PID,
-                        ROUNDS_TID,
-                        vec![args(vec![
-                            ("epoch", Value::U64(epoch)),
-                            ("outcome", Value::Str(outcome.to_owned())),
-                        ])],
-                    ));
+                    Edge::Within(span) => named = named.or(span.opener.lane()),
+                    Edge::Unpaired => {}
                 }
             }
-            Event::RebuildBegin {
-                victim,
-                mode,
-                epoch,
-            } => {
-                threads
-                    .entry((CLUSTER_PID, REBUILDS_TID))
-                    .or_insert_with(|| "rebuilds".to_owned());
-                out.push(base(
-                    "B",
-                    &format!("rebuild node{victim} ({mode})"),
-                    "rebuild",
-                    us(at),
-                    CLUSTER_PID,
-                    REBUILDS_TID,
-                    vec![args(vec![
-                        ("victim", Value::U64(victim as u64)),
-                        ("mode", Value::Str(mode.to_owned())),
-                        ("epoch", Value::U64(epoch)),
-                    ])],
-                ));
-                rebuild_open = Some((victim, false));
-            }
-            Event::RebuildPhase { victim, phase } => {
-                if let Some((_, phase_open)) = rebuild_open.as_mut() {
-                    if *phase_open {
-                        out.push(base(
-                            "E",
-                            "",
-                            "rebuild-phase",
-                            us(at),
-                            CLUSTER_PID,
-                            REBUILDS_TID,
-                            vec![],
-                        ));
-                    }
-                    *phase_open = true;
-                }
-                out.push(base(
-                    "B",
-                    phase,
-                    "rebuild-phase",
-                    us(at),
-                    CLUSTER_PID,
-                    REBUILDS_TID,
-                    vec![args(vec![("victim", Value::U64(victim as u64))])],
-                ));
-            }
-            Event::RebuildCompleted { victim } | Event::RebuildAborted { victim, .. } => {
-                let outcome = match te.event {
-                    Event::RebuildCompleted { .. } => "completed",
-                    _ => "aborted",
-                };
-                if let Some((_, phase_open)) = rebuild_open.take() {
-                    if phase_open {
-                        out.push(base(
-                            "E",
-                            "",
-                            "rebuild-phase",
-                            us(at),
-                            CLUSTER_PID,
-                            REBUILDS_TID,
-                            vec![],
-                        ));
-                    }
-                    out.push(base(
-                        "E",
-                        "",
-                        "rebuild",
-                        us(at),
-                        CLUSTER_PID,
-                        REBUILDS_TID,
-                        vec![args(vec![
-                            ("victim", Value::U64(victim as u64)),
-                            ("outcome", Value::Str(outcome.to_owned())),
-                        ])],
-                    ));
-                }
-            }
-            Event::TransferLaunched {
-                id,
-                from,
-                to,
-                bytes,
-                token_epoch,
-            } => {
-                open_transfers.insert(
-                    id,
-                    OpenTransfer {
-                        at,
-                        from,
-                        to,
-                        bytes,
-                        token_epoch,
-                    },
-                );
-            }
-            Event::TransferArrived { id, .. }
-            | Event::TransferFenced { id, .. }
-            | Event::TransferDropped { id, .. } => {
-                let outcome = match te.event {
-                    Event::TransferArrived { .. } => "arrived",
-                    Event::TransferFenced { .. } => "fenced",
-                    _ => "dropped",
-                };
-                if let Some(open) = open_transfers.remove(&id) {
-                    let pid = node_pid(open.from);
-                    let tid = open.to as u64 + 1;
-                    threads
-                        .entry((pid, tid))
-                        .or_insert_with(|| format!("\u{2192} node{}", open.to));
-                    let dur = te.at.as_secs() - open.at.as_secs();
-                    let mut fields = vec![("dur", Value::F64(dur * 1e6))];
-                    let mut arg_fields = vec![
-                        ("id", Value::U64(id)),
-                        ("bytes", Value::U64(open.bytes as u64)),
-                        ("outcome", Value::Str(outcome.to_owned())),
-                    ];
-                    if open.token_epoch != NO_TOKEN {
-                        arg_fields.push(("token_epoch", Value::U64(open.token_epoch)));
-                    }
-                    fields.push(args(arg_fields));
-                    out.push(base(
-                        "X",
-                        &format!("xfer node{} \u{2192} node{}", open.from, open.to),
-                        "transfer",
-                        us(open.at),
-                        pid,
-                        tid,
-                        fields,
-                    ));
-                }
-            }
-            Event::TransferRetried { id, attempt } => {
-                if let Some(open) = open_transfers.get(&id).copied() {
-                    instant(
-                        &mut out,
-                        &mut threads,
-                        at,
-                        "transfer_retry",
-                        "transfer",
-                        open.from,
-                        vec![
-                            ("id", Value::U64(id)),
-                            ("attempt", Value::U64(attempt as u64)),
-                        ],
-                    );
-                }
-            }
-            Event::HeartbeatArrived { node } => {
-                instant(
-                    &mut out,
-                    &mut threads,
-                    at,
-                    "heartbeat",
-                    "detector",
-                    node,
-                    vec![],
-                );
-            }
-            Event::Suspected { node } | Event::Confirmed { node } | Event::Refuted { node } => {
-                instant(
-                    &mut out,
-                    &mut threads,
-                    at,
-                    te.event.name(),
-                    "detector",
-                    node,
-                    vec![],
-                );
-            }
-            Event::FenceRaised { node, epoch } | Event::FenceReadmitted { node, epoch } => {
-                instant(
-                    &mut out,
-                    &mut threads,
-                    at,
-                    te.event.name(),
-                    "fence",
-                    node,
-                    vec![("epoch", Value::U64(epoch))],
-                );
-            }
-            Event::ScrubCompleted {
-                verified,
-                corrupt,
-                repaired,
-            } => {
-                threads
-                    .entry((CLUSTER_PID, REBUILDS_TID))
-                    .or_insert_with(|| "rebuilds".to_owned());
-                out.push(base(
+            if !drew {
+                let (track, scope) = lane.instants(named);
+                let fields = vec![("s", Value::Str(scope.to_owned())), args(event_args(event))];
+                self.push(
                     "i",
-                    "scrub_completed",
-                    "scrub",
-                    us(at),
-                    CLUSTER_PID,
-                    REBUILDS_TID,
-                    vec![
-                        ("s", Value::Str("p".to_owned())),
-                        args(vec![
-                            ("verified", Value::U64(verified as u64)),
-                            ("corrupt", Value::U64(corrupt as u64)),
-                            ("repaired", Value::U64(repaired as u64)),
-                        ]),
-                    ],
-                ));
-            }
-            Event::CorruptionInjected { node, blocks } => {
-                instant(
-                    &mut out,
-                    &mut threads,
-                    at,
-                    "corruption_injected",
-                    "fault",
-                    node,
-                    vec![("blocks", Value::U64(blocks as u64))],
-                );
-            }
-            Event::DataLoss { node, group } => {
-                instant(
-                    &mut out,
-                    &mut threads,
-                    at,
-                    "data_loss",
-                    "loss",
-                    node,
-                    vec![("group", Value::U64(group as u64))],
-                );
-            }
-            Event::SessionEstablished { peer } => {
-                instant(
-                    &mut out,
-                    &mut threads,
-                    at,
-                    "session_established",
-                    "session",
-                    peer,
-                    vec![],
-                );
-            }
-            Event::SessionRejected {
-                peer,
-                required_epoch,
-            } => {
-                instant(
-                    &mut out,
-                    &mut threads,
-                    at,
-                    "session_rejected",
-                    "session",
-                    peer,
-                    vec![("required_epoch", Value::U64(required_epoch))],
-                );
-            }
-            Event::StaleDropped {
-                from,
-                held_epoch,
-                current_epoch,
-            } => {
-                instant(
-                    &mut out,
-                    &mut threads,
-                    at,
-                    "stale_dropped",
-                    "session",
-                    from,
-                    vec![
-                        ("held_epoch", Value::U64(held_epoch)),
-                        ("current_epoch", Value::U64(current_epoch)),
-                    ],
-                );
-            }
-            Event::PayloadDropped { from } => {
-                instant(
-                    &mut out,
-                    &mut threads,
-                    at,
-                    "payload_dropped",
-                    "payload",
-                    from,
-                    vec![],
-                );
-            }
-            Event::ResyncServed { peer } => {
-                instant(
-                    &mut out,
-                    &mut threads,
-                    at,
-                    "resync_served",
-                    "session",
-                    peer,
-                    vec![],
-                );
-            }
-            Event::FaultInjected { node, kind } => {
-                instant(
-                    &mut out,
-                    &mut threads,
-                    at,
-                    "fault_injected",
-                    "fault",
-                    node,
-                    vec![("kind", Value::Str(kind.to_owned()))],
-                );
-            }
-            Event::NodeHealed { node } => {
-                instant(
-                    &mut out,
-                    &mut threads,
-                    at,
-                    "node_healed",
-                    "fault",
-                    node,
-                    vec![],
-                );
-            }
-            Event::JobRestarted { node } => {
-                instant(
-                    &mut out,
-                    &mut threads,
-                    at,
-                    "job_restarted",
-                    "loss",
-                    node,
-                    vec![],
+                    event.name(),
+                    event.category(),
+                    ts(te.at),
+                    track,
+                    fields,
                 );
             }
         }
+        for span in spans.drain() {
+            self.close(lane, &span, End::Open, None, right_edge, &ts);
+        }
     }
 
-    // Metadata records: name every process and track that appeared.
-    let mut meta: Vec<Value> = Vec::new();
-    let mut pids: Vec<u64> = threads.keys().map(|&(pid, _)| pid).collect();
-    pids.dedup();
-    for pid in pids {
-        let name = if pid == CLUSTER_PID {
-            "cluster".to_owned()
-        } else {
-            format!("node{}", pid - 1)
+    /// Ends a span at `at`: the `E` of a slice begun with `B`, or the
+    /// whole `X` slice of a transfer. `by` is its terminator, if it had
+    /// one; a phase simply ends.
+    fn close(
+        &mut self,
+        lane: Lane,
+        span: &Span,
+        end: End,
+        by: Option<&Event>,
+        at: SimTime,
+        ts: &impl Fn(SimTime) -> Value,
+    ) {
+        let outcome = match (end, by) {
+            (End::Followed, _) => None,
+            (_, Some(by)) => Some(by.name()),
+            (End::Superseded, _) => Some("superseded"),
+            (End::Evicted, _) => Some("evicted"),
+            _ => Some("open"),
         };
-        meta.push(obj(vec![
-            ("name", Value::Str("process_name".to_owned())),
-            ("ph", Value::Str("M".to_owned())),
-            ("pid", Value::U64(pid)),
-            ("tid", Value::U64(0)),
-            ("args", obj(vec![("name", Value::Str(name))])),
-        ]));
+        let outcome = outcome.map(|o| ("outcome", Value::Str(o.to_owned())));
+        let cat = span.opener.category();
+        let track = lane.track(span);
+        if matches!(span.opener, Event::TransferLaunched { .. }) {
+            let dur = (at.as_secs() - span.start.as_secs()).max(0.0) * 1e6;
+            let mut detail = event_args(&span.opener);
+            detail.extend(outcome);
+            let fields = vec![("dur", Value::F64(dur)), args(detail)];
+            self.push("X", &label(span), cat, ts(span.start), track, fields);
+        } else {
+            let mut detail = by.map(event_args).unwrap_or_default();
+            detail.extend(outcome);
+            let fields = if detail.is_empty() {
+                vec![]
+            } else {
+                vec![args(detail)]
+            };
+            self.push("E", "", cat, ts(at), track, fields);
+        }
     }
-    for (&(pid, tid), name) in &threads {
-        meta.push(obj(vec![
-            ("name", Value::Str("thread_name".to_owned())),
-            ("ph", Value::Str("M".to_owned())),
-            ("pid", Value::U64(pid)),
-            ("tid", Value::U64(tid)),
-            ("args", obj(vec![("name", Value::Str(name.clone()))])),
-        ]));
-    }
-    meta.append(&mut out);
 
-    Value::Object(vec![
-        ("traceEvents".to_owned(), Value::Array(meta)),
-        ("displayTimeUnit".to_owned(), Value::Str("ms".to_owned())),
-        ("otherData".to_owned(), Value::Object(other_data.to_vec())),
-    ])
+    /// Prepends the metadata records — a name for every process in
+    /// `pids` or with a track, and for every track — and wraps the
+    /// envelope.
+    fn finish(self, mut pids: BTreeSet<u64>, other_data: Vec<(String, Value)>) -> Value {
+        let meta = |name: &str, pid: u64, tid: u64, value: String| {
+            obj(vec![
+                ("name", Value::Str(name.to_owned())),
+                ("ph", Value::Str("M".to_owned())),
+                ("pid", Value::U64(pid)),
+                ("tid", Value::U64(tid)),
+                ("args", obj(vec![("name", Value::Str(value))])),
+            ])
+        };
+        pids.extend(self.threads.keys().map(|&(pid, _)| pid));
+        let mut records: Vec<Value> = pids
+            .into_iter()
+            .map(|pid| {
+                let name = match pid {
+                    CLUSTER_PID => "cluster".to_owned(),
+                    node => format!("node{}", node - 1),
+                };
+                meta("process_name", pid, 0, name)
+            })
+            .collect();
+        for ((pid, tid), name) in self.threads {
+            records.push(meta("thread_name", pid, tid, name));
+        }
+        records.extend(self.out);
+        Value::Object(vec![
+            ("traceEvents".to_owned(), Value::Array(records)),
+            ("displayTimeUnit".to_owned(), Value::Str("ms".to_owned())),
+            ("otherData".to_owned(), Value::Object(other_data)),
+        ])
+    }
+}
+
+/// Builds the full trace envelope of one whole-cluster stream as a
+/// `Value` tree. See [`chrome_trace`] for the rendered form.
+pub fn chrome_trace_value(events: &[TimedEvent], other_data: &[(String, Value)]) -> Value {
+    let mut trace = Trace::default();
+    // The rounds track is named even in a trace without rounds.
+    trace
+        .threads
+        .insert((CLUSTER_PID, ROUNDS_TID), "rounds".to_owned());
+    let edge = events.last().map_or(SimTime::ZERO, |te| te.at);
+    trace.stream(Lane::Cluster, events, edge, |at| {
+        Value::F64(at.as_secs() * 1e6)
+    });
+    trace.finish(BTreeSet::new(), other_data.to_vec())
 }
 
 /// Renders the trace envelope as JSON text. `other_data` entries (RNG
 /// seed, config description, …) are embedded verbatim under `otherData`.
 pub fn chrome_trace(events: &[TimedEvent], other_data: &[(String, Value)]) -> String {
-    serde_json::to_string_pretty(&ValueWrap(chrome_trace_value(events, other_data)))
-        .expect("rendering is total")
+    render(chrome_trace_value(events, other_data))
 }
 
 /// One node's scraped trace-ring tail, as fetched by
@@ -578,37 +356,22 @@ pub struct NodeTail {
     pub events: Vec<TimedEvent>,
 }
 
-/// Argument fields for rendering any event generically (instant
-/// `args`): a walk over the event's own field list, so a new [`Event`]
-/// variant needs no line here.
-fn event_args(event: &Event) -> Vec<(&'static str, Value)> {
-    event
-        .fields()
-        .into_iter()
-        // A launch without a fence token renders no `token_epoch` arg.
-        .filter(|&(name, arg)| (name, arg) != ("token_epoch", Arg::U64(NO_TOKEN)))
-        .map(|(name, arg)| match arg {
-            Arg::U64(v) => (name, Value::U64(v)),
-            Arg::Str(s) => (name, Value::Str(s.to_owned())),
-        })
-        .collect()
-}
-
 /// Merges the scraped trace tails of several live nodes into one
 /// Chrome/Perfetto trace `Value` tree: one pid lane per node (`pid =
-/// node + 1`), rounds as `B`/`E` slices on tid 0, rebuilds on tid 1,
-/// everything else as instants on tid 2.
+/// node + 1`), rounds and their phases as `B`/`E` slices on tid 0,
+/// rebuilds on tid 1, everything else as instants on tid 2.
 ///
 /// Each daemon's clock is anchored at its own process start, so raw
 /// timestamps from different nodes do not line up. The scraper samples
 /// every node's `now` at (nearly) the same wall instant; the merge
 /// rebases each event to `at - now + max(now)`, aligning the scrape
-/// instants at the right edge. Epoch numbers in slice `args` then
-/// correlate the same round across node lanes.
+/// instants at the right edge, where slices still open at the scrape
+/// close. Epoch numbers in slice `args` then correlate the same round
+/// across node lanes.
 ///
 /// Output is deterministic: tails are processed in ascending node order
-/// and every map is a `BTreeMap`, so a fixed input yields byte-identical
-/// JSON regardless of the order `tails` is supplied in.
+/// and every map is ordered, so a fixed input yields byte-identical JSON
+/// regardless of the order `tails` is supplied in.
 pub fn merge_node_traces_value(tails: &[NodeTail], other_data: &[(String, Value)]) -> Value {
     let mut sorted: Vec<&NodeTail> = tails.iter().collect();
     sorted.sort_by_key(|t| t.node);
@@ -618,166 +381,13 @@ pub fn merge_node_traces_value(tails: &[NodeTail], other_data: &[(String, Value)
         .map(|t| t.now.as_secs())
         .fold(0.0f64, f64::max);
 
-    const ROUNDS: u64 = 0;
-    const REBUILDS: u64 = 1;
-    const INSTANTS: u64 = 2;
-
-    let mut out: Vec<Value> = Vec::new();
-    let mut threads: BTreeMap<(u64, u64), String> = BTreeMap::new();
-
+    let mut trace = Trace::default();
     for tail in &sorted {
-        let pid = node_pid(tail.node);
-        let rebase = |at: SimTime| Value::F64((at.as_secs() - tail.now.as_secs() + max_now) * 1e6);
-        let mut round_open = false;
-        let mut rebuild_open = false;
-        for te in &tail.events {
-            let ts = rebase(te.at);
-            let arg_fields = event_args(&te.event);
-            match te.event {
-                Event::RoundBegin { epoch } => {
-                    if round_open {
-                        out.push(base("E", "", "round", ts.clone(), pid, ROUNDS, vec![]));
-                    }
-                    threads
-                        .entry((pid, ROUNDS))
-                        .or_insert_with(|| "rounds".to_owned());
-                    out.push(base(
-                        "B",
-                        &format!("round {epoch}"),
-                        "round",
-                        ts,
-                        pid,
-                        ROUNDS,
-                        vec![args(arg_fields)],
-                    ));
-                    round_open = true;
-                }
-                Event::RoundCommitted { .. } | Event::RoundAborted { .. } => {
-                    if round_open {
-                        out.push(base(
-                            "E",
-                            "",
-                            "round",
-                            ts,
-                            pid,
-                            ROUNDS,
-                            vec![args(arg_fields)],
-                        ));
-                        round_open = false;
-                    } else {
-                        // Begin fell out of the ring; keep the commit as
-                        // an instant rather than an unbalanced E.
-                        threads
-                            .entry((pid, INSTANTS))
-                            .or_insert_with(|| "events".to_owned());
-                        out.push(base(
-                            "i",
-                            te.event.name(),
-                            "round",
-                            ts,
-                            pid,
-                            INSTANTS,
-                            vec![("s", Value::Str("t".to_owned())), args(arg_fields)],
-                        ));
-                    }
-                }
-                Event::RebuildBegin { victim, mode, .. } => {
-                    if rebuild_open {
-                        out.push(base("E", "", "rebuild", ts.clone(), pid, REBUILDS, vec![]));
-                    }
-                    threads
-                        .entry((pid, REBUILDS))
-                        .or_insert_with(|| "rebuilds".to_owned());
-                    out.push(base(
-                        "B",
-                        &format!("rebuild node{victim} ({mode})"),
-                        "rebuild",
-                        ts,
-                        pid,
-                        REBUILDS,
-                        vec![args(arg_fields)],
-                    ));
-                    rebuild_open = true;
-                }
-                Event::RebuildCompleted { .. } | Event::RebuildAborted { .. } => {
-                    if rebuild_open {
-                        out.push(base(
-                            "E",
-                            "",
-                            "rebuild",
-                            ts,
-                            pid,
-                            REBUILDS,
-                            vec![args(arg_fields)],
-                        ));
-                        rebuild_open = false;
-                    } else {
-                        threads
-                            .entry((pid, INSTANTS))
-                            .or_insert_with(|| "events".to_owned());
-                        out.push(base(
-                            "i",
-                            te.event.name(),
-                            "rebuild",
-                            ts,
-                            pid,
-                            INSTANTS,
-                            vec![("s", Value::Str("t".to_owned())), args(arg_fields)],
-                        ));
-                    }
-                }
-                _ => {
-                    threads
-                        .entry((pid, INSTANTS))
-                        .or_insert_with(|| "events".to_owned());
-                    out.push(base(
-                        "i",
-                        te.event.name(),
-                        te.event.name(),
-                        ts,
-                        pid,
-                        INSTANTS,
-                        vec![("s", Value::Str("t".to_owned())), args(arg_fields)],
-                    ));
-                }
-            }
-        }
-        // Close any slice still open at the scrape instant at the ruler's
-        // right edge, so in-flight rounds render with real extent.
-        let edge = Value::F64(max_now * 1e6);
-        if round_open {
-            out.push(base("E", "", "round", edge.clone(), pid, ROUNDS, vec![]));
-        }
-        if rebuild_open {
-            out.push(base("E", "", "rebuild", edge, pid, REBUILDS, vec![]));
-        }
+        let lane = Lane::Node(node_pid(tail.node));
+        trace.stream(lane, &tail.events, tail.now, |at| {
+            Value::F64((at.as_secs() - tail.now.as_secs() + max_now) * 1e6)
+        });
     }
-
-    // Metadata: name each node's process lane and its tracks.
-    let mut meta: Vec<Value> = Vec::new();
-    for tail in &sorted {
-        let pid = node_pid(tail.node);
-        meta.push(obj(vec![
-            ("name", Value::Str("process_name".to_owned())),
-            ("ph", Value::Str("M".to_owned())),
-            ("pid", Value::U64(pid)),
-            ("tid", Value::U64(0)),
-            (
-                "args",
-                obj(vec![("name", Value::Str(format!("node{}", tail.node)))]),
-            ),
-        ]));
-    }
-    for (&(pid, tid), name) in &threads {
-        meta.push(obj(vec![
-            ("name", Value::Str("thread_name".to_owned())),
-            ("ph", Value::Str("M".to_owned())),
-            ("pid", Value::U64(pid)),
-            ("tid", Value::U64(tid)),
-            ("args", obj(vec![("name", Value::Str(name.clone()))])),
-        ]));
-    }
-    meta.append(&mut out);
 
     let mut other = other_data.to_vec();
     other.push((
@@ -789,28 +399,25 @@ pub fn merge_node_traces_value(tails: &[NodeTail], other_data: &[(String, Value)
                 .collect(),
         ),
     ));
-
-    Value::Object(vec![
-        ("traceEvents".to_owned(), Value::Array(meta)),
-        ("displayTimeUnit".to_owned(), Value::Str("ms".to_owned())),
-        ("otherData".to_owned(), Value::Object(other)),
-    ])
+    let pids = sorted.iter().map(|t| node_pid(t.node)).collect();
+    trace.finish(pids, other)
 }
 
 /// [`merge_node_traces_value`] rendered as JSON text.
 pub fn merge_node_traces(tails: &[NodeTail], other_data: &[(String, Value)]) -> String {
-    serde_json::to_string_pretty(&ValueWrap(merge_node_traces_value(tails, other_data)))
-        .expect("rendering is total")
+    render(merge_node_traces_value(tails, other_data))
 }
 
-/// The vendored `serde_json` renders through `Serialize`; `Value` itself
-/// does not implement it, so wrap.
-struct ValueWrap(Value);
-
-impl serde::Serialize for ValueWrap {
-    fn to_value(&self) -> Value {
-        self.0.clone()
+/// The vendored `serde_json` renders through `Serialize`, which `Value`
+/// itself does not implement.
+fn render(value: Value) -> String {
+    struct Wrap(Value);
+    impl serde::Serialize for Wrap {
+        fn to_value(&self) -> Value {
+            self.0.clone()
+        }
     }
+    serde_json::to_string_pretty(&Wrap(value)).expect("rendering is total")
 }
 
 #[cfg(test)]

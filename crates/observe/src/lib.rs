@@ -1,17 +1,17 @@
 //! # dvdc-observe
 //!
-//! Sim-clock-aware structured tracing and metrics for the DVDC
-//! reproduction.
+//! Structured tracing and metrics for the DVDC reproduction, shared by
+//! the simulator and the live `dvdc-node` cluster.
 //!
 //! The protocol crates report end-of-run aggregates (`RoundReport`,
 //! chaos counters); this crate captures the *timeline* those aggregates
 //! summarise. Every interesting protocol step — round and phase
 //! transitions, transfer launches and arrivals, detector verdicts, fence
 //! epoch bumps, rebuild steps, scrub repairs, data loss — is an
-//! [`Event`] stamped with the simulated instant it happened at, fed
-//! through a [`Recorder`].
+//! [`Event`] stamped with the instant it happened at, fed through a
+//! [`Recorder`].
 //!
-//! The crate provides four recorders and two exporters:
+//! Recorders:
 //!
 //! * [`NoopRecorder`] — the zero-cost default. Instrumented code asks
 //!   [`RecorderHandle::enabled`] before doing any work, so an
@@ -19,15 +19,23 @@
 //!   event.
 //! * [`TraceRecorder`] — an in-memory buffer, either unbounded (for
 //!   export) or a fixed-size ring (for attaching the last N events to a
-//!   chaos-failure report).
+//!   chaos-failure report); [`SyncRingRecorder`] is the ring for a
+//!   multi-threaded daemon.
 //! * [`Fanout`] — broadcasts to several recorders (e.g. ring + auditor).
 //! * [`audit::InvariantAuditor`] — checks causal protocol invariants
 //!   online and accumulates violations instead of events.
-//! * [`chrome`] — renders a recorded timeline as Chrome trace-event JSON
-//!   (loadable in Perfetto / `chrome://tracing`).
-//! * [`metrics`] — folds a recorded timeline into a metrics snapshot
-//!   (counters + Welford summaries + histograms, per node / group /
-//!   phase) built on [`dvdc_simcore::stats`].
+//!
+//! Consumers of a recorded or live stream:
+//!
+//! * [`spans`] — the one table of which events open and close a round, a
+//!   phase, a rebuild and a transfer, as a bounded fold. The two below
+//!   are built on it.
+//! * [`chrome`] — renders a timeline, or the merged ring tails of a live
+//!   cluster, as Chrome trace-event JSON (loadable in Perfetto /
+//!   `chrome://tracing`).
+//! * [`metrics`] — folds events into the counters and latency histograms
+//!   of a [`MetricsHub`] ([`registry`]), under one set of names for
+//!   simulated and live runs.
 //!
 //! All events carry primitive identifiers (`usize` node/VM/group
 //! indices, `u64` epochs and transfer handles, `&'static str` phase
@@ -58,6 +66,7 @@ pub mod chrome;
 mod event;
 pub mod metrics;
 pub mod registry;
+pub mod spans;
 
 pub use event::{Arg, Event, NO_TOKEN};
 pub use registry::{

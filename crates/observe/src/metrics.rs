@@ -1,373 +1,174 @@
-//! Metrics snapshot: folds a recorded timeline into counters, Welford
-//! summaries, and histograms built on [`dvdc_simcore::stats`].
+//! The metrics fold: one [`Event`] stream in, one [`MetricsHub`] out.
 //!
-//! The snapshot is the aggregate companion of the Chrome trace: one JSON
-//! document with event counts, round/phase/rebuild duration statistics,
-//! transfer latency distribution, and per-node / per-group breakdowns.
-//! All maps are `BTreeMap`-ordered, so equal event streams render
+//! A simulation's recorded timeline and a live daemon's note stream pass
+//! through the same [`EventMetrics`], so both report the same instruments
+//! under the same names — what `dvdc-ctl metrics` scrapes from a node is
+//! what [`metrics_snapshot`] renders for a traced `dvdc-sim run`.
+//!
+//! * Counters are declared beside each event in `events!`
+//!   ([`Event::counter`]) and all registered up front, so a quantity that
+//!   never happened reads 0 instead of being absent.
+//! * Durations come from [`crate::spans`]: `node.round_latency_ns` is
+//!   begin → commit of one epoch, `node.rebuild_total_ns` begin →
+//!   completed of one victim (also per mode, `node.rebuild_ns.<Mode>`),
+//!   `node.rebuild_fetch_ns` begin → the `Decode` phase marker,
+//!   `node.transfer_latency_ns` launch → arrival of one id, and
+//!   `node.round_phase_ns.<Phase>` / `node.rebuild_phase_ns.<Phase>` one
+//!   histogram per phase name. Aborted, superseded and evicted spans
+//!   count but record no duration.
+//!
+//! All histograms are nanoseconds in log₂ buckets, so memory stays
+//! bounded on a soak of any length and equal streams render
 //! byte-identical JSON (the trace-determinism test relies on this).
 
 use std::collections::BTreeMap;
 
-use serde::Value;
-
-use dvdc_simcore::stats::Welford;
 use dvdc_simcore::time::SimTime;
 
-use crate::registry::LogHistogram;
-use crate::{Event, Stamp, TimedEvent};
+use crate::registry::{Counter, HistogramHandle, MetricsHub, MetricsSnapshot, Stamp};
+use crate::spans::{Edge, End, Span, SpanFold};
+use crate::{Event, TimedEvent};
 
-/// Per-node transfer/detector tallies.
-#[derive(Debug, Default, Clone)]
-struct NodeAgg {
-    transfers_out: u64,
-    bytes_out: u64,
-    transfers_in: u64,
-    bytes_in: u64,
-    suspected: u64,
-    confirmed: u64,
-    refuted: u64,
-    fences: u64,
+/// Folds an event stream into the instruments of one [`MetricsHub`].
+#[derive(Debug)]
+pub struct EventMetrics {
+    hub: MetricsHub,
+    spans: SpanFold,
+    /// By [`Event::counter`] name.
+    counters: BTreeMap<&'static str, Counter>,
+    round_latency: HistogramHandle,
+    rebuild_fetch: HistogramHandle,
+    rebuild_total: HistogramHandle,
+    transfer_latency: HistogramHandle,
+    transfer_bytes_completed: Counter,
+    transfer_bytes_dropped: Counter,
+    scrub_verified: Counter,
+    scrub_corrupt: Counter,
+    scrub_repaired: Counter,
+    /// Per-phase and per-mode histograms, registered as names appear.
+    labelled: BTreeMap<(&'static str, &'static str), HistogramHandle>,
 }
 
-fn welford_value(w: &Welford) -> Value {
-    if w.count() == 0 {
-        return Value::Object(vec![("count".to_owned(), Value::U64(0))]);
-    }
-    Value::Object(vec![
-        ("count".to_owned(), Value::U64(w.count())),
-        ("mean".to_owned(), Value::F64(w.mean())),
-        ("std_dev".to_owned(), Value::F64(w.std_dev())),
-        ("min".to_owned(), Value::F64(w.min())),
-        ("max".to_owned(), Value::F64(w.max())),
-    ])
-}
-
-fn welford_map_value(map: &BTreeMap<&'static str, Welford>) -> Value {
-    Value::Object(
-        map.iter()
-            .map(|(k, w)| ((*k).to_owned(), welford_value(w)))
-            .collect(),
-    )
-}
-
-/// Fixed log₂-bucket duration histogram (nanosecond samples, schema v2
-/// marked by `"scale": "log2_ns"`); `Null` when no samples exist.
-///
-/// Earlier versions buffered every raw `f64` sample to pick bin edges at
-/// render time — unbounded memory on long soaks. The fixed-bucket
-/// [`LogHistogram`] needs no edges and stays bounded forever.
-fn histogram_value(h: &LogHistogram) -> Value {
-    let snap = h.snapshot();
-    if snap.count == 0 {
-        return Value::Null;
-    }
-    let mut fields = vec![("scale".to_owned(), Value::Str("log2_ns".to_owned()))];
-    if let Value::Object(rest) = snap.to_value() {
-        fields.extend(rest);
-    }
-    Value::Object(fields)
-}
-
-/// Records a simulated duration (seconds) as nanoseconds.
-fn push_duration(h: &LogHistogram, secs: f64) {
-    h.record(Stamp::Sim(SimTime::from_secs(secs)).nanos());
-}
-
-/// Builds the metrics snapshot as a `Value` tree. See
-/// [`metrics_snapshot`] for the rendered form.
-pub fn metrics_snapshot_value(events: &[TimedEvent]) -> Value {
-    let mut counts: BTreeMap<&'static str, u64> = BTreeMap::new();
-    let mut nodes: BTreeMap<usize, NodeAgg> = BTreeMap::new();
-    let mut loss_by_group: BTreeMap<usize, u64> = BTreeMap::new();
-
-    // Round spans.
-    let mut round_start: Option<SimTime> = None;
-    let mut round_durations = Welford::new();
-    let round_hist = LogHistogram::new();
-    let mut rounds_committed = 0u64;
-    let mut rounds_aborted = 0u64;
-
-    // Phase spans (round phases and rebuild phases share the machinery).
-    let mut phase_open: Option<(&'static str, SimTime)> = None;
-    let mut phase_durations: BTreeMap<&'static str, Welford> = BTreeMap::new();
-    let mut rebuild_phase_open: Option<(&'static str, SimTime)> = None;
-    let mut rebuild_phase_durations: BTreeMap<&'static str, Welford> = BTreeMap::new();
-
-    // Rebuild spans, by mode.
-    let mut rebuild_open: Option<(&'static str, SimTime)> = None;
-    let mut rebuild_durations: BTreeMap<&'static str, Welford> = BTreeMap::new();
-    let mut rebuilds_completed = 0u64;
-    let mut rebuilds_aborted = 0u64;
-
-    // Transfers.
-    let mut open_transfers: BTreeMap<u64, (SimTime, usize)> = BTreeMap::new();
-    let mut transfer_latency = Welford::new();
-    let latency_hist = LogHistogram::new();
-    let mut bytes_completed = 0u64;
-    let mut bytes_dropped = 0u64;
-
-    // Scrub totals.
-    let (mut scrub_passes, mut scrub_verified, mut scrub_corrupt, mut scrub_repaired) =
-        (0u64, 0u64, 0u64, 0u64);
-
-    let close_phase = |open: &mut Option<(&'static str, SimTime)>,
-                       durations: &mut BTreeMap<&'static str, Welford>,
-                       at: SimTime| {
-        if let Some((name, start)) = open.take() {
-            durations
-                .entry(name)
-                .or_default()
-                .push(at.since(start).as_secs());
+impl EventMetrics {
+    /// Registers every instrument on `hub`. `open_spans` bounds the
+    /// correlation state per span kind ([`crate::spans::OPEN_SPAN_CAP`]
+    /// for a stream without end).
+    pub fn new(hub: &MetricsHub, open_spans: usize) -> Self {
+        EventMetrics {
+            hub: hub.clone(),
+            spans: SpanFold::new(open_spans),
+            counters: Event::COUNTERS
+                .iter()
+                .map(|&name| (name, hub.counter(name)))
+                .collect(),
+            round_latency: hub.histogram("node.round_latency_ns"),
+            rebuild_fetch: hub.histogram("node.rebuild_fetch_ns"),
+            rebuild_total: hub.histogram("node.rebuild_total_ns"),
+            transfer_latency: hub.histogram("node.transfer_latency_ns"),
+            transfer_bytes_completed: hub.counter("node.transfer_bytes_completed"),
+            transfer_bytes_dropped: hub.counter("node.transfer_bytes_dropped"),
+            scrub_verified: hub.counter("node.scrub_verified"),
+            scrub_corrupt: hub.counter("node.scrub_corrupt"),
+            scrub_repaired: hub.counter("node.scrub_repaired"),
+            labelled: BTreeMap::new(),
         }
-    };
+    }
 
-    for te in events {
-        *counts.entry(te.event.name()).or_insert(0) += 1;
-        let at = te.at;
-        match te.event {
-            Event::RoundBegin { .. } => round_start = Some(at),
-            Event::RoundPhase { phase, .. } => {
-                close_phase(&mut phase_open, &mut phase_durations, at);
-                phase_open = Some((phase, at));
-            }
-            Event::RoundCommitted { .. } | Event::RoundAborted { .. } => {
-                close_phase(&mut phase_open, &mut phase_durations, at);
-                if let Some(start) = round_start.take() {
-                    if matches!(te.event, Event::RoundCommitted { .. }) {
-                        let d = at.since(start).as_secs();
-                        round_durations.push(d);
-                        push_duration(&round_hist, d);
+    /// Folds one timed event into the instruments. A no-op hub makes
+    /// this a single branch.
+    pub fn observe(&mut self, at: SimTime, event: &Event) {
+        if !self.hub.enabled() {
+            return;
+        }
+        if let Some(counter) = event.counter().and_then(|name| self.counters.get(name)) {
+            counter.inc();
+        }
+        if let Event::ScrubCompleted {
+            verified,
+            corrupt,
+            repaired,
+        } = *event
+        {
+            self.scrub_verified.add(verified as u64);
+            self.scrub_corrupt.add(corrupt as u64);
+            self.scrub_repaired.add(repaired as u64);
+        }
+        for edge in self.spans.observe(at, event) {
+            match edge {
+                Edge::Close(span, end) => self.closed(span, end, at, event),
+                // "Decode" marks the end of the fetch: every fragment is
+                // home and reconstruction begins.
+                Edge::Within(rebuild) => {
+                    if let Event::RebuildPhase {
+                        phase: "Decode", ..
+                    } = event
+                    {
+                        self.rebuild_fetch.record(nanos(rebuild.start, at));
                     }
                 }
-                match te.event {
-                    Event::RoundCommitted { .. } => rounds_committed += 1,
-                    _ => rounds_aborted += 1,
+                Edge::Open(_) | Edge::Unpaired => {}
+            }
+        }
+    }
+
+    fn closed(&mut self, span: Span, end: End, at: SimTime, by: &Event) {
+        let took = nanos(span.start, at);
+        match (span.opener, end) {
+            (Event::RoundPhase { phase, .. }, End::Followed) => {
+                self.labelled("node.round_phase_ns", phase).record(took);
+            }
+            (Event::RebuildPhase { phase, .. }, End::Followed) => {
+                self.labelled("node.rebuild_phase_ns", phase).record(took);
+            }
+            (Event::RoundBegin { .. }, End::Terminated) => {
+                if let Event::RoundCommitted { .. } = by {
+                    self.round_latency.record(took);
                 }
             }
-            Event::RebuildBegin { mode, .. } => {
-                rebuild_open = Some((mode, at));
-            }
-            Event::RebuildPhase { phase, .. } => {
-                close_phase(&mut rebuild_phase_open, &mut rebuild_phase_durations, at);
-                rebuild_phase_open = Some((phase, at));
-            }
-            Event::RebuildCompleted { .. } | Event::RebuildAborted { .. } => {
-                close_phase(&mut rebuild_phase_open, &mut rebuild_phase_durations, at);
-                if let Some((mode, start)) = rebuild_open.take() {
-                    if matches!(te.event, Event::RebuildCompleted { .. }) {
-                        rebuild_durations
-                            .entry(mode)
-                            .or_default()
-                            .push(at.since(start).as_secs());
-                    }
-                }
-                match te.event {
-                    Event::RebuildCompleted { .. } => rebuilds_completed += 1,
-                    _ => rebuilds_aborted += 1,
+            (Event::RebuildBegin { mode, .. }, End::Terminated) => {
+                if let Event::RebuildCompleted { .. } = by {
+                    self.rebuild_total.record(took);
+                    self.labelled("node.rebuild_ns", mode).record(took);
                 }
             }
-            Event::TransferLaunched {
-                id, from, bytes, ..
-            } => {
-                open_transfers.insert(id, (at, bytes));
-                let agg = nodes.entry(from).or_default();
-                agg.transfers_out += 1;
-                agg.bytes_out += bytes as u64;
-            }
-            Event::TransferArrived { id, to, bytes, .. } => {
-                if let Some((start, _)) = open_transfers.remove(&id) {
-                    let lat = at.since(start).as_secs();
-                    transfer_latency.push(lat);
-                    push_duration(&latency_hist, lat);
+            (Event::TransferLaunched { bytes, .. }, End::Terminated) => {
+                if let Event::TransferArrived { .. } = by {
+                    self.transfer_latency.record(took);
+                    self.transfer_bytes_completed.add(bytes as u64);
+                } else {
+                    self.transfer_bytes_dropped.add(bytes as u64);
                 }
-                bytes_completed += bytes as u64;
-                let agg = nodes.entry(to).or_default();
-                agg.transfers_in += 1;
-                agg.bytes_in += bytes as u64;
-            }
-            Event::TransferFenced { id, .. } => {
-                if let Some((_, bytes)) = open_transfers.remove(&id) {
-                    bytes_dropped += bytes as u64;
-                }
-            }
-            Event::TransferDropped { id, bytes, .. } => {
-                open_transfers.remove(&id);
-                bytes_dropped += bytes as u64;
-            }
-            Event::Suspected { node } => nodes.entry(node).or_default().suspected += 1,
-            Event::Confirmed { node } => nodes.entry(node).or_default().confirmed += 1,
-            Event::Refuted { node } => nodes.entry(node).or_default().refuted += 1,
-            Event::FenceRaised { node, .. } => nodes.entry(node).or_default().fences += 1,
-            Event::ScrubCompleted {
-                verified,
-                corrupt,
-                repaired,
-            } => {
-                scrub_passes += 1;
-                scrub_verified += verified as u64;
-                scrub_corrupt += corrupt as u64;
-                scrub_repaired += repaired as u64;
-            }
-            Event::DataLoss { group, .. } => {
-                *loss_by_group.entry(group).or_insert(0) += 1;
             }
             _ => {}
         }
     }
 
-    let count_of = |name: &str| counts.get(name).copied().unwrap_or(0);
-
-    let per_node = Value::Object(
-        nodes
-            .iter()
-            .map(|(node, a)| {
-                (
-                    format!("node{node}"),
-                    Value::Object(vec![
-                        ("transfers_out".to_owned(), Value::U64(a.transfers_out)),
-                        ("bytes_out".to_owned(), Value::U64(a.bytes_out)),
-                        ("transfers_in".to_owned(), Value::U64(a.transfers_in)),
-                        ("bytes_in".to_owned(), Value::U64(a.bytes_in)),
-                        ("suspected".to_owned(), Value::U64(a.suspected)),
-                        ("confirmed".to_owned(), Value::U64(a.confirmed)),
-                        ("refuted".to_owned(), Value::U64(a.refuted)),
-                        ("fences".to_owned(), Value::U64(a.fences)),
-                    ]),
-                )
-            })
-            .collect(),
-    );
-
-    Value::Object(vec![
-        ("events".to_owned(), Value::U64(events.len() as u64)),
-        (
-            "counts".to_owned(),
-            Value::Object(
-                counts
-                    .iter()
-                    .map(|(k, v)| ((*k).to_owned(), Value::U64(*v)))
-                    .collect(),
-            ),
-        ),
-        (
-            "rounds".to_owned(),
-            Value::Object(vec![
-                ("committed".to_owned(), Value::U64(rounds_committed)),
-                ("aborted".to_owned(), Value::U64(rounds_aborted)),
-                ("duration".to_owned(), welford_value(&round_durations)),
-                (
-                    "duration_histogram".to_owned(),
-                    histogram_value(&round_hist),
-                ),
-                ("phases".to_owned(), welford_map_value(&phase_durations)),
-            ]),
-        ),
-        (
-            "transfers".to_owned(),
-            Value::Object(vec![
-                (
-                    "launched".to_owned(),
-                    Value::U64(count_of("transfer_launched")),
-                ),
-                (
-                    "arrived".to_owned(),
-                    Value::U64(count_of("transfer_arrived")),
-                ),
-                ("fenced".to_owned(), Value::U64(count_of("transfer_fenced"))),
-                (
-                    "retried".to_owned(),
-                    Value::U64(count_of("transfer_retried")),
-                ),
-                (
-                    "dropped".to_owned(),
-                    Value::U64(count_of("transfer_dropped")),
-                ),
-                ("bytes_completed".to_owned(), Value::U64(bytes_completed)),
-                ("bytes_dropped".to_owned(), Value::U64(bytes_dropped)),
-                ("latency".to_owned(), welford_value(&transfer_latency)),
-                (
-                    "latency_histogram".to_owned(),
-                    histogram_value(&latency_hist),
-                ),
-            ]),
-        ),
-        (
-            "detector".to_owned(),
-            Value::Object(vec![
-                ("heartbeats".to_owned(), Value::U64(count_of("heartbeat"))),
-                ("suspected".to_owned(), Value::U64(count_of("suspected"))),
-                ("confirmed".to_owned(), Value::U64(count_of("confirmed"))),
-                ("refuted".to_owned(), Value::U64(count_of("refuted"))),
-            ]),
-        ),
-        (
-            "fences".to_owned(),
-            Value::Object(vec![
-                ("raised".to_owned(), Value::U64(count_of("fence_raised"))),
-                (
-                    "readmitted".to_owned(),
-                    Value::U64(count_of("fence_readmitted")),
-                ),
-            ]),
-        ),
-        (
-            "rebuilds".to_owned(),
-            Value::Object(vec![
-                ("begun".to_owned(), Value::U64(count_of("rebuild_begin"))),
-                ("completed".to_owned(), Value::U64(rebuilds_completed)),
-                ("aborted".to_owned(), Value::U64(rebuilds_aborted)),
-                (
-                    "duration_by_mode".to_owned(),
-                    welford_map_value(&rebuild_durations),
-                ),
-                (
-                    "phases".to_owned(),
-                    welford_map_value(&rebuild_phase_durations),
-                ),
-            ]),
-        ),
-        (
-            "scrub".to_owned(),
-            Value::Object(vec![
-                ("passes".to_owned(), Value::U64(scrub_passes)),
-                ("verified".to_owned(), Value::U64(scrub_verified)),
-                ("corrupt".to_owned(), Value::U64(scrub_corrupt)),
-                ("repaired".to_owned(), Value::U64(scrub_repaired)),
-            ]),
-        ),
-        (
-            "loss".to_owned(),
-            Value::Object(vec![
-                ("data_loss".to_owned(), Value::U64(count_of("data_loss"))),
-                (
-                    "job_restarts".to_owned(),
-                    Value::U64(count_of("job_restarted")),
-                ),
-                (
-                    "by_group".to_owned(),
-                    Value::Object(
-                        loss_by_group
-                            .iter()
-                            .map(|(g, n)| (format!("group{g}"), Value::U64(*n)))
-                            .collect(),
-                    ),
-                ),
-            ]),
-        ),
-        ("per_node".to_owned(), per_node),
-    ])
+    fn labelled(&mut self, family: &'static str, label: &'static str) -> &HistogramHandle {
+        let hub = &self.hub;
+        self.labelled
+            .entry((family, label))
+            .or_insert_with(|| hub.histogram(&format!("{family}.{label}")))
+    }
 }
 
-/// Renders the metrics snapshot as pretty JSON.
-pub fn metrics_snapshot(events: &[TimedEvent]) -> String {
-    struct W(Value);
-    impl serde::Serialize for W {
-        fn to_value(&self) -> Value {
-            self.0.clone()
-        }
+fn nanos(from: SimTime, to: SimTime) -> u64 {
+    Stamp::Sim(to).nanos_since(Stamp::Sim(from))
+}
+
+/// Folds a recorded timeline into a fresh hub and snapshots it.
+pub fn fold_events(events: &[TimedEvent]) -> MetricsSnapshot {
+    let hub = MetricsHub::new();
+    let mut fold = EventMetrics::new(&hub, events.len().max(1));
+    for te in events {
+        fold.observe(te.at, &te.event);
     }
-    serde_json::to_string_pretty(&W(metrics_snapshot_value(events))).expect("rendering is total")
+    hub.snapshot()
+}
+
+/// [`fold_events`] as pretty JSON — the document `dvdc-ctl metrics
+/// --json` prints for a live node.
+pub fn metrics_snapshot(events: &[TimedEvent]) -> String {
+    fold_events(events).to_json()
 }
 
 #[cfg(test)]
@@ -417,24 +218,100 @@ mod tests {
             },
         );
         rec.record(t(2.0), &Event::RoundCommitted { epoch: 1 });
+        let snap = fold_events(&rec.events());
+        assert_eq!(snap.counter("node.rounds_committed"), Some(1));
+        assert_eq!(snap.counter("node.rounds_aborted"), Some(0));
+        assert_eq!(snap.counter("node.transfers_launched"), Some(1));
+        assert_eq!(snap.counter("node.transfer_bytes_completed"), Some(100));
+        // Round took 2.0 simulated seconds, its phases one each, the
+        // transfer half of one.
+        let sum = |name: &str| snap.histogram(name).map(|h| (h.count, h.sum));
+        assert_eq!(sum("node.round_latency_ns"), Some((1, 2_000_000_000)));
+        assert_eq!(sum("node.round_phase_ns.Capture"), Some((1, 1_000_000_000)));
+        assert_eq!(
+            sum("node.round_phase_ns.Transfer"),
+            Some((1, 1_000_000_000))
+        );
+        assert_eq!(sum("node.transfer_latency_ns"), Some((1, 500_000_000)));
         let json = metrics_snapshot(&rec.events());
-        assert!(json.contains("\"committed\": 1"));
-        assert!(json.contains("\"bytes_completed\": 100"));
-        assert!(json.contains("\"node0\""));
-        assert!(json.contains("\"Capture\""));
-        // Round took 2.0 simulated seconds.
-        assert!(json.contains("\"mean\": 2.0"));
-        // Bounded log2 histograms (schema v2) replace raw-sample bins:
-        // one committed round lands in the [2^30, 2^31) ns bucket.
-        assert!(json.contains("\"scale\": \"log2_ns\""));
-        assert!(json.contains("\"p50\""));
-        assert!(json.contains("\"p95\""));
+        assert_eq!(json, snap.to_json());
+        assert!(json.contains("\"mean\": 2000000000.0"));
+        assert!(json.contains("\"p50\"") && json.contains("\"p95\""));
+    }
+
+    #[test]
+    fn only_a_finished_span_records_a_duration() {
+        let rec = TraceRecorder::unbounded();
+        let begin = |victim| Event::RebuildBegin {
+            victim,
+            mode: "Failover",
+            epoch: 1,
+        };
+        let decode = |victim| Event::RebuildPhase {
+            victim,
+            phase: "Decode",
+        };
+        // Two rebuilds overlap; node 5's finishes, node 2's is aborted.
+        rec.record(t(1.0), &begin(2));
+        rec.record(t(2.0), &begin(5));
+        rec.record(t(3.0), &decode(5));
+        rec.record(t(4.0), &Event::RebuildCompleted { victim: 5 });
+        rec.record(
+            t(5.0),
+            &Event::RebuildAborted {
+                victim: 2,
+                phase: "FetchSurvivors",
+            },
+        );
+        // A decode marker and a commit whose openers were never seen.
+        rec.record(t(6.0), &decode(9));
+        rec.record(t(6.0), &Event::RoundCommitted { epoch: 4 });
+        // A transfer fenced on arrival.
+        rec.record(
+            t(7.0),
+            &Event::TransferLaunched {
+                id: 1,
+                from: 0,
+                to: 1,
+                bytes: 64,
+                token_epoch: 0,
+            },
+        );
+        rec.record(
+            t(8.0),
+            &Event::TransferFenced {
+                id: 1,
+                node: 0,
+                held_epoch: 0,
+                current_epoch: 1,
+            },
+        );
+        let snap = fold_events(&rec.events());
+        assert_eq!(snap.counter("node.rebuilds"), Some(2));
+        assert_eq!(snap.counter("node.rebuilds_completed"), Some(1));
+        assert_eq!(snap.counter("node.rebuilds_aborted"), Some(1));
+        assert_eq!(snap.counter("node.rounds_committed"), Some(1));
+        assert_eq!(snap.counter("node.transfer_bytes_dropped"), Some(64));
+        let sum = |name: &str| snap.histogram(name).map(|h| (h.count, h.sum));
+        assert_eq!(sum("node.rebuild_total_ns"), Some((1, 2_000_000_000)));
+        assert_eq!(sum("node.rebuild_ns.Failover"), Some((1, 2_000_000_000)));
+        assert_eq!(sum("node.rebuild_fetch_ns"), Some((1, 1_000_000_000)));
+        assert_eq!(
+            sum("node.rebuild_phase_ns.Decode"),
+            Some((1, 1_000_000_000))
+        );
+        assert_eq!(sum("node.round_latency_ns"), Some((0, 0)));
+        assert_eq!(sum("node.transfer_latency_ns"), Some((0, 0)));
     }
 
     #[test]
     fn empty_stream_renders_cleanly() {
         let json = metrics_snapshot(&[]);
-        assert!(json.contains("\"events\": 0"));
-        assert!(json.contains("\"duration_histogram\": null"));
+        assert!(json.contains("\"node.rounds_committed\": 0"));
+        assert!(json.contains("\"node.round_latency_ns\""));
+        // A disabled hub folds nothing and registers nothing.
+        let mut off = EventMetrics::new(&MetricsHub::noop(), 1);
+        off.observe(t(0.0), &Event::RoundBegin { epoch: 1 });
+        assert!(off.spans.drain().is_empty());
     }
 }

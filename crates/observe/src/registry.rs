@@ -1,9 +1,10 @@
-//! Wall-clock metrics registry for the live deployment.
+//! The metrics registry.
 //!
-//! The simulator folds a *recorded timeline* into metrics after the fact
-//! ([`crate::metrics`]); a live `dvdc-node` daemon cannot afford an
-//! unbounded event buffer and must answer "what is your round latency"
-//! while running. This module provides the deployment-side registry:
+//! A live `dvdc-node` daemon cannot afford an unbounded event buffer and
+//! must answer "what is your round latency" while running, from many
+//! threads at once; a simulation folds its recorded timeline into the
+//! same registry after the fact ([`crate::metrics`]). This module
+//! provides:
 //!
 //! * [`MetricsHub`] — a cheaply clonable handle, either live or a no-op.
 //!   Instrument sites resolve their [`Counter`]/[`Gauge`]/[`HistogramHandle`]

@@ -1,10 +1,9 @@
 //! Online statistics collectors.
 //!
 //! Simulations in this workspace can run millions of trials, so all
-//! collectors here are single-pass and O(1) memory (except the histogram,
-//! which is O(bins)).
+//! collectors here are single-pass and O(1) memory.
 
-use crate::time::{Duration, SimTime};
+use crate::time::SimTime;
 
 /// Single-pass mean/variance accumulator (Welford's algorithm).
 #[derive(Debug, Clone)]
@@ -179,276 +178,6 @@ impl TimeWeightedMean {
     }
 }
 
-/// Fixed-bin histogram over `[lo, hi)` with overflow/underflow buckets.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    bins: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-    count: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `bins` equal-width buckets spanning
-    /// `[lo, hi)`.
-    ///
-    /// # Panics
-    /// Panics if `bins == 0` or `hi <= lo`.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(bins > 0, "histogram needs at least one bin");
-        assert!(hi > lo, "histogram range must be non-empty");
-        Histogram {
-            lo,
-            hi,
-            bins: vec![0; bins],
-            underflow: 0,
-            overflow: 0,
-            count: 0,
-        }
-    }
-
-    /// Adds one observation.
-    pub fn push(&mut self, x: f64) {
-        self.count += 1;
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let width = (self.hi - self.lo) / self.bins.len() as f64;
-            let idx = ((x - self.lo) / width) as usize;
-            let idx = idx.min(self.bins.len() - 1);
-            self.bins[idx] += 1;
-        }
-    }
-
-    /// Total observations including under/overflow.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Raw bin counts.
-    pub fn bins(&self) -> &[u64] {
-        &self.bins
-    }
-
-    /// Observations below the range.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Observations at or above the range's upper bound.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Approximate `q`-quantile (0 ≤ q ≤ 1) by linear scan over bins;
-    /// returns the midpoint of the bucket containing the quantile.
-    pub fn quantile(&self, q: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&q), "quantile must be in [0,1]");
-        if self.count == 0 {
-            return f64::NAN;
-        }
-        let target = (q * self.count as f64).ceil() as u64;
-        let mut seen = self.underflow;
-        if seen >= target && self.underflow > 0 {
-            return self.lo;
-        }
-        let width = (self.hi - self.lo) / self.bins.len() as f64;
-        for (i, &c) in self.bins.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return self.lo + width * (i as f64 + 0.5);
-            }
-        }
-        self.hi
-    }
-}
-
-/// Online quantile estimation via the P² algorithm (Jain & Chlamtac,
-/// 1985): tracks one quantile of a stream in O(1) memory by maintaining
-/// five markers whose heights approximate the quantile curve with
-/// piecewise-parabolic interpolation. Used for latency percentiles where
-/// storing every observation is not an option.
-#[derive(Debug, Clone)]
-pub struct P2Quantile {
-    q: f64,
-    count: u64,
-    /// Marker heights (estimates of the 0, q/2, q, (1+q)/2, 1 quantiles).
-    heights: [f64; 5],
-    /// Actual marker positions, 1-based ranks.
-    positions: [f64; 5],
-    /// Desired marker positions.
-    desired: [f64; 5],
-    /// Per-observation increments of the desired positions.
-    increments: [f64; 5],
-    /// Buffer for the first five observations.
-    warmup: Vec<f64>,
-}
-
-impl P2Quantile {
-    /// Creates an estimator for the `q`-quantile (0 < q < 1).
-    ///
-    /// # Panics
-    /// Panics unless `0 < q < 1`.
-    pub fn new(q: f64) -> Self {
-        assert!(q > 0.0 && q < 1.0, "quantile must be in (0,1), got {q}");
-        P2Quantile {
-            q,
-            count: 0,
-            heights: [0.0; 5],
-            positions: [1.0, 2.0, 3.0, 4.0, 5.0],
-            desired: [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0],
-            increments: [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0],
-            warmup: Vec::with_capacity(5),
-        }
-    }
-
-    /// Observations seen.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Adds one observation.
-    pub fn push(&mut self, x: f64) {
-        debug_assert!(x.is_finite(), "observation must be finite");
-        self.count += 1;
-        if self.warmup.len() < 5 {
-            self.warmup.push(x);
-            if self.warmup.len() == 5 {
-                let mut init = self.warmup.clone();
-                init.sort_by(f64::total_cmp);
-                self.heights.copy_from_slice(&init);
-            }
-            return;
-        }
-
-        // Locate the cell containing x and bump marker positions.
-        let k = if x < self.heights[0] {
-            self.heights[0] = x;
-            0
-        } else if x >= self.heights[4] {
-            self.heights[4] = x;
-            3
-        } else {
-            (0..4)
-                .find(|&i| x < self.heights[i + 1])
-                .expect("x lies inside the marker span")
-        };
-        for i in (k + 1)..5 {
-            self.positions[i] += 1.0;
-        }
-        for i in 0..5 {
-            self.desired[i] += self.increments[i];
-        }
-
-        // Adjust interior markers toward their desired positions.
-        for i in 1..4 {
-            let d = self.desired[i] - self.positions[i];
-            let right_gap = self.positions[i + 1] - self.positions[i];
-            let left_gap = self.positions[i - 1] - self.positions[i];
-            if (d >= 1.0 && right_gap > 1.0) || (d <= -1.0 && left_gap < -1.0) {
-                let sign = d.signum();
-                let candidate = self.parabolic(i, sign);
-                self.heights[i] =
-                    if self.heights[i - 1] < candidate && candidate < self.heights[i + 1] {
-                        candidate
-                    } else {
-                        self.linear(i, sign)
-                    };
-                self.positions[i] += sign;
-            }
-        }
-    }
-
-    fn parabolic(&self, i: usize, sign: f64) -> f64 {
-        let (qs, ns) = (&self.heights, &self.positions);
-        qs[i]
-            + sign / (ns[i + 1] - ns[i - 1])
-                * ((ns[i] - ns[i - 1] + sign) * (qs[i + 1] - qs[i]) / (ns[i + 1] - ns[i])
-                    + (ns[i + 1] - ns[i] - sign) * (qs[i] - qs[i - 1]) / (ns[i] - ns[i - 1]))
-    }
-
-    fn linear(&self, i: usize, sign: f64) -> f64 {
-        let j = if sign > 0.0 { i + 1 } else { i - 1 };
-        self.heights[i]
-            + sign * (self.heights[j] - self.heights[i]) / (self.positions[j] - self.positions[i])
-    }
-
-    /// The current quantile estimate (NaN before any observation).
-    pub fn estimate(&self) -> f64 {
-        if self.count == 0 {
-            return f64::NAN;
-        }
-        if self.warmup.len() < 5 {
-            // Exact small-sample quantile from the warm-up buffer.
-            let mut sorted = self.warmup.clone();
-            sorted.sort_by(f64::total_cmp);
-            let rank = (self.q * (sorted.len() - 1) as f64).round() as usize;
-            return sorted[rank];
-        }
-        self.heights[2]
-    }
-}
-
-/// Summary of a collection of [`Duration`] observations.
-#[derive(Debug, Clone, Default)]
-pub struct DurationStats {
-    inner: Welford,
-}
-
-impl DurationStats {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds one duration observation.
-    pub fn push(&mut self, d: Duration) {
-        self.inner.push(d.as_secs());
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.inner.count()
-    }
-
-    /// Mean duration.
-    pub fn mean(&self) -> Duration {
-        Duration::from_secs(self.inner.mean())
-    }
-
-    /// Longest observed duration ([`Duration::ZERO`] if empty).
-    pub fn max(&self) -> Duration {
-        if self.inner.count() == 0 {
-            Duration::ZERO
-        } else {
-            Duration::from_secs(self.inner.max())
-        }
-    }
-
-    /// Shortest observed duration ([`Duration::ZERO`] if empty).
-    pub fn min(&self) -> Duration {
-        if self.inner.count() == 0 {
-            Duration::ZERO
-        } else {
-            Duration::from_secs(self.inner.min())
-        }
-    }
-
-    /// Sum of all observations.
-    pub fn total(&self) -> Duration {
-        Duration::from_secs(self.inner.mean() * self.inner.count() as f64)
-    }
-
-    /// The underlying scalar accumulator (seconds).
-    pub fn as_welford(&self) -> &Welford {
-        &self.inner
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -512,103 +241,5 @@ mod tests {
         twm.record(SimTime::from_secs(5.0), 4.0);
         assert_eq!(twm.mean_until(SimTime::from_secs(5.0)), 4.0);
         assert_eq!(twm.mean_until(SimTime::from_secs(10.0)), 4.0);
-    }
-
-    #[test]
-    fn histogram_bins_and_flows() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        for i in 0..10 {
-            h.push(i as f64 + 0.5);
-        }
-        h.push(-1.0);
-        h.push(42.0);
-        assert_eq!(h.count(), 12);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 1);
-        assert!(h.bins().iter().all(|&c| c == 1));
-    }
-
-    #[test]
-    fn histogram_quantile_median() {
-        let mut h = Histogram::new(0.0, 100.0, 100);
-        for i in 0..100 {
-            h.push(i as f64);
-        }
-        let median = h.quantile(0.5);
-        assert!((median - 49.5).abs() <= 1.0, "median={median}");
-    }
-
-    #[test]
-    fn p2_median_of_uniform_stream() {
-        use crate::rng::RngHub;
-        use rand::Rng;
-        let mut est = P2Quantile::new(0.5);
-        let hub = RngHub::new(77);
-        let mut rng = hub.stream("p2");
-        for _ in 0..50_000 {
-            est.push(rng.random::<f64>());
-        }
-        assert!(
-            (est.estimate() - 0.5).abs() < 0.01,
-            "median={}",
-            est.estimate()
-        );
-        assert_eq!(est.count(), 50_000);
-    }
-
-    #[test]
-    fn p2_p95_of_skewed_stream() {
-        use crate::rng::RngHub;
-        use rand::Rng;
-        let mut est = P2Quantile::new(0.95);
-        let hub = RngHub::new(78);
-        let mut rng = hub.stream("p2-skew");
-        // Exp(1): p95 = -ln(0.05) ≈ 2.996.
-        for _ in 0..100_000 {
-            let u: f64 = rng.random();
-            est.push(-(1.0 - u).ln());
-        }
-        let expect = -(0.05f64).ln();
-        assert!(
-            (est.estimate() - expect).abs() / expect < 0.05,
-            "p95={} expect={expect}",
-            est.estimate()
-        );
-    }
-
-    #[test]
-    fn p2_small_samples_are_exact_order_statistics() {
-        let mut est = P2Quantile::new(0.5);
-        assert!(est.estimate().is_nan());
-        for x in [5.0, 1.0, 3.0] {
-            est.push(x);
-        }
-        assert_eq!(est.estimate(), 3.0); // exact median of {1,3,5}
-    }
-
-    #[test]
-    fn p2_constant_stream() {
-        let mut est = P2Quantile::new(0.9);
-        for _ in 0..100 {
-            est.push(7.0);
-        }
-        assert_eq!(est.estimate(), 7.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "quantile must be in (0,1)")]
-    fn p2_rejects_bad_quantile() {
-        let _ = P2Quantile::new(1.0);
-    }
-
-    #[test]
-    fn duration_stats_totals() {
-        let mut ds = DurationStats::new();
-        ds.push(Duration::from_secs(1.0));
-        ds.push(Duration::from_secs(3.0));
-        assert_eq!(ds.mean().as_secs(), 2.0);
-        assert_eq!(ds.min().as_secs(), 1.0);
-        assert_eq!(ds.max().as_secs(), 3.0);
-        assert!((ds.total().as_secs() - 4.0).abs() < 1e-12);
     }
 }

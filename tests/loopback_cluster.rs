@@ -11,6 +11,9 @@
 use dvdc::protocol::node_core::{fnv64, Action, ClusterSpec, Msg, NodeCore, Note, CTL};
 use dvdc::protocol::transport::{SimNet, Transport};
 use dvdc_faults::detector::{DetectorConfig, Verdict};
+use dvdc_node::NodeMetrics;
+use dvdc_observe::metrics::fold_events;
+use dvdc_observe::MetricsHub;
 use dvdc_simcore::time::{Duration, SimTime};
 use dvdc_vcluster::ids::NodeId;
 
@@ -350,6 +353,47 @@ fn cluster_survives_sigkill_mid_round_and_victim_rejoins() {
     }
     // The whole arc ran without a single data-loss event.
     assert!(sim.nodes.iter().flatten().all(|n| !n.saw_data_loss()));
+
+    // One metrics vocabulary: the coordinator's notes, folded as its
+    // daemon folds them, report every instrument the fold of a traced
+    // simulation registers (`tests/trace_determinism.rs` holds the mirror
+    // image), and the span counts agree with the notes themselves.
+    let hub = MetricsHub::new();
+    let mut metrics = NodeMetrics::new(&hub);
+    let coordinator = sim.notes.iter().zip(&sim.noted_at);
+    let coordinator: Vec<_> = coordinator.filter(|((n, _), _)| *n == NodeId(0)).collect();
+    for ((_, note), at) in &coordinator {
+        metrics.observe(**at, note);
+    }
+    let live = hub.snapshot();
+    let sim_names = fold_events(&[]);
+    for (name, _) in &sim_names.counters {
+        assert!(live.counter(name).is_some(), "{name}");
+    }
+    for (name, _) in &sim_names.histograms {
+        assert!(live.histogram(name).is_some(), "{name}");
+    }
+    let noted = |pred: fn(&Note) -> bool| {
+        let n = coordinator
+            .iter()
+            .filter(|((_, note), _)| pred(note))
+            .count();
+        Some(n as u64)
+    };
+    let committed = noted(|n| matches!(n, Note::RoundCommitted { .. }));
+    let rebuilt = noted(|n| matches!(n, Note::RebuildCompleted { .. }));
+    assert_eq!(live.counter("node.rounds_committed"), committed);
+    assert_eq!(live.counter("node.rounds_aborted"), Some(1));
+    assert_eq!(
+        live.counter("node.rebuilds"),
+        noted(|n| matches!(n, Note::RebuildStarted { .. }))
+    );
+    let count = |name: &str| live.histogram(name).map(|h| h.count);
+    assert_eq!(count("node.round_latency_ns"), committed);
+    assert_eq!(count("node.rebuild_total_ns"), rebuilt);
+    assert_eq!(count("node.rebuild_fetch_ns"), rebuilt);
+    assert_eq!(count("node.rebuild_phase_ns.Fetch"), rebuilt);
+    assert_eq!(rebuilt, Some(1));
 }
 
 /// The verdicts `at` reached about `victim`, in order: when, which, and

@@ -814,3 +814,219 @@ proptest! {
         }
     }
 }
+
+// ---------- trace export: span pairing under truncation ----------
+
+use dvdc_observe::chrome::{chrome_trace_value, merge_node_traces_value, NodeTail};
+use dvdc_observe::{Event, TimedEvent};
+use serde::Value;
+
+/// Expands `script` into a well-formed event stream: rounds with phases
+/// and transfers, rebuilds with phases, detector instants, one event per
+/// eighth of a second. Beside each event goes the index of the opener
+/// it depends on (a phase marker, retry or terminator) — `None` for
+/// openers and for events that pair with nothing.
+fn span_stream(script: &[(u8, u8)]) -> Vec<(TimedEvent, Option<usize>)> {
+    const ROUND_PHASES: [&str; 4] = ["Capture", "Transfer", "Fold", "Commit"];
+    const REBUILD_PHASES: [&str; 3] = ["FetchSurvivors", "Decode", "Place"];
+    let mut out: Vec<(TimedEvent, Option<usize>)> = Vec::new();
+    let mut push = |event: Event, opener: Option<usize>| {
+        let seq = out.len();
+        let at = SimTime::from_secs(seq as f64 / 8.0);
+        out.push((
+            TimedEvent {
+                at,
+                seq: seq as u64,
+                event,
+            },
+            opener,
+        ));
+        seq
+    };
+    let mut next_id = 0u64;
+    for (item, &(kind, detail)) in script.iter().enumerate() {
+        let (a, b) = (detail as usize % 4, detail as usize / 4 % 4);
+        match kind % 3 {
+            0 => {
+                let epoch = item as u64 + 1;
+                let round = push(Event::RoundBegin { epoch }, None);
+                for &phase in &ROUND_PHASES[..a] {
+                    push(Event::RoundPhase { epoch, phase }, Some(round));
+                }
+                for lane in 0..b {
+                    let id = next_id;
+                    next_id += 1;
+                    let (from, to, bytes) = (lane, lane + 1, 4096);
+                    let launch = push(
+                        Event::TransferLaunched {
+                            id,
+                            from,
+                            to,
+                            bytes,
+                            token_epoch: 0,
+                        },
+                        None,
+                    );
+                    let end = match (detail / 16 + lane as u8) % 3 {
+                        0 => Event::TransferArrived {
+                            id,
+                            from,
+                            to,
+                            bytes,
+                        },
+                        1 => {
+                            push(Event::TransferRetried { id, attempt: 1 }, Some(launch));
+                            Event::TransferDropped {
+                                id,
+                                from,
+                                to,
+                                bytes,
+                            }
+                        }
+                        _ => Event::TransferFenced {
+                            id,
+                            node: from,
+                            held_epoch: 0,
+                            current_epoch: 1,
+                        },
+                    };
+                    push(end, Some(launch));
+                }
+                let end = if detail >= 128 {
+                    let phase = ROUND_PHASES[a.saturating_sub(1)];
+                    Event::RoundAborted { epoch, phase }
+                } else {
+                    Event::RoundCommitted { epoch }
+                };
+                push(end, Some(round));
+            }
+            1 => {
+                let victim = b;
+                let begin = Event::RebuildBegin {
+                    victim,
+                    mode: "Failover",
+                    epoch: item as u64,
+                };
+                let rebuild = push(begin, None);
+                for &phase in &REBUILD_PHASES[..a.min(3)] {
+                    push(Event::RebuildPhase { victim, phase }, Some(rebuild));
+                }
+                let end = if detail >= 128 {
+                    let phase = REBUILD_PHASES[a.min(3).saturating_sub(1)];
+                    Event::RebuildAborted { victim, phase }
+                } else {
+                    Event::RebuildCompleted { victim }
+                };
+                push(end, Some(rebuild));
+            }
+            _ => {
+                push(Event::Suspected { node: a }, None);
+                push(Event::FenceRaised { node: a, epoch: 1 }, None);
+            }
+        }
+    }
+    out
+}
+
+fn record_field<'a>(record: &'a Value, key: &str) -> Option<&'a Value> {
+    match record {
+        Value::Object(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+        _ => None,
+    }
+}
+
+/// Walks a rendered trace: `B`/`E` must nest per `(pid, tid)` with no
+/// slice ending before it starts and none left open, and every `X` must
+/// have a non-negative duration. Returns how many `B`, `X` and `i`
+/// records it saw.
+fn check_trace(trace: &Value) -> Result<(usize, usize, usize), TestCaseError> {
+    let Some(Value::Array(records)) = record_field(trace, "traceEvents") else {
+        return Err(TestCaseError::fail("no traceEvents".into()));
+    };
+    let mut open: std::collections::BTreeMap<(u64, u64), Vec<f64>> = Default::default();
+    let (mut begins, mut completes, mut instants) = (0, 0, 0);
+    for record in records {
+        let Some(Value::Str(ph)) = record_field(record, "ph") else {
+            return Err(TestCaseError::fail(format!("no ph in {record:?}")));
+        };
+        if ph == "M" {
+            continue;
+        }
+        let (Some(&Value::F64(ts)), Some(&Value::U64(pid)), Some(&Value::U64(tid))) = (
+            record_field(record, "ts"),
+            record_field(record, "pid"),
+            record_field(record, "tid"),
+        ) else {
+            return Err(TestCaseError::fail(format!("untracked {record:?}")));
+        };
+        match ph.as_str() {
+            "B" => {
+                begins += 1;
+                open.entry((pid, tid)).or_default().push(ts);
+            }
+            "E" => {
+                let began = open.entry((pid, tid)).or_default().pop();
+                prop_assert!(began.is_some(), "E with nothing open on ({}, {})", pid, tid);
+                prop_assert!(began <= Some(ts), "slice ends before it starts");
+            }
+            "X" => {
+                completes += 1;
+                let dur = record_field(record, "dur");
+                prop_assert!(matches!(dur, Some(&Value::F64(d)) if d >= 0.0), "{:?}", dur);
+            }
+            "i" => instants += 1,
+            other => prop_assert!(false, "unexpected ph {}", other),
+        }
+    }
+    prop_assert!(open.values().all(Vec::is_empty), "unclosed B: {:?}", open);
+    Ok((begins, completes, instants))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// A ring that lost its head and a scrape that lands mid-span: any
+    /// window of a well-formed stream renders, through both entry
+    /// points, balanced slices that never end before they start; an
+    /// event whose opener fell outside the window is an instant, not a
+    /// guess.
+    #[test]
+    fn any_window_of_a_stream_renders_balanced_slices(
+        script in vec((any::<u8>(), any::<u8>()), 1..12),
+        cut in (0usize..1000, 0usize..1000),
+    ) {
+        let stream = span_stream(&script);
+        let lo = cut.0 % (stream.len() + 1);
+        let hi = lo + cut.1 % (stream.len() + 1 - lo);
+        let window = &stream[lo..hi];
+        let events: Vec<TimedEvent> = window.iter().map(|(te, _)| te.clone()).collect();
+
+        let (mut slices, mut transfers, mut instants) = (0, 0, 0);
+        for (te, opener) in window {
+            let paired = opener.is_none_or(|at| at >= lo);
+            match te.event {
+                _ if !paired => instants += 1,
+                Event::RoundBegin { .. }
+                | Event::RoundPhase { .. }
+                | Event::RebuildBegin { .. }
+                | Event::RebuildPhase { .. } => slices += 1,
+                Event::TransferLaunched { .. } => transfers += 1,
+                _ if opener.is_none() || matches!(te.event, Event::TransferRetried { .. }) => {
+                    instants += 1
+                }
+                _ => {}
+            }
+        }
+
+        let whole = chrome_trace_value(&events, &[]);
+        prop_assert_eq!(check_trace(&whole)?, (slices, transfers, instants));
+        let tail = NodeTail {
+            node: 3,
+            now: events.last().map_or(SimTime::ZERO, |te| te.at) + Duration::from_secs(0.5),
+            dropped: lo as u64,
+            events,
+        };
+        let merged = merge_node_traces_value(&[tail], &[]);
+        prop_assert_eq!(check_trace(&merged)?, (slices, transfers, instants));
+    }
+}

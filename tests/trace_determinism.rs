@@ -9,19 +9,19 @@ use std::rc::Rc;
 
 use dvdc::placement::GroupPlacement;
 use dvdc::protocol::DvdcProtocol;
-use dvdc::sim::JobRunner;
+use dvdc::sim::{JobOutcome, JobRunner};
 use dvdc_faults::dist::Exponential;
 use dvdc_faults::injector::FaultInjector;
 use dvdc_observe::chrome::chrome_trace;
-use dvdc_observe::metrics::metrics_snapshot;
-use dvdc_observe::{RecorderHandle, TraceRecorder};
+use dvdc_observe::metrics::{fold_events, metrics_snapshot};
+use dvdc_observe::{MetricsHub, RecorderHandle, TimedEvent, TraceRecorder};
 use dvdc_simcore::rng::RngHub;
 use dvdc_simcore::time::Duration;
 use dvdc_vcluster::cluster::ClusterBuilder;
 
 /// One fully traced job run — the same flow `dvdc-sim run --trace-out`
-/// drives — returning both exports plus the raw event count.
-fn traced_job(seed: u64) -> (String, String, usize) {
+/// drives — returning the recorded timeline and the run's own tally.
+fn traced_run(seed: u64) -> (Vec<TimedEvent>, JobOutcome) {
     let mut cluster = ClusterBuilder::new()
         .physical_nodes(4)
         .vms_per_node(3)
@@ -41,11 +41,15 @@ fn traced_job(seed: u64) -> (String, String, usize) {
     let buf = Rc::new(TraceRecorder::unbounded());
     let recorder = RecorderHandle::new(buf.clone());
     let mut p = DvdcProtocol::new(placement).with_recorder(recorder.clone());
-    runner
+    let outcome = runner
         .run_with_recorder(&mut p, &mut cluster, &plan, &hub, &recorder)
         .unwrap();
+    (buf.events(), outcome)
+}
 
-    let events = buf.events();
+/// Both exports of one traced run, plus the raw event count.
+fn traced_job(seed: u64) -> (String, String, usize) {
+    let (events, _) = traced_run(seed);
     (
         chrome_trace(&events, &[]),
         metrics_snapshot(&events),
@@ -81,4 +85,46 @@ fn different_seeds_actually_diverge() {
         chrome_a, chrome_b,
         "different seeds should produce different traces"
     );
+}
+
+/// One metrics vocabulary: a traced simulation, folded, reports every
+/// instrument a live `dvdc-node` registers, under the same name — bar
+/// the three facts only a `Note` carries — and its span counts agree
+/// with the run's own tally. (`tests/loopback_cluster.rs` holds the
+/// mirror image: a live arc reporting what this fold registers.)
+#[test]
+fn a_traced_run_reports_the_instruments_a_live_node_registers() {
+    const NOTE_ONLY: [&str; 3] = [
+        "node.capture_window_ns",
+        "faults.detector.confirmed_by_evidence",
+        "faults.detector.confirmed_by_timeout",
+    ];
+    let live = MetricsHub::new();
+    dvdc_node::NodeMetrics::new(&live);
+    let live = live.snapshot();
+
+    let (events, outcome) = traced_run(42);
+    let sim = fold_events(&events);
+    for (name, _) in &live.counters {
+        assert!(
+            sim.counter(name).is_some() || NOTE_ONLY.contains(&name.as_str()),
+            "{name}"
+        );
+    }
+    for (name, _) in &live.histograms {
+        assert!(
+            sim.histogram(name).is_some() || NOTE_ONLY.contains(&name.as_str()),
+            "{name}"
+        );
+    }
+
+    assert!(outcome.rounds > 0 && outcome.recoveries > 0);
+    assert_eq!(sim.counter("node.rounds_committed"), Some(outcome.rounds));
+    assert_eq!(sim.counter("node.rebuilds"), Some(outcome.recoveries));
+    let count = |name: &str| sim.histogram(name).map(|h| h.count);
+    assert_eq!(count("node.round_latency_ns"), Some(outcome.rounds));
+    assert_eq!(count("node.rebuild_total_ns"), Some(outcome.recoveries));
+    assert_eq!(count("node.rebuild_fetch_ns"), Some(outcome.recoveries));
+    assert_eq!(count("node.round_phase_ns.Capture"), Some(outcome.rounds));
+    assert!(count("node.transfer_latency_ns") > Some(0));
 }
