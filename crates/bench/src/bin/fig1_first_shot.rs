@@ -2,14 +2,15 @@
 //! simple virtualized cluster."
 //!
 //! N+1 physical nodes, one VM per compute node, the extra node holds
-//! parity. The scenario exercised: take a coordinated checkpoint, fail
-//! each node in turn (including the parity node), and verify byte-exact
-//! recovery plus the round/recovery costs.
+//! parity: `GroupPlacement::dedicated` with one slot, run by the same
+//! `DvdcProtocol` as every other figure. The scenario exercised: take a
+//! coordinated checkpoint, fail each node in turn (including the parity
+//! node), and verify byte-exact recovery plus the round/recovery costs.
 //!
 //! Run: `cargo run -p dvdc-bench --bin fig1_first_shot`
 
-use dvdc::protocol::{CheckpointProtocol, FirstShotProtocol};
-use dvdc_bench::{human_bytes, human_secs, render_table, write_json};
+use dvdc::protocol::CheckpointProtocol;
+use dvdc_bench::{checkpoint_node_protocol, human_bytes, human_secs, render_table, write_json};
 use dvdc_vcluster::cluster::ClusterBuilder;
 use dvdc_vcluster::ids::NodeId;
 use serde::Serialize;
@@ -36,10 +37,11 @@ fn main() {
     for victim in 0..=COMPUTE {
         let mut cluster = ClusterBuilder::new()
             .physical_nodes(COMPUTE + 1)
+            .spare_nodes(1)
             .vms_per_node(1)
             .vm_memory(256, 4096)
             .build(1);
-        let mut proto = FirstShotProtocol::new(parity_node);
+        let mut proto = checkpoint_node_protocol(&cluster, parity_node);
         let round = proto.run_round(&mut cluster).unwrap();
         if victim == 0 {
             println!(

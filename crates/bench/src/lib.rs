@@ -4,9 +4,8 @@
 //! reproduction.
 //!
 //! Each binary in `src/bin/` regenerates one figure, table, or prose claim
-//! from the paper (see the experiment index in `DESIGN.md`); the Criterion
-//! benches in `benches/` measure the hot kernels and protocol rounds. This
-//! library holds the small amount of shared output plumbing.
+//! from the paper (see the experiment index in `DESIGN.md`). This library
+//! holds the small amount of shared output plumbing.
 
 #![forbid(unsafe_code)]
 
@@ -15,7 +14,28 @@ pub mod swarm;
 use std::fs;
 use std::path::PathBuf;
 
+use dvdc::placement::GroupPlacement;
+use dvdc::protocol::DvdcProtocol;
+use dvdc_checkpoint::strategy::Mode;
+use dvdc_simcore::time::Duration;
+use dvdc_vcluster::cluster::Cluster;
+use dvdc_vcluster::ids::NodeId;
 use serde::Serialize;
+
+/// The Fig. 1 / Fig. 3 configuration: [`GroupPlacement::dedicated`] on
+/// `checkpoint_node`, incremental captures, the paper's 40 ms base, and
+/// parity taken synchronously (the first-shot design predates Section
+/// IV-C's background transport).
+pub fn checkpoint_node_protocol(cluster: &Cluster, checkpoint_node: NodeId) -> DvdcProtocol {
+    let placement = GroupPlacement::dedicated(cluster, checkpoint_node)
+        .expect("the last node is VM-less and compute nodes are uniform");
+    DvdcProtocol::with_options(
+        placement,
+        Mode::Incremental,
+        false,
+        Duration::from_millis(40.0),
+    )
+}
 
 /// Renders a text table with a header row and aligned columns.
 pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {

@@ -17,10 +17,9 @@ use std::rc::Rc;
 
 use args::Args;
 use dvdc::placement::GroupPlacement;
-use dvdc::protocol::{
-    CheckpointProtocol, DiskFullProtocol, DvdcProtocol, FirstShotProtocol, RemusLikeProtocol,
-};
+use dvdc::protocol::{CheckpointProtocol, DiskFullProtocol, DvdcProtocol, RemusLikeProtocol};
 use dvdc::sim::JobRunner;
+use dvdc_checkpoint::strategy::Mode;
 use dvdc_faults::dist::Exponential;
 use dvdc_faults::injector::FaultInjector;
 use dvdc_faults::mttdl::MttdlParams;
@@ -51,6 +50,8 @@ COMMANDS:
     run     Simulate a job under Poisson node failures (or a trace)
               options of `plan`, plus
               --protocol dvdc|disk-full|first-shot|remus (dvdc)
+                first-shot is dvdc with every group's parity on the last node,
+                which hosts no VMs (Fig. 1/3): N-1 compute nodes + 1 checkpointer
               --job-secs T (600)  --interval N (30)
               --mtbf-secs M (400, per node)  --repair-secs R (5)  --seed S (42)
               --trace FILE (replay a time,node[,repair] CSV failure log)
@@ -96,18 +97,24 @@ fn main() -> ExitCode {
     }
 }
 
-fn build_cluster(args: &Args) -> Result<(Cluster, usize, usize), String> {
+/// Builds the `--nodes` × `--vms-per-node` cluster; the last `spare`
+/// nodes host no VMs.
+fn build_cluster(args: &Args, spare: usize) -> Result<(Cluster, usize, usize), String> {
     let nodes = args.usize_or("nodes", 4).map_err(|e| e.to_string())?;
     let vms = args
         .usize_or("vms-per-node", 3)
         .map_err(|e| e.to_string())?;
     let seed = args.u64_or("seed", 42).map_err(|e| e.to_string())?;
     let rack_size = args.usize_or("rack-size", 0).map_err(|e| e.to_string())?;
-    if nodes == 0 || vms == 0 {
-        return Err("cluster needs at least one node and one VM per node".into());
+    if nodes <= spare || vms == 0 {
+        return Err(format!(
+            "cluster needs at least {} node(s) and one VM per node",
+            spare + 1
+        ));
     }
     let mut builder = ClusterBuilder::new()
         .physical_nodes(nodes)
+        .spare_nodes(spare)
         .vms_per_node(vms)
         .vm_memory(64, 4096);
     if rack_size > 0 {
@@ -124,7 +131,7 @@ fn build_placement(args: &Args, cluster: &Cluster) -> Result<GroupPlacement, Str
 }
 
 fn cmd_plan(args: &Args) -> Result<(), String> {
-    let (cluster, nodes, vms) = build_cluster(args)?;
+    let (cluster, nodes, vms) = build_cluster(args, 0)?;
     let placement = build_placement(args, &cluster)?;
     println!(
         "placement: {nodes} nodes × {vms} VMs, {} groups\n",
@@ -175,7 +182,7 @@ fn cmd_plan(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_drill(args: &Args) -> Result<(), String> {
-    let (mut cluster, _, _) = build_cluster(args)?;
+    let (mut cluster, _, _) = build_cluster(args, 0)?;
     let placement = build_placement(args, &cluster)?;
     let kills = {
         let list = args.usize_list("kill").map_err(|e| e.to_string())?;
@@ -226,8 +233,9 @@ fn cmd_drill(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_run(args: &Args) -> Result<(), String> {
-    let (mut cluster, nodes, _) = build_cluster(args)?;
     let protocol_name = args.str_or("protocol", "dvdc");
+    let spare = usize::from(protocol_name == "first-shot");
+    let (mut cluster, nodes, _) = build_cluster(args, spare)?;
     let job = args.f64_or("job-secs", 600.0).map_err(|e| e.to_string())?;
     let interval = args.f64_or("interval", 30.0).map_err(|e| e.to_string())?;
     let mtbf = args.f64_or("mtbf-secs", 400.0).map_err(|e| e.to_string())?;
@@ -272,7 +280,15 @@ fn cmd_run(args: &Args) -> Result<(), String> {
             runner.run_with_recorder(&mut p, &mut cluster, &plan, &hub, &recorder)
         }
         "first-shot" => {
-            let mut p = FirstShotProtocol::new(NodeId(nodes - 1));
+            let placement = GroupPlacement::dedicated(&cluster, NodeId(nodes - 1))
+                .map_err(|e| e.to_string())?;
+            let mut p = DvdcProtocol::with_options(
+                placement,
+                Mode::Incremental,
+                false,
+                Duration::from_millis(40.0),
+            )
+            .with_recorder(recorder.clone());
             runner.run_with_recorder(&mut p, &mut cluster, &plan, &hub, &recorder)
         }
         "remus" => {

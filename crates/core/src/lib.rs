@@ -9,16 +9,18 @@
 //! in the critical path.
 //!
 //! * [`placement`] — orthogonal RAID-group construction and validation
-//!   (Figs. 2–4): every group's data members live on distinct nodes, the
+//!   (Figs. 1–4): every group's data members live on distinct nodes, the
 //!   parity block on yet another node, and parity responsibility is
-//!   balanced across nodes.
+//!   either balanced across nodes (Fig. 4) or parked on one VM-less
+//!   checkpoint node ([`GroupPlacement::dedicated`], Fig. 1/3's
+//!   "first-shot" design).
 //! * [`protocol`] — the checkpoint/recovery protocols:
 //!   [`DiskFullProtocol`] (the baseline the paper compares against),
-//!   [`FirstShotProtocol`] (Fig. 1/3's dedicated checkpoint node),
-//!   [`DvdcProtocol`] (Fig. 4, the contribution — also generalised to
-//!   `m ≥ 2` parity via Reed–Solomon, the RDP-style extension of
-//!   Section II-B2), and [`RemusLikeProtocol`] (the Section VI
-//!   active/standby comparator).
+//!   [`DvdcProtocol`] (diskless checkpointing over whichever placement
+//!   it is given: Fig. 4, the contribution, and Fig. 1/3 — also
+//!   generalised to `m ≥ 2` parity via Reed–Solomon, the RDP-style
+//!   extension of Section II-B2), and [`RemusLikeProtocol`] (the
+//!   Section VI active/standby comparator).
 //! * [`scenario`] — the workload × fault matrix driver: any
 //!   `dvdc-vcluster` workload (steady traffic, dirty-page storms,
 //!   migration churn, rolling restarts, scrub storms) crossed with any
@@ -79,8 +81,8 @@ pub mod snapshot;
 
 pub use placement::{GroupId, GroupPlacement, RaidGroup};
 pub use protocol::{
-    CheckpointProtocol, DiskFullProtocol, DvdcProtocol, FirstShotProtocol, ProtocolError,
-    RecoveryReport, RemusLikeProtocol, RoundReport,
+    CheckpointProtocol, DiskFullProtocol, DvdcProtocol, ProtocolError, RecoveryReport,
+    RemusLikeProtocol, RoundReport,
 };
 pub use scenario::{run_scenario, ScenarioConfig, ScenarioReport};
 pub use shard::{ShardConfig, ShardedCluster, ShardedRunReport};

@@ -1,4 +1,4 @@
-//! Orthogonal RAID-group placement (paper Section IV-B, Figs. 2–4).
+//! Orthogonal RAID-group placement (paper Section IV-B, Figs. 1–4).
 //!
 //! The correlation constraint: all VMs on one physical node fail together,
 //! so a RAID group may touch each node **at most once** — "for every two
@@ -13,7 +13,9 @@
 //! reproduces the figure's layout exactly: group {A,D,G} → parity on the
 //! fourth node, and every node ends up holding parity for exactly one
 //! group — the RAID-5 balance that lets "all physical machines host
-//! working VMs".
+//! working VMs". The design the paper starts from and then replaces —
+//! Fig. 1/3's checkpoint node — is the same orthogonal grouping with all
+//! parity on one VM-less node: [`GroupPlacement::dedicated`].
 //!
 //! ## Rack awareness
 //!
@@ -121,6 +123,24 @@ pub enum PlacementError {
         /// The group that could not be completed.
         group: GroupId,
     },
+    /// [`GroupPlacement::dedicated`] needs every compute node to host the
+    /// same number of VMs, or some slot's group would come up short.
+    RaggedSlots {
+        /// The first node whose VM count differs.
+        node: NodeId,
+        /// VMs it hosts.
+        slots: usize,
+        /// VMs the compute nodes before it host.
+        expected: usize,
+    },
+    /// [`GroupPlacement::dedicated`] was pointed at a node that hosts
+    /// VMs: they would share a node with their own group's parity.
+    CheckpointNodeHostsVms {
+        /// The would-be checkpoint node.
+        node: NodeId,
+        /// VMs it hosts.
+        vms: usize,
+    },
 }
 
 impl fmt::Display for PlacementError {
@@ -141,6 +161,20 @@ impl fmt::Display for PlacementError {
             }
             PlacementError::Unplaceable { group } => {
                 write!(f, "no legal host remains for {group} on this topology")
+            }
+            PlacementError::RaggedSlots {
+                node,
+                slots,
+                expected,
+            } => write!(
+                f,
+                "{node} hosts {slots} VMs where the other compute nodes host {expected}"
+            ),
+            PlacementError::CheckpointNodeHostsVms { node, vms } => {
+                write!(
+                    f,
+                    "checkpoint node {node} hosts {vms} VMs; it must host none"
+                )
             }
         }
     }
@@ -196,6 +230,77 @@ impl GroupPlacement {
         Self::slot_major(cluster, k, m)
     }
 
+    /// The paper's Fig. 1 / Fig. 3 layout: one VM-less checkpoint node
+    /// holds every group's parity, and group *s* is the *s*-th VM of every
+    /// other node ("A XOR B XOR C for ABC"). One VM per compute node is
+    /// Fig. 1's N+1 scheme. Same diskless protocol as the orthogonal
+    /// layouts — only *where parity lives* differs, which is the variable
+    /// Section IV-B argues about.
+    pub fn dedicated(cluster: &Cluster, checkpoint_node: NodeId) -> Result<Self, PlacementError> {
+        let hosted = cluster.vms_on(checkpoint_node).len();
+        if hosted > 0 {
+            return Err(PlacementError::CheckpointNodeHostsVms {
+                node: checkpoint_node,
+                vms: hosted,
+            });
+        }
+        let compute: Vec<NodeId> = cluster
+            .node_ids()
+            .into_iter()
+            .filter(|&n| n != checkpoint_node)
+            .collect();
+        let expected = compute.first().map_or(0, |&n| cluster.vms_on(n).len());
+        for &node in &compute {
+            let slots = cluster.vms_on(node).len();
+            if slots != expected {
+                return Err(PlacementError::RaggedSlots {
+                    node,
+                    slots,
+                    expected,
+                });
+            }
+        }
+        // Equal slot counts and an empty checkpoint node: the slot-major
+        // walk is slot 0 of every compute node, then slot 1, …
+        let order = Self::slot_major_order(cluster);
+        let mut group_of = vec![GroupId(0); order.len()];
+        let mut groups = Vec::with_capacity(expected);
+        for (slot, chunk) in order.chunks(compute.len()).enumerate() {
+            let id = GroupId(slot);
+            for &vm in chunk {
+                group_of[vm.index()] = id;
+            }
+            groups.push(RaidGroup {
+                id,
+                data: chunk.to_vec(),
+                parity_nodes: vec![checkpoint_node],
+            });
+        }
+        let placement = GroupPlacement { groups, group_of };
+        placement.validate(cluster)?;
+        Ok(placement)
+    }
+
+    /// Every VM in slot-major order: VM (node n, slot s) sits at position
+    /// s·N + n on a uniform cluster.
+    fn slot_major_order(cluster: &Cluster) -> Vec<VmId> {
+        let nodes = cluster.node_ids();
+        let max_slots = nodes
+            .iter()
+            .map(|&nid| cluster.vms_on(nid).len())
+            .max()
+            .unwrap_or(0);
+        let mut order = Vec::with_capacity(cluster.vm_count());
+        for slot in 0..max_slots {
+            for &nid in &nodes {
+                if let Some(&vm) = cluster.vms_on(nid).get(slot) {
+                    order.push(vm);
+                }
+            }
+        }
+        order
+    }
+
     fn check_shape(cluster: &Cluster, k: usize, m: usize) -> Result<(), PlacementError> {
         assert!(k >= 1, "groups need at least one data member");
         assert!(m >= 1, "groups need at least one parity block");
@@ -213,23 +318,10 @@ impl GroupPlacement {
     fn slot_major(cluster: &Cluster, k: usize, m: usize) -> Result<Self, PlacementError> {
         let n = cluster.node_count();
         let vms = cluster.vm_count();
-        // Slot-major walk: VM (node n, slot s) visited at position s·N + n.
-        // k consecutive positions occupy k cyclically-consecutive distinct
-        // nodes; parity blocks go on the next m nodes after the data span.
-        let mut order: Vec<VmId> = Vec::with_capacity(vms);
-        let max_slots = cluster
-            .node_ids()
-            .iter()
-            .map(|&nid| cluster.vms_on(nid).len())
-            .max()
-            .unwrap_or(0);
-        for slot in 0..max_slots {
-            for nid in cluster.node_ids() {
-                if let Some(&vm) = cluster.vms_on(nid).get(slot) {
-                    order.push(vm);
-                }
-            }
-        }
+        // k consecutive positions of the slot-major walk occupy k
+        // cyclically-consecutive distinct nodes; parity blocks go on the
+        // next m nodes after the data span.
+        let order = Self::slot_major_order(cluster);
 
         let mut groups = Vec::with_capacity(vms / k);
         let mut group_of = vec![GroupId(0); vms];
@@ -286,18 +378,8 @@ impl GroupPlacement {
 
         // Per-rack FIFO queues of unassigned VMs, slot-major within rack.
         let mut queues: Vec<VecDeque<VmId>> = vec![VecDeque::new(); racks];
-        let max_slots = cluster
-            .node_ids()
-            .iter()
-            .map(|&nid| cluster.vms_on(nid).len())
-            .max()
-            .unwrap_or(0);
-        for slot in 0..max_slots {
-            for nid in cluster.node_ids() {
-                if let Some(&vm) = cluster.vms_on(nid).get(slot) {
-                    queues[topo.rack_of(nid).index()].push_back(vm);
-                }
-            }
+        for vm in Self::slot_major_order(cluster) {
+            queues[topo.rack_of(cluster.node_of(vm)).index()].push_back(vm);
         }
 
         // First VM in `queue` hosted on a node outside `used`, removed.
@@ -743,6 +825,101 @@ mod tests {
         let p = GroupPlacement::orthogonal_with_parity(&c, 3, 1).unwrap();
         p.validate(&c).unwrap();
         assert!(!p.is_rack_orthogonal(&c));
+    }
+
+    fn with_checkpoint_node(compute: usize, slots: usize) -> Cluster {
+        ClusterBuilder::new()
+            .physical_nodes(compute + 1)
+            .spare_nodes(1)
+            .vms_per_node(slots)
+            .vm_memory(4, 16)
+            .build(0)
+    }
+
+    #[test]
+    fn dedicated_is_slot_aligned_with_all_parity_on_one_node() {
+        // Fig. 3: 3 compute nodes × 3 VMs, node 3 the checkpointer.
+        let c = with_checkpoint_node(3, 3);
+        let p = GroupPlacement::dedicated(&c, NodeId(3)).unwrap();
+        assert_eq!(p.group_count(), 3);
+        for (slot, g) in p.groups().iter().enumerate() {
+            let want: Vec<VmId> = (0..3).map(|n| VmId(n * 3 + slot)).collect();
+            assert_eq!(g.data, want);
+            assert_eq!(g.parity_nodes, vec![NodeId(3)]);
+        }
+        for vm in c.vm_ids() {
+            assert!(p.group_of(vm).data.contains(&vm));
+        }
+        // The load orthogonal placement flattens, undistributed.
+        assert_eq!(p.parity_load(4), vec![0, 0, 0, 3]);
+        assert_eq!(p.parity_groups_of(NodeId(3)).len(), 3);
+        // Still orthogonal: any node failure costs a group one member.
+        p.validate(&c).unwrap();
+        for node in c.node_ids() {
+            for (gid, hits) in p.impact_of_node_failure(&c, node) {
+                assert_eq!(hits, 1, "{gid} hit {hits}× by {node}");
+            }
+        }
+    }
+
+    #[test]
+    fn dedicated_with_one_slot_is_fig1_n_plus_one() {
+        let c = with_checkpoint_node(4, 1);
+        let p = GroupPlacement::dedicated(&c, NodeId(4)).unwrap();
+        assert_eq!(p.group_count(), 1);
+        assert_eq!(p.groups()[0].data, c.vm_ids());
+        assert_eq!(p.groups()[0].parity_nodes, vec![NodeId(4)]);
+    }
+
+    #[test]
+    fn dedicated_rejects_a_checkpoint_node_that_hosts_vms() {
+        let c = cluster(4, 3);
+        let err = GroupPlacement::dedicated(&c, NodeId(3)).unwrap_err();
+        assert_eq!(
+            err,
+            PlacementError::CheckpointNodeHostsVms {
+                node: NodeId(3),
+                vms: 3
+            }
+        );
+        assert!(err.to_string().contains("must host none"));
+    }
+
+    #[test]
+    fn dedicated_rejects_ragged_slots() {
+        // A second VM-less node is a compute node with the wrong slot
+        // count, and so is one a migration emptied by a VM.
+        let two_spares = ClusterBuilder::new()
+            .physical_nodes(4)
+            .spare_nodes(2)
+            .vms_per_node(2)
+            .vm_memory(4, 16)
+            .build(0);
+        assert_eq!(
+            GroupPlacement::dedicated(&two_spares, NodeId(3)),
+            Err(PlacementError::RaggedSlots {
+                node: NodeId(2),
+                slots: 0,
+                expected: 2
+            })
+        );
+        let mut c = with_checkpoint_node(3, 2);
+        c.migrate_vm(VmId(2), NodeId(0));
+        let err = GroupPlacement::dedicated(&c, NodeId(3)).unwrap_err();
+        assert!(matches!(err, PlacementError::RaggedSlots { node, .. } if node == NodeId(1)));
+        assert!(err.to_string().contains("node1 hosts 1 VMs"));
+    }
+
+    #[test]
+    fn dedicated_validation_catches_migration_onto_a_group_peer() {
+        let mut c = with_checkpoint_node(3, 2);
+        let p = GroupPlacement::dedicated(&c, NodeId(3)).unwrap();
+        // VM 2 (node 1, slot 0) joins VM 0 (node 0, slot 0) on node 0.
+        c.migrate_vm(VmId(2), NodeId(0));
+        assert!(matches!(
+            p.validate(&c),
+            Err(PlacementError::NotOrthogonal { node, .. }) if node == NodeId(0)
+        ));
     }
 
     #[test]

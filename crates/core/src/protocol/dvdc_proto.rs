@@ -1699,6 +1699,30 @@ impl DvdcProtocol {
         drop(rebuild);
     }
 
+    /// Drives one phased rebuild to completion without interruption:
+    /// begin, step until [`RebuildStep::Completed`], and on any error
+    /// abort the pipeline so its span terminates in the event stream
+    /// before the error propagates. Recovery, failover, scrub repair and
+    /// resync are this with different modes.
+    pub fn rebuild_to_completion(
+        &mut self,
+        cluster: &mut Cluster,
+        node: NodeId,
+        mode: RebuildMode,
+    ) -> Result<RecoveryReport, RecoverError> {
+        let mut rebuild = self.begin_rebuild(cluster, node, mode)?;
+        loop {
+            match self.step_rebuild(cluster, &mut rebuild) {
+                Ok(RebuildStep::Progress { .. }) => {}
+                Ok(RebuildStep::Completed(report)) => return Ok(report),
+                Err(e) => {
+                    self.abort_rebuild(rebuild);
+                    return Err(e);
+                }
+            }
+        }
+    }
+
     /// One integrity scrub pass: verifies the checksum of every
     /// committed VM image and parity block on live nodes, then repairs
     /// any rotten block from its group's surviving redundancy via the
@@ -1731,67 +1755,32 @@ impl DvdcProtocol {
         }
         let sweep = self.sweep_integrity(cluster);
         let found = sweep.corrupt_vms.len() + sweep.corrupt_parity.len();
-        if found == 0 || self.committed_epoch.is_none() {
-            self.emit(Event::ScrubCompleted {
-                verified: sweep.verified,
-                corrupt: found,
-                repaired: 0,
-            });
-            return Ok(ScrubReport {
-                blocks_verified: sweep.verified,
-                corrupt_found: found,
-                repaired: 0,
-                scrub_time: Duration::ZERO,
-            });
-        }
+        // The rebuild is named after the node holding the first rotten
+        // block. A scrub rebuild has no crash victims, so it repairs
+        // exactly the blocks this sweep found.
         let victim = match (sweep.corrupt_vms.first(), sweep.corrupt_parity.first()) {
-            (Some(&vm), _) => cluster.node_of(vm),
-            (None, Some(&(gid, j))) => self.placement.groups()[gid.index()].parity_nodes[j],
-            // `found` counts exactly these two lists and the zero case
-            // returned above, so this arm is unreachable today. If the
-            // sweep accounting ever drifts there is nothing to point a
-            // rebuild at — report the (clean) sweep instead of panicking.
-            (None, None) => {
-                self.emit(Event::ScrubCompleted {
-                    verified: sweep.verified,
-                    corrupt: found,
-                    repaired: 0,
-                });
-                return Ok(ScrubReport {
-                    blocks_verified: sweep.verified,
-                    corrupt_found: found,
-                    repaired: 0,
-                    scrub_time: Duration::ZERO,
-                });
-            }
+            (Some(&vm), _) => Some(cluster.node_of(vm)),
+            (None, Some(&(gid, j))) => Some(self.placement.groups()[gid.index()].parity_nodes[j]),
+            (None, None) => None,
         };
-        let mut rebuild = self.begin_rebuild(cluster, victim, RebuildMode::Scrub)?;
-        let repaired = rebuild.corrupt_vms.len() + rebuild.corrupt_parity.len();
-        loop {
-            match self.step_rebuild(cluster, &mut rebuild) {
-                Err(e) => {
-                    // The repair pipeline died mid-flight (e.g. the rot
-                    // exceeds the group's tolerance): abort it so its
-                    // span terminates before the error propagates.
-                    self.abort_rebuild(rebuild);
-                    return Err(e);
-                }
-                Ok(RebuildStep::Progress { .. }) => {}
-                Ok(RebuildStep::Completed(report)) => {
-                    self.emit(Event::ScrubCompleted {
-                        verified: sweep.verified,
-                        corrupt: found,
-                        repaired,
-                    });
-                    return Ok(ScrubReport {
-                        blocks_verified: sweep.verified,
-                        corrupt_found: found,
-                        repaired,
-                        scrub_time: report.repair_time,
-                    });
-                }
+        let (repaired, scrub_time) = match victim {
+            Some(victim) if self.committed_epoch.is_some() => {
+                let report = self.rebuild_to_completion(cluster, victim, RebuildMode::Scrub)?;
+                (found, report.repair_time)
             }
-        }
+            _ => (0, Duration::ZERO),
+        };
+        self.emit(Event::ScrubCompleted {
+            verified: sweep.verified,
+            corrupt: found,
+            repaired,
+        });
+        Ok(ScrubReport {
+            blocks_verified: sweep.verified,
+            corrupt_found: found,
+            repaired,
+            scrub_time,
+        })
     }
 
     /// The write path of a silent-corruption fault
@@ -2449,19 +2438,11 @@ impl DvdcProtocol {
         cluster: &mut Cluster,
         node: NodeId,
     ) -> Result<u64, ProtocolError> {
-        let mut rebuild = self
-            .begin_rebuild(cluster, node, RebuildMode::Resync)
-            .map_err(ProtocolError::from)?;
-        loop {
-            match self.step_rebuild(cluster, &mut rebuild) {
-                Ok(RebuildStep::Progress { .. }) => {}
-                Ok(RebuildStep::Completed(_)) => return Ok(rebuild.epoch),
-                Err(e) => {
-                    self.abort_rebuild(rebuild);
-                    return Err(ProtocolError::from(e));
-                }
-            }
-        }
+        let epoch = self
+            .committed_epoch
+            .ok_or(ProtocolError::NoCommittedCheckpoint)?;
+        self.rebuild_to_completion(cluster, node, RebuildMode::Resync)?;
+        Ok(epoch)
     }
 }
 
@@ -2509,19 +2490,7 @@ impl CheckpointProtocol for DvdcProtocol {
         cluster: &mut Cluster,
         failed: NodeId,
     ) -> Result<RecoveryReport, RecoverError> {
-        let mut rebuild = self.begin_rebuild(cluster, failed, RebuildMode::InPlace)?;
-        loop {
-            match self.step_rebuild(cluster, &mut rebuild) {
-                Ok(RebuildStep::Progress { .. }) => {}
-                Ok(RebuildStep::Completed(report)) => return Ok(report),
-                Err(e) => {
-                    // An error abandons the pipeline: abort it so the
-                    // rebuild span terminates in the event stream.
-                    self.abort_rebuild(rebuild);
-                    return Err(e);
-                }
-            }
-        }
+        self.rebuild_to_completion(cluster, failed, RebuildMode::InPlace)
     }
 
     /// Recovery by **failover**: instead of waiting for the dead node to
@@ -2540,20 +2509,10 @@ impl CheckpointProtocol for DvdcProtocol {
         cluster: &mut Cluster,
         failed: NodeId,
     ) -> Result<RecoveryReport, ProtocolError> {
-        let mut rebuild = self
-            .begin_rebuild(cluster, failed, RebuildMode::Failover)
-            .map_err(ProtocolError::from)?;
-        loop {
-            match self.step_rebuild(cluster, &mut rebuild) {
-                Ok(RebuildStep::Progress { .. }) => {}
-                Ok(RebuildStep::Completed(report)) => return Ok(report),
-                Err(e) => {
-                    self.abort_rebuild(rebuild);
-                    return Err(ProtocolError::from(e));
-                }
-            }
-        }
+        self.rebuild_to_completion(cluster, failed, RebuildMode::Failover)
+            .map_err(ProtocolError::from)
     }
+
     fn redundancy_bytes(&self) -> usize {
         let parity = self.parity.total_bytes();
         let local: usize = self.node_stores.iter().map(|s| s.total_bytes()).sum();

@@ -71,37 +71,13 @@ use dvdc_simcore::time::{Duration, SimTime};
 use dvdc_vcluster::cluster::Cluster;
 use dvdc_vcluster::ids::NodeId;
 use dvdc_vcluster::messaging::{RetryDecision, RetryPolicy};
-use dvdc_vcluster::topology::{DcId, RackId};
 
 use super::dvdc_proto::{
     DvdcProtocol, PhasedRound, RebuildMode, RebuildStep, RoundPhase, RoundStep,
 };
-use super::{CheckpointProtocol, ProtocolError, RecoverError, RecoveryReport, RoundReport};
-
-/// Trace label for a fault kind (driver-level [`Event::FaultInjected`]).
-fn fault_kind_name(kind: &FaultKind) -> &'static str {
-    match kind {
-        FaultKind::Crash => "Crash",
-        FaultKind::TransientHang(_) => "TransientHang",
-        FaultKind::Partition { .. } => "Partition",
-        FaultKind::Corruption { .. } => "Corruption",
-        FaultKind::RackFailure { .. } => "RackFailure",
-        FaultKind::DcFailure { .. } => "DcFailure",
-    }
-}
-
-/// Expands a correlated domain fault to its per-node victims: every node
-/// of the rack (or DC) that is still up. For a domain fault,
-/// [`NodeFault::node`] carries the rack/DC index, not a node index.
-/// Non-domain kinds return `None`.
-fn domain_victims(cluster: &Cluster, kind: &FaultKind) -> Option<Vec<NodeId>> {
-    let nodes = match *kind {
-        FaultKind::RackFailure { rack } => cluster.topology().nodes_in_rack(RackId(rack)),
-        FaultKind::DcFailure { dc } => cluster.topology().nodes_in_dc(DcId(dc)),
-        _ => return None,
-    };
-    Some(nodes.into_iter().filter(|&n| cluster.is_up(n)).collect())
-}
+use super::{
+    domain_victims, CheckpointProtocol, ProtocolError, RecoverError, RecoveryReport, RoundReport,
+};
 
 /// Size of one heartbeat message on the wire.
 const HEARTBEAT_BYTES: usize = 64;
@@ -458,7 +434,7 @@ pub fn run_round_with_detection(
                             sched.now(),
                             &Event::FaultInjected {
                                 node: v.index(),
-                                kind: fault_kind_name(&f.kind),
+                                kind: f.kind.name(),
                             },
                         );
                     }
@@ -491,7 +467,7 @@ pub fn run_round_with_detection(
                     sched.now(),
                     &Event::FaultInjected {
                         node: f.node,
-                        kind: fault_kind_name(&f.kind),
+                        kind: f.kind.name(),
                     },
                 );
             }
@@ -648,6 +624,9 @@ pub fn run_round_with_detection(
     });
 
     let end = sim.now();
+    // Verdicts raised by the very last drained event are still in the
+    // detector's journal.
+    sim.world.forward_detector();
     let Driver {
         round,
         report,
@@ -655,7 +634,7 @@ pub fn run_round_with_detection(
         false_failovers,
         first_detection_latency,
         confirmations,
-        mut detector,
+        detector,
         transfer_retries,
         corrupt_blocks,
         error,
@@ -663,19 +642,6 @@ pub fn run_round_with_detection(
         recording,
         ..
     } = sim.world;
-    if recording {
-        // Verdicts raised by the very last drained event are still in
-        // the detector's journal.
-        for entry in detector.take_events() {
-            let event = match entry.kind {
-                DetectorEventKind::Heartbeat => Event::HeartbeatArrived { node: entry.node },
-                DetectorEventKind::Suspected => Event::Suspected { node: entry.node },
-                DetectorEventKind::Confirmed => Event::Confirmed { node: entry.node },
-                DetectorEventKind::Refuted => Event::Refuted { node: entry.node },
-            };
-            recorder.record(entry.at, &event);
-        }
-    }
     protocol.set_clock(end);
     if let Some(e) = error {
         // A failed step leaves the round half-done: tear it down like any
@@ -758,7 +724,7 @@ pub fn run_round_with_detection(
             Ok(_) => detection.resyncs += 1,
             // Not actually empty (it held parity duty): rebuild it.
             Err(ProtocolError::Unrecoverable { .. }) => {
-                match rebuild_to_completion(protocol, cluster, node, RebuildMode::InPlace) {
+                match protocol.rebuild_to_completion(cluster, node, RebuildMode::InPlace) {
                     Ok(_) => {}
                     Err(e @ RecoverError::DataLoss { .. }) => {
                         window.lost.insert(node.index());
@@ -966,7 +932,7 @@ fn drive_rebuild_window(
                     // victim's state: fall back to repair-in-place for
                     // whatever the partial failover left behind.
                     protocol.abort_rebuild(rebuild);
-                    match rebuild_to_completion(protocol, cluster, victim, RebuildMode::InPlace) {
+                    match protocol.rebuild_to_completion(cluster, victim, RebuildMode::InPlace) {
                         Ok(report) => {
                             now += report.repair_time;
                             w.recoveries.push(report);
@@ -985,26 +951,6 @@ fn drive_rebuild_window(
     }
     w.end = now;
     Ok(w)
-}
-
-/// Drives one phased rebuild to completion without interruption.
-fn rebuild_to_completion(
-    protocol: &mut DvdcProtocol,
-    cluster: &mut Cluster,
-    node: NodeId,
-    mode: RebuildMode,
-) -> Result<RecoveryReport, RecoverError> {
-    let mut rebuild = protocol.begin_rebuild(cluster, node, mode)?;
-    loop {
-        match protocol.step_rebuild(cluster, &mut rebuild) {
-            Ok(RebuildStep::Progress { .. }) => {}
-            Ok(RebuildStep::Completed(report)) => return Ok(report),
-            Err(e) => {
-                protocol.abort_rebuild(rebuild);
-                return Err(e);
-            }
-        }
-    }
 }
 
 /// [`run_round_with_detection`] under the default [`DetectorConfig`] —

@@ -11,15 +11,15 @@
 //! `dvdc-model`.
 
 use dvdc_checkpoint::adaptive::AdaptivePolicy;
-use dvdc_faults::FaultKind;
 use dvdc_observe::{Event, RecorderHandle};
 use dvdc_simcore::rng::RngHub;
 use dvdc_simcore::time::{Duration, SimTime};
 use dvdc_vcluster::cluster::Cluster;
+use dvdc_vcluster::ids::NodeId;
 
 use dvdc_faults::injector::ClusterFaultPlan;
 
-use crate::protocol::{CheckpointProtocol, ProtocolError, RecoverError};
+use crate::protocol::{domain_victims, CheckpointProtocol, ProtocolError, RecoverError};
 
 /// When to take coordinated checkpoints.
 #[derive(Debug, Clone, Copy)]
@@ -226,18 +226,10 @@ impl JobRunner {
                     // Domain faults (whole rack, whole DC) expand to the
                     // nodes the topology puts in them; everything else is
                     // the single node the record names.
-                    let victims: Vec<dvdc_vcluster::ids::NodeId> = match f.kind {
-                        FaultKind::RackFailure { rack } => cluster
-                            .topology()
-                            .nodes_in_rack(dvdc_vcluster::topology::RackId(rack)),
-                        FaultKind::DcFailure { dc } => cluster
-                            .topology()
-                            .nodes_in_dc(dvdc_vcluster::topology::DcId(dc)),
-                        _ => vec![dvdc_vcluster::ids::NodeId(f.node)],
-                    }
-                    .into_iter()
-                    .filter(|&n| cluster.is_up(n))
-                    .collect();
+                    let victims = domain_victims(cluster, &f.kind).unwrap_or_else(|| {
+                        let node = NodeId(f.node);
+                        Vec::from_iter(cluster.is_up(node).then_some(node))
+                    });
                     if victims.is_empty() {
                         // Hardware already out of service (failover mode):
                         // nothing new fails.
@@ -247,20 +239,12 @@ impl JobRunner {
                         continue;
                     }
                     if recording {
-                        let kind = match f.kind {
-                            FaultKind::Crash => "Crash",
-                            FaultKind::TransientHang(_) => "TransientHang",
-                            FaultKind::Partition { .. } => "Partition",
-                            FaultKind::Corruption { .. } => "Corruption",
-                            FaultKind::RackFailure { .. } => "RackFailure",
-                            FaultKind::DcFailure { .. } => "DcFailure",
-                        };
                         for &v in &victims {
                             recorder.record(
                                 strike,
                                 &Event::FaultInjected {
                                     node: v.index(),
-                                    kind,
+                                    kind: f.kind.name(),
                                 },
                             );
                             // This runner's failure oracle stands in for
@@ -393,7 +377,6 @@ mod tests {
     use dvdc_faults::dist::Deterministic;
     use dvdc_faults::injector::{FaultInjector, NodeFault};
     use dvdc_vcluster::cluster::ClusterBuilder;
-    use dvdc_vcluster::ids::NodeId;
 
     fn cluster() -> Cluster {
         ClusterBuilder::new()

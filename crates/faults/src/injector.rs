@@ -115,6 +115,18 @@ pub enum FaultKind {
 }
 
 impl FaultKind {
+    /// Stable kind label used in traces and metrics.
+    pub fn name(&self) -> &'static str {
+        match self {
+            FaultKind::Crash => "Crash",
+            FaultKind::TransientHang(_) => "TransientHang",
+            FaultKind::Partition { .. } => "Partition",
+            FaultKind::Corruption { .. } => "Corruption",
+            FaultKind::RackFailure { .. } => "RackFailure",
+            FaultKind::DcFailure { .. } => "DcFailure",
+        }
+    }
+
     /// True for fail-stop faults (state is lost). Domain failures are
     /// fail-stop for every node they expand to.
     pub fn is_crash(&self) -> bool {

@@ -120,6 +120,7 @@ pub enum TopologySpec {
 #[derive(Debug, Clone)]
 pub struct ClusterBuilder {
     nodes: usize,
+    spare_nodes: usize,
     vms_per_node: usize,
     pages: usize,
     page_size: usize,
@@ -140,6 +141,7 @@ impl ClusterBuilder {
     pub fn new() -> Self {
         ClusterBuilder {
             nodes: 4,
+            spare_nodes: 0,
             vms_per_node: 3,
             pages: 256,
             page_size: 4096,
@@ -156,7 +158,16 @@ impl ClusterBuilder {
         self
     }
 
-    /// Sets the number of VMs hosted per node.
+    /// The last `n` of the physical nodes host no VMs — Fig. 3's
+    /// checkpoint node, which "can do no real work" (default 0: Fig. 4,
+    /// every node computes). VM ids stay dense because the empty nodes
+    /// come last.
+    pub fn spare_nodes(mut self, n: usize) -> Self {
+        self.spare_nodes = n;
+        self
+    }
+
+    /// Sets the number of VMs hosted per (non-spare) node.
     pub fn vms_per_node(mut self, n: usize) -> Self {
         self.vms_per_node = n;
         self
@@ -207,6 +218,11 @@ impl ClusterBuilder {
     pub fn build(self, _seed: u64) -> Cluster {
         assert!(self.nodes > 0, "cluster needs at least one node");
         assert!(self.vms_per_node > 0, "nodes must host at least one VM");
+        assert!(
+            self.spare_nodes < self.nodes,
+            "at least one node must host VMs"
+        );
+        let compute = self.nodes - self.spare_nodes;
         let topology = match self.topology {
             TopologySpec::Flat => Topology::flat(self.nodes),
             TopologySpec::UniformRacks {
@@ -223,12 +239,13 @@ impl ClusterBuilder {
             }
         };
         let mut nodes = Vec::with_capacity(self.nodes);
-        let mut vms = Vec::with_capacity(self.nodes * self.vms_per_node);
-        let mut placement = Vec::with_capacity(self.nodes * self.vms_per_node);
+        let mut vms = Vec::with_capacity(compute * self.vms_per_node);
+        let mut placement = Vec::with_capacity(compute * self.vms_per_node);
         for n in 0..self.nodes {
             let node_id = NodeId(n);
-            let mut hosted = Vec::with_capacity(self.vms_per_node);
-            for s in 0..self.vms_per_node {
+            let slots = if n < compute { self.vms_per_node } else { 0 };
+            let mut hosted = Vec::with_capacity(slots);
+            for s in 0..slots {
                 let vm_id = VmId(n * self.vms_per_node + s);
                 hosted.push(vm_id);
                 vms.push(Vm::new(
@@ -455,6 +472,27 @@ mod tests {
         assert_eq!(c.vms_on(NodeId(0)), &[VmId(0), VmId(1)]);
         assert_eq!(c.vms_on(NodeId(2)), &[VmId(4), VmId(5)]);
         assert_eq!(c.node_of(VmId(3)), NodeId(1));
+    }
+
+    #[test]
+    fn spare_nodes_come_last_and_host_nothing() {
+        let c = Cluster::builder()
+            .physical_nodes(4)
+            .spare_nodes(1)
+            .vms_per_node(3)
+            .vm_memory(8, 32)
+            .build(1);
+        assert_eq!(c.node_count(), 4);
+        assert_eq!(c.vm_count(), 9);
+        assert_eq!(c.vms_on(NodeId(2)), &[VmId(6), VmId(7), VmId(8)]);
+        assert!(c.vms_on(NodeId(3)).is_empty());
+        assert!(c.is_up(NodeId(3)));
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one node must host VMs")]
+    fn all_spare_cluster_panics() {
+        Cluster::builder().physical_nodes(2).spare_nodes(2).build(0);
     }
 
     #[test]

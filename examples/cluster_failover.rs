@@ -8,8 +8,9 @@
 //! Run: `cargo run --release --example cluster_failover`
 
 use dvdc::placement::GroupPlacement;
-use dvdc::protocol::{DiskFullProtocol, DvdcProtocol, FirstShotProtocol, RemusLikeProtocol};
+use dvdc::protocol::{DiskFullProtocol, DvdcProtocol, RemusLikeProtocol};
 use dvdc::sim::JobRunner;
+use dvdc_checkpoint::strategy::Mode;
 use dvdc_faults::dist::Exponential;
 use dvdc_faults::injector::FaultInjector;
 use dvdc_simcore::rng::RngHub;
@@ -76,11 +77,19 @@ fn main() {
     {
         let mut c = ClusterBuilder::new()
             .physical_nodes(5) // extra dedicated checkpoint node
+            .spare_nodes(1)
             .vms_per_node(3)
             .vm_memory(2048, 4096)
             .writes_per_sec(2000.0)
             .build(99);
-        let mut p = FirstShotProtocol::new(NodeId(4));
+        // Fig. 3: the same protocol with every parity block on node 4,
+        // taken synchronously.
+        let mut p = DvdcProtocol::with_options(
+            GroupPlacement::dedicated(&c, NodeId(4)).unwrap(),
+            Mode::Incremental,
+            false,
+            Duration::from_millis(40.0),
+        );
         let plan5 = FaultInjector::new(
             5,
             Exponential::from_mtbf(Duration::from_secs(480.0)),

@@ -320,10 +320,8 @@ fn detector_round(
     false
 }
 
-/// One chaos run: random interleavings of workload ticks, rounds,
-/// failures — and mid-round kills striking the protocol between its
-/// discrete steps. On racked topologies the action space grows two
-/// correlated arms: whole-rack and whole-DC kills through the detector.
+/// One chaos run on the rotated-parity layout
+/// (`orthogonal_with_parity(k, m)`); see [`chaos_run_on`].
 #[allow(clippy::too_many_arguments)]
 fn chaos_run(
     seed: u64,
@@ -335,7 +333,7 @@ fn chaos_run(
     m: usize,
     steps: usize,
 ) -> ChaosStats {
-    let mut cluster = ClusterBuilder::new()
+    let cluster = ClusterBuilder::new()
         .physical_nodes(nodes)
         .vms_per_node(vms)
         .vm_memory(8, 32)
@@ -343,6 +341,28 @@ fn chaos_run(
         .topology(topo)
         .build(seed);
     let placement = GroupPlacement::orthogonal_with_parity(&cluster, k, m).unwrap();
+    chaos_run_on(seed, test, cluster, placement, steps)
+}
+
+/// One chaos run: random interleavings of workload ticks, rounds,
+/// failures — and mid-round kills striking the protocol between its
+/// discrete steps. On racked topologies the action space grows two
+/// correlated arms: whole-rack and whole-DC kills through the detector.
+fn chaos_run_on(
+    seed: u64,
+    test: &'static str,
+    mut cluster: Cluster,
+    placement: GroupPlacement,
+    steps: usize,
+) -> ChaosStats {
+    let k = placement.groups()[0].width();
+    // A node that hosts no VMs from the start yet holds parity (Fig. 3's
+    // checkpoint node) is as much a kill target as any VM host.
+    let checkpoint_nodes: Vec<NodeId> = cluster
+        .node_ids()
+        .into_iter()
+        .filter(|&n| cluster.vms_on(n).is_empty() && !placement.parity_groups_of(n).is_empty())
+        .collect();
     let mut protocol = DvdcProtocol::with_options(
         placement,
         Mode::Incremental,
@@ -647,7 +667,8 @@ fn chaos_run(
                 let up: Vec<NodeId> = cluster
                     .node_ids()
                     .into_iter()
-                    .filter(|&n| cluster.is_up(n) && !cluster.vms_on(n).is_empty())
+                    .filter(|&n| cluster.is_up(n))
+                    .filter(|n| !cluster.vms_on(*n).is_empty() || checkpoint_nodes.contains(n))
                     .collect();
                 if up.len() <= k {
                     continue; // not enough survivors for a decode
@@ -683,7 +704,8 @@ fn chaos_run(
                 let up: Vec<NodeId> = all
                     .iter()
                     .copied()
-                    .filter(|&n| cluster.is_up(n) && !cluster.vms_on(n).is_empty())
+                    .filter(|&n| cluster.is_up(n))
+                    .filter(|n| !cluster.vms_on(*n).is_empty() || checkpoint_nodes.contains(n))
                     .collect();
                 if up.len() < all.len() || up.len() <= 2 {
                     continue; // want a full house before a double failure
@@ -883,6 +905,25 @@ fn chaos_xor_parity_fig4_shape() {
             1,
             80,
         );
+    }
+}
+
+/// The Fig. 4 shape's sibling: same four nodes, but the fourth hosts no
+/// VMs and holds all three slot parities (Fig. 3). Mid-round and
+/// mid-rebuild kills, hangs, corruption and scrub reach the checkpoint
+/// node like any other, with the auditor attached.
+#[test]
+fn chaos_xor_parity_fig3_shape() {
+    for seed in seeds(60..64) {
+        let cluster = ClusterBuilder::new()
+            .physical_nodes(4)
+            .spare_nodes(1)
+            .vms_per_node(3)
+            .vm_memory(8, 32)
+            .writes_per_sec(300.0)
+            .build(seed);
+        let placement = GroupPlacement::dedicated(&cluster, NodeId(3)).unwrap();
+        chaos_run_on(seed, "chaos_xor_parity_fig3_shape", cluster, placement, 80);
     }
 }
 

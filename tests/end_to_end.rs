@@ -5,10 +5,9 @@
 //! protocols + runner (`dvdc`).
 
 use dvdc::placement::GroupPlacement;
-use dvdc::protocol::{
-    CheckpointProtocol, DiskFullProtocol, DvdcProtocol, FirstShotProtocol, RemusLikeProtocol,
-};
+use dvdc::protocol::{CheckpointProtocol, DiskFullProtocol, DvdcProtocol, RemusLikeProtocol};
 use dvdc::sim::{JobOutcome, JobRunner};
+use dvdc_checkpoint::strategy::Mode;
 use dvdc_faults::dist::Exponential;
 use dvdc_faults::injector::{ClusterFaultPlan, FaultInjector};
 use dvdc_simcore::rng::RngHub;
@@ -82,13 +81,38 @@ fn disk_full_completes_under_failures() {
 
 #[test]
 fn first_shot_completes_under_failures() {
-    let mut c = cluster(5);
-    let mut p = FirstShotProtocol::new(NodeId(4));
-    let runner = JobRunner::new(Duration::from_secs(600.0), Duration::from_secs(25.0));
-    let out = runner
-        .run(&mut p, &mut c, &plan(5, 3), &RngHub::new(3))
-        .unwrap();
-    check(&out, Duration::from_secs(600.0));
+    // Fig. 3: four compute nodes and a VM-less checkpoint node that can
+    // fail like any other. No survivor may take a second member of any
+    // slot group (or its parity), so the failover arm finds no legal
+    // re-home and falls back to repair-in-place every time.
+    for failover in [false, true] {
+        let mut c = ClusterBuilder::new()
+            .physical_nodes(5)
+            .spare_nodes(1)
+            .vms_per_node(3)
+            .vm_memory(16, 64)
+            .writes_per_sec(100.0)
+            .build(17);
+        let mut p = DvdcProtocol::with_options(
+            GroupPlacement::dedicated(&c, NodeId(4)).unwrap(),
+            Mode::Incremental,
+            false,
+            Duration::from_millis(40.0),
+        );
+        let mut runner = JobRunner::new(Duration::from_secs(600.0), Duration::from_secs(25.0));
+        if failover {
+            runner = runner.with_failover();
+        }
+        let out = runner
+            .run(&mut p, &mut c, &plan(5, 3), &RngHub::new(3))
+            .unwrap();
+        check(&out, Duration::from_secs(600.0));
+        assert!(out.failures > 0, "the plan must actually exercise failures");
+        assert_eq!(out.recoveries, out.failures, "failover={failover}");
+        assert!(!out.restarted_from_scratch);
+        assert_eq!(c.up_node_count(), 5, "every victim was repaired in place");
+        assert_eq!(c.vm_count(), 12);
+    }
 }
 
 #[test]

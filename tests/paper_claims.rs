@@ -3,7 +3,7 @@
 //! quotes the claim it verifies.
 
 use dvdc::placement::GroupPlacement;
-use dvdc::protocol::{CheckpointProtocol, DiskFullProtocol, DvdcProtocol, FirstShotProtocol};
+use dvdc::protocol::{CheckpointProtocol, DiskFullProtocol, DvdcProtocol};
 use dvdc_checkpoint::strategy::Mode;
 use dvdc_faults::mttdl::MttdlParams;
 use dvdc_model::overhead::{cost, ProtocolKind};
@@ -103,21 +103,79 @@ fn claim_iv_b_all_nodes_compute_with_distributed_parity() {
 #[test]
 fn claim_iv_b_parity_parallelization_relieves_the_fan_in() {
     // §IV-B: "the parity calculation is evenly distributed automatically"
-    // vs. the first-shot fan-in. Same cluster, same payload: DVDC's round
-    // must beat the dedicated-node architecture.
-    let mut c1 = fig4_cluster();
-    let mut dvdc = DvdcProtocol::new(GroupPlacement::orthogonal(&c1, 3).unwrap());
-    let r1 = dvdc.run_round(&mut c1).unwrap();
-
-    let mut c2 = fig4_cluster();
-    let mut fs = FirstShotProtocol::new(NodeId(3));
-    let r2 = fs.run_round(&mut c2).unwrap();
+    // and rotating it "should relieve the CPU burden by a factor linear
+    // in the amount of machines". One protocol, one set of options; the
+    // only variable is where parity lives — Fig. 3's `dedicated`
+    // checkpoint node (the fourth node hosts nothing) vs Fig. 4's
+    // `orthogonal` rotation.
+    let round = |dedicated: bool, async_parity: bool| {
+        let mut c = ClusterBuilder::new()
+            .physical_nodes(4)
+            .spare_nodes(usize::from(dedicated))
+            .vms_per_node(3)
+            .vm_memory(256, 4096)
+            .build(1);
+        let placement = if dedicated {
+            GroupPlacement::dedicated(&c, NodeId(3)).unwrap()
+        } else {
+            GroupPlacement::orthogonal(&c, 3).unwrap()
+        };
+        let mut p = DvdcProtocol::with_options(
+            placement,
+            Mode::Incremental,
+            async_parity,
+            Duration::from_millis(40.0),
+        );
+        p.run_round(&mut c).unwrap().cost
+    };
+    // Synchronous parity: the guests wait out the slowest holder, and the
+    // checkpoint node's one link takes all nine images (66.3 vs 117.9 ms).
+    let (rotated, fan_in) = (round(false, false), round(true, false));
     assert!(
-        r1.cost.overhead < r2.cost.overhead,
-        "dvdc {} !< first-shot {}",
-        r1.cost.overhead,
-        r2.cost.overhead
+        rotated.overhead < fan_in.overhead,
+        "rotated {} !< dedicated {}",
+        rotated.overhead,
+        fan_in.overhead
     );
+    // Background parity (§IV-C) hides the transfer behind the guests in
+    // either layout: the pause is capture-only and equal (40.4 ms). What
+    // rotation saves then is *latency* — how long the checkpoint stays
+    // unusable — not overhead.
+    let (rotated, fan_in) = (round(false, true), round(true, true));
+    assert_eq!(rotated.overhead, fan_in.overhead);
+    assert!(rotated.latency < fan_in.latency);
+
+    // The mechanism, on a sweep of n compute nodes × s slots: the
+    // dedicated holder takes every image of a full round, n·s of them,
+    // while rotation (same k = n, the spare node put to work) gives every
+    // holder an equal share: busiest/mean = 1.
+    let image = 8 * 32;
+    for (n, s) in [(2usize, 2usize), (2, 4), (3, 3), (3, 6), (4, 4), (5, 5)] {
+        let mut c = ClusterBuilder::new()
+            .physical_nodes(n + 1)
+            .spare_nodes(1)
+            .vms_per_node(s)
+            .vm_memory(8, 32)
+            .build(1);
+        let placement = GroupPlacement::dedicated(&c, NodeId(n)).unwrap();
+        let busiest = placement.parity_load(n + 1).into_iter().max().unwrap();
+        let mut p = DvdcProtocol::new(placement);
+        let r = p.run_round(&mut c).unwrap();
+        assert_eq!(r.network_bytes, n * s * image, "n={n} s={s}");
+        assert_eq!(busiest * n * image, r.network_bytes, "n={n} s={s}");
+
+        let mut c = ClusterBuilder::new()
+            .physical_nodes(n + 1)
+            .vms_per_node(s)
+            .vm_memory(8, 32)
+            .build(1);
+        let placement = GroupPlacement::orthogonal(&c, n).unwrap();
+        let load = placement.parity_load(n + 1);
+        let mut p = DvdcProtocol::new(placement);
+        let r = p.run_round(&mut c).unwrap();
+        let busiest = load.iter().max().unwrap() * n * image;
+        assert_eq!(busiest * (n + 1), r.network_bytes, "n={n} s={s}: {load:?}");
+    }
 }
 
 #[test]

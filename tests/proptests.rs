@@ -473,6 +473,31 @@ fn cluster_snapshots(c: &Cluster) -> Vec<Vec<u8>> {
         .collect()
 }
 
+/// Six nodes under one of two parity placements: rotated (`orthogonal`,
+/// 6 × 2 VMs, k = 3, `m` parity blocks) or Fig. 3's `dedicated` (5 × 2
+/// VMs, node 5 hosts nothing and holds both slot parities; `m` unused).
+fn six_node_protocol(seed: u64, dedicated: bool, m: usize) -> (Cluster, DvdcProtocol) {
+    let c = ClusterBuilder::new()
+        .physical_nodes(6)
+        .spare_nodes(usize::from(dedicated))
+        .vms_per_node(2)
+        .vm_memory(8, 32)
+        .writes_per_sec(250.0)
+        .build(seed);
+    let placement = if dedicated {
+        GroupPlacement::dedicated(&c, NodeId(5)).unwrap()
+    } else {
+        GroupPlacement::orthogonal_with_parity(&c, 3, m).unwrap()
+    };
+    let p = DvdcProtocol::with_options(
+        placement,
+        Mode::Incremental,
+        true,
+        Duration::from_millis(40.0),
+    );
+    (c, p)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -486,20 +511,9 @@ proptest! {
         cut in 0usize..220,
         victim in 0usize..6,
         m in 1usize..3,
+        dedicated in any::<bool>(),
     ) {
-        let mut c = ClusterBuilder::new()
-            .physical_nodes(6)
-            .vms_per_node(2)
-            .vm_memory(8, 32)
-            .writes_per_sec(250.0)
-            .build(seed);
-        let placement = GroupPlacement::orthogonal_with_parity(&c, 3, m).unwrap();
-        let mut p = DvdcProtocol::with_options(
-            placement,
-            Mode::Incremental,
-            true,
-            Duration::from_millis(40.0),
-        );
+        let (mut c, mut p) = six_node_protocol(seed, dedicated, m);
 
         // Commit a baseline epoch, then guest progress the next round
         // tries (and fails) to protect.
@@ -530,7 +544,8 @@ proptest! {
         let victim = NodeId(victim);
         c.fail_node(victim);
         if !committed_mid {
-            // Every node hosts VMs here, so any victim holds round state.
+            // Every node hosts VMs or (the checkpoint node) parity, so
+            // any victim holds round state.
             prop_assert!(p.round_involves(&c, &round, victim));
             p.abort_round(round);
         }
@@ -548,20 +563,9 @@ proptest! {
         cut in 0usize..120,
         victim in 0usize..6,
         m in 1usize..3,
+        dedicated in any::<bool>(),
     ) {
-        let mut c = ClusterBuilder::new()
-            .physical_nodes(6)
-            .vms_per_node(2)
-            .vm_memory(8, 32)
-            .writes_per_sec(250.0)
-            .build(seed);
-        let placement = GroupPlacement::orthogonal_with_parity(&c, 3, m).unwrap();
-        let mut p = DvdcProtocol::with_options(
-            placement,
-            Mode::Incremental,
-            true,
-            Duration::from_millis(40.0),
-        );
+        let (mut c, mut p) = six_node_protocol(seed, dedicated, m);
 
         p.run_round(&mut c).unwrap();
         let hub = RngHub::new(seed ^ 0xA11C_E55E);

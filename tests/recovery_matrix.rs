@@ -6,8 +6,8 @@ use std::rc::Rc;
 
 use dvdc::placement::GroupPlacement;
 use dvdc::protocol::{
-    run_round_with_faults, CheckpointProtocol, CodeKind, DvdcProtocol, FirstShotProtocol,
-    PhasedOutcome, RebuildMode, RebuildPhase, RebuildStep, RecoverError, RoundPhase, RoundStep,
+    run_round_with_faults, CheckpointProtocol, CodeKind, DvdcProtocol, PhasedOutcome,
+    ProtocolError, RebuildMode, RebuildPhase, RebuildStep, RecoverError, RoundPhase, RoundStep,
 };
 use dvdc_checkpoint::strategy::Mode;
 use dvdc_faults::{ClusterFaultPlan, DetectorConfig, NodeFault, PlanCursor};
@@ -567,17 +567,53 @@ fn dvdc_scrub_detects_and_repairs_all_injected_corruption() {
 
 #[test]
 fn first_shot_matrix() {
+    // Fig. 1 (one slot) and Fig. 3 (several) shapes: the last node is
+    // the VM-less checkpoint node and holds every group's parity.
     for (nodes, vms) in [(3usize, 1usize), (5, 1), (4, 3), (5, 2)] {
         let parity = NodeId(nodes - 1);
         for victim in 0..nodes {
-            let mut c = build(nodes, vms);
-            let mut p = FirstShotProtocol::new(parity);
-            p.run_round(&mut c).unwrap();
-            let want = snapshots(&c);
-            c.fail_node(NodeId(victim));
-            p.recover(&mut c, NodeId(victim))
-                .unwrap_or_else(|e| panic!("{nodes}x{vms} victim={victim}: {e}"));
-            assert_state(&c, &want, &format!("{nodes}x{vms} victim={victim}"));
+            for failover_first in [false, true] {
+                let ctx = format!("{nodes}x{vms} victim={victim} failover_first={failover_first}");
+                let mut c = ClusterBuilder::new()
+                    .physical_nodes(nodes)
+                    .spare_nodes(1)
+                    .vms_per_node(vms)
+                    .vm_memory(8, 32)
+                    .writes_per_sec(200.0)
+                    .build(nodes as u64 * 31 + vms as u64);
+                let (mut p, _audit) = audited(DvdcProtocol::with_options(
+                    GroupPlacement::dedicated(&c, parity).unwrap(),
+                    Mode::Incremental,
+                    false,
+                    Duration::from_millis(40.0),
+                ));
+                p.run_round(&mut c).unwrap();
+                let want = snapshots(&c);
+                let hosted = c.vms_on(NodeId(victim)).to_vec();
+                c.fail_node(NodeId(victim));
+                if failover_first {
+                    // Every survivor already holds a member (or the
+                    // parity) of every slot group: no legal re-home, so
+                    // failover refuses and moves nothing…
+                    assert!(
+                        matches!(
+                            p.recover_failover(&mut c, NodeId(victim)),
+                            Err(ProtocolError::Unrecoverable { .. })
+                        ),
+                        "{ctx}"
+                    );
+                    assert_eq!(c.vms_on(NodeId(victim)), hosted, "{ctx}");
+                    assert_eq!(p.placement().parity_load(nodes)[nodes - 1], vms, "{ctx}");
+                }
+                // …and repair in place restores everything.
+                let rep = p
+                    .recover(&mut c, NodeId(victim))
+                    .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+                assert_eq!(rep.recovered_vms, hosted, "{ctx}");
+                let rebuilt = if NodeId(victim) == parity { vms } else { 0 };
+                assert_eq!(rep.parity_rebuilt.len(), rebuilt, "{ctx}");
+                assert_state(&c, &want, &ctx);
+            }
         }
     }
 }
