@@ -36,15 +36,15 @@ use dvdc_vcluster::workload::{
 };
 use serde::Serialize;
 
-/// Workload axis size (mirrors `tests/domain_matrix.rs`).
+/// Workload axis size. `tests/domain_matrix.rs` walks these same axes.
 pub const WORKLOADS: u64 = 5;
 /// Fault-schedule axis size.
 pub const SCHEDULES: u64 = 5;
 
-/// The swarm cluster: 12 nodes in 6 racks of 2 across 2 DCs — the same
-/// shape the domain-matrix tier uses, deep enough that rack kills are
-/// partial and a DC kill is catastrophic-but-honest.
-fn build_cluster(seed: u64) -> Cluster {
+/// The matrix cluster: 12 nodes in 6 racks of 2 across 2 DCs — deep
+/// enough that rack kills are partial and a DC kill is
+/// catastrophic-but-honest.
+pub fn build_cluster(seed: u64) -> Cluster {
     ClusterBuilder::new()
         .physical_nodes(12)
         .vms_per_node(2)
@@ -57,7 +57,8 @@ fn build_cluster(seed: u64) -> Cluster {
         .build(seed)
 }
 
-fn make_workload(idx: u64) -> (&'static str, Box<dyn ClusterWorkload>) {
+/// Entry `idx % WORKLOADS` of the workload axis, freshly built.
+pub fn make_workload(idx: u64) -> (&'static str, Box<dyn ClusterWorkload>) {
     match idx % WORKLOADS {
         0 => ("steady", Box::new(SteadyCheckpoint)),
         1 => ("bursty-storm", Box::new(BurstyDirtyStorm::default())),
@@ -67,7 +68,9 @@ fn make_workload(idx: u64) -> (&'static str, Box<dyn ClusterWorkload>) {
     }
 }
 
-fn make_schedule(idx: u64, horizon: Duration) -> Box<dyn FaultSchedule> {
+/// Entry `idx % SCHEDULES` of the fault-schedule axis, its rates scaled
+/// to the scenario's `horizon`.
+pub fn make_schedule(idx: u64, horizon: Duration) -> Box<dyn FaultSchedule> {
     match idx % SCHEDULES {
         0 => Box::new(NodeCrashes::exponential(
             Duration::from_secs(horizon.as_secs() * 2.0),

@@ -437,12 +437,6 @@ impl<K: Ord + Copy> ParityStore<K> {
         self.current == self.committed
     }
 
-    /// Forgets the delta base without touching blocks (e.g. membership
-    /// changed under the store).
-    pub fn invalidate_delta_base(&mut self) {
-        self.current_epoch = None;
-    }
-
     /// Keys present in the committed generation, in order.
     pub fn committed_keys(&self) -> impl Iterator<Item = K> + '_ {
         self.committed.keys().copied()

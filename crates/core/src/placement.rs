@@ -32,7 +32,7 @@
 //! baseline that the availability analysis shows losing data under
 //! correlated rack loss.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
 
 use dvdc_vcluster::cluster::Cluster;
@@ -80,6 +80,44 @@ impl RaidGroup {
     pub fn parity_count(&self) -> usize {
         self.parity_nodes.len()
     }
+
+    /// Every node the group occupies under the cluster's *current* VM
+    /// placement: its data members' hosts, then its parity holders.
+    /// Orthogonality is the statement that these are pairwise distinct.
+    pub fn occupants<'a>(&'a self, cluster: &'a Cluster) -> impl Iterator<Item = NodeId> + 'a {
+        self.data
+            .iter()
+            .map(|&vm| cluster.node_of(vm))
+            .chain(self.parity_nodes.iter().copied())
+    }
+
+    /// [`RaidGroup::occupants`] without the node `member` itself sits on
+    /// — the nodes a move of `member` must stay clear of.
+    fn other_occupants<'a>(
+        &'a self,
+        cluster: &'a Cluster,
+        member: Member,
+    ) -> impl Iterator<Item = NodeId> + 'a {
+        let own = match member {
+            Member::Vm(vm) => self.data.iter().position(|&d| d == vm),
+            Member::Parity(_, slot) => Some(self.width() + slot),
+        };
+        self.occupants(cluster)
+            .enumerate()
+            .filter(move |&(i, _)| Some(i) != own)
+            .map(|(_, node)| node)
+    }
+}
+
+/// One member of a RAID group — the unit that occupies a node and can be
+/// moved to another.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Member {
+    /// A data member.
+    Vm(VmId),
+    /// Parity block `slot` of a group (an index into
+    /// [`RaidGroup::parity_nodes`]).
+    Parity(GroupId, usize),
 }
 
 /// Errors from placement construction/validation.
@@ -492,20 +530,30 @@ impl GroupPlacement {
             .collect()
     }
 
+    /// The parity blocks `node` holds, as `(group, slot)` with `slot` an
+    /// index into that group's [`RaidGroup::parity_nodes`].
+    pub fn parity_slots_on(&self, node: NodeId) -> impl Iterator<Item = (GroupId, usize)> + '_ {
+        self.groups.iter().flat_map(move |g| {
+            let slots = g.parity_nodes.iter().enumerate();
+            slots.filter_map(move |(slot, &p)| (p == node).then_some((g.id, slot)))
+        })
+    }
+
+    /// Whether `node` holds any group's state — it hosts VMs (their
+    /// checkpoints live in its local store) or a parity block. A down
+    /// node that holds state blocks a round and needs a rebuild; one that
+    /// holds none is an evacuated husk.
+    pub fn holds_state(&self, cluster: &Cluster, node: NodeId) -> bool {
+        !cluster.vms_on(node).is_empty() || self.parity_slots_on(node).next().is_some()
+    }
+
     /// Verifies orthogonality against the cluster's *current* placement:
     /// within each group, every data node and parity node is distinct.
     pub fn validate(&self, cluster: &Cluster) -> Result<(), PlacementError> {
         for g in &self.groups {
-            let mut seen: BTreeMap<NodeId, ()> = BTreeMap::new();
-            let nodes = g
-                .data
-                .iter()
-                .map(|&v| cluster.node_of(v))
-                .chain(g.parity_nodes.iter().copied());
-            for node in nodes {
-                if seen.insert(node, ()).is_some() {
-                    return Err(PlacementError::NotOrthogonal { group: g.id, node });
-                }
+            let mut seen = BTreeSet::new();
+            if let Some(node) = g.occupants(cluster).find(|&n| !seen.insert(n)) {
+                return Err(PlacementError::NotOrthogonal { group: g.id, node });
             }
         }
         Ok(())
@@ -518,18 +566,11 @@ impl GroupPlacement {
     /// then costs each group at most one member.
     pub fn validate_rack_aware(&self, cluster: &Cluster) -> Result<(), PlacementError> {
         self.validate(cluster)?;
-        let topo = cluster.topology();
         for g in &self.groups {
-            let mut seen: BTreeMap<RackId, ()> = BTreeMap::new();
-            let racks = g
-                .data
-                .iter()
-                .map(|&v| topo.rack_of(cluster.node_of(v)))
-                .chain(g.parity_nodes.iter().map(|&p| topo.rack_of(p)));
-            for rack in racks {
-                if seen.insert(rack, ()).is_some() {
-                    return Err(PlacementError::RackCollision { group: g.id, rack });
-                }
+            let mut seen = BTreeSet::new();
+            let mut racks = g.occupants(cluster).map(|n| cluster.rack_of(n));
+            if let Some(rack) = racks.find(|&r| !seen.insert(r)) {
+                return Err(PlacementError::RackCollision { group: g.id, rack });
             }
         }
         Ok(())
@@ -547,40 +588,22 @@ impl GroupPlacement {
     /// parity blocks iff every entry ≤ `m`; rack-orthogonal placement
     /// guarantees ≤ 1.
     pub fn impact_of_rack_failure(&self, cluster: &Cluster, rack: RackId) -> Vec<(GroupId, usize)> {
-        let topo = cluster.topology();
-        self.groups
-            .iter()
-            .map(|g| {
-                let data_hits = g
-                    .data
-                    .iter()
-                    .filter(|&&v| topo.rack_of(cluster.node_of(v)) == rack)
-                    .count();
-                let parity_hits = g
-                    .parity_nodes
-                    .iter()
-                    .filter(|&&p| topo.rack_of(p) == rack)
-                    .count();
-                (g.id, data_hits + parity_hits)
-            })
-            .collect()
+        self.impact(cluster, |n| cluster.rack_of(n) == rack)
     }
 
     /// How many members (data or parity) of each group live on `node` —
     /// the failure-impact profile. Recoverability with `m` parity blocks
     /// requires every entry ≤ `m`; orthogonal placement guarantees ≤ 1.
     pub fn impact_of_node_failure(&self, cluster: &Cluster, node: NodeId) -> Vec<(GroupId, usize)> {
+        self.impact(cluster, |n| n == node)
+    }
+
+    /// Per group, how many of its occupants a failure taking every node
+    /// in `lost` costs it.
+    fn impact(&self, cluster: &Cluster, lost: impl Fn(NodeId) -> bool) -> Vec<(GroupId, usize)> {
         self.groups
             .iter()
-            .map(|g| {
-                let data_hits = g
-                    .data
-                    .iter()
-                    .filter(|&&v| cluster.node_of(v) == node)
-                    .count();
-                let parity_hits = g.parity_nodes.iter().filter(|&&p| p == node).count();
-                (g.id, data_hits + parity_hits)
-            })
+            .map(|g| (g.id, g.occupants(cluster).filter(|&n| lost(n)).count()))
             .collect()
     }
 
@@ -594,6 +617,68 @@ impl GroupPlacement {
             }
         }
         load
+    }
+
+    /// The group `member` belongs to.
+    fn group_of_member(&self, member: Member) -> &RaidGroup {
+        match member {
+            Member::Vm(vm) => self.group_of(vm),
+            Member::Parity(gid, _) => &self.groups[gid.index()],
+        }
+    }
+
+    /// The orthogonality rule for one move: `member` may live on `to`
+    /// only if no *other* member of its group already occupies it.
+    pub fn check_move(
+        &self,
+        cluster: &Cluster,
+        member: Member,
+        to: NodeId,
+    ) -> Result<(), PlacementError> {
+        let group = self.group_of_member(member);
+        if group.other_occupants(cluster, member).any(|n| n == to) {
+            return Err(PlacementError::NotOrthogonal {
+                group: group.id,
+                node: to,
+            });
+        }
+        Ok(())
+    }
+
+    /// Where `member` should live — the one statement of where a group
+    /// member may move, shared by migration and failover. Candidates are
+    /// the up nodes, minus `vacating` (the node a failover is emptying),
+    /// minus every node another member of the group occupies. Among
+    /// them, a node in a rack no other member touches wins: moves must
+    /// not erode rack-orthogonality, or the first whole-rack failure
+    /// afterwards takes two members of one group and defeats single
+    /// parity. Only when no such rack remains does node distinctness
+    /// alone decide (on a flat topology every node is its own rack, so
+    /// the preference changes nothing). Within a tier the least-loaded
+    /// node wins — by VM count for a VM, by parity-block count for a
+    /// parity block — lowest node id among equals.
+    ///
+    /// A VM's current host is itself a candidate unless it is `vacating`:
+    /// an answer equal to it means "stay". `None` means no legal host
+    /// exists.
+    pub fn host_for(
+        &self,
+        cluster: &Cluster,
+        member: Member,
+        vacating: Option<NodeId>,
+    ) -> Option<NodeId> {
+        let group = self.group_of_member(member);
+        let taken: Vec<NodeId> = group.other_occupants(cluster, member).collect();
+        let taken_racks: Vec<RackId> = taken.iter().map(|&n| cluster.rack_of(n)).collect();
+        let load = |n: NodeId| match member {
+            Member::Vm(_) => cluster.vms_on(n).len(),
+            Member::Parity(..) => self.parity_slots_on(n).count(),
+        };
+        cluster
+            .up_nodes()
+            .into_iter()
+            .filter(|&n| Some(n) != vacating && !taken.contains(&n))
+            .min_by_key(|&n| (taken_racks.contains(&cluster.rack_of(n)), load(n)))
     }
 
     /// Moves one of a group's parity blocks from `from` to `to` — the
@@ -612,24 +697,13 @@ impl GroupPlacement {
         from: NodeId,
         to: NodeId,
     ) -> Result<(), PlacementError> {
-        let group = &self.groups[gid.index()];
-        let occupied = group
-            .data
-            .iter()
-            .map(|&v| cluster.node_of(v))
-            .chain(group.parity_nodes.iter().copied().filter(|&p| p != from));
-        for node in occupied {
-            if node == to {
-                return Err(PlacementError::NotOrthogonal { group: gid, node });
-            }
-        }
-        let group = &mut self.groups[gid.index()];
-        let slot = group
+        let slot = self.groups[gid.index()]
             .parity_nodes
             .iter()
             .position(|&p| p == from)
             .unwrap_or_else(|| panic!("{gid} holds no parity on {from}"));
-        group.parity_nodes[slot] = to;
+        self.check_move(cluster, Member::Parity(gid, slot), to)?;
+        self.groups[gid.index()].parity_nodes[slot] = to;
         Ok(())
     }
 }
@@ -1015,6 +1089,41 @@ mod tests {
         ));
         // Unchanged on failure.
         assert_eq!(p.groups()[0].parity_nodes[0], from);
+    }
+
+    #[test]
+    fn host_for_takes_a_free_rack_first_and_a_free_node_second() {
+        // 4 racks of 2, k=2 m=1: a group touches 3 racks and leaves one.
+        let mut c = racked_cluster(8, 1, 2);
+        let p = GroupPlacement::orthogonal(&c, 2).unwrap();
+        let group = &p.groups()[0];
+        let vm = Member::Vm(group.data[0]);
+        let home = c.node_of(group.data[0]);
+        let others: Vec<NodeId> = group.occupants(&c).filter(|&n| n != home).collect();
+        let rack_free: Vec<NodeId> = c
+            .node_ids()
+            .into_iter()
+            .filter(|&n| others.iter().all(|&o| c.rack_of(o) != c.rack_of(n)))
+            .collect();
+        // Staying is an answer unless the home is being vacated.
+        assert_eq!(p.host_for(&c, vm, None), Some(home));
+        let dest = p.host_for(&c, vm, Some(home)).unwrap();
+        assert!(rack_free.contains(&dest) && dest != home);
+        // No rack-free node left: node distinctness alone decides.
+        for &n in &rack_free {
+            c.fail_node(n);
+        }
+        let dest = p.host_for(&c, vm, Some(home)).unwrap();
+        assert!(!rack_free.contains(&dest));
+        p.check_move(&c, vm, dest).unwrap();
+        assert!(p.check_move(&c, vm, others[0]).is_err());
+        // Only the other members' own nodes are left up.
+        for n in c.node_ids() {
+            if !others.contains(&n) {
+                c.fail_node(n);
+            }
+        }
+        assert_eq!(p.host_for(&c, vm, Some(home)), None);
     }
 
     #[test]

@@ -44,7 +44,7 @@ use std::rc::Rc;
 use dvdc_checkpoint::accounting::CheckpointCost;
 use dvdc_checkpoint::delta::{xor_runs, XorRun};
 use dvdc_checkpoint::payload::CheckpointPayload;
-use dvdc_checkpoint::store::{DoubleBufferedStore, ParityStore};
+use dvdc_checkpoint::store::{DoubleBufferedStore, MaterializedStore, ParityStore};
 use dvdc_checkpoint::strategy::{Checkpointer, Mode};
 use dvdc_faults::buggify::{self, points, FaultRegistry};
 use dvdc_observe::{Event, RecorderHandle, NO_TOKEN};
@@ -61,7 +61,7 @@ use dvdc_vcluster::messaging::{
     TransferLedger,
 };
 
-use crate::placement::{GroupId, GroupPlacement};
+use crate::placement::{GroupId, GroupPlacement, Member, PlacementError};
 
 use super::{
     rollback_vms, CheckpointProtocol, ProtocolError, RecoverError, RecoveryReport, RoundReport,
@@ -839,40 +839,39 @@ impl DvdcProtocol {
         self.parity_blocks
     }
 
-    /// Moves a VM's checkpoint custody after a live migration: its
-    /// committed and in-progress images transfer from the old host's
+    /// Live-migrates `vm` to `to`, moving its checkpoint custody along:
+    /// its committed and in-progress images transfer from the old host's
     /// local store to the new one's, so a failure of either node before
     /// the next round still finds (exactly one copy of) the state it
-    /// needs. Call right after [`Cluster::migrate_vm`], passing the old
-    /// host.
+    /// needs.
     ///
-    /// Skipping this hook is safe for *liveness* — the next round's
-    /// capture self-heals via a full recapture — but a failure in the
-    /// window between migration and that round would find no committed
-    /// image for the VM on its new host.
-    pub fn on_migrate(&mut self, cluster: &Cluster, vm: VmId, from: NodeId) {
-        let to = cluster.node_of(vm);
+    /// Refuses — touching nothing — a destination that already hosts
+    /// another member of the VM's group
+    /// ([`GroupPlacement::check_move`]); ask
+    /// [`GroupPlacement::host_for`] for one that does not.
+    ///
+    /// # Panics
+    /// Panics if `to` is down.
+    pub fn migrate(
+        &mut self,
+        cluster: &mut Cluster,
+        vm: VmId,
+        to: NodeId,
+    ) -> Result<(), PlacementError> {
+        self.placement.check_move(cluster, Member::Vm(vm), to)?;
+        let from = cluster.node_of(vm);
         if from == to {
-            return;
+            return Ok(());
         }
-        self.ensure_node_stores(cluster.node_count().max(from.index() + 1));
-        let committed = {
-            let store = self.node_stores[from.index()].committed();
-            store
-                .epoch(vm)
-                .and_then(|e| store.image(vm).map(|i| (e, i.to_vec())))
+        cluster.migrate_vm(vm, to);
+        self.ensure_node_stores(cluster.node_count());
+        let take = |buffer: &mut MaterializedStore| {
+            let held = buffer.epoch(vm).zip(buffer.image(vm).map(<[u8]>::to_vec));
+            buffer.remove(vm);
+            held
         };
-        let current = {
-            let store = self.node_stores[from.index()].current();
-            store
-                .epoch(vm)
-                .and_then(|e| store.image(vm).map(|i| (e, i.to_vec())))
-        };
-        {
-            let old = &mut self.node_stores[from.index()];
-            old.committed_mut().remove(vm);
-            old.current_mut().remove(vm);
-        }
+        let old = &mut self.node_stores[from.index()];
+        let (committed, current) = (take(old.committed_mut()), take(old.current_mut()));
         let new = &mut self.node_stores[to.index()];
         if let Some((epoch, image)) = committed {
             new.committed_mut().insert_image(vm, epoch, image);
@@ -880,6 +879,7 @@ impl DvdcProtocol {
         if let Some((epoch, image)) = current {
             new.current_mut().insert_image(vm, epoch, image);
         }
+        Ok(())
     }
 
     /// The erasure-code family currently protecting the groups.
@@ -1059,9 +1059,7 @@ impl DvdcProtocol {
         };
 
         if mode == RebuildMode::Resync {
-            if !cluster.vms_on(failed).is_empty()
-                || !self.placement.parity_groups_of(failed).is_empty()
-            {
+            if self.placement.holds_state(cluster, failed) {
                 // The begin was already announced; terminate its span so
                 // the event stream never shows a rebuild left open.
                 self.emit(Event::RebuildAborted {
@@ -1079,14 +1077,7 @@ impl DvdcProtocol {
 
         if mode != RebuildMode::Scrub {
             rebuild.victim_vms = cluster.vms_on(failed).to_vec();
-            for gid in self.placement.parity_groups_of(failed) {
-                let group = &self.placement.groups()[gid.index()];
-                for j in 0..self.parity_blocks {
-                    if group.parity_nodes[j] == failed {
-                        rebuild.victim_parity.push((gid, j));
-                    }
-                }
-            }
+            rebuild.victim_parity = self.placement.parity_slots_on(failed).collect();
         }
 
         let sweep = self.sweep_integrity(cluster);
@@ -1507,13 +1498,8 @@ impl DvdcProtocol {
                 if let Some(store) = self.node_stores.get_mut(d.index()) {
                     *store = DoubleBufferedStore::new();
                 }
-                for gid in self.placement.parity_groups_of(d) {
-                    let group = &self.placement.groups()[gid.index()];
-                    for j in 0..self.parity_blocks {
-                        if group.parity_nodes[j] == d {
-                            self.parity.evict((gid, j));
-                        }
-                    }
+                for key in self.placement.parity_slots_on(d) {
+                    self.parity.evict(key);
                 }
             }
         }
@@ -1543,32 +1529,23 @@ impl DvdcProtocol {
                 }
             }
             RebuildMode::Failover => {
-                // Re-home each lost VM: an up node hosting no member
-                // (data or parity) of its group, preferring the
-                // least-loaded.
+                // Re-home each lost VM, then each lost parity block,
+                // wherever the placement's one chooser puts it.
+                let victim = rebuild.victim;
+                let no_home = |what: String| {
+                    RecoverError::Protocol(ProtocolError::Unrecoverable {
+                        node: victim,
+                        reason: format!("no orthogonality-preserving {what}"),
+                    })
+                };
                 for vm in &rebuild.victim_vms {
                     let Some(image) = rebuild.rebuilt_vms.get(vm) else {
                         continue;
                     };
-                    let group = self.placement.group_of(*vm).clone();
-                    let dest = cluster
-                        .node_ids()
-                        .into_iter()
-                        .filter(|&n| n != rebuild.victim && cluster.is_up(n))
-                        .filter(|&n| {
-                            !group
-                                .data
-                                .iter()
-                                .any(|&m| m != *vm && cluster.node_of(m) == n)
-                                && !group.parity_nodes.contains(&n)
-                        })
-                        .min_by_key(|&n| cluster.vms_on(n).len())
-                        .ok_or_else(|| {
-                            RecoverError::Protocol(ProtocolError::Unrecoverable {
-                                node: rebuild.victim,
-                                reason: format!("no orthogonality-preserving host for {vm}"),
-                            })
-                        })?;
+                    let dest = self
+                        .placement
+                        .host_for(cluster, Member::Vm(*vm), Some(victim))
+                        .ok_or_else(|| no_home(format!("host for {vm}")))?;
                     cluster.migrate_vm(*vm, dest);
                     // Seed both buffers directly: committing the whole
                     // dest store would promote any in-progress captures
@@ -1579,42 +1556,18 @@ impl DvdcProtocol {
                         .committed_mut()
                         .insert_image(*vm, epoch, image.clone());
                 }
-
-                // Re-home the dead node's parity blocks the same way.
                 for key in &rebuild.victim_parity {
                     let Some(block) = rebuild.rebuilt_parity.get(key) else {
                         continue;
                     };
-                    let (gid, _) = *key;
-                    let group = self.placement.groups()[gid.index()].clone();
-                    let dest = cluster
-                        .node_ids()
-                        .into_iter()
-                        .filter(|&n| n != rebuild.victim && cluster.is_up(n))
-                        .filter(|&n| {
-                            !group.data.iter().any(|&m| cluster.node_of(m) == n)
-                                && !group
-                                    .parity_nodes
-                                    .iter()
-                                    .any(|&p| p != rebuild.victim && p == n)
-                        })
-                        .min_by_key(|&n| self.placement.parity_groups_of(n).len())
-                        .ok_or_else(|| {
-                            RecoverError::Protocol(ProtocolError::Unrecoverable {
-                                node: rebuild.victim,
-                                reason: format!(
-                                    "no orthogonality-preserving parity home for {gid}"
-                                ),
-                            })
-                        })?;
+                    let (gid, slot) = *key;
+                    let dest = self
+                        .placement
+                        .host_for(cluster, Member::Parity(gid, slot), Some(victim))
+                        .ok_or_else(|| no_home(format!("parity home for {gid}")))?;
                     self.placement
-                        .rehome_parity(cluster, gid, rebuild.victim, dest)
-                        .map_err(|e| {
-                            RecoverError::Protocol(ProtocolError::Unrecoverable {
-                                node: rebuild.victim,
-                                reason: e.to_string(),
-                            })
-                        })?;
+                        .rehome_parity(cluster, gid, victim, dest)
+                        .map_err(|e| no_home(e.to_string()))?;
                     self.parity.seed(*key, block.clone());
                 }
             }
@@ -1801,12 +1754,9 @@ impl DvdcProtocol {
         if let Some(store) = self.node_stores.get(node.index()) {
             targets.extend(store.committed().vm_ids().map(RebuiltItem::Vm));
         }
-        for gid in self.placement.parity_groups_of(node) {
-            let group = &self.placement.groups()[gid.index()];
-            for j in 0..self.parity_blocks {
-                if group.parity_nodes[j] == node && self.parity.committed((gid, j)).is_some() {
-                    targets.push(RebuiltItem::Parity(gid, j));
-                }
+        for (gid, j) in self.placement.parity_slots_on(node) {
+            if self.parity.committed((gid, j)).is_some() {
+                targets.push(RebuiltItem::Parity(gid, j));
             }
         }
         if targets.is_empty() {
@@ -1877,10 +1827,11 @@ impl DvdcProtocol {
     /// VMs or parity (an evacuated corpse is fine — the round proceeds
     /// degraded without it).
     pub fn begin_round(&mut self, cluster: &Cluster) -> Result<PhasedRound, ProtocolError> {
-        if let Some(&down) = cluster.node_ids().iter().find(|&&n| {
-            !cluster.is_up(n)
-                && (!cluster.vms_on(n).is_empty() || !self.placement.parity_groups_of(n).is_empty())
-        }) {
+        if let Some(&down) = cluster
+            .node_ids()
+            .iter()
+            .find(|&&n| !cluster.is_up(n) && self.placement.holds_state(cluster, n))
+        {
             return Err(ProtocolError::NodeDown { node: down });
         }
         self.ensure_node_stores(cluster.node_count());
@@ -2373,9 +2324,7 @@ impl DvdcProtocol {
     /// forces an abort; an uninvolved node (fully evacuated) can die
     /// without stopping the round.
     pub fn round_involves(&self, cluster: &Cluster, round: &PhasedRound, node: NodeId) -> bool {
-        !cluster.vms_on(node).is_empty()
-            || !self.placement.parity_groups_of(node).is_empty()
-            || round.ledger.involves(node)
+        self.placement.holds_state(cluster, node) || round.ledger.involves(node)
     }
 
     /// Reports the round's in-flight shipment as failed because `node` —
@@ -3171,6 +3120,42 @@ mod tests {
         // orthogonal under the new homes.
         assert!(p.placement().parity_groups_of(victim).is_empty());
         p.placement().validate(&c).unwrap();
+        // On a flat topology the chooser is least-loaded, lowest id: the
+        // homes every earlier revision picked.
+        assert_eq!(c.node_of(VmId(0)), NodeId(4));
+        assert_eq!(c.node_of(VmId(1)), NodeId(3));
+        assert_eq!(p.placement().groups()[1].parity_nodes, [NodeId(2)]);
+    }
+
+    #[test]
+    fn failover_keeps_rack_orthogonality() {
+        // A rack-orthogonal group leaves the victim's own rack free of
+        // its other members, so the victim's rack mates are always legal
+        // rack-free hosts: every lost member can — and so must — land
+        // without putting two members of a group behind one rack.
+        for (per_rack, vms, k) in [(2, 1, 3), (2, 2, 3), (3, 1, 2)] {
+            for victim in (0..12).map(NodeId) {
+                let ctx = format!("racks of {per_rack}, {vms} VMs/node, k={k}, victim {victim}");
+                let mut c = ClusterBuilder::new()
+                    .physical_nodes(12)
+                    .vms_per_node(vms)
+                    .vm_memory(8, 32)
+                    .writes_per_sec(50.0)
+                    .racks(per_rack)
+                    .build(0);
+                let placement = GroupPlacement::orthogonal(&c, k).unwrap();
+                assert!(placement.is_rack_orthogonal(&c), "{ctx}");
+                let mut p = DvdcProtocol::new(placement);
+                p.run_round(&mut c).unwrap();
+                let want = snapshots_of(&c);
+                c.fail_node(victim);
+                p.recover_failover(&mut c, victim).expect(&ctx);
+                p.placement().validate(&c).expect(&ctx);
+                assert!(p.placement().is_rack_orthogonal(&c), "{ctx}");
+                assert!(!p.placement().holds_state(&c, victim), "{ctx}");
+                assert_eq!(snapshots_of(&c), want, "{ctx}");
+            }
+        }
     }
 
     #[test]
@@ -3219,22 +3204,18 @@ mod tests {
 
         let vm = VmId(0);
         let from = c.node_of(vm);
-        // Legal destination: not hosting a group peer or the parity.
-        let group = p.placement().group_of(vm).clone();
-        let forbidden: Vec<NodeId> = group
-            .data
-            .iter()
-            .filter(|&&m| m != vm)
-            .map(|&m| c.node_of(m))
-            .chain(group.parity_nodes.iter().copied())
-            .collect();
-        let dest = c
-            .node_ids()
-            .into_iter()
-            .find(|n| *n != from && !forbidden.contains(n))
+        let dest = p
+            .placement()
+            .host_for(&c, Member::Vm(vm), Some(from))
             .expect("legal destination");
-        c.migrate_vm(vm, dest);
-        p.on_migrate(&c, vm, from);
+        // A destination hosting a group peer is refused, nothing moved.
+        let peer_host = c.node_of(p.placement().group_of(vm).data[1]);
+        assert!(matches!(
+            p.migrate(&mut c, vm, peer_host),
+            Err(PlacementError::NotOrthogonal { node, .. }) if node == peer_host
+        ));
+        assert_eq!(c.node_of(vm), from);
+        p.migrate(&mut c, vm, dest).unwrap();
         p.placement().validate(&c).unwrap();
 
         // New host dies before any further round.
@@ -3251,8 +3232,7 @@ mod tests {
         let mut p2 = DvdcProtocol::new(GroupPlacement::orthogonal(&c2, 3).unwrap());
         p2.run_round(&mut c2).unwrap();
         let want2 = snapshots_of(&c2);
-        c2.migrate_vm(vm, dest);
-        p2.on_migrate(&c2, vm, from);
+        p2.migrate(&mut c2, vm, dest).unwrap();
         c2.fail_node(from);
         p2.recover(&mut c2, from).unwrap();
         for (i, v) in c2.vm_ids().into_iter().enumerate() {

@@ -40,15 +40,13 @@ pub use node_core::{
 };
 pub use phased::{run_round_with_detection, run_round_with_faults, DetectionReport, PhasedOutcome};
 pub use remus::RemusLikeProtocol;
-pub use transport::{
-    dispatch, Clock, DispatchOutcome, SimClock, SimNet, Transport, TransportError,
-};
+pub use transport::{dispatch, DispatchOutcome, SimNet, Transport, TransportError};
 
 use std::fmt;
 
 use dvdc_checkpoint::accounting::CheckpointCost;
 use dvdc_checkpoint::store::StoreError;
-use dvdc_faults::FaultKind;
+use dvdc_faults::{FaultKind, NodeFault};
 use dvdc_parity::code::CodeError;
 use dvdc_simcore::time::{Duration, SimTime};
 use dvdc_vcluster::cluster::Cluster;
@@ -304,18 +302,46 @@ pub(crate) fn rollback_vms(cluster: &mut Cluster, images: &[(VmId, Vec<u8>)]) {
     }
 }
 
-/// Expands a correlated domain fault to its per-node victims: every node
-/// of the rack (or DC) that is still up. For a domain fault,
-/// [`NodeFault::node`](dvdc_faults::NodeFault) carries the rack/DC index,
-/// not a node index. Non-domain kinds return `None`. Shared by the job
-/// runner and the detector-driven round driver.
-pub(crate) fn domain_victims(cluster: &Cluster, kind: &FaultKind) -> Option<Vec<NodeId>> {
-    let nodes = match *kind {
+/// What one planned fault did to the cluster.
+#[derive(Debug, Default)]
+pub(crate) struct FaultEffect {
+    /// Nodes the fault took down (a crash, or every up node of a failed
+    /// rack or DC).
+    pub down: Vec<NodeId>,
+    /// The node a hang or partition left up but unreachable; the fault's
+    /// [`FaultKind::heals_after`] says for how long.
+    pub silent: Option<NodeId>,
+    /// The up node whose stored blocks a corruption fault rots (blocks
+    /// and seed are in the fault's kind). Nothing is mutated here: only
+    /// a caller holding the protocol's stores can rot them.
+    pub corrupt: Option<NodeId>,
+}
+
+/// Strikes the cluster with one planned fault — the cluster-mutating
+/// part every driver shares; detector bookkeeping, stalls and trace
+/// events stay with the caller. For a domain fault
+/// [`NodeFault::node`] carries the rack/DC index and every node of the
+/// domain that is still up fails at once; any other kind names one node
+/// and does nothing if that node is already down.
+pub(crate) fn apply_fault(cluster: &mut Cluster, fault: &NodeFault) -> FaultEffect {
+    let mut effect = FaultEffect::default();
+    let mut struck = match fault.kind {
         FaultKind::RackFailure { rack } => cluster.topology().nodes_in_rack(RackId(rack)),
         FaultKind::DcFailure { dc } => cluster.topology().nodes_in_dc(DcId(dc)),
-        _ => return None,
+        _ => vec![NodeId(fault.node)],
     };
-    Some(nodes.into_iter().filter(|&n| cluster.is_up(n)).collect())
+    struck.retain(|&v| cluster.is_up(v));
+    for v in struck {
+        match fault.kind {
+            FaultKind::Crash | FaultKind::RackFailure { .. } | FaultKind::DcFailure { .. } => {
+                cluster.fail_node(v);
+                effect.down.push(v);
+            }
+            FaultKind::TransientHang(_) | FaultKind::Partition { .. } => effect.silent = Some(v),
+            FaultKind::Corruption { .. } => effect.corrupt = Some(v),
+        }
+    }
+    effect
 }
 
 #[cfg(test)]

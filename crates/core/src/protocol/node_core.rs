@@ -761,11 +761,6 @@ impl NodeCore {
         self.committed.as_ref().map(|(e, b)| (*e, b.as_slice()))
     }
 
-    /// The live VM image (data nodes only).
-    pub fn live_image(&self) -> Option<&[u8]> {
-        self.live.as_deref()
-    }
-
     /// The custody block held for `node`, if any.
     pub fn custody_block(&self, node: NodeId) -> Option<(u64, &[u8])> {
         self.custody

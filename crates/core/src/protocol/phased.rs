@@ -76,7 +76,7 @@ use super::dvdc_proto::{
     DvdcProtocol, PhasedRound, RebuildMode, RebuildStep, RoundPhase, RoundStep,
 };
 use super::{
-    domain_victims, CheckpointProtocol, ProtocolError, RecoverError, RecoveryReport, RoundReport,
+    apply_fault, CheckpointProtocol, ProtocolError, RecoverError, RecoveryReport, RoundReport,
 };
 
 /// Size of one heartbeat message on the wire.
@@ -240,10 +240,6 @@ struct Driver<'a, 'p> {
 }
 
 impl Driver<'_, '_> {
-    fn stall(&mut self, node: usize) {
-        self.stalled.insert(node);
-    }
-
     /// Drains the detector's journal into the recorder. Detector events
     /// carry their own timestamps (a heartbeat is datestamped at arrival,
     /// not at the drain point).
@@ -422,131 +418,86 @@ pub fn run_round_with_detection(
             if let Some(next) = w.cursor.peek() {
                 sched.at(next.at.max(sched.now()), Ev::Inject(*next));
             }
-            if let Some(victims) = domain_victims(w.cluster, &f.kind) {
-                // A rack/DC failure is fail-stop for the whole domain at
-                // one instant: every victim dies and goes silent, and the
-                // detector must confirm each one on its own heartbeat
-                // silence — correlated injection, independent detection.
-                w.protocol.set_clock(sched.now());
-                for &v in &victims {
-                    if w.recording {
-                        w.recorder.record(
-                            sched.now(),
-                            &Event::FaultInjected {
-                                node: v.index(),
-                                kind: f.kind.name(),
-                            },
-                        );
-                    }
-                    w.injected_at.insert(v.index(), sched.now());
-                    w.silenced.insert(v.index());
-                    w.cluster.fail_node(v);
+            let now = sched.now();
+            w.protocol.set_clock(now);
+            let record_strike = |node: NodeId| {
+                if w.recording {
+                    let (node, kind) = (node.index(), f.kind.name());
+                    w.recorder.record(now, &Event::FaultInjected { node, kind });
                 }
-                let mut stalls = false;
-                for &v in &victims {
-                    let involved = w
-                        .round
-                        .as_ref()
-                        .is_some_and(|r| w.protocol.round_involves(w.cluster, r, v));
-                    if involved {
-                        w.stall(v.index());
-                        stalls = true;
-                    }
-                }
-                if stalls {
-                    sched.cancel_where(|ev| matches!(ev, Ev::Step));
-                }
-                return;
+            };
+            let effect = apply_fault(w.cluster, &f);
+            if let (Some(node), FaultKind::Corruption { blocks, seed }) = (effect.corrupt, f.kind) {
+                // Silent fault: stored bytes rot in place. No process dies,
+                // no heartbeat stops, the detector sees nothing — only
+                // checksums catch this, at decode or scrub time. The node
+                // stays up and the round keeps going.
+                record_strike(node);
+                let rotted = w.protocol.apply_corruption(w.cluster, node, blocks, seed);
+                w.corrupt_blocks += rotted as u64;
             }
-            let node = NodeId(f.node);
-            if !w.cluster.is_up(node) {
-                return; // already down — nothing new fails
+            // A rack/DC failure is fail-stop for the whole domain at one
+            // instant: every victim dies and goes silent, and the detector
+            // must confirm each one on its own heartbeat silence —
+            // correlated injection, independent detection.
+            let struck: Vec<NodeId> = effect.down.iter().chain(&effect.silent).copied().collect();
+            for &v in &struck {
+                record_strike(v);
+                w.injected_at.insert(v.index(), now);
+                w.silenced.insert(v.index());
             }
-            if w.recording {
-                w.recorder.record(
-                    sched.now(),
-                    &Event::FaultInjected {
-                        node: f.node,
-                        kind: f.kind.name(),
-                    },
-                );
-            }
-            w.protocol.set_clock(sched.now());
-            match f.kind {
-                FaultKind::Corruption { blocks, seed } => {
-                    // Silent fault: stored bytes rot in place. No process
-                    // dies, no heartbeat stops, the detector sees nothing
-                    // — only checksums catch this, at decode or scrub
-                    // time. The node stays up and the round keeps going.
-                    w.corrupt_blocks +=
-                        w.protocol.apply_corruption(w.cluster, node, blocks, seed) as u64;
-                    return;
-                }
-                FaultKind::Crash => {
-                    w.injected_at.insert(f.node, sched.now());
-                    w.silenced.insert(f.node);
-                    w.cluster.fail_node(node);
-                }
-                FaultKind::TransientHang(_) | FaultKind::Partition { .. } => {
-                    w.injected_at.insert(f.node, sched.now());
-                    // The node goes silent to the monitor until it heals.
-                    w.silenced.insert(f.node);
-                    // Invariant: this match arm admits only TransientHang and
-                    // Partition, and `heals_after` is `Some` for exactly those
-                    // two kinds by construction — the expect is unreachable.
-                    let span = f.kind.heals_after().expect("transient faults heal");
-                    let wake_at = sched.now() + span;
-                    w.heal_at.insert(f.node, wake_at);
-                    sched.after(span, Ev::Heal(f.node));
-                    if matches!(f.kind, FaultKind::Partition { .. }) {
-                        // The partition may have cut a shipment mid-flight:
-                        // a transient transfer failure. Bounded retry with
-                        // backoff — the ledger keeps the transfer open so
-                        // the arrival re-runs once the path heals — falling
-                        // back to a full round abort at the cap.
-                        let mut exhausted = None;
-                        if let Some(round) = w.round.as_mut() {
-                            match w
-                                .protocol
-                                .fail_in_flight_transfer(round, node, w.retry_policy)
-                            {
-                                Some(RetryDecision::Retry { .. }) => w.transfer_retries += 1,
-                                Some(RetryDecision::Exhausted { .. }) => {
-                                    exhausted = Some(round.phase());
-                                }
-                                None => {}
+            if let (Some(node), Some(span)) = (effect.silent, f.kind.heals_after()) {
+                // The node goes silent to the monitor until it heals.
+                let wake_at = now + span;
+                w.heal_at.insert(f.node, wake_at);
+                sched.after(span, Ev::Heal(f.node));
+                if matches!(f.kind, FaultKind::Partition { .. }) {
+                    // The partition may have cut a shipment mid-flight:
+                    // a transient transfer failure. Bounded retry with
+                    // backoff — the ledger keeps the transfer open so
+                    // the arrival re-runs once the path heals — falling
+                    // back to a full round abort at the cap.
+                    let mut exhausted = None;
+                    if let Some(round) = w.round.as_mut() {
+                        match w
+                            .protocol
+                            .fail_in_flight_transfer(round, node, w.retry_policy)
+                        {
+                            Some(RetryDecision::Retry { .. }) => w.transfer_retries += 1,
+                            Some(RetryDecision::Exhausted { .. }) => {
+                                exhausted = Some(round.phase());
                             }
-                        }
-                        if let Some(phase) = exhausted {
-                            // Retry budget spent: the payload was dropped,
-                            // the round cannot complete. Fence the
-                            // unreachable node and fail it over; it wakes
-                            // fenced and resyncs after the round settles.
-                            w.false_failovers.push(FalseFailover {
-                                node: f.node,
-                                wake_at,
-                            });
-                            w.protocol.fence_node(node);
-                            w.cluster.fail_node(node);
-                            w.aborted = Some((node, phase));
-                            cancel_all_but_pending_verdicts(w, sched);
-                            return;
+                            None => {}
                         }
                     }
-                }
-                FaultKind::RackFailure { .. } | FaultKind::DcFailure { .. } => {
-                    unreachable!("domain faults expand to per-node victims above")
+                    if let Some(phase) = exhausted {
+                        // Retry budget spent: the payload was dropped,
+                        // the round cannot complete. Fence the
+                        // unreachable node and fail it over; it wakes
+                        // fenced and resyncs after the round settles.
+                        w.false_failovers.push(FalseFailover {
+                            node: f.node,
+                            wake_at,
+                        });
+                        w.protocol.fence_node(node);
+                        w.cluster.fail_node(node);
+                        w.aborted = Some((node, phase));
+                        cancel_all_but_pending_verdicts(w, sched);
+                        return;
+                    }
                 }
             }
             // An impaired member that holds round state freezes the
             // coordinated round; nothing else happens until the detector
             // rules (or the impairment heals).
-            let involved = w
-                .round
-                .as_ref()
-                .is_some_and(|r| w.protocol.round_involves(w.cluster, r, node));
-            if involved {
-                w.stall(f.node);
+            let frozen = w.stalled.len();
+            if let Some(round) = &w.round {
+                let involved = struck
+                    .iter()
+                    .filter(|&&v| w.protocol.round_involves(w.cluster, round, v));
+                w.stalled.extend(involved.map(|v| v.index()));
+            }
+            if w.stalled.len() > frozen {
                 sched.cancel_where(|ev| matches!(ev, Ev::Step));
             }
         }
@@ -818,32 +769,12 @@ fn fire_due(
             break;
         }
         cursor.advance();
-        if let Some(victims) = domain_victims(cluster, &f.kind) {
-            // Correlated kill inside the window: the whole domain goes
-            // down at once, enlarging the down set for the next victim
-            // selection pass.
-            for v in victims {
-                cluster.fail_node(v);
-                crashed = true;
-            }
-            continue;
-        }
-        let node = NodeId(f.node);
-        if !cluster.is_up(node) {
-            continue;
-        }
-        match f.kind {
-            FaultKind::Crash => {
-                cluster.fail_node(node);
-                crashed = true;
-            }
-            FaultKind::Corruption { blocks, seed } => {
-                w.corrupt_blocks += protocol.apply_corruption(cluster, node, blocks, seed) as u64;
-            }
-            FaultKind::TransientHang(_) | FaultKind::Partition { .. } => {}
-            FaultKind::RackFailure { .. } | FaultKind::DcFailure { .. } => {
-                unreachable!("domain faults expand to per-node victims above")
-            }
+        // A correlated kill inside the window downs its whole domain at
+        // once, enlarging the down set for the next victim selection pass.
+        let effect = apply_fault(cluster, &f);
+        crashed |= !effect.down.is_empty();
+        if let (Some(node), FaultKind::Corruption { blocks, seed }) = (effect.corrupt, f.kind) {
+            w.corrupt_blocks += protocol.apply_corruption(cluster, node, blocks, seed) as u64;
         }
     }
     crashed
@@ -880,10 +811,7 @@ fn drive_rebuild_window(
             .node_ids()
             .into_iter()
             .filter(|&n| !cluster.is_up(n) && !w.lost.contains(&n.index()))
-            .filter(|&n| {
-                !cluster.vms_on(n).is_empty()
-                    || !protocol.placement().parity_groups_of(n).is_empty()
-            })
+            .filter(|&n| protocol.placement().holds_state(cluster, n))
             .collect();
         let Some(victim) = victim_hint
             .filter(|v| candidates.contains(v))

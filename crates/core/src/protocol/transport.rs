@@ -1,10 +1,10 @@
-//! The transport and clock seams of the distributed protocol core.
+//! The transport seam of the distributed protocol core.
 //!
 //! [`NodeCore`](super::NodeCore) performs no IO and never reads a clock:
 //! drivers feed it messages and `now` values and carry out the
-//! [`Action`](super::Action)s it returns. This module defines the two
-//! traits drivers implement — [`Transport`] (deliver a [`Msg`] to a
-//! member) and [`Clock`] (what time is it) — plus the deterministic
+//! [`Action`](super::Action)s it returns. This module defines the trait
+//! drivers implement — [`Transport`] (deliver a [`Msg`] to a member) —
+//! plus the deterministic
 //! in-process implementation, [`SimNet`], that runs whole clusters of
 //! `NodeCore`s inside one test with simulated latency, kills, and bulk
 //! transfers accounted through the same
@@ -13,7 +13,6 @@
 //! `dvdc-transport` crate (`TcpTransport` over `std::net` + threads) and
 //! drives the *same* state machines.
 
-use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 
@@ -22,40 +21,6 @@ use dvdc_vcluster::ids::NodeId;
 use dvdc_vcluster::messaging::TransferLedger;
 
 use super::node_core::{Action, Msg, Note};
-
-/// A time source for the protocol driver. The sim advances it by hand;
-/// the daemon maps `std::time::Instant` onto it (`WallClock` in
-/// `dvdc-transport`). Protocol timeouts and detector windows all run on
-/// this one axis, so the same configuration means the same thing in both
-/// worlds (sim seconds = wall seconds).
-pub trait Clock {
-    /// The current instant.
-    fn now(&self) -> SimTime;
-}
-
-/// A manually advanced clock for deterministic drivers.
-#[derive(Debug, Default)]
-pub struct SimClock {
-    now: Cell<SimTime>,
-}
-
-impl SimClock {
-    /// Creates a clock at t = 0.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Moves the clock to `now` (monotone by convention; not enforced).
-    pub fn set(&self, now: SimTime) {
-        self.now.set(now);
-    }
-}
-
-impl Clock for SimClock {
-    fn now(&self) -> SimTime {
-        self.now.get()
-    }
-}
 
 /// Why a send could not be carried out.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -187,11 +152,6 @@ impl SimNet {
         self.killed.remove(&node);
     }
 
-    /// True if `node` is currently killed.
-    pub fn is_killed(&self, node: NodeId) -> bool {
-        self.killed.contains(&node)
-    }
-
     /// Messages dropped because their destination (or source) was dead.
     pub fn dropped_msgs(&self) -> u64 {
         self.dropped_msgs
@@ -274,14 +234,6 @@ mod tests {
 
     fn at_ms(ms: f64) -> SimTime {
         SimTime::from_secs(ms / 1e3)
-    }
-
-    #[test]
-    fn sim_clock_reads_back_what_was_set() {
-        let c = SimClock::new();
-        assert_eq!(c.now(), SimTime::ZERO);
-        c.set(SimTime::from_secs(2.5));
-        assert_eq!(c.now(), SimTime::from_secs(2.5));
     }
 
     #[test]

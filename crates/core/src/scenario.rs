@@ -10,9 +10,10 @@
 //! * the fault axis is a [`FaultSchedule`] — it plans a
 //!   [`ClusterFaultPlan`] over the cluster's [`DomainShape`] (node, rack
 //!   and DC counts) without ever seeing the workload;
-//! * [`run_scenario`] resolves the ops against the live cluster
-//!   (an orthogonality-preserving destination for each migration, honest
-//!   [`RecoverError::DataLoss`] accounting for each restart) and then
+//! * [`run_scenario`] resolves the ops against the live cluster through
+//!   [`apply_op`] (the placement's own choice of destination for each
+//!   migration, honest [`RecoverError::DataLoss`] accounting for each
+//!   restart) and then
 //!   drives every checkpoint round through the unchanged
 //!   detector-supervised [`run_round_with_faults`] harness.
 //!
@@ -26,9 +27,9 @@ use dvdc_faults::{DomainShape, FaultSchedule, PlanCursor};
 use dvdc_simcore::rng::RngHub;
 use dvdc_simcore::time::{Duration, SimTime};
 use dvdc_vcluster::cluster::Cluster;
-use dvdc_vcluster::ids::NodeId;
 use dvdc_vcluster::workload::{ClusterWorkload, WorkloadOp};
 
+use crate::placement::Member;
 use crate::protocol::{
     run_round_with_faults, CheckpointProtocol, DvdcProtocol, PhasedOutcome, ProtocolError,
     RecoverError,
@@ -181,8 +182,13 @@ pub fn run_scenario(
     Ok(report)
 }
 
-/// Resolves one declarative workload op against the live cluster.
-fn apply_op(
+/// Resolves one declarative workload op against the live cluster — the
+/// one resolver: [`run_scenario`] and the chaos suite both call it and
+/// read what it did from the counters it bumps in `report`
+/// (`migrations`, `restarts`, `recoveries`, `scrubs`, `scrub_repaired`,
+/// `data_loss`). An op that is unsafe or pointless right now (host down,
+/// too few survivors, already best-placed) is skipped silently.
+pub fn apply_op(
     protocol: &mut DvdcProtocol,
     cluster: &mut Cluster,
     op: WorkloadOp,
@@ -190,71 +196,26 @@ fn apply_op(
 ) -> Result<(), ProtocolError> {
     match op {
         WorkloadOp::Migrate { vm } => {
-            if !cluster.is_up(cluster.node_of(vm)) {
+            let from = cluster.node_of(vm);
+            if !cluster.is_up(from) {
                 return Ok(()); // its host is down; the rebuild path owns it
             }
-            // An orthogonality-preserving destination: no node that
-            // already hosts another member (data or parity) of the VM's
-            // group, least-loaded among the rest. Racks count too —
-            // churn must not erode rack-orthogonality, or the first
-            // whole-rack failure after enough migrations takes two
-            // members of one group and defeats single parity. A
-            // destination in a rack free of other members is preferred;
-            // only when none exists does the node-distinct fallback
-            // apply (on a flat topology every node is its own rack, so
-            // the preference changes nothing).
-            let group = protocol.placement().group_of(vm).clone();
-            let forbidden: Vec<NodeId> = group
-                .data
-                .iter()
-                .filter(|&&m| m != vm)
-                .map(|&m| cluster.node_of(m))
-                .chain(group.parity_nodes.iter().copied())
-                .collect();
-            let member_racks: Vec<_> = forbidden.iter().map(|&n| cluster.rack_of(n)).collect();
-            let candidates: Vec<NodeId> = cluster
-                .node_ids()
-                .into_iter()
-                .filter(|&n| cluster.is_up(n) && !forbidden.contains(&n))
-                .collect();
-            let dest = candidates
-                .iter()
-                .copied()
-                .filter(|&n| !member_racks.contains(&cluster.rack_of(n)))
-                .min_by_key(|&n| cluster.vms_on(n).len())
-                .or_else(|| {
-                    candidates
-                        .iter()
-                        .copied()
-                        .min_by_key(|&n| cluster.vms_on(n).len())
-                });
-            if let Some(dest) = dest {
-                let from = cluster.node_of(vm);
-                if dest == from {
-                    return Ok(());
-                }
-                cluster.migrate_vm(vm, dest);
-                protocol.on_migrate(cluster, vm, from);
+            let dest = protocol.placement().host_for(cluster, Member::Vm(vm), None);
+            if let Some(dest) = dest.filter(|&d| d != from) {
                 protocol
-                    .placement()
-                    .validate(cluster)
-                    .expect("scenario migration picked an orthogonality-preserving destination");
+                    .migrate(cluster, vm, dest)
+                    .expect("host_for only offers orthogonality-preserving hosts");
                 report.migrations += 1;
             }
             Ok(())
         }
         WorkloadOp::RestartNode { node } => {
-            let up: Vec<NodeId> = cluster
-                .node_ids()
-                .into_iter()
-                .filter(|&n| cluster.is_up(n))
-                .collect();
             let k = protocol
                 .placement()
                 .groups()
                 .first()
                 .map_or(0, |g| g.data.len());
-            if !up.contains(&node) || up.len() <= k {
+            if !cluster.is_up(node) || cluster.up_node_count() <= k {
                 return Ok(()); // already down, or too few survivors to decode
             }
             cluster.fail_node(node);

@@ -15,11 +15,10 @@ use dvdc_observe::{Event, RecorderHandle};
 use dvdc_simcore::rng::RngHub;
 use dvdc_simcore::time::{Duration, SimTime};
 use dvdc_vcluster::cluster::Cluster;
-use dvdc_vcluster::ids::NodeId;
 
 use dvdc_faults::injector::ClusterFaultPlan;
 
-use crate::protocol::{domain_victims, CheckpointProtocol, ProtocolError, RecoverError};
+use crate::protocol::{apply_fault, CheckpointProtocol, ProtocolError, RecoverError};
 
 /// When to take coordinated checkpoints.
 #[derive(Debug, Clone, Copy)]
@@ -223,13 +222,16 @@ impl JobRunner {
                     out.lost_work += lost;
                     progress = committed_progress;
 
-                    // Domain faults (whole rack, whole DC) expand to the
-                    // nodes the topology puts in them; everything else is
-                    // the single node the record names.
-                    let victims = domain_victims(cluster, &f.kind).unwrap_or_else(|| {
-                        let node = NodeId(f.node);
-                        Vec::from_iter(cluster.is_up(node).then_some(node))
-                    });
+                    // This runner's oracle has no detector to wait out an
+                    // impairment, so a node that merely went silent is
+                    // failed on the spot; and it has no stores to rot, so
+                    // a corruption fault fails nothing.
+                    let effect = apply_fault(cluster, &f);
+                    let mut victims = effect.down;
+                    if let Some(node) = effect.silent {
+                        cluster.fail_node(node);
+                        victims.push(node);
+                    }
                     if victims.is_empty() {
                         // Hardware already out of service (failover mode):
                         // nothing new fails.
@@ -257,9 +259,6 @@ impl JobRunner {
                         }
                     }
                     protocol.set_clock(strike);
-                    for &v in &victims {
-                        cluster.fail_node(v);
-                    }
                     let mut repair_time = Duration::ZERO;
                     let mut recovered = 0u64;
                     let mut recovery: Result<(), RecoverError> = Ok(());
@@ -377,6 +376,7 @@ mod tests {
     use dvdc_faults::dist::Deterministic;
     use dvdc_faults::injector::{FaultInjector, NodeFault};
     use dvdc_vcluster::cluster::ClusterBuilder;
+    use dvdc_vcluster::ids::NodeId;
 
     fn cluster() -> Cluster {
         ClusterBuilder::new()
@@ -435,6 +435,27 @@ mod tests {
         assert!(out.lost_work.as_secs() > 0.0 && out.lost_work.as_secs() <= 10.0);
         assert!(out.wall_time.as_secs() > 103.0); // 100 + repair 3 + extras
         assert!(out.repair_total.as_secs() > 0.0);
+    }
+
+    #[test]
+    fn corruption_fault_fails_nothing_in_the_oracle_runner() {
+        // The runner has no stores to rot: a corruption fault leaves its
+        // node up, is not counted as a failure and costs no work.
+        let mut c = cluster();
+        let mut p = dvdc(&c);
+        let runner = JobRunner::new(Duration::from_secs(100.0), Duration::from_secs(10.0));
+        let plan = ClusterFaultPlan::new(vec![NodeFault::corruption(
+            2,
+            SimTime::from_secs(25.0),
+            3,
+            0xC0FFEE,
+        )]);
+        let out = runner.run(&mut p, &mut c, &plan, &RngHub::new(2)).unwrap();
+        assert_eq!(out.failures, 0);
+        assert_eq!(out.recoveries, 0);
+        assert_eq!(out.lost_work, Duration::ZERO);
+        assert_eq!(out.rounds, 9);
+        assert!(c.is_up(NodeId(2)));
     }
 
     #[test]

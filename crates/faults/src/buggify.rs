@@ -207,18 +207,6 @@ impl FaultRegistry {
         }
     }
 
-    /// Builds a registry from `DVDC_BUGGIFY_SEED` (and optionally
-    /// `DVDC_BUGGIFY_INTENSITY`), or `None` when the seed is unset —
-    /// mirroring the `DVDC_CHAOS_SEED` repro idiom.
-    pub fn from_env() -> Option<Self> {
-        let seed: u64 = std::env::var(SEED_ENV).ok()?.trim().parse().ok()?;
-        let intensity = std::env::var(INTENSITY_ENV)
-            .ok()
-            .and_then(|s| Intensity::parse(&s))
-            .unwrap_or(Intensity::Standard);
-        Some(FaultRegistry::new(seed, intensity))
-    }
-
     /// The seed activations are derived from.
     pub fn seed(&self) -> u64 {
         self.seed
@@ -276,24 +264,9 @@ impl FaultRegistry {
         self.state.borrow_mut().allowed = Some(allowed.iter().copied().collect());
     }
 
-    /// Removes any restriction; all points may fire again.
-    pub fn unrestrict(&self) {
-        self.state.borrow_mut().allowed = None;
-    }
-
     /// Points that fired at least once, sorted by name.
     pub fn fired_points(&self) -> Vec<&'static str> {
         self.state.borrow().fired.keys().copied().collect()
-    }
-
-    /// `(point, fire count)` pairs, sorted by name.
-    pub fn fired_counts(&self) -> Vec<(&'static str, u64)> {
-        self.state
-            .borrow()
-            .fired
-            .iter()
-            .map(|(&p, &c)| (p, c))
-            .collect()
     }
 
     /// Total activations across all points.

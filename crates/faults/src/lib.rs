@@ -78,18 +78,6 @@ pub use trace::{parse_trace, render_trace};
 pub mod presets {
     use dvdc_simcore::time::Duration;
 
-    /// "Reports of large-scale clusters show MTBF values as low as 1.2
-    /// hours, for Google's servers" (Section I).
-    pub fn google_mtbf() -> Duration {
-        Duration::from_hours(1.2)
-    }
-
-    /// "a mean of 5-6 hours for modern HPC systems" (Section I); we take
-    /// the midpoint.
-    pub fn hpc_mtbf() -> Duration {
-        Duration::from_hours(5.5)
-    }
-
     /// "published MTBFs of high-end clusters can be as low as 3 hours MTBF,
     /// giving a failure rate (λ) of 9.26e-5 failures/sec" (Section V-B).
     /// This is the Figure 5 operating point.

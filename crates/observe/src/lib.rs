@@ -383,13 +383,6 @@ impl RecorderHandle {
         self.0.record(at, event);
     }
 
-    /// Records one event stamped in either clock domain — [`Stamp`]
-    /// projects wall-clock nanoseconds onto the `SimTime` axis, so sim
-    /// drivers and the live daemon share one recorder pipeline.
-    pub fn record_at(&self, at: Stamp, event: &Event) {
-        self.0.record(at.sim_time(), event);
-    }
-
     /// True unless this handle leads (only) to the no-op sink. Check
     /// before building events on hot paths.
     pub fn enabled(&self) -> bool {

@@ -394,13 +394,6 @@ impl HistogramHandle {
             h.record(v);
         }
     }
-
-    /// Records the gap between two stamps.
-    pub fn record_since(&self, earlier: Stamp, now: Stamp) {
-        if self.0.is_some() {
-            self.record(now.nanos_since(earlier));
-        }
-    }
 }
 
 // ---------------------------------------------------------------------

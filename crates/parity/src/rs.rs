@@ -200,7 +200,7 @@ impl ErasureCode for ReedSolomon {
         // contiguous chunk per worker; each worker runs the same
         // cache-blocked fold over its disjoint slice of every parity row.
         let chunk = len.div_ceil(workers);
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let mut row_chunks: Vec<_> = outs.iter_mut().map(|o| o.chunks_mut(chunk)).collect();
             let mut start = 0;
             loop {
@@ -209,14 +209,13 @@ impl ErasureCode for ReedSolomon {
                 if group.is_empty() {
                     break;
                 }
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let mut group = group;
                     self.fold_ranges(data, &mut group, start);
                 });
                 start += chunk;
             }
-        })
-        .expect("encode worker thread panicked");
+        });
         outs
     }
 

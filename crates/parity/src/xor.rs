@@ -86,12 +86,11 @@ pub fn xor_into_parallel(dst: &mut [u8], src: &[u8], threads: usize) {
         return;
     }
     let chunk = dst.len().div_ceil(workers);
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for (d, s) in dst.chunks_mut(chunk).zip(src.chunks(chunk)) {
-            scope.spawn(move |_| xor_into(d, s));
+            scope.spawn(move || xor_into(d, s));
         }
-    })
-    .expect("xor worker thread panicked");
+    });
 }
 
 /// [`xor_into`] that engages the parallel kernel automatically for buffers

@@ -10,10 +10,9 @@
 
 use std::time::Instant;
 
-use dvdc::protocol::transport::Clock;
 use dvdc_simcore::time::SimTime;
 
-/// Monotonic wall clock implementing the protocol [`Clock`] trait.
+/// Monotonic wall clock on the protocol's time axis.
 #[derive(Debug, Clone)]
 pub struct WallClock {
     origin: Instant,
@@ -26,17 +25,16 @@ impl WallClock {
             origin: Instant::now(),
         }
     }
+
+    /// Wall seconds elapsed since the anchor.
+    pub fn now(&self) -> SimTime {
+        SimTime::from_secs(self.origin.elapsed().as_secs_f64())
+    }
 }
 
 impl Default for WallClock {
     fn default() -> Self {
         WallClock::new()
-    }
-}
-
-impl Clock for WallClock {
-    fn now(&self) -> SimTime {
-        SimTime::from_secs(self.origin.elapsed().as_secs_f64())
     }
 }
 

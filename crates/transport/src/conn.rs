@@ -45,21 +45,6 @@ impl std::fmt::Display for ConnectError {
 
 impl std::error::Error for ConnectError {}
 
-/// Where a peer link currently stands. The runtime keeps one per peer
-/// and reports it through status/logging.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LinkState {
-    /// No socket; the writer will dial on the next send or tick.
-    Disconnected,
-    /// A dial (attempt `attempt`, 1-based) is in flight or backing off.
-    Connecting {
-        /// The 1-based attempt number.
-        attempt: u32,
-    },
-    /// The socket is up and frames flow.
-    Established,
-}
-
 /// Convert a simcore [`Duration`] (f64 seconds) into a std sleep
 /// duration, clamping negatives to zero.
 pub fn to_std(d: Duration) -> StdDuration {

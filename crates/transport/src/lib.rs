@@ -15,9 +15,8 @@
 //! - [`conn`] — per-peer connection state machine: dial, retry with the
 //!   cluster's [`RetryPolicy`](dvdc_vcluster::messaging::RetryPolicy)
 //!   backoff-with-jitter schedule, typed [`conn::ConnectError`]s.
-//! - [`clock`] — [`clock::WallClock`], the deployment
-//!   [`Clock`](dvdc::protocol::transport::Clock): sim seconds = wall
-//!   seconds.
+//! - [`clock`] — [`clock::WallClock`], the deployment clock: sim
+//!   seconds = wall seconds.
 //! - [`runtime`] — [`runtime::NodeRuntime`], the threaded TCP driver that
 //!   hosts one `NodeCore` per OS process: listener + per-connection reader
 //!   threads feeding a single event loop, per-peer writer threads with

@@ -42,7 +42,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration as StdDuration, Instant};
 
 use dvdc::protocol::node_core::{ClusterSpec, Msg, NodeCore, Note, CTL};
-use dvdc::protocol::transport::{dispatch, Clock, Transport, TransportError};
+use dvdc::protocol::transport::{dispatch, Transport, TransportError};
 use dvdc_observe::registry::{Counter, Gauge, MetricsHub, Stamp};
 use dvdc_observe::SyncRingRecorder;
 use dvdc_simcore::time::SimTime;
@@ -50,7 +50,7 @@ use dvdc_vcluster::ids::NodeId;
 use dvdc_vcluster::messaging::RetryPolicy;
 
 use crate::clock::WallClock;
-use crate::conn::{connect_with_retry, ConnectError, LinkState};
+use crate::conn::{connect_with_retry, ConnectError};
 use crate::frame::{FrameError, HEADER_LEN, TRAILER_LEN};
 use crate::wire::{envelope_len, read_envelope, write_envelope};
 
@@ -63,16 +63,9 @@ pub struct RuntimeConfig {
     pub spec: ClusterSpec,
     /// Every *other* member: protocol id and listen address.
     pub peers: Vec<(NodeId, SocketAddr)>,
-    /// Reconnect pacing for outbound peer links.
-    pub retry: RetryPolicy,
     /// Jitter seed; combined with the peer id so parallel redials to
     /// one restarted node desynchronise.
     pub seed: u64,
-    /// Per-attempt TCP connect timeout.
-    pub connect_timeout: StdDuration,
-    /// After a fully exhausted dial, how long the writer drops frames
-    /// before dialing again.
-    pub redial_holdoff: StdDuration,
     /// Observability plumbing: the metrics registry every transport
     /// instrument feeds, and the trace ring the ctl plane scrapes.
     pub observe: ObserveConfig,
@@ -93,17 +86,13 @@ pub struct ObserveConfig {
 }
 
 impl RuntimeConfig {
-    /// Sensible loopback defaults: default retry policy, 250 ms connect
-    /// timeout, 200 ms redial holdoff.
+    /// A runtime with observability off.
     pub fn new(id: NodeId, spec: ClusterSpec, peers: Vec<(NodeId, SocketAddr)>, seed: u64) -> Self {
         RuntimeConfig {
             id,
             spec,
             peers,
-            retry: RetryPolicy::default(),
             seed,
-            connect_timeout: StdDuration::from_millis(250),
-            redial_holdoff: StdDuration::from_millis(200),
             observe: ObserveConfig::default(),
         }
     }
@@ -128,6 +117,14 @@ impl std::error::Error for RuntimeError {}
 
 /// The longest the event loop sleeps before it looks at `stop` again.
 const STOP_CHECK: StdDuration = StdDuration::from_millis(50);
+
+/// Per-attempt TCP connect timeout for outbound peer links; their
+/// reconnect pacing is the cluster's default [`RetryPolicy`].
+const CONNECT_TIMEOUT: StdDuration = StdDuration::from_millis(250);
+
+/// After a fully exhausted dial, how long the writer drops frames before
+/// dialing again.
+const REDIAL_HOLDOFF: StdDuration = StdDuration::from_millis(200);
 
 /// One decoded envelope arriving from any inbound connection, paired
 /// with a writable clone of that connection so control-plane replies can
@@ -245,7 +242,6 @@ impl Transport for TcpTransport {
 pub struct NodeRuntime {
     config: RuntimeConfig,
     listener: TcpListener,
-    links: Arc<Mutex<BTreeMap<NodeId, LinkState>>>,
 }
 
 impl NodeRuntime {
@@ -253,24 +249,7 @@ impl NodeRuntime {
     /// and the daemon can claim ephemeral ports (`127.0.0.1:0`) before
     /// peer address lists are assembled.
     pub fn new(config: RuntimeConfig, listener: TcpListener) -> Self {
-        let links = Arc::new(Mutex::new(
-            config
-                .peers
-                .iter()
-                .map(|(id, _)| (*id, LinkState::Disconnected))
-                .collect(),
-        ));
-        NodeRuntime {
-            config,
-            listener,
-            links,
-        }
-    }
-
-    /// Live view of every outbound peer link's [`LinkState`]; clone it
-    /// before [`run`](Self::run) to observe reconnects from outside.
-    pub fn link_watch(&self) -> Arc<Mutex<BTreeMap<NodeId, LinkState>>> {
-        Arc::clone(&self.links)
+        NodeRuntime { config, listener }
     }
 
     /// Run the node until `stop` goes true (or the event channel dies).
@@ -280,11 +259,7 @@ impl NodeRuntime {
     where
         F: FnMut(SimTime, &Note),
     {
-        let NodeRuntime {
-            config,
-            listener,
-            links,
-        } = self;
+        let NodeRuntime { config, listener } = self;
         let clock = WallClock::new();
         let mut core = NodeCore::new(config.id, config.spec.clone());
         let hub = config.observe.metrics.clone();
@@ -327,13 +302,12 @@ impl NodeRuntime {
             transport.peer_queues.insert(*peer, queue.clone());
             let writer = WriterConfig {
                 addr: *addr,
-                retry: config.retry,
                 // Distinct per (our id, peer id): redials desynchronise.
                 seed: config.seed
                     ^ (config.id.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
                     ^ (peer.0 as u64),
-                connect_timeout: config.connect_timeout,
-                redial_holdoff: config.redial_holdoff,
+                connect_timeout: CONNECT_TIMEOUT,
+                redial_holdoff: REDIAL_HOLDOFF,
                 connects: connects.clone(),
                 connect_retries: connect_retries.clone(),
                 redials: redials.clone(),
@@ -341,8 +315,8 @@ impl NodeRuntime {
                 queue,
             };
             let peer = *peer;
-            let (links, events) = (Arc::clone(&links), event_tx.clone());
-            std::thread::spawn(move || writer_loop(peer, writer, rx, links, events));
+            let events = event_tx.clone();
+            std::thread::spawn(move || writer_loop(peer, writer, rx, events));
         }
 
         // --- event loop: owns the NodeCore ---
@@ -430,7 +404,7 @@ impl NodeRuntime {
         // the accept thread see `stop` (set here too, for the exit on a dead
         // channel), then wait for it to close the port.
         stop.store(true, Ordering::Relaxed);
-        if TcpStream::connect_timeout(&listen_addr, config.connect_timeout).is_ok() {
+        if TcpStream::connect_timeout(&listen_addr, CONNECT_TIMEOUT).is_ok() {
             let _ = acceptor.join();
         }
         Ok(())
@@ -527,7 +501,6 @@ fn reader_loop(
 
 struct WriterConfig {
     addr: SocketAddr,
-    retry: RetryPolicy,
     seed: u64,
     connect_timeout: StdDuration,
     redial_holdoff: StdDuration,
@@ -536,12 +509,6 @@ struct WriterConfig {
     redials: Counter,
     oversized: Counter,
     queue: Gauge,
-}
-
-fn set_link(links: &Arc<Mutex<BTreeMap<NodeId, LinkState>>>, peer: NodeId, state: LinkState) {
-    if let Ok(mut map) = links.lock() {
-        map.insert(peer, state);
-    }
 }
 
 /// Whether the peer closes or resets `stream` within `wait`: it never
@@ -556,26 +523,19 @@ fn closes_within(mut stream: &TcpStream, wait: StdDuration) -> bool {
 /// messages onto it, reconnect with jittered backoff on failure, hold off
 /// after exhaustion. Messages that cannot be delivered are dropped — the
 /// protocol retries at its own layer.
-fn writer_loop(
-    peer: NodeId,
-    cfg: WriterConfig,
-    rx: Receiver<ToWriter>,
-    links: Arc<Mutex<BTreeMap<NodeId, LinkState>>>,
-    events: Sender<Event>,
-) {
+fn writer_loop(peer: NodeId, cfg: WriterConfig, rx: Receiver<ToWriter>, events: Sender<Event>) {
+    let retry = RetryPolicy::default();
     let mut stream: Option<TcpStream> = None;
     let mut holdoff_until: Option<Instant> = None;
     let mut was_established = false;
     // The one dial. Refused on every attempt (`Err(true)`), nothing listens
     // where the peer did, and the event loop hears of it.
     let mut dial = |policy: &RetryPolicy| {
-        set_link(&links, peer, LinkState::Connecting { attempt: 1 });
         if was_established {
             cfg.redials.inc();
         }
         match connect_with_retry(cfg.addr, policy, cfg.seed, cfg.connect_timeout) {
             Ok((stream, attempts)) => {
-                set_link(&links, peer, LinkState::Established);
                 cfg.connects.inc();
                 cfg.connect_retries
                     .add(u64::from(attempts.saturating_sub(1)));
@@ -583,7 +543,6 @@ fn writer_loop(
                 Ok(stream)
             }
             Err(e) => {
-                set_link(&links, peer, LinkState::Disconnected);
                 cfg.connect_retries.add(u64::from(policy.max_attempts));
                 let refused = matches!(
                     e,
@@ -613,10 +572,10 @@ fn writer_loop(
                 // old socket if there is one (DESIGN.md "Threading").
                 let once = RetryPolicy {
                     max_attempts: 1,
-                    ..cfg.retry
+                    ..retry
                 };
                 let mut old = stream.take();
-                for _ in 0..cfg.retry.max_attempts {
+                for _ in 0..retry.max_attempts {
                     match dial(&once) {
                         Ok(fresh) => {
                             let kept = old.take().unwrap_or(fresh);
@@ -644,7 +603,7 @@ fn writer_loop(
         // frame.
         for attempt in 0..2 {
             if stream.is_none() {
-                stream = dial(&cfg.retry).ok();
+                stream = dial(&retry).ok();
                 holdoff_until = stream
                     .is_none()
                     .then(|| Instant::now() + cfg.redial_holdoff);
@@ -661,7 +620,6 @@ fn writer_loop(
                 Some(Err(_)) => {}
             }
             stream = None;
-            set_link(&links, peer, LinkState::Disconnected);
             if attempt == 1 {
                 break; // second failure: drop the frame
             }
@@ -779,7 +737,6 @@ mod tests {
     ) {
         let cfg = WriterConfig {
             addr,
-            retry: RetryPolicy::default(),
             seed: 1,
             connect_timeout: StdDuration::from_secs(5),
             redial_holdoff,
@@ -789,10 +746,9 @@ mod tests {
             oversized: hub.counter("oversized"),
             queue: hub.gauge("queue"),
         };
-        let links = Arc::new(Mutex::new(BTreeMap::new()));
         let (tx, rx) = mpsc::channel();
         let (event_tx, event_rx) = mpsc::channel();
-        let writer = std::thread::spawn(move || writer_loop(NodeId(1), cfg, rx, links, event_tx));
+        let writer = std::thread::spawn(move || writer_loop(NodeId(1), cfg, rx, event_tx));
         (tx, event_rx, writer)
     }
 

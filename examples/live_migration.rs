@@ -4,7 +4,7 @@
 //!
 //! Run: `cargo run --example live_migration`
 
-use dvdc::placement::GroupPlacement;
+use dvdc::placement::{GroupPlacement, Member};
 use dvdc_migrate::engine::migrate_vm;
 use dvdc_migrate::pagehash::PageHashIndex;
 use dvdc_migrate::precopy::PreCopyConfig;
@@ -32,19 +32,10 @@ fn main() {
 
     let cfg = PreCopyConfig::default();
     for (i, vm) in evacuees.into_iter().enumerate() {
-        // Pick a destination that keeps the VM's RAID group orthogonal:
-        // no node hosting a group peer or this group's parity.
-        let group = placement.group_of(vm).clone();
-        let forbidden: Vec<NodeId> = group
-            .data
-            .iter()
-            .map(|&m| cluster.node_of(m))
-            .chain(group.parity_nodes.iter().copied())
-            .collect();
-        let dest = cluster
-            .node_ids()
-            .into_iter()
-            .find(|n| *n != failing && !forbidden.contains(n))
+        // The placement picks the destination that keeps the VM's RAID
+        // group orthogonal: no node hosting a group peer or its parity.
+        let dest = placement
+            .host_for(&cluster, Member::Vm(vm), Some(failing))
             .expect("a valid destination exists");
 
         // Second evacuee demonstrates the page-hash acceleration: the

@@ -21,6 +21,7 @@ use dvdc::protocol::{
     run_round_with_faults, CheckpointProtocol, DvdcProtocol, PhasedOutcome, ProtocolError,
     RebuildMode, RebuildPhase, RebuildStep, RecoverError, RoundStep,
 };
+use dvdc::scenario::{apply_op, ScenarioReport};
 use dvdc_checkpoint::strategy::Mode;
 use dvdc_faults::{ClusterFaultPlan, NodeFault, PeerSet, PlanCursor};
 use dvdc_observe::audit::InvariantAuditor;
@@ -161,109 +162,31 @@ fn assert_rolled_back(cluster: &Cluster, committed: &[Vec<u8>], ctx: &str) {
     }
 }
 
-/// What resolving one workload op did to the run.
-enum OpOutcome {
-    /// Resolved (or skipped as unsafe/no-op); the run continues.
-    Done,
-    /// The op exceeded the parity tolerance: honest loss, end the run.
-    Lost,
-}
-
-/// Resolves one declarative [`WorkloadOp`] against the live cluster —
-/// the same resolution the scenario driver performs, feeding the chaos
-/// counters instead of a scenario report. Migration destinations prefer
-/// racks free of the group's other members so churn never erodes
-/// rack-orthogonality (on a flat topology every node is its own rack and
-/// the preference is a no-op).
-fn apply_workload_op(
+/// Resolves one declarative [`WorkloadOp`] through the scenario driver's
+/// resolver, checks the whole placement is still orthogonal, and folds
+/// what the resolver reports into the chaos counters. Returns
+/// `true` when the op exceeded the parity tolerance — honest loss the
+/// caller records by ending the run.
+fn workload_op(
     protocol: &mut DvdcProtocol,
     cluster: &mut Cluster,
     op: WorkloadOp,
-    k: usize,
     stats: &mut ChaosStats,
     ctx: &str,
-) -> OpOutcome {
-    match op {
-        WorkloadOp::Migrate { vm } => {
-            if !cluster.is_up(cluster.node_of(vm)) {
-                return OpOutcome::Done; // its host is down; the rebuild path owns it
-            }
-            let group = protocol.placement().group_of(vm).clone();
-            let forbidden: Vec<NodeId> = group
-                .data
-                .iter()
-                .filter(|&&d| d != vm)
-                .map(|&d| cluster.node_of(d))
-                .chain(group.parity_nodes.iter().copied())
-                .collect();
-            let member_racks: Vec<_> = forbidden.iter().map(|&n| cluster.rack_of(n)).collect();
-            let candidates: Vec<NodeId> = cluster
-                .node_ids()
-                .into_iter()
-                .filter(|&n| cluster.is_up(n) && !forbidden.contains(&n))
-                .collect();
-            let dest = candidates
-                .iter()
-                .copied()
-                .filter(|&n| !member_racks.contains(&cluster.rack_of(n)))
-                .min_by_key(|&n| cluster.vms_on(n).len())
-                .or_else(|| {
-                    candidates
-                        .iter()
-                        .copied()
-                        .min_by_key(|&n| cluster.vms_on(n).len())
-                });
-            if let Some(dest) = dest {
-                let from = cluster.node_of(vm);
-                if dest == from {
-                    return OpOutcome::Done;
-                }
-                cluster.migrate_vm(vm, dest);
-                protocol.on_migrate(cluster, vm, from);
-                protocol
-                    .placement()
-                    .validate(cluster)
-                    .unwrap_or_else(|e| panic!("{ctx}: migration broke orthogonality: {e}"));
-                stats.migrations += 1;
-            }
-            OpOutcome::Done
-        }
-        WorkloadOp::RestartNode { node } => {
-            let up: Vec<NodeId> = cluster
-                .node_ids()
-                .into_iter()
-                .filter(|&n| cluster.is_up(n))
-                .collect();
-            if !up.contains(&node) || up.len() <= k {
-                return OpOutcome::Done; // already down, or too few survivors to decode
-            }
-            cluster.fail_node(node);
-            match protocol.recover_typed(cluster, node) {
-                Ok(_) => {
-                    stats.restarts += 1;
-                    stats.recoveries += 1;
-                    OpOutcome::Done
-                }
-                Err(RecoverError::DataLoss { .. }) => {
-                    stats.restarts += 1;
-                    stats.data_loss += 1;
-                    OpOutcome::Lost
-                }
-                Err(e) => panic!("{ctx} node={node}: restart rebuild failed: {e}"),
-            }
-        }
-        WorkloadOp::Scrub => match protocol.scrub(cluster) {
-            Ok(s) => {
-                stats.scrub_repaired += s.repaired;
-                OpOutcome::Done
-            }
-            Err(RecoverError::DataLoss { .. }) => {
-                stats.data_loss += 1;
-                OpOutcome::Lost
-            }
-            Err(e) => panic!("{ctx}: workload scrub failed: {e}"),
-        },
-    }
+) -> bool {
+    let mut did = ScenarioReport::default();
+    apply_op(protocol, cluster, op, &mut did)
+        .unwrap_or_else(|e| panic!("{ctx}: workload op {op:?} failed: {e}"));
+    protocol
+        .placement()
+        .validate(cluster)
+        .unwrap_or_else(|e| panic!("{ctx}: {op:?} left the placement non-orthogonal: {e}"));
+    stats.migrations += did.migrations as usize;
+    stats.restarts += did.restarts as usize;
+    stats.recoveries += did.recoveries as usize;
+    stats.scrub_repaired += did.scrub_repaired as usize;
+    stats.data_loss += did.data_loss as usize;
+    !did.lossless()
 }
 
 /// Drives one detector-supervised round with `fault` injected mid-flight
@@ -410,6 +333,12 @@ fn chaos_run_on(
     for step in 0..steps {
         stats.steps += 1;
         let ctx = format!("seed={seed} step={step}; {}", repro(seed, test));
+        // Whatever ran before — failover, false failover, resync,
+        // migration — no group may have two members on one node.
+        protocol
+            .placement()
+            .validate(&cluster)
+            .unwrap_or_else(|e| panic!("{ctx}: the previous step broke orthogonality: {e}"));
         let action = rng.random_range(0..if racked { 26u8 } else { 22u8 });
         if std::env::var("DVDC_CHAOS_TRACE").is_ok() {
             eprintln!("step={step} action={action}");
@@ -428,9 +357,7 @@ fn chaos_run_on(
                 let tick = workloads[wi].tick(&mut cluster, span, &hub, wl_round);
                 wl_round += 1;
                 for op in tick.ops {
-                    if let OpOutcome::Lost =
-                        apply_workload_op(&mut protocol, &mut cluster, op, k, &mut stats, &ctx)
-                    {
+                    if workload_op(&mut protocol, &mut cluster, op, &mut stats, &ctx) {
                         audit.assert_clean();
                         return stats;
                     }
@@ -460,14 +387,8 @@ fn chaos_run_on(
                 if std::env::var("DVDC_CHAOS_TRACE").is_ok() {
                     eprintln!("  migrate: vm={vm}");
                 }
-                if let OpOutcome::Lost = apply_workload_op(
-                    &mut protocol,
-                    &mut cluster,
-                    WorkloadOp::Migrate { vm },
-                    k,
-                    &mut stats,
-                    &ctx,
-                ) {
+                let op = WorkloadOp::Migrate { vm };
+                if workload_op(&mut protocol, &mut cluster, op, &mut stats, &ctx) {
                     audit.assert_clean();
                     return stats;
                 }

@@ -12,104 +12,23 @@ use std::rc::Rc;
 use dvdc::placement::GroupPlacement;
 use dvdc::protocol::DvdcProtocol;
 use dvdc::scenario::{run_scenario, ScenarioConfig, ScenarioReport};
-use dvdc_faults::{
-    DcKill, FaultSchedule, ImpairmentStorm, MixedSchedule, NodeCrashes, Quiet, RackKills,
-};
+use dvdc_bench::swarm::{build_cluster, make_schedule, make_workload, SCHEDULES, WORKLOADS};
+use dvdc_faults::{FaultSchedule, Quiet};
 use dvdc_observe::audit::InvariantAuditor;
 use dvdc_observe::RecorderHandle;
 use dvdc_simcore::rng::RngHub;
 use dvdc_simcore::time::Duration;
-use dvdc_vcluster::cluster::{Cluster, ClusterBuilder, TopologySpec};
-use dvdc_vcluster::workload::{
-    BurstyDirtyStorm, ClusterWorkload, MigrationChurn, RollingRestarts, ScrubStorm,
-    SteadyCheckpoint,
-};
-
-/// The matrix cluster: 12 nodes in 6 racks of 2, racks split across 2
-/// DCs — deep enough that a rack kill is partial and a DC kill is
-/// catastrophic-but-honest.
-fn build_cluster(seed: u64) -> Cluster {
-    ClusterBuilder::new()
-        .physical_nodes(12)
-        .vms_per_node(2)
-        .vm_memory(8, 32)
-        .writes_per_sec(200.0)
-        .topology(TopologySpec::UniformRacks {
-            nodes_per_rack: 2,
-            racks_per_dc: 3,
-        })
-        .build(seed)
-}
-
-/// A named factory producing a fresh workload instance per matrix cell.
-type WorkloadFactory = (&'static str, Box<dyn Fn() -> Box<dyn ClusterWorkload>>);
-
-fn workloads() -> Vec<WorkloadFactory> {
-    vec![
-        (
-            "steady",
-            Box::new(|| Box::new(SteadyCheckpoint) as Box<dyn ClusterWorkload>),
-        ),
-        (
-            "bursty-storm",
-            Box::new(|| Box::new(BurstyDirtyStorm::default()) as Box<dyn ClusterWorkload>),
-        ),
-        (
-            "migration-churn",
-            Box::new(|| Box::new(MigrationChurn::default()) as Box<dyn ClusterWorkload>),
-        ),
-        (
-            "rolling-restarts",
-            Box::new(|| Box::new(RollingRestarts::default()) as Box<dyn ClusterWorkload>),
-        ),
-        (
-            "scrub-storm",
-            Box::new(|| Box::new(ScrubStorm) as Box<dyn ClusterWorkload>),
-        ),
-    ]
-}
-
-fn schedules(horizon: Duration) -> Vec<Box<dyn FaultSchedule>> {
-    vec![
-        Box::new(NodeCrashes::exponential(
-            Duration::from_secs(horizon.as_secs() * 2.0),
-            Duration::ZERO,
-        )),
-        Box::new(RackKills {
-            mtbf: Duration::from_secs(horizon.as_secs() * 3.0),
-            repair: Duration::ZERO,
-        }),
-        Box::new(DcKill {
-            at_fraction: 0.45,
-            repair: Duration::ZERO,
-        }),
-        Box::new(ImpairmentStorm::default()),
-        Box::new(MixedSchedule::new(
-            "mixed",
-            vec![
-                Box::new(NodeCrashes::exponential(
-                    Duration::from_secs(horizon.as_secs() * 4.0),
-                    Duration::ZERO,
-                )),
-                Box::new(RackKills {
-                    mtbf: Duration::from_secs(horizon.as_secs() * 6.0),
-                    repair: Duration::ZERO,
-                }),
-            ],
-        )),
-    ]
-}
 
 /// Runs one cell of the matrix under a fresh cluster, protocol, and
 /// auditor; panics (with the cell named) on any protocol error or
 /// auditor violation.
 fn run_cell(
-    wl_name: &str,
-    make_wl: &dyn Fn() -> Box<dyn ClusterWorkload>,
+    workload: u64,
     schedule: &dyn FaultSchedule,
     seed: u64,
     cfg: &ScenarioConfig,
 ) -> ScenarioReport {
+    let (wl_name, mut workload) = make_workload(workload);
     let ctx = format!("cell {wl_name} x {}", schedule.name());
     let mut cluster = build_cluster(seed);
     let placement = GroupPlacement::orthogonal_with_parity(&cluster, 3, 1)
@@ -122,7 +41,6 @@ fn run_cell(
     let mut protocol =
         DvdcProtocol::new(placement).with_recorder(RecorderHandle::new(audit.clone()));
     let hub = RngHub::new(seed);
-    let mut workload = make_wl();
     let report = run_scenario(
         &mut protocol,
         &mut cluster,
@@ -160,15 +78,14 @@ fn workload_by_fault_domain_matrix_is_clean() {
         rounds: 6,
         round_gap: Duration::from_secs(0.5),
     };
-    let scheds = schedules(cfg.horizon());
-    let wls = workloads();
     let mut cells = 0u64;
     let mut rack_or_dc_confirmations = 0u64;
     let mut all: Vec<ScenarioReport> = Vec::new();
-    for (wi, (wl_name, make_wl)) in wls.iter().enumerate() {
-        for (si, schedule) in scheds.iter().enumerate() {
-            let seed = 1000 + (wi as u64) * 16 + si as u64;
-            let report = run_cell(wl_name, make_wl.as_ref(), schedule.as_ref(), seed, &cfg);
+    for wi in 0..WORKLOADS {
+        for si in 0..SCHEDULES {
+            let schedule = make_schedule(si, cfg.horizon());
+            let seed = 1000 + wi * 16 + si;
+            let report = run_cell(wi, schedule.as_ref(), seed, &cfg);
             if matches!(schedule.name(), "rack-kills" | "dc-kill") {
                 rack_or_dc_confirmations += report.confirmations;
             }
@@ -202,8 +119,9 @@ fn every_workload_is_lossless_under_quiet_faults() {
         rounds: 5,
         round_gap: Duration::from_secs(0.4),
     };
-    for (wi, (wl_name, make_wl)) in workloads().iter().enumerate() {
-        let report = run_cell(wl_name, make_wl.as_ref(), &Quiet, 7 + wi as u64, &cfg);
+    for wi in 0..WORKLOADS {
+        let report = run_cell(wi, &Quiet, 7 + wi, &cfg);
+        let wl_name = &report.workload;
         assert_eq!(
             report.rounds_committed,
             cfg.rounds + 1,

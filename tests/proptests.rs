@@ -689,6 +689,8 @@ proptest! {
         let (next, _) =
             run_round_with_faults(&mut p, &mut c, &mut quiet, SimTime::ZERO).unwrap();
         prop_assert!(next.committed());
+        // Whatever the false failover re-homed, it re-homed orthogonally.
+        prop_assert!(p.placement().validate(&c).is_ok());
     }
 }
 
