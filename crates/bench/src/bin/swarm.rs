@@ -1,7 +1,8 @@
 //! Buggify swarm runner: sweep many seeds × intensities across the
-//! workload × fault-domain matrix, print per-intensity outcome counts
-//! and a repro line for every failure, and write
-//! `bench_results/swarm.json`.
+//! workload × fault-domain matrix of the model, and the same seeds across
+//! the layouts, plans and restart delays of the daemon's `NodeCore`s on
+//! the harness; print per-intensity outcome counts and a repro line for
+//! every failure, and write both sweeps to `bench_results/swarm.json`.
 //!
 //! Knobs (all env, all optional):
 //!
@@ -14,13 +15,13 @@
 //! * `DVDC_BUGGIFY_SEED` — run exactly one seed instead of a sweep
 //!   (repro mode; pairs with `DVDC_BUGGIFY_INTENSITY`).
 //!
-//! Exit status is non-zero iff any cell failed (panic, auditor
-//! violation, or unexpected protocol error) — honest typed data loss and
-//! rollbacks are expected outcomes, not failures.
+//! Exit status is non-zero iff any cell of either sweep failed (panic,
+//! auditor violation, or unexpected protocol error) — honest typed data
+//! loss and rollbacks are expected outcomes, not failures.
 
 use std::process::ExitCode;
 
-use dvdc_bench::swarm::{run_swarm, CellStatus, SwarmConfig, SwarmSummary};
+use dvdc_bench::swarm::{run_swarm, CellStatus, Subject, SwarmConfig, SwarmSummary};
 use dvdc_bench::{render_table, write_json};
 use dvdc_faults::buggify::{self, Intensity};
 
@@ -76,19 +77,35 @@ fn main() -> ExitCode {
         cfg.intensities.iter().map(|i| i.name()).collect::<Vec<_>>(),
         cfg.rounds,
     );
-    let summary = run_swarm(&cfg);
-    print_summary(&summary, &cfg);
-    write_json("swarm", &summary);
-    if summary.failed == 0 {
+    let sweeps = Sweeps {
+        matrix: run_swarm(Subject::Model, &cfg),
+        core: run_swarm(Subject::Core, &cfg),
+    };
+    println!("\nmodel, workload x fault-schedule matrix");
+    print_summary(&sweeps.matrix, &cfg);
+    println!("\nNodeCore on the harness, layout x plan x restart delay");
+    print_summary(&sweeps.core, &cfg);
+    write_json("swarm", &sweeps);
+    let (cells, failed) = (
+        sweeps.matrix.cells + sweeps.core.cells,
+        sweeps.matrix.failed + sweeps.core.failed,
+    );
+    if failed == 0 {
         println!(
-            "\nswarm clean: {} cells, 0 panics, 0 auditor violations, 0 unexpected errors",
-            summary.cells
+            "\nswarm clean: {cells} cells, 0 panics, 0 auditor violations, 0 unexpected errors"
         );
         ExitCode::SUCCESS
     } else {
-        println!("\nswarm FAILED: {} failing cells", summary.failed);
+        println!("\nswarm FAILED: {failed} failing cells");
         ExitCode::FAILURE
     }
+}
+
+/// What `bench_results/swarm.json` holds: the two sweeps side by side.
+#[derive(serde::Serialize)]
+struct Sweeps {
+    matrix: SwarmSummary,
+    core: SwarmSummary,
 }
 
 fn print_summary(summary: &SwarmSummary, cfg: &SwarmConfig) {

@@ -5,8 +5,10 @@
 //!
 //! The swarm is the consumer the buggify subsystem was built for (see
 //! `dvdc_faults::buggify`): each cell builds a fresh cluster, protocol,
-//! and seed-deterministic [`FaultRegistry`], runs one composable
-//! workload × fault-schedule scenario under `catch_unwind`, and demands
+//! and seed-deterministic [`FaultRegistry`], runs one scenario of its
+//! [`Subject`] — the global model on the workload × fault-schedule matrix,
+//! or the daemon's `NodeCore`s on the harness — under `catch_unwind`, and
+//! demands
 //! that every induced misbehaviour surface as a *typed* outcome —
 //! committed (possibly degraded), rolled back, or honest
 //! [`RecoverError::DataLoss`] — never a panic, never an auditor
@@ -21,10 +23,13 @@ use std::panic::{self, AssertUnwindSafe};
 use std::rc::Rc;
 
 use dvdc::placement::GroupPlacement;
-use dvdc::protocol::DvdcProtocol;
+use dvdc::protocol::harness::Harness;
+use dvdc::protocol::{ClusterSpec, DvdcProtocol, Note};
 use dvdc::scenario::{run_scenario, ScenarioConfig, ScenarioReport};
 use dvdc_faults::buggify::{self, FaultRegistry, Intensity};
-use dvdc_faults::{DcKill, FaultSchedule, ImpairmentStorm, MixedSchedule, NodeCrashes, RackKills};
+use dvdc_faults::{
+    DcKill, DomainShape, FaultSchedule, ImpairmentStorm, MixedSchedule, NodeCrashes, RackKills,
+};
 use dvdc_observe::audit::InvariantAuditor;
 use dvdc_observe::RecorderHandle;
 use dvdc_simcore::rng::RngHub;
@@ -97,6 +102,117 @@ pub fn make_schedule(idx: u64, horizon: Duration) -> Box<dyn FaultSchedule> {
                     repair: Duration::ZERO,
                 }),
             ],
+        )),
+    }
+}
+
+/// What a cell runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Subject {
+    /// The global `DvdcProtocol` model on the workload × schedule matrix.
+    Model,
+    /// A cluster of the daemon's `NodeCore`s on the deterministic harness:
+    /// the seed picks the layout, the plan and how long a crashed process
+    /// stays down, and the registry's `*.delay` points slow single links.
+    Core,
+}
+
+/// The layouts `NodeCore` has, as `(k, m)`; a seed runs `seed % 4`.
+pub const CORE_LAYOUTS: [(usize, usize); 4] = [(2, 1), (4, 1), (3, 2), (4, 2)];
+
+/// Crashes, impairment storms or both for a core cell. A crashed process
+/// is restarted at once, soon, or after its peers have given up on it; a
+/// storm freezes one node at a time, for longer than detection takes.
+fn core_schedule(seed: u64, horizon: Duration) -> Box<dyn FaultSchedule> {
+    let repair = Duration::from_millis([0.0, 30.0, 150.0][(seed / 12 % 3) as usize]);
+    let crashes = NodeCrashes::exponential(horizon * 2.0, repair);
+    let storm = ImpairmentStorm {
+        nodes_per_storm: 1,
+        ..ImpairmentStorm::default()
+    };
+    match seed / 4 % 3 {
+        0 => Box::new(crashes),
+        1 => Box::new(storm),
+        _ => Box::new(MixedSchedule::new(
+            "mixed",
+            vec![Box::new(crashes), Box::new(storm)],
+        )),
+    }
+}
+
+/// One core cell: a meshed cluster with one round committed, then `rounds`
+/// checkpoints requested 100 ms apart of whoever coordinates while the plan
+/// strikes, then time to settle. A cell that lost nothing must end whole:
+/// every member back and meshed, a full-strength round committing, and the
+/// parity that round left behind the parity of the images it left behind.
+/// Anything else is the error.
+fn core_cell(
+    seed: u64,
+    rounds: u64,
+    registry: Rc<FaultRegistry>,
+) -> Result<ScenarioReport, String> {
+    let (k, m) = CORE_LAYOUTS[(seed % 4) as usize];
+    let gap = Duration::from_millis(100.0);
+    let horizon = gap * rounds as f64;
+    let schedule = core_schedule(seed, horizon);
+    let plan = schedule.plan(DomainShape::flat(k + m), horizon, &RngHub::new(seed));
+    let spec = ClusterSpec::drill(k, m);
+    let mut h = Harness::new(spec.clone());
+    h.run_until(500.0, "full mesh", |h| h.fully_meshed());
+    h.checkpoint(0, 500.0)?;
+    h.attach_registry(registry);
+    let refused = |fault| format!("the harness cannot apply {fault:?}");
+    h.attach_plan(&plan).map_err(refused)?;
+    let mut report = ScenarioReport {
+        workload: format!("{k}+{m}"),
+        schedule: schedule.name().to_string(),
+        ..ScenarioReport::default()
+    };
+    let count = |h: &Harness, pred: fn(&Note) -> bool| {
+        h.notes().iter().filter(|(.., note)| pred(note)).count() as u64
+    };
+    let started = |h: &Harness| count(h, |n| matches!(n, Note::RoundStarted { .. }));
+    for _ in 0..rounds {
+        h.run_for(gap);
+        let before = started(&h);
+        let coordinator = h.live().next().map(|n| n.id().index());
+        match coordinator.map(|c| h.checkpoint(c, 500.0)) {
+            Some(Ok(_)) => report.rounds_committed += 1,
+            Some(Err(_)) if started(&h) > before => report.rollbacks += 1,
+            _ => report.rounds_skipped += 1,
+        }
+    }
+    h.run_for(Duration::from_millis(600.0));
+    report.data_loss = count(&h, |n| matches!(n, Note::DataLoss { .. }));
+    report.end = h.now();
+    if report.data_loss > 0 {
+        return Ok(report);
+    }
+
+    if h.live().count() < k + m || !h.fully_meshed() {
+        return Err("not whole 600 ms after the last round".to_string());
+    }
+    let epoch = h
+        .checkpoint(0, 500.0)
+        .map_err(|e| format!("no full-strength round: {e}"))?;
+    let blocks: Vec<&[u8]> = (0..k + m)
+        .map(|i| match h.node(i).committed() {
+            Some((e, block)) if e == epoch => Ok(block),
+            other => Err(format!(
+                "node{i} holds {:?}, not epoch {epoch}",
+                other.map(|(e, _)| e)
+            )),
+        })
+        .collect::<Result<_, _>>()?;
+    let parity = spec.code().encode(&blocks[..k]);
+    match parity
+        .iter()
+        .map(Vec::as_slice)
+        .eq(blocks[k..].iter().copied())
+    {
+        true => Ok(report),
+        false => Err(format!(
+            "epoch {epoch}'s parity is not parity of its images"
         )),
     }
 }
@@ -255,13 +371,46 @@ impl RawRun {
     }
 }
 
-/// Runs one cell raw: fresh cluster + protocol + auditor + registry,
-/// scenario under `catch_unwind`. `restrict` limits which fault points
-/// may fire (occurrence counters still advance — see
-/// [`FaultRegistry::restrict`]); `poison` names a conjunction of points
-/// that, if all fired, detonate a deliberate panic — the hook the
-/// negative shrinker tests use to plant a known bug.
+/// One model cell: the seed's workload × schedule scenario on the matrix
+/// cluster, with `audit` recording.
+fn model_cell(
+    seed: u64,
+    rounds: u64,
+    registry: Rc<FaultRegistry>,
+    audit: Rc<InvariantAuditor>,
+) -> Result<ScenarioReport, String> {
+    let cfg = ScenarioConfig {
+        rounds,
+        round_gap: Duration::from_secs(0.5),
+    };
+    let mut cluster = build_cluster(seed);
+    let placement = GroupPlacement::orthogonal_with_parity(&cluster, 3, 1)
+        .expect("12-node/6-rack cluster fits k=3,m=1 orthogonally");
+    let mut protocol = DvdcProtocol::new(placement)
+        .with_recorder(RecorderHandle::new(audit))
+        .with_buggify(registry);
+    let (_, mut workload) = make_workload(seed);
+    let schedule = make_schedule(seed / WORKLOADS, cfg.horizon());
+    let hub = RngHub::new(seed);
+    let result = run_scenario(
+        &mut protocol,
+        &mut cluster,
+        workload.as_mut(),
+        schedule.as_ref(),
+        &cfg,
+        &hub,
+    );
+    result.map_err(|e| e.to_string())
+}
+
+/// Runs one cell raw: fresh subject + auditor + registry, scenario under
+/// `catch_unwind`. `restrict` limits which fault points may fire
+/// (occurrence counters still advance — see [`FaultRegistry::restrict`]);
+/// `poison` names a conjunction of points that, if all fired, detonate a
+/// deliberate panic — the hook the negative shrinker tests use to plant a
+/// known bug.
 fn run_raw(
+    subject: Subject,
     seed: u64,
     intensity: Intensity,
     rounds: u64,
@@ -273,10 +422,6 @@ fn run_raw(
         registry.restrict(allowed);
     }
     let audit = Rc::new(InvariantAuditor::new());
-    let cfg = ScenarioConfig {
-        rounds,
-        round_gap: Duration::from_secs(0.5),
-    };
     let run_registry = registry.clone();
     let run_audit = audit.clone();
     // The panic hook would spray a backtrace for every *expected* panic
@@ -285,23 +430,12 @@ fn run_raw(
     let hook = panic::take_hook();
     panic::set_hook(Box::new(|_| {}));
     let caught = panic::catch_unwind(AssertUnwindSafe(move || {
-        let mut cluster = build_cluster(seed);
-        let placement = GroupPlacement::orthogonal_with_parity(&cluster, 3, 1)
-            .expect("12-node/6-rack cluster fits k=3,m=1 orthogonally");
-        let mut protocol = DvdcProtocol::new(placement)
-            .with_recorder(RecorderHandle::new(run_audit))
-            .with_buggify(run_registry.clone());
-        let (_, mut workload) = make_workload(seed);
-        let schedule = make_schedule(seed / WORKLOADS, cfg.horizon());
-        let hub = RngHub::new(seed);
-        let result = run_scenario(
-            &mut protocol,
-            &mut cluster,
-            workload.as_mut(),
-            schedule.as_ref(),
-            &cfg,
-            &hub,
-        );
+        // The harness carries its own auditors and asserts them when it is
+        // dropped; the model records into ours.
+        let result = match subject {
+            Subject::Model => model_cell(seed, rounds, run_registry.clone(), run_audit),
+            Subject::Core => core_cell(seed, rounds, run_registry.clone()),
+        };
         if let Ok(ref _report) = result {
             let fired = run_registry.fired_points();
             if !poison.is_empty() && poison.iter().all(|p| fired.contains(p)) {
@@ -322,9 +456,13 @@ fn run_raw(
                 .map(|s| s.to_string())
                 .or_else(|| payload.downcast_ref::<String>().cloned())
                 .unwrap_or_else(|| "non-string panic payload".to_string());
-            (None, Some(("panic".to_string(), msg)))
+            let kind = match msg.starts_with("invariant auditor found") {
+                true => "auditor-violation",
+                false => "panic",
+            };
+            (None, Some((kind.to_string(), msg)))
         }
-        Ok(Err(e)) => (None, Some(("protocol-error".to_string(), e.to_string()))),
+        Ok(Err(e)) => (None, Some(("protocol-error".to_string(), e))),
         Ok(Ok(report)) => {
             let violations = audit.violations();
             if violations.is_empty() {
@@ -346,30 +484,45 @@ fn run_raw(
     }
 }
 
-/// Runs one (seed, intensity) cell, shrinking on failure.
-pub fn run_cell(seed: u64, intensity: Intensity, rounds: u64, shrink: bool) -> CellOutcome {
-    run_cell_poisoned(seed, intensity, rounds, shrink, &[])
+/// Runs one (seed, intensity) cell of `subject`, shrinking on failure.
+pub fn run_cell(
+    subject: Subject,
+    seed: u64,
+    intensity: Intensity,
+    rounds: u64,
+    shrink: bool,
+) -> CellOutcome {
+    run_cell_poisoned(subject, seed, intensity, rounds, shrink, &[])
 }
 
 /// [`run_cell`] with a planted bug: if every point in `poison` fires in
 /// a clean run, the cell panics deliberately. Exposed so tests can prove
 /// the swarm catches and minimises a known injected defect.
 pub fn run_cell_poisoned(
+    subject: Subject,
     seed: u64,
     intensity: Intensity,
     rounds: u64,
     shrink: bool,
     poison: &[&'static str],
 ) -> CellOutcome {
-    let raw = run_raw(seed, intensity, rounds, None, poison);
-    let (workload_name, _) = make_workload(seed);
-    let schedule = make_schedule(seed / WORKLOADS, Duration::from_secs(1.0));
-    let schedule_name = schedule.name().to_string();
+    let raw = run_raw(subject, seed, intensity, rounds, None, poison);
+    let horizon = Duration::from_secs(1.0);
+    let (workload, schedule) = match subject {
+        Subject::Model => (
+            make_workload(seed).0.to_string(),
+            make_schedule(seed / WORKLOADS, horizon).name(),
+        ),
+        Subject::Core => {
+            let (k, m) = CORE_LAYOUTS[(seed % 4) as usize];
+            (format!("{k}+{m}"), core_schedule(seed, horizon).name())
+        }
+    };
     let mut outcome = CellOutcome {
         seed,
         intensity: intensity.name().to_string(),
-        workload: workload_name.to_string(),
-        schedule: schedule_name,
+        workload,
+        schedule: schedule.to_string(),
         status: CellStatus::Committed,
         rounds_committed: 0,
         rollbacks: 0,
@@ -396,7 +549,7 @@ pub fn run_cell_poisoned(
             outcome.status = CellStatus::Failed;
             let minimal = if shrink && !raw.fired_points.is_empty() {
                 buggify::shrink(&raw.fired_points, |subset| {
-                    run_raw(seed, intensity, rounds, Some(subset), poison).failed()
+                    run_raw(subject, seed, intensity, rounds, Some(subset), poison).failed()
                 })
             } else {
                 raw.fired_points.clone()
@@ -426,8 +579,8 @@ pub fn run_cell_poisoned(
     outcome
 }
 
-/// Sweeps the configured seeds × intensities and aggregates.
-pub fn run_swarm(cfg: &SwarmConfig) -> SwarmSummary {
+/// Sweeps the configured seeds × intensities of `subject` and aggregates.
+pub fn run_swarm(subject: Subject, cfg: &SwarmConfig) -> SwarmSummary {
     let mut summary = SwarmSummary {
         cells: 0,
         committed: 0,
@@ -440,7 +593,7 @@ pub fn run_swarm(cfg: &SwarmConfig) -> SwarmSummary {
     };
     for &intensity in &cfg.intensities {
         for seed in cfg.base_seed..cfg.base_seed + cfg.seeds {
-            let cell = run_cell(seed, intensity, cfg.rounds, cfg.shrink);
+            let cell = run_cell(subject, seed, intensity, cfg.rounds, cfg.shrink);
             summary.cells += 1;
             summary.fired += cell.fired;
             summary.evaluated += cell.evaluated;
@@ -463,14 +616,14 @@ mod tests {
 
     #[test]
     fn one_cell_runs_clean_at_quick_intensity() {
-        let cell = run_cell(1, Intensity::Quick, 3, true);
+        let cell = run_cell(Subject::Model, 1, Intensity::Quick, 3, true);
         assert_ne!(cell.status, CellStatus::Failed, "{:?}", cell.failure);
         assert!(cell.evaluated > 0, "buggify never consulted");
     }
 
     #[test]
     fn disabled_registry_fires_nothing() {
-        let cell = run_cell(2, Intensity::Off, 3, true);
+        let cell = run_cell(Subject::Model, 2, Intensity::Off, 3, true);
         assert_ne!(cell.status, CellStatus::Failed, "{:?}", cell.failure);
         assert_eq!(cell.fired, 0);
     }
@@ -482,13 +635,13 @@ mod tests {
         let poison = [points::ROUND_TRANSFER_DELAY];
         let seed = (1..200)
             .find(|&s| {
-                run_cell(s, Intensity::Standard, 3, false)
+                run_cell(Subject::Model, s, Intensity::Standard, 3, false)
                     .fired_points
                     .iter()
                     .any(|p| p == points::ROUND_TRANSFER_DELAY)
             })
             .expect("some seed fires the transfer-delay point");
-        let cell = run_cell_poisoned(seed, Intensity::Standard, 3, true, &poison);
+        let cell = run_cell_poisoned(Subject::Model, seed, Intensity::Standard, 3, true, &poison);
         assert_eq!(cell.status, CellStatus::Failed);
         let failure = cell.failure.expect("failed cell carries its failure");
         assert_eq!(failure.kind, "panic");

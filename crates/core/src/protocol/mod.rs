@@ -24,6 +24,7 @@
 
 mod diskfull;
 mod dvdc_proto;
+pub mod harness;
 pub mod node_core;
 mod phased;
 mod remus;
@@ -34,13 +35,14 @@ pub use dvdc_proto::{
     delta_parity_update, CodeKind, DvdcProtocol, PhasedRebuild, PhasedRound, RebuildMode,
     RebuildPhase, RebuildStep, RoundPhase, RoundStep,
 };
+pub use harness::Harness;
 pub use node_core::{
-    fnv64, initial_image, Action, BlockInfo, BlockKind, ClusterSpec, DigestSource, Msg, NodeCore,
-    Note, StatusView, CTL,
+    fnv64, initial_image, note_event, Action, BlockInfo, BlockKind, ClusterSpec, DigestSource, Msg,
+    NodeCore, NodeMetrics, Note, StatusView, CTL,
 };
 pub use phased::{run_round_with_detection, run_round_with_faults, DetectionReport, PhasedOutcome};
 pub use remus::RemusLikeProtocol;
-pub use transport::{dispatch, DispatchOutcome, SimNet, Transport, TransportError};
+pub use transport::{dispatch, Transport, TransportError};
 
 use std::fmt;
 

@@ -10,8 +10,8 @@
 //! consuming messages and clock ticks. The state machine performs no IO
 //! and reads no clock — every entry point takes `now` and returns the
 //! [`Action`]s (sends, notes) the caller must carry out — so the *same*
-//! code drives the deterministic in-process simulation (see
-//! [`SimNet`](super::transport::SimNet)) and real processes over TCP (the
+//! code drives the deterministic in-process cluster (see
+//! [`Harness`](super::harness::Harness)) and real processes over TCP (the
 //! `dvdc-transport` / `dvdc-node` crates).
 //!
 //! The pieces are genuinely reused, not reimplemented: heartbeat silence
@@ -42,6 +42,20 @@
 //!   the handshake for holding a pre-fence epoch, resyncs from the
 //!   coordinator's custody, and is readmitted cluster-wide at its
 //!   post-fence epoch with a cluster rollback to the committed round.
+//!   Every member greets it as it learns of the readmission.
+//! * Handshakes name the *boot* that speaks. A greeting from another boot
+//!   of a peer is evidence the one a node knew is gone, however fast the
+//!   restart: it is confirmed and fenced like any other death, and the
+//!   new boot takes the same way back in.
+//! * A fenced node is no member. What it says as one is dropped, and its
+//!   heartbeat is answered `Rejected`, which is how a node that was only
+//!   frozen learns to stand down: it discards what it holds, asks for its
+//!   state back, and hears nothing else until its own readmission. A node
+//!   that finds it has not run for longer than the detector's timeout
+//!   decides nothing as coordinator until a peer has welcomed it.
+//! * Coordination falls back to a lower member as it returns. It is told
+//!   on readmission who else is fenced, and owes each of them the rebuild
+//!   and the resync a coordinator before it may not have got to.
 //!
 //! Losses beyond the code's tolerance surface as [`Note::DataLoss`] —
 //! typed, never a panic.
@@ -49,7 +63,10 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use dvdc_faults::detector::{DetectorConfig, FailureDetector, Verdict};
-use dvdc_observe::{MetricsSnapshot, TimedEvent};
+use dvdc_observe::metrics::EventMetrics;
+use dvdc_observe::registry::{Counter, HistogramHandle, MetricsHub, Stamp};
+use dvdc_observe::spans::OPEN_SPAN_CAP;
+use dvdc_observe::{Event, MetricsSnapshot, TimedEvent};
 use dvdc_parity::code::ErasureCode;
 use dvdc_parity::raid5::XorCode;
 use dvdc_parity::rs::ReedSolomon;
@@ -127,8 +144,9 @@ pub struct StatusView {
 /// plane, and the `dvdc-ctl` control plane).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Msg {
-    /// Session handshake: "I am `node` of cluster `cluster_id`, at fence
-    /// epoch `fence_epoch`." Rejected when the epoch is pre-fence.
+    /// Session handshake: "I am instance `incarnation` of `node` of
+    /// cluster `cluster_id`, at fence epoch `fence_epoch`." Rejected when
+    /// the epoch is pre-fence.
     Hello {
         /// The dialing node.
         node: NodeId,
@@ -136,6 +154,8 @@ pub enum Msg {
         cluster_id: u64,
         /// The dialer's own fence epoch.
         fence_epoch: u64,
+        /// Which boot of `node` is speaking (see [`NodeCore::new`]).
+        incarnation: u64,
     },
     /// Handshake accept: a session now exists in this direction.
     Welcome {
@@ -143,6 +163,8 @@ pub enum Msg {
         node: NodeId,
         /// The accepter's own fence epoch.
         fence_epoch: u64,
+        /// Which boot of `node` is speaking.
+        incarnation: u64,
     },
     /// Handshake refusal: the dialer is fenced and must resync first.
     Rejected {
@@ -486,6 +508,132 @@ pub enum Note {
     },
 }
 
+/// Maps a protocol [`Note`] onto the observe [`Event`] vocabulary, so
+/// session chatter and drop decisions reach the trace ring (panic dumps,
+/// `dvdc-ctl trace-tail`) and the metrics fold instead of existing only
+/// in the stderr log. Every note has exactly one event.
+pub fn note_event(note: &Note) -> Event {
+    match note {
+        Note::PeerVerdict { node, verdict, .. } => match verdict {
+            Verdict::Suspected => Event::Suspected { node: node.0 },
+            Verdict::Confirmed => Event::Confirmed { node: node.0 },
+            Verdict::Refuted => Event::Refuted { node: node.0 },
+        },
+        Note::Fenced { node, epoch } => Event::FenceRaised {
+            node: node.0,
+            epoch: *epoch,
+        },
+        Note::RoundStarted { epoch } => Event::RoundBegin { epoch: *epoch },
+        Note::RoundCommitted { epoch } => Event::RoundCommitted { epoch: *epoch },
+        Note::RoundAborted { epoch, .. } => Event::RoundAborted {
+            epoch: *epoch,
+            phase: "Distributed",
+        },
+        Note::RebuildStarted { victim } => Event::RebuildBegin {
+            victim: victim.0,
+            mode: "Custody",
+            epoch: 0,
+        },
+        Note::RebuildCompleted { victim, .. } => Event::RebuildCompleted { victim: victim.0 },
+        Note::DataLoss { victim, .. } => Event::DataLoss {
+            node: victim.0,
+            group: 0,
+        },
+        Note::Readmitted { node, epoch } => Event::FenceReadmitted {
+            node: node.0,
+            epoch: *epoch,
+        },
+        Note::SessionEstablished { peer } => Event::SessionEstablished { peer: peer.0 },
+        Note::HelloRejected {
+            peer,
+            required_epoch,
+        } => Event::SessionRejected {
+            peer: peer.0,
+            required_epoch: *required_epoch,
+        },
+        Note::StaleRejected {
+            from,
+            held_epoch,
+            current_epoch,
+        } => Event::StaleDropped {
+            from: from.0,
+            held_epoch: *held_epoch,
+            current_epoch: *current_epoch,
+        },
+        Note::PayloadDropped { from, .. } => Event::PayloadDropped { from: from.0 },
+        Note::ResyncServed { peer } => Event::ResyncServed { peer: peer.0 },
+        // The capture has shipped, so what begins is the transfer; the
+        // window before it travels as `window_secs`.
+        Note::CaptureShipped { epoch, .. } => Event::RoundPhase {
+            epoch: *epoch,
+            phase: "Transfer",
+        },
+        Note::RebuildPhase { victim, phase } => Event::RebuildPhase {
+            victim: victim.0,
+            phase,
+        },
+    }
+}
+
+/// The node-level metrics plane, derived from the protocol's [`Note`]
+/// stream: each note folds through [`EventMetrics`] as its
+/// [`note_event`], which gives a live node the instruments a traced
+/// simulation reports under the same names, plus the two facts no
+/// [`Event`] carries — the capture window, and whether a death was
+/// confirmed on link evidence or by the timers. Feed it from the
+/// daemon's `on_note` callback; all handles come from one
+/// [`MetricsHub`], so a no-op hub makes every call a few branches.
+#[derive(Debug)]
+pub struct NodeMetrics {
+    events: EventMetrics,
+    capture_window: HistogramHandle,
+    confirmed_by_evidence: Counter,
+    confirmed_by_timeout: Counter,
+}
+
+impl NodeMetrics {
+    /// Registers every node-plane instrument on `hub`.
+    pub fn new(hub: &MetricsHub) -> Self {
+        NodeMetrics {
+            events: EventMetrics::new(hub, OPEN_SPAN_CAP),
+            capture_window: hub.histogram("node.capture_window_ns"),
+            confirmed_by_evidence: hub.counter("faults.detector.confirmed_by_evidence"),
+            confirmed_by_timeout: hub.counter("faults.detector.confirmed_by_timeout"),
+        }
+    }
+
+    /// Folds one timed note into the instruments.
+    pub fn observe(&mut self, at: SimTime, note: &Note) {
+        self.fold(at, note);
+    }
+
+    /// [`NodeMetrics::observe`], handing back the event the note folded
+    /// as, so the caller's trace ring records that same event.
+    pub fn fold(&mut self, at: SimTime, note: &Note) -> Event {
+        match note {
+            Note::CaptureShipped { window_secs, .. } => {
+                self.capture_window
+                    .record(Stamp::Sim(SimTime::from_secs(*window_secs)).nanos());
+            }
+            Note::PeerVerdict {
+                verdict: Verdict::Confirmed,
+                evidence,
+                ..
+            } => {
+                if *evidence {
+                    self.confirmed_by_evidence.inc();
+                } else {
+                    self.confirmed_by_timeout.inc();
+                }
+            }
+            _ => {}
+        }
+        let event = note_event(note);
+        self.events.observe(at, &event);
+        event
+    }
+}
+
 /// Static description of the checkpoint group a [`NodeCore`] belongs to.
 /// Every member must be constructed with an identical spec.
 #[derive(Debug, Clone, PartialEq)]
@@ -542,6 +690,25 @@ impl ClusterSpec {
             Box::new(XorCode::new(self.data_nodes))
         } else {
             Box::new(ReedSolomon::new(self.data_nodes, self.parity_nodes))
+        }
+    }
+}
+
+impl ClusterSpec {
+    /// The profile the harness studies share: `data_nodes + parity_nodes`
+    /// members with 512-byte images, the default 10/35/25 ms detector,
+    /// 200 ms round and rebuild timeouts, and a 20 ms capture window to
+    /// strike in.
+    pub fn drill(data_nodes: usize, parity_nodes: usize) -> Self {
+        ClusterSpec {
+            cluster_id: 42,
+            data_nodes,
+            parity_nodes,
+            image_len: 512,
+            round_timeout: Duration::from_millis(200.0),
+            rebuild_timeout: Duration::from_millis(200.0),
+            capture_delay: Duration::from_millis(20.0),
+            ..ClusterSpec::default()
         }
     }
 }
@@ -669,9 +836,14 @@ struct ResyncClient {
 pub struct NodeCore {
     id: NodeId,
     spec: ClusterSpec,
+    incarnation: u64,
     code: Box<dyn ErasureCode>,
     /// Peers with an established session (either handshake direction).
     sessions: BTreeSet<NodeId>,
+    /// The boot of each peer a session was last opened with. It outlives
+    /// the session: a greeting from another boot means the one this node
+    /// knew is gone, however long ago its session was dropped.
+    boots: BTreeMap<NodeId, u64>,
     detector: FailureDetector,
     fences: FenceRegistry,
     /// Live VM image (data nodes only).
@@ -695,6 +867,10 @@ pub struct NodeCore {
     early: BTreeMap<NodeId, EarlyBlock>,
     next_heartbeat: SimTime,
     next_hello: SimTime,
+    /// When this node last ran, and whether a gap since then has left it
+    /// unsure of its own membership (see [`NodeCore::ran`]).
+    last_ran: SimTime,
+    unsure: bool,
     ctl_waiting: bool,
     rounds_committed: u64,
     data_loss: bool,
@@ -702,12 +878,15 @@ pub struct NodeCore {
 
 impl NodeCore {
     /// Creates the node's replica. `id` must be one of the spec's `k + m`
-    /// member slots.
+    /// member slots. `incarnation` names this boot of `id`: the driver
+    /// supplies a value no earlier boot of the same node used, and the
+    /// handshake carries it, so a peer still holding a session with an
+    /// earlier boot learns that boot is gone — and its state with it.
     ///
     /// # Panics
     /// Panics if `id` is outside the member range or the spec's detector
     /// config is inconsistent (see [`DetectorConfig::validate`]).
-    pub fn new(id: NodeId, spec: ClusterSpec) -> Self {
+    pub fn new(id: NodeId, spec: ClusterSpec, incarnation: u64) -> Self {
         assert!(
             id.index() < spec.total(),
             "{id} outside the {}+{} member range",
@@ -723,12 +902,14 @@ impl NodeCore {
         let code = spec.code();
         NodeCore {
             id,
+            incarnation,
             detector: FailureDetector::new(spec.detector, [], SimTime::ZERO),
             fences: FenceRegistry::new(),
             live,
             committed: None,
             custody: BTreeMap::new(),
             sessions: BTreeSet::new(),
+            boots: BTreeMap::new(),
             coord_round: None,
             part_round: None,
             rebuild: None,
@@ -738,6 +919,8 @@ impl NodeCore {
             early: BTreeMap::new(),
             next_heartbeat: SimTime::ZERO,
             next_hello: SimTime::ZERO,
+            last_ran: SimTime::ZERO,
+            unsure: false,
             ctl_waiting: false,
             rounds_committed: 0,
             data_loss: false,
@@ -795,7 +978,26 @@ impl NodeCore {
     }
 
     fn is_acting_coordinator(&self) -> bool {
-        self.coordinator() == self.id
+        !self.unsure && self.coordinator() == self.id
+    }
+
+    /// Every entry point passes through here. A gap in this node's own
+    /// running longer than the detector's timeout means it was frozen for
+    /// long enough to have been given up on and fenced: until a peer it
+    /// greets welcomes it, it decides nothing as coordinator — it fences,
+    /// serves and readmits nobody. One that was fenced is rejected instead.
+    fn ran(&mut self, now: SimTime, out: &mut Vec<Action>) {
+        let frozen = now > self.last_ran + self.spec.detector.timeout;
+        self.last_ran = self.last_ran.max(now);
+        if frozen && !self.sessions.is_empty() {
+            self.unsure = true;
+            for &p in &self.sessions {
+                out.push(Action::Send {
+                    to: p,
+                    msg: self.hello(),
+                });
+            }
+        }
     }
 
     /// Peers (excluding self) that are established, unfenced, and not
@@ -808,6 +1010,15 @@ impl NodeCore {
             .collect()
     }
 
+    /// Whom a fence or a readmission is announced to: every other member
+    /// not fenced itself, session or not — one that is rejoining must not
+    /// miss it.
+    fn members_in(&self) -> Vec<NodeId> {
+        let members = (0..self.spec.total()).map(NodeId);
+        let is_in = |p: &NodeId| *p != self.id && !self.fences.is_fenced(*p);
+        members.filter(is_in).collect()
+    }
+
     /// The handshake this node opens sessions with; the driver sends it
     /// on every fresh connection (and [`NodeCore::on_tick`] re-sends it
     /// periodically to sessionless peers).
@@ -816,6 +1027,7 @@ impl NodeCore {
             node: self.id,
             cluster_id: self.spec.cluster_id,
             fence_epoch: self.fences.epoch_of(self.id),
+            incarnation: self.incarnation,
         }
     }
 
@@ -874,16 +1086,25 @@ impl NodeCore {
         timers.into_iter().flatten().chain(polls).min()
     }
 
-    /// A fenced, confirmed-dead member not yet rebuilt, when this node
-    /// coordinates and has no rebuild in flight: one confirmed while
-    /// another rebuild ran, or whose first attempt raced a second failure.
+    /// A confirmed-dead member not yet rebuilt, when this node coordinates
+    /// and has no rebuild in flight: one confirmed while another rebuild
+    /// ran, or while somebody else coordinated who never got to it, or
+    /// whose first attempt raced a second failure.
     fn rebuild_backlog(&self) -> Option<NodeId> {
-        if self.rebuild.is_some() || !self.is_acting_coordinator() {
+        // A coordinator still meeting the members — one just readmitted —
+        // would decode from too few of them and call it loss.
+        let mut members = (0..self.spec.total()).map(NodeId);
+        let met = |p: NodeId| {
+            p == self.id
+                || self.sessions.contains(&p)
+                || self.fences.is_fenced(p)
+                || self.detector.is_confirmed(p.index())
+        };
+        if self.rebuild.is_some() || !self.is_acting_coordinator() || !members.clone().all(met) {
             return None;
         }
-        (0..self.spec.total()).map(NodeId).find(|n| {
+        members.find(|n| {
             *n != self.id
-                && self.fences.is_fenced(*n)
                 && self.detector.is_confirmed(n.index())
                 && !self.custody.contains_key(n)
                 && !self.lost.contains(n)
@@ -896,6 +1117,7 @@ impl NodeCore {
     /// [`next_deadline`](Self::next_deadline).
     pub fn on_tick(&mut self, now: SimTime) -> Vec<Action> {
         let mut out = Vec::new();
+        self.ran(now, &mut out);
 
         // Heartbeats to every established peer.
         if now >= self.next_heartbeat {
@@ -913,10 +1135,11 @@ impl NodeCore {
         // are skipped: a restarted (diskless, fence-ignorant) instance
         // would happily answer our Hello with a Welcome and short-circuit
         // its own Hello → Rejected → resync path. The fenced node must
-        // dial us, get rejected, and resync before any session forms.
+        // dial us, get rejected, and resync before any session forms. A
+        // node waiting for its own resync greets nobody: it is no member.
         if now >= self.next_hello {
-            for i in 0..self.spec.total() {
-                let p = NodeId(i);
+            let members = (0..self.spec.total()).map(NodeId);
+            for p in members.filter(|_| self.resync.is_none()) {
                 if p != self.id && !self.sessions.contains(&p) && !self.fences.is_fenced(p) {
                     out.push(Action::Send {
                         to: p,
@@ -973,7 +1196,7 @@ impl NodeCore {
         // Each pass leaves a rebuild in flight or the victim settled (in
         // custody or lost), so the backlog is empty when the tick ends.
         while let Some(victim) = self.rebuild_backlog() {
-            self.start_rebuild(victim, now, &mut out);
+            self.fence_and_rebuild(victim, now, &mut out);
         }
 
         // Resync retry.
@@ -997,52 +1220,82 @@ impl NodeCore {
     /// control-plane requests); replies are emitted as [`Action::Send`]s.
     pub fn on_message(&mut self, from: NodeId, msg: Msg, now: SimTime) -> Vec<Action> {
         let mut out = Vec::new();
+        self.ran(now, &mut out);
+        // A fenced member is no member until it has resynced. What it says
+        // as one — a commit from a coordinator that was only frozen, a fence
+        // of its own — is void, and its heartbeat is answered with the
+        // rejection that tells it to stand down. Greetings, resyncs and the
+        // blocks that carry their own fence epoch are judged below.
+        let judged_below = matches!(
+            msg,
+            Msg::Hello { .. }
+                | Msg::ResyncReq { .. }
+                | Msg::ResyncDone { .. }
+                | Msg::Payload { .. }
+                | Msg::FetchBlocks { .. }
+        );
+        if from != CTL && self.fences.is_fenced(from) && !judged_below {
+            if matches!(msg, Msg::Heartbeat { .. }) {
+                out.push(self.rejection(from));
+            }
+            return out;
+        }
+        // And one that knows it is out hears nothing but its way back in:
+        // what it must know of the others it is told on readmission.
+        let way_back = match &msg {
+            Msg::Rejected { .. } | Msg::ResyncState { .. } => true,
+            Msg::Readmit { node, .. } => *node == self.id,
+            _ => from == CTL,
+        };
+        if self.resync.is_some() && !way_back {
+            return out;
+        }
         match msg {
             Msg::Hello {
                 node,
                 cluster_id,
                 fence_epoch,
+                incarnation,
             } => {
                 if cluster_id != self.spec.cluster_id || node.index() >= self.spec.total() {
                     return out;
                 }
-                let required = self.fences.epoch_of(node);
-                if self.fences.is_fenced(node) || fence_epoch < required {
-                    out.push(Action::Send {
-                        to: node,
-                        msg: Msg::Rejected {
-                            node,
-                            required_epoch: required,
-                            coordinator: self.coordinator(),
-                        },
-                    });
+                // Only a resync hands a fenced node the epoch it was fenced
+                // at: its readmission has passed us by.
+                if self.fences.is_fenced(node) && fence_epoch >= self.fences.epoch_of(node) {
+                    self.readmitted(node, fence_epoch, now, &mut out);
+                }
+                self.retire_earlier_boot(node, incarnation, now, &mut out);
+                if self.fences.is_fenced(node) || fence_epoch < self.fences.epoch_of(node) {
+                    out.push(self.rejection(node));
                     return out;
                 }
-                let fresh = self.sessions.insert(node);
-                self.detector.admit(node.index(), now);
+                self.open_session(node, (incarnation, fence_epoch), now, &mut out);
                 out.push(Action::Send {
                     to: node,
                     msg: Msg::Welcome {
                         node: self.id,
                         fence_epoch: self.fences.epoch_of(self.id),
+                        incarnation: self.incarnation,
                     },
                 });
-                if fresh {
-                    out.push(Action::Note(Note::SessionEstablished { peer: node }));
-                }
             }
-            Msg::Welcome { node, .. } => {
+            Msg::Welcome {
+                node,
+                fence_epoch,
+                incarnation,
+            } => {
+                if node.index() >= self.spec.total() {
+                    return out;
+                }
+                self.unsure = false;
+                self.retire_earlier_boot(node, incarnation, now, &mut out);
                 // A Welcome from a node we currently hold fenced cannot
                 // open a session: the sender is a restarted instance that
                 // has not resynced yet (or the message raced the fence).
                 // Ignoring it forces the peer through Hello → Rejected.
-                if node.index() >= self.spec.total() || self.fences.is_fenced(node) {
-                    return out;
-                }
-                let fresh = self.sessions.insert(node);
-                self.detector.admit(node.index(), now);
-                if fresh {
-                    out.push(Action::Note(Note::SessionEstablished { peer: node }));
+                if !self.fences.is_fenced(node) {
+                    self.open_session(node, (incarnation, fence_epoch), now, &mut out);
                 }
             }
             Msg::Rejected {
@@ -1057,18 +1310,22 @@ impl NodeCore {
                     peer: from,
                     required_epoch,
                 }));
-                // We are fenced and (being freshly restarted) hold no
-                // state: ask the coordinator to resync us. Idempotent —
-                // several peers may reject us concurrently.
-                if self.resync.is_none() && self.committed.is_none() {
-                    self.resync = Some(ResyncClient {
-                        coordinator,
-                        next_retry: now + self.spec.detector.heartbeat_interval * 10.0,
-                    });
-                    out.push(Action::Send {
-                        to: coordinator,
-                        msg: Msg::ResyncReq { node: self.id },
-                    });
+                // Several peers may reject us at once, and a rejection may
+                // arrive after the resync it asked for: only one naming an
+                // epoch we have yet to reach is news — or, to one already
+                // asking, a coordinator other than the one it asks.
+                match &mut self.resync {
+                    None if required_epoch > self.fences.epoch_of(self.id) => {
+                        self.stand_down(coordinator, now, &mut out)
+                    }
+                    Some(asking) if asking.coordinator != coordinator => {
+                        asking.coordinator = coordinator;
+                        out.push(Action::Send {
+                            to: coordinator,
+                            msg: Msg::ResyncReq { node: self.id },
+                        });
+                    }
+                    _ => {}
                 }
             }
             Msg::Heartbeat { node } => {
@@ -1131,9 +1388,15 @@ impl NodeCore {
                 }
             }
             Msg::Fence { node, epoch } => {
+                // The fence is the coordinator's verdict and stands here as
+                // one: whoever coordinates next owes the node a rebuild.
+                let news = !self.fences.is_fenced(node) || epoch > self.fences.epoch_of(node);
                 self.fences.advance_to(node, epoch);
+                self.detector.condemn(node.index(), now);
                 self.sessions.remove(&node);
-                out.push(Action::Note(Note::Fenced { node, epoch }));
+                if news {
+                    out.push(Action::Note(Note::Fenced { node, epoch }));
+                }
             }
             Msg::FetchReq { victim } => {
                 out.push(Action::Send {
@@ -1170,17 +1433,23 @@ impl NodeCore {
                     self.finish_rebuild(now, &mut out);
                 }
             }
-            Msg::ResyncReq { node } => self.on_resync_req(node, &mut out),
+            Msg::ResyncReq { node } => self.on_resync_req(node, now, &mut out),
             Msg::ResyncState {
                 node,
                 fence_epoch,
                 committed_epoch,
                 image,
             } => {
-                if node != self.id || self.resync.is_none() {
+                // Whoever serves this may itself have been fenced since we
+                // were told to ask it: we stay out, asking, until the
+                // readmission that answers our `ResyncDone` reaches us.
+                let Some(asking) = &mut self.resync else {
+                    return out;
+                };
+                if node != self.id {
                     return out;
                 }
-                self.resync = None;
+                asking.next_retry = now + self.spec.detector.heartbeat_interval * 10.0;
                 // Adopt the post-fence epoch and the rebuilt state.
                 self.fences.readmit_at(self.id, fence_epoch);
                 if let Some(img) = image {
@@ -1197,6 +1466,8 @@ impl NodeCore {
                         self.spec.image_len,
                     ));
                 }
+                // Sessions re-open when the members greet us, which each
+                // does as it learns of the readmission, after we have.
                 out.push(Action::Send {
                     to: from,
                     msg: Msg::ResyncDone {
@@ -1204,9 +1475,6 @@ impl NodeCore {
                         fence_epoch,
                     },
                 });
-                // Re-open sessions now; peers accept once the coordinator's
-                // Readmit broadcast lands (retried by on_tick otherwise).
-                self.next_hello = now;
             }
             Msg::ResyncDone { node, fence_epoch } => {
                 if !self.is_acting_coordinator() || !self.fences.is_fenced(node) {
@@ -1215,12 +1483,14 @@ impl NodeCore {
                 if fence_epoch != self.fences.epoch_of(node) {
                     return out;
                 }
+                // A round open now was composed with custody standing in
+                // for `node`, and who coordinates may be about to change.
+                if let Some(epoch) = self.coord_round.as_ref().map(|r| r.epoch) {
+                    self.abort_round(epoch, format!("{node} readmitted mid-round"), &mut out);
+                }
                 let rollback_epoch = self.committed.as_ref().map(|(e, _)| *e).unwrap_or(0);
-                self.fences.readmit_at(node, fence_epoch);
-                self.custody.remove(&node);
-                self.lost.remove(&node);
-                self.detector.admit(node.index(), now);
-                for &p in self.sessions.clone().iter() {
+                self.readmitted(node, fence_epoch, now, &mut out);
+                for p in self.members_in() {
                     out.push(Action::Send {
                         to: p,
                         msg: Msg::Readmit {
@@ -1230,25 +1500,34 @@ impl NodeCore {
                         },
                     });
                 }
-                self.apply_rollback();
-                out.push(Action::Note(Note::Readmitted {
-                    node,
-                    epoch: fence_epoch,
-                }));
+                out.push(Action::Send {
+                    to: node,
+                    msg: self.hello(),
+                });
+                // It was out while these were fenced, and coordination may
+                // fall to it: it must know whom the cluster is missing.
+                let members = (0..self.spec.total()).map(NodeId);
+                for out_too in members.filter(|n| self.fences.is_fenced(*n)) {
+                    let epoch = self.fences.epoch_of(out_too);
+                    out.push(Action::Send {
+                        to: node,
+                        msg: Msg::Fence {
+                            node: out_too,
+                            epoch,
+                        },
+                    });
+                }
             }
             Msg::Readmit {
                 node, fence_epoch, ..
             } => {
-                self.fences.readmit_at(node, fence_epoch);
-                self.lost.remove(&node);
-                if node != self.id {
-                    self.detector.admit(node.index(), now);
+                self.readmitted(node, fence_epoch, now, &mut out);
+                if node != self.id && !self.sessions.contains(&node) {
+                    out.push(Action::Send {
+                        to: node,
+                        msg: self.hello(),
+                    });
                 }
-                self.apply_rollback();
-                out.push(Action::Note(Note::Readmitted {
-                    node,
-                    epoch: fence_epoch,
-                }));
             }
             Msg::StatusReq => {
                 out.push(Action::Send {
@@ -1259,8 +1538,8 @@ impl NodeCore {
             Msg::MetricsReq | Msg::TraceTailReq { .. } => {
                 // Answered by the hosting runtime: the metrics registry
                 // and trace ring live beside the core, not inside the
-                // IO-free state machine. Drivers without either (the
-                // in-process SimNet) simply ignore the scrape.
+                // IO-free state machine. The harness has its own accessors
+                // for both and ignores the scrape.
             }
             Msg::StatusResp(_)
             | Msg::CheckpointDone { .. }
@@ -1318,6 +1597,110 @@ impl NodeCore {
         out
     }
 
+    /// `node` is back in at `fence_epoch`: whatever this node held or was
+    /// decoding for it is moot, and the group resumes from the committed
+    /// round (the paper's cluster rollback).
+    fn readmitted(&mut self, node: NodeId, fence_epoch: u64, now: SimTime, out: &mut Vec<Action>) {
+        self.fences.readmit_at(node, fence_epoch);
+        self.lost.remove(&node);
+        self.custody.remove(&node);
+        self.boots.remove(&node);
+        self.rebuild.take_if(|rb| rb.victim == node);
+        if node == self.id {
+            self.resync = None;
+        } else {
+            self.detector.admit(node.index(), now);
+        }
+        self.apply_rollback();
+        out.push(Action::Note(Note::Readmitted {
+            node,
+            epoch: fence_epoch,
+        }));
+    }
+
+    /// The refusal a fenced `node` is answered with.
+    fn rejection(&self, node: NodeId) -> Action {
+        Action::Send {
+            to: node,
+            msg: Msg::Rejected {
+                node,
+                required_epoch: self.fences.epoch_of(node),
+                coordinator: self.coordinator(),
+            },
+        }
+    }
+
+    /// A greeting from boot `incarnation` of `peer` when this node knew
+    /// another is evidence that one is gone, and everything it held with
+    /// it. If its session still stands it is suspected and confirmed on
+    /// the spot, by the path any other death takes (the coordinator fences
+    /// and rebuilds). And it is fenced here if it is fenced nowhere: the
+    /// coordinator may never have met the boot that died, so this is not
+    /// its alone to find out. Every member that sees it raises the same
+    /// epoch, and whoever coordinates owes the rebuild.
+    fn retire_earlier_boot(
+        &mut self,
+        peer: NodeId,
+        incarnation: u64,
+        now: SimTime,
+        out: &mut Vec<Action>,
+    ) {
+        if self
+            .boots
+            .get(&peer)
+            .is_none_or(|known| *known == incarnation)
+        {
+            return;
+        }
+        if self.sessions.contains(&peer) {
+            let suspected = self.detector.suspect_now(peer.index(), now);
+            let confirmed = self.detector.confirm_now(peer.index(), now);
+            for verdict in [suspected, confirmed].into_iter().flatten() {
+                self.note_verdict(peer, verdict, true, now, out);
+            }
+        }
+        if !self.fences.is_fenced(peer) {
+            self.detector.condemn(peer.index(), now);
+            self.raise_fence(peer, out);
+        }
+    }
+
+    /// Opens (or keeps) the session with `peer`, learning which boot of it
+    /// speaks and the fence epoch it holds: a node that restarted has
+    /// forgotten every epoch, and must not raise one a second time.
+    fn open_session(
+        &mut self,
+        peer: NodeId,
+        (incarnation, fence_epoch): (u64, u64),
+        now: SimTime,
+        out: &mut Vec<Action>,
+    ) {
+        self.detector.admit(peer.index(), now);
+        self.fences.readmit_at(peer, fence_epoch);
+        self.boots.insert(peer, incarnation);
+        if self.sessions.insert(peer) {
+            out.push(Action::Note(Note::SessionEstablished { peer }));
+        }
+    }
+
+    /// This node has been fenced: what it holds is stale and what it was
+    /// doing is void, exactly as if its process had restarted — except
+    /// that it knows whom to ask for its state back.
+    fn stand_down(&mut self, coordinator: NodeId, now: SimTime, out: &mut Vec<Action>) {
+        if let Some(epoch) = self.coord_round.as_ref().map(|r| r.epoch) {
+            self.abort_round(epoch, format!("{} was fenced", self.id), out);
+        }
+        *self = NodeCore::new(self.id, self.spec.clone(), self.incarnation);
+        self.resync = Some(ResyncClient {
+            coordinator,
+            next_retry: now + self.spec.detector.heartbeat_interval * 10.0,
+        });
+        out.push(Action::Send {
+            to: coordinator,
+            msg: Msg::ResyncReq { node: self.id },
+        });
+    }
+
     /// Link evidence that `peer`'s process is gone: its connection to this
     /// node closed and a redial was refused. A peer this node holds a
     /// session with and monitors is suspected now, not a timeout later, and
@@ -1326,6 +1709,7 @@ impl NodeCore {
     /// like any other (fence, resync). Evidence about anyone else is ignored.
     pub fn on_peer_refused(&mut self, peer: NodeId, now: SimTime) -> Vec<Action> {
         let mut out = Vec::new();
+        self.ran(now, &mut out);
         if self.sessions.contains(&peer) {
             if let Some(verdict) = self.detector.suspect_now(peer.index(), now) {
                 self.note_verdict(peer, verdict, true, now, &mut out);
@@ -1353,29 +1737,46 @@ impl NodeCore {
             return;
         }
         self.sessions.remove(&node);
+        // Frozen, and now nobody is left to vouch for this node or object.
+        self.unsure &= !self.sessions.is_empty();
+        // A rebuild in flight stops waiting for the dead node's blocks.
+        let waited_for = |rb: &mut Rebuild| rb.awaiting.remove(&node) && rb.awaiting.is_empty();
+        if self.rebuild.as_mut().is_some_and(waited_for) {
+            self.finish_rebuild(now, out);
+        }
         // Only the acting coordinator (recomputed *after* excluding the
         // victim) fences and rebuilds; everyone else waits for the
         // broadcast so exactly one epoch bump wins.
-        if !self.is_acting_coordinator() {
-            return;
+        if self.is_acting_coordinator() {
+            self.fence_and_rebuild(node, now, out);
         }
+    }
+
+    /// The acting coordinator's answer to a death it holds confirmed:
+    /// fence every such node nobody has fenced — this one, and any whose
+    /// death is why coordination fell to us — telling every member in, and
+    /// rebuild what `node` held.
+    fn fence_and_rebuild(&mut self, node: NodeId, now: SimTime, out: &mut Vec<Action>) {
+        let members = (0..self.spec.total()).map(NodeId);
+        let unfenced =
+            |n: &NodeId| self.detector.is_confirmed(n.index()) && !self.fences.is_fenced(*n);
+        for dead in members.filter(unfenced).collect::<Vec<_>>() {
+            self.raise_fence(dead, out);
+        }
+        self.start_rebuild(node, now, out);
+    }
+
+    /// Fences `node` and tells every member in.
+    fn raise_fence(&mut self, node: NodeId, out: &mut Vec<Action>) {
         self.fences.fence(node);
         let epoch = self.fences.epoch_of(node);
         out.push(Action::Note(Note::Fenced { node, epoch }));
-        for &p in self.live_peers().iter() {
+        for p in self.members_in() {
             out.push(Action::Send {
                 to: p,
                 msg: Msg::Fence { node, epoch },
             });
         }
-        // A round the victim participated in can never finish — abort it.
-        if let Some(r) = &self.coord_round {
-            if r.sources.contains(&node) || r.holders.contains(&node) {
-                let e = r.epoch;
-                self.abort_round(e, format!("{node} confirmed failed mid-round"), out);
-            }
-        }
-        self.start_rebuild(node, now, out);
     }
 
     /// What this node can give a rebuild of `victim`: its own committed
@@ -1397,6 +1798,12 @@ impl NodeCore {
     fn start_rebuild(&mut self, victim: NodeId, now: SimTime, out: &mut Vec<Action>) {
         if self.rebuild.is_some() || self.custody.contains_key(&victim) {
             return;
+        }
+        // A rebuild decodes from the committed generation, which a commit
+        // under it would tear; and a round the victim was part of can
+        // never finish. Whichever way it was reached, the round goes first.
+        if let Some(epoch) = self.coord_round.as_ref().map(|r| r.epoch) {
+            self.abort_round(epoch, format!("{victim} confirmed failed mid-round"), out);
         }
         out.push(Action::Note(Note::RebuildStarted { victim }));
         out.push(Action::Note(Note::RebuildPhase {
@@ -1495,12 +1902,23 @@ impl NodeCore {
         }));
     }
 
-    fn on_resync_req(&mut self, node: NodeId, out: &mut Vec<Action>) {
-        if !self.is_acting_coordinator() || !self.fences.is_fenced(node) {
+    fn on_resync_req(&mut self, node: NodeId, now: SimTime, out: &mut Vec<Action>) {
+        // Coordination has moved since the node was told whom to ask.
+        if !self.is_acting_coordinator() {
+            out.push(self.rejection(node));
             return;
         }
-        // Defer while a round or rebuild is open — the victim retries.
-        if self.coord_round.is_some() || self.rebuild.is_some() {
+        // Fenced by a coordinator whose word was lost with it: the node is
+        // out on its own word, and owed the rebuild that settles it.
+        if !self.fences.is_fenced(node) {
+            self.detector.condemn(node.index(), now);
+            self.raise_fence(node, out);
+            return;
+        }
+        // Defer while a round or rebuild is open, or the node's own rebuild
+        // is still owed — the victim retries.
+        let settled = self.custody.contains_key(&node) || self.lost.contains(&node);
+        if self.coord_round.is_some() || self.rebuild.is_some() || !settled {
             return;
         }
         let fence_epoch = self.fences.epoch_of(node);
@@ -1525,6 +1943,9 @@ impl NodeCore {
     /// Starts a round if this node coordinates and the group is whole.
     /// Returns the typed reason when it cannot.
     fn try_start_round(&mut self, now: SimTime, out: &mut Vec<Action>) -> Result<(), String> {
+        if self.unsure {
+            return Err(format!("{} was frozen and may be fenced", self.id));
+        }
         if !self.is_acting_coordinator() {
             return Err(format!(
                 "{} is not the coordinator (try {})",
@@ -1900,9 +2321,14 @@ impl NodeCore {
         if let (Some(live), true) = (&mut self.live, self.spec.is_data(self.id)) {
             churn_image(self.spec.cluster_id, self.id, epoch, live);
         }
-        // Custody orphans' blocks re-committed at this epoch (same bytes).
-        for (e, ..) in self.custody.values_mut() {
-            *e = epoch;
+        // Custody orphans' images are re-committed at this epoch (same
+        // bytes). An orphan's parity shard is parity of the round it was
+        // rebuilt at and of no later one: it keeps that epoch, so a resync
+        // or a rebuild never takes it for current.
+        for (e, kind, ..) in self.custody.values_mut() {
+            if *kind == BlockKind::Data {
+                *e = epoch;
+            }
         }
         self.rounds_committed += 1;
         let coordinator = self.coordinator();
@@ -2038,7 +2464,7 @@ mod tests {
 
     /// The parity holder of `spec()`, with round 1 open.
     fn holder_in_round_1() -> NodeCore {
-        let mut p = NodeCore::new(NodeId(3), spec());
+        let mut p = NodeCore::new(NodeId(3), spec(), 1);
         let begin = Msg::RoundBegin {
             epoch: 1,
             sources: (0..3).map(NodeId).collect(),
@@ -2093,9 +2519,9 @@ mod tests {
     /// Node 0 of `spec()` with sessions to every peer and a ctl-requested
     /// round open at t = 0.
     fn coordinator_in_round_1(spec: ClusterSpec) -> NodeCore {
-        let mut c = NodeCore::new(NodeId(0), spec.clone());
+        let mut c = NodeCore::new(NodeId(0), spec.clone(), 1);
         for peer in 1..spec.total() {
-            let hello = NodeCore::new(NodeId(peer), spec.clone()).hello();
+            let hello = NodeCore::new(NodeId(peer), spec.clone(), 1).hello();
             c.on_message(NodeId(peer), hello, SimTime::ZERO);
         }
         let out = c.on_message(CTL, Msg::CheckpointReq, SimTime::ZERO);
@@ -2185,9 +2611,9 @@ mod tests {
 
     /// Node `id` of `spec()` with a session to every other member.
     fn meshed(id: usize) -> NodeCore {
-        let mut n = NodeCore::new(NodeId(id), spec());
+        let mut n = NodeCore::new(NodeId(id), spec(), 1);
         for peer in (0..4).filter(|p| *p != id) {
-            let hello = NodeCore::new(NodeId(peer), spec()).hello();
+            let hello = NodeCore::new(NodeId(peer), spec(), 1).hello();
             n.on_message(NodeId(peer), hello, SimTime::ZERO);
         }
         n
@@ -2283,7 +2709,7 @@ mod tests {
     #[test]
     fn evidence_about_a_stranger_or_about_self_is_ignored() {
         // At boot a dial is refused because the peer does not listen yet.
-        let mut n = NodeCore::new(NodeId(0), spec());
+        let mut n = NodeCore::new(NodeId(0), spec(), 1);
         assert!(n.on_peer_refused(NodeId(2), SimTime::ZERO).is_empty());
         let mut n = meshed(0);
         assert!(n.on_peer_refused(NodeId(0), SimTime::ZERO).is_empty());
@@ -2379,8 +2805,8 @@ mod tests {
     #[test]
     fn hello_handshake_establishes_sessions_both_ways() {
         let s = spec();
-        let mut a = NodeCore::new(NodeId(0), s.clone());
-        let mut b = NodeCore::new(NodeId(1), s);
+        let mut a = NodeCore::new(NodeId(0), s.clone(), 1);
+        let mut b = NodeCore::new(NodeId(1), s, 1);
         let now = SimTime::ZERO;
         let out = b.on_message(NodeId(0), a.hello(), now);
         let welcome = out
@@ -2398,7 +2824,7 @@ mod tests {
     #[test]
     fn fenced_hello_is_rejected_with_required_epoch() {
         let s = spec();
-        let mut b = NodeCore::new(NodeId(1), s.clone());
+        let mut b = NodeCore::new(NodeId(1), s.clone(), 1);
         // b learns node0 was fenced at epoch 2.
         b.on_message(
             NodeId(2),
@@ -2408,7 +2834,7 @@ mod tests {
             },
             SimTime::ZERO,
         );
-        let a = NodeCore::new(NodeId(0), s);
+        let a = NodeCore::new(NodeId(0), s, 1);
         let out = b.on_message(NodeId(0), a.hello(), SimTime::ZERO);
         match &out[0] {
             Action::Send {
@@ -2423,7 +2849,7 @@ mod tests {
     #[test]
     fn stale_payload_is_dropped_with_note() {
         let s = spec();
-        let mut p = NodeCore::new(NodeId(3), s); // parity node
+        let mut p = NodeCore::new(NodeId(3), s, 1); // parity node
         p.on_message(
             NodeId(1),
             Msg::Fence {
@@ -2451,7 +2877,7 @@ mod tests {
     #[test]
     fn status_and_digest_roundtrip() {
         let s = spec();
-        let mut n = NodeCore::new(NodeId(0), s);
+        let mut n = NodeCore::new(NodeId(0), s, 1);
         let out = n.on_message(CTL, Msg::StatusReq, SimTime::ZERO);
         assert!(matches!(
             &out[0],
@@ -2474,7 +2900,7 @@ mod tests {
     #[test]
     fn checkpoint_req_without_peers_fails_typed() {
         let s = spec();
-        let mut n = NodeCore::new(NodeId(0), s);
+        let mut n = NodeCore::new(NodeId(0), s, 1);
         let out = n.on_message(CTL, Msg::CheckpointReq, SimTime::ZERO);
         let reason = out
             .iter()

@@ -347,6 +347,19 @@ impl FailureDetector {
         alive.then(|| self.escalate(node, now, true)).flatten()
     }
 
+    /// Confirms a suspected `node` at `now`, on evidence that leaves its
+    /// heartbeat nothing to refute: another boot of it is speaking.
+    pub fn confirm_now(&mut self, node: usize, now: SimTime) -> Option<Verdict> {
+        let suspected = self.is_suspected(node);
+        suspected.then(|| self.escalate(node, now, true)).flatten()
+    }
+
+    /// Holds `node` confirmed from `now` on another's verdict — the
+    /// coordinator's fence — whatever this detector's own timers say.
+    pub fn condemn(&mut self, node: usize, now: SimTime) {
+        self.nodes.insert(node, (now, Health::Confirmed));
+    }
+
     /// True while `node` stands suspected on evidence.
     pub fn has_evidence(&self, node: usize) -> bool {
         let health = self.nodes.get(&node).map(|(_, health)| health);

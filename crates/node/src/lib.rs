@@ -1,8 +1,9 @@
 //! Shared plumbing for the DVDC deployment binaries (`dvdc-node`,
 //! `dvdc-ctl`) and their integration tests: daemon option parsing, the
-//! ctl request/reply client, human-readable status formatting, and the
-//! [`Note`] → [`Event`] mapping that feeds the daemon's trace ring and
-//! metrics.
+//! ctl request/reply client and human-readable status formatting. The
+//! `Note` → `Event` mapping and the metrics fold that feed the daemon's
+//! trace ring and registry live beside `Note` in `dvdc` and are
+//! re-exported here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -10,14 +11,12 @@
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration as StdDuration;
 
-use dvdc::protocol::node_core::{ClusterSpec, Msg, Note, StatusView, CTL};
-use dvdc_faults::detector::{DetectorConfig, Verdict};
+pub use dvdc::protocol::node_core::{note_event, NodeMetrics};
+use dvdc::protocol::node_core::{ClusterSpec, Msg, StatusView, CTL};
+use dvdc_faults::detector::DetectorConfig;
 use dvdc_observe::chrome::NodeTail;
-use dvdc_observe::metrics::EventMetrics;
-use dvdc_observe::registry::{Counter, HistogramHandle, MetricsHub, MetricsSnapshot, Stamp};
-use dvdc_observe::spans::OPEN_SPAN_CAP;
-use dvdc_observe::Event;
-use dvdc_simcore::time::{Duration, SimTime};
+use dvdc_observe::registry::MetricsSnapshot;
+use dvdc_simcore::time::Duration;
 use dvdc_transport::frame::{read_frame, write_frame, MAX_FRAME};
 use dvdc_transport::wire::{decode_envelope, encode_envelope, envelope_len};
 use dvdc_vcluster::ids::NodeId;
@@ -287,135 +286,13 @@ pub fn format_status(view: &StatusView) -> String {
     )
 }
 
-/// Maps a protocol [`Note`] onto the observe [`Event`] vocabulary, so
-/// session chatter and drop decisions reach the trace ring (panic dumps,
-/// `dvdc-ctl trace-tail`) and the metrics fold instead of existing only
-/// in the stderr log. Every note has exactly one event.
-pub fn note_event(note: &Note) -> Event {
-    match note {
-        Note::PeerVerdict { node, verdict, .. } => match verdict {
-            Verdict::Suspected => Event::Suspected { node: node.0 },
-            Verdict::Confirmed => Event::Confirmed { node: node.0 },
-            Verdict::Refuted => Event::Refuted { node: node.0 },
-        },
-        Note::Fenced { node, epoch } => Event::FenceRaised {
-            node: node.0,
-            epoch: *epoch,
-        },
-        Note::RoundStarted { epoch } => Event::RoundBegin { epoch: *epoch },
-        Note::RoundCommitted { epoch } => Event::RoundCommitted { epoch: *epoch },
-        Note::RoundAborted { epoch, .. } => Event::RoundAborted {
-            epoch: *epoch,
-            phase: "Distributed",
-        },
-        Note::RebuildStarted { victim } => Event::RebuildBegin {
-            victim: victim.0,
-            mode: "Custody",
-            epoch: 0,
-        },
-        Note::RebuildCompleted { victim, .. } => Event::RebuildCompleted { victim: victim.0 },
-        Note::DataLoss { victim, .. } => Event::DataLoss {
-            node: victim.0,
-            group: 0,
-        },
-        Note::Readmitted { node, epoch } => Event::FenceReadmitted {
-            node: node.0,
-            epoch: *epoch,
-        },
-        Note::SessionEstablished { peer } => Event::SessionEstablished { peer: peer.0 },
-        Note::HelloRejected {
-            peer,
-            required_epoch,
-        } => Event::SessionRejected {
-            peer: peer.0,
-            required_epoch: *required_epoch,
-        },
-        Note::StaleRejected {
-            from,
-            held_epoch,
-            current_epoch,
-        } => Event::StaleDropped {
-            from: from.0,
-            held_epoch: *held_epoch,
-            current_epoch: *current_epoch,
-        },
-        Note::PayloadDropped { from, .. } => Event::PayloadDropped { from: from.0 },
-        Note::ResyncServed { peer } => Event::ResyncServed { peer: peer.0 },
-        // The capture has shipped, so what begins is the transfer; the
-        // window before it travels as `window_secs`.
-        Note::CaptureShipped { epoch, .. } => Event::RoundPhase {
-            epoch: *epoch,
-            phase: "Transfer",
-        },
-        Note::RebuildPhase { victim, phase } => Event::RebuildPhase {
-            victim: victim.0,
-            phase,
-        },
-    }
-}
-
-/// The node-level metrics plane, derived from the protocol's [`Note`]
-/// stream: each note folds through [`EventMetrics`] as its
-/// [`note_event`], which gives a live node the instruments a traced
-/// simulation reports under the same names, plus the two facts no
-/// [`Event`] carries — the capture window, and whether a death was
-/// confirmed on link evidence or by the timers. Feed it from the
-/// daemon's `on_note` callback; all handles come from one
-/// [`MetricsHub`], so a no-op hub makes every call a few branches.
-#[derive(Debug)]
-pub struct NodeMetrics {
-    events: EventMetrics,
-    capture_window: HistogramHandle,
-    confirmed_by_evidence: Counter,
-    confirmed_by_timeout: Counter,
-}
-
-impl NodeMetrics {
-    /// Registers every node-plane instrument on `hub`.
-    pub fn new(hub: &MetricsHub) -> Self {
-        NodeMetrics {
-            events: EventMetrics::new(hub, OPEN_SPAN_CAP),
-            capture_window: hub.histogram("node.capture_window_ns"),
-            confirmed_by_evidence: hub.counter("faults.detector.confirmed_by_evidence"),
-            confirmed_by_timeout: hub.counter("faults.detector.confirmed_by_timeout"),
-        }
-    }
-
-    /// Folds one timed note into the instruments.
-    pub fn observe(&mut self, at: SimTime, note: &Note) {
-        self.fold(at, note);
-    }
-
-    /// [`NodeMetrics::observe`], handing back the event the note folded
-    /// as, so the caller's trace ring records that same event.
-    pub fn fold(&mut self, at: SimTime, note: &Note) -> Event {
-        match note {
-            Note::CaptureShipped { window_secs, .. } => {
-                self.capture_window
-                    .record(Stamp::Sim(SimTime::from_secs(*window_secs)).nanos());
-            }
-            Note::PeerVerdict {
-                verdict: Verdict::Confirmed,
-                evidence,
-                ..
-            } => {
-                if *evidence {
-                    self.confirmed_by_evidence.inc();
-                } else {
-                    self.confirmed_by_timeout.inc();
-                }
-            }
-            _ => {}
-        }
-        let event = note_event(note);
-        self.events.observe(at, &event);
-        event
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dvdc::protocol::node_core::Note;
+    use dvdc_faults::detector::Verdict;
+    use dvdc_observe::{Event, MetricsHub};
+    use dvdc_simcore::time::SimTime;
 
     fn args(s: &str) -> Vec<String> {
         s.split_whitespace().map(String::from).collect()

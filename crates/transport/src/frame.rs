@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! magic   u32 LE   0x4456_4443  ("DVDC" read as big-endian ASCII)
-//! version u8       2
+//! version u8       3
 //! flags   u8       0 (reserved)
 //! len     u32 LE   payload length in bytes, <= MAX_FRAME
 //! payload len bytes
@@ -14,8 +14,10 @@
 //! Every malformed input maps to a typed [`FrameError`] — the decoder
 //! never panics and never silently resynchronises on garbage (a stream
 //! with a bad magic or checksum is dead; the link layer reconnects).
-//! Version 1 (FNV-1a trailer) is not spoken: a v1 frame is
-//! [`FrameError::Version`].
+//! Earlier versions are not spoken: a version 1 frame (FNV-1a trailer) or
+//! a version 2 frame (same layout, `Hello`/`Welcome` without an
+//! incarnation) is [`FrameError::Version`], so a cluster of mixed builds
+//! fails typed at the first header instead of misreading a handshake.
 //!
 //! A frame is built in memory ([`encode_frame`]) or streamed: the codec in
 //! [`wire`](crate::wire) emits a message into a [`Sink`] and reads one
@@ -32,7 +34,7 @@ use dvdc_simcore::rng::{xxh64, Xxh64};
 pub const MAGIC: u32 = 0x4456_4443;
 
 /// Codec version carried in every frame header.
-pub const VERSION: u8 = 2;
+pub const VERSION: u8 = 3;
 
 /// Hard cap on payload size (64 MiB). Larger `len` fields are rejected
 /// before any allocation — a corrupt or hostile length cannot OOM the
@@ -511,21 +513,26 @@ mod tests {
 
     #[test]
     fn version_1_frame_is_refused_by_version() {
-        // What the previous format put on the wire: version byte 1 and
-        // an FNV-1a trailer.
+        // What the previous formats put on the wire: version byte 1 and an
+        // FNV-1a trailer; version byte 2 and today's trailer, around a
+        // handshake without incarnations.
         let payload = b"from an old daemon";
-        let mut frame = encode_frame(payload);
-        frame[4] = 1;
-        let at = frame.len() - TRAILER_LEN;
-        frame[at..].copy_from_slice(&dvdc_simcore::rng::fnv1a64(payload).to_le_bytes());
-        assert_eq!(decode_exact(&frame), Err(FrameError::Version { got: 1 }));
-        assert_eq!(
-            read_frame(&mut frame.as_slice()),
-            Err(FrameError::Version { got: 1 })
-        );
-        let mut dec = FrameDecoder::new();
-        dec.feed(&frame);
-        assert_eq!(dec.next_frame(), Err(FrameError::Version { got: 1 }));
+        for got in [1, 2] {
+            let mut frame = encode_frame(payload);
+            frame[4] = got;
+            if got == 1 {
+                let at = frame.len() - TRAILER_LEN;
+                frame[at..].copy_from_slice(&dvdc_simcore::rng::fnv1a64(payload).to_le_bytes());
+            }
+            assert_eq!(decode_exact(&frame), Err(FrameError::Version { got }));
+            assert_eq!(
+                read_frame(&mut frame.as_slice()),
+                Err(FrameError::Version { got })
+            );
+            let mut dec = FrameDecoder::new();
+            dec.feed(&frame);
+            assert_eq!(dec.next_frame(), Err(FrameError::Version { got }));
+        }
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! The protocol core ([`dvdc::protocol::node_core::NodeCore`]) performs no
 //! IO: it consumes messages and a clock reading and emits
 //! [`Action`](dvdc::protocol::node_core::Action)s. In simulation those
-//! actions are carried by `SimNet`; this crate carries them over real
-//! loopback/LAN TCP sockets using only `std::net` and threads (the build
-//! environment is offline — no async runtime):
+//! actions are carried by the in-process harness; this crate carries them
+//! over real loopback/LAN TCP sockets using only `std::net` and threads
+//! (the build environment is offline — no async runtime):
 //!
 //! - [`frame`] — length-prefixed framed codec with a checksum trailer and
 //!   typed [`frame::FrameError`]s for torn, truncated, oversized, or

@@ -14,7 +14,7 @@
 //! [`WallClock`](crate::clock::WallClock), ticks it when its
 //! [`next_deadline`](NodeCore::next_deadline) arrives, and carries out
 //! the returned actions through the shared [`dispatch`] helper — the same
-//! code path the deterministic sim driver uses. Nothing polls: the accept
+//! code path the deterministic harness uses. Nothing polls: the accept
 //! thread blocks in `accept()`, readers in `read()`, writers on their
 //! queue, the event loop on its channel until the next deadline.
 //!
@@ -39,7 +39,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration as StdDuration, Instant};
+use std::time::{Duration as StdDuration, Instant, SystemTime, UNIX_EPOCH};
 
 use dvdc::protocol::node_core::{ClusterSpec, Msg, NodeCore, Note, CTL};
 use dvdc::protocol::transport::{dispatch, Transport, TransportError};
@@ -261,7 +261,11 @@ impl NodeRuntime {
     {
         let NodeRuntime { config, listener } = self;
         let clock = WallClock::new();
-        let mut core = NodeCore::new(config.id, config.spec.clone());
+        // Names this boot in handshakes; no two boots of one node share it.
+        let since_epoch = SystemTime::now().duration_since(UNIX_EPOCH);
+        let incarnation =
+            since_epoch.map_or(0, |d| d.as_nanos() as u64) ^ u64::from(std::process::id());
+        let mut core = NodeCore::new(config.id, config.spec.clone(), incarnation);
         let hub = config.observe.metrics.clone();
 
         let (event_tx, event_rx): (Sender<Event>, Receiver<Event>) = mpsc::channel();
@@ -335,7 +339,7 @@ impl NodeRuntime {
                     peer_refused.inc();
                     let now = clock.now();
                     let actions = core.on_peer_refused(peer, now);
-                    for note in dispatch(&mut transport, config.id, actions).notes {
+                    for note in dispatch(&mut transport, config.id, actions) {
                         on_note(now, &note);
                     }
                 }
@@ -385,7 +389,7 @@ impl NodeRuntime {
                         }
                     }
                     let actions = core.on_message(incoming.from, incoming.msg, now);
-                    for note in dispatch(&mut transport, config.id, actions).notes {
+                    for note in dispatch(&mut transport, config.id, actions) {
                         on_note(now, &note);
                     }
                 }
@@ -395,7 +399,7 @@ impl NodeRuntime {
             let now = clock.now();
             if core.next_deadline().is_some_and(|due| now >= due) {
                 let actions = core.on_tick(now);
-                for note in dispatch(&mut transport, config.id, actions).notes {
+                for note in dispatch(&mut transport, config.id, actions) {
                     on_note(now, &note);
                 }
             }

@@ -418,8 +418,8 @@ wire_enum! { BlockKind, |_| WireError::BadLength; 0 => Data, 1 => Parity }
 wire_enum! { DigestSource, |_| WireError::BadLength; 0 => Committed, 1 => Custody, 2 => Missing }
 
 wire_enum! { Msg, WireError::UnknownTag;
-    1 => Hello { node, cluster_id, fence_epoch },
-    2 => Welcome { node, fence_epoch },
+    1 => Hello { node, cluster_id, fence_epoch, incarnation },
+    2 => Welcome { node, fence_epoch, incarnation },
     3 => Rejected { node, required_epoch, coordinator },
     4 => Heartbeat { node },
     5 => RoundBegin { epoch, sources, holders },
@@ -688,10 +688,12 @@ mod tests {
                 node: n,
                 cluster_id: 42,
                 fence_epoch: 1,
+                incarnation: 0x1122_3344_5566_7788,
             },
             Msg::Welcome {
                 node: n,
                 fence_epoch: 1,
+                incarnation: 7,
             },
             Msg::Rejected {
                 node: n,
@@ -821,16 +823,17 @@ mod tests {
 
     #[test]
     fn wire_bytes_match_the_golden_digest() {
-        // Length and FNV-1a/64 of every sample's envelope, concatenated,
-        // recorded with the hand-written codec this table replaced (parent
-        // commit 6032028). A mismatch means the on-wire format changed:
-        // that needs a frame version bump, not a new digest.
+        // Length and FNV-1a/64 of every sample's envelope, concatenated.
+        // Pinned for frame version 3, which added `incarnation` to `Hello`
+        // and `Welcome` (8 bytes each; 2169 bytes, 0x3927_044d_7a83_59a6
+        // before). A mismatch means the on-wire format changed: that needs
+        // a frame version bump, not a new digest.
         let bytes: Vec<u8> = msg_samples()
             .iter()
             .flat_map(|m| encode_envelope(NodeId(1), m))
             .collect();
-        assert_eq!(bytes.len(), 2169);
-        assert_eq!(fnv64(&bytes), 0x3927_044d_7a83_59a6);
+        assert_eq!(bytes.len(), 2185);
+        assert_eq!(fnv64(&bytes), 0xa8dd_8645_4cb1_8313);
     }
 
     /// A stream whose every `read` returns one byte.

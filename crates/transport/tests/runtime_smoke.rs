@@ -377,6 +377,7 @@ fn peer_that_drops_its_connection_but_still_listens_is_not_confirmed() {
         node: NodeId(2),
         cluster_id: spec.cluster_id,
         fence_epoch: 0,
+        incarnation: 1,
     };
     // Says hello to node 0 on a new connection; node 0 answers on the one
     // it dials to us.

@@ -1,371 +1,141 @@
-//! Five `NodeCore` replicas over the deterministic `SimNet` loopback:
-//! the distributed DVDC protocol end to end, without an oracle and
-//! without a global state machine.
+//! `NodeCore` replicas on the deterministic [`Harness`]: the distributed
+//! DVDC protocol end to end, without an oracle and without a global state
+//! machine.
 //!
 //! This is the sim twin of `crates/node/tests/process_cluster.rs` — the
 //! *same* per-node state machines the `dvdc-node` daemon runs over TCP,
-//! driven here over an in-process transport so the whole
+//! driven here in one thread so the whole
 //! kill → detect → fence → rebuild → resync → readmit arc is tier-1
-//! testable in milliseconds of wall time.
+//! testable in milliseconds of wall time, stepped the way the daemon's
+//! event loop steps and audited on every run.
 
-use dvdc::protocol::node_core::{fnv64, Action, ClusterSpec, Msg, NodeCore, Note, CTL};
-use dvdc::protocol::transport::{SimNet, Transport};
+use dvdc::protocol::harness::Harness;
+use dvdc::protocol::node_core::{fnv64, ClusterSpec, Msg, Note};
 use dvdc_faults::detector::{DetectorConfig, Verdict};
-use dvdc_node::NodeMetrics;
 use dvdc_observe::metrics::fold_events;
-use dvdc_observe::MetricsHub;
 use dvdc_simcore::time::{Duration, SimTime};
 use dvdc_vcluster::ids::NodeId;
 
-/// Deterministic driver: a cluster of `NodeCore`s over one `SimNet`.
-struct Sim {
-    spec: ClusterSpec,
-    net: SimNet,
-    nodes: Vec<Option<NodeCore>>,
-    notes: Vec<(NodeId, Note)>,
-    /// When each of `notes` was emitted.
-    noted_at: Vec<SimTime>,
-    now: SimTime,
-    /// The fixed step, or `None` to step from event to event: to the next
-    /// delivery or `NodeCore::next_deadline`, whichever is first.
-    tick: Option<Duration>,
-    /// Deliver each step's `Payload`s ahead of everything else due with
-    /// them — what separate TCP connections do to a block and the
-    /// `RoundBegin` it belongs to.
-    payloads_overtake: bool,
+/// A meshed 3+2 cluster with `rounds` committed.
+fn meshed(spec: ClusterSpec, rounds: u64) -> Harness {
+    let mut h = Harness::new(spec);
+    h.run_until(500.0, "full mesh", |h| h.fully_meshed());
+    for want in 1..=rounds {
+        assert_eq!(h.checkpoint(0, 1000.0), Ok(want));
+    }
+    h
 }
 
-impl Sim {
-    fn new(spec: ClusterSpec) -> Self {
-        let nodes = (0..spec.total())
-            .map(|i| Some(NodeCore::new(NodeId(i), spec.clone())))
-            .collect();
-        Sim {
-            net: SimNet::new(Duration::from_millis(1.0)),
-            nodes,
-            notes: Vec::new(),
-            noted_at: Vec::new(),
-            now: SimTime::ZERO,
-            tick: Some(Duration::from_millis(1.0)),
-            payloads_overtake: false,
-            spec,
-        }
-    }
-
-    fn node(&self, id: usize) -> &NodeCore {
-        self.nodes[id].as_ref().expect("node is live")
-    }
-
-    fn apply(&mut self, id: NodeId, actions: Vec<Action>) {
-        for action in actions {
-            match action {
-                Action::Send { to, msg } => {
-                    // Sends to dead peers fail typed — expected during the
-                    // detection window, never a panic.
-                    let _ = self.net.send(id, to, msg);
-                }
-                Action::Note(note) => {
-                    self.notes.push((id, note));
-                    self.noted_at.push(self.now);
-                }
-            }
-        }
-    }
-
-    /// When the next thing happens anywhere: a delivery, or a timer of
-    /// some live node.
-    fn next_event(&self) -> SimTime {
-        let events = self.nodes.iter().flatten().flat_map(|node| {
-            [self.net.next_delivery(node.id()), node.next_deadline()]
-                .into_iter()
-                .flatten()
-        });
-        events.min().expect("heartbeats never end").max(self.now)
-    }
-
-    /// One time step: deliver due messages, then tick every live node
-    /// (fixed tick) or the nodes whose deadline has come (event-driven).
-    fn step(&mut self) {
-        self.now = match self.tick {
-            Some(tick) => self.now + tick,
-            None => self.next_event(),
-        };
-        self.net.advance(self.now);
-        for i in 0..self.nodes.len() {
-            let id = NodeId(i);
-            if self.nodes[i].is_none() {
-                continue;
-            }
-            let mut due = self.net.take_due(id, self.now);
-            if self.payloads_overtake {
-                due.sort_by_key(|(_, msg)| !matches!(msg, Msg::Payload { .. }));
-            }
-            for (from, msg) in due {
-                let Some(node) = self.nodes[i].as_mut() else {
-                    break;
-                };
-                let actions = node.on_message(from, msg, self.now);
-                self.apply(id, actions);
-            }
-            let (now, every_node) = (self.now, self.tick.is_some());
-            let ticks = |n: &NodeCore| every_node || n.next_deadline().is_some_and(|d| d <= now);
-            if let Some(node) = self.nodes[i].as_mut().filter(|n| ticks(n)) {
-                let actions = node.on_tick(now);
-                // Or a driver sleeping until the deadline would spin.
-                let next = node.next_deadline().expect("heartbeats never end");
-                assert!(
-                    next > now,
-                    "{id}: tick at {now} left the deadline at {next}"
-                );
-                self.apply(id, actions);
-            }
-        }
-    }
-
-    /// Runs until `pred` holds, failing the test after `max_ms`.
-    fn run_until(&mut self, max_ms: f64, what: &str, mut pred: impl FnMut(&Sim) -> bool) {
-        let deadline = self.now + Duration::from_millis(max_ms);
-        while self.now < deadline {
-            self.step();
-            if pred(self) {
-                return;
-            }
-        }
-        let tail = &self.notes[self.notes.len().saturating_sub(20)..];
-        panic!("timed out after {max_ms} ms waiting for: {what}\nlast notes: {tail:#?}");
-    }
-
-    /// Injects a ctl-plane request at `target`; the reply lands in the
-    /// CTL inbox (drain with `ctl_replies`).
-    fn ctl(&mut self, target: usize, msg: Msg) {
-        let Some(node) = self.nodes[target].as_mut() else {
-            panic!("ctl target node{target} is dead");
-        };
-        let actions = node.on_message(CTL, msg, self.now);
-        self.apply(NodeId(target), actions);
-    }
-
-    /// Drains replies addressed to the ctl pseudo-node.
-    fn ctl_replies(&mut self) -> Vec<Msg> {
-        self.net
-            .take_due(CTL, self.now)
-            .into_iter()
-            .map(|(_, m)| m)
-            .collect()
-    }
-
-    /// The node goes silent, its queued and in-flight traffic with it, and
-    /// nobody is told: a host that lost power, or a partition. Survivors
-    /// have only their timers.
-    fn kill(&mut self, id: usize) {
-        self.net.kill(NodeId(id));
-        self.nodes[id] = None;
-    }
-
-    /// The process dies on a host that stays up (SIGKILL, panic, OOM-kill):
-    /// its kernel closes its connections and refuses the survivors'
-    /// redials, which is the evidence the TCP runtime hands each of them.
-    fn crash(&mut self, id: usize) {
-        self.kill(id);
-        let now = self.now;
-        for i in 0..self.nodes.len() {
-            let Some(node) = self.nodes[i].as_mut() else {
-                continue;
-            };
-            let actions = node.on_peer_refused(NodeId(id), now);
-            let next = node.next_deadline().expect("heartbeats never end");
-            assert!(
-                next > now,
-                "node{i}: evidence at {now} left the deadline at {next}"
-            );
-            self.apply(NodeId(i), actions);
-        }
-    }
-
-    /// Restart at the same address with **empty** state — diskless.
-    fn revive(&mut self, id: usize) {
-        self.net.revive(NodeId(id));
-        self.nodes[id] = Some(NodeCore::new(NodeId(id), self.spec.clone()));
-    }
-
-    fn fully_meshed(&self) -> bool {
-        self.nodes.iter().flatten().all(|n| {
-            (0..self.spec.total())
-                .map(NodeId)
-                .filter(|p| *p != n.id())
-                .all(|p| self.nodes[p.index()].is_none() || n.has_session(p))
-        })
-    }
-}
-
-fn spec_k3_m2() -> ClusterSpec {
-    ClusterSpec {
-        cluster_id: 42,
-        data_nodes: 3,
-        parity_nodes: 2,
-        image_len: 512,
-        detector: DetectorConfig {
-            heartbeat_interval: Duration::from_millis(10.0),
-            timeout: Duration::from_millis(35.0),
-            confirm_grace: Duration::from_millis(25.0),
-        },
-        round_timeout: Duration::from_millis(200.0),
-        rebuild_timeout: Duration::from_millis(200.0),
-        capture_delay: Duration::from_millis(20.0),
-    }
-}
-
-/// Runs one ctl-requested checkpoint to its typed outcome.
-fn run_checkpoint(sim: &mut Sim, coordinator: usize, max_ms: f64) -> Result<u64, String> {
-    sim.ctl(coordinator, Msg::CheckpointReq);
-    wait_ctl_outcome(sim, max_ms)
-}
-
-/// Waits for the next CheckpointDone/CheckpointFailed ctl reply.
-fn wait_ctl_outcome(sim: &mut Sim, max_ms: f64) -> Result<u64, String> {
-    let deadline = sim.now + Duration::from_millis(max_ms);
-    while sim.now < deadline {
-        sim.step();
-        for m in sim.ctl_replies() {
-            match m {
-                Msg::CheckpointDone { epoch } => return Ok(epoch),
-                Msg::CheckpointFailed { reason } => return Err(reason),
-                _ => {}
-            }
-        }
-    }
-    panic!("checkpoint neither committed nor failed in {max_ms} ms");
+/// How many notes of any node satisfy `pred`.
+fn count(h: &Harness, pred: impl Fn(usize, &Note) -> bool) -> usize {
+    let hit = |(_, n, note): &&(SimTime, NodeId, Note)| pred(n.index(), note);
+    h.notes().iter().filter(hit).count()
 }
 
 #[test]
 fn cluster_survives_sigkill_mid_round_and_victim_rejoins() {
-    let mut sim = Sim::new(spec_k3_m2());
-    sim.run_until(500.0, "full mesh", |s| s.fully_meshed());
-
-    // Three committed rounds; every replica agrees on the epoch.
-    for want in 1..=3u64 {
-        let epoch = run_checkpoint(&mut sim, 0, 1000.0).expect("healthy round commits");
-        assert_eq!(epoch, want);
-    }
+    let mut h = meshed(ClusterSpec::drill(3, 2), 3);
     for i in 0..5 {
-        assert_eq!(sim.node(i).status().committed_epoch, 3, "node{i}");
+        assert_eq!(h.node(i).status().committed_epoch, 3, "node{i}");
     }
 
     // Record the victim's pre-kill committed state (epoch 3).
     let victim = 2;
     let (pre_epoch, pre_image) = {
-        let (e, img) = sim.node(victim).committed().expect("victim committed");
+        let (e, img) = h.node(victim).committed().expect("victim committed");
         (e, img.to_vec())
     };
     assert_eq!(pre_epoch, 3);
     let pre_digest = fnv64(&pre_image);
 
-    // Open round 4 and SIGKILL the victim inside its capture-delay
+    // Open round 4 and kill the victim 5 ms into its 20 ms capture
     // window: its epoch-4 payload never ships, so the round must die.
-    sim.ctl(0, Msg::CheckpointReq);
-    for _ in 0..5 {
-        sim.step();
-    }
-    sim.kill(victim);
+    h.deliver(dvdc::protocol::CTL, 0, Msg::CheckpointReq);
+    h.run_for(Duration::from_millis(5.0));
+    h.kill(victim);
 
     // The open round fails typed — no panic, no hang.
-    let err = wait_ctl_outcome(&mut sim, 2000.0).expect_err("mid-round kill aborts the round");
+    let err = h.checkpoint_outcome(2000.0);
+    let err = err.expect_err("mid-round kill aborts the round");
     assert!(
         err.contains("confirmed failed") || err.contains("timed out"),
         "unexpected abort reason: {err}"
     );
 
     // Survivors detect via missed heartbeats: Suspected then Confirmed.
-    sim.run_until(2000.0, "coordinator confirms the victim", |s| {
-        s.node(0).status().confirmed.contains(&NodeId(victim))
+    h.run_until(2000.0, "coordinator confirms the victim", |h| {
+        h.node(0).status().confirmed.contains(&NodeId(victim))
     });
-    assert!(
-        sim.notes.iter().any(|(n, note)| *n == NodeId(0)
+    let suspected = |n: usize, note: &Note| {
+        n == 0
             && matches!(note, Note::PeerVerdict { node, verdict, .. }
-                if *node == NodeId(victim) && *verdict == Verdict::Suspected)),
-        "a Suspected verdict must precede confirmation"
-    );
+                if *node == NodeId(victim) && *verdict == Verdict::Suspected)
+    };
+    assert!(count(&h, suspected) > 0, "Suspected precedes confirmation");
 
     // The coordinator fences the victim and rebuilds its block from
     // survivor data + parity — byte-exact against the pre-kill image.
-    sim.run_until(2000.0, "victim block in custody", |s| {
-        s.node(0).custody_block(NodeId(victim)).is_some()
+    h.run_until(2000.0, "victim block in custody", |h| {
+        h.node(0).custody_block(NodeId(victim)).is_some()
     });
-    let (cust_epoch, cust_bytes) = sim.node(0).custody_block(NodeId(victim)).unwrap();
+    let (cust_epoch, cust_bytes) = h.node(0).custody_block(NodeId(victim)).unwrap();
     assert_eq!(cust_epoch, 3, "rebuild must target the committed epoch");
     assert_eq!(cust_bytes, &pre_image[..], "rebuild must be byte-exact");
-    assert!(sim.notes.iter().any(|(_, n)| matches!(
-        n,
-        Note::RebuildCompleted { victim: v, epoch: 3, digest }
-            if *v == NodeId(victim) && *digest == pre_digest
-    )));
+    let rebuilt = |_, n: &Note| {
+        matches!(n, Note::RebuildCompleted { victim: v, epoch: 3, digest }
+            if *v == NodeId(victim) && *digest == pre_digest)
+    };
+    assert_eq!(count(&h, rebuilt), 1);
 
     // Peers converged on the fence via broadcast.
     for i in [1, 3, 4] {
-        assert!(
-            sim.notes.iter().any(|(n, note)| *n == NodeId(i)
-                && matches!(note, Note::Fenced { node, .. } if *node == NodeId(victim))),
-            "node{i} must learn the fence"
-        );
+        let learned = |n, note: &Note| {
+            n == i && matches!(note, Note::Fenced { node, .. } if *node == NodeId(victim))
+        };
+        assert_eq!(count(&h, learned), 1, "node{i} must learn the fence");
     }
 
     // Degraded rounds commit with custody standing in for the victim.
-    let degraded_epoch =
-        run_checkpoint(&mut sim, 0, 2000.0).expect("degraded round with custody commits");
+    let degraded_epoch = h.checkpoint(0, 2000.0).expect("degraded round commits");
     assert!(degraded_epoch >= 4);
 
     // The victim restarts EMPTY (diskless) at the same address, is
     // rejected at the handshake for its pre-fence epoch, resyncs from
     // custody, and is readmitted at a post-fence epoch.
-    sim.revive(victim);
-    sim.run_until(3000.0, "victim resynced and readmitted", |s| {
-        let v = s.node(victim).status();
+    h.revive(victim);
+    h.run_until(3000.0, "victim resynced and readmitted", |h| {
+        let v = h.node(victim).status();
         v.committed_epoch == degraded_epoch && v.fence_epoch >= 1
     });
-    assert!(
-        sim.notes
-            .iter()
-            .any(|(n, note)| *n == NodeId(victim) && matches!(note, Note::HelloRejected { .. })),
-        "the restarted victim must be rejected before resync"
-    );
+    let rejected = |n, note: &Note| n == victim && matches!(note, Note::HelloRejected { .. });
+    assert!(count(&h, rejected) > 0, "rejected before resync");
     // Its resynced image is the custody bytes (frozen since epoch 3).
     assert_eq!(
-        sim.node(victim).committed().unwrap().1,
+        h.node(victim).committed().unwrap().1,
         &pre_image[..],
         "resynced state must match the rebuilt block"
     );
     // Custody is dropped on readmission.
-    sim.run_until(1000.0, "custody dropped after readmit", |s| {
-        s.node(0).custody_block(NodeId(victim)).is_none()
+    h.run_until(1000.0, "custody dropped after readmit", |h| {
+        h.node(0).custody_block(NodeId(victim)).is_none()
     });
 
     // Full mesh again, then a full-strength round commits with the
     // victim participating as a live member.
-    sim.run_until(2000.0, "mesh restored", |s| s.fully_meshed());
-    let final_epoch = run_checkpoint(&mut sim, 0, 2000.0).expect("post-rejoin round commits");
+    h.run_until(2000.0, "mesh restored", |h| h.fully_meshed());
+    let final_epoch = h.checkpoint(0, 2000.0).expect("post-rejoin round commits");
     assert!(final_epoch > degraded_epoch);
     for i in 0..5 {
-        assert_eq!(
-            sim.node(i).status().committed_epoch,
-            final_epoch,
-            "node{i} must commit the post-rejoin round"
-        );
+        assert_eq!(h.node(i).status().committed_epoch, final_epoch, "node{i}");
     }
     // The whole arc ran without a single data-loss event.
-    assert!(sim.nodes.iter().flatten().all(|n| !n.saw_data_loss()));
+    assert!(h.live().all(|n| !n.saw_data_loss()));
 
-    // One metrics vocabulary: the coordinator's notes, folded as its
-    // daemon folds them, report every instrument the fold of a traced
+    // One metrics vocabulary: the coordinator's registry, folded as its
+    // daemon folds it, reports every instrument the fold of a traced
     // simulation registers (`tests/trace_determinism.rs` holds the mirror
     // image), and the span counts agree with the notes themselves.
-    let hub = MetricsHub::new();
-    let mut metrics = NodeMetrics::new(&hub);
-    let coordinator = sim.notes.iter().zip(&sim.noted_at);
-    let coordinator: Vec<_> = coordinator.filter(|((n, _), _)| *n == NodeId(0)).collect();
-    for ((_, note), at) in &coordinator {
-        metrics.observe(**at, note);
-    }
-    let live = hub.snapshot();
+    let live = h.metrics(0);
     let sim_names = fold_events(&[]);
     for (name, _) in &sim_names.counters {
         assert!(live.counter(name).is_some(), "{name}");
@@ -373,13 +143,7 @@ fn cluster_survives_sigkill_mid_round_and_victim_rejoins() {
     for (name, _) in &sim_names.histograms {
         assert!(live.histogram(name).is_some(), "{name}");
     }
-    let noted = |pred: fn(&Note) -> bool| {
-        let n = coordinator
-            .iter()
-            .filter(|((_, note), _)| pred(note))
-            .count();
-        Some(n as u64)
-    };
+    let noted = |pred: fn(&Note) -> bool| Some(count(&h, |n, note| n == 0 && pred(note)) as u64);
     let committed = noted(|n| matches!(n, Note::RoundCommitted { .. }));
     let rebuilt = noted(|n| matches!(n, Note::RebuildCompleted { .. }));
     assert_eq!(live.counter("node.rounds_committed"), committed);
@@ -388,18 +152,18 @@ fn cluster_survives_sigkill_mid_round_and_victim_rejoins() {
         live.counter("node.rebuilds"),
         noted(|n| matches!(n, Note::RebuildStarted { .. }))
     );
-    let count = |name: &str| live.histogram(name).map(|h| h.count);
-    assert_eq!(count("node.round_latency_ns"), committed);
-    assert_eq!(count("node.rebuild_total_ns"), rebuilt);
-    assert_eq!(count("node.rebuild_fetch_ns"), rebuilt);
-    assert_eq!(count("node.rebuild_phase_ns.Fetch"), rebuilt);
+    let spans = |name: &str| live.histogram(name).map(|h| h.count);
+    assert_eq!(spans("node.round_latency_ns"), committed);
+    assert_eq!(spans("node.rebuild_total_ns"), rebuilt);
+    assert_eq!(spans("node.rebuild_fetch_ns"), rebuilt);
+    assert_eq!(spans("node.rebuild_phase_ns.Fetch"), rebuilt);
     assert_eq!(rebuilt, Some(1));
 }
 
 /// The verdicts `at` reached about `victim`, in order: when, which, and
 /// whether link evidence reached it.
-fn verdicts(sim: &Sim, at: usize, victim: usize) -> Vec<(SimTime, Verdict, bool)> {
-    let about_victim = |((n, note), when): (&(NodeId, Note), &SimTime)| match note {
+fn verdicts(h: &Harness, at: usize, victim: usize) -> Vec<(SimTime, Verdict, bool)> {
+    let about_victim = |(when, n, note): &(SimTime, NodeId, Note)| match note {
         Note::PeerVerdict {
             node,
             verdict,
@@ -407,48 +171,42 @@ fn verdicts(sim: &Sim, at: usize, victim: usize) -> Vec<(SimTime, Verdict, bool)
         } if *n == NodeId(at) && *node == NodeId(victim) => Some((*when, *verdict, *evidence)),
         _ => None,
     };
-    let timed = sim.notes.iter().zip(&sim.noted_at);
-    timed.filter_map(about_victim).collect()
+    h.notes().iter().filter_map(about_victim).collect()
 }
 
 /// The fence epochs of `victim` that `at` raised or learned, in order.
-fn fences_seen_by(sim: &Sim, at: usize, victim: usize) -> Vec<u64> {
-    let of_victim = |(n, note): &(NodeId, Note)| match note {
+fn fences_seen_by(h: &Harness, at: usize, victim: usize) -> Vec<u64> {
+    let of_victim = |(_, n, note): &(SimTime, NodeId, Note)| match note {
         Note::Fenced { node, epoch } if *n == NodeId(at) && *node == NodeId(victim) => Some(*epoch),
         _ => None,
     };
-    sim.notes.iter().filter_map(of_victim).collect()
+    h.notes().iter().filter_map(of_victim).collect()
 }
 
 #[test]
 fn crash_is_suspected_at_once_confirmed_a_heartbeat_interval_later_and_fenced_once() {
-    let spec = spec_k3_m2();
-    let mut sim = Sim::new(spec.clone());
-    sim.tick = None;
-    sim.run_until(500.0, "full mesh", |s| s.fully_meshed());
-    for want in 1..=2u64 {
-        assert_eq!(run_checkpoint(&mut sim, 0, 1000.0), Ok(want));
-    }
+    let spec = ClusterSpec::drill(3, 2);
+    let mut h = meshed(spec.clone(), 2);
     let victim = 2;
-    let pre_crash = sim.node(victim).committed().expect("committed").1.to_vec();
+    let pre_crash = h.node(victim).committed().expect("committed").1.to_vec();
 
     // No step is taken between the crash and these checks: the suspicion
     // carries the instant of the evidence, on every node, and nothing else
     // has happened yet.
-    let crashed_at = sim.now;
-    sim.crash(victim);
+    let crashed_at = h.now();
+    h.crash(victim);
     for i in [0, 1, 3, 4] {
         let suspected = [(crashed_at, Verdict::Suspected, true)];
-        assert_eq!(verdicts(&sim, i, victim), suspected, "node{i}");
-        assert!(sim.node(i).has_session(NodeId(victim)), "node{i}");
+        assert_eq!(verdicts(&h, i, victim), suspected, "node{i}");
+        assert!(h.node(i).has_session(NodeId(victim)), "node{i}");
     }
-    assert_eq!(fences_seen_by(&sim, 0, victim), []);
+    assert_eq!(fences_seen_by(&h, 0, victim), []);
 
     // One heartbeat interval later, to the instant, every node confirms.
-    sim.run_until(100.0, "every survivor confirms the victim", |s| {
+    h.run_until(100.0, "every survivor confirms the victim", |h| {
         [0, 1, 3, 4]
             .iter()
-            .all(|i| !s.node(*i).has_session(NodeId(victim)))
+            .all(|i| !h.node(*i).has_session(NodeId(victim)))
     });
     let confirmed_at = crashed_at + spec.detector.heartbeat_interval;
     let by_evidence = [
@@ -456,79 +214,71 @@ fn crash_is_suspected_at_once_confirmed_a_heartbeat_interval_later_and_fenced_on
         (confirmed_at, Verdict::Confirmed, true),
     ];
     for i in [0, 1, 3, 4] {
-        assert_eq!(verdicts(&sim, i, victim), by_evidence, "node{i}");
+        assert_eq!(verdicts(&h, i, victim), by_evidence, "node{i}");
     }
-    assert_eq!(sim.node(0).status().confirmed, [NodeId(victim)]);
+    assert_eq!(h.node(0).status().confirmed, [NodeId(victim)]);
     // Only the coordinator fences; the others wait for its broadcast.
-    assert_eq!(fences_seen_by(&sim, 0, victim), [1]);
-    assert_eq!(fences_seen_by(&sim, 1, victim), []);
+    assert_eq!(fences_seen_by(&h, 0, victim), [1]);
+    assert_eq!(fences_seen_by(&h, 1, victim), []);
 
-    sim.run_until(100.0, "victim rebuilt into custody", |s| {
-        s.node(0).custody_block(NodeId(victim)).is_some()
+    h.run_until(100.0, "victim rebuilt into custody", |h| {
+        h.node(0).custody_block(NodeId(victim)).is_some()
     });
     // The interval and two hops for the fetch: no timeout, no grace.
-    assert!(sim.now.since(crashed_at) < spec.detector.heartbeat_interval * 2.0);
-    assert!(sim.now.since(crashed_at) < spec.detector.timeout);
+    assert!(h.now().since(crashed_at) < spec.detector.heartbeat_interval * 2.0);
+    assert!(h.now().since(crashed_at) < spec.detector.timeout);
     assert_eq!(
-        sim.node(0).custody_block(NodeId(victim)).unwrap().1,
+        h.node(0).custody_block(NodeId(victim)).unwrap().1,
         &pre_crash[..]
     );
-    assert_eq!(run_checkpoint(&mut sim, 0, 1000.0), Ok(3));
+    assert_eq!(h.checkpoint(0, 1000.0), Ok(3));
 
     // Long after every timer about the victim has run out, the one fence
     // stands and nobody has judged the victim a second time.
-    let rest = spec.detector.worst_case_detection().as_secs() * 2e3;
-    sim.run_until(rest + 1.0, "the detectors' timers to run out", |s| {
-        s.now.since(crashed_at).as_secs() * 1e3 >= rest
-    });
+    h.run_for(spec.detector.worst_case_detection() * 2.0);
     for i in [0, 1, 3, 4] {
-        assert_eq!(verdicts(&sim, i, victim), by_evidence, "node{i}");
-        assert_eq!(fences_seen_by(&sim, i, victim), [1], "node{i}");
+        assert_eq!(verdicts(&h, i, victim), by_evidence, "node{i}");
+        assert_eq!(fences_seen_by(&h, i, victim), [1], "node{i}");
     }
-    assert!(sim.nodes.iter().flatten().all(|n| !n.saw_data_loss()));
+    assert!(h.live().all(|n| !n.saw_data_loss()));
 }
 
 #[test]
 fn crashed_coordinator_is_fenced_by_the_next_member() {
-    let mut sim = Sim::new(spec_k3_m2());
-    sim.run_until(500.0, "full mesh", |s| s.fully_meshed());
-    assert_eq!(run_checkpoint(&mut sim, 0, 1000.0), Ok(1));
-    let pre_crash = sim.node(0).committed().expect("committed").1.to_vec();
+    let mut h = meshed(ClusterSpec::drill(3, 2), 1);
+    let pre_crash = h.node(0).committed().expect("committed").1.to_vec();
 
-    sim.crash(0);
-    sim.run_until(100.0, "the next member takes over", |s| {
-        (1..5).all(|i| s.node(i).coordinator() == NodeId(1))
+    h.crash(0);
+    h.run_until(100.0, "the next member takes over", |h| {
+        (1..5).all(|i| h.node(i).coordinator() == NodeId(1))
     });
-    assert_eq!(fences_seen_by(&sim, 1, 0), [1]);
-    sim.run_until(100.0, "old coordinator rebuilt into custody", |s| {
-        s.node(1).custody_block(NodeId(0)).is_some()
+    assert_eq!(fences_seen_by(&h, 1, 0), [1]);
+    h.run_until(100.0, "old coordinator rebuilt into custody", |h| {
+        h.node(1).custody_block(NodeId(0)).is_some()
     });
     assert_eq!(
-        sim.node(1).custody_block(NodeId(0)).unwrap().1,
+        h.node(1).custody_block(NodeId(0)).unwrap().1,
         &pre_crash[..]
     );
-    assert_eq!(run_checkpoint(&mut sim, 1, 1000.0), Ok(2));
+    assert_eq!(h.checkpoint(1, 1000.0), Ok(2));
 }
 
 #[test]
 fn silent_kill_reaches_no_verdict_before_its_timers() {
     // The same arc as the crash, minus the evidence: a partition or a dead
     // host closes nothing and refuses nothing.
-    let spec = spec_k3_m2();
-    let mut sim = Sim::new(spec.clone());
-    sim.tick = None;
-    sim.run_until(500.0, "full mesh", |s| s.fully_meshed());
-    assert_eq!(run_checkpoint(&mut sim, 0, 1000.0), Ok(1));
+    let spec = ClusterSpec::drill(3, 2);
+    let mut h = meshed(spec.clone(), 1);
     let victim = 2;
-    let killed_at = sim.now;
-    sim.kill(victim);
-    sim.run_until(500.0, "coordinator confirms the victim", |s| {
-        s.node(0).status().confirmed.contains(&NodeId(victim))
+    let killed_at = h.now();
+    h.kill(victim);
+    h.run_until(500.0, "coordinator confirms the victim", |h| {
+        h.node(0).status().confirmed.contains(&NodeId(victim))
     });
     let [(suspected, Verdict::Suspected, false), (confirmed, Verdict::Confirmed, false)] =
-        verdicts(&sim, 0, victim)[..]
+        verdicts(&h, 0, victim)[..]
     else {
-        panic!("{:?}", verdicts(&sim, 0, victim));
+        panic!("{:?}", verdicts(&h, 0, victim));
     };
     // The timeout runs from the last heartbeat heard, at most an interval
     // (and a hop) before the kill; the grace from the suspicion, exactly.
@@ -549,79 +299,66 @@ fn silent_kill_reaches_no_verdict_before_its_timers() {
 
 #[test]
 fn two_failures_with_m2_both_rebuilt() {
-    let mut sim = Sim::new(spec_k3_m2());
-    sim.run_until(500.0, "full mesh", |s| s.fully_meshed());
-    let epoch = run_checkpoint(&mut sim, 0, 1000.0).expect("round 1");
-    assert_eq!(epoch, 1);
+    let mut h = meshed(ClusterSpec::drill(3, 2), 1);
+    let pre1 = h.node(1).committed().expect("node1 committed").1.to_vec();
+    let pre2 = h.node(2).committed().expect("node2 committed").1.to_vec();
 
-    let pre1 = sim.node(1).committed().expect("node1 committed").1.to_vec();
-    let pre2 = sim.node(2).committed().expect("node2 committed").1.to_vec();
-
-    sim.kill(1);
-    sim.kill(2);
-    sim.run_until(3000.0, "both victims in custody", |s| {
-        let n0 = s.node(0);
+    h.kill(1);
+    h.kill(2);
+    h.run_until(3000.0, "both victims in custody", |h| {
+        let n0 = h.node(0);
         n0.custody_block(NodeId(1)).is_some() && n0.custody_block(NodeId(2)).is_some()
     });
-    assert_eq!(sim.node(0).custody_block(NodeId(1)).unwrap().1, &pre1[..]);
-    assert_eq!(sim.node(0).custody_block(NodeId(2)).unwrap().1, &pre2[..]);
-    assert!(!sim.node(0).saw_data_loss());
+    assert_eq!(h.node(0).custody_block(NodeId(1)).unwrap().1, &pre1[..]);
+    assert_eq!(h.node(0).custody_block(NodeId(2)).unwrap().1, &pre2[..]);
+    assert!(!h.node(0).saw_data_loss());
 
     // Degraded round still commits: custody stands in for both victims.
-    let epoch = run_checkpoint(&mut sim, 0, 2000.0).expect("degraded round");
+    let epoch = h.checkpoint(0, 2000.0).expect("degraded round");
     assert!(epoch >= 2);
 }
 
 #[test]
 fn three_failures_exceed_m2_and_surface_typed_data_loss() {
-    let mut sim = Sim::new(spec_k3_m2());
-    sim.run_until(500.0, "full mesh", |s| s.fully_meshed());
-    run_checkpoint(&mut sim, 0, 1000.0).expect("round 1");
-
-    sim.kill(1);
-    sim.kill(2);
-    sim.kill(3);
+    let mut h = meshed(ClusterSpec::drill(3, 2), 1);
+    h.kill(1);
+    h.kill(2);
+    h.kill(3);
     // Every victim's rebuild must end in a typed DataLoss (never a panic,
     // never an eternal retry loop).
-    sim.run_until(5000.0, "typed data loss for all three victims", |s| {
-        s.notes
-            .iter()
-            .filter(|(_, n)| matches!(n, Note::DataLoss { .. }))
-            .count()
-            >= 3
+    h.run_until(5000.0, "typed data loss for all three victims", |h| {
+        count(h, |_, n| matches!(n, Note::DataLoss { .. })) >= 3
     });
-    assert!(sim.node(0).saw_data_loss());
+    assert!(h.node(0).saw_data_loss());
 
     // A round cannot start with an unrebuildable member — typed, no hang.
-    let err = run_checkpoint(&mut sim, 0, 1000.0).expect_err("round must fail");
+    let err = h.checkpoint(0, 1000.0).expect_err("round must fail");
     assert!(err.contains("not yet rebuilt"), "got: {err}");
 }
 
 #[test]
 fn payload_overtaking_its_round_begin_is_parked_and_the_round_commits() {
-    // No capture delay, and every block delivered ahead of the RoundBegin
-    // that arrives with it: the coordinator's own block reaches both
-    // holders before they have heard of the round.
-    let mut sim = Sim::new(ClusterSpec {
+    // No capture delay, and the coordinator's links to both holders two
+    // hops slow: the other members' blocks, sent on hearing a RoundBegin
+    // the holders have yet to hear, reach them first — what separate TCP
+    // connections do to a block and the RoundBegin it belongs to.
+    let mut h = Harness::new(ClusterSpec {
         capture_delay: Duration::ZERO,
-        ..spec_k3_m2()
+        ..ClusterSpec::drill(3, 2)
     });
-    sim.payloads_overtake = true;
-    sim.run_until(500.0, "full mesh", |s| s.fully_meshed());
+    for holder in [3, 4] {
+        h.slow_link(0, holder, Duration::from_millis(2.0));
+    }
+    h.run_until(500.0, "full mesh", |h| h.fully_meshed());
     for want in 1..=3u64 {
-        assert_eq!(run_checkpoint(&mut sim, 0, 1000.0), Ok(want));
+        assert_eq!(h.checkpoint(0, 1000.0), Ok(want));
     }
     for i in 0..5 {
-        assert_eq!(sim.node(i).status().committed_epoch, 3, "node{i}");
+        assert_eq!(h.node(i).status().committed_epoch, 3, "node{i}");
     }
     // Parked, not dropped: nothing was discarded on the way.
-    let drops = |sim: &Sim| {
-        sim.notes
-            .iter()
-            .filter(|(_, n)| matches!(n, Note::PayloadDropped { .. }))
-            .count()
-    };
-    assert_eq!(drops(&sim), 0, "{:?}", sim.notes);
+    let drops = |h: &Harness| count(h, |_, n| matches!(n, Note::PayloadDropped { .. }));
+    assert_eq!(drops(&h), 0, "{:?}", h.notes());
 
     // A block for a round already over is still refused, and says so.
     let holder = 3;
@@ -629,59 +366,192 @@ fn payload_overtaking_its_round_begin_is_parked_and_the_round_commits() {
         epoch: 2,
         source: NodeId(1),
         fence_epoch: 0,
-        data: vec![0; sim.spec.image_len],
+        data: vec![0; 512],
     };
-    let now = sim.now;
-    let actions = sim.nodes[holder]
-        .as_mut()
-        .expect("holder is live")
-        .on_message(NodeId(1), stale, now);
-    sim.apply(NodeId(holder), actions);
+    h.deliver(NodeId(1), holder, stale);
     assert!(matches!(
-        sim.notes.last(),
-        Some((n, Note::PayloadDropped { from, reason }))
+        h.notes().last(),
+        Some((_, n, Note::PayloadDropped { from, reason }))
             if *n == NodeId(holder) && *from == NodeId(1) && reason.contains("round 2 is not open")
     ));
-    assert_eq!(drops(&sim), 1);
-    assert_eq!(run_checkpoint(&mut sim, 0, 1000.0), Ok(4));
+    assert_eq!(drops(&h), 1);
+    assert_eq!(h.checkpoint(0, 1000.0), Ok(4));
 }
 
 #[test]
-fn cluster_stepped_only_at_deadlines_commits_detects_on_time_and_rebuilds() {
-    // No fixed tick: time jumps from one delivery or deadline to the next,
-    // and a node is ticked only when its own deadline has come — what the
-    // TCP runtime's event loop does with `recv_timeout`.
-    let spec = spec_k3_m2();
-    let mut sim = Sim::new(spec.clone());
-    sim.tick = None;
-    sim.run_until(500.0, "full mesh", |s| s.fully_meshed());
-    for want in 1..=3u64 {
-        assert_eq!(run_checkpoint(&mut sim, 0, 1000.0), Ok(want));
-    }
-    for i in 0..5 {
-        assert_eq!(sim.node(i).status().committed_epoch, 3, "node{i}");
-    }
+fn restart_inside_a_heartbeat_interval_is_fenced_resynced_and_protection_holds() {
+    // The process dies and a supervisor restarts it at once: the new
+    // instance greets everyone before a single heartbeat is missed, at a
+    // fence epoch nobody has raised yet, with nothing in memory.
+    for (k, m) in [(4, 1), (3, 2)] {
+        let ctx = format!("{k}+{m}");
+        let mut h = meshed(ClusterSpec::drill(k, m), 2);
+        let (victim, other) = (2, 1);
+        let pre_crash = h.node(victim).committed().expect("committed").1.to_vec();
+        let crashed_at = h.now();
+        h.crash(victim);
+        h.revive(victim);
+        h.run_until(
+            1000.0,
+            "the restarted victim to be fenced and readmitted",
+            |h| h.node(victim).status().fence_epoch == 1 && h.fully_meshed(),
+        );
 
-    // A silent node is confirmed dead within the detector's own bound:
-    // no tick quantisation is added on top of it.
-    let victim = 2;
-    let pre_kill = sim.node(victim).committed().expect("committed").1.to_vec();
-    let killed_at = sim.now;
-    sim.kill(victim);
-    sim.run_until(500.0, "coordinator confirms the victim", |s| {
-        s.node(0).status().confirmed.contains(&NodeId(victim))
-    });
-    let took = sim.now.since(killed_at);
-    let bound = spec.detector.worst_case_detection();
-    assert!(took <= bound, "confirmed after {took}, bound {bound}");
+        // Its greeting, one hop after the crash, confirmed the old instance
+        // on every survivor; the coordinator fenced it, once.
+        let hop = Duration::from_millis(1.0);
+        let restarted = [
+            (crashed_at, Verdict::Suspected, true),
+            (crashed_at + hop, Verdict::Confirmed, true),
+        ];
+        for i in (0..k + m).filter(|i| *i != victim) {
+            assert_eq!(verdicts(&h, i, victim), restarted, "{ctx} node{i}");
+            assert_eq!(fences_seen_by(&h, i, victim), [1], "{ctx} node{i}");
+        }
+        // Rebuilt byte-exact into custody, and resynced to exactly that.
+        let digest = fnv64(&pre_crash);
+        let rebuilt = |_, n: &Note| {
+            matches!(n, Note::RebuildCompleted { victim: v, epoch: 2, digest: d }
+                if *v == NodeId(victim) && *d == digest)
+        };
+        assert_eq!(count(&h, rebuilt), 1, "{ctx}");
+        assert_eq!(
+            h.node(victim).committed(),
+            Some((2, &pre_crash[..])),
+            "{ctx}"
+        );
 
-    sim.run_until(1000.0, "victim rebuilt into custody", |s| {
-        s.node(0).custody_block(NodeId(victim)).is_some()
+        // The cluster is as protected as it believes: a full-strength round
+        // commits on all k+m, and one more failure is one it survives.
+        assert_eq!(h.checkpoint(0, 1000.0), Ok(3), "{ctx}");
+        let pre_crash = h.node(other).committed().expect("committed").1.to_vec();
+        h.crash(other);
+        h.run_until(500.0, "the second victim in custody", |h| {
+            h.node(0).custody_block(NodeId(other)).is_some()
+        });
+        let custody = h.node(0).custody_block(NodeId(other));
+        assert_eq!(custody, Some((3, &pre_crash[..])), "{ctx}");
+        assert_eq!(count(&h, |_, n| matches!(n, Note::DataLoss { .. })), 0);
+        assert!(h.live().all(|n| !n.saw_data_loss()), "{ctx}");
+    }
+}
+
+#[test]
+fn readmitted_member_is_greeted_at_once_and_meshed_three_hops_later() {
+    // The victim restarts at 25 phases of the survivors' 50 ms hello
+    // timer: how long the mesh takes must not depend on it.
+    let hop = Duration::from_millis(1.0);
+    for phase in 0..25 {
+        let ctx = format!("phase {phase}");
+        let mut h = meshed(ClusterSpec::drill(4, 1), 1);
+        let victim = 2;
+        h.crash(victim);
+        h.run_until(200.0, "victim in custody", |h| {
+            h.node(0).custody_block(NodeId(victim)).is_some()
+        });
+        h.run_for(Duration::from_millis(2.0 * phase as f64));
+        h.revive(victim);
+
+        let readmitted = |n: usize, note: &Note| {
+            n == 0 && matches!(note, Note::Readmitted { node, .. } if *node == NodeId(victim))
+        };
+        h.run_until(1000.0, "the coordinator readmits the victim", |h| {
+            count(h, readmitted) == 1
+        });
+        let readmitted_at = h.now();
+        h.run_until(100.0, "full mesh", |h| h.fully_meshed());
+        assert_eq!(h.now(), readmitted_at + hop * 3.0, "{ctx}");
+
+        // One rejection per peer sent it to resync; once it had its state
+        // back nobody turned it away again.
+        h.run_for(Duration::from_millis(200.0));
+        let rejected_at: Vec<SimTime> = h
+            .notes()
+            .iter()
+            .filter(|(_, n, note)| {
+                *n == NodeId(victim) && matches!(note, Note::HelloRejected { .. })
+            })
+            .map(|(at, ..)| *at)
+            .collect();
+        assert_eq!(rejected_at.len(), 4, "{ctx}");
+        // It answered the state it was sent one hop before the readmission.
+        assert!(
+            rejected_at.iter().all(|at| *at + hop < readmitted_at),
+            "{ctx}"
+        );
+    }
+}
+
+#[test]
+fn returning_coordinator_learns_who_else_is_out_and_serves_them() {
+    // Node 0 freezes and is failed over; node 2 freezes and is fenced by
+    // node 1 while 0 is still out. Coordination falls back to 0 the moment
+    // it is readmitted, and with it the debt to node 2.
+    let spec = ClusterSpec::drill(4, 1);
+    let frozen = spec.detector.worst_case_detection() * 2.0;
+    let mut h = meshed(spec, 2);
+    h.hang(0, frozen);
+    h.run_until(200.0, "node 0 in node 1's custody", |h| {
+        h.node(1).custody_block(NodeId(0)).is_some()
     });
+    h.hang(2, frozen);
+    h.run_until(200.0, "node 2 in node 1's custody", |h| {
+        h.node(1).custody_block(NodeId(2)).is_some()
+    });
+    let rebuilt = fnv64(h.node(1).custody_block(NodeId(2)).unwrap().1);
+
+    h.run_until(200.0, "node 0 back and holding node 2 itself", |h| {
+        h.node(0).custody_block(NodeId(2)).is_some()
+    });
+    assert_eq!(fences_seen_by(&h, 0, 2), [1], "told on readmission");
     assert_eq!(
-        sim.node(0).custody_block(NodeId(victim)).unwrap().1,
-        &pre_kill[..]
+        fnv64(h.node(0).custody_block(NodeId(2)).unwrap().1),
+        rebuilt
     );
-    // Degraded round: custody stands in for the victim.
-    assert_eq!(run_checkpoint(&mut sim, 0, 1000.0), Ok(4));
+    h.run_until(500.0, "node 2 back, resynced by node 0", |h| {
+        h.fully_meshed()
+    });
+    let served = |n, note: &Note| n == 0 && *note == Note::ResyncServed { peer: NodeId(2) };
+    assert_eq!(count(&h, served), 1);
+    assert_eq!(h.checkpoint(0, 1000.0), Ok(3));
+    for i in 0..5 {
+        assert_eq!(h.node(i).status().committed_epoch, 3, "node{i}");
+        assert!(h.node(i).status().custody.is_empty(), "node{i}");
+    }
+    assert_eq!(count(&h, |_, n| matches!(n, Note::DataLoss { .. })), 0);
+}
+
+#[test]
+fn coordinator_frozen_and_fenced_decides_nothing_on_waking() {
+    // Node 1 is in node 0's custody, restarted, and asking node 0 for its
+    // state when node 0 freezes with the request unread. By the time it
+    // wakes it has been fenced itself, and what it holds is stale.
+    let spec = ClusterSpec::drill(3, 2);
+    let frozen = spec.detector.worst_case_detection() * 2.0;
+    let mut h = meshed(spec, 2);
+    h.crash(1);
+    h.run_until(200.0, "node 1 in node 0's custody", |h| {
+        h.node(0).custody_block(NodeId(1)).is_some()
+    });
+    h.hang(0, frozen);
+    h.revive(1);
+    h.run_until(1000.0, "everybody back", |h| {
+        h.fully_meshed() && h.live().all(|n| n.status().custody.is_empty())
+    });
+    // Node 0 answered nobody until it was back in itself; node 2, which
+    // coordinated meanwhile, took it back, and node 1 after it.
+    let at = |pred: &dyn Fn(usize, &Note) -> bool| {
+        let hit = |(at, n, note): &(SimTime, NodeId, Note)| pred(n.index(), note).then_some(*at);
+        h.notes().iter().find_map(hit).expect("noted")
+    };
+    let back = at(&|n, note| {
+        n == 2 && matches!(note, Note::Readmitted { node, .. } if *node == NodeId(0))
+    });
+    let served = at(&|n, note| n == 0 && matches!(note, Note::ResyncServed { .. }));
+    assert!(
+        back < served,
+        "node 0 served at {served}, readmitted at {back}"
+    );
+    assert_eq!(h.checkpoint(0, 1000.0), Ok(3));
+    assert_eq!(count(&h, |_, n| matches!(n, Note::DataLoss { .. })), 0);
 }

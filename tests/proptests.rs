@@ -245,7 +245,7 @@ proptest! {
             let holders: Vec<NodeId> = (4..4 + m).map(NodeId).collect();
             for order in permutations(4) {
                 for (j, &holder) in holders.iter().enumerate() {
-                    let mut node = NodeCore::new(holder, spec.clone());
+                    let mut node = NodeCore::new(holder, spec.clone(), 1);
                     let begin = Msg::RoundBegin {
                         epoch: 1,
                         sources: sources.clone(),

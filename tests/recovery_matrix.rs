@@ -5,11 +5,14 @@
 use std::rc::Rc;
 
 use dvdc::placement::GroupPlacement;
+use dvdc::protocol::harness::Harness;
 use dvdc::protocol::{
-    run_round_with_faults, CheckpointProtocol, CodeKind, DvdcProtocol, PhasedOutcome,
-    ProtocolError, RebuildMode, RebuildPhase, RebuildStep, RecoverError, RoundPhase, RoundStep,
+    fnv64, run_round_with_faults, CheckpointProtocol, ClusterSpec, CodeKind, DvdcProtocol, Msg,
+    Note, PhasedOutcome, ProtocolError, RebuildMode, RebuildPhase, RebuildStep, RecoverError,
+    RoundPhase, RoundStep, CTL,
 };
 use dvdc_checkpoint::strategy::Mode;
+use dvdc_faults::detector::Verdict;
 use dvdc_faults::{ClusterFaultPlan, DetectorConfig, NodeFault, PlanCursor};
 use dvdc_observe::audit::InvariantAuditor;
 use dvdc_observe::{Event, Fanout, RecorderHandle, TraceRecorder};
@@ -810,4 +813,276 @@ fn tiered_fabric_makes_cross_dc_rebuild_measurably_slower() {
         "cross-DC fetches at WAN rates must dominate the rebuild window: \
          tiered {wan_tiered} vs flat {flat}"
     );
+}
+
+/// How a member is struck in the `NodeCore` matrix.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Strike {
+    /// The process dies and its host says so: link evidence.
+    Crash,
+    /// The host goes dark: survivors have only their timers.
+    Kill,
+    /// Frozen for longer than detection takes: failed over, fenced on
+    /// waking, resynced.
+    LongHang,
+    /// Frozen for less than the timeout: no verdict survives.
+    ShortHang,
+}
+
+/// When, relative to checkpoint round 3, the strike lands.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Instant {
+    Idle,
+    InCaptureWindow,
+    CapturesShipped,
+    JustCommitted,
+}
+
+fn noted(h: &Harness, pred: impl Fn(usize, &Note) -> bool) -> Vec<SimTime> {
+    let hit = |(at, n, note): &(SimTime, NodeId, Note)| pred(n.index(), note).then_some(*at);
+    h.notes().iter().filter_map(hit).collect()
+}
+
+/// The lowest live member: who coordinates once the dust has settled.
+fn coordinator(h: &Harness) -> usize {
+    h.live().next().expect("somebody is live").id().index()
+}
+
+/// What every member commits at epochs 2 and 3 when nothing strikes, as
+/// `[epoch - 2][node]` digests: images and parity are a function of the
+/// spec alone, so a rebuilt block has an oracle that shares no code with
+/// the rebuild.
+fn healthy_digests(k: usize, m: usize) -> [Vec<u64>; 2] {
+    let mut h = Harness::new(ClusterSpec::drill(k, m));
+    h.run_until(500.0, "full mesh", |h| h.fully_meshed());
+    assert_eq!(h.checkpoint(0, 1000.0), Ok(1));
+    [2, 3].map(|epoch| {
+        assert_eq!(h.checkpoint(0, 1000.0), Ok(epoch));
+        let digest = |i| fnv64(h.node(i).committed().expect("committed").1);
+        (0..k + m).map(digest).collect()
+    })
+}
+
+/// One cell of the matrix: the whole arc from the strike to a
+/// full-strength round on all `k + m`, on the harness, audited.
+fn node_core_case(
+    (k, m): (usize, usize),
+    healthy: &[Vec<u64>; 2],
+    victim: usize,
+    strike: Strike,
+    instant: Instant,
+) {
+    let ctx = format!("{k}+{m} victim={victim} {strike:?} {instant:?}");
+    let spec = ClusterSpec::drill(k, m);
+    let detector = spec.detector;
+    let mut h = Harness::new(spec.clone());
+    h.run_until(500.0, "full mesh", |h| h.fully_meshed());
+    for want in 1..=2 {
+        assert_eq!(h.checkpoint(0, 1000.0), Ok(want), "{ctx}");
+    }
+
+    if instant != Instant::Idle {
+        h.deliver(CTL, 0, Msg::CheckpointReq);
+    }
+    match instant {
+        Instant::Idle => {}
+        Instant::InCaptureWindow => h.run_for(Duration::from_millis(5.0)),
+        Instant::CapturesShipped => h.run_until(100.0, "every capture of round 3", |h| {
+            noted(h, |_, n| matches!(n, Note::CaptureShipped { epoch: 3, .. })).len() == k
+        }),
+        Instant::JustCommitted => assert_eq!(h.checkpoint_outcome(100.0), Ok(3), "{ctx}"),
+    }
+    let round_open = !matches!(instant, Instant::Idle | Instant::JustCommitted);
+    let pre_epoch = h.node(victim).status().committed_epoch;
+    assert_eq!(
+        pre_epoch,
+        if instant == Instant::JustCommitted {
+            3
+        } else {
+            2
+        },
+        "{ctx}"
+    );
+
+    let struck_at = h.now();
+    match strike {
+        Strike::Crash => h.crash(victim),
+        Strike::Kill => h.kill(victim),
+        Strike::LongHang => h.hang(victim, detector.worst_case_detection() * 2.0),
+        Strike::ShortHang => h.hang(victim, detector.timeout * 0.8),
+    }
+    let confirmed = |h: &Harness| {
+        noted(h, |_, n| {
+            matches!(n, Note::PeerVerdict { node, verdict: Verdict::Confirmed, .. }
+                if *node == NodeId(victim))
+        })
+    };
+    let dead = matches!(strike, Strike::Crash | Strike::Kill);
+
+    if strike == Strike::ShortHang {
+        // It wakes before anyone has given up on it: a round it was holding
+        // up commits late, nobody is confirmed, nothing is fenced.
+        if round_open {
+            assert_eq!(h.checkpoint_outcome(1000.0), Ok(3), "{ctx}");
+        }
+        h.run_for(detector.worst_case_detection() * 2.0);
+        assert_eq!(confirmed(&h), [], "{ctx}");
+        assert!(
+            noted(&h, |_, n| matches!(n, Note::Fenced { .. })).is_empty(),
+            "{ctx}"
+        );
+    } else {
+        // The open round ends typed. Asked of the victim itself, the answer
+        // comes when it wakes, or never: a dead coordinator takes the
+        // requester's connection down with it.
+        if round_open && victim != 0 {
+            let outcome = h.checkpoint_outcome(1000.0);
+            let typed = matches!(&outcome, Err(why) if why.contains("confirmed failed"));
+            assert!(typed, "{ctx}: {outcome:?}");
+        }
+        // Detection, with no tick quantisation on top of the detector's own
+        // bound; custody, byte-exact against what the victim had committed.
+        let c = (0..k + m).find(|i| *i != victim).expect("a survivor");
+        h.run_until(500.0, "the victim's block in custody", |h| {
+            h.node(c).custody_block(NodeId(victim)).is_some()
+        });
+        let confirmed_at = confirmed(&h)[0];
+        match strike {
+            Strike::Crash => assert_eq!(confirmed_at, struck_at + detector.heartbeat_interval),
+            _ => assert!(confirmed_at <= struck_at + detector.worst_case_detection()),
+        }
+        // A data member frozen with its capture already on the wire does
+        // not stop the coordinator committing round 3 for the others; a
+        // dead one's capture died with it, a holder's fold or the
+        // coordinator's commit never happens, and the rebuild is of what
+        // the victim had committed.
+        let (epoch, block) = h.node(c).custody_block(NodeId(victim)).expect("in custody");
+        let outran = !dead && (1..k).contains(&victim) && instant == Instant::CapturesShipped;
+        assert_eq!(epoch, if outran { 3 } else { pre_epoch }, "{ctx}");
+        assert_eq!(fnv64(block), healthy[epoch as usize - 2][victim], "{ctx}");
+
+        // A degraded round commits with custody standing in, as long as a
+        // parity holder is left to fold it.
+        let degraded = h.checkpoint(c, 1000.0);
+        match m == 1 && victim == k {
+            true => assert!(degraded.is_err(), "{ctx}: {degraded:?}"),
+            false => assert!(degraded.is_ok(), "{ctx}: {degraded:?}"),
+        }
+
+        // Back it comes: restarted empty, or waking to find itself fenced.
+        if dead {
+            h.revive(victim);
+        }
+        h.run_until(1000.0, "the victim resynced, readmitted and meshed", |h| {
+            h.node(victim).status().fence_epoch == 1 && h.fully_meshed()
+        });
+        if round_open && victim == 0 && !dead {
+            let outcome = h.checkpoint_outcome(0.0);
+            assert_eq!(outcome, Err("node0 was fenced".to_string()), "{ctx}");
+        }
+        let fenced = |n, note: &Note| {
+            n == c && matches!(note, Note::Fenced { node, .. } if *node == NodeId(victim))
+        };
+        assert_eq!(noted(&h, fenced).len(), 1, "{ctx}: fenced once");
+    }
+
+    // Full strength again: a round commits on all k + m.
+    let c = coordinator(&h);
+    let epoch = h
+        .checkpoint(c, 1000.0)
+        .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+    for i in 0..k + m {
+        assert_eq!(h.node(i).status().committed_epoch, epoch, "{ctx} node{i}");
+    }
+    assert!(
+        noted(&h, |_, n| matches!(n, Note::DataLoss { .. })).is_empty(),
+        "{ctx}"
+    );
+    assert!(h.live().all(|n| !n.saw_data_loss()), "{ctx}");
+}
+
+#[test]
+fn node_core_matrix_layouts_victims_strikes_instants() {
+    let strikes = [
+        Strike::Crash,
+        Strike::Kill,
+        Strike::LongHang,
+        Strike::ShortHang,
+    ];
+    let instants = [
+        Instant::Idle,
+        Instant::InCaptureWindow,
+        Instant::CapturesShipped,
+        Instant::JustCommitted,
+    ];
+    for (k, m) in [(2, 1), (4, 1), (3, 2), (4, 2)] {
+        let healthy = healthy_digests(k, m);
+        for victim in 0..k + m {
+            for strike in strikes {
+                for instant in instants {
+                    node_core_case((k, m), &healthy, victim, strike, instant);
+                }
+            }
+        }
+    }
+}
+
+/// One failure more than the code tolerates is typed loss, never a panic
+/// and never a rebuild that pretends.
+#[test]
+fn node_core_failures_beyond_m_are_typed_data_loss() {
+    for (k, m) in [(2, 1), (4, 1), (3, 2), (4, 2)] {
+        let mut h = Harness::new(ClusterSpec::drill(k, m));
+        h.run_until(500.0, "full mesh", |h| h.fully_meshed());
+        assert_eq!(h.checkpoint(0, 1000.0), Ok(1));
+        for victim in 1..=m + 1 {
+            h.kill(victim);
+        }
+        h.run_until(2000.0, "typed loss of every victim", |h| {
+            noted(h, |_, n| matches!(n, Note::DataLoss { .. })).len() == m + 1
+        });
+        assert!(h.node(0).saw_data_loss(), "{k}+{m}");
+        let refused = h
+            .checkpoint(0, 1000.0)
+            .expect_err("no round without the lost");
+        assert!(refused.contains("not yet rebuilt"), "{k}+{m}: {refused}");
+    }
+}
+
+/// A parity holder that missed a round has no parity of it: rebuilt into
+/// custody at round 2, it is handed nothing when it returns after round 3
+/// committed degraded, and a data member lost before the next round is
+/// rebuilt from the shard that was folded, not from the one that was kept.
+#[test]
+fn node_core_returning_parity_holder_does_not_vouch_for_a_stale_shard() {
+    for (k, m) in [(3, 2), (4, 2)] {
+        for holder in k..k + m {
+            let ctx = format!("{k}+{m} holder={holder}");
+            let mut h = Harness::new(ClusterSpec::drill(k, m));
+            h.run_until(500.0, "full mesh", |h| h.fully_meshed());
+            for want in 1..=2 {
+                assert_eq!(h.checkpoint(0, 1000.0), Ok(want), "{ctx}");
+            }
+            h.crash(holder);
+            h.run_until(500.0, "the holder's shard in custody", |h| {
+                h.node(0).custody_block(NodeId(holder)).is_some()
+            });
+            assert_eq!(h.checkpoint(0, 1000.0), Ok(3), "{ctx}");
+            h.revive(holder);
+            h.run_until(1000.0, "the holder readmitted and meshed", |h| {
+                h.node(holder).status().fence_epoch == 1 && h.fully_meshed()
+            });
+            assert_eq!(h.node(holder).committed(), None, "{ctx}");
+
+            let lost = 1;
+            let want = fnv64(h.node(lost).committed().expect("committed").1);
+            h.crash(lost);
+            h.run_until(500.0, "the data member's image in custody", |h| {
+                h.node(0).custody_block(NodeId(lost)).is_some()
+            });
+            let (epoch, block) = h.node(0).custody_block(NodeId(lost)).expect("in custody");
+            assert_eq!((epoch, fnv64(block)), (3, want), "{ctx}");
+            assert!(h.live().all(|n| !n.saw_data_loss()), "{ctx}");
+        }
+    }
 }

@@ -11,7 +11,7 @@
 //! swarm must catch it and shrink the repro to a minimal fault-point
 //! set.
 
-use dvdc_bench::swarm::{run_cell, run_swarm, CellStatus, SwarmConfig};
+use dvdc_bench::swarm::{run_cell, run_swarm, CellStatus, Subject, SwarmConfig};
 use dvdc_faults::buggify::Intensity;
 use proptest::prelude::*;
 
@@ -27,7 +27,7 @@ fn swarm_smoke_two_matrix_passes_are_clean() {
         rounds: 3,
         shrink: true,
     };
-    let summary = run_swarm(&cfg);
+    let summary = run_swarm(Subject::Model, &cfg);
     assert_eq!(summary.cells, 50);
     assert_eq!(
         summary.failed,
@@ -50,6 +50,38 @@ fn swarm_smoke_two_matrix_passes_are_clean() {
     }
 }
 
+/// The same bar for the code the daemon runs: 36 consecutive seeds put
+/// every `NodeCore` layout under every plan shape and every restart delay
+/// once, four requested rounds each, with link delays fired from the same
+/// registry. No cell may fail, and one that lost nothing ends whole.
+#[test]
+fn swarm_smoke_core_cells_are_clean() {
+    let cfg = SwarmConfig {
+        base_seed: 1,
+        seeds: 36,
+        intensities: vec![Intensity::Quick],
+        rounds: 4,
+        shrink: true,
+    };
+    let summary = run_swarm(Subject::Core, &cfg);
+    assert_eq!(summary.cells, 36);
+    assert_eq!(
+        summary.failed,
+        0,
+        "failing cells:\n{}",
+        summary.repro_lines().join("\n")
+    );
+    assert!(summary.fired > 0, "no link was ever delayed");
+    let outcomes = &summary.outcomes;
+    for layout in ["2+1", "4+1", "3+2", "4+2"] {
+        assert!(outcomes.iter().any(|c| c.workload == layout), "{layout}");
+    }
+    for plan in ["node-crashes", "impairment-storm", "mixed"] {
+        assert!(outcomes.iter().any(|c| c.schedule == plan), "{plan}");
+    }
+    assert!(summary.committed + summary.degraded > summary.data_loss);
+}
+
 /// Failures that honestly exceed parity tolerance must surface as typed
 /// data loss (status `DataLoss`), not failures — and rolled-back cells
 /// must stay lossless.
@@ -62,7 +94,7 @@ fn swarm_outcomes_are_typed_not_panics() {
         rounds: 3,
         shrink: true,
     };
-    let summary = run_swarm(&cfg);
+    let summary = run_swarm(Subject::Model, &cfg);
     assert_eq!(summary.failed, 0, "{:?}", summary.repro_lines());
     // The matrix includes DC and rack kills: some honest loss must
     // appear, proving loss is reported rather than masked or panicked.
@@ -93,7 +125,7 @@ fn swarm_soak_500_seeds_zero_failures() {
         rounds: 4,
         shrink: true,
     };
-    let summary = run_swarm(&cfg);
+    let summary = run_swarm(Subject::Model, &cfg);
     assert_eq!(summary.cells, 1500);
     assert_eq!(
         summary.failed,
@@ -120,7 +152,7 @@ proptest! {
             Intensity::Standard,
             Intensity::Aggressive,
         ][tier];
-        let cell = run_cell(seed, intensity, 2, false);
+        let cell = run_cell(Subject::Model, seed, intensity, 2, false);
         prop_assert!(
             cell.status != CellStatus::Failed,
             "seed {} at {} failed: {:?}",

@@ -128,3 +128,40 @@ fn a_traced_run_reports_the_instruments_a_live_node_registers() {
     assert_eq!(count("node.round_phase_ns.Capture"), Some(outcome.rounds));
     assert!(count("node.transfer_latency_ns") > Some(0));
 }
+
+/// One audited harness run — the daemon's `NodeCore`s under a seeded plan
+/// of crashes and seeded link delays — as what an operator would scrape:
+/// the merged per-node trace and every node's metrics registry.
+fn harness_exports(seed: u64) -> (String, String) {
+    use dvdc::protocol::harness::Harness;
+    use dvdc::protocol::ClusterSpec;
+    use dvdc_faults::buggify::{FaultRegistry, Intensity};
+    use dvdc_faults::{DomainShape, FaultSchedule, NodeCrashes};
+    use dvdc_observe::chrome::merge_node_traces;
+
+    let mut h = Harness::new(ClusterSpec::drill(3, 2));
+    h.run_until(500.0, "full mesh", |h| h.fully_meshed());
+    assert_eq!(h.checkpoint(0, 1000.0), Ok(1));
+    let horizon = Duration::from_millis(400.0);
+    let crashes = NodeCrashes::exponential(horizon * 0.5, Duration::from_millis(30.0));
+    let plan = crashes.plan(DomainShape::flat(5), horizon, &RngHub::new(seed));
+    assert!(!plan.is_empty(), "seed={seed}: nothing would strike");
+    h.attach_plan(&plan)
+        .expect("crashes are the harness's to apply");
+    h.attach_registry(Rc::new(FaultRegistry::new(seed, Intensity::Aggressive)));
+    h.run_for(horizon * 2.0);
+    let metrics: Vec<String> = (0..5).map(|i| h.metrics(i).to_json()).collect();
+    (merge_node_traces(&h.tails(), &[]), metrics.join("\n"))
+}
+
+/// No `HashMap` order, no wall clock and no thread reaches a harness run:
+/// the same seed is the same bytes, and another seed is not.
+#[test]
+fn same_seed_harness_exports_are_byte_identical() {
+    for seed in [42u64, 7] {
+        let (trace, metrics) = harness_exports(seed);
+        assert!(trace.contains("\"ph\": \"B\"") && metrics.contains("node.rebuilds"));
+        assert_eq!((trace, metrics), harness_exports(seed), "seed={seed}");
+    }
+    assert_ne!(harness_exports(42).0, harness_exports(43).0);
+}
