@@ -92,7 +92,7 @@ pub fn write_json<T: Serialize>(name: &str, value: &T) {
 
 /// Where experiment JSON lands: `$CARGO_MANIFEST_DIR/../../bench_results`
 /// (the workspace root) or `./bench_results` as a fallback.
-pub fn results_dir() -> PathBuf {
+fn results_dir() -> PathBuf {
     let manifest = std::env::var("CARGO_MANIFEST_DIR").unwrap_or_else(|_| ".".into());
     let mut p = PathBuf::from(manifest);
     p.pop();

@@ -118,7 +118,7 @@ pub enum Subject {
 }
 
 /// The layouts `NodeCore` has, as `(k, m)`; a seed runs `seed % 4`.
-pub const CORE_LAYOUTS: [(usize, usize); 4] = [(2, 1), (4, 1), (3, 2), (4, 2)];
+const CORE_LAYOUTS: [(usize, usize); 4] = [(2, 1), (4, 1), (3, 2), (4, 2)];
 
 /// Crashes, impairment storms or both for a core cell. A crashed process
 /// is restarted at once, soon, or after its peers have given up on it; a
@@ -496,9 +496,9 @@ pub fn run_cell(
 }
 
 /// [`run_cell`] with a planted bug: if every point in `poison` fires in
-/// a clean run, the cell panics deliberately. Exposed so tests can prove
+/// a clean run, the cell panics deliberately, so tests can prove
 /// the swarm catches and minimises a known injected defect.
-pub fn run_cell_poisoned(
+fn run_cell_poisoned(
     subject: Subject,
     seed: u64,
     intensity: Intensity,

@@ -45,31 +45,6 @@ impl CheckpointCost {
             latency: d,
         }
     }
-
-    /// Sequential composition: both phases suspend execution one after the
-    /// other, and the checkpoint is usable only after both latencies.
-    pub fn then(self, next: CheckpointCost) -> CheckpointCost {
-        CheckpointCost {
-            overhead: self.overhead + next.overhead,
-            latency: self.latency + next.latency,
-        }
-    }
-
-    /// Adds a background (asynchronous) phase: execution resumes, so
-    /// overhead is unchanged, but the checkpoint is not usable until the
-    /// extra work finishes.
-    pub fn with_background(self, extra_latency: Duration) -> CheckpointCost {
-        CheckpointCost {
-            overhead: self.overhead,
-            latency: self.latency + extra_latency,
-        }
-    }
-
-    /// The latency slack: time the checkpoint is "in flight" after
-    /// execution resumed (Plank's factor-34 improvement lives here).
-    pub fn latency_slack(self) -> Duration {
-        self.latency - self.overhead
-    }
 }
 
 #[cfg(test)]
@@ -80,25 +55,6 @@ mod tests {
     fn synchronous_cost_has_no_slack() {
         let c = CheckpointCost::synchronous(Duration::from_secs(2.0));
         assert_eq!(c.overhead, c.latency);
-        assert_eq!(c.latency_slack(), Duration::ZERO);
-    }
-
-    #[test]
-    fn background_extends_latency_only() {
-        let c = CheckpointCost::synchronous(Duration::from_secs(1.0))
-            .with_background(Duration::from_secs(5.0));
-        assert_eq!(c.overhead.as_secs(), 1.0);
-        assert_eq!(c.latency.as_secs(), 6.0);
-        assert_eq!(c.latency_slack().as_secs(), 5.0);
-    }
-
-    #[test]
-    fn then_composes_both_axes() {
-        let a = CheckpointCost::new(Duration::from_secs(1.0), Duration::from_secs(2.0));
-        let b = CheckpointCost::new(Duration::from_secs(0.5), Duration::from_secs(0.5));
-        let c = a.then(b);
-        assert_eq!(c.overhead.as_secs(), 1.5);
-        assert_eq!(c.latency.as_secs(), 2.5);
     }
 
     #[test]

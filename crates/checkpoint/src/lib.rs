@@ -26,9 +26,6 @@
 //!   store write and verified before recovery or scrub trusts the bytes.
 //! * [`accounting`] — the overhead-vs-latency split that Section II-B2
 //!   stresses: *"Latency is always at least as much as overhead."*
-//! * [`adaptive`] — the Section II-B1 runtime cost–benefit trigger:
-//!   checkpoint when the expected rollback saved outweighs the (dirty-set
-//!   dependent) cost of checkpointing now.
 //!
 //! ## Example: incremental capture and recovery
 //!
@@ -59,7 +56,6 @@
 #![warn(missing_docs)]
 
 pub mod accounting;
-pub mod adaptive;
 pub mod delta;
 pub mod integrity;
 pub mod payload;
@@ -67,7 +63,6 @@ pub mod store;
 pub mod strategy;
 
 pub use accounting::CheckpointCost;
-pub use adaptive::AdaptivePolicy;
 pub use payload::{Checkpoint, CheckpointPayload, PageDelta};
 pub use store::{DoubleBufferedStore, MaterializedStore, ParityStore, StoreError};
 pub use strategy::{Checkpointer, Mode};

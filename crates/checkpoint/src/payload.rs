@@ -119,16 +119,6 @@ impl CheckpointPayload {
             }
         }
     }
-
-    /// Fraction of the image this payload re-ships (1.0 for full).
-    pub fn change_ratio(&self) -> f64 {
-        let total = self.image_len();
-        if total == 0 {
-            0.0
-        } else {
-            self.size_bytes() as f64 / total as f64
-        }
-    }
 }
 
 /// A complete checkpoint record: who, when, what.
@@ -166,7 +156,6 @@ mod tests {
         assert_eq!(p.size_bytes(), 64);
         assert_eq!(p.page_count(), 4);
         assert!(p.is_full());
-        assert_eq!(p.change_ratio(), 1.0);
         assert_eq!(p.image_len(), 64);
     }
 
@@ -190,7 +179,6 @@ mod tests {
         assert_eq!(p.size_bytes(), 32);
         assert_eq!(p.page_count(), 2);
         assert!(!p.is_full());
-        assert_eq!(p.change_ratio(), 0.5);
     }
 
     #[test]
@@ -260,6 +248,5 @@ mod tests {
         let p = full(vec![], 16);
         assert_eq!(p.size_bytes(), 0);
         assert_eq!(p.page_count(), 0);
-        assert_eq!(p.change_ratio(), 0.0);
     }
 }

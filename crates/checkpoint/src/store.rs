@@ -148,7 +148,7 @@ impl MaterializedStore {
     /// Silently flips one byte of the stored image *without* refreshing
     /// the checksum — the corruption fault's write path. Returns false if
     /// no image is stored or the offset is out of range.
-    pub fn corrupt_byte(&mut self, vm: VmId, offset: usize) -> bool {
+    fn corrupt_byte(&mut self, vm: VmId, offset: usize) -> bool {
         match self.entries.get_mut(&vm) {
             Some(e) if !e.image.is_empty() => {
                 let off = offset % e.image.len();
@@ -437,16 +437,6 @@ impl<K: Ord + Copy> ParityStore<K> {
         self.current == self.committed
     }
 
-    /// Keys present in the committed generation, in order.
-    pub fn committed_keys(&self) -> impl Iterator<Item = K> + '_ {
-        self.committed.keys().copied()
-    }
-
-    /// Iterates the working generation's `(key, block)` pairs in order.
-    pub fn current_iter(&self) -> impl Iterator<Item = (K, &[u8])> {
-        self.current.iter().map(|(&k, v)| (k, v.as_slice()))
-    }
-
     /// Number of blocks in the working generation.
     pub fn len(&self) -> usize {
         self.current.len()
@@ -629,8 +619,6 @@ mod tests {
         assert_eq!(p.committed(3), Some(&[5u8; 4][..]));
         assert_eq!(p.current(3), Some(&[5u8; 4][..]));
         assert_eq!(p.total_bytes(), 8);
-        assert_eq!(p.committed_keys().collect::<Vec<_>>(), vec![3]);
-        assert_eq!(p.current_iter().count(), 1);
         assert_eq!(p.len(), 1);
         p.evict(3);
         assert!(p.is_empty());

@@ -36,11 +36,6 @@
 //!   physical-node failures; the runner drives rounds, failures,
 //!   recoveries, and rollbacks, and reports the realised completion time
 //!   (used to validate the paper's analytical model at cluster level).
-//! * [`snapshot`] — the consistent distributed snapshot the protocols
-//!   presuppose ("we coordinate a consistent distributed checkpoint"):
-//!   the Chandy–Lamport marker algorithm over FIFO VM-to-VM channels,
-//!   with the conservation property tested under random interleavings.
-//! * [`report`] — serialisable result records.
 //!
 //! ## Example: survive a node crash
 //!
@@ -73,11 +68,9 @@
 
 pub mod placement;
 pub mod protocol;
-pub mod report;
 pub mod scenario;
 pub mod shard;
 pub mod sim;
-pub mod snapshot;
 
 pub use placement::{GroupId, GroupPlacement, RaidGroup};
 pub use protocol::{
@@ -86,4 +79,4 @@ pub use protocol::{
 };
 pub use scenario::{run_scenario, ScenarioConfig, ScenarioReport};
 pub use shard::{ShardConfig, ShardedCluster, ShardedRunReport};
-pub use sim::{IntervalPolicy, JobOutcome, JobRunner, RecoveryPolicy};
+pub use sim::{JobOutcome, JobRunner, RecoveryPolicy};

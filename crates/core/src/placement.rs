@@ -84,7 +84,7 @@ impl RaidGroup {
     /// Every node the group occupies under the cluster's *current* VM
     /// placement: its data members' hosts, then its parity holders.
     /// Orthogonality is the statement that these are pairwise distinct.
-    pub fn occupants<'a>(&'a self, cluster: &'a Cluster) -> impl Iterator<Item = NodeId> + 'a {
+    fn occupants<'a>(&'a self, cluster: &'a Cluster) -> impl Iterator<Item = NodeId> + 'a {
         self.data
             .iter()
             .map(|&vm| cluster.node_of(vm))
@@ -583,27 +583,13 @@ impl GroupPlacement {
         self.validate_rack_aware(cluster).is_ok()
     }
 
-    /// How many members (data or parity) of each group live in `rack` —
-    /// the blast radius of a whole-rack failure. Survivable with `m`
-    /// parity blocks iff every entry ≤ `m`; rack-orthogonal placement
-    /// guarantees ≤ 1.
-    pub fn impact_of_rack_failure(&self, cluster: &Cluster, rack: RackId) -> Vec<(GroupId, usize)> {
-        self.impact(cluster, |n| cluster.rack_of(n) == rack)
-    }
-
     /// How many members (data or parity) of each group live on `node` —
     /// the failure-impact profile. Recoverability with `m` parity blocks
     /// requires every entry ≤ `m`; orthogonal placement guarantees ≤ 1.
     pub fn impact_of_node_failure(&self, cluster: &Cluster, node: NodeId) -> Vec<(GroupId, usize)> {
-        self.impact(cluster, |n| n == node)
-    }
-
-    /// Per group, how many of its occupants a failure taking every node
-    /// in `lost` costs it.
-    fn impact(&self, cluster: &Cluster, lost: impl Fn(NodeId) -> bool) -> Vec<(GroupId, usize)> {
         self.groups
             .iter()
-            .map(|g| (g.id, g.occupants(cluster).filter(|&n| lost(n)).count()))
+            .map(|g| (g.id, g.occupants(cluster).filter(|&n| n == node).count()))
             .collect()
     }
 
@@ -842,11 +828,6 @@ mod tests {
             p.validate_rack_aware(&c)
                 .unwrap_or_else(|e| panic!("m={m}: {e}"));
             assert!(p.is_rack_orthogonal(&c));
-            for rack in 0..c.topology().rack_count() {
-                for (gid, hits) in p.impact_of_rack_failure(&c, RackId(rack)) {
-                    assert!(hits <= 1, "m={m}: rack{rack} hits {gid} {hits}×");
-                }
-            }
         }
     }
 
@@ -861,12 +842,6 @@ mod tests {
             p.validate_rack_aware(&c),
             Err(PlacementError::RackCollision { .. })
         ));
-        let worst = (0..c.topology().rack_count())
-            .flat_map(|r| p.impact_of_rack_failure(&c, RackId(r)))
-            .map(|(_, hits)| hits)
-            .max()
-            .unwrap();
-        assert!(worst >= 2, "flat placement must double up in some rack");
     }
 
     #[test]

@@ -31,31 +31,13 @@ pub struct DiskFullProtocol {
 impl DiskFullProtocol {
     /// Creates the baseline with the paper's 40 ms base overhead.
     pub fn new() -> Self {
-        Self::with_base_overhead(Duration::from_millis(40.0))
-    }
-
-    /// Creates the baseline with a custom coordination overhead.
-    pub fn with_base_overhead(base_overhead: Duration) -> Self {
         DiskFullProtocol {
-            base_overhead,
+            base_overhead: Duration::from_millis(40.0),
             checkpointer: Checkpointer::new(Mode::Full),
             nas: MaterializedStore::new(),
             committed_epoch: None,
             next_epoch: 0,
         }
-    }
-
-    /// Switches the capture mode — `Mode::Incremental` gives the baseline
-    /// the same dirty-page compression DVDC enjoys, isolating the
-    /// NAS-vs-distributed comparison from the payload question. Call
-    /// before the first round.
-    pub fn with_mode(mut self, mode: Mode) -> Self {
-        assert!(
-            self.next_epoch == 0,
-            "mode must be chosen before the first round"
-        );
-        self.checkpointer = Checkpointer::new(mode);
-        self
     }
 }
 
@@ -249,25 +231,6 @@ mod tests {
             assert_eq!(r.epoch, e);
         }
         assert_eq!(p.committed_epoch(), Some(2));
-    }
-
-    #[test]
-    fn incremental_mode_shrinks_the_nas_payload() {
-        use dvdc_checkpoint::strategy::Mode;
-        let mut c = cluster();
-        let mut p = DiskFullProtocol::new().with_mode(Mode::Incremental);
-        let full = p.run_round(&mut c).unwrap();
-        c.vm_mut(VmId(2)).memory_mut().write_page(0, &[7u8; 32]);
-        let inc = p.run_round(&mut c).unwrap();
-        assert_eq!(inc.payload_bytes, 32);
-        assert!(inc.payload_bytes < full.payload_bytes);
-        assert!(inc.cost.overhead < full.cost.overhead);
-        // Recovery still restores the committed state byte-exactly.
-        let want = c.vm(VmId(2)).memory().snapshot();
-        c.vm_mut(VmId(2)).memory_mut().write_page(1, &[1u8; 32]);
-        c.fail_node(NodeId(1));
-        p.recover(&mut c, NodeId(1)).unwrap();
-        assert_eq!(c.vm(VmId(2)).memory().snapshot(), want);
     }
 
     #[test]

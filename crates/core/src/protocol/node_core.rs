@@ -666,12 +666,12 @@ impl ClusterSpec {
     }
 
     /// True if `node` is one of the `k` data slots.
-    pub fn is_data(&self, node: NodeId) -> bool {
+    fn is_data(&self, node: NodeId) -> bool {
         node.index() < self.data_nodes
     }
 
     /// True if `node` is one of the `m` parity slots.
-    pub fn is_parity(&self, node: NodeId) -> bool {
+    fn is_parity(&self, node: NodeId) -> bool {
         node.index() >= self.data_nodes && node.index() < self.total()
     }
 
@@ -681,6 +681,39 @@ impl ClusterSpec {
             true => BlockKind::Data,
             false => BlockKind::Parity,
         }
+    }
+
+    /// Rejects a spec no group can run on: an empty group or image, a
+    /// detector that suspects a member for one late heartbeat, a round
+    /// whose timeout runs out before its capture is due.
+    pub fn validate(&self) -> Result<(), String> {
+        let DetectorConfig {
+            heartbeat_interval,
+            timeout,
+            ..
+        } = self.detector;
+        if self.data_nodes == 0 || self.parity_nodes == 0 {
+            return Err(format!(
+                "a group needs at least one data and one parity node, got k={} m={}",
+                self.data_nodes, self.parity_nodes
+            ));
+        }
+        if self.image_len == 0 {
+            return Err("the image length must not be zero".to_string());
+        }
+        if timeout < heartbeat_interval * 2.0 {
+            return Err(format!(
+                "the detector timeout ({timeout}) must be at least two heartbeat intervals \
+                 ({heartbeat_interval} each): one late heartbeat is not a failure"
+            ));
+        }
+        if self.round_timeout <= self.capture_delay {
+            return Err(format!(
+                "the round timeout ({}) must exceed the capture delay ({}): no round could commit",
+                self.round_timeout, self.capture_delay
+            ));
+        }
+        Ok(())
     }
 
     /// Instantiates the group's erasure code: XOR for `m == 1`,
@@ -858,6 +891,10 @@ pub struct NodeCore {
     rebuild: Option<Rebuild>,
     /// Victims whose rebuild ended in typed data loss — not retried.
     lost: BTreeSet<NodeId>,
+    /// Fenced members whose `ResyncReq` met an open round or rebuild, or
+    /// came before their own rebuild: each is answered by the entry point
+    /// that settles what it waits for, not at its next retry.
+    resync_asked: BTreeSet<NodeId>,
     resync: Option<ResyncClient>,
     /// Highest round epoch this node has begun or been told of (committed
     /// or not) — keeps retry epochs strictly increasing across aborts,
@@ -914,6 +951,7 @@ impl NodeCore {
             part_round: None,
             rebuild: None,
             lost: BTreeSet::new(),
+            resync_asked: BTreeSet::new(),
             resync: None,
             last_begun: 0,
             early: BTreeMap::new(),
@@ -1213,12 +1251,19 @@ impl NodeCore {
             }
         }
 
+        self.serve_deferred_resyncs(now, &mut out);
         out
     }
 
     /// Consumes one message. `from` identifies the sender ([`CTL`] for
     /// control-plane requests); replies are emitted as [`Action::Send`]s.
     pub fn on_message(&mut self, from: NodeId, msg: Msg, now: SimTime) -> Vec<Action> {
+        let mut out = self.handle(from, msg, now);
+        self.serve_deferred_resyncs(now, &mut out);
+        out
+    }
+
+    fn handle(&mut self, from: NodeId, msg: Msg, now: SimTime) -> Vec<Action> {
         let mut out = Vec::new();
         self.ran(now, &mut out);
         // A fenced member is no member until it has resynced. What it says
@@ -1913,14 +1958,18 @@ impl NodeCore {
         if !self.fences.is_fenced(node) {
             self.detector.condemn(node.index(), now);
             self.raise_fence(node, out);
+            self.resync_asked.insert(node);
             return;
         }
         // Defer while a round or rebuild is open, or the node's own rebuild
-        // is still owed — the victim retries.
+        // is still owed: the asker is remembered, and its own retry covers
+        // a coordinator that has moved by then.
         let settled = self.custody.contains_key(&node) || self.lost.contains(&node);
         if self.coord_round.is_some() || self.rebuild.is_some() || !settled {
+            self.resync_asked.insert(node);
             return;
         }
+        self.resync_asked.remove(&node);
         let fence_epoch = self.fences.epoch_of(node);
         let committed_epoch = self.committed.as_ref().map(|(e, _)| *e).unwrap_or(0);
         let image = self
@@ -1938,6 +1987,22 @@ impl NodeCore {
             },
         });
         out.push(Action::Note(Note::ResyncServed { peer: node }));
+    }
+
+    /// Answers every remembered asker that what this entry point did has
+    /// left answerable; the rest stay remembered. One no longer fenced was
+    /// answered through its retry, and if coordination has moved the
+    /// retry is what finds the new coordinator.
+    fn serve_deferred_resyncs(&mut self, now: SimTime, out: &mut Vec<Action>) {
+        let asked = std::mem::take(&mut self.resync_asked);
+        if asked.is_empty() || !self.is_acting_coordinator() {
+            return;
+        }
+        for node in asked {
+            if self.fences.is_fenced(node) {
+                self.on_resync_req(node, now, out);
+            }
+        }
     }
 
     /// Starts a round if this node coordinates and the group is whole.
@@ -2400,6 +2465,49 @@ mod tests {
             parity_nodes: 1,
             image_len: 64,
             ..ClusterSpec::default()
+        }
+    }
+
+    #[test]
+    fn validate_rejects_each_config_hazard_with_its_sentence() {
+        type Plant = fn(&mut ClusterSpec);
+        let hazards: [(&str, Plant); 5] = [
+            ("one data and one parity", |s| s.data_nodes = 0),
+            ("one data and one parity", |s| s.parity_nodes = 0),
+            ("image length", |s| s.image_len = 0),
+            ("two heartbeat intervals", |s| {
+                s.detector = DetectorConfig::from_millis(50.0, 60.0, 200.0)
+            }),
+            ("must exceed the capture delay", |s| {
+                s.round_timeout = s.capture_delay
+            }),
+        ];
+        for (sentence, plant) in hazards {
+            let mut bad = spec();
+            plant(&mut bad);
+            let err = bad.validate().expect_err(sentence);
+            assert!(err.contains(sentence), "{err}");
+        }
+    }
+
+    #[test]
+    fn validate_accepts_every_profile_in_use() {
+        let mut in_use = vec![ClusterSpec::default(), spec()];
+        for (k, m) in [(2, 1), (4, 1), (3, 2), (4, 2)] {
+            in_use.push(ClusterSpec::drill(k, m));
+        }
+        // The benchmark's: in-process (10 ms capture, 2 s rounds), daemons.
+        for (hb, timeout, grace) in [(200.0, 2000.0, 1000.0), (50.0, 250.0, 200.0)] {
+            in_use.push(ClusterSpec {
+                detector: DetectorConfig::from_millis(hb, timeout, grace),
+                round_timeout: Duration::from_millis(2000.0),
+                rebuild_timeout: Duration::from_millis(30_000.0),
+                capture_delay: Duration::from_millis(10.0),
+                ..ClusterSpec::default()
+            });
+        }
+        for spec in in_use {
+            assert_eq!(spec.validate(), Ok(()), "{spec:?}");
         }
     }
 

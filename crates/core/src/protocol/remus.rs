@@ -48,7 +48,7 @@ impl RemusLikeProtocol {
     }
 
     /// The node holding `vm`'s standby replica.
-    pub fn backup_node(cluster: &Cluster, vm: VmId) -> NodeId {
+    fn backup_node(cluster: &Cluster, vm: VmId) -> NodeId {
         let home = cluster.node_of(vm);
         NodeId((home.index() + 1) % cluster.node_count())
     }

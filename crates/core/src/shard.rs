@@ -382,10 +382,18 @@ mod tests {
 
     #[test]
     fn recovery_in_one_shard_is_byte_exact() {
-        let mut sc = ShardedCluster::build(small_config());
-        sc.run();
-        let recovered = sc.verify_shard_recovery(1);
-        assert_eq!(recovered, sc.config.vms_per_node);
+        // The middle shard of three, and of the 125 a 500-node cluster
+        // splits into.
+        for total_nodes in [12, 500] {
+            let mut sc = ShardedCluster::build(ShardConfig {
+                total_nodes,
+                ..small_config()
+            });
+            let report = sc.run();
+            assert_eq!(report.rounds_committed, sc.shard_count() * 2);
+            let recovered = sc.verify_shard_recovery(sc.shard_count() / 2);
+            assert_eq!(recovered, sc.config.vms_per_node, "{total_nodes} nodes");
+        }
     }
 
     #[test]

@@ -10,7 +10,6 @@
 //! completion times validate — and are validated by — the closed forms in
 //! `dvdc-model`.
 
-use dvdc_checkpoint::adaptive::AdaptivePolicy;
 use dvdc_observe::{Event, RecorderHandle};
 use dvdc_simcore::rng::RngHub;
 use dvdc_simcore::time::{Duration, SimTime};
@@ -19,23 +18,6 @@ use dvdc_vcluster::cluster::Cluster;
 use dvdc_faults::injector::ClusterFaultPlan;
 
 use crate::protocol::{apply_fault, CheckpointProtocol, ProtocolError, RecoverError};
-
-/// When to take coordinated checkpoints.
-#[derive(Debug, Clone, Copy)]
-pub enum IntervalPolicy {
-    /// Every fixed span of progress — the classic interval of Section V.
-    Fixed(Duration),
-    /// The Section II-B1 adaptive trigger: checkpoint once
-    /// `t ≥ √(2·C(t)/λ)`, with the live cost `C(t)` estimated from the
-    /// cluster's current dirty set. Evaluated every `check_period` of
-    /// progress.
-    Adaptive {
-        /// Failure rate assumed by the trigger.
-        lambda: f64,
-        /// How often the trigger is re-evaluated.
-        check_period: Duration,
-    },
-}
 
 /// How to handle a failed node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,8 +34,9 @@ pub enum RecoveryPolicy {
 pub struct JobRunner {
     /// Fault-free job length.
     pub job_length: Duration,
-    /// Checkpoint scheduling policy.
-    pub policy: IntervalPolicy,
+    /// Progress between coordinated checkpoints — the interval of
+    /// Section V.
+    pub interval: Duration,
     /// Failure-recovery policy.
     pub recovery: RecoveryPolicy,
     /// If true, VM guest workloads actually execute between rounds
@@ -101,39 +84,16 @@ impl JobRunner {
     pub fn new(job_length: Duration, interval: Duration) -> Self {
         JobRunner {
             job_length,
-            policy: IntervalPolicy::Fixed(interval),
+            interval,
             recovery: RecoveryPolicy::RepairInPlace,
             drive_guests: true,
         }
-    }
-
-    /// Switches to the adaptive trigger of Section II-B1.
-    pub fn with_adaptive(mut self, lambda: f64, check_period: Duration) -> Self {
-        self.policy = IntervalPolicy::Adaptive {
-            lambda,
-            check_period,
-        };
-        self
     }
 
     /// Switches to failover recovery.
     pub fn with_failover(mut self) -> Self {
         self.recovery = RecoveryPolicy::Failover;
         self
-    }
-
-    /// Estimated cost of checkpointing right now: the base coordination
-    /// overhead plus forking the largest per-node dirty set.
-    fn cost_estimate(cluster: &Cluster) -> Duration {
-        let mut per_node = vec![0usize; cluster.node_count()];
-        for vm in cluster.vm_ids() {
-            let node = cluster.node_of(vm);
-            if cluster.is_up(node) {
-                per_node[node.index()] += cluster.vm(vm).memory().dirty_bytes();
-            }
-        }
-        let max = per_node.into_iter().max().unwrap_or(0);
-        Duration::from_millis(40.0) + cluster.fabric().memory.copy(max)
     }
 
     /// Runs the job to completion. `plan` supplies failure times in wall
@@ -187,17 +147,11 @@ impl JobRunner {
         while progress < self.job_length {
             // Next milestone: the next checkpoint decision point (or job
             // end).
-            let until_decision = match self.policy {
-                IntervalPolicy::Fixed(interval) => {
-                    let until = interval - (progress - committed_progress).min(interval);
-                    if until.is_zero() {
-                        interval
-                    } else {
-                        until
-                    }
-                }
-                IntervalPolicy::Adaptive { check_period, .. } => check_period,
-            };
+            let mut until_decision =
+                self.interval - (progress - committed_progress).min(self.interval);
+            if until_decision.is_zero() {
+                until_decision = self.interval;
+            }
             let remaining = self.job_length - progress;
             let run_span = until_decision.min(remaining);
             let milestone = wall + run_span;
@@ -322,16 +276,7 @@ impl JobRunner {
                     self.drive(cluster, hub, run_span, out.rounds, out.failures);
                     progress += run_span;
                     wall = milestone;
-                    let take = progress < self.job_length
-                        && match self.policy {
-                            IntervalPolicy::Fixed(_) => true,
-                            IntervalPolicy::Adaptive { lambda, .. } => AdaptivePolicy::new(lambda)
-                                .should_checkpoint(
-                                    progress - committed_progress,
-                                    Self::cost_estimate(cluster),
-                                ),
-                        };
-                    if take {
+                    if progress < self.job_length {
                         // Coordinated checkpoint round.
                         protocol.set_clock(wall);
                         let report = protocol.run_round(cluster)?;
@@ -534,28 +479,6 @@ mod tests {
         let (b, mem_b) = run_once();
         assert_eq!(a, b);
         assert_eq!(mem_a, mem_b);
-    }
-
-    #[test]
-    fn adaptive_policy_checkpoints_without_fixed_interval() {
-        let mut c = cluster();
-        let mut p = dvdc(&c);
-        // λ high enough that the ~40 ms base cost triggers within the job.
-        let runner = JobRunner::new(Duration::from_secs(120.0), Duration::from_secs(10.0))
-            .with_adaptive(1.0 / 100.0, Duration::from_secs(1.0));
-        let out = runner
-            .run(
-                &mut p,
-                &mut c,
-                &ClusterFaultPlan::default(),
-                &RngHub::new(6),
-            )
-            .unwrap();
-        assert!(out.rounds > 0, "adaptive trigger must fire");
-        // Young for the base cost alone: √(2·0.04·100) ≈ 2.8 s → dozens
-        // of rounds over 120 s (dirty cost pushes it out a little).
-        assert!(out.rounds >= 10, "rounds={}", out.rounds);
-        assert!(out.wall_time >= Duration::from_secs(120.0));
     }
 
     #[test]

@@ -99,28 +99,6 @@ pub mod points {
     pub const CLOCK_JITTER: &str = "clock.jitter";
 }
 
-/// Every known fault point, for docs, validation, and swarm reporting.
-pub const CATALOG: &[&str] = &[
-    points::ROUND_CAPTURE_DELAY,
-    points::ROUND_TRANSFER_DELAY,
-    points::ROUND_FOLD_DELAY,
-    points::ROUND_COMMIT_DELAY,
-    points::TRANSFER_ARRIVE_DROP,
-    points::TRANSFER_ARRIVE_TORN,
-    points::TRANSFER_ARRIVE_DUPLICATE,
-    points::COMMIT_ACK_DELAY,
-    points::COMMIT_PROMOTE_DELAY,
-    points::REBUILD_FETCH_DELAY,
-    points::REBUILD_FETCH_DROP,
-    points::REBUILD_DECODE_DELAY,
-    points::REBUILD_PLACE_DELAY,
-    points::REBUILD_READMIT_DELAY,
-    points::SCRUB_READ_ERROR,
-    points::HEARTBEAT_SEND_DROP,
-    points::HEARTBEAT_SEND_DELAY,
-    points::CLOCK_JITTER,
-];
-
 /// How aggressively fault points fire, as an activation rate per mille
 /// per evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -137,7 +115,7 @@ pub enum Intensity {
 
 impl Intensity {
     /// Activation threshold out of 1000.
-    pub fn per_mille(self) -> u64 {
+    fn per_mille(self) -> u64 {
         match self {
             Intensity::Off => 0,
             Intensity::Quick => 10,
@@ -286,23 +264,6 @@ impl FaultRegistry {
         let mut state = self.state.borrow_mut();
         state.counts.clear();
         state.fired.clear();
-    }
-
-    /// The single-line repro recipe for a failure observed under this
-    /// registry, mirroring the `DVDC_CHAOS_SEED` chaos repro lines.
-    pub fn repro_line(&self, active: &[&'static str]) -> String {
-        format!(
-            "reproduce with: {}={} {}={} (points: {})",
-            SEED_ENV,
-            self.seed,
-            INTENSITY_ENV,
-            self.intensity.name(),
-            if active.is_empty() {
-                "<none>".to_string()
-            } else {
-                active.join(",")
-            }
-        )
     }
 }
 
@@ -482,15 +443,6 @@ mod tests {
     }
 
     #[test]
-    fn catalog_names_are_unique() {
-        let mut names: Vec<_> = CATALOG.to_vec();
-        names.sort();
-        let before = names.len();
-        names.dedup();
-        assert_eq!(names.len(), before);
-    }
-
-    #[test]
     fn intensity_round_trips_names() {
         for i in [
             Intensity::Off,
@@ -501,15 +453,6 @@ mod tests {
             assert_eq!(Intensity::parse(i.name()), Some(i));
         }
         assert_eq!(Intensity::parse("bogus"), None);
-    }
-
-    #[test]
-    fn repro_line_names_seed_and_points() {
-        let r = FaultRegistry::new(1234, Intensity::Quick);
-        let line = r.repro_line(&[points::TRANSFER_ARRIVE_DROP]);
-        assert!(line.contains("DVDC_BUGGIFY_SEED=1234"));
-        assert!(line.contains("quick"));
-        assert!(line.contains("transfer.arrive.drop"));
     }
 
     #[test]

@@ -378,12 +378,6 @@ impl FailureDetector {
         }
     }
 
-    /// Stops monitoring `node` (it was recovered/evacuated and is no
-    /// longer expected to heartbeat).
-    pub fn forget(&mut self, node: usize) {
-        self.nodes.remove(&node);
-    }
-
     /// (Re-)admits `node` to monitoring as freshly alive at `now` — the
     /// last step of a fenced node's resync.
     pub fn admit(&mut self, node: usize, now: SimTime) {
@@ -480,15 +474,6 @@ mod tests {
         // ...but a fresh heartbeat arrives first.
         d.heartbeat(0, ms(30.0));
         assert_eq!(d.poll(0, deadline), None, "re-armed deadline must not fire");
-    }
-
-    #[test]
-    fn forget_stops_monitoring() {
-        let mut d = FailureDetector::new(cfg(), [0, 1], SimTime::ZERO);
-        d.forget(1);
-        assert_eq!(d.poll(1, ms(1000.0)), None);
-        assert_eq!(d.heartbeat(1, ms(1000.0)), None);
-        assert_eq!(d.monitored().collect::<Vec<_>>(), vec![0]);
     }
 
     #[test]

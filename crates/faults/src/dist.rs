@@ -1,9 +1,8 @@
 //! Inter-failure-time distributions.
 //!
-//! All sampling goes through inverse-CDF transforms of uniform draws, which
-//! keeps the number of RNG draws per sample fixed (exactly one for the
-//! analytic distributions) — a prerequisite for the reproducibility
-//! guarantees of `dvdc-simcore`.
+//! Sampling is an inverse-CDF transform of one uniform draw, which keeps
+//! the number of RNG draws per sample fixed — a prerequisite for the
+//! reproducibility guarantees of `dvdc-simcore`.
 
 use dvdc_simcore::time::Duration;
 use rand::Rng;
@@ -62,98 +61,6 @@ impl FailureDistribution for Exponential {
     }
 }
 
-/// Weibull time-to-failure. Shape k < 1 models infant mortality, k = 1 is
-/// exponential, k > 1 models wear-out — the three regimes of the "bathtub
-/// curve" the paper mentions as the realistic alternative to Poisson.
-#[derive(Debug, Clone, Copy)]
-pub struct Weibull {
-    shape: f64,
-    scale_secs: f64,
-}
-
-impl Weibull {
-    /// Creates a Weibull distribution with `shape` k and `scale` λ
-    /// (characteristic life).
-    ///
-    /// # Panics
-    /// Panics unless both parameters are finite and positive.
-    pub fn new(shape: f64, scale: Duration) -> Self {
-        assert!(
-            shape.is_finite() && shape > 0.0,
-            "shape must be positive, got {shape}"
-        );
-        assert!(scale.as_secs() > 0.0, "scale must be positive");
-        Weibull {
-            shape,
-            scale_secs: scale.as_secs(),
-        }
-    }
-
-    /// The shape parameter k.
-    pub fn shape(&self) -> f64 {
-        self.shape
-    }
-}
-
-impl FailureDistribution for Weibull {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Duration {
-        let u: f64 = rng.random();
-        let t = self.scale_secs * (-(1.0 - u).ln()).powf(1.0 / self.shape);
-        Duration::from_secs(t)
-    }
-
-    fn mean(&self) -> Duration {
-        Duration::from_secs(self.scale_secs * gamma(1.0 + 1.0 / self.shape))
-    }
-}
-
-/// Log-normal time-to-failure, sometimes fit to repair times in failure
-/// studies (Schroeder & Gibson). Parameterised by the underlying normal's
-/// μ and σ in log-seconds.
-#[derive(Debug, Clone, Copy)]
-pub struct LogNormal {
-    mu: f64,
-    sigma: f64,
-}
-
-impl LogNormal {
-    /// Creates a log-normal with location `mu` and scale `sigma` (of the
-    /// underlying normal, in log-seconds).
-    ///
-    /// # Panics
-    /// Panics unless `sigma` is finite and positive and `mu` is finite.
-    pub fn new(mu: f64, sigma: f64) -> Self {
-        assert!(mu.is_finite(), "mu must be finite");
-        assert!(
-            sigma.is_finite() && sigma > 0.0,
-            "sigma must be positive, got {sigma}"
-        );
-        LogNormal { mu, sigma }
-    }
-
-    /// Creates a log-normal with a target median and a multiplicative
-    /// spread factor (σ of the underlying normal = ln(spread)).
-    pub fn from_median(median: Duration, spread: f64) -> Self {
-        assert!(spread > 1.0, "spread must exceed 1");
-        LogNormal::new(median.as_secs().ln(), spread.ln())
-    }
-}
-
-impl FailureDistribution for LogNormal {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Duration {
-        // Box–Muller needs two uniforms; we consume exactly two per sample
-        // to keep draw counts fixed.
-        let u1: f64 = rng.random();
-        let u2: f64 = rng.random();
-        let z = (-2.0 * (1.0 - u1).ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-        Duration::from_secs((self.mu + self.sigma * z).exp())
-    }
-
-    fn mean(&self) -> Duration {
-        Duration::from_secs((self.mu + self.sigma * self.sigma / 2.0).exp())
-    }
-}
-
 /// Degenerate distribution that always fails after exactly the given time.
 /// Useful for scripted scenario tests ("node 2 dies at t=100s").
 #[derive(Debug, Clone, Copy)]
@@ -175,199 +82,6 @@ impl FailureDistribution for Deterministic {
 
     fn mean(&self) -> Duration {
         self.value
-    }
-}
-
-/// Empirical distribution that resamples (with replacement) from a recorded
-/// trace of inter-failure times, e.g. digitised from a failure log.
-#[derive(Debug, Clone)]
-pub struct Empirical {
-    samples: Vec<Duration>,
-}
-
-impl Empirical {
-    /// Creates the distribution from recorded inter-failure times.
-    ///
-    /// # Panics
-    /// Panics if `samples` is empty.
-    pub fn new(samples: Vec<Duration>) -> Self {
-        assert!(!samples.is_empty(), "empirical trace must be non-empty");
-        Empirical { samples }
-    }
-
-    /// Number of trace entries.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// True if the trace is empty (never true for a constructed value).
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-}
-
-impl FailureDistribution for Empirical {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Duration {
-        let idx = rng.random_range(0..self.samples.len());
-        self.samples[idx]
-    }
-
-    fn mean(&self) -> Duration {
-        let total: f64 = self.samples.iter().map(|d| d.as_secs()).sum();
-        Duration::from_secs(total / self.samples.len() as f64)
-    }
-}
-
-/// A distribution family enum so heterogeneous components can share one
-/// concrete type (e.g. inside [`Mixture`]).
-#[derive(Debug, Clone, Copy)]
-pub enum AnyDistribution {
-    /// Exponential time-to-failure.
-    Exponential(Exponential),
-    /// Weibull time-to-failure.
-    Weibull(Weibull),
-    /// Log-normal time-to-failure.
-    LogNormal(LogNormal),
-    /// Point-mass time-to-failure.
-    Deterministic(Deterministic),
-}
-
-impl FailureDistribution for AnyDistribution {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Duration {
-        match self {
-            AnyDistribution::Exponential(d) => d.sample(rng),
-            AnyDistribution::Weibull(d) => d.sample(rng),
-            AnyDistribution::LogNormal(d) => d.sample(rng),
-            AnyDistribution::Deterministic(d) => d.sample(rng),
-        }
-    }
-
-    fn mean(&self) -> Duration {
-        match self {
-            AnyDistribution::Exponential(d) => d.mean(),
-            AnyDistribution::Weibull(d) => d.mean(),
-            AnyDistribution::LogNormal(d) => d.mean(),
-            AnyDistribution::Deterministic(d) => d.mean(),
-        }
-    }
-}
-
-/// A finite mixture of failure distributions: each sample first picks a
-/// component with probability proportional to its weight, then samples
-/// it. The standard way to compose a "bathtub" failure population —
-/// a fraction of infant-mortality parts among steady-state ones — from
-/// the primitive distributions.
-#[derive(Debug, Clone)]
-pub struct Mixture {
-    /// `(cumulative weight, component)`, weights normalised to 1.
-    components: Vec<(f64, AnyDistribution)>,
-}
-
-impl Mixture {
-    /// Creates a mixture from `(weight, component)` pairs.
-    ///
-    /// # Panics
-    /// Panics if empty or any weight is non-positive.
-    pub fn new(parts: Vec<(f64, AnyDistribution)>) -> Self {
-        assert!(!parts.is_empty(), "mixture needs at least one component");
-        let total: f64 = parts.iter().map(|(w, _)| *w).sum();
-        assert!(
-            parts.iter().all(|(w, _)| *w > 0.0) && total > 0.0,
-            "mixture weights must be positive"
-        );
-        let mut cum = 0.0;
-        let components = parts
-            .into_iter()
-            .map(|(w, d)| {
-                cum += w / total;
-                (cum, d)
-            })
-            .collect();
-        Mixture { components }
-    }
-
-    /// The classic bathtub population: `infant_fraction` of samples come
-    /// from an early-failure Weibull (k = 0.5, characteristic life a
-    /// tenth of `steady_mtbf`), the rest from a steady exponential at
-    /// `steady_mtbf`.
-    pub fn bathtub(infant_fraction: f64, steady_mtbf: Duration) -> Self {
-        assert!(
-            (0.0..1.0).contains(&infant_fraction) && infant_fraction > 0.0,
-            "infant fraction must be in (0,1)"
-        );
-        let infant_scale = Duration::from_secs(steady_mtbf.as_secs() / 10.0);
-        Mixture::new(vec![
-            (
-                infant_fraction,
-                AnyDistribution::Weibull(Weibull::new(0.5, infant_scale)),
-            ),
-            (
-                1.0 - infant_fraction,
-                AnyDistribution::Exponential(Exponential::from_mtbf(steady_mtbf)),
-            ),
-        ])
-    }
-
-    /// Number of components.
-    pub fn len(&self) -> usize {
-        self.components.len()
-    }
-
-    /// True if empty (never true for a constructed mixture).
-    pub fn is_empty(&self) -> bool {
-        self.components.is_empty()
-    }
-}
-
-impl FailureDistribution for Mixture {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Duration {
-        let u: f64 = rng.random();
-        let component = self
-            .components
-            .iter()
-            .find(|(cum, _)| u < *cum)
-            .map(|(_, d)| d)
-            .unwrap_or(&self.components.last().expect("non-empty").1);
-        component.sample(rng)
-    }
-
-    fn mean(&self) -> Duration {
-        let mut prev = 0.0;
-        let mut mean = 0.0;
-        for (cum, d) in &self.components {
-            mean += (cum - prev) * d.mean().as_secs();
-            prev = *cum;
-        }
-        Duration::from_secs(mean)
-    }
-}
-
-/// Lanczos approximation of the gamma function, needed for the Weibull
-/// mean. Accurate to ~1e-13 over the range we use (arguments in (1, 3]).
-fn gamma(x: f64) -> f64 {
-    const G: f64 = 7.0;
-    const COEFFS: [f64; 9] = [
-        0.999_999_999_999_809_9,
-        676.520_368_121_885_1,
-        -1_259.139_216_722_402_8,
-        771.323_428_777_653_1,
-        -176.615_029_162_140_6,
-        12.507_343_278_686_905,
-        -0.138_571_095_265_720_12,
-        9.984_369_578_019_572e-6,
-        1.505_632_735_149_311_6e-7,
-    ];
-    if x < 0.5 {
-        // Reflection formula.
-        std::f64::consts::PI / ((std::f64::consts::PI * x).sin() * gamma(1.0 - x))
-    } else {
-        let x = x - 1.0;
-        let mut a = COEFFS[0];
-        let t = x + G + 0.5;
-        for (i, &c) in COEFFS.iter().enumerate().skip(1) {
-            a += c / (x + i as f64);
-        }
-        (std::f64::consts::TAU).sqrt() * t.powf(x + 0.5) * (-t).exp() * a / 1.0
     }
 }
 
@@ -432,57 +146,6 @@ mod tests {
     }
 
     #[test]
-    fn weibull_shape_one_is_exponential() {
-        let scale = Duration::from_secs(500.0);
-        let w = Weibull::new(1.0, scale);
-        assert!((w.mean().as_secs() - 500.0).abs() < 1e-6);
-        let (mean, _) = sample_mean(&w, 50_000);
-        assert!((mean - 500.0).abs() < 15.0, "mean={mean}");
-    }
-
-    #[test]
-    fn weibull_mean_uses_gamma() {
-        // k=2: mean = scale * Γ(1.5) = scale * √π/2.
-        let w = Weibull::new(2.0, Duration::from_secs(100.0));
-        let expect = 100.0 * (std::f64::consts::PI).sqrt() / 2.0;
-        assert!((w.mean().as_secs() - expect).abs() < 1e-6);
-    }
-
-    #[test]
-    fn weibull_sample_mean_matches_analytic() {
-        let w = Weibull::new(0.7, Duration::from_hours(3.0));
-        let (mean, _) = sample_mean(&w, 100_000);
-        let expect = w.mean().as_secs();
-        assert!(
-            (mean - expect).abs() / expect < 0.03,
-            "mean={mean} expect={expect}"
-        );
-    }
-
-    #[test]
-    fn lognormal_mean_matches_analytic() {
-        let d = LogNormal::new(2.0, 0.5);
-        let (mean, _) = sample_mean(&d, 100_000);
-        let expect = d.mean().as_secs();
-        assert!(
-            (mean - expect).abs() / expect < 0.03,
-            "mean={mean} expect={expect}"
-        );
-    }
-
-    #[test]
-    fn lognormal_from_median() {
-        let d = LogNormal::from_median(Duration::from_secs(100.0), 2.0);
-        // Median of samples should cluster near 100.
-        let hub = RngHub::new(5);
-        let mut rng = hub.stream("ln-median");
-        let mut xs: Vec<f64> = (0..10_001).map(|_| d.sample(&mut rng).as_secs()).collect();
-        xs.sort_by(f64::total_cmp);
-        let median = xs[xs.len() / 2];
-        assert!((median - 100.0).abs() / 100.0 < 0.05, "median={median}");
-    }
-
-    #[test]
     fn deterministic_always_same() {
         let d = Deterministic::new(Duration::from_secs(42.0));
         let hub = RngHub::new(1);
@@ -491,121 +154,5 @@ mod tests {
             assert_eq!(d.sample(&mut rng).as_secs(), 42.0);
         }
         assert_eq!(d.mean().as_secs(), 42.0);
-    }
-
-    #[test]
-    fn empirical_resamples_trace() {
-        let trace = vec![
-            Duration::from_secs(1.0),
-            Duration::from_secs(2.0),
-            Duration::from_secs(3.0),
-        ];
-        let d = Empirical::new(trace.clone());
-        assert_eq!(d.len(), 3);
-        assert_eq!(d.mean().as_secs(), 2.0);
-        let hub = RngHub::new(3);
-        let mut rng = hub.stream("emp");
-        for _ in 0..100 {
-            let s = d.sample(&mut rng);
-            assert!(trace.contains(&s));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "non-empty")]
-    fn empirical_rejects_empty_trace() {
-        let _ = Empirical::new(vec![]);
-    }
-
-    #[test]
-    fn mixture_mean_is_weighted() {
-        let m = Mixture::new(vec![
-            (
-                1.0,
-                AnyDistribution::Deterministic(Deterministic::new(Duration::from_secs(10.0))),
-            ),
-            (
-                3.0,
-                AnyDistribution::Deterministic(Deterministic::new(Duration::from_secs(30.0))),
-            ),
-        ]);
-        // (10 + 3·30)/4 = 25.
-        assert!((m.mean().as_secs() - 25.0).abs() < 1e-12);
-        assert_eq!(m.len(), 2);
-    }
-
-    #[test]
-    fn mixture_samples_in_proportion() {
-        let m = Mixture::new(vec![
-            (
-                1.0,
-                AnyDistribution::Deterministic(Deterministic::new(Duration::from_secs(1.0))),
-            ),
-            (
-                4.0,
-                AnyDistribution::Deterministic(Deterministic::new(Duration::from_secs(2.0))),
-            ),
-        ]);
-        let hub = RngHub::new(55);
-        let mut rng = hub.stream("mix");
-        let n = 20_000;
-        let ones = (0..n)
-            .filter(|_| m.sample(&mut rng).as_secs() == 1.0)
-            .count();
-        let frac = ones as f64 / n as f64;
-        assert!((frac - 0.2).abs() < 0.01, "frac={frac}");
-    }
-
-    #[test]
-    fn mixture_sample_mean_matches_analytic() {
-        let m = Mixture::bathtub(0.2, Duration::from_hours(3.0));
-        let (mean, _) = sample_mean(&m, 100_000);
-        let expect = m.mean().as_secs();
-        assert!(
-            (mean - expect).abs() / expect < 0.05,
-            "mean={mean} expect={expect}"
-        );
-    }
-
-    #[test]
-    fn bathtub_has_heavier_early_mass_than_exponential_at_equal_mean() {
-        let tub = Mixture::bathtub(0.3, Duration::from_hours(3.0));
-        let exp = Exponential::from_mtbf(tub.mean());
-        let hub = RngHub::new(9);
-        let (mut tub_early, mut exp_early) = (0, 0);
-        let n = 50_000;
-        let threshold = tub.mean().as_secs() / 20.0;
-        let mut r1 = hub.stream("tub");
-        let mut r2 = hub.stream("exp");
-        for _ in 0..n {
-            if tub.sample(&mut r1).as_secs() < threshold {
-                tub_early += 1;
-            }
-            if exp.sample(&mut r2).as_secs() < threshold {
-                exp_early += 1;
-            }
-        }
-        assert!(
-            tub_early > exp_early * 2,
-            "bathtub early {tub_early} vs exponential {exp_early}"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn mixture_rejects_zero_weight() {
-        let _ = Mixture::new(vec![(
-            0.0,
-            AnyDistribution::Exponential(Exponential::new(1.0)),
-        )]);
-    }
-
-    #[test]
-    fn gamma_known_values() {
-        assert!((gamma(1.0) - 1.0).abs() < 1e-10);
-        assert!((gamma(2.0) - 1.0).abs() < 1e-10);
-        assert!((gamma(3.0) - 2.0).abs() < 1e-9);
-        assert!((gamma(0.5) - std::f64::consts::PI.sqrt()).abs() < 1e-9);
-        assert!((gamma(1.5) - std::f64::consts::PI.sqrt() / 2.0).abs() < 1e-9);
     }
 }

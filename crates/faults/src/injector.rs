@@ -127,29 +127,6 @@ impl FaultKind {
         }
     }
 
-    /// True for fail-stop faults (state is lost). Domain failures are
-    /// fail-stop for every node they expand to.
-    pub fn is_crash(&self) -> bool {
-        matches!(
-            self,
-            FaultKind::Crash | FaultKind::RackFailure { .. } | FaultKind::DcFailure { .. }
-        )
-    }
-
-    /// True for silent data corruption (node up, bytes rotten).
-    pub fn is_corruption(&self) -> bool {
-        matches!(self, FaultKind::Corruption { .. })
-    }
-
-    /// True for correlated whole-domain failures (rack or DC) that the
-    /// executor must expand to per-node crashes via the topology.
-    pub fn is_domain(&self) -> bool {
-        matches!(
-            self,
-            FaultKind::RackFailure { .. } | FaultKind::DcFailure { .. }
-        )
-    }
-
     /// How long a non-crash impairment lasts before the node is healthy
     /// again (`None` for crashes, which never self-heal, and for
     /// corruptions, which are instantaneous writes — the node was never
@@ -275,46 +252,6 @@ impl ClusterFaultPlan {
     pub fn is_empty(&self) -> bool {
         self.faults.is_empty()
     }
-
-    /// The first fault at or after `t`, if any. The plan is sorted by
-    /// time, so this is a `partition_point` binary search — O(log n)
-    /// where the old linear scan paid O(n) per query (it is on the hot
-    /// path of every round of a long simulated job).
-    pub fn next_at_or_after(&self, t: SimTime) -> Option<&NodeFault> {
-        let idx = self.faults.partition_point(|f| f.at < t);
-        self.faults.get(idx)
-    }
-
-    /// Faults affecting a specific node.
-    pub fn for_node(&self, node: usize) -> impl Iterator<Item = &NodeFault> {
-        self.faults.iter().filter(move |f| f.node == node)
-    }
-
-    /// Faults with `start <= at < end`, in time order — the faults that can
-    /// strike inside one protocol round's execution window.
-    pub fn in_window(&self, start: SimTime, end: SimTime) -> impl Iterator<Item = &NodeFault> {
-        self.faults
-            .iter()
-            .filter(move |f| f.at >= start && f.at < end)
-    }
-
-    /// True if two faults (on different nodes) overlap in downtime — i.e.
-    /// the second strikes before the first node's repair completes. A
-    /// single-parity scheme cannot recover from such a window.
-    pub fn has_overlapping_downtime(&self) -> bool {
-        for (i, a) in self.faults.iter().enumerate() {
-            let a_end = a.at + a.repair;
-            for b in &self.faults[i + 1..] {
-                if b.at >= a_end {
-                    break;
-                }
-                if b.node != a.node {
-                    return true;
-                }
-            }
-        }
-        false
-    }
 }
 
 /// A consuming cursor over a [`ClusterFaultPlan`] — the bridge between a
@@ -342,27 +279,11 @@ impl<'a> PlanCursor<'a> {
         self.plan.faults().get(self.next)
     }
 
-    /// The next unconsumed fault if it strikes strictly before `end`,
-    /// without consuming it.
-    pub fn peek_before(&self, end: SimTime) -> Option<&'a NodeFault> {
-        self.peek().filter(|f| f.at < end)
-    }
-
     /// Consumes and returns the next fault.
     pub fn advance(&mut self) -> Option<&'a NodeFault> {
         let f = self.plan.faults().get(self.next)?;
         self.next += 1;
         Some(f)
-    }
-
-    /// Skips every fault strictly before `t` (already in the past for the
-    /// caller), returning how many were skipped.
-    pub fn skip_before(&mut self, t: SimTime) -> usize {
-        let start = self.next;
-        while self.peek().is_some_and(|f| f.at < t) {
-            self.next += 1;
-        }
-        self.next - start
     }
 
     /// Faults not yet consumed.
@@ -454,8 +375,14 @@ mod tests {
         let small = FaultInjector::new(2, dist, Duration::ZERO).plan(horizon, &hub);
         let large = FaultInjector::new(4, dist, Duration::ZERO).plan(horizon, &hub);
         for node in 0..2 {
-            let s: Vec<_> = small.for_node(node).copied().collect();
-            let l: Vec<_> = large.for_node(node).copied().collect();
+            let of = |plan: &ClusterFaultPlan| -> Vec<NodeFault> {
+                plan.faults()
+                    .iter()
+                    .filter(|f| f.node == node)
+                    .copied()
+                    .collect()
+            };
+            let (s, l) = (of(&small), of(&large));
             assert_eq!(s, l, "node {node} schedule changed when cluster grew");
         }
     }
@@ -471,72 +398,12 @@ mod tests {
         let plan = inj.plan(Duration::from_secs(100_000.0), &hub);
         // E[count/node] = 1000; all four nodes should land within ±15 %.
         for node in 0..4 {
-            let count = plan.for_node(node).count();
+            let count = plan.faults().iter().filter(|f| f.node == node).count();
             assert!(
                 (850..=1150).contains(&count),
                 "node {node} had {count} faults"
             );
         }
-    }
-
-    #[test]
-    fn next_at_or_after_scans_forward() {
-        let plan = ClusterFaultPlan::new(vec![
-            NodeFault::crash(1, SimTime::from_secs(10.0), Duration::ZERO),
-            NodeFault::crash(0, SimTime::from_secs(5.0), Duration::ZERO),
-        ]);
-        assert_eq!(
-            plan.next_at_or_after(SimTime::from_secs(6.0)).unwrap().node,
-            1
-        );
-        assert_eq!(
-            plan.next_at_or_after(SimTime::from_secs(5.0)).unwrap().node,
-            0
-        );
-        assert!(plan.next_at_or_after(SimTime::from_secs(11.0)).is_none());
-    }
-
-    /// The `partition_point` implementation must agree with the obvious
-    /// linear scan for every query point, including exact fault instants,
-    /// duplicates, and the ends of the plan.
-    #[test]
-    fn next_at_or_after_matches_linear_scan() {
-        let inj = FaultInjector::new(
-            6,
-            Exponential::from_mtbf(Duration::from_secs(40.0)),
-            Duration::from_secs(3.0),
-        );
-        let hub = RngHub::new(4242);
-        let plan = inj.plan(Duration::from_secs(1_000.0), &hub);
-        assert!(plan.len() > 50, "want a dense plan, got {}", plan.len());
-
-        let linear = |t: SimTime| plan.faults().iter().find(|f| f.at >= t);
-        let mut queries: Vec<SimTime> = (0..200)
-            .map(|i| SimTime::from_secs((i as f64 * 5.5 - 10.0).max(0.0)))
-            .collect();
-        // Exact instants and their neighbourhoods are the edge cases.
-        for f in plan.faults() {
-            queries.push(f.at);
-            queries.push(f.at + Duration::from_secs(1e-9));
-        }
-        for t in queries {
-            assert_eq!(
-                plan.next_at_or_after(t),
-                linear(t),
-                "diverged at t={}",
-                t.as_secs()
-            );
-        }
-        // Duplicate instants: both implementations return the first.
-        let dup = ClusterFaultPlan::new(vec![
-            NodeFault::crash(2, SimTime::from_secs(1.0), Duration::ZERO),
-            NodeFault::crash(0, SimTime::from_secs(1.0), Duration::ZERO),
-            NodeFault::crash(1, SimTime::from_secs(1.0), Duration::ZERO),
-        ]);
-        assert_eq!(
-            dup.next_at_or_after(SimTime::from_secs(1.0)).unwrap().node,
-            0
-        );
     }
 
     #[test]
@@ -552,42 +419,23 @@ mod tests {
     #[test]
     fn fault_kind_heal_spans() {
         assert_eq!(FaultKind::Crash.heals_after(), None);
-        assert!(FaultKind::Crash.is_crash());
         let hang = NodeFault::hang(1, SimTime::ZERO, Duration::from_secs(2.0));
         assert_eq!(hang.kind.heals_after(), Some(Duration::from_secs(2.0)));
         let part = NodeFault::partition(2, SimTime::ZERO, PeerSet::ALL, Duration::from_secs(5.0));
         assert_eq!(part.kind.heals_after(), Some(Duration::from_secs(5.0)));
-        assert!(!part.kind.is_crash());
         let rot = NodeFault::corruption(3, SimTime::ZERO, 2, 0xBEEF);
-        assert!(rot.kind.is_corruption() && !rot.kind.is_crash());
         assert_eq!(rot.kind.heals_after(), None);
     }
 
     #[test]
     fn domain_faults_are_fail_stop_and_carry_their_index() {
         let rack = NodeFault::rack_failure(3, SimTime::from_secs(1.0), Duration::from_secs(10.0));
-        assert!(rack.kind.is_crash());
-        assert!(rack.kind.is_domain());
         assert_eq!(rack.kind.heals_after(), None);
         assert_eq!(rack.node, 3);
         assert!(matches!(rack.kind, FaultKind::RackFailure { rack: 3 }));
 
         let dc = NodeFault::dc_failure(1, SimTime::from_secs(2.0), Duration::from_secs(60.0));
-        assert!(dc.kind.is_crash() && dc.kind.is_domain());
         assert!(matches!(dc.kind, FaultKind::DcFailure { dc: 1 }));
-        assert!(!FaultKind::Crash.is_domain());
-    }
-
-    #[test]
-    fn in_window_is_half_open() {
-        let mk = |node, at| NodeFault::crash(node, SimTime::from_secs(at), Duration::ZERO);
-        let plan = ClusterFaultPlan::new(vec![mk(0, 1.0), mk(1, 2.0), mk(2, 3.0)]);
-        let hits: Vec<usize> = plan
-            .in_window(SimTime::from_secs(2.0), SimTime::from_secs(3.0))
-            .map(|f| f.node)
-            .collect();
-        // start inclusive, end exclusive.
-        assert_eq!(hits, vec![1]);
     }
 
     #[test]
@@ -600,29 +448,10 @@ mod tests {
         // Peeking repeatedly never consumes.
         assert_eq!(cur.peek().unwrap().node, 0);
         assert_eq!(cur.advance().unwrap().node, 0);
-        // peek_before honours the bound.
-        assert!(cur.peek_before(SimTime::from_secs(5.0)).is_none());
-        assert_eq!(cur.peek_before(SimTime::from_secs(6.0)).unwrap().node, 1);
-        assert_eq!(cur.skip_before(SimTime::from_secs(9.0)), 1);
+        assert_eq!(cur.advance().unwrap().node, 1);
         assert_eq!(cur.advance().unwrap().node, 2);
         assert!(cur.advance().is_none());
         assert_eq!(cur.remaining(), 0);
-    }
-
-    #[test]
-    fn overlapping_downtime_detection() {
-        let mk = |node, at, repair| {
-            NodeFault::crash(node, SimTime::from_secs(at), Duration::from_secs(repair))
-        };
-        // Node 1 fails while node 0 is still down → overlap.
-        let overlapping = ClusterFaultPlan::new(vec![mk(0, 10.0, 20.0), mk(1, 15.0, 5.0)]);
-        assert!(overlapping.has_overlapping_downtime());
-        // Sequential failures → no overlap.
-        let sequential = ClusterFaultPlan::new(vec![mk(0, 10.0, 4.0), mk(1, 15.0, 4.0)]);
-        assert!(!sequential.has_overlapping_downtime());
-        // Same node failing twice in a row is not a double failure.
-        let same_node = ClusterFaultPlan::new(vec![mk(0, 10.0, 20.0), mk(0, 25.0, 5.0)]);
-        assert!(!same_node.has_overlapping_downtime());
     }
 
     #[test]
@@ -636,6 +465,5 @@ mod tests {
         let plan = inj.plan(Duration::from_secs(100.0), &hub);
         // Each node fails at t=40 and t=80 → 6 faults.
         assert_eq!(plan.len(), 6);
-        assert!(!plan.has_overlapping_downtime());
     }
 }

@@ -7,9 +7,8 @@
 //! rate λ = 1/MTBF. The paper also acknowledges that real hardware follows
 //! a "bathtub curve". This crate provides:
 //!
-//! * [`dist`] — inter-failure-time distributions: [`Exponential`],
-//!   [`Weibull`] (bathtub segments), [`LogNormal`], [`Deterministic`], and
-//!   trace-driven [`Empirical`].
+//! * [`dist`] — inter-failure-time distributions: [`Exponential`] (the
+//!   model's assumption) and [`Deterministic`] (scripted scenarios).
 //! * [`process`] — renewal failure processes that turn a distribution into
 //!   a timeline of failure instants over a horizon.
 //! * [`injector`] — cluster-level fault injection: per-physical-node
@@ -41,10 +40,7 @@
 //!   outside, buggify stresses the code between those faults.
 //!
 //! [`Exponential`]: dist::Exponential
-//! [`Weibull`]: dist::Weibull
-//! [`LogNormal`]: dist::LogNormal
 //! [`Deterministic`]: dist::Deterministic
-//! [`Empirical`]: dist::Empirical
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -60,10 +56,7 @@ pub mod trace;
 
 pub use buggify::{FaultRegistry, Intensity};
 pub use detector::{DetectorConfig, DetectorStats, FailureDetector, Verdict};
-pub use dist::{
-    AnyDistribution, Deterministic, Empirical, Exponential, FailureDistribution, LogNormal,
-    Mixture, Weibull,
-};
+pub use dist::{Deterministic, Exponential, FailureDistribution};
 pub use injector::{ClusterFaultPlan, FaultInjector, FaultKind, NodeFault, PeerSet, PlanCursor};
 pub use mttdl::MttdlParams;
 pub use process::RenewalProcess;
@@ -71,32 +64,4 @@ pub use schedule::{
     DcKill, DomainShape, FaultSchedule, ImpairmentStorm, MixedSchedule, NodeCrashes, Quiet,
     RackKills,
 };
-pub use trace::{parse_trace, render_trace};
-
-/// Published MTBF figures quoted in the paper's introduction, handy as
-/// ready-made scenario parameters.
-pub mod presets {
-    use dvdc_simcore::time::Duration;
-
-    /// "published MTBFs of high-end clusters can be as low as 3 hours MTBF,
-    /// giving a failure rate (λ) of 9.26e-5 failures/sec" (Section V-B).
-    /// This is the Figure 5 operating point.
-    pub fn fig5_mtbf() -> Duration {
-        Duration::from_hours(3.0)
-    }
-
-    /// The λ corresponding to [`fig5_mtbf`], as quoted in the paper.
-    pub const FIG5_LAMBDA: f64 = 9.26e-5;
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-
-        #[test]
-        fn fig5_lambda_matches_three_hour_mtbf() {
-            let lambda = 1.0 / fig5_mtbf().as_secs();
-            // The paper rounds to 9.26e-5; 1/10800 = 9.259e-5.
-            assert!((lambda - FIG5_LAMBDA).abs() / FIG5_LAMBDA < 1e-3);
-        }
-    }
-}
+pub use trace::parse_trace;

@@ -54,11 +54,6 @@ impl<D: FailureDistribution> RenewalProcess<D> {
         }
         out
     }
-
-    /// Draws the time to the next failure from `now`.
-    pub fn next_failure_after<R: Rng + ?Sized>(&self, now: SimTime, rng: &mut R) -> SimTime {
-        now + self.dist.sample(rng)
-    }
 }
 
 #[cfg(test)]
@@ -128,17 +123,6 @@ mod tests {
                 assert!(t.as_secs() < 50.0);
                 assert!(t.as_secs() > 0.0);
             }
-        }
-    }
-
-    #[test]
-    fn next_failure_is_after_now() {
-        let p = RenewalProcess::new(Exponential::new(1.0));
-        let hub = RngHub::new(4);
-        let mut rng = hub.stream("n");
-        let now = SimTime::from_secs(100.0);
-        for _ in 0..100 {
-            assert!(p.next_failure_after(now, &mut rng) >= now);
         }
     }
 }

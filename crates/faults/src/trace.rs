@@ -102,27 +102,9 @@ pub fn parse_trace(input: &str, default_repair: Duration) -> Result<ClusterFault
     Ok(ClusterFaultPlan::new(faults))
 }
 
-/// Renders a plan back to the trace format (round-trip partner of
-/// [`parse_trace`]) — useful for archiving generated schedules.
-pub fn render_trace(plan: &ClusterFaultPlan) -> String {
-    let mut out = String::from("# time_secs,node,repair_secs\n");
-    for f in plan.faults() {
-        out.push_str(&format!(
-            "{},{},{}\n",
-            f.at.as_secs(),
-            f.node,
-            f.repair.as_secs()
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dist::Exponential;
-    use crate::injector::FaultInjector;
-    use dvdc_simcore::rng::RngHub;
 
     #[test]
     fn parses_basic_trace() {
@@ -170,19 +152,5 @@ mod tests {
 
         let e = parse_trace("1,2,3,4\n", Duration::ZERO).unwrap_err();
         assert!(e.reason.contains("trailing"));
-    }
-
-    #[test]
-    fn round_trips_generated_plans() {
-        let injector = FaultInjector::new(
-            4,
-            Exponential::from_mtbf(Duration::from_secs(200.0)),
-            Duration::from_secs(7.0),
-        );
-        let hub = RngHub::new(42);
-        let plan = injector.plan(Duration::from_secs(2_000.0), &hub);
-        let rendered = render_trace(&plan);
-        let reparsed = parse_trace(&rendered, Duration::ZERO).unwrap();
-        assert_eq!(plan.faults(), reparsed.faults());
     }
 }

@@ -93,24 +93,6 @@ pub fn expected_time_checkpoint_overhead(
     per_segment * (total / interval)
 }
 
-/// As [`expected_time_checkpoint_overhead`] but with an in-band failure
-/// detector instead of the paper's implicit oracle: each failure first
-/// costs `detection` seconds of silence (missed heartbeats + confirmation
-/// grace) before repair can begin. Algebraically this is just the oracle
-/// formula with `repair + detection` — the detection window is paid on
-/// exactly the same events repair is — and we test that equivalence.
-pub fn expected_time_checkpoint_overhead_detected(
-    lambda: f64,
-    total: f64,
-    interval: f64,
-    overhead: f64,
-    repair: f64,
-    detection: f64,
-) -> f64 {
-    assert!(detection >= 0.0, "detection window must be non-negative");
-    expected_time_checkpoint_overhead(lambda, total, interval, overhead, repair + detection)
-}
-
 /// The expected-time **ratio** `E[T]/T` the Figure 5 y-axis plots.
 pub fn completion_ratio(lambda: f64, total: f64, interval: f64, overhead: f64, repair: f64) -> f64 {
     expected_time_checkpoint_overhead(lambda, total, interval, overhead, repair) / total
@@ -218,30 +200,6 @@ mod tests {
         // The true optimum should beat both 0.5× and 2× Young.
         assert!(f(young) < f(young * 0.4));
         assert!(f(young) < f(young * 2.5));
-    }
-
-    #[test]
-    fn detected_variant_folds_into_repair() {
-        // Zero detection window == the oracle model.
-        let oracle = expected_time_checkpoint_overhead(LAMBDA, T2D, 600.0, 5.0, 30.0);
-        let zero = expected_time_checkpoint_overhead_detected(LAMBDA, T2D, 600.0, 5.0, 30.0, 0.0);
-        assert!((oracle - zero).abs() < 1e-12);
-        // A positive window is identical to lengthening repair by it.
-        let det = expected_time_checkpoint_overhead_detected(LAMBDA, T2D, 600.0, 5.0, 30.0, 0.07);
-        let folded = expected_time_checkpoint_overhead(LAMBDA, T2D, 600.0, 5.0, 30.07);
-        assert!((det - folded).abs() < 1e-12);
-        assert!(det > oracle);
-    }
-
-    #[test]
-    fn detection_cost_scales_with_expected_failures() {
-        // The marginal cost of the window is (expected failures) × window:
-        // detection is a per-failure tax, nothing more.
-        let (n, ov, rep, d) = (600.0, 5.0, 30.0, 0.5);
-        let base = expected_time_checkpoint_overhead(LAMBDA, T2D, n, ov, rep);
-        let det = expected_time_checkpoint_overhead_detected(LAMBDA, T2D, n, ov, rep, d);
-        let failures = expected_failures(LAMBDA, n + ov) * (T2D / n);
-        assert!(((det - base) - failures * d).abs() / (det - base) < 1e-9);
     }
 
     #[test]

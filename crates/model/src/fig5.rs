@@ -89,23 +89,18 @@ fn sweep_curve(kind: ProtocolKind, p: &Fig5Params, intervals: &[f64]) -> Fig5Cur
 }
 
 /// Log-spaced interval grid from `lo` to `hi` with `n` samples.
-pub fn log_intervals(lo: f64, hi: f64, n: usize) -> Vec<f64> {
+fn log_intervals(lo: f64, hi: f64, n: usize) -> Vec<f64> {
     assert!(n >= 2 && lo > 0.0 && hi > lo, "bad grid spec");
     let step = (hi / lo).ln() / (n - 1) as f64;
     (0..n).map(|i| lo * (step * i as f64).exp()).collect()
 }
 
-/// Runs the full Figure 5 analysis: both curves over `intervals` (or the
-/// default 10 s – 12 h grid), minima, and the headline comparisons.
+/// Runs the full Figure 5 analysis: both curves over a 10 s – 12 h grid,
+/// minima, and the headline comparisons.
 pub fn run(p: &Fig5Params) -> Fig5Result {
     let intervals = log_intervals(10.0, 12.0 * 3600.0, 200);
-    run_with_intervals(p, &intervals)
-}
-
-/// As [`run`] but with a caller-supplied interval grid.
-pub fn run_with_intervals(p: &Fig5Params, intervals: &[f64]) -> Fig5Result {
-    let diskless = sweep_curve(ProtocolKind::Diskless, p, intervals);
-    let disk_full = sweep_curve(ProtocolKind::DiskFull, p, intervals);
+    let diskless = sweep_curve(ProtocolKind::Diskless, p, &intervals);
+    let disk_full = sweep_curve(ProtocolKind::DiskFull, p, &intervals);
     let reduction = (disk_full.optimal_ratio - diskless.optimal_ratio) / disk_full.optimal_ratio;
     Fig5Result {
         diskless_overhead_ratio: diskless.optimal_ratio - 1.0,

@@ -33,7 +33,7 @@ pub struct JobSpec {
 /// during a segment wastes the time already spent in it plus `repair`,
 /// and the segment restarts. (The model, like the paper's, assumes
 /// failures during repair do not compound.)
-pub fn simulate_once<R: Rng + ?Sized>(spec: &JobSpec, rng: &mut R) -> f64 {
+fn simulate_once<R: Rng + ?Sized>(spec: &JobSpec, rng: &mut R) -> f64 {
     let segments = (spec.total / spec.interval).ceil() as u64;
     // The final segment may be shorter if interval doesn't divide total.
     let last_len = spec.total - (segments - 1) as f64 * spec.interval;
@@ -64,57 +64,6 @@ pub fn simulate(spec: &JobSpec, trials: u64, hub: &RngHub) -> McSummary {
     montecarlo::run(hub, trials, |h| {
         let mut rng = h.stream("job");
         simulate_once(spec, &mut rng)
-    })
-}
-
-/// Simulates one completion under an **arbitrary renewal failure
-/// process** — the generalisation the paper flags but does not model
-/// ("cf. the 'bathtub curve' … it is often used as a basis for
-/// fundamental design decisions due to its mathematical tractability").
-///
-/// Unlike [`simulate_once`], which exploits the exponential's
-/// memorylessness to draw per-segment, this walks a pre-drawn timeline of
-/// failure instants (inter-arrivals from `dist`, failures separated by
-/// `spec.repair` downtime) against the checkpointed job, so Weibull,
-/// lognormal, or trace-driven processes are handled exactly.
-pub fn simulate_once_renewal<D, R>(spec: &JobSpec, dist: &D, rng: &mut R) -> f64
-where
-    D: dvdc_faults::dist::FailureDistribution,
-    R: Rng + ?Sized,
-{
-    let segments = (spec.total / spec.interval).ceil() as u64;
-    let last_len = spec.total - (segments - 1) as f64 * spec.interval;
-    let mut clock = 0.0;
-    let mut next_failure = dist.sample(rng).as_secs();
-    for s in 0..segments {
-        let work = if s + 1 == segments {
-            last_len
-        } else {
-            spec.interval
-        };
-        let exposure = work + spec.overhead;
-        loop {
-            if next_failure >= clock + exposure {
-                clock += exposure;
-                break;
-            }
-            // Failure mid-segment: lose the partial work, pay repair, and
-            // the *next* inter-failure interval starts after the repair.
-            clock = next_failure + spec.repair;
-            next_failure = clock + dist.sample(rng).as_secs();
-        }
-    }
-    clock
-}
-
-/// Monte-Carlo over [`simulate_once_renewal`].
-pub fn simulate_renewal<D>(spec: &JobSpec, dist: &D, trials: u64, hub: &RngHub) -> McSummary
-where
-    D: dvdc_faults::dist::FailureDistribution,
-{
-    montecarlo::run(hub, trials, |h| {
-        let mut rng = h.stream("renewal-job");
-        simulate_once_renewal(spec, dist, &mut rng)
     })
 }
 
@@ -216,86 +165,6 @@ mod tests {
         let a = simulate(&spec, 500, &hub());
         let b = simulate(&spec, 500, &hub());
         assert_eq!(a.mean, b.mean);
-    }
-
-    use dvdc_faults::dist::FailureDistribution as _;
-
-    #[test]
-    fn renewal_with_exponential_matches_memoryless_path() {
-        // The renewal walker and the per-segment sampler must agree (in
-        // distribution) when the process is Poisson. NOTE: the renewal
-        // walker carries residual exposure across segments, which for the
-        // exponential is equivalent by memorylessness.
-        let spec = JobSpec {
-            lambda: 1.0 / 1800.0,
-            total: 14_400.0,
-            interval: 900.0,
-            overhead: 10.0,
-            repair: 30.0,
-        };
-        let dist = dvdc_faults::dist::Exponential::new(spec.lambda);
-        let a = simulate(&spec, 4_000, &hub());
-        let b = simulate_renewal(&spec, &dist, 4_000, &hub());
-        assert!(
-            (a.mean - b.mean).abs() / a.mean < 0.02,
-            "memoryless {} vs renewal {}",
-            a.mean,
-            b.mean
-        );
-    }
-
-    #[test]
-    fn weibull_shape_biases_poisson_prediction() {
-        // The paper leans on the Poisson assumption "due to its
-        // mathematical tractability" while noting real hardware follows a
-        // bathtub curve. At equal MTBF the renewal simulation quantifies
-        // the bias, and its direction is instructive:
-        //   k < 1 (infant mortality): failures cluster right after
-        //   repairs, i.e. near segment starts, so each failure wastes
-        //   *less* partial work → E[T] below the Poisson prediction.
-        //   k > 1 (wear-out): gaps are regular and land deep inside
-        //   segments → E[T] above the Poisson prediction.
-        let spec = JobSpec {
-            lambda: 1.0 / 3600.0,
-            total: 28_800.0,
-            interval: 1200.0,
-            overhead: 20.0,
-            repair: 60.0,
-        };
-        let mtbf = dvdc_simcore::time::Duration::from_secs(3600.0);
-        let exp = dvdc_faults::dist::Exponential::from_mtbf(mtbf);
-        let poisson = simulate_renewal(&spec, &exp, 3_000, &hub());
-
-        let weibull_mean_one = |k: f64| {
-            dvdc_faults::dist::Weibull::new(k, dvdc_simcore::time::Duration::from_secs(1.0))
-                .mean()
-                .as_secs()
-        };
-        let at_mtbf = |k: f64| {
-            dvdc_faults::dist::Weibull::new(
-                k,
-                dvdc_simcore::time::Duration::from_secs(3600.0 / weibull_mean_one(k)),
-            )
-        };
-
-        let infant = at_mtbf(0.5);
-        assert!((infant.mean().as_secs() - 3600.0).abs() / 3600.0 < 0.01);
-        let infant_run = simulate_renewal(&spec, &infant, 3_000, &hub());
-        assert!(
-            infant_run.mean + infant_run.ci95 < poisson.mean,
-            "infant mortality {} should beat poisson {}",
-            infant_run.mean,
-            poisson.mean
-        );
-
-        let wearout = at_mtbf(2.0);
-        let wearout_run = simulate_renewal(&spec, &wearout, 3_000, &hub());
-        assert!(
-            wearout_run.mean - wearout_run.ci95 > poisson.mean,
-            "wear-out {} should exceed poisson {}",
-            wearout_run.mean,
-            poisson.mean
-        );
     }
 
     #[test]

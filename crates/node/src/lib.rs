@@ -160,6 +160,7 @@ impl NodeOptions {
                 opts.addrs.len()
             ));
         }
+        opts.spec().validate()?;
         Ok(opts)
     }
 
@@ -330,6 +331,11 @@ mod tests {
         ))
         .unwrap_err();
         assert!(err.contains("out of range"));
+        let err = NodeOptions::parse(args(
+            "--data 1 --parity 1 --addrs 127.0.0.1:1,127.0.0.1:2 --hb-ms 50 --timeout-ms 60",
+        ))
+        .unwrap_err();
+        assert!(err.contains("two heartbeat intervals"), "{err}");
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!
 //! Recorders:
 //!
-//! * [`NoopRecorder`] — the zero-cost default. Instrumented code asks
+//! * [`RecorderHandle::noop`] — the zero-cost default. Instrumented code asks
 //!   [`RecorderHandle::enabled`] before doing any work, so an
 //!   uninstrumented run pays one virtual call per *attachment*, not per
 //!   event.
@@ -91,7 +91,7 @@ pub trait Recorder {
     /// Consumes one event.
     fn record(&self, at: SimTime, event: &Event);
 
-    /// False for sinks that discard everything ([`NoopRecorder`]).
+    /// False for sinks that discard everything ([`RecorderHandle::noop`]).
     /// Instrumented code checks this once per step and skips event
     /// construction entirely when recording is off, keeping the default
     /// path free.
@@ -103,7 +103,7 @@ pub trait Recorder {
 /// The zero-cost default recorder: drops every event, reports itself
 /// disabled so instrumented code skips event construction altogether.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct NoopRecorder;
+struct NoopRecorder;
 
 impl Recorder for NoopRecorder {
     fn record(&self, _at: SimTime, _event: &Event) {}

@@ -113,31 +113,6 @@ impl Raid5Layout {
         let w = self.width as u64;
         ((w - 1) - (epoch % w)) as usize
     }
-
-    /// True if `member` holds data (not parity) in epoch `e`.
-    pub fn is_data_member(&self, epoch: u64, member: usize) -> bool {
-        member < self.width && member != self.parity_member(epoch)
-    }
-
-    /// The data members of epoch `e`, in index order.
-    pub fn data_members(&self, epoch: u64) -> impl Iterator<Item = usize> + '_ {
-        let p = self.parity_member(epoch);
-        (0..self.width).filter(move |&m| m != p)
-    }
-
-    /// Number of epochs in one full rotation (after which the pattern
-    /// repeats).
-    pub fn rotation_period(&self) -> u64 {
-        self.width as u64
-    }
-
-    /// Fraction of epochs for which a given member holds parity — exactly
-    /// `1/width` for every member, which is the load-balance property the
-    /// paper exploits ("each node contribute\[s\] equally to parity
-    /// checkpointing").
-    pub fn parity_share(&self) -> f64 {
-        1.0 / self.width as f64
-    }
 }
 
 #[cfg(test)]
@@ -257,26 +232,5 @@ mod tests {
         // Parity walks backwards: member 3, 2, 1, 0, 3, ...
         let seq: Vec<usize> = (0..8).map(|e| layout.parity_member(e)).collect();
         assert_eq!(seq, vec![3, 2, 1, 0, 3, 2, 1, 0]);
-    }
-
-    #[test]
-    fn data_members_exclude_parity() {
-        let layout = Raid5Layout::new(3);
-        for epoch in 0..6 {
-            let p = layout.parity_member(epoch);
-            let data: Vec<usize> = layout.data_members(epoch).collect();
-            assert_eq!(data.len(), 2);
-            assert!(!data.contains(&p));
-            assert!(!layout.is_data_member(epoch, p));
-            for &d in &data {
-                assert!(layout.is_data_member(epoch, d));
-            }
-        }
-    }
-
-    #[test]
-    fn parity_share_is_uniform() {
-        assert_eq!(Raid5Layout::new(4).parity_share(), 0.25);
-        assert_eq!(Raid5Layout::new(4).rotation_period(), 4);
     }
 }

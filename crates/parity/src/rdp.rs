@@ -44,7 +44,7 @@ impl RdpCode {
     /// The smallest prime `p` such that the code hosts at least `k` data
     /// shards (unused data columns are treated as implicit zeroes by the
     /// caller; this helper just picks the geometry).
-    pub fn for_data_shards(k: usize) -> Self {
+    fn for_data_shards(k: usize) -> Self {
         let mut p = (k + 1).max(3);
         while !is_prime(p) {
             p += 1;
@@ -339,7 +339,7 @@ impl ZeroPaddedRdp {
     }
 
     /// Number of virtual zero shards added to fill the geometry.
-    pub fn virtual_shards(&self) -> usize {
+    fn virtual_shards(&self) -> usize {
         self.inner.data_shards() - self.k
     }
 }

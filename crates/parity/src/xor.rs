@@ -77,7 +77,7 @@ pub fn effective_parallel_workers(len: usize, threads: usize) -> usize {
 ///
 /// # Panics
 /// Panics if the slices differ in length or `threads == 0`.
-pub fn xor_into_parallel(dst: &mut [u8], src: &[u8], threads: usize) {
+fn xor_into_parallel(dst: &mut [u8], src: &[u8], threads: usize) {
     assert_eq!(dst.len(), src.len(), "xor operands must have equal length");
     assert!(threads > 0, "need at least one thread");
     let workers = effective_parallel_workers(dst.len(), threads);

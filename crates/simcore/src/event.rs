@@ -100,11 +100,6 @@ impl<E> EventQueue<E> {
         }));
     }
 
-    /// Schedules `event` to fire `delay` after the current clock.
-    pub fn schedule_after(&mut self, delay: crate::time::Duration, event: E) {
-        self.schedule(self.now + delay, event);
-    }
-
     /// Schedules a batch of events, reserving heap capacity up front —
     /// the engine's commit path for everything a handler buffered, so a
     /// handler fanning out N follow-ups costs one reservation rather
@@ -137,18 +132,6 @@ impl<E> EventQueue<E> {
         Some((entry.time, entry.event))
     }
 
-    /// Drains events strictly before `horizon`, in order.
-    pub fn pop_until(&mut self, horizon: SimTime) -> Vec<(SimTime, E)> {
-        let mut out = Vec::new();
-        while let Some(t) = self.peek_time() {
-            if t >= horizon {
-                break;
-            }
-            out.push(self.pop().expect("peeked event must pop"));
-        }
-        out
-    }
-
     /// Discards all pending events without moving the clock.
     pub fn clear(&mut self) {
         self.heap.clear();
@@ -173,7 +156,6 @@ impl<E> EventQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::Duration;
 
     #[test]
     fn pops_in_time_order() {
@@ -206,37 +188,12 @@ mod tests {
     }
 
     #[test]
-    fn schedule_after_uses_current_clock() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_secs(10.0), "first");
-        q.pop();
-        q.schedule_after(Duration::from_secs(5.0), "second");
-        assert_eq!(q.peek_time(), Some(SimTime::from_secs(15.0)));
-    }
-
-    #[test]
     #[should_panic(expected = "cannot schedule event in the past")]
     fn scheduling_in_the_past_panics() {
         let mut q = EventQueue::new();
         q.schedule(SimTime::from_secs(10.0), ());
         q.pop();
         q.schedule(SimTime::from_secs(5.0), ());
-    }
-
-    #[test]
-    fn pop_until_respects_horizon() {
-        let mut q = EventQueue::new();
-        for i in 1..=5 {
-            q.schedule(SimTime::from_secs(i as f64), i);
-        }
-        let drained = q.pop_until(SimTime::from_secs(3.0));
-        assert_eq!(
-            drained.iter().map(|&(_, e)| e).collect::<Vec<_>>(),
-            vec![1, 2]
-        );
-        assert_eq!(q.len(), 3);
-        // Horizon is exclusive: event at exactly t=3 remains.
-        assert_eq!(q.peek_time(), Some(SimTime::from_secs(3.0)));
     }
 
     #[test]

@@ -43,11 +43,6 @@ impl RngHub {
         RngHub { master_seed }
     }
 
-    /// The master seed this hub was created with.
-    pub fn master_seed(&self) -> u64 {
-        self.master_seed
-    }
-
     /// A fresh RNG for the stream `name`.
     pub fn stream(&self, name: &str) -> StreamRng {
         self.stream_indexed(name, 0)

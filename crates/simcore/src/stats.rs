@@ -73,7 +73,7 @@ impl Welford {
     }
 
     /// Standard error of the mean.
-    pub fn std_err(&self) -> f64 {
+    fn std_err(&self) -> f64 {
         if self.n == 0 {
             0.0
         } else {

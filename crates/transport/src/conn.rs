@@ -47,18 +47,8 @@ impl std::error::Error for ConnectError {}
 
 /// Convert a simcore [`Duration`] (f64 seconds) into a std sleep
 /// duration, clamping negatives to zero.
-pub fn to_std(d: Duration) -> StdDuration {
+fn to_std(d: Duration) -> StdDuration {
     StdDuration::from_secs_f64(d.as_secs().max(0.0))
-}
-
-/// The full backoff schedule a dialer will sleep through under `policy`
-/// with jitter `seed`: one entry per attempt after the first. Pure —
-/// unit-testable without sockets, and what
-/// [`connect_with_retry`] actually sleeps.
-pub fn backoff_schedule(policy: &RetryPolicy, seed: u64) -> Vec<Duration> {
-    (1..policy.max_attempts)
-        .map(|attempt| policy.backoff_with_jitter(attempt, seed))
-        .collect()
 }
 
 /// Dial, retrying per `policy` with jittered backoff between attempts.
@@ -67,7 +57,7 @@ pub fn backoff_schedule(policy: &RetryPolicy, seed: u64) -> Vec<Duration> {
 /// `TcpStream::connect_timeout` and `std::thread::sleep`.
 /// On success, also reports the number of attempts the dial took
 /// (1 = first try) so callers can count retries.
-pub fn connect_with_retry_using<D, S>(
+fn connect_with_retry_using<D, S>(
     policy: &RetryPolicy,
     seed: u64,
     mut dial: D,
@@ -104,7 +94,7 @@ where
     })
 }
 
-/// [`connect_with_retry_using`] on `addr` with real `sleep` backoff.
+/// Dial `addr`, retrying per `policy` with real `sleep` backoff.
 pub fn connect_with_retry(
     addr: SocketAddr,
     policy: &RetryPolicy,
@@ -124,29 +114,6 @@ mod tests {
         RetryPolicy {
             max_attempts: attempts,
             base_backoff: Duration::from_millis(base_ms),
-        }
-    }
-
-    #[test]
-    fn schedule_is_deterministic_per_seed() {
-        let p = policy(4, 2.0);
-        assert_eq!(backoff_schedule(&p, 7), backoff_schedule(&p, 7));
-        assert_ne!(backoff_schedule(&p, 7), backoff_schedule(&p, 8));
-    }
-
-    #[test]
-    fn schedule_grows_exponentially_within_jitter_band() {
-        let p = policy(5, 2.0);
-        for (i, b) in backoff_schedule(&p, 3).iter().enumerate() {
-            let attempt = (i + 1) as u32;
-            let nominal = 2.0e-3 * f64::from(1u32 << (attempt - 1));
-            let secs = b.as_secs();
-            assert!(
-                secs >= nominal * 0.5 && secs < nominal * 1.5,
-                "attempt {attempt}: {secs}s outside [{}, {})",
-                nominal * 0.5,
-                nominal * 1.5
-            );
         }
     }
 
@@ -184,7 +151,9 @@ mod tests {
             }) => assert_eq!((attempts, all_refused), (3, true)),
             other => panic!("expected Exhausted, got {other:?}"),
         }
-        let expected: Vec<StdDuration> = backoff_schedule(&p, 42).into_iter().map(to_std).collect();
+        let expected: Vec<StdDuration> = (1..3)
+            .map(|attempt| to_std(p.backoff_with_jitter(attempt, 42)))
+            .collect();
         assert_eq!(slept, expected);
     }
 

@@ -166,7 +166,7 @@ enum ToWriter {
 /// status poller has long since become the "most recent" ctl
 /// connection. The connection that sent `CheckpointReq` is therefore
 /// pinned separately until its outcome is delivered.
-pub struct TcpTransport {
+struct TcpTransport {
     peers: BTreeMap<NodeId, Sender<ToWriter>>,
     /// The most recent ctl connection: immediate replies (status,
     /// digest, kill-query) go here.

@@ -11,7 +11,7 @@ use rand::Rng;
 use crate::fabric::{FabricModel, LinkClass};
 use crate::ids::{NodeId, VmId};
 use crate::memory::MemoryImage;
-use crate::topology::{DcId, RackId, Topology};
+use crate::topology::{RackId, Topology};
 use crate::workload::{AccessPattern, Workload};
 use dvdc_simcore::time::Duration;
 
@@ -355,7 +355,7 @@ impl Cluster {
     }
 
     /// Which topology tier the path between two nodes crosses.
-    pub fn link_class(&self, a: NodeId, b: NodeId) -> LinkClass {
+    fn link_class(&self, a: NodeId, b: NodeId) -> LinkClass {
         let (ra, rb) = (self.topology.rack_of(a), self.topology.rack_of(b));
         if ra == rb {
             LinkClass::IntraRack
@@ -394,25 +394,14 @@ impl Cluster {
         lost
     }
 
-    /// Fails every node in `dc`. Returns all VMs taken down, in node
-    /// order.
-    pub fn fail_dc(&mut self, dc: DcId) -> Vec<VmId> {
-        let victims = self.topology.nodes_in_dc(dc);
-        let mut lost = Vec::new();
-        for node in victims {
-            lost.extend(self.fail_node(node));
-        }
-        lost
-    }
-
     /// Brings a repaired node back (its VMs are still placed there; their
     /// memory must be restored by the recovery protocol before use).
     pub fn repair_node(&mut self, node: NodeId) {
         self.nodes[node.index()].up = true;
     }
 
-    /// Moves `vm` to `to` (live migration's placement effect; the timing
-    /// is computed by `dvdc-migrate`).
+    /// Moves `vm` to `to`: live migration's placement effect (its
+    /// transfer time is not modelled).
     ///
     /// # Panics
     /// Panics if the destination node is down.
@@ -596,23 +585,6 @@ mod tests {
         assert!(!c.is_up(NodeId(2)));
         assert!(!c.is_up(NodeId(3)));
         assert!(c.is_up(NodeId(0)));
-    }
-
-    #[test]
-    fn dc_failure_takes_every_rack_in_it() {
-        let mut c = Cluster::builder()
-            .physical_nodes(8)
-            .vms_per_node(1)
-            .vm_memory(8, 32)
-            .topology(TopologySpec::UniformRacks {
-                nodes_per_rack: 2,
-                racks_per_dc: 2,
-            })
-            .build(0);
-        assert_eq!(c.topology().dc_count(), 2);
-        let lost = c.fail_dc(crate::topology::DcId(0));
-        assert_eq!(lost, vec![VmId(0), VmId(1), VmId(2), VmId(3)]);
-        assert_eq!(c.up_node_count(), 4);
     }
 
     #[test]

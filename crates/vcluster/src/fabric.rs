@@ -36,25 +36,6 @@ impl Default for NetworkModel {
 }
 
 impl NetworkModel {
-    /// 10 GbE links with a 4× filer — a 2020s refresh of the defaults.
-    pub fn ten_gig() -> Self {
-        NetworkModel {
-            link_bandwidth: 1.25e9,
-            nas_bandwidth: 5e9,
-            latency: Duration::from_micros(20.0),
-        }
-    }
-
-    /// FDR InfiniBand-class fabric: ~56 Gb/s links, microsecond latency,
-    /// a parallel file system worth 4 links.
-    pub fn infiniband() -> Self {
-        NetworkModel {
-            link_bandwidth: 7e9,
-            nas_bandwidth: 28e9,
-            latency: Duration::from_micros(2.0),
-        }
-    }
-
     /// Time to push `bytes` over one point-to-point link.
     pub fn link_transfer(&self, bytes: usize) -> Duration {
         self.latency + Duration::from_secs(bytes as f64 / self.link_bandwidth)
@@ -241,7 +222,7 @@ impl FabricModel {
 
     /// The link model charged to a path of the given class: the matching
     /// tier when tiers are installed, the flat `network` otherwise.
-    pub fn network_for(&self, class: LinkClass) -> &NetworkModel {
+    fn network_for(&self, class: LinkClass) -> &NetworkModel {
         match &self.tiers {
             Some(t) => t.model(class),
             None => &self.network,
@@ -331,21 +312,6 @@ mod tests {
         let fabric = FabricModel::default();
         assert!(fabric.xor_vs_disk_speedup(1 << 30) > 40.0);
         assert!(fabric.xor_vs_disk_speedup(1 << 20) > 10.0);
-    }
-
-    #[test]
-    fn presets_are_ordered_by_generation() {
-        let gige = NetworkModel::default();
-        let tgig = NetworkModel::ten_gig();
-        let ib = NetworkModel::infiniband();
-        assert!(tgig.link_bandwidth > gige.link_bandwidth);
-        assert!(ib.link_bandwidth > tgig.link_bandwidth);
-        assert!(ib.latency < tgig.latency);
-        assert!(tgig.latency < gige.latency);
-        // Faster fabrics actually transfer faster.
-        let payload = 1 << 30;
-        assert!(ib.link_transfer(payload) < tgig.link_transfer(payload));
-        assert!(tgig.link_transfer(payload) < gige.link_transfer(payload));
     }
 
     #[test]

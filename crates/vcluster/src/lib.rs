@@ -24,9 +24,8 @@
 //!   (whole rack, whole DC) that rack-aware placement must respect.
 //! * [`cluster`] — the cluster itself: node/VM topology, placement,
 //!   migration of VMs between nodes, and node up/down state.
-//! * [`messaging`] — FIFO VM-to-VM channels, the substrate the
-//!   coordinated-snapshot algorithm (`dvdc::snapshot`) captures
-//!   consistently.
+//! * [`messaging`] — node-to-node transfer bookkeeping: fence epochs,
+//!   the retry backoff, and the simulated protocol's transfer ledger.
 //!
 //! ## Example
 //!
@@ -60,8 +59,8 @@ pub use fabric::{DiskModel, FabricModel, MemoryModel, NetworkModel};
 pub use ids::{NodeId, PageIndex, VmId};
 pub use memory::MemoryImage;
 pub use messaging::{
-    FenceRegistry, FenceToken, LedgerError, MessageFabric, NodeTransfer, RetryDecision,
-    RetryPolicy, TransferLedger,
+    FenceRegistry, FenceToken, LedgerError, NodeTransfer, RetryDecision, RetryPolicy,
+    TransferLedger,
 };
 pub use topology::{DcId, RackId, Topology};
 pub use workload::{

@@ -109,27 +109,14 @@ impl MemoryImage {
 
     /// Marks a page dirty without changing contents (e.g. a write of the
     /// same value still dirties the page at hypervisor granularity).
-    pub fn mark_dirty(&mut self, idx: usize) {
+    fn mark_dirty(&mut self, idx: usize) {
         assert!(idx < self.page_count, "page {idx} out of range");
         self.dirty[idx / 64] |= 1 << (idx % 64);
-    }
-
-    /// True if the page was written since the last [`clear_dirty`].
-    ///
-    /// [`clear_dirty`]: MemoryImage::clear_dirty
-    pub fn is_dirty(&self, idx: usize) -> bool {
-        assert!(idx < self.page_count, "page {idx} out of range");
-        self.dirty[idx / 64] & (1 << (idx % 64)) != 0
     }
 
     /// Number of dirty pages.
     pub fn dirty_count(&self) -> usize {
         self.dirty.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// Dirty bytes (dirty pages × page size).
-    pub fn dirty_bytes(&self) -> usize {
-        self.dirty_count() * self.page_size
     }
 
     /// Indices of dirty pages, ascending.
@@ -147,22 +134,6 @@ impl MemoryImage {
             }
         }
         out
-    }
-
-    /// Coalesced runs of dirty pages as `(first_page, page_count)` pairs,
-    /// ascending. Contiguous dirty regions — the common case for guest
-    /// working sets — surface as single runs, which is what lets the
-    /// incremental parity transport feed long slices to the XOR kernels
-    /// instead of one page at a time.
-    pub fn dirty_page_runs(&self) -> Vec<(usize, usize)> {
-        let mut runs: Vec<(usize, usize)> = Vec::new();
-        for idx in self.dirty_pages() {
-            match runs.last_mut() {
-                Some((start, count)) if *start + *count == idx => *count += 1,
-                _ => runs.push((idx, 1)),
-            }
-        }
-        runs
     }
 
     /// Resets the dirty bitmap — called when a checkpoint epoch completes
@@ -223,11 +194,9 @@ mod tests {
     fn write_page_dirties_exactly_one_page() {
         let mut img = MemoryImage::zeroed(100, 16);
         img.write_page(42, &[7u8; 16]);
-        assert!(img.is_dirty(42));
         assert_eq!(img.dirty_count(), 1);
         assert_eq!(img.dirty_pages(), vec![42]);
         assert_eq!(img.page(PageIndex(42)), &[7u8; 16]);
-        assert_eq!(img.dirty_bytes(), 16);
     }
 
     #[test]
@@ -236,7 +205,7 @@ mod tests {
         let before = img.page(PageIndex(3)).to_vec();
         img.touch_page(3, 0xDEADBEEF);
         assert_ne!(img.page(PageIndex(3)), &before[..]);
-        assert!(img.is_dirty(3));
+        assert_eq!(img.dirty_pages(), vec![3]);
     }
 
     #[test]
@@ -262,22 +231,6 @@ mod tests {
         img.restore(&saved);
         assert_eq!(img.as_bytes(), &saved[..]);
         assert_eq!(img.dirty_count(), 0, "rollback clears dirty state");
-    }
-
-    #[test]
-    fn dirty_page_runs_coalesce() {
-        let mut img = MemoryImage::zeroed(140, 4);
-        assert!(img.dirty_page_runs().is_empty());
-        for idx in [0, 1, 2, 5, 63, 64, 65, 139] {
-            img.mark_dirty(idx);
-        }
-        // Runs cross u64 bitmap word boundaries (63/64/65) seamlessly.
-        assert_eq!(
-            img.dirty_page_runs(),
-            vec![(0, 3), (5, 1), (63, 3), (139, 1)]
-        );
-        let pages: usize = img.dirty_page_runs().iter().map(|(_, n)| n).sum();
-        assert_eq!(pages, img.dirty_count());
     }
 
     #[test]

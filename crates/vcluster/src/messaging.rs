@@ -1,165 +1,20 @@
-//! VM-to-VM FIFO message channels.
+//! Node-to-node transfer bookkeeping: who may still send, how a failed
+//! send is retried, and which transfers are open.
 //!
-//! The paper's protocols "coordinate a consistent distributed checkpoint"
-//! (Section IV-A) — which only means something if VMs exchange messages
-//! whose in-flight state must be captured consistently. This module
-//! provides the channel substrate: reliable, FIFO, unidirectional
-//! channels between VMs that can carry application messages *and* the
-//! snapshot markers of the Chandy–Lamport algorithm in `dvdc::snapshot`
-//! (FIFO ordering between a marker and surrounding messages is exactly
-//! what that algorithm relies on).
+//! - [`FenceRegistry`] / [`FenceToken`]: per-node fence epochs, so
+//!   anything a node stamped before it was declared dead is rejected
+//!   when it arrives. Both protocol bodies use it.
+//! - [`RetryPolicy`]: the bounded exponential backoff both bodies retry
+//!   a failed transfer with.
+//! - [`TransferLedger`]: the simulated protocol's record of transfers in
+//!   flight, which a node failure or a fence cancels.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use crate::ids::{NodeId, VmId};
+use crate::ids::NodeId;
 use dvdc_simcore::rng::{splitmix64, SPLITMIX_GAMMA};
 use dvdc_simcore::time::Duration;
-
-/// An application message: an opaque 64-bit payload plus a sequence
-/// number unique per channel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Message {
-    /// Per-channel sequence number, starting at 0.
-    pub seq: u64,
-    /// Application payload.
-    pub payload: u64,
-}
-
-/// One item travelling on a channel: a message or a snapshot marker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChannelItem {
-    /// An application message.
-    Msg(Message),
-    /// A snapshot marker carrying the snapshot's identifier.
-    Marker(u64),
-}
-
-/// A unidirectional FIFO channel.
-#[derive(Debug, Clone, Default)]
-struct Channel {
-    queue: VecDeque<ChannelItem>,
-    next_seq: u64,
-}
-
-/// All channels of a cluster. Channels are created on first use
-/// (`connect`) and identified by the `(from, to)` pair.
-#[derive(Debug, Clone, Default)]
-pub struct MessageFabric {
-    channels: BTreeMap<(VmId, VmId), Channel>,
-}
-
-impl MessageFabric {
-    /// Creates an empty fabric.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Builds the complete graph over `vms` (every ordered pair gets a
-    /// channel) — the worst case for snapshot coordination.
-    pub fn fully_connected(vms: &[VmId]) -> Self {
-        let mut f = MessageFabric::new();
-        for &a in vms {
-            for &b in vms {
-                if a != b {
-                    f.connect(a, b);
-                }
-            }
-        }
-        f
-    }
-
-    /// Ensures the channel `from → to` exists.
-    ///
-    /// # Panics
-    /// Panics on a self-channel.
-    pub fn connect(&mut self, from: VmId, to: VmId) {
-        assert_ne!(from, to, "no self-channels");
-        self.channels.entry((from, to)).or_default();
-    }
-
-    /// True if the channel exists.
-    pub fn is_connected(&self, from: VmId, to: VmId) -> bool {
-        self.channels.contains_key(&(from, to))
-    }
-
-    /// All channel endpoints, in deterministic order.
-    pub fn channel_ids(&self) -> Vec<(VmId, VmId)> {
-        self.channels.keys().copied().collect()
-    }
-
-    /// Channels arriving at `vm`.
-    pub fn incoming(&self, vm: VmId) -> Vec<(VmId, VmId)> {
-        self.channels
-            .keys()
-            .copied()
-            .filter(|&(_, to)| to == vm)
-            .collect()
-    }
-
-    /// Channels leaving `vm`.
-    pub fn outgoing(&self, vm: VmId) -> Vec<(VmId, VmId)> {
-        self.channels
-            .keys()
-            .copied()
-            .filter(|&(from, _)| from == vm)
-            .collect()
-    }
-
-    /// Sends an application message. Returns its sequence number.
-    ///
-    /// # Panics
-    /// Panics if the channel does not exist.
-    pub fn send(&mut self, from: VmId, to: VmId, payload: u64) -> u64 {
-        let ch = self
-            .channels
-            .get_mut(&(from, to))
-            .unwrap_or_else(|| panic!("no channel {from} → {to}"));
-        let seq = ch.next_seq;
-        ch.next_seq += 1;
-        ch.queue
-            .push_back(ChannelItem::Msg(Message { seq, payload }));
-        seq
-    }
-
-    /// Injects a snapshot marker (Chandy–Lamport) into the channel.
-    ///
-    /// # Panics
-    /// Panics if the channel does not exist.
-    pub fn send_marker(&mut self, from: VmId, to: VmId, snapshot_id: u64) {
-        let ch = self
-            .channels
-            .get_mut(&(from, to))
-            .unwrap_or_else(|| panic!("no channel {from} → {to}"));
-        ch.queue.push_back(ChannelItem::Marker(snapshot_id));
-    }
-
-    /// Delivers (pops) the next item on the channel, if any — FIFO.
-    pub fn deliver(&mut self, from: VmId, to: VmId) -> Option<ChannelItem> {
-        self.channels.get_mut(&(from, to))?.queue.pop_front()
-    }
-
-    /// Number of items currently in flight on the channel.
-    pub fn in_flight(&self, from: VmId, to: VmId) -> usize {
-        self.channels
-            .get(&(from, to))
-            .map(|c| c.queue.len())
-            .unwrap_or(0)
-    }
-
-    /// Total items in flight across all channels.
-    pub fn total_in_flight(&self) -> usize {
-        self.channels.values().map(|c| c.queue.len()).sum()
-    }
-
-    /// Read-only view of a channel's queue (used by consistency checks).
-    pub fn peek_all(&self, from: VmId, to: VmId) -> Vec<ChannelItem> {
-        self.channels
-            .get(&(from, to))
-            .map(|c| c.queue.iter().copied().collect())
-            .unwrap_or_default()
-    }
-}
 
 /// A fencing token: proof that `node` held fence epoch `epoch` when it
 /// launched a transfer (or staged a commit). Tokens go stale the moment
@@ -784,67 +639,6 @@ impl TransferLedger {
 mod tests {
     use super::*;
 
-    fn vms(n: usize) -> Vec<VmId> {
-        (0..n).map(VmId).collect()
-    }
-
-    #[test]
-    fn channels_are_fifo() {
-        let mut f = MessageFabric::new();
-        f.connect(VmId(0), VmId(1));
-        f.send(VmId(0), VmId(1), 10);
-        f.send_marker(VmId(0), VmId(1), 7);
-        f.send(VmId(0), VmId(1), 20);
-        assert_eq!(f.in_flight(VmId(0), VmId(1)), 3);
-        assert_eq!(
-            f.deliver(VmId(0), VmId(1)),
-            Some(ChannelItem::Msg(Message {
-                seq: 0,
-                payload: 10
-            }))
-        );
-        assert_eq!(f.deliver(VmId(0), VmId(1)), Some(ChannelItem::Marker(7)));
-        assert_eq!(
-            f.deliver(VmId(0), VmId(1)),
-            Some(ChannelItem::Msg(Message {
-                seq: 1,
-                payload: 20
-            }))
-        );
-        assert_eq!(f.deliver(VmId(0), VmId(1)), None);
-    }
-
-    #[test]
-    fn sequence_numbers_are_per_channel() {
-        let mut f = MessageFabric::new();
-        f.connect(VmId(0), VmId(1));
-        f.connect(VmId(0), VmId(2));
-        assert_eq!(f.send(VmId(0), VmId(1), 1), 0);
-        assert_eq!(f.send(VmId(0), VmId(1), 2), 1);
-        assert_eq!(f.send(VmId(0), VmId(2), 3), 0);
-    }
-
-    #[test]
-    fn fully_connected_topology() {
-        let f = MessageFabric::fully_connected(&vms(4));
-        assert_eq!(f.channel_ids().len(), 12);
-        assert_eq!(f.incoming(VmId(2)).len(), 3);
-        assert_eq!(f.outgoing(VmId(2)).len(), 3);
-        assert!(f.is_connected(VmId(0), VmId(3)));
-        assert!(!f.is_connected(VmId(0), VmId(0)));
-    }
-
-    #[test]
-    fn in_flight_accounting() {
-        let mut f = MessageFabric::fully_connected(&vms(3));
-        f.send(VmId(0), VmId(1), 5);
-        f.send(VmId(1), VmId(2), 6);
-        assert_eq!(f.total_in_flight(), 2);
-        f.deliver(VmId(0), VmId(1));
-        assert_eq!(f.total_in_flight(), 1);
-        assert_eq!(f.peek_all(VmId(1), VmId(2)).len(), 1);
-    }
-
     #[test]
     fn ledger_tracks_open_and_completed_transfers() {
         let mut l = TransferLedger::new();
@@ -1166,19 +960,5 @@ mod tests {
         let mut fences = FenceRegistry::new();
         fences.fence(NodeId(3));
         assert!(fences.take_events().is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "no self-channels")]
-    fn self_channel_rejected() {
-        let mut f = MessageFabric::new();
-        f.connect(VmId(1), VmId(1));
-    }
-
-    #[test]
-    #[should_panic(expected = "no channel")]
-    fn send_on_missing_channel_panics() {
-        let mut f = MessageFabric::new();
-        f.send(VmId(0), VmId(1), 9);
     }
 }

@@ -196,24 +196,11 @@ impl Topology {
         self.dc_of_rack[rack.index()]
     }
 
-    /// The DC containing `node`.
-    pub fn dc_of(&self, node: NodeId) -> DcId {
-        self.dc_of_rack(self.rack_of(node))
-    }
-
     /// Nodes in `rack`, in index order.
     pub fn nodes_in_rack(&self, rack: RackId) -> Vec<NodeId> {
         (0..self.node_count())
             .filter(|&n| self.rack_of[n] == rack)
             .map(NodeId)
-            .collect()
-    }
-
-    /// Racks in `dc`, in index order.
-    pub fn racks_in_dc(&self, dc: DcId) -> Vec<RackId> {
-        (0..self.rack_count())
-            .filter(|&r| self.dc_of_rack[r] == dc)
-            .map(RackId)
             .collect()
     }
 
@@ -223,16 +210,6 @@ impl Topology {
             .filter(|&n| self.dc_of_rack[self.rack_of[n].index()] == dc)
             .map(NodeId)
             .collect()
-    }
-
-    /// Size of the largest rack — the blast radius of the worst single
-    /// rack failure.
-    pub fn largest_rack(&self) -> usize {
-        let mut sizes = vec![0usize; self.rack_count()];
-        for r in &self.rack_of {
-            sizes[r.index()] += 1;
-        }
-        sizes.into_iter().max().unwrap_or(0)
     }
 
     /// True if this is the flat degenerate topology (each node its own
@@ -262,7 +239,6 @@ mod tests {
         assert!(t.is_flat());
         assert_eq!(t.rack_of(NodeId(2)), RackId(2));
         assert_eq!(t.nodes_in_rack(RackId(2)), vec![NodeId(2)]);
-        assert_eq!(t.largest_rack(), 1);
     }
 
     #[test]
@@ -274,13 +250,10 @@ mod tests {
         assert_eq!(t.rack_of(NodeId(0)), RackId(0));
         assert_eq!(t.rack_of(NodeId(5)), RackId(2));
         assert_eq!(t.nodes_in_rack(RackId(1)), vec![NodeId(2), NodeId(3)]);
-        assert_eq!(t.dc_of(NodeId(7)), DcId(1));
-        assert_eq!(t.racks_in_dc(DcId(0)), vec![RackId(0), RackId(1)]);
         assert_eq!(
             t.nodes_in_dc(DcId(1)),
             vec![NodeId(4), NodeId(5), NodeId(6), NodeId(7)]
         );
-        assert_eq!(t.largest_rack(), 2);
     }
 
     #[test]
@@ -302,11 +275,9 @@ mod tests {
         // Preferential attachment produces skew: the largest rack is well
         // above the uniform mean.
         let mean = 200.0 / t.rack_count() as f64;
-        assert!(
-            t.largest_rack() as f64 > 2.0 * mean,
-            "largest={} mean={mean}",
-            t.largest_rack()
-        );
+        let largest = (0..t.rack_count()).map(|r| t.nodes_in_rack(RackId(r)).len());
+        let largest = largest.max().unwrap();
+        assert!(largest as f64 > 2.0 * mean, "largest={largest} mean={mean}");
         // Every node is in a valid rack, every rack in a valid DC.
         for n in 0..200 {
             let r = t.rack_of(NodeId(n));

@@ -94,7 +94,7 @@ impl Workload {
     }
 
     /// Picks the page for the next write.
-    pub fn next_page<R: Rng + ?Sized>(&mut self, page_count: usize, rng: &mut R) -> usize {
+    fn next_page<R: Rng + ?Sized>(&mut self, page_count: usize, rng: &mut R) -> usize {
         match self.pattern {
             AccessPattern::Uniform => rng.random_range(0..page_count),
             AccessPattern::HotCold {

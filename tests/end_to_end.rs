@@ -151,7 +151,7 @@ fn dvdc_beats_disk_full_on_large_images() {
     let shared = plan(4, 9);
     let runner = JobRunner {
         job_length: Duration::from_secs(600.0),
-        policy: dvdc::sim::IntervalPolicy::Fixed(Duration::from_secs(30.0)),
+        interval: Duration::from_secs(30.0),
         recovery: dvdc::sim::RecoveryPolicy::RepairInPlace,
         drive_guests: false, // timing skeleton only, keeps the test fast
     };

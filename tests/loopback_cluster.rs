@@ -26,6 +26,12 @@ fn meshed(spec: ClusterSpec, rounds: u64) -> Harness {
     h
 }
 
+/// When a note of any node first satisfied `pred`.
+fn first_at(h: &Harness, pred: &dyn Fn(usize, &Note) -> bool) -> SimTime {
+    let hit = |(at, n, note): &(SimTime, NodeId, Note)| pred(n.index(), note).then_some(*at);
+    h.notes().iter().find_map(hit).expect("noted")
+}
+
 /// How many notes of any node satisfy `pred`.
 fn count(h: &Harness, pred: impl Fn(usize, &Note) -> bool) -> usize {
     let hit = |(_, n, note): &&(SimTime, NodeId, Note)| pred(n.index(), note);
@@ -540,18 +546,60 @@ fn coordinator_frozen_and_fenced_decides_nothing_on_waking() {
     });
     // Node 0 answered nobody until it was back in itself; node 2, which
     // coordinated meanwhile, took it back, and node 1 after it.
-    let at = |pred: &dyn Fn(usize, &Note) -> bool| {
-        let hit = |(at, n, note): &(SimTime, NodeId, Note)| pred(n.index(), note).then_some(*at);
-        h.notes().iter().find_map(hit).expect("noted")
-    };
-    let back = at(&|n, note| {
+    let back = first_at(&h, &|n, note| {
         n == 2 && matches!(note, Note::Readmitted { node, .. } if *node == NodeId(0))
     });
-    let served = at(&|n, note| n == 0 && matches!(note, Note::ResyncServed { .. }));
+    let served = first_at(&h, &|n, note| {
+        n == 0 && matches!(note, Note::ResyncServed { .. })
+    });
     assert!(
         back < served,
         "node 0 served at {served}, readmitted at {back}"
     );
     assert_eq!(h.checkpoint(0, 1000.0), Ok(3));
+    assert_eq!(count(&h, |_, n| matches!(n, Note::DataLoss { .. })), 0);
+}
+
+#[test]
+fn resync_request_meeting_a_rebuild_is_answered_when_the_rebuild_settles() {
+    // Node 1 is in custody and restarts so that its request reaches the
+    // coordinator one hop into the rebuild of node 2: its greeting goes
+    // out 8 ms after node 2's crash, is rejected a hop later, and the
+    // rejection lands as the crash is confirmed and the rebuild begins.
+    let spec = ClusterSpec::drill(3, 2);
+    let hop = Duration::from_millis(1.0);
+    let retry = spec.detector.heartbeat_interval * 10.0;
+    let mut h = meshed(spec, 2);
+    h.crash(1);
+    h.run_until(200.0, "node 1 in custody", |h| {
+        h.node(0).custody_block(NodeId(1)).is_some()
+    });
+    h.crash(2);
+    h.run_for(Duration::from_millis(8.0));
+    h.revive(1);
+    h.run_until(500.0, "everybody back but node 2", |h| {
+        h.node(0).has_session(NodeId(1)) && h.node(0).status().custody.len() == 1
+    });
+
+    let began = first_at(&h, &|n, note| {
+        n == 0 && *note == Note::RebuildStarted { victim: NodeId(2) }
+    });
+    let asked = first_at(&h, &|n, note| {
+        n == 1 && matches!(note, Note::HelloRejected { .. })
+    }) + hop;
+    let rebuilt = first_at(&h, &|n, note| {
+        n == 0 && matches!(note, Note::RebuildCompleted { victim, .. } if *victim == NodeId(2))
+    });
+    let served = first_at(&h, &|n, note| {
+        n == 0 && *note == Note::ResyncServed { peer: NodeId(1) }
+    });
+    assert!(
+        began < asked && asked < rebuilt,
+        "the request must meet the rebuild in flight: {began} < {asked} < {rebuilt}"
+    );
+    assert!(
+        served <= rebuilt + hop,
+        "asked at {asked}, rebuild settled at {rebuilt}, served at {served} (retry every {retry})"
+    );
     assert_eq!(count(&h, |_, n| matches!(n, Note::DataLoss { .. })), 0);
 }

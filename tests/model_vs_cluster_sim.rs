@@ -31,7 +31,7 @@ fn cluster_sim_tracks_analytic_expectation() {
 
     let runner = JobRunner {
         job_length: Duration::from_secs(job),
-        policy: dvdc::sim::IntervalPolicy::Fixed(Duration::from_secs(interval)),
+        interval: Duration::from_secs(interval),
         recovery: dvdc::sim::RecoveryPolicy::RepairInPlace,
         drive_guests: false,
     };

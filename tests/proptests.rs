@@ -1,7 +1,7 @@
 //! Property-based tests (proptest) on the workspace's core invariants:
 //! erasure codes, delta compression, placement orthogonality, the
-//! incremental parity update, the dirty-rate model, page-hash dedup, and
-//! the analytical model's structural properties.
+//! incremental parity update, the dirty-rate model, and the analytical
+//! model's structural properties.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -10,17 +10,16 @@ use dvdc::placement::GroupPlacement;
 use dvdc::protocol::delta_parity_update;
 use dvdc::protocol::node_core::{ClusterSpec, Msg, NodeCore};
 use dvdc_checkpoint::delta::{change_fraction, compress, decompress};
-use dvdc_migrate::pagehash::PageHashIndex;
 use dvdc_model::analytic;
 use dvdc_parity::code::ErasureCode;
 use dvdc_parity::raid5::{Raid5Layout, XorCode};
 use dvdc_parity::rdp::{RdpCode, ZeroPaddedRdp};
 use dvdc_parity::rs::ReedSolomon;
 use dvdc_parity::xor::{is_zero, xor_all};
+use dvdc_simcore::rng::RngHub;
 use dvdc_simcore::time::SimTime;
 use dvdc_vcluster::cluster::ClusterBuilder;
 use dvdc_vcluster::ids::NodeId;
-use dvdc_vcluster::memory::MemoryImage;
 use dvdc_vcluster::workload::DirtyRateModel;
 
 // ---------- erasure codes ----------
@@ -318,24 +317,6 @@ proptest! {
             "writes {} expect {}", total_writes, expect);
     }
 
-    // ---------- page-hash dedup ----------
-
-    #[test]
-    fn dedup_accounting_is_conserved(pages in 1usize..32, shared in 0usize..32) {
-        let shared = shared.min(pages);
-        let migrating = MemoryImage::patterned(pages, 32, 1);
-        let mut resident = MemoryImage::patterned(pages, 32, 2);
-        for p in 0..shared {
-            let bytes = migrating.page(dvdc_vcluster::ids::PageIndex(p)).to_vec();
-            resident.write_page(p, &bytes);
-        }
-        let mut idx = PageHashIndex::new();
-        idx.index_image(&resident);
-        let rep = idx.dedup_transfer(&migrating);
-        prop_assert_eq!(rep.transfer_bytes + rep.deduped_bytes, pages * 32);
-        prop_assert!(rep.deduped_bytes >= shared * 32);
-    }
-
     // ---------- analytical model ----------
 
     #[test]
@@ -373,89 +354,6 @@ proptest! {
         let chk = analytic::expected_time_checkpoint(lambda, total, total / 10.0);
         let none = analytic::expected_time_no_checkpoint(lambda, total);
         prop_assert!(chk <= none * (1.0 + 1e-9));
-    }
-}
-
-// ---------- coordinated snapshots (Chandy–Lamport) ----------
-
-use dvdc::snapshot::{snapshot_total, BankApp, SnapshotCoordinator};
-use dvdc_simcore::rng::RngHub;
-use dvdc_vcluster::ids::VmId;
-use dvdc_vcluster::messaging::MessageFabric;
-use rand::Rng;
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn chandy_lamport_conserves_value_under_any_interleaving(
-        seed in any::<u64>(),
-        vms in 2usize..6,
-        warmup in 0usize..40,
-    ) {
-        let ids: Vec<VmId> = (0..vms).map(VmId).collect();
-        let mut fabric = MessageFabric::fully_connected(&ids);
-        let mut app = BankApp::new(vms, 500);
-        let total = app.total_in_accounts();
-        let hub = RngHub::new(seed);
-        let mut rng = hub.stream("prop-cl");
-
-        for _ in 0..warmup {
-            let from = VmId(rng.random_range(0..vms));
-            let to = VmId(rng.random_range(0..vms));
-            if from != to {
-                let amt = app.debit(from, rng.random_range(1..40));
-                fabric.send(from, to, amt);
-            }
-        }
-
-        let initiator = VmId(rng.random_range(0..vms));
-        let mut coord = SnapshotCoordinator::start(1, &mut fabric, &ids, initiator, |v| {
-            app.balance(v)
-        });
-        let mut guard = 0;
-        while !coord.is_complete() {
-            guard += 1;
-            prop_assert!(guard < 200_000, "snapshot must terminate");
-            if rng.random_range(0..3u8) == 0 {
-                let from = VmId(rng.random_range(0..vms));
-                let to = VmId(rng.random_range(0..vms));
-                if from != to {
-                    let amt = app.debit(from, rng.random_range(1..40));
-                    fabric.send(from, to, amt);
-                }
-            } else {
-                let channels: Vec<(VmId, VmId)> = fabric
-                    .channel_ids()
-                    .into_iter()
-                    .filter(|&(f, t)| fabric.in_flight(f, t) > 0)
-                    .collect();
-                if channels.is_empty() {
-                    continue;
-                }
-                let (from, to) = channels[rng.random_range(0..channels.len())];
-                let item = fabric.deliver(from, to).expect("nonempty");
-                if let Some(amount) =
-                    coord.deliver(&mut fabric, from, to, item, &|v| app.balance(v))
-                {
-                    app.credit(to, amount);
-                }
-            }
-        }
-        let snap = coord.finish();
-        prop_assert_eq!(snapshot_total(&snap), total);
-        // Live value is also conserved (independent sanity on the app).
-        let live: u64 = (0..vms).map(|v| app.balance(VmId(v))).sum::<u64>()
-            + fabric
-                .channel_ids()
-                .into_iter()
-                .flat_map(|(f, t)| fabric.peek_all(f, t))
-                .filter_map(|item| match item {
-                    dvdc_vcluster::messaging::ChannelItem::Msg(m) => Some(m.payload),
-                    _ => None,
-                })
-                .sum::<u64>();
-        prop_assert_eq!(live, total);
     }
 }
 
