@@ -10,9 +10,9 @@
 //!
 //! The structural claim asserted at the end: the table-driven Reed–Solomon
 //! encode (per-coefficient 256-entry product tables, cache-blocked,
-//! parallel folds for large blocks) is at least 3× the pre-rewrite scalar
-//! log/exp kernel on the best measured block size. Both numbers land in
-//! the JSON record.
+//! split across cores for large blocks) is at least 3× the pre-rewrite
+//! scalar log/exp kernel on the best measured block size. Both numbers
+//! land in the JSON record.
 //!
 //! Run: `cargo run --release -p dvdc-bench --bin parity_throughput`
 //! Reduced sweep (CI): `DVDC_PARITY_QUICK=1 cargo run --release ...`

@@ -9,14 +9,17 @@
 //! consumer (recovery decode, scrub, commit promotion) verifies before
 //! trusting the bytes.
 //!
-//! The hash is FNV-1a/64 — not cryptographic, but cheap, dependency-free
-//! and more than strong enough to catch the random corruptions the fault
-//! injector models (a single flipped byte changes the digest with
-//! probability ~1 − 2⁻⁶⁴).
+//! The hash is XXH64 — the one digest the workspace computes over block
+//! bytes (the frame trailer and `NodeCore`'s `block_digest` are the same
+//! function). Not cryptographic, but it runs at memory speed, so a store
+//! can afford it on every write and before every trust, and it is more
+//! than strong enough to catch the random corruptions the fault injector
+//! models (a single flipped byte changes the digest with probability
+//! ~1 − 2⁻⁶⁴).
 
-/// FNV-1a/64 digest of `bytes` — the block checksum stored alongside
-/// every checkpoint image and parity block.
-pub use dvdc_simcore::rng::fnv1a64 as checksum;
+/// XXH64 digest of `bytes` — the block checksum stored alongside every
+/// checkpoint image and parity block.
+pub use dvdc_simcore::rng::xxh64 as checksum;
 
 /// True when `bytes` still matches the `expected` digest recorded at
 /// write time.
@@ -36,22 +39,29 @@ mod tests {
     }
 
     #[test]
-    fn known_fnv_vectors() {
-        // Published FNV-1a/64 test vectors.
-        assert_eq!(checksum(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(checksum(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(checksum(b"foobar"), 0x85944171f73967e8);
+    fn known_xxh64_vectors() {
+        // Published seed-0 XXH64 test vectors.
+        assert_eq!(checksum(b""), 0xEF46_DB37_51D8_E999);
+        assert_eq!(checksum(b"a"), 0xD24E_C4F1_A98C_6E5B);
+        assert_eq!(checksum(b"abc"), 0x44BC_2CF5_AD77_0999);
     }
 
     #[test]
     fn single_byte_flip_is_detected() {
-        let block = vec![0x5Au8; 4096];
-        let sum = checksum(&block);
-        for offset in [0usize, 1, 2047, 4095] {
-            let mut tampered = block.clone();
-            tampered[offset] ^= 0x01;
-            assert!(!verify(&tampered, sum), "flip at {offset} went unnoticed");
+        // Every length up to two stripes and a byte, every offset: both
+        // sides of the 32-byte stripe seam and each tail width.
+        for len in 0..=65usize {
+            let block: Vec<u8> = (0..len).map(|i| (i * 7 + 3) as u8).collect();
+            let sum = checksum(&block);
+            assert!(verify(&block, sum));
+            for offset in 0..len {
+                let mut tampered = block.clone();
+                tampered[offset] ^= 0x01;
+                assert!(
+                    !verify(&tampered, sum),
+                    "len {len}: flip at {offset} went unnoticed"
+                );
+            }
         }
-        assert!(verify(&block, sum));
     }
 }

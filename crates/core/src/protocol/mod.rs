@@ -37,8 +37,8 @@ pub use dvdc_proto::{
 };
 pub use harness::Harness;
 pub use node_core::{
-    fnv64, initial_image, note_event, Action, BlockInfo, BlockKind, ClusterSpec, DigestSource, Msg,
-    NodeCore, NodeMetrics, Note, StatusView, CTL,
+    block_digest, fnv64, initial_image, note_event, Action, BlockInfo, BlockKind, ClusterSpec,
+    DigestSource, Msg, NodeCore, NodeMetrics, Note, StatusView, CTL,
 };
 pub use phased::{run_round_with_detection, run_round_with_faults, DetectionReport, PhasedOutcome};
 pub use remus::RemusLikeProtocol;

@@ -322,7 +322,7 @@ pub enum Msg {
         node: NodeId,
         /// Epoch of the digested block (0 when `source` is `Missing`).
         epoch: u64,
-        /// FNV-1a 64-bit digest of the block bytes (0 when missing).
+        /// [`block_digest`] of the block bytes (0 when missing).
         digest: u64,
         /// Where the bytes came from.
         source: DigestSource,
@@ -452,7 +452,7 @@ pub enum Note {
         victim: NodeId,
         /// Epoch of the rebuilt block.
         epoch: u64,
-        /// FNV-1a digest of the rebuilt bytes.
+        /// [`block_digest`] of the rebuilt bytes.
         digest: u64,
     },
     /// The failure pattern exceeded the code's tolerance — the paper's
@@ -763,9 +763,13 @@ impl Default for ClusterSpec {
     }
 }
 
-/// FNV-1a 64-bit digest — the cheap content fingerprint `dvdc-ctl`
-/// compares across rebuilds (byte-exactness checks use it end to end).
+/// FNV-1a/64 — for names and seeds, never a block: no block path calls it.
 pub use dvdc_simcore::rng::fnv1a64 as fnv64;
+/// XXH64 of a block's bytes — the content fingerprint `DigestReq`
+/// answers with and a rebuild records, which `dvdc-ctl` compares across
+/// rebuilds. The function behind `dvdc_checkpoint::integrity::checksum`
+/// and the frame trailer; comparable only between nodes of one build.
+pub use dvdc_simcore::rng::xxh64 as block_digest;
 
 /// XORs the `splitmix64` stream of `seed` into `buf`, a little-endian word
 /// at a time and then the tail bytes; over zeros that stores the stream.
@@ -884,7 +888,7 @@ pub struct NodeCore {
     /// Committed checkpoint block: data image or parity shard.
     committed: Option<(u64, Vec<u8>)>,
     /// Rebuilt blocks held on behalf of fenced nodes, each with the
-    /// [`fnv64`] digest its rebuild computed.
+    /// [`block_digest`] its rebuild computed.
     custody: BTreeMap<NodeId, (u64, BlockKind, Vec<u8>, u64)>,
     coord_round: Option<CoordRound>,
     part_round: Option<PartRound>,
@@ -1609,7 +1613,7 @@ impl NodeCore {
             Msg::DigestReq { node } => {
                 let (epoch, digest, source) = if node == self.id {
                     match &self.committed {
-                        Some((e, b)) => (*e, fnv64(b), DigestSource::Committed),
+                        Some((e, b)) => (*e, block_digest(b), DigestSource::Committed),
                         None => (0, 0, DigestSource::Missing),
                     }
                 } else {
@@ -1937,7 +1941,7 @@ impl NodeCore {
             }));
             return;
         };
-        let digest = fnv64(&block);
+        let digest = block_digest(&block);
         let kind = self.spec.kind_of(victim);
         self.custody.insert(victim, (epoch, kind, block, digest));
         out.push(Action::Note(Note::RebuildCompleted {
@@ -2904,10 +2908,10 @@ mod tests {
                 other => panic!("expected a custody digest, got {other:?}"),
             }
         };
-        assert_eq!(served(&mut c), fnv64(&images[2]));
+        assert_eq!(served(&mut c), block_digest(&images[2]));
         // Not hashed again per request: the answer does not follow the bytes.
         c.custody.get_mut(&NodeId(2)).expect("in custody").2.fill(0);
-        assert_eq!(served(&mut c), fnv64(&images[2]));
+        assert_eq!(served(&mut c), block_digest(&images[2]));
     }
 
     #[test]
@@ -3064,5 +3068,18 @@ mod tests {
     fn fnv64_is_stable() {
         assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
         assert_ne!(fnv64(b"a"), fnv64(b"b"));
+    }
+
+    #[test]
+    fn block_digest_is_the_one_digest_for_bytes() {
+        assert_eq!(block_digest(b""), 0xEF46_DB37_51D8_E999);
+        for block in [&b"a"[..], &initial_image(7, NodeId(1), 4099)] {
+            assert_eq!(block_digest(block), dvdc_simcore::rng::xxh64(block));
+            assert_eq!(
+                block_digest(block),
+                dvdc_checkpoint::integrity::checksum(block)
+            );
+            assert_ne!(block_digest(block), fnv64(block));
+        }
     }
 }

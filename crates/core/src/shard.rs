@@ -397,6 +397,29 @@ mod tests {
     }
 
     #[test]
+    fn bulk_shape_counts_are_pinned() {
+        // A block digest is a witness and a fold is a kernel: neither
+        // steers the sim, so whatever computes them leaves these counts
+        // and the byte-exact recovery where they are.
+        let mut sc = ShardedCluster::build(ShardConfig {
+            total_nodes: 20,
+            pages: 16,
+            page_size: 4096,
+            ..small_config()
+        });
+        let r = sc.run();
+        assert_eq!(
+            (
+                r.events_processed,
+                r.sim_time.as_secs().to_bits(),
+                r.rounds_committed
+            ),
+            (460, 4629253252786074488, 10)
+        );
+        assert_eq!(sc.verify_shard_recovery(sc.shard_count() / 2), 3);
+    }
+
+    #[test]
     fn racked_shards_survive_whole_rack_failure() {
         // Each shard: 8 nodes in 4 racks of 2, k+m = 4 → rack-orthogonal
         // placement, so losing a whole rack (two nodes, six VMs) stays

@@ -244,7 +244,7 @@ fn five_process_cluster_survives_sigkill_and_victim_rejoins() {
     assert!(count("transport.peer_closed") >= 1 && count("transport.peer_refused") >= 1);
 
     // The coordinator rebuilds the victim's block from parity,
-    // byte-exact (same FNV-1a digest, same epoch), into custody.
+    // byte-exact (same block digest, same epoch), into custody.
     poll_status(
         addrs[0],
         "custody of the victim",

@@ -11,7 +11,7 @@
 //!   becomes the dedicated checkpoint processor.
 
 use crate::code::{validate_delta, validate_shards, CodeError, ErasureCode};
-use crate::xor::{xor_all, xor_into, xor_into_auto};
+use crate::xor::{xor_all, xor_into};
 
 /// XOR single-parity code: `k` data shards, one parity shard, tolerates one
 /// erasure. The code underlying every RAID-5 group in DVDC.
@@ -46,16 +46,15 @@ impl ErasureCode for XorCode {
     }
 
     fn reconstruct(&self, shards: &mut [Option<Vec<u8>>]) -> Result<(), CodeError> {
-        let len = validate_shards(shards, self.k + 1, 1)?;
+        validate_shards(shards, self.k + 1, 1)?;
         let missing = match shards.iter().position(|s| s.is_none()) {
             Some(i) => i,
             None => return Ok(()), // nothing to repair
         };
-        let mut acc = vec![0u8; len];
-        for s in shards.iter().flatten() {
-            xor_into(&mut acc, s);
-        }
-        shards[missing] = Some(acc);
+        // Data and parity XOR to zero, so the lost shard — either kind —
+        // is the encode of the survivors.
+        let survivors: Vec<&[u8]> = shards.iter().flatten().map(Vec::as_slice).collect();
+        shards[missing] = Some(xor_all(&survivors));
         Ok(())
     }
 
@@ -78,7 +77,7 @@ impl ErasureCode for XorCode {
         );
         // Single parity is the plain XOR of all data shards, so the update
         // is the delta folded straight in at the same offset.
-        xor_into_auto(&mut parity[offset..offset + delta.len()], delta);
+        xor_into(&mut parity[offset..offset + delta.len()], delta);
     }
 }
 
@@ -123,8 +122,7 @@ mod tests {
     fn delta_update_matches_reencode() {
         use crate::code::test_util::assert_delta_matches_reencode;
         assert_delta_matches_reencode(&XorCode::new(3), 24);
-        // Large enough to push xor_into_auto onto the parallel kernel.
-        assert_delta_matches_reencode(&XorCode::new(2), crate::xor::MIN_PARALLEL + 9);
+        assert_delta_matches_reencode(&XorCode::new(2), (64 << 10) + 9);
     }
 
     #[test]
@@ -164,6 +162,46 @@ mod tests {
                 assert_eq!(shards[i].as_ref().unwrap(), d, "lost={lost} shard={i}");
             }
             assert_eq!(shards[4].as_ref().unwrap(), &parity[0], "lost={lost}");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(8))]
+
+        /// Whichever shard is lost — data or parity — comes back as the
+        /// byte-wise XOR of the survivors, at lengths on both sides of
+        /// the 8-byte word loop and well past it.
+        #[test]
+        fn lost_shard_is_the_bytewise_xor_of_the_survivors(
+            k in 1usize..6,
+            tile in proptest::collection::vec(proptest::prelude::any::<u8>(), 1..257usize),
+        ) {
+            let code = XorCode::new(k);
+            for len in [0usize, 1, 7, 8, 9, 4_099, 65_539] {
+                let mut full: Vec<Vec<u8>> = (0..k)
+                    .map(|c| {
+                        (0..len)
+                            .map(|i| tile[(i + 31 * c) % tile.len()] ^ (i >> 8) as u8)
+                            .collect()
+                    })
+                    .collect();
+                let refs: Vec<&[u8]> = full.iter().map(|v| v.as_slice()).collect();
+                let parity = code.encode(&refs);
+                full.extend(parity);
+                for lost in 0..=k {
+                    let mut shards: Vec<Option<Vec<u8>>> =
+                        full.iter().cloned().map(Some).collect();
+                    shards[lost] = None;
+                    code.reconstruct(&mut shards).unwrap();
+                    let want: Vec<u8> = (0..len)
+                        .map(|i| (0..=k).filter(|&s| s != lost).fold(0, |x, s| x ^ full[s][i]))
+                        .collect();
+                    proptest::prop_assert!(
+                        shards[lost].as_ref() == Some(&want),
+                        "k={} len={} lost={}", k, len, lost
+                    );
+                }
+            }
         }
     }
 

@@ -19,7 +19,7 @@
 //! with exactly one unknown until done".
 
 use crate::code::{validate_delta, validate_shards, CodeError, ErasureCode};
-use crate::xor::{xor_into, xor_into_auto};
+use crate::xor::xor_into;
 
 /// RDP double-erasure code with prime parameter `p`.
 ///
@@ -275,7 +275,7 @@ impl ErasureCode for RdpCode {
             .expect("shard length must be a multiple of p-1");
         if parity_index == 0 {
             // Row parity is a plain XOR across data columns.
-            xor_into_auto(&mut parity[offset..offset + delta.len()], delta);
+            xor_into(&mut parity[offset..offset + delta.len()], delta);
             return;
         }
         // Diagonal parity. Two things changed in the RAID-4 array: data

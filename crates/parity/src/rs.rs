@@ -10,13 +10,29 @@
 
 use crate::code::{validate_delta, validate_shards, CodeError, ErasureCode};
 use crate::gf256::{MulTable, Tables};
-use crate::xor::xor_into_auto;
+use crate::xor::xor_into;
+use std::sync::OnceLock;
 
 /// Bytes per cache block in the encode fold: the source block plus the
 /// `m` parity blocks it feeds stay resident in L1/L2 while every
 /// generator row is applied to it, so each source byte is loaded from
 /// DRAM once per encode rather than once per parity row.
 const ENCODE_BLOCK: usize = 32 << 10;
+
+/// The least bytes of every parity row an `encode` worker is given: below
+/// it a thread spawn costs more than the GF multiplies it takes over.
+const MIN_ENCODE_CHUNK: usize = 64 << 10;
+
+/// Workers `encode` may split across: the machine's cores, at most 8,
+/// asked of the OS once per process.
+fn encode_workers() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map_or(1, |n| n.get())
+            .min(8)
+    })
+}
 
 /// Reed–Solomon erasure code with `k` data shards and `m` parity shards.
 /// Tolerates any `m` erasures. Requires `k + m ≤ 256`.
@@ -184,13 +200,7 @@ impl ErasureCode for ReedSolomon {
             "data shards must have equal length"
         );
         let mut outs: Vec<Vec<u8>> = (0..self.m).map(|_| vec![0u8; len]).collect();
-        let workers = crate::xor::effective_parallel_workers(
-            len,
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .min(8),
-        );
+        let workers = encode_workers().min(len / MIN_ENCODE_CHUNK);
         if workers <= 1 {
             let mut out_refs: Vec<&mut [u8]> = outs.iter_mut().map(|o| o.as_mut_slice()).collect();
             self.fold_ranges(data, &mut out_refs, 0);
@@ -297,7 +307,7 @@ impl ErasureCode for ReedSolomon {
         let coeff = self.parity_rows[parity_index][data_index];
         let dst = &mut parity[offset..offset + delta.len()];
         if coeff == 1 {
-            xor_into_auto(dst, delta);
+            xor_into(dst, delta);
         } else {
             self.row_tables[parity_index][data_index].mul_acc(dst, delta);
         }
@@ -450,7 +460,7 @@ mod tests {
         // fold; the result must be byte-identical to a serial fold (here
         // reproduced coefficient-by-coefficient with the scalar kernel).
         let code = ReedSolomon::new(4, 2);
-        let len = 4 * crate::xor::MIN_PARALLEL + 37; // parallel + ragged tail
+        let len = 4 * MIN_ENCODE_CHUNK + 37; // parallel + ragged tail
         let data: Vec<Vec<u8>> = (0..4)
             .map(|c| {
                 (0..len)

@@ -166,8 +166,9 @@ fn block_and_parallel_boundaries_match_reference() {
         (32 << 10) - 1,
         32 << 10,
         (32 << 10) + 17,
-        (64 << 10) + 3, // crosses MIN_PARALLEL: parallel fold engages
+        (64 << 10) + 3, // one minimum encode chunk: still one worker
         (96 << 10) + 29,
+        (128 << 10) + 5, // two minimum chunks: on ≥ 2 cores the split engages
     ] {
         let data: Vec<Vec<u8>> = (0..5).map(|i| patterned(len, i as u64 + 9)).collect();
         let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();

@@ -91,12 +91,12 @@ pub fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// FNV-1a/64 over bytes — the one copy in the workspace. It folds stream
-/// names into seeds here and is re-exported as the block checksum
-/// (`dvdc_checkpoint::integrity::checksum`), the content digest
-/// (`node_core::fnv64`) and the migration page hash. One multiply per
-/// byte: where whole images are digested on the data path (the frame
-/// trailer), [`xxh64`] is used instead.
+/// FNV-1a/64 over bytes — the one copy in the workspace, and the hash
+/// for names: it folds stream names into seeds here and buggify point
+/// names into theirs, so its values must never change. One multiply per
+/// byte: nothing digests block bytes with it — the frame trailer, the
+/// block checksum (`dvdc_checkpoint::integrity::checksum`) and the
+/// content digest (`node_core::block_digest`) are all [`xxh64`].
 #[inline]
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xCBF2_9CE4_8422_2325;

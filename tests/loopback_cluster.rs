@@ -10,7 +10,7 @@
 //! event loop steps and audited on every run.
 
 use dvdc::protocol::harness::Harness;
-use dvdc::protocol::node_core::{fnv64, ClusterSpec, Msg, Note};
+use dvdc::protocol::node_core::{block_digest, ClusterSpec, Msg, Note};
 use dvdc_faults::detector::{DetectorConfig, Verdict};
 use dvdc_observe::metrics::fold_events;
 use dvdc_simcore::time::{Duration, SimTime};
@@ -52,7 +52,7 @@ fn cluster_survives_sigkill_mid_round_and_victim_rejoins() {
         (e, img.to_vec())
     };
     assert_eq!(pre_epoch, 3);
-    let pre_digest = fnv64(&pre_image);
+    let pre_digest = block_digest(&pre_image);
 
     // Open round 4 and kill the victim 5 ms into its 20 ms capture
     // window: its epoch-4 payload never ships, so the round must die.
@@ -415,7 +415,7 @@ fn restart_inside_a_heartbeat_interval_is_fenced_resynced_and_protection_holds()
             assert_eq!(fences_seen_by(&h, i, victim), [1], "{ctx} node{i}");
         }
         // Rebuilt byte-exact into custody, and resynced to exactly that.
-        let digest = fnv64(&pre_crash);
+        let digest = block_digest(&pre_crash);
         let rebuilt = |_, n: &Note| {
             matches!(n, Note::RebuildCompleted { victim: v, epoch: 2, digest: d }
                 if *v == NodeId(victim) && *d == digest)
@@ -504,14 +504,14 @@ fn returning_coordinator_learns_who_else_is_out_and_serves_them() {
     h.run_until(200.0, "node 2 in node 1's custody", |h| {
         h.node(1).custody_block(NodeId(2)).is_some()
     });
-    let rebuilt = fnv64(h.node(1).custody_block(NodeId(2)).unwrap().1);
+    let rebuilt = block_digest(h.node(1).custody_block(NodeId(2)).unwrap().1);
 
     h.run_until(200.0, "node 0 back and holding node 2 itself", |h| {
         h.node(0).custody_block(NodeId(2)).is_some()
     });
     assert_eq!(fences_seen_by(&h, 0, 2), [1], "told on readmission");
     assert_eq!(
-        fnv64(h.node(0).custody_block(NodeId(2)).unwrap().1),
+        block_digest(h.node(0).custody_block(NodeId(2)).unwrap().1),
         rebuilt
     );
     h.run_until(500.0, "node 2 back, resynced by node 0", |h| {

@@ -7,8 +7,8 @@ use std::rc::Rc;
 use dvdc::placement::GroupPlacement;
 use dvdc::protocol::harness::Harness;
 use dvdc::protocol::{
-    fnv64, run_round_with_faults, CheckpointProtocol, ClusterSpec, CodeKind, DvdcProtocol, Msg,
-    Note, PhasedOutcome, ProtocolError, RebuildMode, RebuildPhase, RebuildStep, RecoverError,
+    block_digest, run_round_with_faults, CheckpointProtocol, ClusterSpec, CodeKind, DvdcProtocol,
+    Msg, Note, PhasedOutcome, ProtocolError, RebuildMode, RebuildPhase, RebuildStep, RecoverError,
     RoundPhase, RoundStep, CTL,
 };
 use dvdc_checkpoint::strategy::Mode;
@@ -858,7 +858,7 @@ fn healthy_digests(k: usize, m: usize) -> [Vec<u64>; 2] {
     assert_eq!(h.checkpoint(0, 1000.0), Ok(1));
     [2, 3].map(|epoch| {
         assert_eq!(h.checkpoint(0, 1000.0), Ok(epoch));
-        let digest = |i| fnv64(h.node(i).committed().expect("committed").1);
+        let digest = |i| block_digest(h.node(i).committed().expect("committed").1);
         (0..k + m).map(digest).collect()
     })
 }
@@ -959,7 +959,11 @@ fn node_core_case(
         let (epoch, block) = h.node(c).custody_block(NodeId(victim)).expect("in custody");
         let outran = !dead && (1..k).contains(&victim) && instant == Instant::CapturesShipped;
         assert_eq!(epoch, if outran { 3 } else { pre_epoch }, "{ctx}");
-        assert_eq!(fnv64(block), healthy[epoch as usize - 2][victim], "{ctx}");
+        assert_eq!(
+            block_digest(block),
+            healthy[epoch as usize - 2][victim],
+            "{ctx}"
+        );
 
         // A degraded round commits with custody standing in, as long as a
         // parity holder is left to fold it.
@@ -1075,13 +1079,13 @@ fn node_core_returning_parity_holder_does_not_vouch_for_a_stale_shard() {
             assert_eq!(h.node(holder).committed(), None, "{ctx}");
 
             let lost = 1;
-            let want = fnv64(h.node(lost).committed().expect("committed").1);
+            let want = block_digest(h.node(lost).committed().expect("committed").1);
             h.crash(lost);
             h.run_until(500.0, "the data member's image in custody", |h| {
                 h.node(0).custody_block(NodeId(lost)).is_some()
             });
             let (epoch, block) = h.node(0).custody_block(NodeId(lost)).expect("in custody");
-            assert_eq!((epoch, fnv64(block)), (3, want), "{ctx}");
+            assert_eq!((epoch, block_digest(block)), (3, want), "{ctx}");
             assert!(h.live().all(|n| !n.saw_data_loss()), "{ctx}");
         }
     }
