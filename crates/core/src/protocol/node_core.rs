@@ -70,7 +70,7 @@ use dvdc_observe::{Event, MetricsSnapshot, TimedEvent};
 use dvdc_parity::code::ErasureCode;
 use dvdc_parity::raid5::XorCode;
 use dvdc_parity::rs::ReedSolomon;
-use dvdc_simcore::rng::splitmix64;
+use dvdc_simcore::rng::{splitmix64, SPLITMIX_GAMMA};
 use dvdc_simcore::time::{Duration, SimTime};
 use dvdc_vcluster::ids::NodeId;
 use dvdc_vcluster::messaging::FenceRegistry;
@@ -771,19 +771,24 @@ pub use dvdc_simcore::rng::fnv1a64 as fnv64;
 /// and the frame trailer; comparable only between nodes of one build.
 pub use dvdc_simcore::rng::xxh64 as block_digest;
 
-/// XORs the `splitmix64` stream of `seed` into `buf`, a little-endian word
-/// at a time and then the tail bytes; over zeros that stores the stream.
-fn xor_pseudo(seed: u64, buf: &mut [u8]) {
-    let mut s = seed;
-    let mut words = buf.chunks_exact_mut(8);
-    for word in &mut words {
-        s = splitmix64(s);
-        let word: &mut [u8; 8] = word.try_into().expect("chunks_exact_mut(8)");
-        *word = (u64::from_le_bytes(*word) ^ s).to_le_bytes();
+/// Writes `src ^ stream` into `dst` (as long as `src`), where `stream` is
+/// the reference SplitMix64 stream from state `seed`: word `n` is
+/// `splitmix64(seed + n·γ)`, little-endian, cut short at the tail. With no
+/// `src` the stream is XORed into `dst` in place; over zeros that stores
+/// it. No word waits on the one before, so the multiplies pipeline.
+fn xor_pseudo(seed: u64, src: Option<&[u8]>, dst: &mut [u8]) {
+    debug_assert_eq!(src.map_or(dst.len(), <[u8]>::len), dst.len());
+    let stream = |n: usize| splitmix64(seed.wrapping_add((n as u64).wrapping_mul(SPLITMIX_GAMMA)));
+    let words = dst.len() / 8;
+    for n in 0..words {
+        let at = 8 * n;
+        let word: [u8; 8] = src.unwrap_or(dst)[at..at + 8].try_into().expect("8 bytes");
+        let word = (u64::from_le_bytes(word) ^ stream(n)).to_le_bytes();
+        dst[at..at + 8].copy_from_slice(&word);
     }
-    let tail = splitmix64(s).to_le_bytes();
-    for (b, x) in words.into_remainder().iter_mut().zip(tail) {
-        *b ^= x;
+    let tail = stream(words).to_le_bytes();
+    for (at, x) in (8 * words..dst.len()).zip(tail) {
+        dst[at] = src.unwrap_or(dst)[at] ^ x;
     }
 }
 
@@ -794,17 +799,19 @@ pub fn initial_image(cluster_id: u64, node: NodeId, len: usize) -> Vec<u8> {
     let mut img = vec![0u8; len];
     xor_pseudo(
         splitmix64(cluster_id).wrapping_add(node.index() as u64),
+        None,
         &mut img,
     );
     img
 }
 
-/// Deterministically mutates a live image after committing `epoch` —
-/// the stand-in for guest dirty-page traffic between rounds.
-fn churn_image(cluster_id: u64, node: NodeId, epoch: u64, image: &mut [u8]) {
-    let seed = splitmix64(cluster_id ^ epoch.wrapping_mul(0x9e37_79b9_7f4a_7c15))
+/// Writes `node`'s next live image after committing `epoch` — `src` (or
+/// `image` itself) XOR the epoch's stream, the stand-in for guest
+/// dirty-page traffic between rounds.
+fn churn_image(cluster_id: u64, node: NodeId, epoch: u64, src: Option<&[u8]>, image: &mut [u8]) {
+    let seed = splitmix64(cluster_id ^ epoch.wrapping_mul(SPLITMIX_GAMMA))
         .wrapping_add(node.index() as u64);
-    xor_pseudo(seed, image);
+    xor_pseudo(seed, src, image);
 }
 
 /// Coordinator-side bookkeeping of one open round.
@@ -833,7 +840,10 @@ struct PartRound {
     capture_due: Option<SimTime>,
     /// When the round is given up here if its coordinator died silent.
     expires_at: SimTime,
-    staged_image: Option<Vec<u8>>,
+    /// Data member: `live` holds the bytes this round shipped, and the
+    /// commit promotes it as it stands. Whatever writes `live` before
+    /// then clears this.
+    captured: bool,
     /// Parity holder: the sources whose blocks are in `staged_parity`,
     /// which is this holder's shard once all `k` are.
     folded: BTreeSet<NodeId>,
@@ -887,6 +897,10 @@ pub struct NodeCore {
     live: Option<Vec<u8>>,
     /// Committed checkpoint block: data image or parity shard.
     committed: Option<(u64, Vec<u8>)>,
+    /// The buffer of the block the last commit replaced, kept for the
+    /// next image-sized write: a data node's next live image, a holder's
+    /// next accumulator.
+    spare: Option<Vec<u8>>,
     /// Rebuilt blocks held on behalf of fenced nodes, each with the
     /// [`block_digest`] its rebuild computed.
     custody: BTreeMap<NodeId, (u64, BlockKind, Vec<u8>, u64)>,
@@ -948,6 +962,7 @@ impl NodeCore {
             fences: FenceRegistry::new(),
             live,
             committed: None,
+            spare: None,
             custody: BTreeMap::new(),
             sessions: BTreeSet::new(),
             boots: BTreeMap::new(),
@@ -1503,17 +1518,14 @@ impl NodeCore {
                 self.fences.readmit_at(self.id, fence_epoch);
                 if let Some(img) = image {
                     if self.spec.is_data(self.id) {
-                        self.live = Some(img.clone());
+                        self.overwrite_live(&img);
                     }
                     self.committed = Some((committed_epoch, img));
                 } else if self.spec.is_data(self.id) {
                     // A data resync always ships bytes; an empty one means
                     // nothing was ever committed — restart from the seed.
-                    self.live = Some(initial_image(
-                        self.spec.cluster_id,
-                        self.id,
-                        self.spec.image_len,
-                    ));
+                    let image = initial_image(self.spec.cluster_id, self.id, self.spec.image_len);
+                    self.overwrite_live(&image);
                 }
                 // Sessions re-open when the members greet us, which each
                 // does as it learns of the readmission, after we have.
@@ -2106,7 +2118,7 @@ impl NodeCore {
             holders,
             capture_due: i_capture.then(|| now + self.spec.capture_delay),
             expires_at: now + self.spec.round_timeout * 2.0,
-            staged_image: None,
+            captured: false,
             folded: BTreeSet::new(),
             staged_parity: None,
         });
@@ -2144,12 +2156,13 @@ impl NodeCore {
         let holders = r.holders.clone();
         let sources = r.sources.clone();
         let window_secs = now.since(r.started_at).as_secs();
-        // Two copies of the image: the staged block this node commits,
-        // and the snapshot that travels.
+        // One copy of the image, the snapshot that travels. The block this
+        // node commits is `live` itself: nothing writes it before the
+        // commit promotes it, and whatever does voids the capture.
         let Some(img) = self.live.clone() else {
             return;
         };
-        r.staged_image = Some(img.clone());
+        r.captured = true;
         let coordinator = self.coordinator();
         self.ship(epoch, self.id, img, &holders, out);
         let ack = Msg::CaptureAck {
@@ -2291,9 +2304,15 @@ impl NodeCore {
             return;
         }
         // Fold the block into our shard and drop it. The codes are
-        // GF(2)-linear, so k folds in any order equal `encode`'s shard.
+        // GF(2)-linear, so k folds in any order into zeros equal
+        // `encode`'s shard; the zeros are the spare buffer, cleared.
         let j = self.id.index() - self.spec.data_nodes;
-        let shard = r.staged_parity.get_or_insert_with(|| vec![0; data.len()]);
+        let shard = r.staged_parity.get_or_insert_with(|| {
+            let mut zeros = self.spare.take().unwrap_or_default();
+            zeros.clear();
+            zeros.resize(data.len(), 0);
+            zeros
+        });
         self.code.apply_delta(j, shard, source.index(), 0, &data);
         if r.folded.len() < self.spec.data_nodes {
             return;
@@ -2373,22 +2392,25 @@ impl NodeCore {
     /// Participant: promote staged state to committed, churn the live
     /// image, ack the coordinator.
     fn on_commit(&mut self, epoch: u64, out: &mut Vec<Action>) {
-        let Some(r) = &mut self.part_round else {
+        let Some(r) = self.part_round.take_if(|r| r.epoch == epoch) else {
             return;
         };
-        if r.epoch != epoch {
-            return;
-        }
         // A shard short of a block is not parity of anything: drop it.
         let whole = r.folded.len() == self.spec.data_nodes;
-        let parity = r.staged_parity.take().filter(|_| whole);
-        let staged = r.staged_image.take().or(parity);
-        self.part_round = None;
-        if let Some(block) = staged {
-            self.committed = Some((epoch, block));
+        if let Some(shard) = r.staged_parity.filter(|_| whole) {
+            self.promote(epoch, shard);
         }
-        if let (Some(live), true) = (&mut self.live, self.spec.is_data(self.id)) {
-            churn_image(self.spec.cluster_id, self.id, epoch, live);
+        // The captured image is committed by move, and the next one is
+        // written from it in one pass into the buffer the commit freed.
+        if let Some(image) = self.live.take_if(|_| r.captured) {
+            self.promote(epoch, image);
+            let (_, image) = self.committed.as_ref().expect("promoted above");
+            let mut next = self.spare.take().unwrap_or_default();
+            next.resize(image.len(), 0);
+            churn_image(self.spec.cluster_id, self.id, epoch, Some(image), &mut next);
+            self.live = Some(next);
+        } else if let Some(live) = &mut self.live {
+            churn_image(self.spec.cluster_id, self.id, epoch, None, live);
         }
         // Custody orphans' images are re-committed at this epoch (same
         // bytes). An orphan's parity shard is parity of the round it was
@@ -2452,8 +2474,29 @@ impl NodeCore {
         if !self.spec.is_data(self.id) {
             return;
         }
-        if let Some((_, img)) = &self.committed {
-            self.live = Some(img.clone());
+        let committed = self.committed.take();
+        if let Some((_, img)) = &committed {
+            self.overwrite_live(img);
+        }
+        self.committed = committed;
+    }
+
+    /// Makes `block` the committed block of `epoch`, keeping the buffer of
+    /// the one it replaces as the spare.
+    fn promote(&mut self, epoch: u64, block: Vec<u8>) {
+        self.spare = self.committed.replace((epoch, block)).map(|(_, b)| b);
+    }
+
+    /// Writes `img` over the live image outside a commit, into the buffer
+    /// `live` already owns. What the open round captured is no longer
+    /// there, so its commit promotes nothing.
+    fn overwrite_live(&mut self, img: &[u8]) {
+        match &mut self.live {
+            Some(live) if live.len() == img.len() => live.copy_from_slice(img),
+            live => *live = Some(img.to_vec()),
+        }
+        if let Some(r) = &mut self.part_round {
+            r.captured = false;
         }
     }
 }
@@ -2529,39 +2572,28 @@ mod tests {
     fn churn_changes_bytes_deterministically() {
         let mut a = initial_image(7, NodeId(0), 64);
         let orig = a.clone();
-        churn_image(7, NodeId(0), 1, &mut a);
+        churn_image(7, NodeId(0), 1, None, &mut a);
         assert_ne!(a, orig);
         let mut b = orig.clone();
-        churn_image(7, NodeId(0), 1, &mut b);
+        churn_image(7, NodeId(0), 1, None, &mut b);
         assert_eq!(a, b);
     }
 
-    /// The byte-at-a-time loops `xor_pseudo` replaced (`fill_pseudo`
-    /// stored, `churn_image` XORed), kept as its reference.
-    fn byte_serial(seed: u64, buf: &mut [u8], store: bool) {
-        let mut s = seed;
-        for chunk in buf.chunks_mut(8) {
-            s = splitmix64(s);
-            for (i, b) in chunk.iter_mut().enumerate() {
-                let x = (s >> (8 * i)) as u8;
-                *b = if store { x } else { *b ^ x };
-            }
-        }
-    }
-
     #[test]
-    fn word_wise_pseudo_random_bytes_match_the_byte_serial_reference() {
+    fn image_stream_is_the_reference_splitmix64_fused_or_in_place() {
+        // The vectors `simcore::rng` pins for the stream from state 0.
+        let mut zeros = vec![0; 16];
+        xor_pseudo(0, None, &mut zeros);
+        let words = [0xE220_A839_7B1D_CDAF_u64, 0x6E78_9E6A_A1B9_65F4];
+        assert_eq!(zeros, words.map(u64::to_le_bytes).concat());
         for len in (0..=17).chain([4096 + 3]) {
             let seed = 0xDEAD_BEEF ^ len as u64;
-            let mut want = vec![0xFF; len];
-            byte_serial(seed, &mut want, true);
-            let mut got = vec![0; len];
-            xor_pseudo(seed, &mut got);
-            assert_eq!(got, want, "fill, len {len}");
-
-            byte_serial(seed + 1, &mut want, false);
-            xor_pseudo(seed + 1, &mut got);
-            assert_eq!(got, want, "churn, len {len}");
+            let src = initial_image(7, NodeId(1), len);
+            let mut in_place = src.clone();
+            xor_pseudo(seed, None, &mut in_place);
+            let mut fused = vec![0xFF; len];
+            xor_pseudo(seed, Some(&src), &mut fused);
+            assert_eq!(fused, in_place, "len {len}");
         }
     }
 
@@ -2626,6 +2658,145 @@ mod tests {
         }
         p.on_message(NodeId(0), Msg::Commit { epoch: 1 }, SimTime::ZERO);
         assert_eq!(p.committed(), None);
+    }
+
+    /// The data member's capture on `RoundBegin` of `epoch` (the delay of
+    /// `spec()` is zero): the bytes it shipped to the holder.
+    fn captured(n: &mut NodeCore, epoch: u64) -> Vec<u8> {
+        let begin = Msg::RoundBegin {
+            epoch,
+            sources: (0..3).map(NodeId).collect(),
+            holders: vec![NodeId(3)],
+        };
+        let out = n.on_message(NodeId(0), begin, SimTime::ZERO);
+        let shipped = out.into_iter().find_map(|a| match a {
+            Action::Send {
+                to: NodeId(3),
+                msg: Msg::Payload { data, .. },
+            } => Some(data),
+            _ => None,
+        });
+        shipped.expect("a capture on RoundBegin")
+    }
+
+    /// Node 1's image after the guest's writes of round `epoch`.
+    fn churned(epoch: u64, mut image: Vec<u8>) -> Vec<u8> {
+        churn_image(7, NodeId(1), epoch, None, &mut image);
+        image
+    }
+
+    #[test]
+    fn each_commit_promotes_the_bytes_shipped_and_the_next_round_ships_them_churned() {
+        let mut n = NodeCore::new(NodeId(1), spec(), 1);
+        let mut want = initial_image(7, NodeId(1), 64);
+        for epoch in 1..=3 {
+            let shipped = captured(&mut n, epoch);
+            assert_eq!(shipped, want, "round {epoch}");
+            n.on_message(NodeId(0), Msg::Commit { epoch }, SimTime::ZERO);
+            assert_eq!(n.committed(), Some((epoch, shipped.as_slice())));
+            want = churned(epoch, shipped);
+        }
+    }
+
+    #[test]
+    fn a_round_lost_after_capture_leaves_live_and_the_next_round_ships_the_same_bytes() {
+        let mut n = NodeCore::new(NodeId(1), spec(), 1);
+        let first = captured(&mut n, 1);
+        // The coordinator gives the round up (a holder died, it timed out).
+        let abort = Msg::AbortRound {
+            epoch: 1,
+            reason: "round timed out".to_string(),
+        };
+        n.on_message(NodeId(0), abort, SimTime::ZERO);
+        assert_eq!(captured(&mut n, 2), first);
+        // The coordinator goes silent and the round expires here.
+        let out = n.on_tick(SimTime::ZERO + spec().round_timeout * 2.0);
+        let expired = |n: &Note| matches!(n, Note::RoundAborted { epoch: 2, .. });
+        assert!(notes(&out).iter().any(expired), "{out:?}");
+        assert_eq!(captured(&mut n, 3), first);
+        assert_eq!(n.committed(), None);
+    }
+
+    /// Node 1 of `spec()` with round 1 committed and round 2 captured.
+    fn captured_after_a_commit() -> (NodeCore, Vec<u8>) {
+        let mut n = NodeCore::new(NodeId(1), spec(), 1);
+        let first = captured(&mut n, 1);
+        n.on_message(NodeId(0), Msg::Commit { epoch: 1 }, SimTime::ZERO);
+        captured(&mut n, 2);
+        (n, first)
+    }
+
+    #[test]
+    fn writing_live_between_capture_and_commit_voids_the_capture() {
+        // The cluster rollback a readmission brings.
+        let (mut rolled_back, first) = captured_after_a_commit();
+        let readmit = Msg::Readmit {
+            node: NodeId(2),
+            fence_epoch: 1,
+            rollback_epoch: 1,
+        };
+        rolled_back.on_message(NodeId(0), readmit, SimTime::ZERO);
+        // A resync's rebuilt state, landing while the round is open.
+        let (mut resynced, _) = captured_after_a_commit();
+        resynced.resync = Some(ResyncClient {
+            coordinator: NodeId(0),
+            next_retry: SimTime::ZERO,
+        });
+        let rebuilt = vec![0xAB; 64];
+        let state = Msg::ResyncState {
+            node: NodeId(1),
+            fence_epoch: 1,
+            committed_epoch: 1,
+            image: Some(rebuilt.clone()),
+        };
+        resynced.on_message(NodeId(0), state, SimTime::ZERO);
+        resynced.resync = None;
+
+        for (mut n, written) in [(rolled_back, first), (resynced, rebuilt)] {
+            assert_eq!(n.live.as_ref(), Some(&written));
+            n.on_message(NodeId(0), Msg::Commit { epoch: 2 }, SimTime::ZERO);
+            assert_eq!(n.committed(), Some((1, written.as_slice())));
+            assert_eq!(n.live, Some(churned(2, written)));
+        }
+    }
+
+    #[test]
+    fn a_holder_folds_each_round_into_the_shard_the_last_commit_replaced() {
+        for m in [1, 2] {
+            let s = ClusterSpec {
+                data_nodes: 4,
+                parity_nodes: m,
+                ..spec()
+            };
+            let sources: Vec<NodeId> = (0..4).map(NodeId).collect();
+            let holders: Vec<NodeId> = (4..4 + m).map(NodeId).collect();
+            for (j, &h) in holders.iter().enumerate() {
+                let mut p = NodeCore::new(h, s.clone(), 1);
+                let mut images: Vec<Vec<u8>> =
+                    sources.iter().map(|&i| initial_image(7, i, 64)).collect();
+                // The third round is the first to fold into a recycled
+                // buffer: the shard round 2's commit replaced.
+                for epoch in 1..=3 {
+                    let begin = Msg::RoundBegin {
+                        epoch,
+                        sources: sources.clone(),
+                        holders: holders.clone(),
+                    };
+                    p.on_message(NodeId(0), begin, SimTime::ZERO);
+                    for (i, image) in images.iter().enumerate() {
+                        p.on_message(NodeId(i), block(epoch, i, image.clone()), SimTime::ZERO);
+                    }
+                    p.on_message(NodeId(0), Msg::Commit { epoch }, SimTime::ZERO);
+                    let refs: Vec<&[u8]> = images.iter().map(Vec::as_slice).collect();
+                    let want = s.code().encode(&refs).remove(j);
+                    let got = p.committed();
+                    assert_eq!(got, Some((epoch, want.as_slice())), "{h} of 4+{m}, {epoch}");
+                    for (i, image) in images.iter_mut().enumerate() {
+                        churn_image(7, NodeId(i), epoch, None, image);
+                    }
+                }
+            }
+        }
     }
 
     /// Node 0 of `spec()` with sessions to every peer and a ctl-requested
