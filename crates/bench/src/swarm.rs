@@ -24,7 +24,7 @@ use std::rc::Rc;
 
 use dvdc::placement::GroupPlacement;
 use dvdc::protocol::harness::Harness;
-use dvdc::protocol::{ClusterSpec, DvdcProtocol, Note};
+use dvdc::protocol::{ClusterSpec, DvdcProtocol, Note, PART_LEN};
 use dvdc::scenario::{run_scenario, ScenarioConfig, ScenarioReport};
 use dvdc_faults::buggify::{self, FaultRegistry, Intensity};
 use dvdc_faults::{
@@ -115,6 +115,10 @@ pub enum Subject {
     /// the seed picks the layout, the plan and how long a crashed process
     /// stays down, and the registry's `*.delay` points slow single links.
     Core,
+    /// [`Subject::Core`] with images of three whole parts and a ragged
+    /// fourth, so every block travels and lands part by part, and each
+    /// part may be delayed on its own.
+    CoreInParts,
 }
 
 /// The layouts `NodeCore` has, as `(k, m)`; a seed runs `seed % 4`.
@@ -147,16 +151,16 @@ fn core_schedule(seed: u64, horizon: Duration) -> Box<dyn FaultSchedule> {
 /// parity that round left behind the parity of the images it left behind.
 /// Anything else is the error.
 fn core_cell(
+    spec: ClusterSpec,
     seed: u64,
     rounds: u64,
     registry: Rc<FaultRegistry>,
 ) -> Result<ScenarioReport, String> {
-    let (k, m) = CORE_LAYOUTS[(seed % 4) as usize];
+    let (k, m) = (spec.data_nodes, spec.parity_nodes);
     let gap = Duration::from_millis(100.0);
     let horizon = gap * rounds as f64;
     let schedule = core_schedule(seed, horizon);
     let plan = schedule.plan(DomainShape::flat(k + m), horizon, &RngHub::new(seed));
-    let spec = ClusterSpec::drill(k, m);
     let mut h = Harness::new(spec.clone());
     h.run_until(500.0, "full mesh", |h| h.fully_meshed());
     h.checkpoint(0, 500.0)?;
@@ -432,9 +436,16 @@ fn run_raw(
     let caught = panic::catch_unwind(AssertUnwindSafe(move || {
         // The harness carries its own auditors and asserts them when it is
         // dropped; the model records into ours.
+        let (k, m) = CORE_LAYOUTS[(seed % 4) as usize];
+        let spec = ClusterSpec::drill(k, m);
         let result = match subject {
             Subject::Model => model_cell(seed, rounds, run_registry.clone(), run_audit),
-            Subject::Core => core_cell(seed, rounds, run_registry.clone()),
+            Subject::Core => core_cell(spec, seed, rounds, run_registry.clone()),
+            Subject::CoreInParts => {
+                let image_len = 3 * PART_LEN + 4_099;
+                let spec = ClusterSpec { image_len, ..spec };
+                core_cell(spec, seed, rounds, run_registry.clone())
+            }
         };
         if let Ok(ref _report) = result {
             let fired = run_registry.fired_points();
@@ -513,7 +524,7 @@ fn run_cell_poisoned(
             make_workload(seed).0.to_string(),
             make_schedule(seed / WORKLOADS, horizon).name(),
         ),
-        Subject::Core => {
+        Subject::Core | Subject::CoreInParts => {
             let (k, m) = CORE_LAYOUTS[(seed % 4) as usize];
             (format!("{k}+{m}"), core_schedule(seed, horizon).name())
         }

@@ -55,10 +55,12 @@ struct SimNet {
 fn delay_point(msg: &Msg) -> Option<&'static str> {
     Some(match msg {
         Msg::RoundBegin { .. } => points::ROUND_CAPTURE_DELAY,
-        Msg::Payload { .. } => points::ROUND_TRANSFER_DELAY,
+        Msg::Payload { .. } | Msg::PayloadPart { .. } => points::ROUND_TRANSFER_DELAY,
         Msg::Commit { .. } => points::ROUND_COMMIT_DELAY,
         Msg::CommitAck { .. } => points::COMMIT_ACK_DELAY,
-        Msg::FetchReq { .. } | Msg::FetchBlocks { .. } => points::REBUILD_FETCH_DELAY,
+        Msg::FetchReq { .. } | Msg::FetchPart { .. } | Msg::FetchBlocks { .. } => {
+            points::REBUILD_FETCH_DELAY
+        }
         Msg::Heartbeat { .. } => points::HEARTBEAT_SEND_DELAY,
         _ => return None,
     })

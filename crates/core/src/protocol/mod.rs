@@ -38,7 +38,7 @@ pub use dvdc_proto::{
 pub use harness::Harness;
 pub use node_core::{
     block_digest, fnv64, initial_image, note_event, Action, BlockInfo, BlockKind, ClusterSpec,
-    DigestSource, Msg, NodeCore, NodeMetrics, Note, StatusView, CTL,
+    DigestSource, Msg, NodeCore, NodeMetrics, Note, StatusView, CTL, PART_LEN,
 };
 pub use phased::{run_round_with_detection, run_round_with_faults, DetectionReport, PhasedOutcome};
 pub use remus::RemusLikeProtocol;

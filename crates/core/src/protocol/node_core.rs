@@ -60,6 +60,7 @@
 //! Losses beyond the code's tolerance surface as [`Note::DataLoss`] —
 //! typed, never a panic.
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 
 use dvdc_faults::detector::{DetectorConfig, FailureDetector, Verdict};
@@ -99,8 +100,9 @@ pub enum DigestSource {
     Missing,
 }
 
-/// One block carried in a [`Msg::FetchBlocks`] rebuild response:
-/// the committed state of slot `holder` at `epoch`.
+/// One part of a block in a rebuild answer ([`Msg::FetchPart`],
+/// [`Msg::FetchBlocks`]): bytes of the committed state of slot `holder`
+/// at `epoch`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BlockInfo {
     /// The node whose erasure-group slot this block fills (not
@@ -111,7 +113,7 @@ pub struct BlockInfo {
     pub kind: BlockKind,
     /// The committed epoch the block belongs to.
     pub epoch: u64,
-    /// The block bytes.
+    /// The part's bytes: the whole block when it is one part.
     pub data: Vec<u8>,
 }
 
@@ -190,7 +192,9 @@ pub enum Msg {
         /// Parity nodes expected to fold and ack.
         holders: Vec<NodeId>,
     },
-    /// A captured checkpoint block in flight to a parity holder.
+    /// The last part of a captured checkpoint block in flight to a parity
+    /// holder — the whole block when it is one part. Its offset is implied
+    /// by its length: `image_len − data.len()`.
     Payload {
         /// Round epoch the capture belongs to.
         epoch: u64,
@@ -198,7 +202,21 @@ pub enum Msg {
         source: NodeId,
         /// Sender's fence epoch — stale (pre-fence) payloads are dropped.
         fence_epoch: u64,
-        /// The captured image bytes.
+        /// The part's bytes.
+        data: Vec<u8>,
+    },
+    /// Any other part of a captured checkpoint block in flight to a
+    /// parity holder.
+    PayloadPart {
+        /// Round epoch the capture belongs to.
+        epoch: u64,
+        /// The data slot this block fills.
+        source: NodeId,
+        /// Sender's fence epoch — stale (pre-fence) parts are dropped.
+        fence_epoch: u64,
+        /// Where in the block the part begins, a multiple of [`PART_LEN`].
+        offset: u64,
+        /// The part's [`PART_LEN`] bytes.
         data: Vec<u8>,
     },
     /// Data member reports its capture is staged and shipped.
@@ -249,14 +267,28 @@ pub enum Msg {
         /// The node being rebuilt.
         victim: NodeId,
     },
-    /// Survivor's rebuild contribution: its own committed block plus any
-    /// custody blocks it holds.
+    /// One part of a block in a survivor's rebuild contribution, other
+    /// than the block's last, which travels in the closing
+    /// [`Msg::FetchBlocks`].
+    FetchPart {
+        /// The responding node.
+        node: NodeId,
+        /// Sender's fence epoch — stale responders are dropped.
+        fence_epoch: u64,
+        /// Where in the block the part begins, a multiple of [`PART_LEN`].
+        offset: u64,
+        /// The part, tagged with its block's slot and epoch.
+        part: BlockInfo,
+    },
+    /// Closes a survivor's rebuild contribution — its own committed block
+    /// plus any custody blocks it holds — with the last part of each, its
+    /// offset implied by its length as a [`Msg::Payload`]'s is.
     FetchBlocks {
         /// The responding node.
         node: NodeId,
         /// Sender's fence epoch — stale responders are dropped.
         fence_epoch: u64,
-        /// The blocks, each tagged with its slot and epoch.
+        /// The last parts, each tagged with its block's slot and epoch.
         blocks: Vec<BlockInfo>,
     },
     /// A fenced node (restarted, empty) asks the coordinator for its
@@ -360,20 +392,6 @@ pub enum Msg {
         /// The buffered tail, oldest first.
         events: Vec<TimedEvent>,
     },
-}
-
-impl Msg {
-    /// Length of the bulk payload carried by data-plane messages, `None`
-    /// for control messages. The sim transport charges these through its
-    /// [`TransferLedger`](dvdc_vcluster::messaging::TransferLedger).
-    pub fn payload_len(&self) -> Option<usize> {
-        match self {
-            Msg::Payload { data, .. } => Some(data.len()),
-            Msg::FetchBlocks { blocks, .. } => Some(blocks.iter().map(|b| b.data.len()).sum()),
-            Msg::ResyncState { image, .. } => Some(image.as_ref().map(Vec::len).unwrap_or(0)),
-            _ => None,
-        }
-    }
 }
 
 /// Things a [`NodeCore`] asks its driver to do.
@@ -683,6 +701,29 @@ impl ClusterSpec {
         }
     }
 
+    /// How many parts a block travels as.
+    fn parts(&self) -> usize {
+        self.image_len.div_ceil(PART_LEN)
+    }
+
+    /// Which part of a block `len` bytes at `offset` are — with no
+    /// offset, the last `len` bytes — or why they are none: a part starts
+    /// at a multiple of [`PART_LEN`] inside the block and runs to the
+    /// next one or to the block's end.
+    fn part(&self, offset: Option<u64>, len: usize) -> Result<usize, String> {
+        let at = offset.map_or(self.image_len.checked_sub(len), |at| {
+            usize::try_from(at).ok()
+        });
+        let image_len = self.image_len;
+        let fits = |at: &usize| at.is_multiple_of(PART_LEN) && *at < image_len;
+        match at.filter(fits) {
+            Some(at) if len == PART_LEN.min(image_len - at) => Ok(at / PART_LEN),
+            _ => Err(format!(
+                "{len} bytes (offset {offset:?}) are no part of a {image_len}-byte block"
+            )),
+        }
+    }
+
     /// Rejects a spec no group can run on: an empty group or image, a
     /// detector that suspects a member for one late heartbeat, a round
     /// whose timeout runs out before its capture is due.
@@ -771,6 +812,20 @@ pub use dvdc_simcore::rng::fnv1a64 as fnv64;
 /// and the frame trailer; comparable only between nodes of one build.
 pub use dvdc_simcore::rng::xxh64 as block_digest;
 
+/// A block travels as parts of this many bytes, each its own message, and
+/// is applied part by part where it lands, so no receiver holds a block it
+/// has not applied: part *i* covers `[i·PART_LEN, min((i+1)·PART_LEN,
+/// image_len))`.
+pub const PART_LEN: usize = 256 << 10;
+
+/// `block` as the parts it travels in: every part but the last with its
+/// offset, and the last, whose offset its length implies.
+fn cut(block: &[u8]) -> (impl Iterator<Item = (u64, &[u8])>, &[u8]) {
+    let (head, last) = block.split_at(block.len().saturating_sub(1) / PART_LEN * PART_LEN);
+    let offsets = (0..).step_by(PART_LEN).map(|at: usize| at as u64);
+    (offsets.zip(head.chunks(PART_LEN)), last)
+}
+
 /// Writes `src ^ stream` into `dst` (as long as `src`), where `stream` is
 /// the reference SplitMix64 stream from state `seed`: word `n` is
 /// `splitmix64(seed + n·γ)`, little-endian, cut short at the tail. With no
@@ -844,21 +899,24 @@ struct PartRound {
     /// commit promotes it as it stands. Whatever writes `live` before
     /// then clears this.
     captured: bool,
-    /// Parity holder: the sources whose blocks are in `staged_parity`,
-    /// which is this holder's shard once all `k` are.
-    folded: BTreeSet<NodeId>,
+    /// Parity holder: the parts of each source folded into
+    /// `staged_parity`. A source is in once all its parts are, and the
+    /// shard is this holder's once all `k` sources are.
+    folded: BTreeMap<NodeId, BTreeSet<usize>>,
     staged_parity: Option<Vec<u8>>,
 }
 
-/// A `Payload` that reached a parity holder before the `RoundBegin` of
-/// the round it belongs to.
-#[derive(Debug, Clone)]
-struct EarlyBlock {
-    from: NodeId,
-    epoch: u64,
-    fence_epoch: u64,
-    data: Vec<u8>,
+impl PartRound {
+    /// Sources whose blocks, of `parts` parts each, are folded whole.
+    fn folded_whole(&self, parts: usize) -> usize {
+        self.folded.values().filter(|p| p.len() == parts).count()
+    }
 }
+
+/// One source's parts parked ahead of their round: the round (one per
+/// source), and each part once, by index, with its sender and the fence
+/// epoch it came with.
+type Parked = (u64, BTreeMap<usize, (NodeId, u64, Vec<u8>)>);
 
 /// Coordinator-side bookkeeping of one rebuild in flight.
 #[derive(Debug, Clone)]
@@ -867,7 +925,9 @@ struct Rebuild {
     /// When the decode goes ahead with the blocks that have arrived.
     deadline: SimTime,
     awaiting: BTreeSet<NodeId>,
-    blocks: Vec<BlockInfo>,
+    /// Survivors' blocks by epoch and slot, each copied into a buffer of
+    /// its own part by part, with the parts landed so far.
+    fetched: BTreeMap<(u64, NodeId), (Vec<u8>, BTreeSet<usize>)>,
 }
 
 /// Victim-side bookkeeping of a resync in flight.
@@ -918,8 +978,8 @@ pub struct NodeCore {
     /// or not) — keeps retry epochs strictly increasing across aborts,
     /// and tells an early block from a stale one.
     last_begun: u64,
-    /// Blocks parked ahead of their round, by source slot.
-    early: BTreeMap<NodeId, EarlyBlock>,
+    /// Parts parked ahead of their round, by source slot.
+    early: BTreeMap<NodeId, Parked>,
     next_heartbeat: SimTime,
     next_hello: SimTime,
     /// When this node last ran, and whether a gap since then has left it
@@ -1246,7 +1306,7 @@ impl NodeCore {
         // Rebuild timeout: decide with the blocks that arrived.
         if let Some(rb) = &self.rebuild {
             if !rb.awaiting.is_empty() && now >= rb.deadline {
-                self.finish_rebuild(now, &mut out);
+                self.finish_rebuild(&mut out);
             }
         }
 
@@ -1296,6 +1356,8 @@ impl NodeCore {
                 | Msg::ResyncReq { .. }
                 | Msg::ResyncDone { .. }
                 | Msg::Payload { .. }
+                | Msg::PayloadPart { .. }
+                | Msg::FetchPart { .. }
                 | Msg::FetchBlocks { .. }
         );
         if from != CTL && self.fences.is_fenced(from) && !judged_below {
@@ -1407,7 +1469,19 @@ impl NodeCore {
                 source,
                 fence_epoch,
                 data,
-            } => self.on_payload(from, epoch, source, fence_epoch, data, &mut out),
+            } => self.on_part(from, (epoch, source, fence_epoch, None), data, &mut out),
+            Msg::PayloadPart {
+                epoch,
+                source,
+                fence_epoch,
+                offset,
+                data,
+            } => self.on_part(
+                from,
+                (epoch, source, fence_epoch, Some(offset)),
+                data,
+                &mut out,
+            ),
             Msg::CaptureAck { epoch, node } => {
                 if let Some(r) = &mut self.coord_round {
                     if r.epoch == epoch {
@@ -1462,40 +1536,20 @@ impl NodeCore {
                     out.push(Action::Note(Note::Fenced { node, epoch }));
                 }
             }
-            Msg::FetchReq { victim } => {
-                out.push(Action::Send {
-                    to: from,
-                    msg: Msg::FetchBlocks {
-                        node: self.id,
-                        fence_epoch: self.fences.epoch_of(self.id),
-                        blocks: self.held_blocks(victim),
-                    },
-                });
-            }
+            Msg::FetchReq { victim } => self.answer_fetch(from, victim, &mut out),
+            Msg::FetchPart {
+                node,
+                fence_epoch,
+                offset,
+                part,
+            } => self.on_fetched((node, fence_epoch), [(Some(offset), part)], false, &mut out),
             Msg::FetchBlocks {
                 node,
                 fence_epoch,
                 blocks,
             } => {
-                let required = self.fences.epoch_of(node);
-                if self.fences.is_fenced(node) || fence_epoch < required {
-                    out.push(Action::Note(Note::StaleRejected {
-                        from: node,
-                        held_epoch: fence_epoch,
-                        current_epoch: required,
-                    }));
-                    return out;
-                }
-                let mut complete = false;
-                if let Some(rb) = &mut self.rebuild {
-                    if rb.awaiting.remove(&node) {
-                        rb.blocks.extend(blocks);
-                        complete = rb.awaiting.is_empty();
-                    }
-                }
-                if complete {
-                    self.finish_rebuild(now, &mut out);
-                }
+                let last = blocks.into_iter().map(|b| (None, b));
+                self.on_fetched((node, fence_epoch), last, true, &mut out)
             }
             Msg::ResyncReq { node } => self.on_resync_req(node, now, &mut out),
             Msg::ResyncState {
@@ -1803,7 +1857,7 @@ impl NodeCore {
         // A rebuild in flight stops waiting for the dead node's blocks.
         let waited_for = |rb: &mut Rebuild| rb.awaiting.remove(&node) && rb.awaiting.is_empty();
         if self.rebuild.as_mut().is_some_and(waited_for) {
-            self.finish_rebuild(now, out);
+            self.finish_rebuild(out);
         }
         // Only the acting coordinator (recomputed *after* excluding the
         // victim) fences and rebuilds; everyone else waits for the
@@ -1842,18 +1896,53 @@ impl NodeCore {
 
     /// What this node can give a rebuild of `victim`: its own committed
     /// block, and every block it holds in custody for somebody else.
-    fn held_blocks(&self, victim: NodeId) -> Vec<BlockInfo> {
+    fn held(&self, victim: NodeId) -> impl Iterator<Item = (NodeId, BlockKind, u64, &[u8])> {
         let own = self.committed.iter();
-        let own = own.map(|(e, b)| (self.id, self.spec.kind_of(self.id), *e, b));
-        let custody = self.custody.iter().filter(|(n, _)| **n != victim);
-        let custody = custody.map(|(n, (e, k, b, _))| (*n, *k, *e, b));
-        let tag = |(holder, kind, epoch, data): (_, _, _, &Vec<u8>)| BlockInfo {
-            holder,
-            kind,
-            epoch,
-            data: data.clone(),
+        let own = own.map(|(e, b)| (self.id, self.spec.kind_of(self.id), *e, &b[..]));
+        let custody = self.custody.iter().filter(move |(n, _)| **n != victim);
+        own.chain(custody.map(|(n, (e, k, b, _))| (*n, *k, *e, &b[..])))
+    }
+
+    /// The buffer of the block [`NodeCore::held`] gives for `slot`.
+    fn held_mut(&mut self, slot: NodeId) -> &mut Vec<u8> {
+        let block = match slot == self.id {
+            true => self.committed.as_mut().map(|(_, b)| b),
+            false => self.custody.get_mut(&slot).map(|(_, _, b, _)| b),
         };
-        own.chain(custody).map(tag).collect()
+        block.expect("a block this node holds")
+    }
+
+    /// A survivor's answer to a `FetchReq`: every part but the last of
+    /// each block it holds, then a `FetchBlocks` with the last ones.
+    fn answer_fetch(&self, to: NodeId, victim: NodeId, out: &mut Vec<Action>) {
+        let (node, fence_epoch) = (self.id, self.fences.epoch_of(self.id));
+        let mut blocks = Vec::new();
+        for (holder, kind, epoch, block) in self.held(victim) {
+            let tag = |data: &[u8]| BlockInfo {
+                holder,
+                kind,
+                epoch,
+                data: data.to_vec(),
+            };
+            let (parts, last) = cut(block);
+            for (offset, part) in parts {
+                let part = tag(part);
+                let msg = Msg::FetchPart {
+                    node,
+                    fence_epoch,
+                    offset,
+                    part,
+                };
+                out.push(Action::Send { to, msg });
+            }
+            blocks.push(tag(last));
+        }
+        let msg = Msg::FetchBlocks {
+            node,
+            fence_epoch,
+            blocks,
+        };
+        out.push(Action::Send { to, msg });
     }
 
     fn start_rebuild(&mut self, victim: NodeId, now: SimTime, out: &mut Vec<Action>) {
@@ -1871,28 +1960,87 @@ impl NodeCore {
             victim,
             phase: "Fetch",
         }));
+        // Nothing is copied before the requests leave: this node's own
+        // blocks join the decode when it runs, lent.
         let peers = self.live_peers();
-        self.rebuild = Some(Rebuild {
-            victim,
-            deadline: now + self.spec.rebuild_timeout,
-            awaiting: peers.iter().copied().collect(),
-            blocks: self.held_blocks(victim),
-        });
         for &p in &peers {
             out.push(Action::Send {
                 to: p,
                 msg: Msg::FetchReq { victim },
             });
         }
+        self.rebuild = Some(Rebuild {
+            victim,
+            deadline: now + self.spec.rebuild_timeout,
+            awaiting: peers.iter().copied().collect(),
+            fetched: BTreeMap::new(),
+        });
         if peers.is_empty() {
-            self.finish_rebuild(now, out);
+            self.finish_rebuild(out);
         }
     }
 
-    /// Decodes the victim's block from the collected survivor blocks at
-    /// the newest epoch with enough coverage. Failure is typed
-    /// ([`Note::DataLoss`]), never a panic.
-    fn finish_rebuild(&mut self, _now: SimTime, out: &mut Vec<Action>) {
+    /// Epoch-fenced data plane: what a member sends as a fenced (pre-fence)
+    /// node is dropped with this note, and never lands.
+    fn stale(&self, from: NodeId, fence_epoch: u64) -> Option<Action> {
+        let required = self.fences.epoch_of(from);
+        let stale = self.fences.is_fenced(from) || fence_epoch < required;
+        (stale && from.index() < self.spec.total()).then_some(Action::Note(Note::StaleRejected {
+            from,
+            held_epoch: fence_epoch,
+            current_epoch: required,
+        }))
+    }
+
+    /// Parts of a survivor's answer: each lands once, in the rebuild's
+    /// buffer for its slot and epoch; a `FetchBlocks` (`closes`) ends the
+    /// answer, and the last answer awaited starts the decode.
+    fn on_fetched(
+        &mut self,
+        (node, fence_epoch): (NodeId, u64),
+        parts: impl IntoIterator<Item = (Option<u64>, BlockInfo)>,
+        closes: bool,
+        out: &mut Vec<Action>,
+    ) {
+        if let Some(stale) = self.stale(node, fence_epoch) {
+            return out.push(stale);
+        }
+        let awaited = |rb: &Rebuild| rb.awaiting.contains(&node);
+        if !self.rebuild.as_ref().is_some_and(awaited) {
+            return;
+        }
+        let image_len = self.spec.image_len;
+        for (offset, part) in parts {
+            let index = self.spec.part(offset, part.data.len());
+            let rb = self.rebuild.as_mut().expect("awaiting this answer");
+            let reason = match index {
+                Err(reason) => reason,
+                Ok(index) => {
+                    let (block, landed) = rb
+                        .fetched
+                        .entry((part.epoch, part.holder))
+                        .or_insert_with(|| (vec![0; image_len], BTreeSet::new()));
+                    if landed.insert(index) {
+                        let at = index * PART_LEN;
+                        block[at..at + part.data.len()].copy_from_slice(&part.data);
+                        continue;
+                    }
+                    let (holder, epoch) = (part.holder, part.epoch);
+                    format!("part {index} of {holder}'s block of epoch {epoch} has landed")
+                }
+            };
+            out.push(Action::Note(Note::PayloadDropped { from: node, reason }));
+        }
+        let rb = self.rebuild.as_mut().expect("awaiting this answer");
+        if closes && rb.awaiting.remove(&node) && rb.awaiting.is_empty() {
+            self.finish_rebuild(out);
+        }
+    }
+
+    /// Decodes the victim's block at the newest epoch of which `k` slots
+    /// are whole — fetched with every part landed, or this node's own.
+    /// Failure is typed ([`Note::DataLoss`]), never a panic.
+    fn finish_rebuild(&mut self, out: &mut Vec<Action>) {
         let Some(rb) = self.rebuild.take() else {
             return;
         };
@@ -1903,55 +2051,60 @@ impl NodeCore {
             victim,
             phase: "Decode",
         }));
-        let k = self.spec.data_nodes;
-        let total = self.spec.total();
-
-        // Newest epoch with >= k distinct slots present.
-        let mut by_epoch: BTreeMap<u64, BTreeMap<usize, Vec<u8>>> = BTreeMap::new();
-        for b in rb.blocks {
-            if b.holder.index() < total && b.holder != victim && b.data.len() == self.spec.image_len
-            {
-                by_epoch
-                    .entry(b.epoch)
-                    .or_default()
-                    .insert(b.holder.index(), b.data);
-            }
+        let (k, parts) = (self.spec.data_nodes, self.spec.parts());
+        let slot = |n: &NodeId| n.index() < self.spec.total() && *n != victim;
+        let fetched: BTreeMap<(u64, NodeId), Vec<u8>> = (rb.fetched.into_iter())
+            .filter(|((_, n), (_, landed))| slot(n) && landed.len() == parts)
+            .map(|(at, (block, _))| (at, block))
+            .collect();
+        let own: Vec<(u64, NodeId)> = (self.held(victim))
+            .filter(|(.., block)| block.len() == self.spec.image_len)
+            .map(|(slot, _, epoch, _)| (epoch, slot))
+            .collect();
+        let mut by_epoch: BTreeMap<u64, BTreeSet<NodeId>> = BTreeMap::new();
+        for &(epoch, slot) in fetched.keys().chain(&own) {
+            by_epoch.entry(epoch).or_default().insert(slot);
         }
-        let best = by_epoch.values().map(|s| s.len()).max().unwrap_or(0);
-        let chosen = by_epoch.into_iter().rev().find(|(_, s)| s.len() >= k);
-        let Some((epoch, slots)) = chosen else {
-            self.data_loss = true;
-            self.lost.insert(victim);
-            out.push(Action::Note(Note::DataLoss {
-                victim,
-                reason: format!(
-                    "no committed epoch has the {k} blocks needed (best coverage: {best})"
-                ),
-            }));
-            return;
+        let best = by_epoch.values().map(BTreeSet::len).max().unwrap_or(0);
+        let chosen = by_epoch
+            .into_iter()
+            .rev()
+            .find(|(_, slots)| slots.len() >= k);
+        let Some((epoch, _)) = chosen else {
+            let reason =
+                format!("no committed epoch has the {k} blocks needed (best coverage: {best})");
+            return self.lose(victim, reason, out);
         };
 
-        let mut shards: Vec<Option<Vec<u8>>> = vec![None; total];
-        for (idx, data) in slots {
-            shards[idx] = Some(data);
+        // This node's own blocks are lent to the decode, not copied, and
+        // each goes back to where it was, whatever the decode concludes.
+        let mut shards: Vec<Option<Vec<u8>>> = vec![None; self.spec.total()];
+        let lent: Vec<NodeId> = own
+            .iter()
+            .filter(|(e, _)| *e == epoch)
+            .map(|(_, n)| *n)
+            .collect();
+        for &slot in &lent {
+            shards[slot.index()] = Some(std::mem::take(self.held_mut(slot)));
         }
-        if let Err(e) = self.code.reconstruct(&mut shards) {
-            self.data_loss = true;
-            self.lost.insert(victim);
-            out.push(Action::Note(Note::DataLoss {
-                victim,
-                reason: format!("decode at epoch {epoch} failed: {e}"),
-            }));
-            return;
+        for ((_, slot), block) in fetched.into_iter().filter(|((e, _), _)| *e == epoch) {
+            shards[slot.index()].get_or_insert(block);
         }
-        let Some(block) = shards[victim.index()].take() else {
-            self.data_loss = true;
-            self.lost.insert(victim);
-            out.push(Action::Note(Note::DataLoss {
-                victim,
-                reason: format!("decode at epoch {epoch} left the victim slot empty"),
-            }));
-            return;
+        let decoded = self.code.reconstruct(&mut shards);
+        let rebuilt = shards[victim.index()].take();
+        for slot in lent {
+            let block = shards[slot.index()].take();
+            *self.held_mut(slot) = block.expect("a decode keeps the blocks it is given");
+        }
+        let block = match (decoded, rebuilt) {
+            (Err(e), _) => {
+                return self.lose(victim, format!("decode at epoch {epoch} failed: {e}"), out)
+            }
+            (Ok(()), None) => {
+                let reason = format!("decode at epoch {epoch} left the victim slot empty");
+                return self.lose(victim, reason, out);
+            }
+            (Ok(()), Some(block)) => block,
         };
         let digest = block_digest(&block);
         let kind = self.spec.kind_of(victim);
@@ -1961,6 +2114,13 @@ impl NodeCore {
             epoch,
             digest,
         }));
+    }
+
+    /// The rebuild of `victim` ends in typed loss, and is not retried.
+    fn lose(&mut self, victim: NodeId, reason: String, out: &mut Vec<Action>) {
+        self.data_loss = true;
+        self.lost.insert(victim);
+        out.push(Action::Note(Note::DataLoss { victim, reason }));
     }
 
     fn on_resync_req(&mut self, node: NodeId, now: SimTime, out: &mut Vec<Action>) {
@@ -2119,19 +2279,22 @@ impl NodeCore {
             capture_due: i_capture.then(|| now + self.spec.capture_delay),
             expires_at: now + self.spec.round_timeout * 2.0,
             captured: false,
-            folded: BTreeSet::new(),
+            folded: BTreeMap::new(),
             staged_parity: None,
         });
         self.last_begun = self.last_begun.max(epoch);
-        // Blocks that arrived ahead of this RoundBegin go through every
-        // check a block arriving now would; ones for rounds this one has
+        // Parts that arrived ahead of this RoundBegin go through every
+        // check a part arriving now would; ones for rounds this one has
         // passed are dropped there, ones for later rounds stay parked.
         let (due, later): (BTreeMap<_, _>, _) = std::mem::take(&mut self.early)
             .into_iter()
-            .partition(|(_, b)| b.epoch <= epoch);
+            .partition(|(_, (parked, _))| *parked <= epoch);
         self.early = later;
-        for (source, b) in due {
-            self.on_payload(b.from, b.epoch, source, b.fence_epoch, b.data, out);
+        for (source, (parked, parts)) in due {
+            for (index, (from, fence_epoch, data)) in parts {
+                let offset = Some((index * PART_LEN) as u64);
+                self.on_part(from, (parked, source, fence_epoch, offset), data, out);
+            }
         }
         // A zero capture delay fires immediately.
         if let Some(due) = self.part_round.as_ref().and_then(|r| r.capture_due) {
@@ -2156,15 +2319,15 @@ impl NodeCore {
         let holders = r.holders.clone();
         let sources = r.sources.clone();
         let window_secs = now.since(r.started_at).as_secs();
-        // One copy of the image, the snapshot that travels. The block this
-        // node commits is `live` itself: nothing writes it before the
-        // commit promotes it, and whatever does voids the capture.
-        let Some(img) = self.live.clone() else {
+        // The block this node commits is `live` itself: nothing writes it
+        // before the commit promotes it, and whatever does voids the
+        // capture. What travels is copied from it straight into parts.
+        if self.live.is_none() {
             return;
-        };
+        }
         r.captured = true;
         let coordinator = self.coordinator();
-        self.ship(epoch, self.id, img, &holders, out);
+        self.ship(epoch, self.id, &holders, out);
         let ack = Msg::CaptureAck {
             epoch,
             node: self.id,
@@ -2185,53 +2348,64 @@ impl NodeCore {
         // Coordinator ships custody orphans' frozen committed blocks.
         if self.is_acting_coordinator() {
             for &s in &sources {
-                if let Some((_, BlockKind::Data, block, _)) = self.custody.get(&s) {
-                    self.ship(epoch, s, block.clone(), &holders, out);
+                if matches!(self.custody.get(&s), Some((_, BlockKind::Data, ..))) {
+                    self.ship(epoch, s, &holders, out);
                 }
             }
         }
         self.maybe_commit(out);
     }
 
-    /// Sends `block` as slot `source`'s capture to every holder: the last
-    /// one's message takes the `Vec` itself, each earlier one a copy.
-    fn ship(
-        &mut self,
-        epoch: u64,
-        source: NodeId,
-        mut block: Vec<u8>,
-        holders: &[NodeId],
-        out: &mut Vec<Action>,
-    ) {
+    /// Sends slot `source`'s capture — this node's `live`, or the custody
+    /// block standing in for `source` — to every holder as parts, each a
+    /// copy of its bytes.
+    fn ship(&mut self, epoch: u64, source: NodeId, holders: &[NodeId], out: &mut Vec<Action>) {
         let fence_epoch = self.fences.epoch_of(self.id);
-        for (i, &h) in holders.iter().enumerate() {
-            let last = i + 1 == holders.len();
-            let data = if last {
-                std::mem::take(&mut block)
-            } else {
-                block.clone()
-            };
-            let msg = Msg::Payload {
+        let block = match source == self.id {
+            true => self.live.as_deref(),
+            false => self.custody.get(&source).map(|(_, _, b, _)| &b[..]),
+        };
+        let Some(block) = block else {
+            return;
+        };
+        let mut own = Vec::new();
+        for &h in holders {
+            let (parts, last) = cut(block);
+            let parts = parts.map(|(offset, part)| Msg::PayloadPart {
                 epoch,
                 source,
                 fence_epoch,
-                data,
+                offset,
+                data: part.to_vec(),
+            });
+            let last = Msg::Payload {
+                epoch,
+                source,
+                fence_epoch,
+                data: last.to_vec(),
             };
-            if h == self.id {
-                let acts = self.on_message(self.id, msg, SimTime::ZERO);
-                out.extend(acts);
-            } else {
-                out.push(Action::Send { to: h, msg });
+            for msg in parts.chain([last]) {
+                match h == self.id {
+                    true => own.push(msg),
+                    false => out.push(Action::Send { to: h, msg }),
+                }
             }
+        }
+        for msg in own {
+            let acts = self.on_message(self.id, msg, SimTime::ZERO);
+            out.extend(acts);
         }
     }
 
-    fn on_payload(
+    /// A part of slot `source`'s capture of round `epoch` at `offset` (or,
+    /// with none, the block's last part): parked if its round has not
+    /// begun here, else folded into the staged shard at most once. A
+    /// source counts as folded once every part of its block is, and the
+    /// shard is acked once all `k` are.
+    fn on_part(
         &mut self,
         from: NodeId,
-        epoch: u64,
-        source: NodeId,
-        fence_epoch: u64,
+        (epoch, source, fence_epoch, offset): (u64, NodeId, u64, Option<u64>),
         data: Vec<u8>,
         out: &mut Vec<Action>,
     ) {
@@ -2240,53 +2414,44 @@ impl NodeCore {
             out.push(dropped("this node holds no parity".to_string()));
             return;
         }
-        // Epoch-fenced data plane: a stale sender's blocks never land.
-        let required = self.fences.epoch_of(from);
-        if from.index() < self.spec.total()
-            && (self.fences.is_fenced(from) || fence_epoch < required)
-        {
-            out.push(Action::Note(Note::StaleRejected {
-                from,
-                held_epoch: fence_epoch,
-                current_epoch: required,
-            }));
-            return;
+        if let Some(stale) = self.stale(from, fence_epoch) {
+            return out.push(stale);
         }
-        if data.len() != self.spec.image_len {
-            out.push(dropped(format!(
-                "block of {} bytes, expected {}",
-                data.len(),
-                self.spec.image_len
-            )));
-            return;
-        }
+        let index = match self.spec.part(offset, data.len()) {
+            Ok(index) => index,
+            Err(reason) => return out.push(dropped(reason)),
+        };
         if !self.spec.is_data(source) {
             out.push(dropped(format!("{source} is not a data slot")));
             return;
         }
-        // A block can overtake its RoundBegin (they travel on different
-        // connections): park it until the round it names opens. One per
-        // source, newest epoch wins, so at most k blocks are ever held.
+        // A part can overtake its RoundBegin (they travel on different
+        // connections): park it until the round it names opens. One epoch
+        // per source, the newest, and each part once, so at most k blocks'
+        // bytes are ever held.
         if epoch > self.last_begun {
-            let parked = self.early.get(&source).map_or(0, |b| b.epoch);
-            if parked > 0 {
+            let parked = (self.early)
+                .entry(source)
+                .or_insert_with(|| (epoch, BTreeMap::new()));
+            if parked.0 != epoch {
+                let (older, newer) = (epoch.min(parked.0), epoch.max(parked.0));
                 out.push(dropped(format!(
-                    "round {} not begun and round {} parked",
-                    epoch.min(parked),
-                    epoch.max(parked)
+                    "round {older} not begun and round {newer} parked"
                 )));
+                if epoch == older {
+                    return;
+                }
+                *parked = (epoch, BTreeMap::new());
             }
-            if epoch > parked {
-                let block = EarlyBlock {
-                    from,
-                    epoch,
-                    fence_epoch,
-                    data,
-                };
-                self.early.insert(source, block);
+            if let Entry::Vacant(slot) = parked.1.entry(index) {
+                slot.insert((from, fence_epoch, data));
+            } else {
+                let reason = format!("part {index} of {source} is parked for round {epoch}");
+                out.push(dropped(reason));
             }
             return;
         }
+        let parts = self.spec.parts();
         let Some(r) = self.part_round.as_mut().filter(|r| r.epoch == epoch) else {
             out.push(dropped(format!("round {epoch} is not open here")));
             return;
@@ -2297,24 +2462,29 @@ impl NodeCore {
             )));
             return;
         }
-        if !r.folded.insert(source) {
+        // Folding the same bytes twice would undo them, silently.
+        let folded = r.folded.entry(source).or_default();
+        if !folded.insert(index) {
             out.push(dropped(format!(
-                "{source} is already folded in round {epoch}"
+                "part {index} of {source} is already folded in round {epoch}"
             )));
             return;
         }
-        // Fold the block into our shard and drop it. The codes are
-        // GF(2)-linear, so k folds in any order into zeros equal
-        // `encode`'s shard; the zeros are the spare buffer, cleared.
+        let whole = folded.len() == parts;
+        // Fold the part into our shard at its offset and drop it. The
+        // codes are GF(2)-linear, so every part of k blocks folded in any
+        // order into zeros equals `encode`'s shard; the zeros are the
+        // spare buffer, cleared.
         let j = self.id.index() - self.spec.data_nodes;
+        let len = self.spec.image_len;
         let shard = r.staged_parity.get_or_insert_with(|| {
             let mut zeros = self.spare.take().unwrap_or_default();
             zeros.clear();
-            zeros.resize(data.len(), 0);
+            zeros.resize(len, 0);
             zeros
         });
-        self.code.apply_delta(j, shard, source.index(), 0, &data);
-        if r.folded.len() < self.spec.data_nodes {
+        (self.code).apply_delta(j, shard, source.index(), index * PART_LEN, &data);
+        if !whole || r.folded_whole(parts) < self.spec.data_nodes {
             return;
         }
         let coordinator = self.coordinator();
@@ -2395,8 +2565,9 @@ impl NodeCore {
         let Some(r) = self.part_round.take_if(|r| r.epoch == epoch) else {
             return;
         };
-        // A shard short of a block is not parity of anything: drop it.
-        let whole = r.folded.len() == self.spec.data_nodes;
+        // A shard short of a block, or of a part, is not parity of
+        // anything: drop it.
+        let whole = r.folded_whole(self.spec.parts()) == self.spec.data_nodes;
         if let Some(shard) = r.staged_parity.filter(|_| whole) {
             self.promote(epoch, shard);
         }
@@ -2660,8 +2831,501 @@ mod tests {
         assert_eq!(p.committed(), None);
     }
 
+    /// `spec` with blocks of three whole parts and a ragged fourth.
+    fn in_parts(spec: ClusterSpec) -> ClusterSpec {
+        ClusterSpec {
+            image_len: 3 * PART_LEN + 4_099,
+            ..spec
+        }
+    }
+
+    /// A 4+`m` group of `spec()`'s kind, in parts.
+    fn ragged(m: usize) -> ClusterSpec {
+        in_parts(ClusterSpec {
+            data_nodes: 4,
+            parity_nodes: m,
+            ..spec()
+        })
+    }
+
+    /// Every member's committed block after round 1 of `spec`: the initial
+    /// images, then what `encode` makes of them.
+    fn group_blocks(spec: &ClusterSpec) -> Vec<Vec<u8>> {
+        let k = spec.data_nodes;
+        let mut blocks: Vec<Vec<u8>> = (0..k)
+            .map(|i| initial_image(7, NodeId(i), spec.image_len))
+            .collect();
+        let refs: Vec<&[u8]> = blocks.iter().map(Vec::as_slice).collect();
+        let parity = spec.code().encode(&refs);
+        blocks.extend(parity);
+        blocks
+    }
+
+    /// The messages `block` travels to a holder in as slot `source`'s
+    /// capture of `epoch`, cut here rather than by the code under test.
+    fn parts(epoch: u64, source: usize, block: &[u8]) -> Vec<Msg> {
+        let last = block.len().div_ceil(PART_LEN) - 1;
+        let part = |(i, data): (usize, &[u8])| {
+            let (source, data) = (NodeId(source), data.to_vec());
+            match i == last {
+                true => Msg::Payload {
+                    epoch,
+                    source,
+                    fence_epoch: 0,
+                    data,
+                },
+                false => Msg::PayloadPart {
+                    epoch,
+                    source,
+                    fence_epoch: 0,
+                    offset: (i * PART_LEN) as u64,
+                    data,
+                },
+            }
+        };
+        block.chunks(PART_LEN).enumerate().map(part).collect()
+    }
+
+    /// Survivor `node`'s answer to a `FetchReq`: slot `holder`'s `block` of
+    /// `epoch` as `FetchPart`s, then the `FetchBlocks` that closes it.
+    fn answer(node: usize, holder: usize, epoch: u64, block: &[u8]) -> Vec<Msg> {
+        let tag = |data: &[u8]| BlockInfo {
+            holder: NodeId(holder),
+            kind: ragged(1).kind_of(NodeId(holder)),
+            epoch,
+            data: data.to_vec(),
+        };
+        let node = NodeId(node);
+        let mut chunks: Vec<&[u8]> = block.chunks(PART_LEN).collect();
+        let last = chunks.pop().expect("a block has a last part");
+        let mut msgs: Vec<Msg> = (chunks.into_iter().enumerate())
+            .map(|(i, data)| Msg::FetchPart {
+                node,
+                fence_epoch: 0,
+                offset: (i * PART_LEN) as u64,
+                part: tag(data),
+            })
+            .collect();
+        msgs.push(Msg::FetchBlocks {
+            node,
+            fence_epoch: 0,
+            blocks: vec![tag(last)],
+        });
+        msgs
+    }
+
+    /// Holder `h` of `spec`, which has met node 0 (so acks go there), with
+    /// round 1 of every data member open.
+    fn holder_in_round(spec: &ClusterSpec, h: usize) -> NodeCore {
+        let mut p = NodeCore::new(NodeId(h), spec.clone(), 1);
+        let hello = NodeCore::new(NodeId(0), spec.clone(), 1).hello();
+        p.on_message(NodeId(0), hello, SimTime::ZERO);
+        let begin = Msg::RoundBegin {
+            epoch: 1,
+            sources: (0..spec.data_nodes).map(NodeId).collect(),
+            holders: (spec.data_nodes..spec.total()).map(NodeId).collect(),
+        };
+        p.on_message(NodeId(0), begin, SimTime::ZERO);
+        p
+    }
+
+    fn fold_acks(out: &[Action]) -> usize {
+        sent_to(out, |m| matches!(m, Msg::FoldAck { .. })).len()
+    }
+
+    /// `out` is one `PayloadDropped` from `from`, for a reason naming `why`.
+    fn dropped(out: &[Action], from: usize, why: &str) -> bool {
+        matches!(out, [Action::Note(Note::PayloadDropped { from: f, reason })]
+            if *f == NodeId(from) && reason.contains(why))
+    }
+
+    #[test]
+    fn parts_in_order_reversed_or_interleaved_fold_to_the_encoded_shard() {
+        for m in [1, 2] {
+            let s = ragged(m);
+            let blocks = group_blocks(&s);
+            let by_source: Vec<Vec<Msg>> = (0..4).map(|i| parts(1, i, &blocks[i])).collect();
+            let in_order: Vec<(usize, Msg)> = (0..4)
+                .flat_map(|i| by_source[i].iter().map(move |msg| (i, msg.clone())))
+                .collect();
+            let reversed = in_order.iter().rev().cloned().collect();
+            let interleaved = (0..4)
+                .flat_map(|part| (0..4).map(move |i| (i, part)))
+                .map(|(i, part)| (i, by_source[i][part].clone()))
+                .collect();
+            for (how, order) in [
+                ("in order", in_order),
+                ("reversed", reversed),
+                ("interleaved", interleaved),
+            ] {
+                for j in 0..m {
+                    let mut p = holder_in_round(&s, 4 + j);
+                    let acks: Vec<usize> = (order.iter().cloned())
+                        .map(|(i, msg)| {
+                            let out = p.on_message(NodeId(i), msg, SimTime::ZERO);
+                            assert!(notes(&out).is_empty(), "{how}: {out:?}");
+                            fold_acks(&out)
+                        })
+                        .collect();
+                    // Acked once, when the last part of the last block lands.
+                    assert_eq!(acks.iter().sum::<usize>(), 1, "{how}");
+                    assert_eq!(acks.last(), Some(&1), "{how}");
+                    p.on_message(NodeId(0), Msg::Commit { epoch: 1 }, SimTime::ZERO);
+                    let want = Some((1, blocks[4 + j].as_slice()));
+                    assert_eq!(p.committed(), want, "{how}, holder {j} of 4+{m}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_part_delivered_twice_is_folded_once() {
+        for m in [1, 2] {
+            let s = ragged(m);
+            let blocks = group_blocks(&s);
+            for j in 0..m {
+                let mut p = holder_in_round(&s, 4 + j);
+                for (i, block) in blocks[..4].iter().enumerate() {
+                    for (n, msg) in parts(1, i, block).into_iter().enumerate() {
+                        let again = msg.clone();
+                        p.on_message(NodeId(i), msg, SimTime::ZERO);
+                        // Part n of source n twice: middle parts, and the
+                        // last of source 3.
+                        if n == i {
+                            let out = p.on_message(NodeId(i), again, SimTime::ZERO);
+                            assert!(dropped(&out, i, "already folded"), "{out:?}");
+                        }
+                    }
+                }
+                p.on_message(NodeId(0), Msg::Commit { epoch: 1 }, SimTime::ZERO);
+                let want = Some((1, blocks[4 + j].as_slice()));
+                assert_eq!(p.committed(), want, "holder {j} of 4+{m}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_source_short_of_a_part_gets_no_fold_ack_and_the_round_times_out() {
+        for m in [1, 2] {
+            let s = ragged(m);
+            let blocks = group_blocks(&s);
+            // Holder 4 never gets the second part of source 2.
+            let mut p = holder_in_round(&s, 4);
+            let mut out = Vec::new();
+            for (i, block) in blocks[..4].iter().enumerate() {
+                for (n, msg) in parts(1, i, block).into_iter().enumerate() {
+                    if (i, n) != (2, 1) {
+                        out.extend(p.on_message(NodeId(i), msg, SimTime::ZERO));
+                    }
+                }
+            }
+            assert_eq!(fold_acks(&out), 0, "{out:?}");
+            p.on_message(NodeId(0), Msg::Commit { epoch: 1 }, SimTime::ZERO);
+            assert_eq!(p.committed(), None);
+
+            // So its coordinator hears every capture, and every fold but
+            // that holder's, and the round ends typed at its deadline.
+            let mut c = coordinator_in_round_1(s.clone());
+            for i in 1..4 {
+                let ack = Msg::CaptureAck {
+                    epoch: 1,
+                    node: NodeId(i),
+                };
+                c.on_message(NodeId(i), ack, SimTime::ZERO);
+            }
+            for h in 5..4 + m {
+                let ack = Msg::FoldAck {
+                    epoch: 1,
+                    node: NodeId(h),
+                };
+                c.on_message(NodeId(h), ack, SimTime::ZERO);
+            }
+            let deadline = SimTime::ZERO + s.round_timeout;
+            let notes = run_on_deadlines(&mut c, deadline, |c, now| {
+                for peer in 1..s.total() {
+                    c.on_message(NodeId(peer), Msg::Heartbeat { node: NodeId(peer) }, now);
+                }
+            });
+            let timed_out = |(at, n): &(SimTime, Note)| {
+                *at == deadline
+                    && matches!(n, Note::RoundAborted { reason, .. } if reason == "round timed out")
+            };
+            assert!(notes.iter().any(timed_out), "4+{m}: {notes:?}");
+        }
+    }
+
+    #[test]
+    fn parts_ahead_of_their_round_are_parked_then_folded_once_it_opens() {
+        for m in [1, 2] {
+            let s = ragged(m);
+            let blocks = group_blocks(&s);
+            let mut p = NodeCore::new(NodeId(4), s.clone(), 1);
+            let hello = NodeCore::new(NodeId(0), s.clone(), 1).hello();
+            p.on_message(NodeId(0), hello, SimTime::ZERO);
+            // Every part of round 1 before its RoundBegin, each block's
+            // backwards; one of them twice.
+            for (i, block) in blocks[..4].iter().enumerate() {
+                for msg in parts(1, i, block).into_iter().rev() {
+                    let out = p.on_message(NodeId(i), msg, SimTime::ZERO);
+                    assert!(out.is_empty(), "{out:?}");
+                }
+            }
+            let twice = parts(1, 0, &blocks[0]).remove(1);
+            let out = p.on_message(NodeId(0), twice, SimTime::ZERO);
+            assert!(dropped(&out, 0, "parked"), "{out:?}");
+            // The newest round parked wins, whichever comes first.
+            let newer = parts(2, 3, &blocks[3]).remove(0);
+            let out = p.on_message(NodeId(3), newer, SimTime::ZERO);
+            assert!(dropped(&out, 3, "round 1 not begun and round 2 parked"));
+            let older = parts(1, 3, &blocks[3]).remove(0);
+            let out = p.on_message(NodeId(3), older, SimTime::ZERO);
+            assert!(dropped(&out, 3, "round 1 not begun and round 2 parked"));
+            for msg in parts(1, 3, &blocks[3]) {
+                let out = p.on_message(NodeId(3), msg, SimTime::ZERO);
+                assert!(dropped(&out, 3, "parked"), "{out:?}");
+            }
+            // Round 2's part of source 3 stays parked; source 3 of round 1
+            // is re-sent once the round is open.
+            let begin = Msg::RoundBegin {
+                epoch: 1,
+                sources: (0..4).map(NodeId).collect(),
+                holders: (4..4 + m).map(NodeId).collect(),
+            };
+            let out = p.on_message(NodeId(0), begin, SimTime::ZERO);
+            assert!(notes(&out).is_empty() && fold_acks(&out) == 0, "{out:?}");
+            let acks: usize = (parts(1, 3, &blocks[3]).into_iter())
+                .map(|msg| fold_acks(&p.on_message(NodeId(3), msg, SimTime::ZERO)))
+                .sum();
+            assert_eq!(acks, 1);
+            p.on_message(NodeId(0), Msg::Commit { epoch: 1 }, SimTime::ZERO);
+            assert_eq!(p.committed(), Some((1, blocks[4].as_slice())), "4+{m}");
+            assert_eq!(p.early.keys().collect::<Vec<_>>(), [&NodeId(3)]);
+        }
+    }
+
+    /// Node 0 of `spec`, meshed, with `own` committed at round 1 and the
+    /// rebuild of `victim` begun on link evidence.
+    fn rebuilding(spec: &ClusterSpec, own: &[u8], victim: usize) -> NodeCore {
+        let mut c = meshed_in(spec, 0);
+        c.committed = Some((1, own.to_vec()));
+        refused_and_confirmed(&mut c, victim, SimTime::ZERO);
+        c
+    }
+
+    #[test]
+    fn a_slot_short_of_a_part_is_never_decoded_from() {
+        for m in [1, 2] {
+            let s = ragged(m);
+            let blocks = group_blocks(&s);
+            let mut c = rebuilding(&s, &blocks[0], 2);
+            for node in [1, 3, 4, 5].into_iter().filter(|n| *n < s.total()) {
+                for (n, msg) in answer(node, node, 1, &blocks[node]).into_iter().enumerate() {
+                    // Slot 1's answer is short of its second part.
+                    if (node, n) != (1, 1) {
+                        c.on_message(NodeId(node), msg, SimTime::ZERO);
+                    }
+                }
+            }
+            match m {
+                // Slots 0, 3 and 4 are whole: fewer than k, typed loss.
+                1 => assert!(c.saw_data_loss() && c.custody_block(NodeId(2)).is_none()),
+                // Slots 0, 3, 4 and 5 decode byte-exact without the torn
+                // slot 1, which the decode would take first.
+                _ => assert_eq!(c.custody_block(NodeId(2)), Some((1, blocks[2].as_slice()))),
+            }
+        }
+    }
+
+    #[test]
+    fn a_part_outside_the_image_is_dropped_with_a_note() {
+        let s = ragged(1);
+        let len = s.image_len;
+        // No part of a block: past its end, unaligned, short or long where
+        // it starts, and as a last part longer than a part or the block.
+        let hostile: [(Option<u64>, usize); 11] = [
+            (Some(len as u64), 4_099),
+            (Some(4 * PART_LEN as u64), 4_099),
+            (Some(u64::MAX), PART_LEN),
+            (Some(1), PART_LEN),
+            (Some(PART_LEN as u64 + 1), PART_LEN),
+            (Some(3 * PART_LEN as u64), 4_098),
+            (Some(0), PART_LEN - 1),
+            (Some(0), PART_LEN + 1),
+            (None, len + 1),
+            (None, 0),
+            (None, PART_LEN + 4_099),
+        ];
+        let blocks = group_blocks(&s);
+
+        // A holder drops each, and folds none of it.
+        let mut p = holder_in_round(&s, 4);
+        for (offset, n) in hostile {
+            let data = vec![0xAB; n];
+            let (epoch, source, fence_epoch) = (1, NodeId(1), 0);
+            let msg = match offset {
+                Some(offset) => Msg::PayloadPart {
+                    epoch,
+                    source,
+                    fence_epoch,
+                    offset,
+                    data,
+                },
+                None => Msg::Payload {
+                    epoch,
+                    source,
+                    fence_epoch,
+                    data,
+                },
+            };
+            let out = p.on_message(NodeId(1), msg, SimTime::ZERO);
+            assert!(dropped(&out, 1, "no part"), "{offset:?} {n}: {out:?}");
+        }
+        for (i, block) in blocks[..4].iter().enumerate() {
+            for msg in parts(1, i, block) {
+                p.on_message(NodeId(i), msg, SimTime::ZERO);
+            }
+        }
+        p.on_message(NodeId(0), Msg::Commit { epoch: 1 }, SimTime::ZERO);
+        assert_eq!(p.committed(), Some((1, blocks[4].as_slice())));
+
+        // A coordinator drops each inside an answer, and the rest of the
+        // answer still lands.
+        let mut c = rebuilding(&s, &blocks[0], 2);
+        let mut last = Vec::new();
+        for (offset, n) in hostile {
+            let part = BlockInfo {
+                holder: NodeId(1),
+                kind: BlockKind::Data,
+                epoch: 1,
+                data: vec![0xAB; n],
+            };
+            let Some(offset) = offset else {
+                last.push(part);
+                continue;
+            };
+            let msg = Msg::FetchPart {
+                node: NodeId(1),
+                fence_epoch: 0,
+                offset,
+                part,
+            };
+            let out = c.on_message(NodeId(1), msg, SimTime::ZERO);
+            assert!(dropped(&out, 1, "no part"), "{offset} {n}: {out:?}");
+        }
+        for node in [1, 3, 4] {
+            for mut msg in answer(node, node, 1, &blocks[node]) {
+                let mut want = 0;
+                if let Msg::FetchBlocks { blocks, .. } = &mut msg {
+                    want = last.len();
+                    blocks.splice(0..0, std::mem::take(&mut last));
+                }
+                let out = c.on_message(NodeId(node), msg, SimTime::ZERO);
+                let drops = notes(&out).into_iter().filter(|n| {
+                    matches!(n, Note::PayloadDropped { reason, .. } if reason.contains("no part"))
+                });
+                assert_eq!(drops.count(), want, "{out:?}");
+            }
+        }
+        assert_eq!(c.custody_block(NodeId(2)), Some((1, blocks[2].as_slice())));
+    }
+
+    #[test]
+    fn at_4_kib_a_block_travels_in_the_one_message_it_always_did() {
+        // What a data member ships, and what it answers a rebuild with, are
+        // the messages version 3 sent: one `Payload` of the whole image,
+        // one `FetchBlocks` of the whole committed block.
+        let s = ClusterSpec {
+            data_nodes: 4,
+            parity_nodes: 1,
+            image_len: 4096,
+            ..spec()
+        };
+        let mut n = meshed_in(&s, 1);
+        let image = n.live.clone().expect("a data member's image");
+        let begin = Msg::RoundBegin {
+            epoch: 1,
+            sources: (0..4).map(NodeId).collect(),
+            holders: vec![NodeId(4)],
+        };
+        let to = |out: Vec<Action>, peer: usize| -> Vec<Msg> {
+            let sent = |a| match a {
+                Action::Send { to, msg } if to == NodeId(peer) => Some(msg),
+                _ => None,
+            };
+            out.into_iter().filter_map(sent).collect()
+        };
+        let shipped = to(n.on_message(NodeId(0), begin, SimTime::ZERO), 4);
+        let payload = Msg::Payload {
+            epoch: 1,
+            source: NodeId(1),
+            fence_epoch: 0,
+            data: image.clone(),
+        };
+        assert_eq!(shipped, [payload]);
+        n.on_message(NodeId(0), Msg::Commit { epoch: 1 }, SimTime::ZERO);
+        let fetch = Msg::FetchReq { victim: NodeId(2) };
+        let answered = to(n.on_message(NodeId(0), fetch, SimTime::ZERO), 0);
+        let blocks = vec![BlockInfo {
+            holder: NodeId(1),
+            kind: BlockKind::Data,
+            epoch: 1,
+            data: image,
+        }];
+        let whole = Msg::FetchBlocks {
+            node: NodeId(1),
+            fence_epoch: 0,
+            blocks,
+        };
+        assert_eq!(answered, [whole]);
+    }
+
+    #[test]
+    fn a_rebuild_lends_the_coordinators_blocks_and_gives_them_back() {
+        for m in [1, 2] {
+            let s = ragged(m);
+            let blocks = group_blocks(&s);
+            for answered_epoch in [1, 2] {
+                let ctx = format!("4+{m}, answers of round {answered_epoch}");
+                let mut c = meshed_in(&s, 0);
+                c.committed = Some((1, blocks[0].clone()));
+                // With two parity blocks the coordinator holds slot 1 too.
+                let survivors = match m {
+                    1 => vec![1, 3, 4],
+                    _ => {
+                        let fence = Msg::Fence {
+                            node: NodeId(1),
+                            epoch: 1,
+                        };
+                        c.on_message(NodeId(3), fence, SimTime::ZERO);
+                        let digest = block_digest(&blocks[1]);
+                        let held = (1, BlockKind::Data, blocks[1].clone(), digest);
+                        c.custody.insert(NodeId(1), held);
+                        vec![3, 4, 5]
+                    }
+                };
+                let before = (c.committed.clone(), c.custody.clone());
+                refused_and_confirmed(&mut c, 2, SimTime::ZERO);
+                for node in survivors {
+                    for msg in answer(node, node, answered_epoch, &blocks[node]) {
+                        c.on_message(NodeId(node), msg, SimTime::ZERO);
+                    }
+                }
+                // Answers of round 2 leave round 1 with only what the
+                // coordinator holds: typed loss. Either way its own blocks
+                // are as they were.
+                let rebuilt = c.custody.remove(&NodeId(2));
+                match answered_epoch {
+                    1 => assert_eq!(rebuilt.map(|b| b.2), Some(blocks[2].clone()), "{ctx}"),
+                    _ => assert!(rebuilt.is_none() && c.saw_data_loss(), "{ctx}"),
+                }
+                assert!((c.committed.clone(), c.custody.clone()) == before, "{ctx}");
+            }
+        }
+    }
+
     /// The data member's capture on `RoundBegin` of `epoch` (the delay of
-    /// `spec()` is zero): the bytes it shipped to the holder.
+    /// `spec()` is zero): the bytes it shipped to the holder, read back
+    /// from its parts.
     fn captured(n: &mut NodeCore, epoch: u64) -> Vec<u8> {
         let begin = Msg::RoundBegin {
             epoch,
@@ -2669,14 +3333,28 @@ mod tests {
             holders: vec![NodeId(3)],
         };
         let out = n.on_message(NodeId(0), begin, SimTime::ZERO);
-        let shipped = out.into_iter().find_map(|a| match a {
-            Action::Send {
-                to: NodeId(3),
-                msg: Msg::Payload { data, .. },
-            } => Some(data),
-            _ => None,
-        });
-        shipped.expect("a capture on RoundBegin")
+        let mut shipped = vec![0xEE; n.spec().image_len];
+        let mut ends = Vec::new();
+        for action in out {
+            let (at, data) = match action {
+                Action::Send {
+                    to: NodeId(3),
+                    msg: Msg::PayloadPart { offset, data, .. },
+                } => (offset as usize, data),
+                Action::Send {
+                    to: NodeId(3),
+                    msg: Msg::Payload { data, .. },
+                } => (shipped.len() - data.len(), data),
+                _ => continue,
+            };
+            shipped[at..at + data.len()].copy_from_slice(&data);
+            ends.push(at + data.len());
+        }
+        let whole: Vec<usize> = (1..=ends.len())
+            .map(|i| (i * PART_LEN).min(shipped.len()))
+            .collect();
+        assert_eq!(ends, whole, "a capture on RoundBegin, every part in order");
+        shipped
     }
 
     /// Node 1's image after the guest's writes of round `epoch`.
@@ -2687,8 +3365,9 @@ mod tests {
 
     #[test]
     fn each_commit_promotes_the_bytes_shipped_and_the_next_round_ships_them_churned() {
-        let mut n = NodeCore::new(NodeId(1), spec(), 1);
-        let mut want = initial_image(7, NodeId(1), 64);
+        let s = in_parts(spec());
+        let mut n = NodeCore::new(NodeId(1), s.clone(), 1);
+        let mut want = initial_image(7, NodeId(1), s.image_len);
         for epoch in 1..=3 {
             let shipped = captured(&mut n, epoch);
             assert_eq!(shipped, want, "round {epoch}");
@@ -2763,17 +3442,14 @@ mod tests {
     #[test]
     fn a_holder_folds_each_round_into_the_shard_the_last_commit_replaced() {
         for m in [1, 2] {
-            let s = ClusterSpec {
-                data_nodes: 4,
-                parity_nodes: m,
-                ..spec()
-            };
+            let s = ragged(m);
             let sources: Vec<NodeId> = (0..4).map(NodeId).collect();
             let holders: Vec<NodeId> = (4..4 + m).map(NodeId).collect();
             for (j, &h) in holders.iter().enumerate() {
                 let mut p = NodeCore::new(h, s.clone(), 1);
-                let mut images: Vec<Vec<u8>> =
-                    sources.iter().map(|&i| initial_image(7, i, 64)).collect();
+                let mut images: Vec<Vec<u8>> = (sources.iter())
+                    .map(|&i| initial_image(7, i, s.image_len))
+                    .collect();
                 // The third round is the first to fold into a recycled
                 // buffer: the shard round 2's commit replaced.
                 for epoch in 1..=3 {
@@ -2784,7 +3460,9 @@ mod tests {
                     };
                     p.on_message(NodeId(0), begin, SimTime::ZERO);
                     for (i, image) in images.iter().enumerate() {
-                        p.on_message(NodeId(i), block(epoch, i, image.clone()), SimTime::ZERO);
+                        for part in parts(epoch, i, image) {
+                            p.on_message(NodeId(i), part, SimTime::ZERO);
+                        }
                     }
                     p.on_message(NodeId(0), Msg::Commit { epoch }, SimTime::ZERO);
                     let refs: Vec<&[u8]> = images.iter().map(Vec::as_slice).collect();
@@ -2894,9 +3572,14 @@ mod tests {
 
     /// Node `id` of `spec()` with a session to every other member.
     fn meshed(id: usize) -> NodeCore {
-        let mut n = NodeCore::new(NodeId(id), spec(), 1);
-        for peer in (0..4).filter(|p| *p != id) {
-            let hello = NodeCore::new(NodeId(peer), spec(), 1).hello();
+        meshed_in(&spec(), id)
+    }
+
+    /// Node `id` of `spec` with a session to every other member.
+    fn meshed_in(spec: &ClusterSpec, id: usize) -> NodeCore {
+        let mut n = NodeCore::new(NodeId(id), spec.clone(), 1);
+        for peer in (0..spec.total()).filter(|p| *p != id) {
+            let hello = NodeCore::new(NodeId(peer), spec.clone(), 1).hello();
             n.on_message(NodeId(peer), hello, SimTime::ZERO);
         }
         n
@@ -3196,43 +3879,6 @@ mod tests {
             })
             .expect("must fail typed");
         assert!(reason.contains("down"), "got: {reason}");
-    }
-
-    #[test]
-    fn payload_len_classifies_bulk_messages() {
-        assert_eq!(
-            Msg::Payload {
-                epoch: 1,
-                source: NodeId(0),
-                fence_epoch: 0,
-                data: vec![0; 10],
-            }
-            .payload_len(),
-            Some(10)
-        );
-        assert_eq!(Msg::Heartbeat { node: NodeId(0) }.payload_len(), None);
-        assert_eq!(
-            Msg::FetchBlocks {
-                node: NodeId(0),
-                fence_epoch: 0,
-                blocks: vec![
-                    BlockInfo {
-                        holder: NodeId(0),
-                        kind: BlockKind::Data,
-                        epoch: 1,
-                        data: vec![0; 4],
-                    },
-                    BlockInfo {
-                        holder: NodeId(1),
-                        kind: BlockKind::Data,
-                        epoch: 1,
-                        data: vec![0; 6],
-                    },
-                ],
-            }
-            .payload_len(),
-            Some(10)
-        );
     }
 
     #[test]

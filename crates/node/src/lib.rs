@@ -138,18 +138,18 @@ impl NodeOptions {
                 opts.parity
             ));
         }
-        // A captured image travels as one `Payload` in one frame.
-        let empty = Msg::Payload {
-            epoch: 0,
-            source: CTL,
+        // A round ships an image in parts, but a resync ships it whole.
+        let empty = Msg::ResyncState {
+            node: CTL,
             fence_epoch: 0,
-            data: Vec::new(),
+            committed_epoch: 0,
+            image: Some(Vec::new()),
         };
         let max_image = MAX_FRAME as usize - envelope_len(CTL, &empty);
         if opts.image_len > max_image {
             return Err(format!(
-                "--image-len {} is over the limit of {max_image} bytes: an image and its \
-                 message header must fit one {MAX_FRAME}-byte frame",
+                "--image-len {} is over the limit of {max_image} bytes: a resync ships the \
+                 image whole in one `ResyncState`, which must fit one {MAX_FRAME}-byte frame",
                 opts.image_len
             ));
         }
@@ -340,16 +340,17 @@ mod tests {
 
     #[test]
     fn image_too_large_for_one_frame_is_a_usage_error() {
-        // A Payload envelope is 37 bytes of header around the image.
+        // A ResyncState envelope is 38 bytes of header around the image.
         let parse = |len: usize| {
             NodeOptions::parse(args(&format!(
                 "--data 1 --parity 1 --addrs 127.0.0.1:1,127.0.0.1:2 --image-len {len}"
             )))
         };
-        let max = MAX_FRAME as usize - 37;
+        let max = MAX_FRAME as usize - 38;
         assert_eq!(parse(max).unwrap().image_len, max);
         let err = parse(max + 1).unwrap_err();
         assert!(err.contains("--image-len") && err.contains(&format!("limit of {max} bytes")));
+        assert!(err.contains("ResyncState"), "{err}");
     }
 
     #[test]

@@ -19,7 +19,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-use dvdc::protocol::node_core::{DigestSource, Msg, StatusView};
+use dvdc::protocol::node_core::{DigestSource, Msg, StatusView, PART_LEN};
 use dvdc_node::{ctl_metrics, ctl_request, ctl_status, format_status};
 use dvdc_vcluster::ids::NodeId;
 
@@ -27,6 +27,9 @@ const N: usize = 5; // k=4 + m=1
 const VICTIM: usize = 2;
 const CLUSTER_ID: u64 = 99;
 const RPC: Duration = Duration::from_secs(30);
+/// Three whole parts and a ragged fourth: every block crosses the sockets
+/// as `PayloadPart`s and `FetchPart`s before the message that closes it.
+const IMAGE_LEN: usize = 3 * PART_LEN + 4_099;
 
 /// Kills every still-running daemon when the test unwinds, so a failed
 /// assertion never leaks orphan processes.
@@ -98,7 +101,7 @@ fn spawn_node(id: usize, addrs: &[SocketAddr], log_dir: &Path, restarted: bool) 
             "--parity",
             "1",
             "--image-len",
-            "4096",
+            &IMAGE_LEN.to_string(),
             "--addrs",
             &addr_list,
             "--hb-ms",

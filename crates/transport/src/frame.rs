@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! magic   u32 LE   0x4456_4443  ("DVDC" read as big-endian ASCII)
-//! version u8       3
+//! version u8       4
 //! flags   u8       0 (reserved)
 //! len     u32 LE   payload length in bytes, <= MAX_FRAME
 //! payload len bytes
@@ -14,18 +14,20 @@
 //! Every malformed input maps to a typed [`FrameError`] — the decoder
 //! never panics and never silently resynchronises on garbage (a stream
 //! with a bad magic or checksum is dead; the link layer reconnects).
-//! Earlier versions are not spoken: a version 1 frame (FNV-1a trailer) or
-//! a version 2 frame (same layout, `Hello`/`Welcome` without an
-//! incarnation) is [`FrameError::Version`], so a cluster of mixed builds
-//! fails typed at the first header instead of misreading a handshake.
+//! Earlier versions are not spoken: a version 1 frame (FNV-1a trailer), a
+//! version 2 frame (same layout, `Hello`/`Welcome` without an
+//! incarnation) or a version 3 frame (blocks whole, no part messages) is
+//! [`FrameError::Version`], so a cluster of mixed builds fails typed at
+//! the first header instead of misreading a message.
 //!
 //! A frame is built in memory ([`encode_frame`]) or streamed: the codec in
 //! [`wire`](crate::wire) emits a message into a [`Sink`] and reads one
-//! from a [`Source`], and [`FrameSink`] / [`FrameSource`] put a stream
-//! behind each, keeping the digest as the bytes pass, so an image crosses
-//! this layer without being copied.
+//! from a [`Source`]. [`FrameSink`] gathers a frame for one vectored write
+//! to a stream, borrowing a long byte string where it lies, and
+//! [`FrameSource`] reads one off a stream; each keeps the digest as the
+//! bytes pass, so an image crosses this layer without being copied.
 
-use std::io::{BufWriter, Read, Write};
+use std::io::{IoSlice, Read, Write};
 
 use dvdc_simcore::rng::{xxh64, Xxh64};
 
@@ -34,7 +36,7 @@ use dvdc_simcore::rng::{xxh64, Xxh64};
 pub const MAGIC: u32 = 0x4456_4443;
 
 /// Codec version carried in every frame header.
-pub const VERSION: u8 = 3;
+pub const VERSION: u8 = 4;
 
 /// Hard cap on payload size (64 MiB). Larger `len` fields are rejected
 /// before any allocation — a corrupt or hostile length cannot OOM the
@@ -110,21 +112,28 @@ impl From<std::io::Error> for FrameError {
     }
 }
 
-/// Small writes gather in a buffer this large before they reach the
-/// stream; a byte string at least this long bypasses it.
+/// A byte string at least this long is written from where it lies;
+/// shorter ones are copied in with the fields around them.
 const WRITE_BUF: usize = 4096;
 
-/// A large byte string is digested and moved this much at a time, so the
-/// second of the two passes finds the bytes still in cache.
+/// A large byte string is read off a stream this much at a time, and
+/// digested as each chunk lands.
 const CHUNK: usize = 256 << 10;
 
 /// Where a codec puts the bytes of a payload: a `Vec`, a length counter,
-/// or a stream behind a digest.
-pub(crate) trait Sink {
+/// or a frame on its way to a stream. Bytes that live as long as `'a` may
+/// be borrowed rather than copied.
+pub(crate) trait Sink<'a> {
+    /// Copies `bytes` into the payload.
     fn put(&mut self, bytes: &[u8]);
+
+    /// Adds `bytes` to the payload, borrowing them where the sink can.
+    fn put_ref(&mut self, bytes: &'a [u8]) {
+        self.put(bytes);
+    }
 }
 
-impl Sink for Vec<u8> {
+impl Sink<'_> for Vec<u8> {
     fn put(&mut self, bytes: &[u8]) {
         self.extend_from_slice(bytes);
     }
@@ -132,7 +141,7 @@ impl Sink for Vec<u8> {
 
 /// A `usize` counts what an encoding would occupy — the length a frame
 /// header announces before the payload is streamed behind it.
-impl Sink for usize {
+impl Sink<'_> for usize {
     fn put(&mut self, bytes: &[u8]) {
         *self += bytes.len();
     }
@@ -172,65 +181,77 @@ impl Source for &[u8] {
     }
 }
 
-/// The payload of one outbound frame on its way into a stream. The first
-/// stream error sticks; [`write_frame_with`] reports it.
-pub(crate) struct FrameSink<W: Write> {
-    w: BufWriter<W>,
+/// One outbound frame, gathered for a single vectored write: the header,
+/// fields and short byte strings are copied into `small`; each long byte
+/// string is borrowed where it lies, with the length `small` had when it
+/// came; the payload is digested as it passes.
+pub(crate) struct FrameSink<'a> {
+    small: Vec<u8>,
+    long: Vec<(usize, &'a [u8])>,
     digest: Xxh64,
     put_len: usize,
-    err: Option<std::io::ErrorKind>,
 }
 
-impl<W: Write> FrameSink<W> {
-    /// Writes framing bytes (header, trailer), which no digest covers.
-    fn frame(&mut self, bytes: &[u8]) {
-        if self.err.is_none() {
-            self.err = self.w.write_all(bytes).err().map(|e| e.kind());
-        }
-    }
-}
-
-impl<W: Write> Sink for FrameSink<W> {
+impl<'a> Sink<'a> for FrameSink<'a> {
     fn put(&mut self, bytes: &[u8]) {
         self.put_len += bytes.len();
-        for chunk in bytes.chunks(CHUNK) {
-            self.digest.update(chunk);
-            self.frame(chunk);
+        self.digest.update(bytes);
+        self.small.extend_from_slice(bytes);
+    }
+
+    fn put_ref(&mut self, bytes: &'a [u8]) {
+        if bytes.len() < WRITE_BUF {
+            return self.put(bytes);
         }
+        self.put_len += bytes.len();
+        self.digest.update(bytes);
+        self.long.push((self.small.len(), bytes));
     }
 }
 
-/// Streams one frame into `w`: the header for a payload of `len` bytes,
+/// Writes one frame into `w` in one vectored write, repeated only for
+/// what the stream did not take: the header for a payload of `len` bytes,
 /// whatever `fill` puts (exactly `len` bytes), the trailer. An oversized
 /// `len` is refused before anything is written, so the stream stays
 /// usable.
-pub(crate) fn write_frame_with<W: Write>(
+pub(crate) fn write_frame_with<'a, W: Write>(
     w: &mut W,
     len: usize,
-    fill: impl FnOnce(&mut FrameSink<&mut W>),
+    fill: impl FnOnce(&mut FrameSink<'a>),
 ) -> Result<(), FrameError> {
     let len32 = u32::try_from(len).unwrap_or(u32::MAX);
     if len32 > MAX_FRAME {
         return Err(FrameError::Oversized { len: len32 });
     }
     let mut sink = FrameSink {
-        w: BufWriter::with_capacity(WRITE_BUF, w),
+        small: Vec::with_capacity(WRITE_BUF),
+        long: Vec::new(),
         digest: Xxh64::default(),
         put_len: 0,
-        err: None,
     };
-    let mut header = [0u8; HEADER_LEN]; // flags (byte 5) reserved, 0
-    header[..4].copy_from_slice(&MAGIC.to_le_bytes());
-    header[4] = VERSION;
-    header[6..].copy_from_slice(&len32.to_le_bytes());
-    sink.frame(&header);
+    // The header; its flags (byte 5) are reserved, 0.
+    sink.small
+        .extend(MAGIC.to_le_bytes().into_iter().chain([VERSION, 0]));
+    sink.small.extend(len32.to_le_bytes());
     fill(&mut sink);
     assert_eq!(sink.put_len, len, "payload is as long as its header says");
-    sink.frame(&sink.digest.finish().to_le_bytes());
-    match sink.err {
-        Some(kind) => Err(FrameError::Io(kind)),
-        None => Ok(sink.w.flush()?),
+    sink.small.extend(sink.digest.finish().to_le_bytes());
+    let (mut slices, mut at) = (Vec::with_capacity(2 * sink.long.len() + 1), 0);
+    for &(end, bytes) in &sink.long {
+        slices.extend([IoSlice::new(&sink.small[at..end]), IoSlice::new(bytes)]);
+        at = end;
     }
+    slices.push(IoSlice::new(&sink.small[at..]));
+    let mut slices = &mut slices[..];
+    while !slices.is_empty() {
+        match w.write_vectored(slices) {
+            Ok(0) => return Err(FrameError::Io(std::io::ErrorKind::WriteZero)),
+            Ok(n) => IoSlice::advance_slices(&mut slices, n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e.into()),
+        }
+    }
+    Ok(w.flush()?)
 }
 
 /// Encode one payload into a complete frame (header + payload + trailer).
@@ -454,7 +475,7 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Vec<u8>, FrameError> {
 
 /// Blocking write of one payload as a whole frame.
 pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<(), FrameError> {
-    write_frame_with(w, payload.len(), |sink| sink.put(payload))
+    write_frame_with(w, payload.len(), |sink| sink.put_ref(payload))
 }
 
 #[cfg(test)]
@@ -515,9 +536,10 @@ mod tests {
     fn version_1_frame_is_refused_by_version() {
         // What the previous formats put on the wire: version byte 1 and an
         // FNV-1a trailer; version byte 2 and today's trailer, around a
-        // handshake without incarnations.
+        // handshake without incarnations; version byte 3, around blocks
+        // sent whole.
         let payload = b"from an old daemon";
-        for got in [1, 2] {
+        for got in [1, 2, 3] {
             let mut frame = encode_frame(payload);
             frame[4] = got;
             if got == 1 {

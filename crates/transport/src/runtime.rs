@@ -2,9 +2,10 @@
 //!
 //! Topology: every member listens on one TCP port. Inbound connections
 //! (peer dials and `dvdc-ctl` clients alike) get a reader thread that
-//! decodes envelopes straight off its socket and queues them on the
-//! single event channel. Outbound, each peer gets a writer thread owning
-//! its own dialed socket — messages are queued to it as they are and
+//! decodes envelopes straight off its socket and hands each to the event
+//! loop before it reads the next, so a reader holds at most one part of a
+//! block the core has not taken. Outbound, each peer gets a writer thread
+//! owning its own dialed socket — messages are queued to it as they are and
 //! encoded onto the socket there, off the event loop — reconnecting with
 //! the cluster's
 //! [`RetryPolicy`](dvdc_vcluster::messaging::RetryPolicy) jittered
@@ -37,7 +38,7 @@ use std::collections::BTreeMap;
 use std::io::{BufReader, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration as StdDuration, Instant, SystemTime, UNIX_EPOCH};
 
@@ -268,7 +269,11 @@ impl NodeRuntime {
         let mut core = NodeCore::new(config.id, config.spec.clone(), incarnation);
         let hub = config.observe.metrics.clone();
 
-        let (event_tx, event_rx): (Sender<Event>, Receiver<Event>) = mpsc::channel();
+        // A rendezvous: whoever hands the loop an event waits until it is
+        // taken. The loop itself waits on no reader or writer, so nobody
+        // waits on it for long; and a reader that may not run ahead of it
+        // allocates one part at a time, not a block's worth of them.
+        let (event_tx, event_rx): (SyncSender<Event>, Receiver<Event>) = mpsc::sync_channel(0);
 
         // --- inbound: accept loop + per-connection readers ---
         let listen_addr = listener.local_addr().map_err(RuntimeError::Listener)?;
@@ -429,7 +434,7 @@ struct ReaderMetrics {
 /// connection, which `run` makes); each gets a reader thread.
 fn accept_loop(
     listener: TcpListener,
-    event_tx: Sender<Event>,
+    event_tx: SyncSender<Event>,
     stop: Arc<AtomicBool>,
     metrics: ReaderMetrics,
 ) {
@@ -460,7 +465,7 @@ fn accept_loop(
 fn reader_loop(
     stream: TcpStream,
     writer: Option<Arc<Mutex<TcpStream>>>,
-    event_tx: Sender<Event>,
+    event_tx: SyncSender<Event>,
     metrics: ReaderMetrics,
 ) {
     // Headers, trailers and small messages come out of this buffer; an
@@ -527,7 +532,7 @@ fn closes_within(mut stream: &TcpStream, wait: StdDuration) -> bool {
 /// messages onto it, reconnect with jittered backoff on failure, hold off
 /// after exhaustion. Messages that cannot be delivered are dropped — the
 /// protocol retries at its own layer.
-fn writer_loop(peer: NodeId, cfg: WriterConfig, rx: Receiver<ToWriter>, events: Sender<Event>) {
+fn writer_loop(peer: NodeId, cfg: WriterConfig, rx: Receiver<ToWriter>, events: SyncSender<Event>) {
     let retry = RetryPolicy::default();
     let mut stream: Option<TcpStream> = None;
     let mut holdoff_until: Option<Instant> = None;
@@ -661,7 +666,9 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let mut tx = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (rx, _) = listener.accept().unwrap();
-        let (event_tx, event_rx) = mpsc::channel();
+        // Room for everything one connection can say: the test reads the
+        // events only once the reader has returned.
+        let (event_tx, event_rx) = mpsc::sync_channel(16);
         let metrics = reader_metrics(hub);
         let reader = std::thread::spawn(move || reader_loop(rx, None, event_tx, metrics));
         for chunk in bytes {
@@ -751,7 +758,7 @@ mod tests {
             queue: hub.gauge("queue"),
         };
         let (tx, rx) = mpsc::channel();
-        let (event_tx, event_rx) = mpsc::channel();
+        let (event_tx, event_rx) = mpsc::sync_channel(16);
         let writer = std::thread::spawn(move || writer_loop(NodeId(1), cfg, rx, event_tx));
         (tx, event_rx, writer)
     }

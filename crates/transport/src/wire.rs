@@ -85,13 +85,14 @@ trait Wire: Sized {
     /// count before allocating anything.
     const MIN_LEN: usize;
 
-    fn put(&self, out: &mut impl Sink);
+    fn put<'a>(&'a self, out: &mut impl Sink<'a>);
 
     fn get(r: &mut impl Source) -> Result<Self, WireError>;
 
     /// Encodes list elements back to back; `u8` overrides it with one
-    /// bulk put so image bytes never move element by element.
-    fn put_all(items: &[Self], out: &mut impl Sink) {
+    /// bulk put, borrowed where the sink can, so image bytes never move
+    /// element by element.
+    fn put_all<'a>(items: &'a [Self], out: &mut impl Sink<'a>) {
         for item in items {
             item.put(out);
         }
@@ -113,7 +114,7 @@ fn take<const N: usize>(r: &mut impl Source) -> Result<[u8; N], WireError> {
 impl Wire for u8 {
     const MIN_LEN: usize = 1;
 
-    fn put(&self, out: &mut impl Sink) {
+    fn put<'a>(&'a self, out: &mut impl Sink<'a>) {
         out.put(&[*self]);
     }
 
@@ -121,8 +122,8 @@ impl Wire for u8 {
         Ok(take::<1>(r)?[0])
     }
 
-    fn put_all(items: &[u8], out: &mut impl Sink) {
-        out.put(items);
+    fn put_all<'a>(items: &'a [u8], out: &mut impl Sink<'a>) {
+        out.put_ref(items);
     }
 
     fn get_all(r: &mut impl Source, n: usize) -> Result<Vec<u8>, WireError> {
@@ -137,7 +138,7 @@ macro_rules! wire_int {
         impl Wire for $t {
             const MIN_LEN: usize = std::mem::size_of::<$t>();
 
-            fn put(&self, out: &mut impl Sink) {
+            fn put<'a>(&'a self, out: &mut impl Sink<'a>) {
                 out.put(&self.to_le_bytes());
             }
 
@@ -153,8 +154,8 @@ wire_int!(u32, u64, i64);
 impl Wire for usize {
     const MIN_LEN: usize = 8;
 
-    fn put(&self, out: &mut impl Sink) {
-        (*self as u64).put(out);
+    fn put<'a>(&'a self, out: &mut impl Sink<'a>) {
+        out.put(&(*self as u64).to_le_bytes());
     }
 
     fn get(r: &mut impl Source) -> Result<Self, WireError> {
@@ -165,7 +166,7 @@ impl Wire for usize {
 impl Wire for NodeId {
     const MIN_LEN: usize = 8;
 
-    fn put(&self, out: &mut impl Sink) {
+    fn put<'a>(&'a self, out: &mut impl Sink<'a>) {
         self.0.put(out);
     }
 
@@ -177,8 +178,8 @@ impl Wire for NodeId {
 impl Wire for f64 {
     const MIN_LEN: usize = 8;
 
-    fn put(&self, out: &mut impl Sink) {
-        self.to_bits().put(out);
+    fn put<'a>(&'a self, out: &mut impl Sink<'a>) {
+        out.put(&self.to_bits().to_le_bytes());
     }
 
     fn get(r: &mut impl Source) -> Result<Self, WireError> {
@@ -191,8 +192,8 @@ impl Wire for f64 {
 impl Wire for SimTime {
     const MIN_LEN: usize = 8;
 
-    fn put(&self, out: &mut impl Sink) {
-        self.as_secs().put(out);
+    fn put<'a>(&'a self, out: &mut impl Sink<'a>) {
+        out.put(&self.as_secs().to_bits().to_le_bytes());
     }
 
     fn get(r: &mut impl Source) -> Result<Self, WireError> {
@@ -208,8 +209,8 @@ impl Wire for SimTime {
 impl Wire for bool {
     const MIN_LEN: usize = 1;
 
-    fn put(&self, out: &mut impl Sink) {
-        (*self as u8).put(out);
+    fn put<'a>(&'a self, out: &mut impl Sink<'a>) {
+        out.put(&[*self as u8]);
     }
 
     fn get(r: &mut impl Source) -> Result<Self, WireError> {
@@ -226,8 +227,8 @@ impl Wire for bool {
 impl<T: Wire> Wire for Vec<T> {
     const MIN_LEN: usize = 4;
 
-    fn put(&self, out: &mut impl Sink) {
-        (self.len() as u32).put(out);
+    fn put<'a>(&'a self, out: &mut impl Sink<'a>) {
+        out.put(&(self.len() as u32).to_le_bytes());
         T::put_all(self, out);
     }
 
@@ -241,15 +242,15 @@ impl<T: Wire> Wire for Vec<T> {
 }
 
 /// Strings are byte strings that must be UTF-8.
-fn put_str(s: &str, out: &mut impl Sink) {
-    (s.len() as u32).put(out);
-    out.put(s.as_bytes());
+fn put_str<'a>(s: &'a str, out: &mut impl Sink<'a>) {
+    out.put(&(s.len() as u32).to_le_bytes());
+    out.put_ref(s.as_bytes());
 }
 
 impl Wire for String {
     const MIN_LEN: usize = 4;
 
-    fn put(&self, out: &mut impl Sink) {
+    fn put<'a>(&'a self, out: &mut impl Sink<'a>) {
         put_str(self, out);
     }
 
@@ -262,7 +263,7 @@ impl Wire for String {
 impl Wire for &'static str {
     const MIN_LEN: usize = 4;
 
-    fn put(&self, out: &mut impl Sink) {
+    fn put<'a>(&'a self, out: &mut impl Sink<'a>) {
         put_str(self, out);
     }
 
@@ -275,11 +276,11 @@ impl Wire for &'static str {
 impl<T: Wire> Wire for Option<T> {
     const MIN_LEN: usize = 1;
 
-    fn put(&self, out: &mut impl Sink) {
+    fn put<'a>(&'a self, out: &mut impl Sink<'a>) {
         match self {
-            None => 0u8.put(out),
+            None => out.put(&[0]),
             Some(v) => {
-                1u8.put(out);
+                out.put(&[1]);
                 v.put(out);
             }
         }
@@ -297,7 +298,7 @@ impl<T: Wire> Wire for Option<T> {
 impl<A: Wire, B: Wire> Wire for (A, B) {
     const MIN_LEN: usize = A::MIN_LEN + B::MIN_LEN;
 
-    fn put(&self, out: &mut impl Sink) {
+    fn put<'a>(&'a self, out: &mut impl Sink<'a>) {
         self.0.put(out);
         self.1.put(out);
     }
@@ -314,7 +315,7 @@ macro_rules! wire_struct {
         impl Wire for $name {
             const MIN_LEN: usize = 0 $(+ <$ty as Wire>::MIN_LEN)*;
 
-            fn put(&self, out: &mut impl Sink) {
+            fn put<'a>(&'a self, out: &mut impl Sink<'a>) {
                 $(self.$field.put(out);)*
             }
 
@@ -359,7 +360,7 @@ wire_struct!(TimedEvent {
 impl Wire for HistSnapshot {
     const MIN_LEN: usize = 8 + 8 + 4;
 
-    fn put(&self, out: &mut impl Sink) {
+    fn put<'a>(&'a self, out: &mut impl Sink<'a>) {
         self.count.put(out);
         self.sum.put(out);
         self.buckets.put(out);
@@ -392,7 +393,7 @@ macro_rules! wire_enum {
         impl Wire for $name {
             const MIN_LEN: usize = 1;
 
-            fn put(&self, out: &mut impl Sink) {
+            fn put<'a>(&'a self, out: &mut impl Sink<'a>) {
                 match self {$(
                     $name::$variant $({ $($field),* })? $(( $inner ))? => {
                         out.put(&[$tag]);
@@ -449,6 +450,8 @@ wire_enum! { Msg, WireError::UnknownTag;
     29 => MetricsResp(snapshot),
     30 => TraceTailReq { max },
     31 => TraceTailResp { node, now, dropped, events },
+    32 => PayloadPart { epoch, source, fence_epoch, offset, data },
+    33 => FetchPart { node, fence_epoch, offset, part },
 }
 
 // A tag space of its own, independent of `Msg`'s.
@@ -492,7 +495,7 @@ wire_enum! { Event, WireError::UnknownTag;
 /// Serialize a `[sender][msg]` envelope — the unit a frame payload
 /// carries.
 pub fn encode_envelope(from: NodeId, msg: &Msg) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16 + msg.payload_len().unwrap_or(0));
+    let mut out = Vec::with_capacity(envelope_len(from, msg));
     from.put(&mut out);
     msg.put(&mut out);
     out
@@ -520,9 +523,10 @@ pub fn decode_envelope(mut bytes: &[u8]) -> Result<(NodeId, Msg), WireError> {
     get_envelope(&mut bytes)
 }
 
-/// Streams `msg` into `w` as one frame, straight from the message: the
-/// bytes `write_frame(w, &encode_envelope(from, msg))` would write, with
-/// neither buffer built. A message too large for a frame is
+/// Writes `msg` into `w` as one frame in one vectored write, its long
+/// byte strings straight from the message: the bytes
+/// `write_frame(w, &encode_envelope(from, msg))` would write, with neither
+/// buffer built. A message too large for a frame is
 /// [`FrameError::Oversized`] and leaves `w` untouched.
 pub fn write_envelope<W: Write>(w: &mut W, from: NodeId, msg: &Msg) -> Result<(), FrameError> {
     write_frame_with(w, envelope_len(from, msg), |sink| {
@@ -543,7 +547,7 @@ pub fn read_envelope<R: Read>(r: &mut R) -> Result<Result<(NodeId, Msg), WireErr
 mod tests {
     use super::*;
     use crate::frame::{encode_frame, MAX_FRAME};
-    use dvdc::protocol::node_core::{fnv64, CTL};
+    use dvdc::protocol::node_core::{fnv64, initial_image, CTL, PART_LEN};
     use dvdc_observe::NO_TOKEN;
     use std::collections::BTreeSet;
     use std::io::BufReader;
@@ -784,7 +788,30 @@ mod tests {
             Msg::MetricsResp(MetricsSnapshot::default()),
             Msg::TraceTailReq { max: 64 },
             trace_tail_of_every_event(),
+            Msg::PayloadPart {
+                epoch: 4,
+                source: n,
+                fence_epoch: 1,
+                offset: 1 << 18,
+                data: vec![4, 5, 6],
+            },
+            Msg::FetchPart {
+                node: NodeId(0),
+                fence_epoch: 2,
+                offset: 2 << 18,
+                part: BlockInfo {
+                    holder: NodeId(1),
+                    kind: BlockKind::Data,
+                    epoch: 5,
+                    data: vec![8u8; 16],
+                },
+            },
         ]
+    }
+
+    /// The messages version 4 added: every other one encodes as it did.
+    fn is_a_part(msg: &Msg) -> bool {
+        matches!(msg, Msg::PayloadPart { .. } | Msg::FetchPart { .. })
     }
 
     /// The tag a value encodes under (its first byte).
@@ -823,17 +850,101 @@ mod tests {
 
     #[test]
     fn wire_bytes_match_the_golden_digest() {
-        // Length and FNV-1a/64 of every sample's envelope, concatenated.
-        // Pinned for frame version 3, which added `incarnation` to `Hello`
-        // and `Welcome` (8 bytes each; 2169 bytes, 0x3927_044d_7a83_59a6
-        // before). A mismatch means the on-wire format changed: that needs
-        // a frame version bump, not a new digest.
-        let bytes: Vec<u8> = msg_samples()
-            .iter()
-            .flat_map(|m| encode_envelope(NodeId(1), m))
-            .collect();
-        assert_eq!(bytes.len(), 2185);
-        assert_eq!(fnv64(&bytes), 0xa8dd_8645_4cb1_8313);
+        // Length and FNV-1a/64 of the samples' envelopes, concatenated.
+        // Pinned for frame version 4, which added `PayloadPart` and
+        // `FetchPart` and changed no other message: without them the
+        // samples still encode to version 3's 2185 bytes and digest (which
+        // added `incarnation` to `Hello` and `Welcome`; 2169 bytes,
+        // 0x3927_044d_7a83_59a6 before). A mismatch means the on-wire
+        // format changed: that needs a frame version bump, not a new digest.
+        let golden = |keep: fn(&Msg) -> bool| {
+            let samples = msg_samples().into_iter().filter(keep);
+            let bytes: Vec<u8> = samples
+                .flat_map(|m| encode_envelope(NodeId(1), &m))
+                .collect();
+            (bytes.len(), fnv64(&bytes))
+        };
+        assert_eq!(golden(|m| !is_a_part(m)), (2185, 0xa8dd_8645_4cb1_8313));
+        assert_eq!(golden(|_| true), (2303, 0x3ecd_706d_14f9_731e));
+    }
+
+    /// Counts the calls a frame costs the stream it is written to, taking
+    /// at most `take` bytes a call.
+    struct Counting {
+        take: usize,
+        vectored: usize,
+        plain: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for Counting {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.plain += 1;
+            let n = buf.len().min(self.take);
+            self.bytes.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn write_vectored(&mut self, bufs: &[std::io::IoSlice<'_>]) -> std::io::Result<usize> {
+            self.vectored += 1;
+            let mut left = self.take;
+            for buf in bufs {
+                let n = buf.len().min(left);
+                self.bytes.extend_from_slice(&buf[..n]);
+                left -= n;
+            }
+            Ok(self.take - left)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_vectored_write_and_survives_short_ones() {
+        let part = Msg::PayloadPart {
+            epoch: 9,
+            source: NodeId(2),
+            fence_epoch: 1,
+            offset: PART_LEN as u64,
+            data: initial_image(7, NodeId(2), PART_LEN),
+        };
+        let last = Msg::FetchBlocks {
+            node: NodeId(3),
+            fence_epoch: 0,
+            blocks: (0..3)
+                .map(|i| BlockInfo {
+                    holder: NodeId(i),
+                    kind: BlockKind::Data,
+                    epoch: 2,
+                    data: initial_image(7, NodeId(i), 5000 + i),
+                })
+                .collect(),
+        };
+        let written = |msg: &Msg, take: usize| {
+            let mut stream = Counting {
+                take,
+                vectored: 0,
+                plain: 0,
+                bytes: Vec::new(),
+            };
+            write_envelope(&mut stream, NodeId(1), msg).unwrap();
+            stream
+        };
+        for msg in [part, last, Msg::Commit { epoch: 3 }] {
+            let want = encode_frame(&encode_envelope(NodeId(1), &msg));
+            // A stream that takes the frame whole: one call, header to trailer.
+            let whole = written(&msg, usize::MAX);
+            assert_eq!(
+                (whole.vectored, whole.plain, whole.bytes),
+                (1, 0, want.clone())
+            );
+            // One that takes 1000 bytes a call: the rest follows, in order.
+            let short = written(&msg, 1000);
+            let calls = want.len().div_ceil(1000);
+            assert_eq!((short.vectored, short.plain, short.bytes), (calls, 0, want));
+        }
     }
 
     /// A stream whose every `read` returns one byte.

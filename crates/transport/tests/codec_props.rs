@@ -3,9 +3,11 @@
 //! flipped bytes, random garbage) always come back as typed errors —
 //! never a panic, never a hang.
 
-use dvdc::protocol::node_core::{Msg, CTL};
+use std::cmp::Ordering;
+
+use dvdc::protocol::node_core::{BlockInfo, BlockKind, Msg, CTL};
 use dvdc_transport::frame::{decode_exact, encode_frame, FrameDecoder, FrameError, HEADER_LEN};
-use dvdc_transport::wire::{decode_envelope, encode_envelope};
+use dvdc_transport::wire::{decode_envelope, encode_envelope, WireError};
 use dvdc_vcluster::ids::NodeId;
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -86,18 +88,63 @@ proptest! {
         epoch in any::<u64>(),
         source in 0usize..64,
         fence in any::<u64>(),
+        offset in any::<u64>(),
         data in vec(any::<u8>(), 0..2048usize),
     ) {
-        let msg = Msg::Payload {
-            epoch,
-            source: NodeId(source),
-            fence_epoch: fence,
-            data: data.clone(),
+        // The codec carries any offset; what fits an image is the
+        // receiving core's to judge.
+        let (source, fence_epoch) = (NodeId(source), fence);
+        let part = BlockInfo { holder: source, kind: BlockKind::Parity, epoch, data: data.clone() };
+        let msgs = [
+            Msg::Payload { epoch, source, fence_epoch, data: data.clone() },
+            Msg::PayloadPart { epoch, source, fence_epoch, offset, data },
+            Msg::FetchPart { node: NodeId(sender), fence_epoch, offset, part },
+        ];
+        for msg in msgs {
+            let bytes = encode_envelope(NodeId(sender), &msg);
+            prop_assert_eq!(decode_envelope(&bytes), Ok((NodeId(sender), msg)));
+        }
+    }
+
+    #[test]
+    fn hostile_part_lengths_and_block_counts_are_typed(
+        offset in any::<u64>(),
+        have in 0usize..64,
+        small in 0u32..80,
+        blocks in 0usize..4,
+    ) {
+        // A part whose length field claims a small or a hostile number of
+        // bytes with `have` behind it, and a closing answer claiming as
+        // many blocks with `blocks` behind it: exact claims decode, the
+        // rest are typed, and nothing is allocated for a hostile one.
+        let part = Msg::PayloadPart {
+            epoch: 1,
+            source: NodeId(0),
+            fence_epoch: 0,
+            offset,
+            data: vec![7; have],
         };
-        let bytes = encode_envelope(NodeId(sender), &msg);
-        let (from, decoded) = decode_envelope(&bytes).unwrap();
-        prop_assert_eq!(from, NodeId(sender));
-        prop_assert_eq!(decoded, msg);
+        let block = |i| BlockInfo { holder: NodeId(i), kind: BlockKind::Data, epoch: 1, data: vec![] };
+        let answer = Msg::FetchBlocks {
+            node: NodeId(1),
+            fence_epoch: 0,
+            blocks: (0..blocks).map(block).collect(),
+        };
+        // Each field sits right behind the header of the same length:
+        // the data of the part, the blocks (21 bytes each) of the answer.
+        for (msg, n, each) in [(part, have, 1), (answer, blocks, 21)] {
+            for claimed in [small, u32::MAX - small] {
+                let mut bytes = encode_envelope(NodeId(1), &msg);
+                let at = bytes.len() - n * each - 4;
+                bytes[at..at + 4].copy_from_slice(&claimed.to_le_bytes());
+                let want = match (claimed as usize).cmp(&n) {
+                    Ordering::Equal => Ok((NodeId(1), msg.clone())),
+                    Ordering::Greater => Err(WireError::Truncated),
+                    Ordering::Less => Err(WireError::TrailingBytes),
+                };
+                prop_assert_eq!(decode_envelope(&bytes), want);
+            }
+        }
     }
 
     #[test]

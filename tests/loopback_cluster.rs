@@ -10,7 +10,7 @@
 //! event loop steps and audited on every run.
 
 use dvdc::protocol::harness::Harness;
-use dvdc::protocol::node_core::{block_digest, ClusterSpec, Msg, Note};
+use dvdc::protocol::node_core::{block_digest, ClusterSpec, Msg, Note, PART_LEN};
 use dvdc_faults::detector::{DetectorConfig, Verdict};
 use dvdc_observe::metrics::fold_events;
 use dvdc_simcore::time::{Duration, SimTime};
@@ -347,41 +347,45 @@ fn payload_overtaking_its_round_begin_is_parked_and_the_round_commits() {
     // No capture delay, and the coordinator's links to both holders two
     // hops slow: the other members' blocks, sent on hearing a RoundBegin
     // the holders have yet to hear, reach them first — what separate TCP
-    // connections do to a block and the RoundBegin it belongs to.
-    let mut h = Harness::new(ClusterSpec {
-        capture_delay: Duration::ZERO,
-        ..ClusterSpec::drill(3, 2)
-    });
-    for holder in [3, 4] {
-        h.slow_link(0, holder, Duration::from_millis(2.0));
-    }
-    h.run_until(500.0, "full mesh", |h| h.fully_meshed());
-    for want in 1..=3u64 {
-        assert_eq!(h.checkpoint(0, 1000.0), Ok(want));
-    }
-    for i in 0..5 {
-        assert_eq!(h.node(i).status().committed_epoch, 3, "node{i}");
-    }
-    // Parked, not dropped: nothing was discarded on the way.
-    let drops = |h: &Harness| count(h, |_, n| matches!(n, Note::PayloadDropped { .. }));
-    assert_eq!(drops(&h), 0, "{:?}", h.notes());
+    // connections do to a block and the RoundBegin it belongs to. Blocks
+    // of one part, and of three whole parts and a ragged fourth.
+    for image_len in [512, 3 * PART_LEN + 4_099] {
+        let mut h = Harness::new(ClusterSpec {
+            capture_delay: Duration::ZERO,
+            image_len,
+            ..ClusterSpec::drill(3, 2)
+        });
+        for holder in [3, 4] {
+            h.slow_link(0, holder, Duration::from_millis(2.0));
+        }
+        h.run_until(500.0, "full mesh", |h| h.fully_meshed());
+        for want in 1..=3u64 {
+            assert_eq!(h.checkpoint(0, 1000.0), Ok(want));
+        }
+        for i in 0..5 {
+            assert_eq!(h.node(i).status().committed_epoch, 3, "node{i}");
+        }
+        // Parked, not dropped: nothing was discarded on the way.
+        let drops = |h: &Harness| count(h, |_, n| matches!(n, Note::PayloadDropped { .. }));
+        assert_eq!(drops(&h), 0, "{:?}", h.notes());
 
-    // A block for a round already over is still refused, and says so.
-    let holder = 3;
-    let stale = Msg::Payload {
-        epoch: 2,
-        source: NodeId(1),
-        fence_epoch: 0,
-        data: vec![0; 512],
-    };
-    h.deliver(NodeId(1), holder, stale);
-    assert!(matches!(
-        h.notes().last(),
-        Some((_, n, Note::PayloadDropped { from, reason }))
-            if *n == NodeId(holder) && *from == NodeId(1) && reason.contains("round 2 is not open")
-    ));
-    assert_eq!(drops(&h), 1);
-    assert_eq!(h.checkpoint(0, 1000.0), Ok(4));
+        // A block for a round already over is still refused, and says so.
+        let holder = 3;
+        let stale = Msg::Payload {
+            epoch: 2,
+            source: NodeId(1),
+            fence_epoch: 0,
+            data: vec![0; (image_len - 1) % PART_LEN + 1],
+        };
+        h.deliver(NodeId(1), holder, stale);
+        assert!(matches!(
+            h.notes().last(),
+            Some((_, n, Note::PayloadDropped { from, reason }))
+                if *n == NodeId(holder) && *from == NodeId(1) && reason.contains("round 2 is not open")
+        ));
+        assert_eq!(drops(&h), 1);
+        assert_eq!(h.checkpoint(0, 1000.0), Ok(4));
+    }
 }
 
 #[test]

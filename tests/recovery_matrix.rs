@@ -9,7 +9,7 @@ use dvdc::protocol::harness::Harness;
 use dvdc::protocol::{
     block_digest, run_round_with_faults, CheckpointProtocol, ClusterSpec, CodeKind, DvdcProtocol,
     Msg, Note, PhasedOutcome, ProtocolError, RebuildMode, RebuildPhase, RebuildStep, RecoverError,
-    RoundPhase, RoundStep, CTL,
+    RoundPhase, RoundStep, CTL, PART_LEN,
 };
 use dvdc_checkpoint::strategy::Mode;
 use dvdc_faults::detector::Verdict;
@@ -852,8 +852,9 @@ fn coordinator(h: &Harness) -> usize {
 /// `[epoch - 2][node]` digests: images and parity are a function of the
 /// spec alone, so a rebuilt block has an oracle that shares no code with
 /// the rebuild.
-fn healthy_digests(k: usize, m: usize) -> [Vec<u64>; 2] {
-    let mut h = Harness::new(ClusterSpec::drill(k, m));
+fn healthy_digests(spec: &ClusterSpec) -> [Vec<u64>; 2] {
+    let (k, m) = (spec.data_nodes, spec.parity_nodes);
+    let mut h = Harness::new(spec.clone());
     h.run_until(500.0, "full mesh", |h| h.fully_meshed());
     assert_eq!(h.checkpoint(0, 1000.0), Ok(1));
     [2, 3].map(|epoch| {
@@ -866,14 +867,14 @@ fn healthy_digests(k: usize, m: usize) -> [Vec<u64>; 2] {
 /// One cell of the matrix: the whole arc from the strike to a
 /// full-strength round on all `k + m`, on the harness, audited.
 fn node_core_case(
-    (k, m): (usize, usize),
+    spec: &ClusterSpec,
     healthy: &[Vec<u64>; 2],
     victim: usize,
     strike: Strike,
     instant: Instant,
 ) {
+    let (k, m) = (spec.data_nodes, spec.parity_nodes);
     let ctx = format!("{k}+{m} victim={victim} {strike:?} {instant:?}");
-    let spec = ClusterSpec::drill(k, m);
     let detector = spec.detector;
     let mut h = Harness::new(spec.clone());
     h.run_until(500.0, "full mesh", |h| h.fully_meshed());
@@ -1005,8 +1006,8 @@ fn node_core_case(
     assert!(h.live().all(|n| !n.saw_data_loss()), "{ctx}");
 }
 
-#[test]
-fn node_core_matrix_layouts_victims_strikes_instants() {
+/// Every member × strike × instant of one layout.
+fn node_core_matrix(spec: &ClusterSpec) {
     let strikes = [
         Strike::Crash,
         Strike::Kill,
@@ -1019,16 +1020,41 @@ fn node_core_matrix_layouts_victims_strikes_instants() {
         Instant::CapturesShipped,
         Instant::JustCommitted,
     ];
-    for (k, m) in [(2, 1), (4, 1), (3, 2), (4, 2)] {
-        let healthy = healthy_digests(k, m);
-        for victim in 0..k + m {
-            for strike in strikes {
-                for instant in instants {
-                    node_core_case((k, m), &healthy, victim, strike, instant);
-                }
+    let healthy = healthy_digests(spec);
+    for victim in 0..spec.total() {
+        for strike in strikes {
+            for instant in instants {
+                node_core_case(spec, &healthy, victim, strike, instant);
             }
         }
     }
+}
+
+#[test]
+fn node_core_matrix_layouts_victims_strikes_instants() {
+    for (k, m) in [(2, 1), (4, 1), (3, 2), (4, 2)] {
+        node_core_matrix(&ClusterSpec::drill(k, m));
+    }
+}
+
+/// A layout of the matrix with images of three whole parts and a ragged
+/// fourth: every block is shipped, folded, fetched and decoded part by
+/// part.
+fn in_parts(k: usize, m: usize) -> ClusterSpec {
+    ClusterSpec {
+        image_len: 3 * PART_LEN + 4_099,
+        ..ClusterSpec::drill(k, m)
+    }
+}
+
+#[test]
+fn node_core_matrix_in_parts_4_1() {
+    node_core_matrix(&in_parts(4, 1));
+}
+
+#[test]
+fn node_core_matrix_in_parts_4_2() {
+    node_core_matrix(&in_parts(4, 2));
 }
 
 /// One failure more than the code tolerates is typed loss, never a panic

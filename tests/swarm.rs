@@ -53,33 +53,37 @@ fn swarm_smoke_two_matrix_passes_are_clean() {
 /// The same bar for the code the daemon runs: 36 consecutive seeds put
 /// every `NodeCore` layout under every plan shape and every restart delay
 /// once, four requested rounds each, with link delays fired from the same
-/// registry. No cell may fail, and one that lost nothing ends whole.
+/// registry; the first 12 again with blocks of three whole parts and a
+/// ragged fourth, each part a message a link may hold back. No cell may
+/// fail, and one that lost nothing ends whole.
 #[test]
 fn swarm_smoke_core_cells_are_clean() {
-    let cfg = SwarmConfig {
-        base_seed: 1,
-        seeds: 36,
-        intensities: vec![Intensity::Quick],
-        rounds: 4,
-        shrink: true,
-    };
-    let summary = run_swarm(Subject::Core, &cfg);
-    assert_eq!(summary.cells, 36);
-    assert_eq!(
-        summary.failed,
-        0,
-        "failing cells:\n{}",
-        summary.repro_lines().join("\n")
-    );
-    assert!(summary.fired > 0, "no link was ever delayed");
-    let outcomes = &summary.outcomes;
-    for layout in ["2+1", "4+1", "3+2", "4+2"] {
-        assert!(outcomes.iter().any(|c| c.workload == layout), "{layout}");
+    for (subject, seeds) in [(Subject::Core, 36), (Subject::CoreInParts, 12)] {
+        let cfg = SwarmConfig {
+            base_seed: 1,
+            seeds,
+            intensities: vec![Intensity::Quick],
+            rounds: 4,
+            shrink: true,
+        };
+        let summary = run_swarm(subject, &cfg);
+        assert_eq!(summary.cells, seeds);
+        assert_eq!(
+            summary.failed,
+            0,
+            "{subject:?} failing cells:\n{}",
+            summary.repro_lines().join("\n")
+        );
+        assert!(summary.fired > 0, "{subject:?}: no link was ever delayed");
+        let outcomes = &summary.outcomes;
+        for layout in ["2+1", "4+1", "3+2", "4+2"] {
+            assert!(outcomes.iter().any(|c| c.workload == layout), "{layout}");
+        }
+        for plan in ["node-crashes", "impairment-storm", "mixed"] {
+            assert!(outcomes.iter().any(|c| c.schedule == plan), "{plan}");
+        }
+        assert!(summary.committed + summary.degraded > summary.data_loss);
     }
-    for plan in ["node-crashes", "impairment-storm", "mixed"] {
-        assert!(outcomes.iter().any(|c| c.schedule == plan), "{plan}");
-    }
-    assert!(summary.committed + summary.degraded > summary.data_loss);
 }
 
 /// Failures that honestly exceed parity tolerance must surface as typed
