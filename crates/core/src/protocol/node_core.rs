@@ -20,6 +20,19 @@
 //! [`FenceRegistry::advance_to`]), and parity by the [`ErasureCode`]
 //! implementations the sim protocols use.
 //!
+//! # Two rules that keep the coordinator a member like any other
+//!
+//! * **A send to oneself is delivered by the entry point before it
+//!   returns.** The coordinator sends itself the `RoundBegin`, blocks,
+//!   acks and `Commit` it sends everyone else, and [`NodeCore::on_message`],
+//!   [`NodeCore::on_tick`] and [`NodeCore::on_peer_refused`] hand each
+//!   back to it at their own `now`, in the order sent and behind the
+//!   filters a peer's message meets, until none is left. A driver never
+//!   sees one.
+//! * **A custody block is a committed block held for a fenced slot:** an
+//!   `(epoch, bytes)` pair like the node's own, whose kind follows from
+//!   its slot and whose digest is computed when asked.
+//!
 //! # Protocol sketch
 //!
 //! * Nodes `0..k` are data nodes, each hosting one VM image; nodes
@@ -28,9 +41,11 @@
 //! * A round is the paper's two-phase commit: `RoundBegin` → each data
 //!   node captures its image (after a configurable delay — the real
 //!   mid-round fault window), ships it to every parity holder and
-//!   `CaptureAck`s; holders fold each block into their shard as it
-//!   arrives and `FoldAck` on the `k`-th; the coordinator broadcasts
-//!   `Commit`; everyone promotes staged state and `CommitAck`s.
+//!   `CaptureAck`s, and at the same instant the coordinator ships the
+//!   custody blocks of members that are out; holders fold each block
+//!   into their shard as it arrives and `FoldAck` on the `k`-th; the
+//!   coordinator broadcasts `Commit`; everyone promotes staged state and
+//!   `CommitAck`s, and the last `CommitAck` closes the round.
 //! * Heartbeats flow between established sessions; each node feeds its
 //!   own detector, which confirms a node after enough silence, or a heartbeat
 //!   interval after the driver says its port refuses connections. When
@@ -875,12 +890,14 @@ struct CoordRound {
     epoch: u64,
     /// When the round is aborted for want of acks.
     deadline: SimTime,
-    sources: Vec<NodeId>,
-    holders: Vec<NodeId>,
-    capture_pending: BTreeSet<NodeId>,
-    fold_pending: BTreeSet<NodeId>,
-    commit_pending: BTreeSet<NodeId>,
-    commit_sent: bool,
+    /// Who takes part, itself included: every source not in custody, which
+    /// acks its capture, and every holder, which acks its fold; then all
+    /// of them ack the commit.
+    members: BTreeSet<NodeId>,
+    /// Members yet to ack the phase the round is in.
+    pending: BTreeSet<NodeId>,
+    /// The phase: `Commit` is sent.
+    committing: bool,
 }
 
 /// Participant-side bookkeeping of one open round.
@@ -961,9 +978,8 @@ pub struct NodeCore {
     /// next image-sized write: a data node's next live image, a holder's
     /// next accumulator.
     spare: Option<Vec<u8>>,
-    /// Rebuilt blocks held on behalf of fenced nodes, each with the
-    /// [`block_digest`] its rebuild computed.
-    custody: BTreeMap<NodeId, (u64, BlockKind, Vec<u8>, u64)>,
+    /// Committed blocks held on behalf of fenced nodes, rebuilt.
+    custody: BTreeMap<NodeId, (u64, Vec<u8>)>,
     coord_round: Option<CoordRound>,
     part_round: Option<PartRound>,
     rebuild: Option<Rebuild>,
@@ -1063,9 +1079,7 @@ impl NodeCore {
 
     /// The custody block held for `node`, if any.
     pub fn custody_block(&self, node: NodeId) -> Option<(u64, &[u8])> {
-        self.custody
-            .get(&node)
-            .map(|(e, _, b, _)| (*e, b.as_slice()))
+        self.custody.get(&node).map(|(e, b)| (*e, b.as_slice()))
     }
 
     /// True if a session with `peer` is established.
@@ -1330,16 +1344,39 @@ impl NodeCore {
             }
         }
 
-        self.serve_deferred_resyncs(now, &mut out);
-        out
+        self.settle(out, now)
     }
 
     /// Consumes one message. `from` identifies the sender ([`CTL`] for
     /// control-plane requests); replies are emitted as [`Action::Send`]s.
     pub fn on_message(&mut self, from: NodeId, msg: Msg, now: SimTime) -> Vec<Action> {
-        let mut out = self.handle(from, msg, now);
+        let out = self.handle(from, msg, now);
+        self.settle(out, now)
+    }
+
+    /// How every entry point ends: what this node sent itself is delivered
+    /// to it, then the remembered resync requests it can now answer are,
+    /// and the driver gets the rest.
+    fn settle(&mut self, mut out: Vec<Action>, now: SimTime) -> Vec<Action> {
+        self.deliver_own(&mut out, now);
         self.serve_deferred_resyncs(now, &mut out);
+        self.deliver_own(&mut out, now);
         out
+    }
+
+    /// Takes each send `out` addresses to this node out of it and handles
+    /// it at `now`, in the order sent — what that sends comes after
+    /// everything already in `out` — until none is left.
+    fn deliver_own(&mut self, out: &mut Vec<Action>, now: SimTime) {
+        let mut at = 0;
+        while let Some(action) = out.get(at) {
+            if !matches!(action, Action::Send { to, .. } if *to == self.id) {
+                at += 1;
+            } else if let Action::Send { msg, .. } = out.remove(at) {
+                let sent = self.handle(self.id, msg, now);
+                out.extend(sent);
+            }
+        }
     }
 
     fn handle(&mut self, from: NodeId, msg: Msg, now: SimTime) -> Vec<Action> {
@@ -1482,41 +1519,22 @@ impl NodeCore {
                 data,
                 &mut out,
             ),
-            Msg::CaptureAck { epoch, node } => {
-                if let Some(r) = &mut self.coord_round {
-                    if r.epoch == epoch {
-                        r.capture_pending.remove(&node);
+            Msg::CaptureAck { epoch, node } | Msg::FoldAck { epoch, node } => {
+                if let Some(r) = self.acked(epoch, node, false) {
+                    r.committing = true;
+                    r.pending.clone_from(&r.members);
+                    for &p in &r.members {
+                        let msg = Msg::Commit { epoch };
+                        out.push(Action::Send { to: p, msg });
                     }
                 }
-                self.maybe_commit(&mut out);
-            }
-            Msg::FoldAck { epoch, node } => {
-                if let Some(r) = &mut self.coord_round {
-                    if r.epoch == epoch {
-                        r.fold_pending.remove(&node);
-                    }
-                }
-                self.maybe_commit(&mut out);
             }
             Msg::Commit { epoch } => self.on_commit(epoch, &mut out),
             Msg::CommitAck { epoch, node } => {
-                let mut done = false;
-                if let Some(r) = &mut self.coord_round {
-                    if r.epoch == epoch && r.commit_sent {
-                        r.commit_pending.remove(&node);
-                        done = r.commit_pending.is_empty();
-                    }
-                }
-                if done {
+                if self.acked(epoch, node, true).is_some() {
                     self.coord_round = None;
                     out.push(Action::Note(Note::RoundCommitted { epoch }));
-                    if self.ctl_waiting {
-                        self.ctl_waiting = false;
-                        out.push(Action::Send {
-                            to: CTL,
-                            msg: Msg::CheckpointDone { epoch },
-                        });
-                    }
+                    self.answer_ctl(Msg::CheckpointDone { epoch }, &mut out);
                 }
             }
             Msg::AbortRound { epoch, reason } => {
@@ -1669,24 +1687,17 @@ impl NodeCore {
             Msg::CheckpointReq => {
                 self.ctl_waiting = true;
                 if let Err(reason) = self.try_start_round(now, &mut out) {
-                    self.ctl_waiting = false;
-                    out.push(Action::Send {
-                        to: from,
-                        msg: Msg::CheckpointFailed { reason },
-                    });
+                    self.answer_ctl(Msg::CheckpointFailed { reason }, &mut out);
                 }
             }
             Msg::DigestReq { node } => {
-                let (epoch, digest, source) = if node == self.id {
-                    match &self.committed {
-                        Some((e, b)) => (*e, block_digest(b), DigestSource::Committed),
-                        None => (0, 0, DigestSource::Missing),
-                    }
-                } else {
-                    match self.custody.get(&node) {
-                        Some((e, _, _, digest)) => (*e, *digest, DigestSource::Custody),
-                        None => (0, 0, DigestSource::Missing),
-                    }
+                let source = match node == self.id {
+                    true => DigestSource::Committed,
+                    false => DigestSource::Custody,
+                };
+                let (epoch, digest, source) = match self.block(node) {
+                    Some((e, b)) => (*e, block_digest(b), source),
+                    None => (0, 0, DigestSource::Missing),
                 };
                 out.push(Action::Send {
                     to: from,
@@ -1830,7 +1841,7 @@ impl NodeCore {
                 self.note_verdict(peer, verdict, true, now, &mut out);
             }
         }
-        out
+        self.settle(out, now)
     }
 
     /// Emits a verdict note and, on confirmation by the acting
@@ -1894,22 +1905,30 @@ impl NodeCore {
         }
     }
 
-    /// What this node can give a rebuild of `victim`: its own committed
-    /// block, and every block it holds in custody for somebody else.
-    fn held(&self, victim: NodeId) -> impl Iterator<Item = (NodeId, BlockKind, u64, &[u8])> {
-        let own = self.committed.iter();
-        let own = own.map(|(e, b)| (self.id, self.spec.kind_of(self.id), *e, &b[..]));
-        let custody = self.custody.iter().filter(move |(n, _)| **n != victim);
-        own.chain(custody.map(|(n, (e, k, b, _))| (*n, *k, *e, &b[..])))
+    /// The committed block this node holds for `slot`: its own, or the one
+    /// it keeps in custody for a fenced member.
+    fn block(&self, slot: NodeId) -> Option<&(u64, Vec<u8>)> {
+        match slot == self.id {
+            true => self.committed.as_ref(),
+            false => self.custody.get(&slot),
+        }
     }
 
-    /// The buffer of the block [`NodeCore::held`] gives for `slot`.
+    /// What this node can give a rebuild of `victim`: the block of every
+    /// slot [`NodeCore::block`] holds but the victim's.
+    fn held(&self, victim: NodeId) -> impl Iterator<Item = (NodeId, u64, &[u8])> {
+        let slots = std::iter::once(self.id).chain(self.custody.keys().copied());
+        let slots = slots.filter(move |n| *n != victim);
+        slots.filter_map(move |n| self.block(n).map(|(e, b)| (n, *e, &b[..])))
+    }
+
+    /// The buffer of the block [`NodeCore::block`] gives for `slot`.
     fn held_mut(&mut self, slot: NodeId) -> &mut Vec<u8> {
         let block = match slot == self.id {
-            true => self.committed.as_mut().map(|(_, b)| b),
-            false => self.custody.get_mut(&slot).map(|(_, _, b, _)| b),
+            true => self.committed.as_mut(),
+            false => self.custody.get_mut(&slot),
         };
-        block.expect("a block this node holds")
+        &mut block.expect("a block this node holds").1
     }
 
     /// A survivor's answer to a `FetchReq`: every part but the last of
@@ -1917,10 +1936,10 @@ impl NodeCore {
     fn answer_fetch(&self, to: NodeId, victim: NodeId, out: &mut Vec<Action>) {
         let (node, fence_epoch) = (self.id, self.fences.epoch_of(self.id));
         let mut blocks = Vec::new();
-        for (holder, kind, epoch, block) in self.held(victim) {
+        for (holder, epoch, block) in self.held(victim) {
             let tag = |data: &[u8]| BlockInfo {
                 holder,
-                kind,
+                kind: self.spec.kind_of(holder),
                 epoch,
                 data: data.to_vec(),
             };
@@ -2059,7 +2078,7 @@ impl NodeCore {
             .collect();
         let own: Vec<(u64, NodeId)> = (self.held(victim))
             .filter(|(.., block)| block.len() == self.spec.image_len)
-            .map(|(slot, _, epoch, _)| (epoch, slot))
+            .map(|(slot, epoch, _)| (epoch, slot))
             .collect();
         let mut by_epoch: BTreeMap<u64, BTreeSet<NodeId>> = BTreeMap::new();
         for &(epoch, slot) in fetched.keys().chain(&own) {
@@ -2107,8 +2126,7 @@ impl NodeCore {
             (Ok(()), Some(block)) => block,
         };
         let digest = block_digest(&block);
-        let kind = self.spec.kind_of(victim);
-        self.custody.insert(victim, (epoch, kind, block, digest));
+        self.custody.insert(victim, (epoch, block));
         out.push(Action::Note(Note::RebuildCompleted {
             victim,
             epoch,
@@ -2148,11 +2166,9 @@ impl NodeCore {
         self.resync_asked.remove(&node);
         let fence_epoch = self.fences.epoch_of(node);
         let committed_epoch = self.committed.as_ref().map(|(e, _)| *e).unwrap_or(0);
-        let image = self
-            .custody
-            .get(&node)
-            .filter(|(e, ..)| !self.spec.is_parity(node) || *e == committed_epoch)
-            .map(|(_, _, b, _)| b.clone());
+        let image = (self.block(node))
+            .filter(|(e, _)| !self.spec.is_parity(node) || *e == committed_epoch)
+            .map(|(_, b)| b.clone());
         out.push(Action::Send {
             to: node,
             msg: Msg::ResyncState {
@@ -2223,22 +2239,18 @@ impl NodeCore {
             .max(self.committed.as_ref().map(|(e, _)| *e).unwrap_or(0))
             + 1;
         self.last_begun = epoch;
+        let members = sources.iter().chain(&holders).copied();
+        let members: BTreeSet<NodeId> = members.filter(|n| !self.custody.contains_key(n)).collect();
         self.coord_round = Some(CoordRound {
             epoch,
             deadline: now + self.spec.round_timeout,
-            sources: sources.clone(),
-            holders: holders.clone(),
-            capture_pending: sources
-                .iter()
-                .copied()
-                .filter(|s| !self.custody.contains_key(s))
-                .collect(),
-            fold_pending: holders.iter().copied().collect(),
-            commit_pending: BTreeSet::new(),
-            commit_sent: false,
+            pending: members.clone(),
+            members,
+            committing: false,
         });
         out.push(Action::Note(Note::RoundStarted { epoch }));
-        for &p in &live {
+        // The coordinator takes part as every member does.
+        for p in live.into_iter().chain([self.id]) {
             out.push(Action::Send {
                 to: p,
                 msg: Msg::RoundBegin {
@@ -2248,8 +2260,6 @@ impl NodeCore {
                 },
             });
         }
-        // The coordinator participates too.
-        self.on_round_begin(epoch, sources, holders, now, out);
         Ok(())
     }
 
@@ -2270,13 +2280,15 @@ impl NodeCore {
                 reason: format!("superseded by round {epoch}"),
             }));
         }
-        let i_capture = self.spec.is_data(self.id) && sources.contains(&self.id);
+        // A source's block leaves when its capture is due, from the member
+        // itself or from custody.
+        let ships = (sources.iter()).any(|s| *s == self.id || self.custody.contains_key(s));
         self.part_round = Some(PartRound {
             epoch,
             started_at: now,
             sources,
             holders,
-            capture_due: i_capture.then(|| now + self.spec.capture_delay),
+            capture_due: ships.then(|| now + self.spec.capture_delay),
             expires_at: now + self.spec.round_timeout * 2.0,
             captured: false,
             folded: BTreeMap::new(),
@@ -2304,10 +2316,10 @@ impl NodeCore {
         }
     }
 
-    /// Performs the deferred capture: snapshot the live image, ship it to
-    /// every holder, ack the coordinator. The coordinator additionally
-    /// ships custody orphans' frozen blocks so the encode always spans
-    /// all `k` data slots.
+    /// Performs the deferred capture: a data member ships its live image to
+    /// every holder and acks the coordinator, and the coordinator ships the
+    /// custody block of every source that is out, so the encode always
+    /// spans all `k` data slots.
     fn do_capture(&mut self, now: SimTime, out: &mut Vec<Action>) {
         let Some(r) = &mut self.part_round else {
             return;
@@ -2322,53 +2334,37 @@ impl NodeCore {
         // The block this node commits is `live` itself: nothing writes it
         // before the commit promotes it, and whatever does voids the
         // capture. What travels is copied from it straight into parts.
-        if self.live.is_none() {
-            return;
-        }
-        r.captured = true;
-        let coordinator = self.coordinator();
-        self.ship(epoch, self.id, &holders, out);
-        let ack = Msg::CaptureAck {
-            epoch,
-            node: self.id,
-        };
-        if coordinator == self.id {
-            if let Some(cr) = &mut self.coord_round {
-                if cr.epoch == epoch {
-                    cr.capture_pending.remove(&self.id);
-                }
-            }
-        } else {
+        if self.live.is_some() && sources.contains(&self.id) {
+            r.captured = true;
+            self.ship(epoch, self.id, &holders, out);
             out.push(Action::Send {
-                to: coordinator,
-                msg: ack,
+                to: self.coordinator(),
+                msg: Msg::CaptureAck {
+                    epoch,
+                    node: self.id,
+                },
             });
+            out.push(Action::Note(Note::CaptureShipped { epoch, window_secs }));
         }
-        out.push(Action::Note(Note::CaptureShipped { epoch, window_secs }));
-        // Coordinator ships custody orphans' frozen committed blocks.
         if self.is_acting_coordinator() {
-            for &s in &sources {
-                if matches!(self.custody.get(&s), Some((_, BlockKind::Data, ..))) {
-                    self.ship(epoch, s, &holders, out);
-                }
+            for &s in sources.iter().filter(|s| self.custody.contains_key(s)) {
+                self.ship(epoch, s, &holders, out);
             }
         }
-        self.maybe_commit(out);
     }
 
     /// Sends slot `source`'s capture — this node's `live`, or the custody
     /// block standing in for `source` — to every holder as parts, each a
     /// copy of its bytes.
-    fn ship(&mut self, epoch: u64, source: NodeId, holders: &[NodeId], out: &mut Vec<Action>) {
+    fn ship(&self, epoch: u64, source: NodeId, holders: &[NodeId], out: &mut Vec<Action>) {
         let fence_epoch = self.fences.epoch_of(self.id);
         let block = match source == self.id {
             true => self.live.as_deref(),
-            false => self.custody.get(&source).map(|(_, _, b, _)| &b[..]),
+            false => self.custody.get(&source).map(|(_, b)| &b[..]),
         };
         let Some(block) = block else {
             return;
         };
-        let mut own = Vec::new();
         for &h in holders {
             let (parts, last) = cut(block);
             let parts = parts.map(|(offset, part)| Msg::PayloadPart {
@@ -2384,16 +2380,7 @@ impl NodeCore {
                 fence_epoch,
                 data: last.to_vec(),
             };
-            for msg in parts.chain([last]) {
-                match h == self.id {
-                    true => own.push(msg),
-                    false => out.push(Action::Send { to: h, msg }),
-                }
-            }
-        }
-        for msg in own {
-            let acts = self.on_message(self.id, msg, SimTime::ZERO);
-            out.extend(acts);
+            out.extend(parts.chain([last]).map(|msg| Action::Send { to: h, msg }));
         }
     }
 
@@ -2487,76 +2474,22 @@ impl NodeCore {
         if !whole || r.folded_whole(parts) < self.spec.data_nodes {
             return;
         }
-        let coordinator = self.coordinator();
-        if coordinator == self.id {
-            if let Some(cr) = &mut self.coord_round {
-                if cr.epoch == epoch {
-                    cr.fold_pending.remove(&self.id);
-                }
-            }
-        } else {
-            out.push(Action::Send {
-                to: coordinator,
-                msg: Msg::FoldAck {
-                    epoch,
-                    node: self.id,
-                },
-            });
-        }
-        self.maybe_commit(out);
+        out.push(Action::Send {
+            to: self.coordinator(),
+            msg: Msg::FoldAck {
+                epoch,
+                node: self.id,
+            },
+        });
     }
 
-    /// Coordinator: broadcast Commit once every capture and fold acked.
-    fn maybe_commit(&mut self, out: &mut Vec<Action>) {
-        let ready = matches!(
-            &self.coord_round,
-            Some(r) if !r.commit_sent
-                && r.capture_pending.is_empty()
-                && r.fold_pending.is_empty()
-        );
-        if !ready {
-            return;
-        }
-        let (epoch, participants) = {
-            let r = self
-                .coord_round
-                .as_mut()
-                .expect("checked Some above; no intervening mutation");
-            r.commit_sent = true;
-            let mut participants: BTreeSet<NodeId> = r
-                .sources
-                .iter()
-                .chain(r.holders.iter())
-                .copied()
-                .filter(|n| !self.custody.contains_key(n))
-                .collect();
-            participants.remove(&self.id);
-            r.commit_pending = participants.clone();
-            (r.epoch, participants)
-        };
-        for &p in &participants {
-            out.push(Action::Send {
-                to: p,
-                msg: Msg::Commit { epoch },
-            });
-        }
-        // Commit locally (no self-ack needed).
-        self.on_commit(epoch, out);
-        let done = self
-            .coord_round
-            .as_ref()
-            .is_some_and(|r| r.commit_pending.is_empty());
-        if done {
-            self.coord_round = None;
-            out.push(Action::Note(Note::RoundCommitted { epoch }));
-            if self.ctl_waiting {
-                self.ctl_waiting = false;
-                out.push(Action::Send {
-                    to: CTL,
-                    msg: Msg::CheckpointDone { epoch },
-                });
-            }
-        }
+    /// Coordinator: records `node`'s ack of round `epoch`'s capture or
+    /// fold, or (`commit`) of its commit, and hands back the round once no
+    /// member owes one.
+    fn acked(&mut self, epoch: u64, node: NodeId, commit: bool) -> Option<&mut CoordRound> {
+        let r =
+            (self.coord_round.as_mut()).filter(|r| r.epoch == epoch && r.committing == commit)?;
+        (r.pending.remove(&node) && r.pending.is_empty()).then_some(r)
     }
 
     /// Participant: promote staged state to committed, churn the live
@@ -2587,33 +2520,29 @@ impl NodeCore {
         // bytes). An orphan's parity shard is parity of the round it was
         // rebuilt at and of no later one: it keeps that epoch, so a resync
         // or a rebuild never takes it for current.
-        for (e, kind, ..) in self.custody.values_mut() {
-            if *kind == BlockKind::Data {
+        for (n, (e, _)) in &mut self.custody {
+            if self.spec.is_data(*n) {
                 *e = epoch;
             }
         }
         self.rounds_committed += 1;
-        let coordinator = self.coordinator();
-        if coordinator != self.id {
-            out.push(Action::Send {
-                to: coordinator,
-                msg: Msg::CommitAck {
-                    epoch,
-                    node: self.id,
-                },
-            });
-        }
+        out.push(Action::Send {
+            to: self.coordinator(),
+            msg: Msg::CommitAck {
+                epoch,
+                node: self.id,
+            },
+        });
     }
 
+    /// Coordinator: abandons round `epoch`, if it is the one open. Its own
+    /// part of the round ends here, not by an `AbortRound` to itself,
+    /// which would note the abort a second time.
     fn abort_round(&mut self, epoch: u64, reason: String, out: &mut Vec<Action>) {
-        let Some(r) = self.coord_round.take() else {
-            return;
-        };
-        if r.epoch != epoch {
-            self.coord_round = Some(r);
+        if self.coord_round.take_if(|r| r.epoch == epoch).is_none() {
             return;
         }
-        for &p in self.live_peers().iter() {
+        for p in self.live_peers() {
             out.push(Action::Send {
                 to: p,
                 msg: Msg::AbortRound {
@@ -2622,19 +2551,19 @@ impl NodeCore {
                 },
             });
         }
-        if self.part_round.as_ref().is_some_and(|pr| pr.epoch == epoch) {
-            self.part_round = None;
-        }
+        self.part_round.take_if(|r| r.epoch == epoch);
         out.push(Action::Note(Note::RoundAborted {
             epoch,
             reason: reason.clone(),
         }));
-        if self.ctl_waiting {
-            self.ctl_waiting = false;
-            out.push(Action::Send {
-                to: CTL,
-                msg: Msg::CheckpointFailed { reason },
-            });
+        self.answer_ctl(Msg::CheckpointFailed { reason }, out);
+    }
+
+    /// Tells the `dvdc-ctl` request waiting on a round how it ended, if
+    /// one is.
+    fn answer_ctl(&mut self, msg: Msg, out: &mut Vec<Action>) {
+        if std::mem::take(&mut self.ctl_waiting) {
+            out.push(Action::Send { to: CTL, msg });
         }
     }
 
@@ -3297,9 +3226,7 @@ mod tests {
                             epoch: 1,
                         };
                         c.on_message(NodeId(3), fence, SimTime::ZERO);
-                        let digest = block_digest(&blocks[1]);
-                        let held = (1, BlockKind::Data, blocks[1].clone(), digest);
-                        c.custody.insert(NodeId(1), held);
+                        c.custody.insert(NodeId(1), (1, blocks[1].clone()));
                         vec![3, 4, 5]
                     }
                 };
@@ -3315,7 +3242,7 @@ mod tests {
                 // are as they were.
                 let rebuilt = c.custody.remove(&NodeId(2));
                 match answered_epoch {
-                    1 => assert_eq!(rebuilt.map(|b| b.2), Some(blocks[2].clone()), "{ctx}"),
+                    1 => assert_eq!(rebuilt.map(|b| b.1), Some(blocks[2].clone()), "{ctx}"),
                     _ => assert!(rebuilt.is_none() && c.saw_data_loss(), "{ctx}"),
                 }
                 assert!((c.committed.clone(), c.custody.clone()) == before, "{ctx}");
@@ -3728,6 +3655,7 @@ mod tests {
         let mut c = meshed(0);
         c.committed = Some((1, images[0].clone()));
         refused_and_confirmed(&mut c, 2, SimTime::ZERO);
+        let mut rebuilt = Vec::new();
         for (holder, kind, data) in [
             (1, BlockKind::Data, images[1].clone()),
             (3, BlockKind::Parity, parity),
@@ -3743,9 +3671,15 @@ mod tests {
                 fence_epoch: 0,
                 blocks,
             };
-            c.on_message(NodeId(holder), fetched, SimTime::ZERO);
+            rebuilt.extend(notes(&c.on_message(NodeId(holder), fetched, SimTime::ZERO)));
         }
         assert_eq!(c.custody_block(NodeId(2)), Some((1, images[2].as_slice())));
+        let completed = Note::RebuildCompleted {
+            victim: NodeId(2),
+            epoch: 1,
+            digest: block_digest(&images[2]),
+        };
+        assert!(rebuilt.contains(&completed), "{rebuilt:?}");
 
         let served = |c: &mut NodeCore| {
             let out = c.on_message(CTL, Msg::DigestReq { node: NodeId(2) }, SimTime::ZERO);
@@ -3763,9 +3697,10 @@ mod tests {
             }
         };
         assert_eq!(served(&mut c), block_digest(&images[2]));
-        // Not hashed again per request: the answer does not follow the bytes.
-        c.custody.get_mut(&NodeId(2)).expect("in custody").2.fill(0);
-        assert_eq!(served(&mut c), block_digest(&images[2]));
+        // Hashed per request, as a node's own block is: the answer is of
+        // the bytes held now.
+        c.custody.get_mut(&NodeId(2)).expect("in custody").1.fill(0);
+        assert_eq!(served(&mut c), block_digest(&[0; 64]));
     }
 
     #[test]

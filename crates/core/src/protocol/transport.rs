@@ -55,12 +55,15 @@ pub trait Transport {
 /// the wire, notes are handed back. Shared by the harness and the TCP
 /// runtime so action handling cannot drift between deployment modes. A
 /// send the transport refuses is expected while a peer is down and is
-/// dropped, as TCP drops what is written to a dead peer.
+/// dropped, as TCP drops what is written to a dead peer. No send addresses
+/// its own sender: a node delivers those to itself before its actions
+/// leave it.
 pub fn dispatch<T: Transport>(transport: &mut T, from: NodeId, actions: Vec<Action>) -> Vec<Note> {
     let mut notes = Vec::new();
     for action in actions {
         match action {
             Action::Send { to, msg } => {
+                debug_assert_ne!(to, from, "{from} handed its driver {msg:?} for itself");
                 let _ = transport.send(from, to, msg);
             }
             Action::Note(note) => notes.push(note),

@@ -17,8 +17,8 @@ use dvdc_faults::detector::DetectorConfig;
 use dvdc_observe::chrome::NodeTail;
 use dvdc_observe::registry::MetricsSnapshot;
 use dvdc_simcore::time::Duration;
-use dvdc_transport::frame::{read_frame, write_frame, MAX_FRAME};
-use dvdc_transport::wire::{decode_envelope, encode_envelope, envelope_len};
+use dvdc_transport::frame::MAX_FRAME;
+use dvdc_transport::wire::{envelope_len, read_envelope, write_envelope};
 use dvdc_vcluster::ids::NodeId;
 
 /// Parsed `dvdc-node` command line.
@@ -213,10 +213,9 @@ pub fn ctl_request(addr: SocketAddr, msg: &Msg, timeout: StdDuration) -> Result<
         .set_read_timeout(Some(timeout))
         .map_err(|e| format!("set read timeout: {e}"))?;
     let _ = stream.set_nodelay(true);
-    write_frame(&mut stream, &encode_envelope(CTL, msg))
-        .map_err(|e| format!("send to {addr}: {e}"))?;
-    let payload = read_frame(&mut stream).map_err(|e| format!("reply from {addr}: {e}"))?;
-    let (_, reply) = decode_envelope(&payload).map_err(|e| format!("decode reply: {e}"))?;
+    write_envelope(&mut stream, CTL, msg).map_err(|e| format!("send to {addr}: {e}"))?;
+    let reply = read_envelope(&mut stream).map_err(|e| format!("reply from {addr}: {e}"))?;
+    let (_, reply) = reply.map_err(|e| format!("decode reply: {e}"))?;
     Ok(reply)
 }
 

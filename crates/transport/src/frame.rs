@@ -29,7 +29,7 @@
 
 use std::io::{IoSlice, Read, Write};
 
-use dvdc_simcore::rng::{xxh64, Xxh64};
+use dvdc_simcore::rng::Xxh64;
 
 /// Frame magic: the ASCII bytes `DVDC` packed big-endian-first into a
 /// `u32`, serialized little-endian on the wire.
@@ -283,38 +283,20 @@ fn parse_header(header: &[u8]) -> Result<usize, FrameError> {
     Ok(len as usize)
 }
 
-/// Compare the digest of a received payload with its trailer.
-fn check_digest(expected: u64, trailer: &[u8]) -> Result<(), FrameError> {
-    let got = u64::from_le_bytes(trailer.try_into().expect("trailer is TRAILER_LEN bytes"));
-    if expected != got {
-        return Err(FrameError::Checksum { expected, got });
-    }
-    Ok(())
-}
-
-/// The verified payload length of the frame at the head of `buf`, or
-/// `None` while `buf` holds less than that whole frame.
-fn whole_frame(buf: &[u8]) -> Result<Option<usize>, FrameError> {
-    let Some(header) = buf.get(..HEADER_LEN) else {
-        return Ok(None);
-    };
-    let len = parse_header(header)?;
-    let Some(rest) = buf[HEADER_LEN..].get(..len + TRAILER_LEN) else {
-        return Ok(None);
-    };
-    check_digest(xxh64(&rest[..len]), &rest[len..])?;
-    Ok(Some(len))
-}
-
 /// Incremental decoder for a byte stream that arrives in arbitrary
 /// chunks. Feed bytes in with [`feed`](FrameDecoder::feed), pull whole
 /// frames out with [`next_frame`](FrameDecoder::next_frame). A partial
 /// frame simply yields `Ok(None)` until more bytes arrive; malformed
 /// bytes yield a typed error and poison the decoder (the stream cannot be
-/// trusted past the first framing violation).
+/// trusted past the first framing violation). Frames are parsed by
+/// [`read_frame`], the reader a socket's frames go through.
 #[derive(Debug, Default)]
 pub struct FrameDecoder {
     buf: Vec<u8>,
+    /// Bytes the frame at the head of `buf` needs as far as an attempt
+    /// that found it torn has read: its header, or all of it once the
+    /// header is in. Nothing is parsed again until they are buffered.
+    need: usize,
     poisoned: Option<FrameError>,
 }
 
@@ -341,17 +323,27 @@ impl FrameDecoder {
         if let Some(e) = &self.poisoned {
             return Err(e.clone());
         }
-        let Some(len) = whole_frame(&self.buf).inspect_err(|e| self.poisoned = Some(e.clone()))?
-        else {
+        if self.buf.len() < self.need {
             return Ok(None);
-        };
-        // The buffer becomes the payload in place (header shifted out,
-        // trailer cut off); only bytes of later frames are copied.
-        let later = self.buf.split_off(HEADER_LEN + len + TRAILER_LEN);
-        let mut payload = std::mem::replace(&mut self.buf, later);
-        payload.truncate(HEADER_LEN + len);
-        payload.drain(..HEADER_LEN);
-        Ok(Some(payload))
+        }
+        let (mut rest, mut need) = (&self.buf[..], HEADER_LEN);
+        let read = read_frame_with(&mut rest, |payload| {
+            need = HEADER_LEN + payload.left() + TRAILER_LEN;
+            payload.bytes(payload.left())
+        });
+        match read.and_then(|payload| payload.ok_or(FrameError::Truncated)) {
+            Ok(payload) => {
+                let used = self.buf.len() - rest.len();
+                self.buf.drain(..used);
+                self.need = 0;
+                Ok(Some(payload))
+            }
+            Err(FrameError::Io(std::io::ErrorKind::UnexpectedEof)) => {
+                self.need = need;
+                Ok(None)
+            }
+            Err(e) => Err(self.poisoned.insert(e).clone()),
+        }
     }
 }
 
@@ -360,12 +352,13 @@ impl FrameDecoder {
 /// frame is [`FrameError::Truncated`]; surplus bytes after the frame are
 /// also `Truncated` (the caller's "exactly one" expectation was torn
 /// either way).
-pub fn decode_exact(bytes: &[u8]) -> Result<Vec<u8>, FrameError> {
-    match whole_frame(bytes)? {
-        Some(len) if bytes.len() == HEADER_LEN + len + TRAILER_LEN => {
-            Ok(bytes[HEADER_LEN..HEADER_LEN + len].to_vec())
+pub fn decode_exact(mut bytes: &[u8]) -> Result<Vec<u8>, FrameError> {
+    match read_frame(&mut bytes) {
+        Ok(payload) if bytes.is_empty() => Ok(payload),
+        Ok(_) | Err(FrameError::Io(std::io::ErrorKind::UnexpectedEof)) => {
+            Err(FrameError::Truncated)
         }
-        _ => Err(FrameError::Truncated),
+        Err(e) => Err(e),
     }
 }
 
@@ -462,7 +455,10 @@ pub(crate) fn read_frame_with<R: Read, T>(
     let expected = source.digest.finish();
     let mut trailer = [0u8; TRAILER_LEN];
     r.read_exact(&mut trailer)?;
-    check_digest(expected, &trailer)?;
+    let got = u64::from_le_bytes(trailer);
+    if expected != got {
+        return Err(FrameError::Checksum { expected, got });
+    }
     Ok(decoded)
 }
 

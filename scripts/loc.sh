@@ -5,25 +5,23 @@
 #
 # Over every *.rs file under crates/ src/ tests/ examples/ it prints
 #   total     all lines
-#   non-test  lines before each file's first `#[cfg(test)]` (the whole
-#             file when it has none)
+#   non-test  lines before each file's test module — the `#[cfg(test)]`
+#             that opens a `mod` (the whole file when it has none; see
+#             scripts/non_test.awk)
 # and, for each FILE named, that file's non-test count, then their sum.
 # Run from the repository root.
 set -eu
 
-non_test='FNR == 1 { stop = 0 }
-/^[[:space:]]*#\[cfg\(test\)\]/ { stop = 1 }
-!stop { n++ }
-END { print n + 0 }'
+non_test() { awk -f scripts/non_test.awk "$@" | wc -l | tr -d ' '; }
 
 # No path in this repository contains whitespace.
 files=$(find crates src tests examples -name '*.rs' -type f)
 echo "total    $(cat $files | wc -l | tr -d ' ')"
-echo "non-test $(awk "$non_test" $files)"
+echo "non-test $(non_test $files)"
 
 sum=0
 for f in "$@"; do
-    n=$(awk "$non_test" "$f")
+    n=$(non_test "$f")
     sum=$((sum + n))
     printf '%8d %s\n' "$n" "$f"
 done

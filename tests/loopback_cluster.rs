@@ -565,6 +565,65 @@ fn coordinator_frozen_and_fenced_decides_nothing_on_waking() {
 }
 
 #[test]
+fn parity_coordinator_ships_both_orphans_to_itself_and_its_peer_and_both_return() {
+    // A 2+2 group loses data node 0 and then data node 1: coordination
+    // falls to parity node 2, which holds both in custody and is one of
+    // the two holders it ships them to. No other layout leaves a holder
+    // coordinating a round.
+    let spec = ClusterSpec::drill(2, 2);
+    let healthy: Vec<u64> = {
+        let twin = meshed(spec.clone(), 2);
+        (0..4)
+            .map(|i| block_digest(twin.node(i).committed().expect("committed").1))
+            .collect()
+    };
+    let mut h = meshed(spec, 2);
+    h.crash(0);
+    h.run_until(200.0, "node 0 in node 1's custody", |h| {
+        h.node(1).custody_block(NodeId(0)).is_some()
+    });
+    h.crash(1);
+    h.run_until(500.0, "both data nodes in node 2's custody", |h| {
+        (0..2).all(|i| h.node(2).custody_block(NodeId(i)).is_some())
+    });
+    for (i, want) in healthy[..2].iter().enumerate() {
+        let (epoch, block) = h.node(2).custody_block(NodeId(i)).expect("in custody");
+        assert_eq!((epoch, block_digest(block)), (2, *want), "node{i}");
+    }
+
+    // A round with no live data member: node 2 ships both orphans to
+    // itself and to node 3, both fold them, and it commits.
+    assert_eq!(h.checkpoint(2, 1000.0), Ok(3));
+    for i in [2, 3] {
+        let (epoch, shard) = h.node(i).committed().expect("committed");
+        assert_eq!((epoch, block_digest(shard)), (3, healthy[i]), "node{i}");
+    }
+    for (i, want) in healthy[..2].iter().enumerate() {
+        let (epoch, block) = h.node(2).custody_block(NodeId(i)).expect("in custody");
+        assert_eq!((epoch, block_digest(block)), (3, *want), "node{i}");
+    }
+
+    // Both come back empty, resync, are readmitted, and the group runs a
+    // full-strength round.
+    h.revive(0);
+    h.revive(1);
+    h.run_until(2000.0, "both data nodes readmitted and meshed", |h| {
+        (0..2).all(|i| h.node(i).status().fence_epoch == 1) && h.fully_meshed()
+    });
+    for (i, want) in healthy[..2].iter().enumerate() {
+        let (epoch, image) = h.node(i).committed().expect("resynced");
+        assert_eq!((epoch, block_digest(image)), (3, *want), "node{i}");
+    }
+    assert_eq!(h.checkpoint(0, 1000.0), Ok(4));
+    for i in 0..4 {
+        let status = h.node(i).status();
+        assert_eq!(status.committed_epoch, 4, "node{i}");
+        assert!(status.custody.is_empty(), "node{i}");
+    }
+    assert_eq!(count(&h, |_, n| matches!(n, Note::DataLoss { .. })), 0);
+}
+
+#[test]
 fn resync_request_meeting_a_rebuild_is_answered_when_the_rebuild_settles() {
     // Node 1 is in custody and restarts so that its request reaches the
     // coordinator one hop into the rebuild of node 2: its greeting goes
