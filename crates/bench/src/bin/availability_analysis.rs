@@ -11,7 +11,7 @@
 //! Run: `cargo run -p dvdc-bench --bin availability_analysis`
 
 use dvdc::placement::GroupPlacement;
-use dvdc::protocol::{run_round_with_faults, CheckpointProtocol, DvdcProtocol, PhasedOutcome};
+use dvdc::protocol::{run_round_with_faults, DvdcProtocol, PhasedOutcome};
 use dvdc_bench::{render_table, write_json};
 use dvdc_faults::mttdl::MttdlParams;
 use dvdc_faults::{ClusterFaultPlan, NodeFault, PlanCursor};

@@ -9,7 +9,6 @@
 //!
 //! Run: `cargo run -p dvdc-bench --bin fig3_checkpoint_node`
 
-use dvdc::protocol::CheckpointProtocol;
 use dvdc_bench::{checkpoint_node_protocol, human_bytes, human_secs, render_table, write_json};
 use dvdc_vcluster::cluster::ClusterBuilder;
 use dvdc_vcluster::ids::NodeId;

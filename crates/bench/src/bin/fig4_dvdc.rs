@@ -11,7 +11,7 @@
 //! Run: `cargo run -p dvdc-bench --bin fig4_dvdc`
 
 use dvdc::placement::GroupPlacement;
-use dvdc::protocol::{CheckpointProtocol, DvdcProtocol};
+use dvdc::protocol::DvdcProtocol;
 use dvdc_bench::{human_bytes, human_secs, render_table, write_json};
 use dvdc_checkpoint::strategy::Mode;
 use dvdc_simcore::time::Duration;

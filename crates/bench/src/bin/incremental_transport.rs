@@ -18,7 +18,7 @@
 use std::time::Instant;
 
 use dvdc::placement::GroupPlacement;
-use dvdc::protocol::{CheckpointProtocol, DvdcProtocol};
+use dvdc::protocol::DvdcProtocol;
 use dvdc_bench::{human_bytes, render_table, write_json};
 use dvdc_checkpoint::strategy::Mode;
 use dvdc_simcore::rng::RngHub;

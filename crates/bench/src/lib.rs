@@ -37,6 +37,54 @@ pub fn checkpoint_node_protocol(cluster: &Cluster, checkpoint_node: NodeId) -> D
     )
 }
 
+/// One protocol's row in `remus_compare` (Section VI).
+#[derive(Debug, Clone, PartialEq, Serialize)]
+pub struct CompareRecord {
+    /// Row label.
+    pub protocol: String,
+    /// Cross-node redundancy: parity blocks (DVDC) or standby replicas
+    /// (Remus) — the paper's "single parity checkpoint of the entire RAID
+    /// group" vs. "fully functional VM" distinction.
+    pub cross_node_redundancy_bytes: usize,
+    /// Every byte of redundant state the scheme holds.
+    pub total_protocol_bytes: usize,
+    /// Time to bring the failed node's VMs back.
+    pub repair_secs: f64,
+    /// Whether VMs on surviving nodes lose their progress too.
+    pub rolls_back_survivors: bool,
+    /// Guest pause of one round.
+    pub round_overhead_secs: f64,
+    /// Bytes one full (first) round puts on the network.
+    pub round_network_bytes: usize,
+}
+
+/// Section VI's Remus comparator as a cost row over `cluster` and its
+/// fabric, in the protected steady state before `failed` dies. Every VM
+/// has a full standby replica on a partner node, refreshed by
+/// asynchronous checkpoints: a round pauses the guest only for a 1 ms
+/// buffer flip and ships every image (the first round is full); the
+/// replicas hold every image; on failure the partner resumes the failed
+/// node's VMs from their replicas (one link transfer and one memory copy
+/// of their bytes) and no survivor rolls back.
+pub fn remus_row(cluster: &Cluster, failed: NodeId) -> CompareRecord {
+    let fabric = cluster.fabric();
+    let images = cluster.total_vm_bytes();
+    let lost: usize = cluster
+        .vms_on(failed)
+        .iter()
+        .map(|&vm| cluster.vm(vm).memory().size_bytes())
+        .sum();
+    CompareRecord {
+        protocol: "remus-like".into(),
+        cross_node_redundancy_bytes: images,
+        total_protocol_bytes: images,
+        repair_secs: (fabric.network.link_transfer(lost) + fabric.memory.copy(lost)).as_secs(),
+        rolls_back_survivors: false,
+        round_overhead_secs: Duration::from_millis(1.0).as_secs(),
+        round_network_bytes: images,
+    }
+}
+
 /// Renders a text table with a header row and aligned columns.
 pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();

@@ -17,7 +17,7 @@ use std::rc::Rc;
 
 use args::Args;
 use dvdc::placement::GroupPlacement;
-use dvdc::protocol::{CheckpointProtocol, DiskFullProtocol, DvdcProtocol, RemusLikeProtocol};
+use dvdc::protocol::DvdcProtocol;
 use dvdc::sim::JobRunner;
 use dvdc_checkpoint::strategy::Mode;
 use dvdc_faults::dist::Exponential;
@@ -49,9 +49,10 @@ COMMANDS:
               options of `plan`, plus --kill n1,n2,... (0)  --seed S (42)
     run     Simulate a job under Poisson node failures (or a trace)
               options of `plan`, plus
-              --protocol dvdc|disk-full|first-shot|remus (dvdc)
+              --protocol dvdc|first-shot (dvdc)
                 first-shot is dvdc with every group's parity on the last node,
-                which hosts no VMs (Fig. 1/3): N-1 compute nodes + 1 checkpointer
+                which hosts no VMs (Fig. 1/3): N-1 compute nodes + 1 checkpointer;
+                the disk-full baseline is a cost formula (`model`), not a run
               --job-secs T (600)  --interval N (30)
               --mtbf-secs M (400, per node)  --repair-secs R (5)  --seed S (42)
               --trace FILE (replay a time,node[,repair] CSV failure log)
@@ -269,35 +270,25 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         None => RecorderHandle::noop(),
     };
 
-    let outcome = match protocol_name.as_str() {
-        "dvdc" => {
-            let placement = build_placement(args, &cluster)?;
-            let mut p = DvdcProtocol::new(placement).with_recorder(recorder.clone());
-            runner.run_with_recorder(&mut p, &mut cluster, &plan, &hub, &recorder)
-        }
-        "disk-full" => {
-            let mut p = DiskFullProtocol::new();
-            runner.run_with_recorder(&mut p, &mut cluster, &plan, &hub, &recorder)
-        }
-        "first-shot" => {
-            let placement = GroupPlacement::dedicated(&cluster, NodeId(nodes - 1))
-                .map_err(|e| e.to_string())?;
-            let mut p = DvdcProtocol::with_options(
-                placement,
-                Mode::Incremental,
-                false,
-                Duration::from_millis(40.0),
-            )
-            .with_recorder(recorder.clone());
-            runner.run_with_recorder(&mut p, &mut cluster, &plan, &hub, &recorder)
-        }
-        "remus" => {
-            let mut p = RemusLikeProtocol::new();
-            runner.run_with_recorder(&mut p, &mut cluster, &plan, &hub, &recorder)
-        }
+    let protocol = match protocol_name.as_str() {
+        "dvdc" => DvdcProtocol::new(build_placement(args, &cluster)?),
+        "first-shot" => DvdcProtocol::with_options(
+            GroupPlacement::dedicated(&cluster, NodeId(nodes - 1)).map_err(|e| e.to_string())?,
+            Mode::Incremental,
+            false,
+            Duration::from_millis(40.0),
+        ),
         other => return Err(format!("unknown protocol '{other}'")),
-    }
-    .map_err(|e| e.to_string())?;
+    };
+    let outcome = runner
+        .run_with_recorder(
+            &mut protocol.with_recorder(recorder.clone()),
+            &mut cluster,
+            &plan,
+            &hub,
+            &recorder,
+        )
+        .map_err(|e| e.to_string())?;
 
     if let (Some(path), Some(buf)) = (trace_out.as_deref(), trace_buf.as_ref()) {
         let events = buf.events();

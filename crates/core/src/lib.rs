@@ -14,13 +14,13 @@
 //!   either balanced across nodes (Fig. 4) or parked on one VM-less
 //!   checkpoint node ([`GroupPlacement::dedicated`], Fig. 1/3's
 //!   "first-shot" design).
-//! * [`protocol`] — the checkpoint/recovery protocols:
-//!   [`DiskFullProtocol`] (the baseline the paper compares against),
-//!   [`DvdcProtocol`] (diskless checkpointing over whichever placement
-//!   it is given: Fig. 4, the contribution, and Fig. 1/3 — also
-//!   generalised to `m ≥ 2` parity via Reed–Solomon, the RDP-style
-//!   extension of Section II-B2), and [`RemusLikeProtocol`] (the
-//!   Section VI active/standby comparator).
+//! * [`protocol`] — the checkpoint/recovery protocol, [`DvdcProtocol`]:
+//!   diskless checkpointing over whichever placement it is given (Fig. 4,
+//!   the contribution, and Fig. 1/3), generalised to `m ≥ 2` parity via
+//!   Reed–Solomon, the RDP-style extension of Section II-B2. The paper's
+//!   comparators are cost rows, not protocols: the disk-full baseline is
+//!   `dvdc_model::overhead::cost(ProtocolKind::DiskFull, …)`, the
+//!   Section VI Remus row is `dvdc_bench::remus_row`.
 //! * [`scenario`] — the workload × fault matrix driver: any
 //!   `dvdc-vcluster` workload (steady traffic, dirty-page storms,
 //!   migration churn, rolling restarts, scrub storms) crossed with any
@@ -41,7 +41,7 @@
 //!
 //! ```
 //! use dvdc::placement::GroupPlacement;
-//! use dvdc::protocol::{CheckpointProtocol, DvdcProtocol};
+//! use dvdc::protocol::DvdcProtocol;
 //! use dvdc_vcluster::cluster::ClusterBuilder;
 //! use dvdc_vcluster::ids::NodeId;
 //!
@@ -73,10 +73,7 @@ pub mod shard;
 pub mod sim;
 
 pub use placement::{GroupId, GroupPlacement, RaidGroup};
-pub use protocol::{
-    CheckpointProtocol, DiskFullProtocol, DvdcProtocol, ProtocolError, RecoveryReport,
-    RemusLikeProtocol, RoundReport,
-};
+pub use protocol::{DvdcProtocol, ProtocolError, RecoveryReport, RoundReport};
 pub use scenario::{run_scenario, ScenarioConfig, ScenarioReport};
 pub use shard::{ShardConfig, ShardedCluster, ShardedRunReport};
 pub use sim::{JobOutcome, JobRunner, RecoveryPolicy};

@@ -63,10 +63,7 @@ use dvdc_vcluster::messaging::{
 
 use crate::placement::{GroupId, GroupPlacement, Member, PlacementError};
 
-use super::{
-    rollback_vms, CheckpointProtocol, ProtocolError, RecoverError, RecoveryReport, RoundReport,
-    ScrubReport,
-};
+use super::{rollback_vms, ProtocolError, RecoverError, RecoveryReport, RoundReport, ScrubReport};
 
 /// Which erasure-code family protects the groups.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -315,11 +312,11 @@ impl PhasedRound {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RebuildMode {
     /// Rebuild the failed node's lost state, then repair the node in
-    /// place and reseed it ([`CheckpointProtocol::recover`]).
+    /// place and reseed it ([`DvdcProtocol::recover`]).
     InPlace,
     /// Re-home the failed node's state onto survivors; the victim stays
     /// fenced and out of service
-    /// ([`CheckpointProtocol::recover_failover`]).
+    /// ([`DvdcProtocol::recover_failover`]).
     Failover,
     /// Repair checksum-rotten blocks on live nodes from group
     /// redundancy; no node crashed ([`DvdcProtocol::scrub`]).
@@ -561,7 +558,7 @@ pub struct DvdcProtocol {
     buggify_on: bool,
     /// The simulated instant events are stamped with. Advanced by each
     /// step's `took`; drivers with their own scheduler re-sync it via
-    /// [`CheckpointProtocol::set_clock`].
+    /// [`DvdcProtocol::set_clock`].
     clock: SimTime,
 }
 
@@ -998,7 +995,7 @@ impl DvdcProtocol {
     /// for [`RebuildMode::Scrub`], of whatever blocks fail checksum
     /// verification). The returned [`PhasedRebuild`] is advanced one
     /// discrete step at a time via [`DvdcProtocol::step_rebuild`];
-    /// [`CheckpointProtocol::recover`] is exactly this followed by
+    /// [`DvdcProtocol::recover`] is exactly this followed by
     /// stepping to completion.
     ///
     /// Crash modes also fold any checksum-rotten survivor blocks into
@@ -1820,7 +1817,7 @@ impl DvdcProtocol {
 
     /// Opens a phase-interruptible round. The returned [`PhasedRound`] is
     /// advanced one discrete step at a time via
-    /// [`DvdcProtocol::step_round`]; [`CheckpointProtocol::run_round`] is
+    /// [`DvdcProtocol::step_round`]; [`DvdcProtocol::run_round`] is
     /// exactly this followed by stepping to completion.
     ///
     /// Fails with [`ProtocolError::NodeDown`] if a down node still hosts
@@ -2288,7 +2285,7 @@ impl DvdcProtocol {
     /// round re-captures full images), and the parity working generation
     /// rolls back to committed with the delta base invalidated. VM
     /// memories are *not* touched — a failure-driven abort is followed by
-    /// [`CheckpointProtocol::recover`], which performs the coordinated
+    /// [`DvdcProtocol::recover`], which performs the coordinated
     /// rollback; a voluntary abort simply discards checkpoint progress.
     ///
     /// The epoch counter does not advance: the aborted epoch number is
@@ -2361,7 +2358,7 @@ impl DvdcProtocol {
     /// Fences `node` immediately: its outstanding tokens go stale and it
     /// cannot launch new transfers until readmitted. Used when a detector
     /// confirms a node dead but there is no state to re-home (the node
-    /// was already evacuated) — [`CheckpointProtocol::recover_failover`]
+    /// was already evacuated) — [`DvdcProtocol::recover_failover`]
     /// fences internally for the state-holding case.
     pub fn fence_node(&mut self, node: NodeId) {
         self.fences.fence(node);
@@ -2380,7 +2377,7 @@ impl DvdcProtocol {
     ///
     /// Fails with [`ProtocolError::Unrecoverable`] if the node still
     /// holds VMs or parity responsibilities — that means no failover
-    /// re-homed them and the caller wants [`CheckpointProtocol::recover`]
+    /// re-homed them and the caller wants [`DvdcProtocol::recover`]
     /// instead.
     pub fn resync_node(
         &mut self,
@@ -2395,18 +2392,17 @@ impl DvdcProtocol {
     }
 }
 
-impl CheckpointProtocol for DvdcProtocol {
-    fn name(&self) -> &'static str {
-        "dvdc"
-    }
-
-    fn committed_epoch(&self) -> Option<u64> {
+impl DvdcProtocol {
+    /// The last fully committed epoch, if any.
+    pub fn committed_epoch(&self) -> Option<u64> {
         self.committed_epoch
     }
 
+    /// Executes one coordinated checkpoint round over all up nodes.
+    ///
     /// One atomic round = a phased round stepped to completion with no
     /// interruption: capture → transfer → fold → two-phase commit.
-    fn run_round(&mut self, cluster: &mut Cluster) -> Result<RoundReport, ProtocolError> {
+    pub fn run_round(&mut self, cluster: &mut Cluster) -> Result<RoundReport, ProtocolError> {
         let mut round = self.begin_round(cluster)?;
         loop {
             match self.step_round(cluster, &mut round)? {
@@ -2416,12 +2412,17 @@ impl CheckpointProtocol for DvdcProtocol {
         }
     }
 
+    /// Recovers from the failure of `failed` (which must already be marked
+    /// down via [`Cluster::fail_node`]). On success the node is repaired
+    /// in place, lost state is rebuilt, and the cluster has rolled back to
+    /// [`DvdcProtocol::committed_epoch`].
+    ///
     /// Repair-in-place recovery = a phased rebuild stepped to completion
     /// with no interruption: fetch survivors → decode → place → readmit.
     /// The event-driven drivers (`phased::run_round_with_detection`)
     /// instead advance the same machine step by step so a second failure
     /// can land mid-rebuild.
-    fn recover(
+    pub fn recover(
         &mut self,
         cluster: &mut Cluster,
         failed: NodeId,
@@ -2430,11 +2431,12 @@ impl CheckpointProtocol for DvdcProtocol {
             .map_err(ProtocolError::from)
     }
 
-    /// The typed form: exceeded tolerance surfaces as
-    /// [`RecoverError::DataLoss`] carrying the group that could not be
-    /// decoded, instead of being flattened into an `Unrecoverable`
-    /// string.
-    fn recover_typed(
+    /// [`DvdcProtocol::recover`] with a typed error: honest data loss
+    /// (the failure pattern exceeded the configured redundancy) surfaces
+    /// as [`RecoverError::DataLoss`] carrying the group that could not be
+    /// decoded, instead of being flattened into an opaque
+    /// [`ProtocolError::Unrecoverable`] string.
+    pub fn recover_typed(
         &mut self,
         cluster: &mut Cluster,
         failed: NodeId,
@@ -2453,7 +2455,7 @@ impl CheckpointProtocol for DvdcProtocol {
     /// Fails with [`ProtocolError::Unrecoverable`] if some VM or parity
     /// block has no valid new home (every surviving node already hosts a
     /// member of its group).
-    fn recover_failover(
+    pub fn recover_failover(
         &mut self,
         cluster: &mut Cluster,
         failed: NodeId,
@@ -2462,13 +2464,19 @@ impl CheckpointProtocol for DvdcProtocol {
             .map_err(ProtocolError::from)
     }
 
-    fn redundancy_bytes(&self) -> usize {
+    /// Bytes of redundant state this protocol currently holds (parity
+    /// blocks and the nodes' local checkpoint stores) — the memory cost
+    /// axis of the Remus-vs-DVDC trade-off in Section VI.
+    pub fn redundancy_bytes(&self) -> usize {
         let parity = self.parity.total_bytes();
         let local: usize = self.node_stores.iter().map(|s| s.total_bytes()).sum();
         parity + local
     }
 
-    fn set_clock(&mut self, now: SimTime) {
+    /// Synchronises the protocol's notion of "now" with an external
+    /// simulation clock, so the structured events it emits (see
+    /// `dvdc-observe`) are stamped on the driver's timeline.
+    pub fn set_clock(&mut self, now: SimTime) {
         self.clock = now;
     }
 }

@@ -1,36 +1,31 @@
-//! Checkpoint/recovery protocols.
+//! The checkpoint/recovery protocol.
 //!
-//! Three protocols, mirroring the paper's narrative arc:
+//! One protocol, [`DvdcProtocol`], over two placements:
 //!
-//! | Protocol | Paper reference | Redundancy | Tolerates |
+//! | Placement | Paper reference | Redundancy | Tolerates |
 //! |---|---|---|---|
-//! | [`DiskFullProtocol`] | the baseline of Fig. 5 | full images on NAS | any (disk survives) |
-//! | [`DvdcProtocol`] | Fig. 4 (the contribution) | distributed per-group parity | 1 node (m=1), m nodes (RS/RDP) |
-//! | [`RemusLikeProtocol`] | Section VI comparator | full replica per VM | 1 node per pair |
+//! | [`GroupPlacement::orthogonal`](crate::placement::GroupPlacement::orthogonal) | Fig. 4 (the contribution) | distributed per-group parity | 1 node (m=1), m nodes (RS/RDP) |
+//! | [`GroupPlacement::dedicated`](crate::placement::GroupPlacement::dedicated) | Fig. 1/3 ("first-shot") | every group's parity on one checkpoint node | 1 node |
 //!
-//! The paper's "first-shot" design (Fig. 1/3: XOR parity on one dedicated
-//! checkpoint node, tolerates 1 node) is not a fourth protocol: it is
-//! [`DvdcProtocol`] on
-//! [`GroupPlacement::dedicated`](crate::placement::GroupPlacement::dedicated),
 //! so the Fig. 3-vs-Fig. 4 comparison varies exactly one thing — where
-//! parity lives.
+//! parity lives. The paper's comparators are not protocols here: it
+//! evaluates the disk-full baseline only analytically (Fig. 5), which
+//! `dvdc_model::overhead::cost(ProtocolKind::DiskFull, …)` computes, and
+//! Remus only in prose (Section VI), which `remus_compare` reads as a
+//! cost row over the cluster's fabric.
 //!
-//! All protocols share one contract ([`CheckpointProtocol`]): `run_round`
-//! performs a coordinated checkpoint of the whole cluster and reports its
-//! cost in the paper's overhead/latency terms; `recover` is called after
-//! `Cluster::fail_node`, rebuilds the lost state, repairs the node in
-//! place, rolls the cluster back to the last committed epoch, and reports
-//! the repair time.
+//! [`DvdcProtocol::run_round`] performs a coordinated checkpoint of the
+//! whole cluster and reports its cost in the paper's overhead/latency
+//! terms; [`DvdcProtocol::recover`] is called after `Cluster::fail_node`,
+//! rebuilds the lost state, repairs the node in place, rolls the cluster
+//! back to the last committed epoch, and reports the repair time.
 
-mod diskfull;
 mod dvdc_proto;
 pub mod harness;
 pub mod node_core;
 mod phased;
-mod remus;
 pub mod transport;
 
-pub use diskfull::DiskFullProtocol;
 pub use dvdc_proto::{
     delta_parity_update, CodeKind, DvdcProtocol, PhasedRebuild, PhasedRound, RebuildMode,
     RebuildPhase, RebuildStep, RoundPhase, RoundStep,
@@ -41,7 +36,6 @@ pub use node_core::{
     DigestSource, Msg, NodeCore, NodeMetrics, Note, StatusView, CTL, PART_LEN,
 };
 pub use phased::{run_round_with_detection, run_round_with_faults, DetectionReport, PhasedOutcome};
-pub use remus::RemusLikeProtocol;
 pub use transport::{dispatch, Transport, TransportError};
 
 use std::fmt;
@@ -50,7 +44,7 @@ use dvdc_checkpoint::accounting::CheckpointCost;
 use dvdc_checkpoint::store::StoreError;
 use dvdc_faults::{FaultKind, NodeFault};
 use dvdc_parity::code::CodeError;
-use dvdc_simcore::time::{Duration, SimTime};
+use dvdc_simcore::time::Duration;
 use dvdc_vcluster::cluster::Cluster;
 use dvdc_vcluster::ids::{NodeId, VmId};
 use dvdc_vcluster::topology::{DcId, RackId};
@@ -91,8 +85,8 @@ pub struct RecoveryReport {
     pub parity_rebuilt: Vec<GroupId>,
     /// Simulated wall-clock cost of the recovery.
     pub repair_time: Duration,
-    /// The epoch every VM was rolled back to (`None` for protocols that
-    /// resume without a cluster-wide rollback, i.e. Remus).
+    /// The epoch every VM was rolled back to (`None` when nothing rolled
+    /// back: a husk resync, or a scrub repairing blocks in place).
     pub rolled_back_to: Option<u64>,
 }
 
@@ -234,67 +228,8 @@ impl From<CodeError> for ProtocolError {
     }
 }
 
-/// A coordinated checkpoint/recovery protocol over a virtual cluster.
-pub trait CheckpointProtocol {
-    /// Short name for reports and figure legends.
-    fn name(&self) -> &'static str;
-
-    /// The last fully committed epoch, if any.
-    fn committed_epoch(&self) -> Option<u64>;
-
-    /// Executes one coordinated checkpoint round over all up nodes.
-    fn run_round(&mut self, cluster: &mut Cluster) -> Result<RoundReport, ProtocolError>;
-
-    /// Recovers from the failure of `failed` (which must already be marked
-    /// down via [`Cluster::fail_node`]). On success the node is repaired
-    /// in place, lost state is rebuilt, and the cluster has rolled back to
-    /// [`CheckpointProtocol::committed_epoch`].
-    fn recover(
-        &mut self,
-        cluster: &mut Cluster,
-        failed: NodeId,
-    ) -> Result<RecoveryReport, ProtocolError>;
-
-    /// [`CheckpointProtocol::recover`] with a typed error: protocols that
-    /// can tell honest data loss (the failure pattern exceeded the
-    /// configured redundancy) apart from other failures surface it as
-    /// [`RecoverError::DataLoss`] instead of an opaque
-    /// [`ProtocolError::Unrecoverable`] string. The default wraps
-    /// `recover`'s error unchanged.
-    fn recover_typed(
-        &mut self,
-        cluster: &mut Cluster,
-        failed: NodeId,
-    ) -> Result<RecoveryReport, RecoverError> {
-        self.recover(cluster, failed).map_err(RecoverError::from)
-    }
-
-    /// Bytes of redundant state this protocol currently holds (parity,
-    /// replicas, NAS copies) — the memory/storage cost axis of the
-    /// Remus-vs-DVDC trade-off in Section VI.
-    fn redundancy_bytes(&self) -> usize;
-
-    /// Recovers by **failing over**: lost state is rebuilt onto surviving
-    /// nodes and the dead node stays out of service. Protocols without a
-    /// failover path fall back to repair-in-place recovery.
-    fn recover_failover(
-        &mut self,
-        cluster: &mut Cluster,
-        failed: NodeId,
-    ) -> Result<RecoveryReport, ProtocolError> {
-        self.recover(cluster, failed)
-    }
-
-    /// Synchronises the protocol's notion of "now" with an external
-    /// simulation clock, so any structured events it emits (see
-    /// `dvdc-observe`) are stamped on the driver's timeline. Protocols
-    /// without tracing ignore it.
-    fn set_clock(&mut self, _now: SimTime) {}
-}
-
 /// Rolls the listed VMs back to the given images, clearing dirty state.
 /// VMs on down nodes are skipped (their memory does not exist to restore).
-/// Shared by all protocols' recovery paths.
 pub(crate) fn rollback_vms(cluster: &mut Cluster, images: &[(VmId, Vec<u8>)]) {
     for (vm, img) in images {
         let node = cluster.node_of(*vm);
@@ -407,7 +342,7 @@ mod first_shot {
         use dvdc_vcluster::ids::{NodeId, VmId};
 
         use crate::placement::GroupPlacement;
-        use crate::protocol::{CheckpointProtocol, DvdcProtocol, ProtocolError, RecoverError};
+        use crate::protocol::{DvdcProtocol, ProtocolError, RecoverError};
 
         /// `compute` nodes × `slots` VMs plus a VM-less checkpoint node,
         /// parity taken synchronously (no Section IV-C transport yet).
@@ -535,7 +470,6 @@ mod first_shot {
             p.run_round(&mut c).unwrap();
             p.run_round(&mut c).unwrap();
             assert_eq!(p.committed_epoch(), Some(1));
-            assert_eq!(p.name(), "dvdc");
             assert!(p.redundancy_bytes() > 0);
         }
     }

@@ -757,6 +757,13 @@ impl ClusterSpec {
         if self.image_len == 0 {
             return Err("the image length must not be zero".to_string());
         }
+        if heartbeat_interval.is_zero() {
+            return Err(
+                "the heartbeat interval must not be zero: a heartbeat would fall due on \
+                        every pass of the event loop"
+                    .to_string(),
+            );
+        }
         if timeout < heartbeat_interval * 2.0 {
             return Err(format!(
                 "the detector timeout ({timeout}) must be at least two heartbeat intervals \
@@ -2618,10 +2625,16 @@ mod tests {
     #[test]
     fn validate_rejects_each_config_hazard_with_its_sentence() {
         type Plant = fn(&mut ClusterSpec);
-        let hazards: [(&str, Plant); 5] = [
+        let hazards: [(&str, Plant); 7] = [
             ("one data and one parity", |s| s.data_nodes = 0),
             ("one data and one parity", |s| s.parity_nodes = 0),
             ("image length", |s| s.image_len = 0),
+            ("heartbeat interval must not be zero", |s| {
+                s.detector = DetectorConfig::from_millis(0.0, 250.0, 200.0)
+            }),
+            ("heartbeat interval must not be zero", |s| {
+                s.detector = DetectorConfig::from_millis(0.0, 0.0, 200.0)
+            }),
             ("two heartbeat intervals", |s| {
                 s.detector = DetectorConfig::from_millis(50.0, 60.0, 200.0)
             }),

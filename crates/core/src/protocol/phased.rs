@@ -75,9 +75,7 @@ use dvdc_vcluster::messaging::{RetryDecision, RetryPolicy};
 use super::dvdc_proto::{
     DvdcProtocol, PhasedRound, RebuildMode, RebuildStep, RoundPhase, RoundStep,
 };
-use super::{
-    apply_fault, CheckpointProtocol, ProtocolError, RecoverError, RecoveryReport, RoundReport,
-};
+use super::{apply_fault, ProtocolError, RecoverError, RecoveryReport, RoundReport};
 
 /// Size of one heartbeat message on the wire.
 const HEARTBEAT_BYTES: usize = 64;
@@ -896,7 +894,6 @@ pub fn run_round_with_faults(
 mod tests {
     use super::*;
     use crate::placement::GroupPlacement;
-    use crate::protocol::CheckpointProtocol;
     use dvdc_faults::{ClusterFaultPlan, PeerSet};
     use dvdc_simcore::rng::RngHub;
     use dvdc_vcluster::cluster::ClusterBuilder;

@@ -31,8 +31,7 @@ use dvdc_vcluster::workload::{ClusterWorkload, WorkloadOp};
 
 use crate::placement::Member;
 use crate::protocol::{
-    run_round_with_faults, CheckpointProtocol, DvdcProtocol, PhasedOutcome, ProtocolError,
-    RecoverError,
+    run_round_with_faults, DvdcProtocol, PhasedOutcome, ProtocolError, RecoverError,
 };
 
 /// How long one scenario runs and how its rounds are spaced.

@@ -25,7 +25,7 @@ use dvdc_vcluster::cluster::{Cluster, ClusterBuilder, TopologySpec};
 use dvdc_vcluster::ids::NodeId;
 
 use crate::placement::GroupPlacement;
-use crate::protocol::{CheckpointProtocol, DvdcProtocol, PhasedRound, RoundStep};
+use crate::protocol::{DvdcProtocol, PhasedRound, RoundStep};
 
 /// Geometry and schedule of a sharded run.
 #[derive(Debug, Clone)]

@@ -17,7 +17,7 @@ use dvdc_vcluster::cluster::Cluster;
 
 use dvdc_faults::injector::ClusterFaultPlan;
 
-use crate::protocol::{apply_fault, CheckpointProtocol, ProtocolError, RecoverError};
+use crate::protocol::{apply_fault, DvdcProtocol, ProtocolError, RecoverError};
 
 /// How to handle a failed node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,9 +103,9 @@ impl JobRunner {
     /// restart cannot clear (e.g. store corruption); unrecoverable erasure
     /// patterns are handled by restarting the job from scratch, mirroring
     /// what an operator would do.
-    pub fn run<P: CheckpointProtocol>(
+    pub fn run(
         &self,
-        protocol: &mut P,
+        protocol: &mut DvdcProtocol,
         cluster: &mut Cluster,
         plan: &ClusterFaultPlan,
         hub: &RngHub,
@@ -116,12 +116,12 @@ impl JobRunner {
     /// [`JobRunner::run`] with a structured-event recorder: job-level
     /// happenings (fault strikes, forced restarts) are recorded on the
     /// job's wall clock, and the protocol's own clock is kept in sync so
-    /// its round/rebuild events land on the same timeline. A protocol
-    /// that carries its own recorder (e.g. `DvdcProtocol`) should be
-    /// handed the same sink before the run.
-    pub fn run_with_recorder<P: CheckpointProtocol>(
+    /// its round/rebuild events land on the same timeline. Hand the
+    /// protocol the same sink (`DvdcProtocol::with_recorder`) before the
+    /// run.
+    pub fn run_with_recorder(
         &self,
-        protocol: &mut P,
+        protocol: &mut DvdcProtocol,
         cluster: &mut Cluster,
         plan: &ClusterFaultPlan,
         hub: &RngHub,
@@ -317,9 +317,7 @@ impl JobRunner {
 mod tests {
     use super::*;
     use crate::placement::GroupPlacement;
-    use crate::protocol::{DiskFullProtocol, DvdcProtocol};
-    use dvdc_faults::dist::Deterministic;
-    use dvdc_faults::injector::{FaultInjector, NodeFault};
+    use dvdc_faults::injector::NodeFault;
     use dvdc_vcluster::cluster::ClusterBuilder;
     use dvdc_vcluster::ids::NodeId;
 
@@ -417,32 +415,6 @@ mod tests {
         assert!(out.restarted_from_scratch);
         assert_eq!(out.failures, 1);
         assert!(out.wall_time.as_secs() > 50.0);
-    }
-
-    #[test]
-    fn disk_full_and_dvdc_complete_same_job() {
-        let inj = FaultInjector::new(
-            4,
-            Deterministic::new(Duration::from_secs(37.0)),
-            Duration::from_secs(2.0),
-        );
-        let hub = RngHub::new(5);
-        let plan = inj.plan(Duration::from_secs(120.0), &hub);
-
-        let runner = JobRunner::new(Duration::from_secs(60.0), Duration::from_secs(7.0));
-        let mut c1 = cluster();
-        let mut dv = dvdc(&c1);
-        let dv_out = runner.run(&mut dv, &mut c1, &plan, &hub).unwrap();
-
-        let mut c2 = cluster();
-        let mut df = DiskFullProtocol::new();
-        let df_out = runner.run(&mut df, &mut c2, &plan, &hub).unwrap();
-
-        assert!(dv_out.failures > 0);
-        assert_eq!(dv_out.failures, df_out.failures);
-        // Both finish; diskless should not be slower (tiny images keep the
-        // difference small but the ordering must hold).
-        assert!(dv_out.wall_time <= df_out.wall_time);
     }
 
     #[test]

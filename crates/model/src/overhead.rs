@@ -261,6 +261,30 @@ mod tests {
     }
 
     #[test]
+    fn disk_full_cost_is_what_the_nas_protocol_charged() {
+        // The sim's disk-full protocol, before it became this cost row,
+        // reported these on the Fig. 4 cluster of 1 MiB VMs.
+        use dvdc_vcluster::cluster::ClusterBuilder;
+        let cluster = ClusterBuilder::new()
+            .physical_nodes(4)
+            .vms_per_node(3)
+            .vm_memory(256, 4096)
+            .build(1);
+        let params = Fig5Params {
+            nodes: 4,
+            vms_per_node: 3,
+            vm_image_bytes: 256 * 4096,
+            base_overhead: Duration::from_millis(40.0),
+            fabric: *cluster.fabric(),
+            ..Fig5Params::default()
+        };
+        let c = cost(ProtocolKind::DiskFull, &params);
+        assert_eq!(c.overhead.as_secs(), 0.224653984);
+        assert_eq!(c.latency, c.overhead);
+        assert_eq!(c.repair.as_secs(), 0.163289248);
+    }
+
+    #[test]
     fn labels() {
         assert_eq!(ProtocolKind::DiskFull.label(), "disk-full");
         assert_eq!(ProtocolKind::Diskless.label(), "diskless");

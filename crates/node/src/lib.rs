@@ -108,21 +108,21 @@ impl NodeOptions {
                         })
                         .collect::<Result<_, _>>()?;
                 }
-                "--hb-ms" => opts.hb_ms = parse_num(&value("--hb-ms")?, "--hb-ms")?,
+                "--hb-ms" => opts.hb_ms = parse_ms(&value("--hb-ms")?, "--hb-ms")?,
                 "--timeout-ms" => {
-                    opts.timeout_ms = parse_num(&value("--timeout-ms")?, "--timeout-ms")?
+                    opts.timeout_ms = parse_ms(&value("--timeout-ms")?, "--timeout-ms")?
                 }
-                "--grace-ms" => opts.grace_ms = parse_num(&value("--grace-ms")?, "--grace-ms")?,
-                "--round-ms" => opts.round_ms = parse_num(&value("--round-ms")?, "--round-ms")?,
+                "--grace-ms" => opts.grace_ms = parse_ms(&value("--grace-ms")?, "--grace-ms")?,
+                "--round-ms" => opts.round_ms = parse_ms(&value("--round-ms")?, "--round-ms")?,
                 "--rebuild-ms" => {
-                    opts.rebuild_ms = parse_num(&value("--rebuild-ms")?, "--rebuild-ms")?
+                    opts.rebuild_ms = parse_ms(&value("--rebuild-ms")?, "--rebuild-ms")?
                 }
                 "--capture-ms" => {
-                    opts.capture_ms = parse_num(&value("--capture-ms")?, "--capture-ms")?
+                    opts.capture_ms = parse_ms(&value("--capture-ms")?, "--capture-ms")?
                 }
                 "--seed" => opts.seed = parse_num(&value("--seed")?, "--seed")?,
                 "--metrics-ms" => {
-                    opts.metrics_ms = parse_num(&value("--metrics-ms")?, "--metrics-ms")?
+                    opts.metrics_ms = parse_ms(&value("--metrics-ms")?, "--metrics-ms")?
                 }
                 "--ring-events" => {
                     opts.ring_events = parse_num(&value("--ring-events")?, "--ring-events")?
@@ -201,6 +201,19 @@ where
 {
     raw.parse()
         .map_err(|e| format!("bad value {raw:?} for {flag}: {e}"))
+}
+
+/// A `*-ms` flag: a finite, non-negative number of milliseconds (a
+/// negative, NaN or infinite one would panic where it becomes a duration).
+fn parse_ms(raw: &str, flag: &str) -> Result<f64, String> {
+    let ms: f64 = parse_num(raw, flag)?;
+    if ms.is_finite() && ms >= 0.0 {
+        Ok(ms)
+    } else {
+        Err(format!(
+            "bad value {raw:?} for {flag}: a duration in milliseconds must be finite and not negative"
+        ))
+    }
 }
 
 /// One blocking ctl round trip: connect, send `msg` as [`CTL`], read one
@@ -335,6 +348,60 @@ mod tests {
         ))
         .unwrap_err();
         assert!(err.contains("two heartbeat intervals"), "{err}");
+        for timers in ["--hb-ms 0", "--hb-ms 0 --timeout-ms 0"] {
+            let err = NodeOptions::parse(args(&format!(
+                "--data 1 --parity 1 --addrs 127.0.0.1:1,127.0.0.1:2 {timers}"
+            )))
+            .unwrap_err();
+            assert!(err.contains("heartbeat interval must not be zero"), "{err}");
+        }
+    }
+
+    /// A negative, NaN or infinite value of `flag` is a usage error that
+    /// names the flag, not a panic where it becomes a duration.
+    fn rejects_bad_millis(flag: &str) {
+        for bad in ["-5", "nan", "inf", "-inf"] {
+            let err = NodeOptions::parse(args(&format!(
+                "--data 1 --parity 1 --addrs 127.0.0.1:1,127.0.0.1:2 {flag} {bad}"
+            )))
+            .unwrap_err();
+            assert!(err.contains(flag) && err.contains("finite"), "{err}");
+        }
+    }
+
+    #[test]
+    fn bad_hb_ms_is_a_usage_error() {
+        rejects_bad_millis("--hb-ms");
+    }
+
+    #[test]
+    fn bad_timeout_ms_is_a_usage_error() {
+        rejects_bad_millis("--timeout-ms");
+    }
+
+    #[test]
+    fn bad_grace_ms_is_a_usage_error() {
+        rejects_bad_millis("--grace-ms");
+    }
+
+    #[test]
+    fn bad_round_ms_is_a_usage_error() {
+        rejects_bad_millis("--round-ms");
+    }
+
+    #[test]
+    fn bad_rebuild_ms_is_a_usage_error() {
+        rejects_bad_millis("--rebuild-ms");
+    }
+
+    #[test]
+    fn bad_capture_ms_is_a_usage_error() {
+        rejects_bad_millis("--capture-ms");
+    }
+
+    #[test]
+    fn bad_metrics_ms_is_a_usage_error() {
+        rejects_bad_millis("--metrics-ms");
     }
 
     #[test]

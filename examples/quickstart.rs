@@ -4,7 +4,7 @@
 //! Run: `cargo run --example quickstart`
 
 use dvdc::placement::GroupPlacement;
-use dvdc::protocol::{CheckpointProtocol, DvdcProtocol};
+use dvdc::protocol::DvdcProtocol;
 use dvdc_simcore::rng::RngHub;
 use dvdc_simcore::time::Duration;
 use dvdc_vcluster::cluster::ClusterBuilder;

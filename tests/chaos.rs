@@ -18,8 +18,8 @@ use std::rc::Rc;
 
 use dvdc::placement::GroupPlacement;
 use dvdc::protocol::{
-    run_round_with_faults, CheckpointProtocol, DvdcProtocol, PhasedOutcome, ProtocolError,
-    RebuildMode, RebuildPhase, RebuildStep, RecoverError, RoundStep,
+    run_round_with_faults, DvdcProtocol, PhasedOutcome, ProtocolError, RebuildMode, RebuildPhase,
+    RebuildStep, RecoverError, RoundStep,
 };
 use dvdc::scenario::{apply_op, ScenarioReport};
 use dvdc_checkpoint::strategy::Mode;

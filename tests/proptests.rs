@@ -359,7 +359,7 @@ proptest! {
 
 // ---------- phase-interruptible rounds ----------
 
-use dvdc::protocol::{CheckpointProtocol, DvdcProtocol, RoundStep};
+use dvdc::protocol::{DvdcProtocol, RoundStep};
 use dvdc_checkpoint::strategy::Mode;
 use dvdc_simcore::time::Duration;
 use dvdc_vcluster::cluster::Cluster;

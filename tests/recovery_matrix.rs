@@ -7,9 +7,9 @@ use std::rc::Rc;
 use dvdc::placement::GroupPlacement;
 use dvdc::protocol::harness::Harness;
 use dvdc::protocol::{
-    block_digest, run_round_with_faults, CheckpointProtocol, ClusterSpec, CodeKind, DvdcProtocol,
-    Msg, Note, PhasedOutcome, ProtocolError, RebuildMode, RebuildPhase, RebuildStep, RecoverError,
-    RoundPhase, RoundStep, CTL, PART_LEN,
+    block_digest, run_round_with_faults, ClusterSpec, CodeKind, DvdcProtocol, Msg, Note,
+    PhasedOutcome, ProtocolError, RebuildMode, RebuildPhase, RebuildStep, RecoverError, RoundPhase,
+    RoundStep, CTL, PART_LEN,
 };
 use dvdc_checkpoint::strategy::Mode;
 use dvdc_faults::detector::Verdict;
