@@ -3,7 +3,7 @@
 //! The paper positions DVDC as "highly fault tolerant"; this experiment
 //! quantifies that with the classic RAID MTTDL analysis over the
 //! overlapping-repair window (the only way single parity dies), across
-//! cluster sizes and repair speeds, for m = 1 (XOR) and m = 2 (RDP-class)
+//! cluster sizes and repair speeds, for m = 1 (XOR) and m = 2 (Reed–Solomon)
 //! — and shows why DVDC's fast in-memory rebuild matters: the repair time
 //! in the denominator is *seconds*, not the hours a disk-array rebuild
 //! takes.

@@ -9,7 +9,7 @@
 //! block from the members' whole images.
 //!
 //! The experiment runs the same workload through both paths for m = 1
-//! (XOR) and m = 2 (RDP), and reports measured wall-clock per round,
+//! (XOR) and m = 2 (Reed–Solomon), and reports measured wall-clock per round,
 //! the dirty-byte vs whole-block parity charge, and the simulated
 //! overhead/latency.
 //!

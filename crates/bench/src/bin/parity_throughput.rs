@@ -11,8 +11,10 @@
 //! The structural claim asserted at the end: the table-driven Reed–Solomon
 //! encode (per-coefficient 256-entry product tables, cache-blocked,
 //! split across cores for large blocks) is at least 3× the pre-rewrite
-//! scalar log/exp kernel on the best measured block size. Both numbers
-//! land in the JSON record.
+//! scalar log/exp kernel at the table encode's best block size. The two
+//! kernels are timed there as alternating pairs, and the median of the
+//! pairs' ratios is what must reach 3×, so one noisy pass cannot decide
+//! it. The medians land in the JSON record.
 //!
 //! Run: `cargo run --release -p dvdc-bench --bin parity_throughput`
 //! Reduced sweep (CI): `DVDC_PARITY_QUICK=1 cargo run --release ...`
@@ -23,12 +25,15 @@ use dvdc_bench::{human_bytes, render_table, write_json};
 use dvdc_parity::code::ErasureCode;
 use dvdc_parity::gf256::Tables;
 use dvdc_parity::raid5::XorCode;
-use dvdc_parity::rdp::ZeroPaddedRdp;
 use dvdc_parity::rs::ReedSolomon;
 use serde::Serialize;
 
 /// Data shards per group — matches the protocol benches' group width.
 const K: usize = 8;
+
+/// Alternating (table, scalar) encode timings the speedup gate takes the
+/// median of.
+const SPEEDUP_PAIRS: usize = 5;
 
 #[derive(Serialize)]
 struct ThroughputRow {
@@ -42,11 +47,15 @@ struct ThroughputRow {
 #[derive(Serialize)]
 struct ThroughputReport {
     rows: Vec<ThroughputRow>,
-    /// Pre-rewrite scalar RS encode, best block size (GB/s).
+    /// The block size the table-driven RS encode ran fastest at, where
+    /// the pairs below are timed.
+    rs_encode_block_bytes: usize,
+    /// Pre-rewrite scalar RS encode at that block, median of the pairs
+    /// (GB/s).
     rs_encode_scalar_gbps: f64,
-    /// Table-driven RS encode, best block size (GB/s).
+    /// Table-driven RS encode at that block, median of the pairs (GB/s).
     rs_encode_table_gbps: f64,
-    /// `rs_encode_table_gbps / rs_encode_scalar_gbps`.
+    /// Median over the pairs of table ÷ scalar.
     rs_encode_speedup: f64,
 }
 
@@ -61,6 +70,17 @@ fn fill(buf: &mut [u8], mut state: u64) {
         let n = chunk.len();
         chunk.copy_from_slice(&bytes[..n]);
     }
+}
+
+/// `K` data blocks of `block` bytes, each its own SplitMix64 stream.
+fn group_data(block: usize, seed: u64) -> Vec<Vec<u8>> {
+    (0..K)
+        .map(|i| {
+            let mut v = vec![0u8; block];
+            fill(&mut v, (i as u64 + 1) * seed);
+            v
+        })
+        .collect()
 }
 
 /// Times `op` repeatedly until `budget_secs` of samples accumulate (after
@@ -88,13 +108,7 @@ fn bench_family<C: ErasureCode>(
     budget: f64,
 ) -> ThroughputRow {
     let m = code.parity_shards();
-    let data: Vec<Vec<u8>> = (0..K)
-        .map(|i| {
-            let mut v = vec![0u8; block];
-            fill(&mut v, (i as u64 + 1) * 0x9e37);
-            v
-        })
-        .collect();
+    let data = group_data(block, 0x9e37);
     let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
     let payload = K * block;
 
@@ -134,18 +148,18 @@ fn bench_family<C: ErasureCode>(
     }
 }
 
+/// The middle value of `xs` (the upper one of an even count).
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
+
 /// The pre-rewrite Reed–Solomon encode: one branchy log/exp multiply per
 /// byte per coefficient (`Tables::mul_acc_scalar`), no blocking, no
 /// threads — the kernel every round used before the table rewrite.
 fn rs_encode_scalar_gbps(m: usize, block: usize, budget: f64) -> f64 {
     let tables = Tables::shared();
-    let data: Vec<Vec<u8>> = (0..K)
-        .map(|i| {
-            let mut v = vec![0u8; block];
-            fill(&mut v, (i as u64 + 1) * 0x517);
-            v
-        })
-        .collect();
+    let data = group_data(block, 0x517);
     let mut parity = vec![vec![0u8; block]; m];
     measure(K * block, budget, || {
         for (r, row) in parity.iter_mut().enumerate() {
@@ -172,10 +186,6 @@ fn main() {
     let mut rows = Vec::new();
     for &block in blocks {
         rows.push(bench_family("xor(m=1)", &XorCode::new(K), block, budget));
-        let rdp = ZeroPaddedRdp::new(K);
-        let rdp_rows = rdp.p() - 1;
-        let rdp_block = block / rdp_rows * rdp_rows; // RDP row constraint
-        rows.push(bench_family("rdp(m=2)", &rdp, rdp_block, budget));
         rows.push(bench_family(
             "rs(m=2)",
             &ReedSolomon::new(K, 2),
@@ -216,23 +226,36 @@ fn main() {
         )
     );
 
-    // Baseline vs. rewrite, both at their best measured block size.
-    let best_scalar = blocks
-        .iter()
-        .map(|&b| rs_encode_scalar_gbps(2, b, budget))
-        .fold(0.0f64, f64::max);
-    let best_table = rows
+    // Baseline vs. rewrite at the table encode's best block, as
+    // alternating pairs so a slow phase of the host hits both sides.
+    let best_block = rows
         .iter()
         .filter(|r| r.family == "rs(m=2)")
-        .map(|r| r.encode_gbps)
-        .fold(0.0f64, f64::max);
-    let speedup = best_table / best_scalar;
+        .max_by(|a, b| a.encode_gbps.total_cmp(&b.encode_gbps))
+        .map(|r| r.block_bytes)
+        .expect("rs(m=2) rows were measured");
+    let rs = ReedSolomon::new(K, 2);
+    let data = group_data(best_block, 0x9e37);
+    let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
+    let (mut table, mut scalar, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..SPEEDUP_PAIRS {
+        let t = measure(K * best_block, budget, || {
+            std::hint::black_box(rs.encode(&refs));
+        });
+        let s = rs_encode_scalar_gbps(2, best_block, budget);
+        table.push(t);
+        scalar.push(s);
+        ratios.push(t / s);
+    }
+    let (best_table, best_scalar, speedup) = (median(table), median(scalar), median(ratios));
     println!(
-        "rs(m=2) encode: scalar {best_scalar:.2} GB/s → table {best_table:.2} GB/s ({speedup:.1}×)"
+        "rs(m=2) encode at {}, median of {SPEEDUP_PAIRS} pairs: scalar {best_scalar:.2} GB/s → \
+         table {best_table:.2} GB/s, ratio {speedup:.2}×",
+        human_bytes(best_block)
     );
     assert!(
         speedup >= 3.0,
-        "table-driven RS encode must be ≥3× the scalar kernel, got {speedup:.2}×"
+        "table-driven RS encode must be ≥3× the scalar kernel, median ratio {speedup:.2}×"
     );
     println!("table-driven RS encode is ≥3× the pre-rewrite scalar kernel ✓");
 
@@ -240,6 +263,7 @@ fn main() {
         "parity_throughput",
         &ThroughputReport {
             rows,
+            rs_encode_block_bytes: best_block,
             rs_encode_scalar_gbps: best_scalar,
             rs_encode_table_gbps: best_table,
             rs_encode_speedup: speedup,

@@ -50,21 +50,23 @@ fn plan_prints_groups_and_balance() {
 
 #[test]
 fn drill_verifies_byte_exact_recovery() {
-    let out = run(&[
-        "drill",
-        "--nodes",
-        "6",
-        "--vms-per-node",
-        "2",
-        "--group",
-        "3",
-        "--parity",
-        "2",
-        "--kill",
-        "0,1",
-    ]);
-    assert!(out.status.success(), "{}", stderr(&out));
-    assert!(stdout(&out).contains("byte-exact after recovery ✓"));
+    // The second shape is k = 5, m = 2 over 256 KiB images (262 144
+    // bytes, which 6 does not divide): a double-parity group takes an
+    // image of any length.
+    for shape in [
+        "--nodes 6 --vms-per-node 2 --group 3 --parity 2 --kill 0,1",
+        "--nodes 8 --vms-per-node 5 --group 5 --parity 2 --kill 2,6",
+    ] {
+        let args: Vec<&str> = std::iter::once("drill")
+            .chain(shape.split_whitespace())
+            .collect();
+        let out = run(&args);
+        assert!(out.status.success(), "{shape}: {}", stderr(&out));
+        assert!(
+            stdout(&out).contains("byte-exact after recovery ✓"),
+            "{shape}"
+        );
+    }
 }
 
 #[test]

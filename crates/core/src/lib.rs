@@ -17,7 +17,7 @@
 //! * [`protocol`] — the checkpoint/recovery protocol, [`DvdcProtocol`]:
 //!   diskless checkpointing over whichever placement it is given (Fig. 4,
 //!   the contribution, and Fig. 1/3), generalised to `m ≥ 2` parity via
-//!   Reed–Solomon, the RDP-style extension of Section II-B2. The paper's
+//!   Reed–Solomon. The paper's
 //!   comparators are cost rows, not protocols: the disk-full baseline is
 //!   `dvdc_model::overhead::cost(ProtocolKind::DiskFull, …)`, the
 //!   Section VI Remus row is `dvdc_bench::remus_row`.

@@ -236,8 +236,8 @@ impl GroupPlacement {
     }
 
     /// Builds the orthogonal placement with `k` data members and `m`
-    /// parity blocks per group (`m = 2` gives double-failure tolerance
-    /// via RDP by default; Reed–Solomon handles `m ≥ 3`).
+    /// parity blocks per group (`m ≥ 2` tolerates `m` failures with
+    /// Reed–Solomon).
     ///
     /// On a flat topology this is the classic slot-major construction.
     /// On a racked topology the members of each group are additionally

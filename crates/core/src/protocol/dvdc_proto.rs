@@ -22,8 +22,7 @@
 //! the survivors: lost checkpoints by decoding each affected group, lost
 //! parity by re-encoding — then the whole cluster rolls back to the
 //! committed epoch and resumes. With `m ≥ 2` parity blocks per group
-//! (Reed–Solomon, standing in for the RDP codes of Section II-B2), any
-//! `m` concurrent node failures are survivable.
+//! (Reed–Solomon), any `m` concurrent node failures are survivable.
 //!
 //! Recovery itself is a *phased rebuild pipeline* ([`PhasedRebuild`]):
 //! survivor blocks are fetched over tracked transfers, each affected
@@ -48,10 +47,7 @@ use dvdc_checkpoint::store::{DoubleBufferedStore, MaterializedStore, ParityStore
 use dvdc_checkpoint::strategy::{Checkpointer, Mode};
 use dvdc_faults::buggify::{self, points, FaultRegistry};
 use dvdc_observe::{Event, RecorderHandle, NO_TOKEN};
-use dvdc_parity::code::{CodeError, ErasureCode};
-use dvdc_parity::raid5::XorCode;
-use dvdc_parity::rdp::{RdpCode, ZeroPaddedRdp};
-use dvdc_parity::rs::ReedSolomon;
+use dvdc_parity::code::{self, CodeError, ErasureCode};
 use dvdc_simcore::rng::{splitmix64, SPLITMIX_GAMMA};
 use dvdc_simcore::time::{Duration, SimTime};
 use dvdc_vcluster::cluster::Cluster;
@@ -65,122 +61,14 @@ use crate::placement::{GroupId, GroupPlacement, Member, PlacementError};
 
 use super::{rollback_vms, ProtocolError, RecoverError, RecoveryReport, RoundReport, ScrubReport};
 
-/// Which erasure-code family protects the groups.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CodeKind {
-    /// XOR single parity (m must be 1) — the paper's configuration.
-    Xor,
-    /// Row-Diagonal Parity (m must be 2) — the double-erasure code the
-    /// paper cites from Wang et al., zero-padded in shard *count* so any
-    /// k fits the prime geometry. Shard lengths must be a multiple of
-    /// the RDP row count (automatic for page-aligned images).
-    Rdp,
-    /// Exact Row-Diagonal Parity (m must be 2, k must equal p−1 for a
-    /// prime p) — the unpadded array code, for geometries that already
-    /// fit. Shard lengths must be a multiple of p−1.
-    RdpExact,
-    /// Systematic Reed–Solomon over GF(256) — any m.
-    ReedSolomon,
-}
-
-/// The erasure code protecting each group.
-#[derive(Debug)]
-enum GroupCode {
-    Xor(XorCode),
-    Rdp(ZeroPaddedRdp),
-    RdpExact(RdpCode),
-    Rs(Box<ReedSolomon>),
-}
-
-impl GroupCode {
-    fn new(k: usize, m: usize) -> GroupCode {
-        match m {
-            1 => GroupCode::Xor(XorCode::new(k)),
-            // The paper's double-failure configuration cites RDP (Wang et
-            // al.), so m = 2 defaults to it rather than silently upgrading
-            // to Reed–Solomon. Image lengths the RDP row count rejects are
-            // handled lazily: `DvdcProtocol::resolve_code_for` swaps a
-            // defaulted (not pinned) RDP for Reed–Solomon at the first
-            // round.
-            2 => GroupCode::Rdp(ZeroPaddedRdp::new(k)),
-            _ => GroupCode::Rs(Box::new(ReedSolomon::new(k, m))),
-        }
-    }
-
-    fn kind(&self) -> CodeKind {
-        match self {
-            GroupCode::Xor(_) => CodeKind::Xor,
-            GroupCode::Rdp(_) => CodeKind::Rdp,
-            GroupCode::RdpExact(_) => CodeKind::RdpExact,
-            GroupCode::Rs(_) => CodeKind::ReedSolomon,
-        }
-    }
-
-    fn of_kind(kind: CodeKind, k: usize, m: usize) -> GroupCode {
-        match kind {
-            CodeKind::Xor => {
-                assert_eq!(m, 1, "XOR parity protects exactly one failure");
-                GroupCode::Xor(XorCode::new(k))
-            }
-            CodeKind::Rdp => {
-                assert_eq!(m, 2, "RDP is a double-erasure code");
-                GroupCode::Rdp(ZeroPaddedRdp::new(k))
-            }
-            CodeKind::RdpExact => {
-                assert_eq!(m, 2, "RDP is a double-erasure code");
-                // Exact RDP hosts exactly p−1 data shards: k+1 must be
-                // prime (RdpCode::new panics loudly otherwise).
-                GroupCode::RdpExact(RdpCode::new(k + 1))
-            }
-            CodeKind::ReedSolomon => GroupCode::Rs(Box::new(ReedSolomon::new(k, m))),
-        }
-    }
-
-    fn encode(&self, data: &[&[u8]]) -> Vec<Vec<u8>> {
-        match self {
-            GroupCode::Xor(c) => c.encode(data),
-            GroupCode::Rdp(c) => c.encode(data),
-            GroupCode::RdpExact(c) => c.encode(data),
-            GroupCode::Rs(c) => c.encode(data),
-        }
-    }
-
-    fn reconstruct(&self, shards: &mut [Option<Vec<u8>>]) -> Result<(), CodeError> {
-        match self {
-            GroupCode::Xor(c) => c.reconstruct(shards),
-            GroupCode::Rdp(c) => c.reconstruct(shards),
-            GroupCode::RdpExact(c) => c.reconstruct(shards),
-            GroupCode::Rs(c) => c.reconstruct(shards),
-        }
-    }
-
-    fn apply_delta(
-        &self,
-        parity_index: usize,
-        parity: &mut [u8],
-        data_index: usize,
-        offset: usize,
-        delta: &[u8],
-    ) {
-        match self {
-            GroupCode::Xor(c) => c.apply_delta(parity_index, parity, data_index, offset, delta),
-            GroupCode::Rdp(c) => c.apply_delta(parity_index, parity, data_index, offset, delta),
-            GroupCode::RdpExact(c) => {
-                c.apply_delta(parity_index, parity, data_index, offset, delta)
-            }
-            GroupCode::Rs(c) => c.apply_delta(parity_index, parity, data_index, offset, delta),
-        }
-    }
-}
-
 /// Applies an incremental parity update in place:
 /// `parity[offset..] ^= old_page ^ new_page`.
 ///
 /// This is the single-parity (XOR, m = 1) special case of the transport
 /// [`DvdcProtocol::run_round`] actually rides on: parity holders never
 /// need full images — only the XOR of each dirtied page's before and
-/// after contents. The general, per-code form (RDP's diagonal bookkeeping,
-/// Reed–Solomon's GF(256) coefficients) lives in
+/// after contents. The general, per-code form (Reed–Solomon's GF(256)
+/// coefficients) lives in
 /// [`dvdc_parity::code::ErasureCode::apply_delta`]; this free function
 /// remains as the minimal didactic kernel and is property-tested against a
 /// full re-encode.
@@ -511,7 +399,7 @@ fn splitmix(state: &mut u64) -> u64 {
 #[derive(Debug)]
 pub struct DvdcProtocol {
     placement: GroupPlacement,
-    code: GroupCode,
+    code: Box<dyn ErasureCode>,
     checkpointer: Checkpointer,
     /// Per-node local checkpoint memory (dies with the node).
     node_stores: Vec<DoubleBufferedStore>,
@@ -526,10 +414,6 @@ pub struct DvdcProtocol {
     /// `false` re-encodes every group from full images each round — the
     /// A/B baseline and escape hatch.
     incremental_parity: bool,
-    /// `true` once the caller pinned the code via [`DvdcProtocol::with_code`];
-    /// defaulted codes may still be swapped at the first round if the
-    /// image length is incompatible (RDP's row-count constraint).
-    explicit_code: bool,
     base_overhead: Duration,
     /// Whether transfer+parity run in the background (Section IV-C
     /// transport). `true` is the paper's headline configuration.
@@ -537,7 +421,6 @@ pub struct DvdcProtocol {
     committed_epoch: Option<u64>,
     next_epoch: u64,
     parity_blocks: usize,
-    group_width: usize,
     /// Epoch fencing: every transfer a node launches is stamped with its
     /// current fence token; a detector-confirmed failover fences the
     /// victim so anything it sent pre-fence — or tries to send after
@@ -576,9 +459,8 @@ impl DvdcProtocol {
     }
 
     /// Full control over capture mode, parity asynchrony, and base
-    /// overhead. The code family follows the placement's parity count:
-    /// m = 1 → XOR, m = 2 → the paper-cited RDP, m ≥ 3 → Reed–Solomon
-    /// (override with [`DvdcProtocol::with_code`]).
+    /// overhead. The code follows the placement's parity count
+    /// ([`code::for_group`]): m = 1 → XOR, m ≥ 2 → Reed–Solomon.
     ///
     /// # Panics
     ///
@@ -610,19 +492,17 @@ impl DvdcProtocol {
             "all groups must share one geometry"
         );
         DvdcProtocol {
-            code: GroupCode::new(group_width, parity_blocks),
+            code: code::for_group(group_width, parity_blocks),
             placement,
             checkpointer: Checkpointer::new(mode),
             node_stores: Vec::new(),
             parity: ParityStore::new(),
             incremental_parity: true,
-            explicit_code: false,
             base_overhead,
             async_parity,
             committed_epoch: None,
             next_epoch: 0,
             parity_blocks,
-            group_width,
             fences: FenceRegistry::new(),
             recorder: RecorderHandle::default(),
             recording: false,
@@ -879,11 +759,6 @@ impl DvdcProtocol {
         Ok(())
     }
 
-    /// The erasure-code family currently protecting the groups.
-    pub fn code_kind(&self) -> CodeKind {
-        self.code.kind()
-    }
-
     /// Enables or disables the incremental delta-parity transport (on by
     /// default). With it off, every round re-encodes parity from the
     /// members' full materialized images — useful as the before/after
@@ -891,48 +766,6 @@ impl DvdcProtocol {
     pub fn with_incremental_parity(mut self, enabled: bool) -> Self {
         self.incremental_parity = enabled;
         self
-    }
-
-    /// Replaces the group erasure code (e.g. [`CodeKind::ReedSolomon`]
-    /// instead of the default Row-Diagonal Parity at m = 2, for image
-    /// lengths the RDP row count rejects). Call before the first round.
-    ///
-    /// # Panics
-    /// Panics if the kind's tolerance does not match the placement's
-    /// parity count, or if rounds have already run.
-    pub fn with_code(mut self, kind: CodeKind) -> Self {
-        assert!(
-            self.committed_epoch.is_none() && self.next_epoch == 0,
-            "code must be chosen before the first round"
-        );
-        self.code = GroupCode::of_kind(kind, self.group_width, self.parity_blocks);
-        self.explicit_code = true;
-        self
-    }
-
-    /// Swaps a *defaulted* RDP code for Reed–Solomon when the cluster's
-    /// image length is incompatible with RDP's row constraint (shard
-    /// length must divide by p−1). Codes pinned via
-    /// [`DvdcProtocol::with_code`] are never swapped — misuse stays a
-    /// panic there, as documented.
-    fn resolve_code_for(&mut self, cluster: &Cluster) {
-        if self.explicit_code {
-            return;
-        }
-        if let GroupCode::Rdp(rdp) = &self.code {
-            let rows = rdp.p() - 1;
-            let len = cluster
-                .vm_ids()
-                .first()
-                .map(|&vm| cluster.vm(vm).memory().size_bytes())
-                .unwrap_or(0);
-            if !len.is_multiple_of(rows) {
-                self.code = GroupCode::Rs(Box::new(ReedSolomon::new(
-                    self.group_width,
-                    self.parity_blocks,
-                )));
-            }
-        }
     }
 
     fn ensure_node_stores(&mut self, nodes: usize) {
@@ -1832,7 +1665,6 @@ impl DvdcProtocol {
             return Err(ProtocolError::NodeDown { node: down });
         }
         self.ensure_node_stores(cluster.node_count());
-        self.resolve_code_for(cluster);
         let mut ledger = TransferLedger::new();
         if self.recording {
             ledger.enable_journal();
@@ -2484,6 +2316,9 @@ impl DvdcProtocol {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dvdc_parity::raid5::XorCode;
+    use dvdc_parity::rs::ReedSolomon;
+    use dvdc_parity::xor::xor_all;
     use dvdc_simcore::rng::RngHub;
     use dvdc_vcluster::cluster::ClusterBuilder;
 
@@ -2532,8 +2367,9 @@ mod tests {
 
     /// Every parity block the incremental transport maintains must be
     /// byte-identical to a from-scratch re-encode of the members' current
-    /// images — across several dirty rounds and all three code families.
-    fn assert_incremental_matches_reencode(kind: CodeKind, m: usize) {
+    /// images by the code a daemon's group of the same shape runs — XOR
+    /// for m = 1, Reed–Solomon for m = 2 — across several dirty rounds.
+    fn assert_incremental_matches_reencode(m: usize) {
         let mut c = ClusterBuilder::new()
             .physical_nodes(6)
             .vms_per_node(2)
@@ -2546,8 +2382,11 @@ mod tests {
             Mode::Incremental,
             true,
             Duration::from_millis(40.0),
-        )
-        .with_code(kind);
+        );
+        let reference: Box<dyn ErasureCode> = match m {
+            1 => Box::new(XorCode::new(3)),
+            _ => Box::new(ReedSolomon::new(3, m)),
+        };
         let first = p.run_round(&mut c).unwrap();
         assert_eq!(first.parity_update_bytes, first.redundancy_bytes);
 
@@ -2563,7 +2402,7 @@ mod tests {
             assert_eq!(
                 r.parity_update_bytes,
                 r.payload_bytes * m,
-                "{kind:?} round {round}"
+                "m={m} round {round}"
             );
             for g in p.placement.groups().to_vec() {
                 let images: Vec<Vec<u8>> = g
@@ -2578,11 +2417,11 @@ mod tests {
                     })
                     .collect();
                 let refs: Vec<&[u8]> = images.iter().map(|i| i.as_slice()).collect();
-                for (j, want) in p.code.encode(&refs).into_iter().enumerate() {
+                for (j, want) in reference.encode(&refs).into_iter().enumerate() {
                     assert_eq!(
                         p.parity.current((g.id, j)),
                         Some(want.as_slice()),
-                        "{kind:?} round {round} {} block {j}",
+                        "m={m} round {round} {} block {j}",
                         g.id
                     );
                 }
@@ -2592,17 +2431,12 @@ mod tests {
 
     #[test]
     fn incremental_parity_matches_reencode_xor() {
-        assert_incremental_matches_reencode(CodeKind::Xor, 1);
-    }
-
-    #[test]
-    fn incremental_parity_matches_reencode_rdp() {
-        assert_incremental_matches_reencode(CodeKind::Rdp, 2);
+        assert_incremental_matches_reencode(1);
     }
 
     #[test]
     fn incremental_parity_matches_reencode_rs() {
-        assert_incremental_matches_reencode(CodeKind::ReedSolomon, 2);
+        assert_incremental_matches_reencode(2);
     }
 
     #[test]
@@ -2875,95 +2709,64 @@ mod tests {
 
     #[test]
     fn double_failure_with_rs_parity_recovers() {
-        let mut c = ClusterBuilder::new()
-            .physical_nodes(6)
-            .vms_per_node(2)
-            .vm_memory(8, 32)
-            .build(0);
-        let placement = GroupPlacement::orthogonal_with_parity(&c, 3, 2).unwrap();
-        let mut p = DvdcProtocol::with_options(
-            placement,
-            Mode::Incremental,
-            true,
-            Duration::from_millis(40.0),
-        )
-        .with_code(CodeKind::ReedSolomon);
-        assert_eq!(p.failure_tolerance(), 2);
-        assert_eq!(p.code_kind(), CodeKind::ReedSolomon);
-        p.run_round(&mut c).unwrap();
-        let want: Vec<Vec<u8>> = c
-            .vm_ids()
-            .iter()
-            .map(|&v| c.vm(v).memory().snapshot())
-            .collect();
+        for (a, b) in [(0, 1), (2, 4)] {
+            let mut c = ClusterBuilder::new()
+                .physical_nodes(6)
+                .vms_per_node(2)
+                .vm_memory(8, 32)
+                .build(0);
+            let placement = GroupPlacement::orthogonal_with_parity(&c, 3, 2).unwrap();
+            let mut p = DvdcProtocol::with_options(
+                placement,
+                Mode::Incremental,
+                true,
+                Duration::from_millis(40.0),
+            );
+            assert_eq!(p.failure_tolerance(), 2);
+            p.run_round(&mut c).unwrap();
+            let want: Vec<Vec<u8>> = c
+                .vm_ids()
+                .iter()
+                .map(|&v| c.vm(v).memory().snapshot())
+                .collect();
 
-        c.fail_node(NodeId(0));
-        c.fail_node(NodeId(1));
-        // Recover both, one at a time (node 1 still down during the first).
-        p.recover(&mut c, NodeId(0)).unwrap();
-        p.recover(&mut c, NodeId(1)).unwrap();
-        for (i, vm) in c.vm_ids().into_iter().enumerate() {
-            assert_eq!(c.vm(vm).memory().snapshot(), want[i], "vm={vm}");
-        }
-    }
-
-    #[test]
-    fn rdp_code_survives_double_failure_byte_exactly() {
-        // The paper-cited RDP code instead of Reed–Solomon at m = 2.
-        // Image length 8×32 = 256 is a multiple of the p=5 row count (4).
-        let mut c = ClusterBuilder::new()
-            .physical_nodes(6)
-            .vms_per_node(2)
-            .vm_memory(8, 32)
-            .build(0);
-        let placement = GroupPlacement::orthogonal_with_parity(&c, 3, 2).unwrap();
-        let mut p = DvdcProtocol::with_options(
-            placement,
-            Mode::Incremental,
-            true,
-            Duration::from_millis(40.0),
-        )
-        .with_code(CodeKind::Rdp);
-        p.run_round(&mut c).unwrap();
-        let want: Vec<Vec<u8>> = c
-            .vm_ids()
-            .iter()
-            .map(|&v| c.vm(v).memory().snapshot())
-            .collect();
-        c.fail_node(NodeId(2));
-        c.fail_node(NodeId(4));
-        p.recover(&mut c, NodeId(2)).unwrap();
-        p.recover(&mut c, NodeId(4)).unwrap();
-        for (i, vm) in c.vm_ids().into_iter().enumerate() {
-            assert_eq!(c.vm(vm).memory().snapshot(), want[i], "{vm}");
+            c.fail_node(NodeId(a));
+            c.fail_node(NodeId(b));
+            // Recover both, one at a time (node b still down during the first).
+            p.recover(&mut c, NodeId(a)).unwrap();
+            p.recover(&mut c, NodeId(b)).unwrap();
+            for (i, vm) in c.vm_ids().into_iter().enumerate() {
+                assert_eq!(c.vm(vm).memory().snapshot(), want[i], "({a},{b}) vm={vm}");
+            }
         }
     }
 
     #[test]
     fn default_code_family_tracks_parity_count() {
-        // m = 1 → XOR; m = 2 → the paper-cited RDP (regression: this used
-        // to silently select Reed–Solomon); m ≥ 3 → Reed–Solomon.
-        let c = fig4_cluster();
-        assert_eq!(fig4_protocol(&c).code_kind(), CodeKind::Xor);
-
-        let c6 = ClusterBuilder::new()
-            .physical_nodes(6)
-            .vms_per_node(2)
+        // The protocol's code is `code::for_group`'s: m = 1 encodes as the
+        // XOR of the data, m = 2 and m = 3 as Reed–Solomon.
+        let c = ClusterBuilder::new()
+            .physical_nodes(8)
+            .vms_per_node(3)
             .vm_memory(8, 32)
             .build(0);
-        let placement = GroupPlacement::orthogonal_with_parity(&c6, 3, 2).unwrap();
-        let p = DvdcProtocol::new(placement);
-        assert_eq!(p.code_kind(), CodeKind::Rdp);
-
-        assert_eq!(GroupCode::new(4, 3).kind(), CodeKind::ReedSolomon);
+        let data: Vec<Vec<u8>> = (0..3u8).map(|i| vec![i * 41 + 7; 64]).collect();
+        let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
+        for m in 1..=3 {
+            let placement = GroupPlacement::orthogonal_with_parity(&c, 3, m).unwrap();
+            let p = DvdcProtocol::new(placement);
+            let want = match m {
+                1 => vec![xor_all(&refs)],
+                _ => ReedSolomon::new(3, m).encode(&refs),
+            };
+            assert_eq!(p.code.encode(&refs), want, "m={m}");
+        }
     }
 
     #[test]
-    fn defaulted_rdp_falls_back_to_rs_on_incompatible_image_length() {
-        // 5 pages × 2 bytes = 10 bytes per image; k = 3 RDP shards must
-        // be a multiple of p−1 = 4. A *defaulted* m = 2 code degrades to
-        // Reed–Solomon (same tolerance) at the first round instead of
-        // panicking on the geometry.
+    fn m2_protects_an_image_of_any_length() {
+        // 5 pages × 2 bytes = 10 bytes per image: no length is special to
+        // a double-parity group.
         let mut c = ClusterBuilder::new()
             .physical_nodes(6)
             .vms_per_node(2)
@@ -2972,9 +2775,7 @@ mod tests {
             .build(13);
         let placement = GroupPlacement::orthogonal_with_parity(&c, 3, 2).unwrap();
         let mut p = DvdcProtocol::new(placement);
-        assert_eq!(p.code_kind(), CodeKind::Rdp);
         p.run_round(&mut c).unwrap();
-        assert_eq!(p.code_kind(), CodeKind::ReedSolomon);
 
         let want: Vec<Vec<u8>> = c
             .vm_ids()
@@ -2988,29 +2789,6 @@ mod tests {
         for (i, vm) in c.vm_ids().into_iter().enumerate() {
             assert_eq!(c.vm(vm).memory().snapshot(), want[i], "{vm}");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "multiple of p-1")]
-    fn pinned_rdp_with_incompatible_image_length_still_panics() {
-        // `with_code` is an explicit pin: no silent fallback, misuse
-        // stays loud.
-        let mut c = ClusterBuilder::new()
-            .physical_nodes(6)
-            .vms_per_node(2)
-            .vm_memory(5, 2)
-            .build(13);
-        let placement = GroupPlacement::orthogonal_with_parity(&c, 3, 2).unwrap();
-        let mut p = DvdcProtocol::new(placement).with_code(CodeKind::Rdp);
-        let _ = p.run_round(&mut c);
-    }
-
-    #[test]
-    #[should_panic(expected = "double-erasure")]
-    fn rdp_code_requires_two_parity_blocks() {
-        let c = fig4_cluster();
-        let placement = GroupPlacement::orthogonal(&c, 3).unwrap();
-        let _ = DvdcProtocol::new(placement).with_code(CodeKind::Rdp);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //!
 //! | Placement | Paper reference | Redundancy | Tolerates |
 //! |---|---|---|---|
-//! | [`GroupPlacement::orthogonal`](crate::placement::GroupPlacement::orthogonal) | Fig. 4 (the contribution) | distributed per-group parity | 1 node (m=1), m nodes (RS/RDP) |
+//! | [`GroupPlacement::orthogonal`](crate::placement::GroupPlacement::orthogonal) | Fig. 4 (the contribution) | distributed per-group parity | 1 node (m=1), m nodes (RS) |
 //! | [`GroupPlacement::dedicated`](crate::placement::GroupPlacement::dedicated) | Fig. 1/3 ("first-shot") | every group's parity on one checkpoint node | 1 node |
 //!
 //! so the Fig. 3-vs-Fig. 4 comparison varies exactly one thing — where
@@ -27,8 +27,8 @@ mod phased;
 pub mod transport;
 
 pub use dvdc_proto::{
-    delta_parity_update, CodeKind, DvdcProtocol, PhasedRebuild, PhasedRound, RebuildMode,
-    RebuildPhase, RebuildStep, RoundPhase, RoundStep,
+    delta_parity_update, DvdcProtocol, PhasedRebuild, PhasedRound, RebuildMode, RebuildPhase,
+    RebuildStep, RoundPhase, RoundStep,
 };
 pub use harness::Harness;
 pub use node_core::{

@@ -83,9 +83,8 @@ use dvdc_observe::metrics::EventMetrics;
 use dvdc_observe::registry::{Counter, HistogramHandle, MetricsHub, Stamp};
 use dvdc_observe::spans::OPEN_SPAN_CAP;
 use dvdc_observe::{Event, MetricsSnapshot, TimedEvent};
-use dvdc_parity::code::ErasureCode;
-use dvdc_parity::raid5::XorCode;
-use dvdc_parity::rs::ReedSolomon;
+use dvdc_parity::code::{self, ErasureCode};
+use dvdc_parity::rs::MAX_SHARDS;
 use dvdc_simcore::rng::{splitmix64, SPLITMIX_GAMMA};
 use dvdc_simcore::time::{Duration, SimTime};
 use dvdc_vcluster::ids::NodeId;
@@ -740,8 +739,9 @@ impl ClusterSpec {
     }
 
     /// Rejects a spec no group can run on: an empty group or image, a
-    /// detector that suspects a member for one late heartbeat, a round
-    /// whose timeout runs out before its capture is due.
+    /// Reed–Solomon group wider than GF(256) has points for, a detector
+    /// that suspects a member for one late heartbeat, a round whose
+    /// timeout runs out before its capture is due.
     pub fn validate(&self) -> Result<(), String> {
         let DetectorConfig {
             heartbeat_interval,
@@ -751,6 +751,13 @@ impl ClusterSpec {
         if self.data_nodes == 0 || self.parity_nodes == 0 {
             return Err(format!(
                 "a group needs at least one data and one parity node, got k={} m={}",
+                self.data_nodes, self.parity_nodes
+            ));
+        }
+        if self.parity_nodes >= 2 && self.total() > MAX_SHARDS {
+            return Err(format!(
+                "a group with m ≥ 2 is Reed–Solomon over GF(256), which holds at most \
+                 {MAX_SHARDS} members, got k={} m={}",
                 self.data_nodes, self.parity_nodes
             ));
         }
@@ -779,14 +786,10 @@ impl ClusterSpec {
         Ok(())
     }
 
-    /// Instantiates the group's erasure code: XOR for `m == 1`,
-    /// Reed–Solomon otherwise.
+    /// Instantiates the group's erasure code ([`code::for_group`]): XOR
+    /// for `m == 1`, Reed–Solomon otherwise.
     pub fn code(&self) -> Box<dyn ErasureCode> {
-        if self.parity_nodes == 1 {
-            Box::new(XorCode::new(self.data_nodes))
-        } else {
-            Box::new(ReedSolomon::new(self.data_nodes, self.parity_nodes))
-        }
+        code::for_group(self.data_nodes, self.parity_nodes)
     }
 }
 
@@ -2625,9 +2628,12 @@ mod tests {
     #[test]
     fn validate_rejects_each_config_hazard_with_its_sentence() {
         type Plant = fn(&mut ClusterSpec);
-        let hazards: [(&str, Plant); 7] = [
+        let hazards: [(&str, Plant); 8] = [
             ("one data and one parity", |s| s.data_nodes = 0),
             ("one data and one parity", |s| s.parity_nodes = 0),
+            ("at most 256 members", |s| {
+                (s.data_nodes, s.parity_nodes) = (255, 2)
+            }),
             ("image length", |s| s.image_len = 0),
             ("heartbeat interval must not be zero", |s| {
                 s.detector = DetectorConfig::from_millis(0.0, 250.0, 200.0)
@@ -2647,6 +2653,15 @@ mod tests {
             plant(&mut bad);
             let err = bad.validate().expect_err(sentence);
             assert!(err.contains(sentence), "{err}");
+        }
+        // XOR has no field, so only a Reed–Solomon group is bounded.
+        for (k, m) in [(254, 2), (400, 1)] {
+            let wide = ClusterSpec {
+                data_nodes: k,
+                parity_nodes: m,
+                ..spec()
+            };
+            assert_eq!(wide.validate(), Ok(()), "k={k} m={m}");
         }
     }
 

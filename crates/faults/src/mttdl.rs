@@ -12,7 +12,7 @@
 //! * hence `MTTDL ≈ 1 / (N·λ · (1 − e^{−(N−1)λR}))`, which for small
 //!   `λR` reduces to the familiar `MTBF² / (N·(N−1)·R)`.
 //!
-//! For `m = 2` (the RDP/Reed–Solomon extension) the chain needs a third
+//! For `m = 2` (the Reed–Solomon extension) the chain needs a third
 //! failure inside the repair windows of both predecessors:
 //! `MTTDL₂ ≈ MTBF³ / (N·(N−1)·(N−2)·R²)`.
 //!
@@ -56,7 +56,7 @@ impl MttdlParams {
         Duration::from_secs(1.0 / (first_rate * fatal.max(f64::MIN_POSITIVE)))
     }
 
-    /// MTTDL with `m = 2` (RDP / RS double parity), small-λR
+    /// MTTDL with `m = 2` (Reed–Solomon double parity), small-λR
     /// approximation of the three-failure chain.
     pub fn mttdl_double_parity(&self) -> Duration {
         assert!(self.nodes >= 3, "double parity needs at least 3 nodes");

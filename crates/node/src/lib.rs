@@ -355,6 +355,13 @@ mod tests {
             .unwrap_err();
             assert!(err.contains("heartbeat interval must not be zero"), "{err}");
         }
+        let addrs: Vec<String> = (1..=257).map(|p| format!("127.0.0.1:{p}")).collect();
+        let err = NodeOptions::parse(args(&format!(
+            "--data 255 --parity 2 --addrs {}",
+            addrs.join(",")
+        )))
+        .unwrap_err();
+        assert!(err.contains("at most 256 members"), "{err}");
     }
 
     /// A negative, NaN or infinite value of `flag` is a usage error that

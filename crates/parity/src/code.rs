@@ -2,6 +2,9 @@
 
 use std::fmt;
 
+use crate::raid5::XorCode;
+use crate::rs::ReedSolomon;
+
 /// Errors returned by [`ErasureCode::reconstruct`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CodeError {
@@ -21,14 +24,6 @@ pub enum CodeError {
     },
     /// Present shards have inconsistent lengths.
     ShardLengthMismatch,
-    /// Shard length is invalid for this code (e.g. RDP needs a multiple of
-    /// `p-1` sub-blocks).
-    BadShardLength {
-        /// The offending length in bytes.
-        len: usize,
-        /// Human-readable constraint description.
-        constraint: &'static str,
-    },
 }
 
 impl fmt::Display for CodeError {
@@ -42,9 +37,6 @@ impl fmt::Display for CodeError {
                 write!(f, "expected {expected} shards, got {got}")
             }
             CodeError::ShardLengthMismatch => write!(f, "present shards differ in length"),
-            CodeError::BadShardLength { len, constraint } => {
-                write!(f, "shard length {len} invalid: {constraint}")
-            }
         }
     }
 }
@@ -55,7 +47,7 @@ impl std::error::Error for CodeError {}
 /// are protected by `parity_shards()` parity blocks, and any
 /// `parity_shards()` losses among the `total_shards()` blocks are
 /// repairable.
-pub trait ErasureCode {
+pub trait ErasureCode: fmt::Debug {
     /// Number of data shards `k`.
     fn data_shards(&self) -> usize;
 
@@ -90,8 +82,8 @@ pub trait ErasureCode {
     ///
     /// # Panics
     /// Panics if `parity_index ≥ parity_shards()`, `data_index ≥
-    /// data_shards()`, the delta overruns the shard, or the shard length is
-    /// invalid for the code (mirroring `encode`'s shape panics).
+    /// data_shards()`, or the delta overruns the shard (mirroring
+    /// `encode`'s shape panics).
     fn apply_delta(
         &self,
         parity_index: usize,
@@ -106,6 +98,20 @@ pub trait ErasureCode {
     fn can_reconstruct(&self, shards: &[Option<Vec<u8>>]) -> bool {
         shards.len() == self.total_shards()
             && shards.iter().filter(|s| s.is_none()).count() <= self.parity_shards()
+    }
+}
+
+/// The code protecting a group of `k` data and `m` parity blocks: XOR
+/// parity for `m == 1`, the paper's configuration, and Reed–Solomon for
+/// any larger `m`.
+///
+/// # Panics
+/// Panics if `k == 0`, `m == 0`, or `m ≥ 2` with `k + m` above
+/// [`MAX_SHARDS`](crate::rs::MAX_SHARDS).
+pub fn for_group(k: usize, m: usize) -> Box<dyn ErasureCode> {
+    match m {
+        1 => Box::new(XorCode::new(k)),
+        _ => Box::new(ReedSolomon::new(k, m)),
     }
 }
 
@@ -270,10 +276,5 @@ mod tests {
             tolerance: 1,
         };
         assert!(e.to_string().contains("3 shards missing"));
-        let e = CodeError::BadShardLength {
-            len: 10,
-            constraint: "must be a multiple of p-1",
-        };
-        assert!(e.to_string().contains("multiple of p-1"));
     }
 }

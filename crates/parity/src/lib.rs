@@ -4,18 +4,15 @@
 //!
 //! Diskless checkpointing "uses the RAID principle" (paper, Section II-B2):
 //! checkpoints held in volatile memory are protected by parity so that the
-//! loss of a node's memory is recoverable. This crate implements the codes
-//! the paper builds on or cites:
+//! loss of a node's memory is recoverable. This crate implements two
+//! codes, and [`code::for_group`] picks a group's: XOR for one parity
+//! block, Reed–Solomon for more.
 //!
 //! * [`xor`] — word-at-a-time XOR kernels, the hot loop of every code here,
 //!   with an optional multi-threaded variant for large checkpoint images.
 //! * [`code`] — the [`ErasureCode`] abstraction: `k` data shards + `m`
 //!   parity shards, encode and reconstruct.
-//! * [`raid5`] — single-parity XOR code plus the RAID-5 *rotated parity
-//!   layout* that Section IV-B distributes across physical nodes.
-//! * [`rdp`] — Row-Diagonal Parity (Corbett et al., cited as the
-//!   double-failure code adopted by Wang et al. for diskless
-//!   checkpointing): tolerates any two shard losses.
+//! * [`raid5`] — the single-parity XOR code of the paper's RAID groups.
 //! * [`gf256`] / [`rs`] — GF(2⁸) arithmetic and a systematic Vandermonde
 //!   Reed–Solomon code, the general `m`-failure extension. The byte path
 //!   runs on per-coefficient 256-entry product tables
@@ -50,12 +47,10 @@
 pub mod code;
 pub mod gf256;
 pub mod raid5;
-pub mod rdp;
 pub mod rs;
 pub mod xor;
 
 pub use code::{CodeError, ErasureCode};
 pub use gf256::{MulTable, Tables};
-pub use raid5::{Raid5Layout, XorCode};
-pub use rdp::{RdpCode, ZeroPaddedRdp};
+pub use raid5::XorCode;
 pub use rs::ReedSolomon;

@@ -1,14 +1,7 @@
-//! Single-parity XOR code and the RAID-5 rotated-parity layout.
-//!
-//! Two pieces of the paper live here:
-//!
-//! * [`XorCode`] — "parity taken from each checkpoint (e.g. A XOR B XOR C
-//!   for ABC)" (Fig. 3): one parity block protects a group against any
-//!   single loss.
-//! * [`Raid5Layout`] — "we can distribute the responsibility of parity
-//!   upkeep among the nodes in a RAID5 fashion" (Section IV-B): which group
-//!   member holds parity rotates per checkpoint epoch (stripe), so no node
-//!   becomes the dedicated checkpoint processor.
+//! Single-parity XOR code: [`XorCode`] is "parity taken from each
+//! checkpoint (e.g. A XOR B XOR C for ABC)" (Fig. 3), one parity block
+//! protecting a group against any single loss. Which node holds a group's
+//! parity (Section IV-B) is the placement's question, not the code's.
 
 use crate::code::{validate_delta, validate_shards, CodeError, ErasureCode};
 use crate::xor::{xor_all, xor_into};
@@ -78,39 +71,6 @@ impl ErasureCode for XorCode {
         // Single parity is the plain XOR of all data shards, so the update
         // is the delta folded straight in at the same offset.
         xor_into(&mut parity[offset..offset + delta.len()], delta);
-    }
-}
-
-/// The RAID-5 left-symmetric rotation: for checkpoint epoch (stripe) `e` in
-/// a group of `width` members, member `parity_member(e)` holds parity and
-/// the rest hold data.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Raid5Layout {
-    width: usize,
-}
-
-impl Raid5Layout {
-    /// Creates a layout for groups of `width` members (data + parity).
-    ///
-    /// # Panics
-    /// Panics if `width < 2` (one data + one parity is the minimum group).
-    pub fn new(width: usize) -> Self {
-        assert!(width >= 2, "RAID-5 group needs at least 2 members");
-        Raid5Layout { width }
-    }
-
-    /// Group width (members per stripe).
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// The member index holding parity in stripe/epoch `e`.
-    ///
-    /// Left-symmetric rotation: parity walks backwards one member per
-    /// stripe, the layout used by most RAID-5 implementations.
-    pub fn parity_member(&self, epoch: u64) -> usize {
-        let w = self.width as u64;
-        ((w - 1) - (epoch % w)) as usize
     }
 }
 
@@ -247,28 +207,5 @@ mod tests {
         let mut shards = vec![Some(vec![]), None, Some(vec![])];
         code.reconstruct(&mut shards).unwrap();
         assert_eq!(shards[1].as_deref(), Some(&[][..]));
-    }
-
-    #[test]
-    fn rotation_covers_every_member_equally() {
-        for width in 2..=8 {
-            let layout = Raid5Layout::new(width);
-            let mut counts = vec![0u32; width];
-            for epoch in 0..(width as u64 * 10) {
-                counts[layout.parity_member(epoch)] += 1;
-            }
-            assert!(
-                counts.iter().all(|&c| c == 10),
-                "width={width} counts={counts:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn rotation_is_left_symmetric() {
-        let layout = Raid5Layout::new(4);
-        // Parity walks backwards: member 3, 2, 1, 0, 3, ...
-        let seq: Vec<usize> = (0..8).map(|e| layout.parity_member(e)).collect();
-        assert_eq!(seq, vec![3, 2, 1, 0, 3, 2, 1, 0]);
     }
 }

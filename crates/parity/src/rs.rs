@@ -1,12 +1,12 @@
 //! Systematic Vandermonde Reed–Solomon code over GF(2⁸).
 //!
 //! The general `m`-failure extension beyond the paper's single-parity XOR
-//! (m = 1) and RDP (m = 2). Construction follows Plank's tutorial: start
-//! from an `(k+m) × k` Vandermonde matrix with distinct evaluation points,
-//! column-reduce so the top `k × k` block is the identity (column
-//! operations multiply every `k`-row minor by the same nonzero factor, so
-//! the "any k rows are invertible" MDS property is preserved), and use the
-//! bottom `m` rows as the parity generator.
+//! (m = 1): every group with m ≥ 2 runs on it. Construction follows
+//! Plank's tutorial: start from an `(k+m) × k` Vandermonde matrix with
+//! distinct evaluation points, column-reduce so the top `k × k` block is
+//! the identity (column operations multiply every `k`-row minor by the
+//! same nonzero factor, so the "any k rows are invertible" MDS property is
+//! preserved), and use the bottom `m` rows as the parity generator.
 
 use crate::code::{validate_delta, validate_shards, CodeError, ErasureCode};
 use crate::gf256::{MulTable, Tables};
@@ -34,8 +34,12 @@ fn encode_workers() -> usize {
     })
 }
 
+/// The most shards, data and parity together, one code can hold: every
+/// shard needs its own evaluation point in GF(2⁸).
+pub const MAX_SHARDS: usize = 256;
+
 /// Reed–Solomon erasure code with `k` data shards and `m` parity shards.
-/// Tolerates any `m` erasures. Requires `k + m ≤ 256`.
+/// Tolerates any `m` erasures. Requires `k + m ≤` [`MAX_SHARDS`].
 #[derive(Debug)]
 pub struct ReedSolomon {
     k: usize,
@@ -56,11 +60,14 @@ impl ReedSolomon {
     /// built per instance.
     ///
     /// # Panics
-    /// Panics if `k == 0`, `m == 0`, or `k + m > 256`.
+    /// Panics if `k == 0`, `m == 0`, or `k + m > MAX_SHARDS`.
     pub fn new(k: usize, m: usize) -> Self {
         assert!(k > 0, "need at least one data shard");
         assert!(m > 0, "need at least one parity shard");
-        assert!(k + m <= 256, "GF(256) supports at most 256 total shards");
+        assert!(
+            k + m <= MAX_SHARDS,
+            "GF(256) supports at most {MAX_SHARDS} total shards"
+        );
         let tables = Tables::shared();
 
         // Vandermonde: V[i][j] = i^j for i in 0..k+m (distinct points).

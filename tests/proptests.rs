@@ -12,8 +12,7 @@ use dvdc::protocol::node_core::{ClusterSpec, Msg, NodeCore};
 use dvdc_checkpoint::delta::{change_fraction, compress, decompress};
 use dvdc_model::analytic;
 use dvdc_parity::code::ErasureCode;
-use dvdc_parity::raid5::{Raid5Layout, XorCode};
-use dvdc_parity::rdp::{RdpCode, ZeroPaddedRdp};
+use dvdc_parity::raid5::XorCode;
 use dvdc_parity::rs::ReedSolomon;
 use dvdc_parity::xor::{is_zero, xor_all};
 use dvdc_simcore::rng::RngHub;
@@ -78,29 +77,6 @@ proptest! {
     }
 
     #[test]
-    fn rdp_recovers_any_double_erasure(
-        data in shards_strategy(4, 16), // p = 5: rows = 4, len 16 = 4 rows × 4
-        a in 0usize..6,
-        b in 0usize..6,
-    ) {
-        prop_assume!(a != b);
-        let code = RdpCode::new(5);
-        let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
-        let parity = code.encode(&refs);
-        let mut shards: Vec<Option<Vec<u8>>> = data
-            .iter()
-            .cloned()
-            .map(Some)
-            .chain(parity.into_iter().map(Some))
-            .collect();
-        let originals = shards.clone();
-        shards[a] = None;
-        shards[b] = None;
-        code.reconstruct(&mut shards).unwrap();
-        prop_assert_eq!(shards, originals);
-    }
-
-    #[test]
     fn rs_recovers_any_m_erasures(
         data in shards_strategy(5, 24),
         lost in proptest::sample::subsequence(vec![0usize,1,2,3,4,5,6,7], 3),
@@ -120,18 +96,6 @@ proptest! {
         }
         code.reconstruct(&mut shards).unwrap();
         prop_assert_eq!(shards, originals);
-    }
-
-    #[test]
-    fn raid5_rotation_is_a_permutation(width in 2usize..9, base in 0u64..1000) {
-        let layout = Raid5Layout::new(width);
-        let mut seen = vec![false; width];
-        for e in base..base + width as u64 {
-            let p = layout.parity_member(e);
-            prop_assert!(!seen[p]);
-            seen[p] = true;
-        }
-        prop_assert!(seen.iter().all(|&s| s));
     }
 
     // ---------- delta compression ----------
@@ -190,7 +154,7 @@ proptest! {
 
     #[test]
     fn apply_delta_matches_reencode_for_all_codes(
-        data in shards_strategy(4, 24), // RDP p=5: rows 4, 24 = 4 × 6
+        data in shards_strategy(4, 24),
         member in 0usize..4,
         off in 0usize..24,
         mask in vec(any::<u8>(), 1..12),
@@ -208,8 +172,6 @@ proptest! {
 
         let codes: Vec<Box<dyn ErasureCode>> = vec![
             Box::new(XorCode::new(4)),
-            Box::new(RdpCode::new(5)),
-            Box::new(ZeroPaddedRdp::new(4)),
             Box::new(ReedSolomon::new(4, 2)),
         ];
         for code in &codes {

@@ -7,9 +7,9 @@ use std::rc::Rc;
 use dvdc::placement::GroupPlacement;
 use dvdc::protocol::harness::Harness;
 use dvdc::protocol::{
-    block_digest, run_round_with_faults, ClusterSpec, CodeKind, DvdcProtocol, Msg, Note,
-    PhasedOutcome, ProtocolError, RebuildMode, RebuildPhase, RebuildStep, RecoverError, RoundPhase,
-    RoundStep, CTL, PART_LEN,
+    block_digest, run_round_with_faults, ClusterSpec, DvdcProtocol, Msg, Note, PhasedOutcome,
+    ProtocolError, RebuildMode, RebuildPhase, RebuildStep, RecoverError, RoundPhase, RoundStep,
+    CTL, PART_LEN,
 };
 use dvdc_checkpoint::strategy::Mode;
 use dvdc_faults::detector::Verdict;
@@ -194,8 +194,8 @@ fn dvdc_incremental_rounds_then_failure_then_more_rounds() {
 
 #[test]
 fn default_double_parity_survives_all_node_pairs() {
-    // m = 2 now routes through the paper-cited RDP by default; every
-    // node pair must still be recoverable.
+    // m = 2 is Reed–Solomon by default; every node pair must be
+    // recoverable.
     let nodes = 6;
     for a in 0..nodes {
         for b in (a + 1)..nodes {
@@ -220,16 +220,12 @@ fn default_double_parity_survives_all_node_pairs() {
     }
 }
 
-/// The four code families the mid-round matrix sweeps: label, kind, k,
-/// m, and a cluster shape whose placement supports them. Image length is
-/// 8 × 32 = 256 bytes, compatible with every family's row constraint
-/// (RDP-exact k=4 → p=5, rows=4; zero-padded RDP k=3 → p=5, rows=4).
-const MID_ROUND_FAMILIES: [(&str, CodeKind, usize, usize, usize, usize); 4] = [
-    ("xor", CodeKind::Xor, 3, 1, 6, 2),
-    ("rdp-exact", CodeKind::RdpExact, 4, 2, 8, 2),
-    ("rdp-padded", CodeKind::Rdp, 3, 2, 6, 2),
-    ("rs", CodeKind::ReedSolomon, 3, 2, 6, 2),
-];
+/// The code families the mid-round matrix sweeps: label, k, m, and a
+/// cluster shape (nodes, VMs per node) whose placement supports them.
+/// The code is the protocol's default for m: XOR at m = 1, Reed–Solomon
+/// at m = 2, at two group widths.
+const MID_ROUND_FAMILIES: [(&str, usize, usize, usize, usize); 3] =
+    [("xor", 3, 1, 6, 2), ("rs", 4, 2, 8, 2), ("rs", 3, 2, 6, 2)];
 
 /// Mid-round failure matrix: (phase × code family × victim role). A node
 /// dies after the round reached each phase — captures staged, transfers
@@ -245,7 +241,7 @@ fn dvdc_mid_round_matrix_phase_family_victim() {
         RoundPhase::Fold,
         RoundPhase::Commit,
     ];
-    for (family, kind, k, m, nodes, vms) in MID_ROUND_FAMILIES {
+    for (family, k, m, nodes, vms) in MID_ROUND_FAMILIES {
         for phase in phases {
             for parity_victim in [false, true] {
                 let mut c = build(nodes, vms);
@@ -257,15 +253,12 @@ fn dvdc_mid_round_matrix_phase_family_victim() {
                 } else {
                     c.node_of(group0.data[0])
                 };
-                let (mut p, _audit) = audited(
-                    DvdcProtocol::with_options(
-                        placement,
-                        Mode::Incremental,
-                        true,
-                        Duration::from_millis(40.0),
-                    )
-                    .with_code(kind),
-                );
+                let (mut p, _audit) = audited(DvdcProtocol::with_options(
+                    placement,
+                    Mode::Incremental,
+                    true,
+                    Duration::from_millis(40.0),
+                ));
                 let ctx = format!(
                     "family={family} phase={phase:?} victim={victim} parity_victim={parity_victim}"
                 );
@@ -334,7 +327,7 @@ fn dvdc_mid_round_matrix_phase_family_victim() {
 /// committed, so recovery restores it — not the previous one.
 #[test]
 fn dvdc_failure_right_after_commit_recovers_new_epoch() {
-    for (family, kind, k, m, nodes, vms) in MID_ROUND_FAMILIES {
+    for (family, k, m, nodes, vms) in MID_ROUND_FAMILIES {
         for parity_victim in [false, true] {
             let mut c = build(nodes, vms);
             let placement = GroupPlacement::orthogonal_with_parity(&c, k, m).unwrap();
@@ -344,15 +337,12 @@ fn dvdc_failure_right_after_commit_recovers_new_epoch() {
             } else {
                 c.node_of(group0.data[0])
             };
-            let (mut p, _audit) = audited(
-                DvdcProtocol::with_options(
-                    placement,
-                    Mode::Incremental,
-                    true,
-                    Duration::from_millis(40.0),
-                )
-                .with_code(kind),
-            );
+            let (mut p, _audit) = audited(DvdcProtocol::with_options(
+                placement,
+                Mode::Incremental,
+                true,
+                Duration::from_millis(40.0),
+            ));
             let ctx = format!("family={family} victim={victim} parity_victim={parity_victim}");
             let hub = RngHub::new(5 + m as u64);
 
@@ -403,7 +393,7 @@ fn dvdc_second_failure_during_rebuild_matrix() {
         RebuildPhase::Place,
         RebuildPhase::Readmit,
     ];
-    for (family, kind, k, m, nodes, vms) in MID_ROUND_FAMILIES {
+    for (family, k, m, nodes, vms) in MID_ROUND_FAMILIES {
         for phase in phases {
             for second_parity in [false, true] {
                 let mut c = build(nodes, vms);
@@ -417,15 +407,12 @@ fn dvdc_second_failure_during_rebuild_matrix() {
                     c.node_of(group0.data[1])
                 };
                 assert_ne!(first, second, "{family}: victims must differ");
-                let (mut p, _audit) = audited(
-                    DvdcProtocol::with_options(
-                        placement,
-                        Mode::Incremental,
-                        true,
-                        Duration::from_millis(40.0),
-                    )
-                    .with_code(kind),
-                );
+                let (mut p, _audit) = audited(DvdcProtocol::with_options(
+                    placement,
+                    Mode::Incremental,
+                    true,
+                    Duration::from_millis(40.0),
+                ));
                 let ctx = format!(
                     "family={family} phase={phase:?} second={second} parity={second_parity}"
                 );
@@ -511,7 +498,7 @@ fn dvdc_second_failure_during_rebuild_matrix() {
 /// redundancy, and leave the cluster byte-exactly restorable.
 #[test]
 fn dvdc_scrub_detects_and_repairs_all_injected_corruption() {
-    for (family, kind, k, m, nodes, vms) in MID_ROUND_FAMILIES {
+    for (family, k, m, nodes, vms) in MID_ROUND_FAMILIES {
         for parity_victim in [false, true] {
             let mut c = build(nodes, vms);
             let placement = GroupPlacement::orthogonal_with_parity(&c, k, m)
@@ -522,15 +509,12 @@ fn dvdc_scrub_detects_and_repairs_all_injected_corruption() {
             } else {
                 c.node_of(group0.data[0])
             };
-            let (mut p, _audit) = audited(
-                DvdcProtocol::with_options(
-                    placement,
-                    Mode::Incremental,
-                    true,
-                    Duration::from_millis(40.0),
-                )
-                .with_code(kind),
-            );
+            let (mut p, _audit) = audited(DvdcProtocol::with_options(
+                placement,
+                Mode::Incremental,
+                true,
+                Duration::from_millis(40.0),
+            ));
             let ctx = format!("family={family} target={target} parity_victim={parity_victim}");
             let hub = RngHub::new(17 * k as u64 + m as u64);
 
