@@ -11,6 +11,7 @@
 
 use dvdc_bench::{checkpoint_node_protocol, human_bytes, human_secs, render_table, write_json};
 use dvdc_vcluster::cluster::ClusterBuilder;
+use dvdc_vcluster::fabric::base_overhead;
 use dvdc_vcluster::ids::NodeId;
 use serde::Serialize;
 
@@ -43,9 +44,11 @@ fn main() {
         let mut proto = checkpoint_node_protocol(&cluster, parity_node);
         let round = proto.run_round(&mut cluster).unwrap();
         if victim == 0 {
+            // Synchronous parity: the guests pause for the whole latency.
+            let (_, overhead) = round.load.price(cluster.fabric(), base_overhead());
             println!(
                 "round cost: overhead {} (fan-in to the parity node dominates), payload {}\n",
-                human_secs(round.cost.overhead.as_secs()),
+                human_secs(overhead.as_secs()),
                 human_bytes(round.payload_bytes),
             );
         }

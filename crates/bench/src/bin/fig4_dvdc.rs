@@ -13,9 +13,8 @@
 use dvdc::placement::GroupPlacement;
 use dvdc::protocol::DvdcProtocol;
 use dvdc_bench::{human_bytes, human_secs, render_table, write_json};
-use dvdc_checkpoint::strategy::Mode;
-use dvdc_simcore::time::Duration;
 use dvdc_vcluster::cluster::ClusterBuilder;
+use dvdc_vcluster::fabric::base_overhead;
 use dvdc_vcluster::ids::NodeId;
 use serde::Serialize;
 
@@ -92,33 +91,28 @@ fn main() {
     // background (Section IV-C) and synchronously.
     let (mut rounds, mut round_rows) = (Vec::new(), Vec::new());
     for (name, spare) in [("rotated (Fig. 4)", 0), ("dedicated (Fig. 3)", 1)] {
-        for (parity, async_parity) in [("background", true), ("synchronous", false)] {
-            let mut c = build().spare_nodes(spare).build(4);
-            let placement = if spare == 0 {
-                GroupPlacement::orthogonal(&c, 3).unwrap()
-            } else {
-                GroupPlacement::dedicated(&c, NodeId(3)).unwrap()
-            };
-            let mut p = DvdcProtocol::with_options(
-                placement,
-                Mode::Incremental,
-                async_parity,
-                Duration::from_millis(40.0),
-            );
-            let r = p.run_round(&mut c).unwrap();
+        let mut c = build().spare_nodes(spare).build(4);
+        let placement = if spare == 0 {
+            GroupPlacement::orthogonal(&c, 3).unwrap()
+        } else {
+            GroupPlacement::dedicated(&c, NodeId(3)).unwrap()
+        };
+        let r = DvdcProtocol::new(placement).run_round(&mut c).unwrap();
+        let (pause, latency) = r.load.price(c.fabric(), base_overhead());
+        for (parity, overhead) in [("background", pause), ("synchronous", latency)] {
             round_rows.push(vec![
                 name.to_string(),
                 parity.to_string(),
                 human_bytes(r.payload_bytes),
-                human_secs(r.cost.overhead.as_secs()),
-                human_secs(r.cost.latency.as_secs()),
+                human_secs(overhead.as_secs()),
+                human_secs(latency.as_secs()),
             ]);
             rounds.push(RoundRow {
                 placement: name,
                 parity,
                 payload_bytes: r.payload_bytes,
-                overhead_secs: r.cost.overhead.as_secs(),
-                latency_secs: r.cost.latency.as_secs(),
+                overhead_secs: overhead.as_secs(),
+                latency_secs: latency.as_secs(),
             });
         }
     }

@@ -10,8 +10,8 @@
 //!
 //! The experiment runs the same workload through both paths for m = 1
 //! (XOR) and m = 2 (Reed–Solomon), and reports measured wall-clock per round,
-//! the dirty-byte vs whole-block parity charge, and the simulated
-//! overhead/latency.
+//! the dirty-byte vs whole-block parity charge, and the latency each
+//! round's load prices to.
 //!
 //! Run: `cargo run --release -p dvdc-bench --bin incremental_transport`
 
@@ -20,10 +20,10 @@ use std::time::Instant;
 use dvdc::placement::GroupPlacement;
 use dvdc::protocol::DvdcProtocol;
 use dvdc_bench::{human_bytes, render_table, write_json};
-use dvdc_checkpoint::strategy::Mode;
 use dvdc_simcore::rng::RngHub;
 use dvdc_simcore::time::Duration;
 use dvdc_vcluster::cluster::{Cluster, ClusterBuilder};
+use dvdc_vcluster::fabric::base_overhead;
 use serde::Serialize;
 
 const STEADY_ROUNDS: u64 = 8;
@@ -56,13 +56,7 @@ fn build_cluster() -> Cluster {
 fn run(m: usize, incremental: bool) -> TransportRecord {
     let mut c = build_cluster();
     let placement = GroupPlacement::orthogonal_with_parity(&c, 3, m).unwrap();
-    let mut p = DvdcProtocol::with_options(
-        placement,
-        Mode::Incremental,
-        true,
-        Duration::from_millis(40.0),
-    )
-    .with_incremental_parity(incremental);
+    let mut p = DvdcProtocol::new(placement).with_incremental_parity(incremental);
 
     // First round is always a full encode; exclude it from the averages.
     p.run_round(&mut c).unwrap();
@@ -83,7 +77,7 @@ fn run(m: usize, incremental: bool) -> TransportRecord {
         wall += t0.elapsed().as_secs_f64() * 1e6;
         payload += r.payload_bytes;
         updated += r.parity_update_bytes;
-        latency += r.cost.latency.as_secs();
+        latency += r.load.price(c.fabric(), base_overhead()).1.as_secs();
         redundancy = r.redundancy_bytes;
 
         // The accounting invariant the transport is built on.

@@ -18,6 +18,7 @@ use dvdc_bench::{human_bytes, human_secs, remus_row, render_table, write_json, C
 use dvdc_simcore::rng::RngHub;
 use dvdc_simcore::time::Duration;
 use dvdc_vcluster::cluster::ClusterBuilder;
+use dvdc_vcluster::fabric::base_overhead;
 use dvdc_vcluster::ids::NodeId;
 use serde::Serialize;
 
@@ -45,6 +46,7 @@ fn main() {
     let mut c1 = build();
     let mut dvdc = DvdcProtocol::new(GroupPlacement::orthogonal(&c1, 3).unwrap());
     let r1 = dvdc.run_round(&mut c1).unwrap();
+    let (round_pause, _) = r1.load.price(c1.fabric(), base_overhead());
     c1.run_all(Duration::from_secs(1.0), |vm| {
         hub.stream_indexed("a", vm.index() as u64)
     });
@@ -57,7 +59,7 @@ fn main() {
             total_protocol_bytes: dvdc.redundancy_bytes(),
             repair_secs: rep1.repair_time.as_secs(),
             rolls_back_survivors: rep1.rolled_back_to.is_some(),
-            round_overhead_secs: r1.cost.overhead.as_secs(),
+            round_overhead_secs: round_pause.as_secs(),
             round_network_bytes: r1.network_bytes,
         },
         remus_row(&build(), NodeId(0)),

@@ -16,25 +16,19 @@ use std::path::PathBuf;
 
 use dvdc::placement::GroupPlacement;
 use dvdc::protocol::DvdcProtocol;
-use dvdc_checkpoint::strategy::Mode;
 use dvdc_simcore::time::Duration;
 use dvdc_vcluster::cluster::Cluster;
 use dvdc_vcluster::ids::NodeId;
 use serde::Serialize;
 
 /// The Fig. 1 / Fig. 3 configuration: [`GroupPlacement::dedicated`] on
-/// `checkpoint_node`, incremental captures, the paper's 40 ms base, and
-/// parity taken synchronously (the first-shot design predates Section
-/// IV-C's background transport).
+/// `checkpoint_node`, incremental captures. Its readers take the parity
+/// synchronously — the guests pause for a round's whole latency — since
+/// the first-shot design predates Section IV-C's background transport.
 pub fn checkpoint_node_protocol(cluster: &Cluster, checkpoint_node: NodeId) -> DvdcProtocol {
     let placement = GroupPlacement::dedicated(cluster, checkpoint_node)
         .expect("the last node is VM-less and compute nodes are uniform");
-    DvdcProtocol::with_options(
-        placement,
-        Mode::Incremental,
-        false,
-        Duration::from_millis(40.0),
-    )
+    DvdcProtocol::new(placement)
 }
 
 /// One protocol's row in `remus_compare` (Section VI).

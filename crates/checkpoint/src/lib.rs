@@ -12,9 +12,8 @@
 //!   dirty-page increments, with exact size accounting (what travels over
 //!   the network and what gets XORed into parity).
 //! * [`strategy`] — the capture engines ([`Checkpointer`]): full,
-//!   incremental, and forked/COW, each with the memory-footprint and
-//!   overhead/latency characteristics the paper tabulates (3I vs 2I vs
-//!   I+δ).
+//!   incremental, and forked/COW, each with the memory footprint the
+//!   paper tabulates (3I vs 2I vs I+δ).
 //! * [`delta`] — XOR-delta + zero-run-length compression of page
 //!   increments ("suitably compressing the differences of the last
 //!   checkpoint when sending information over the network", Section IV-C).
@@ -24,8 +23,6 @@
 //!   parity computation and recovery.
 //! * [`integrity`] — per-block checksums (stdchk-style) recorded at every
 //!   store write and verified before recovery or scrub trusts the bytes.
-//! * [`accounting`] — the overhead-vs-latency split that Section II-B2
-//!   stresses: *"Latency is always at least as much as overhead."*
 //!
 //! ## Example: incremental capture and recovery
 //!
@@ -55,14 +52,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod accounting;
 pub mod delta;
 pub mod integrity;
 pub mod payload;
 pub mod store;
 pub mod strategy;
 
-pub use accounting::CheckpointCost;
 pub use payload::{Checkpoint, CheckpointPayload, PageDelta};
 pub use store::{DoubleBufferedStore, MaterializedStore, ParityStore, StoreError};
 pub use strategy::{Checkpointer, Mode};

@@ -19,10 +19,10 @@ pub enum Mode {
     Full,
     /// Dirty pages only, after an initial full image.
     Incremental,
-    /// Copy-on-write fork: payload equals the incremental one, but the
-    /// guest resumes immediately — capture overhead is near zero while
-    /// latency still covers the full transfer (Section II-B2's fork
-    /// variant).
+    /// Copy-on-write fork (Section II-B2's fork variant): captures
+    /// exactly what [`Mode::Incremental`] does and differs from it only in
+    /// [`Mode::memory_multiple`]. A round's cost row prices the fork as
+    /// base + capture, so the lazy copy after it adds nothing.
     Forked,
 }
 
@@ -38,13 +38,6 @@ impl Mode {
             Mode::Forked => 2.0,
             Mode::Incremental => 1.0 + 2.0 * delta.clamp(0.0, 1.0),
         }
-    }
-
-    /// True if the guest is paused for the whole capture (contributes to
-    /// overhead); forked captures copy lazily and only pause for the fork
-    /// itself.
-    pub fn pauses_guest(self) -> bool {
-        !matches!(self, Mode::Forked)
     }
 }
 
@@ -229,13 +222,6 @@ mod tests {
         // Incremental degrades to full-ish cost when everything is dirty.
         assert_eq!(Mode::Incremental.memory_multiple(1.0), 3.0);
         assert_eq!(Mode::Incremental.memory_multiple(2.0), 3.0); // clamped
-    }
-
-    #[test]
-    fn pause_semantics() {
-        assert!(Mode::Full.pauses_guest());
-        assert!(Mode::Incremental.pauses_guest());
-        assert!(!Mode::Forked.pauses_guest());
     }
 
     #[test]

@@ -19,7 +19,6 @@ use args::Args;
 use dvdc::placement::GroupPlacement;
 use dvdc::protocol::DvdcProtocol;
 use dvdc::sim::JobRunner;
-use dvdc_checkpoint::strategy::Mode;
 use dvdc_faults::dist::Exponential;
 use dvdc_faults::injector::FaultInjector;
 use dvdc_faults::mttdl::MttdlParams;
@@ -270,13 +269,16 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         None => RecorderHandle::noop(),
     };
 
-    let protocol = match protocol_name.as_str() {
-        "dvdc" => DvdcProtocol::new(build_placement(args, &cluster)?),
-        "first-shot" => DvdcProtocol::with_options(
-            GroupPlacement::dedicated(&cluster, NodeId(nodes - 1)).map_err(|e| e.to_string())?,
-            Mode::Incremental,
-            false,
-            Duration::from_millis(40.0),
+    // first-shot is Fig. 1/3: parity on the last node, taken while the
+    // guests wait.
+    let (protocol, runner) = match protocol_name.as_str() {
+        "dvdc" => (DvdcProtocol::new(build_placement(args, &cluster)?), runner),
+        "first-shot" => (
+            DvdcProtocol::new(
+                GroupPlacement::dedicated(&cluster, NodeId(nodes - 1))
+                    .map_err(|e| e.to_string())?,
+            ),
+            runner.with_sync_parity(),
         ),
         other => return Err(format!("unknown protocol '{other}'")),
     };

@@ -40,7 +40,6 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
-use dvdc_checkpoint::accounting::CheckpointCost;
 use dvdc_checkpoint::delta::{xor_runs, XorRun};
 use dvdc_checkpoint::payload::CheckpointPayload;
 use dvdc_checkpoint::store::{DoubleBufferedStore, MaterializedStore, ParityStore};
@@ -51,6 +50,7 @@ use dvdc_parity::code::{self, CodeError, ErasureCode};
 use dvdc_simcore::rng::{splitmix64, SPLITMIX_GAMMA};
 use dvdc_simcore::time::{Duration, SimTime};
 use dvdc_vcluster::cluster::Cluster;
+use dvdc_vcluster::fabric::RoundLoad;
 use dvdc_vcluster::ids::{NodeId, VmId};
 use dvdc_vcluster::messaging::{
     FenceEvent, FenceRegistry, FenceToken, LedgerError, LedgerEvent, RetryDecision, RetryPolicy,
@@ -414,10 +414,6 @@ pub struct DvdcProtocol {
     /// `false` re-encodes every group from full images each round — the
     /// A/B baseline and escape hatch.
     incremental_parity: bool,
-    base_overhead: Duration,
-    /// Whether transfer+parity run in the background (Section IV-C
-    /// transport). `true` is the paper's headline configuration.
-    async_parity: bool,
     committed_epoch: Option<u64>,
     next_epoch: u64,
     parity_blocks: usize,
@@ -446,21 +442,17 @@ pub struct DvdcProtocol {
 }
 
 impl DvdcProtocol {
-    /// Creates the protocol with incremental captures, asynchronous parity
-    /// (the Fig. 4/Fig. 5 configuration), and the paper's 40 ms base
-    /// overhead.
+    /// Creates the protocol with incremental captures (the Fig. 3, Fig. 4
+    /// and Fig. 5 configuration). Each round reports the bytes it moved
+    /// ([`RoundReport::load`]); what that costs, and whether the guests
+    /// wait for the parity, is the reader's choice.
     pub fn new(placement: GroupPlacement) -> Self {
-        Self::with_options(
-            placement,
-            Mode::Incremental,
-            true,
-            Duration::from_millis(40.0),
-        )
+        Self::with_mode(placement, Mode::Incremental)
     }
 
-    /// Full control over capture mode, parity asynchrony, and base
-    /// overhead. The code follows the placement's parity count
-    /// ([`code::for_group`]): m = 1 → XOR, m ≥ 2 → Reed–Solomon.
+    /// The protocol with capture mode `mode`. The code follows the
+    /// placement's parity count ([`code::for_group`]): m = 1 → XOR,
+    /// m ≥ 2 → Reed–Solomon.
     ///
     /// # Panics
     ///
@@ -468,12 +460,7 @@ impl DvdcProtocol {
     /// share one `(width, parity_count)` geometry. Every
     /// [`GroupPlacement`] constructor in this crate upholds both, so
     /// this only fires on a hand-built placement.
-    pub fn with_options(
-        placement: GroupPlacement,
-        mode: Mode,
-        async_parity: bool,
-        base_overhead: Duration,
-    ) -> Self {
+    pub fn with_mode(placement: GroupPlacement, mode: Mode) -> Self {
         let group_width = placement
             .groups()
             .first()
@@ -498,8 +485,6 @@ impl DvdcProtocol {
             node_stores: Vec::new(),
             parity: ParityStore::new(),
             incremental_parity: true,
-            base_overhead,
-            async_parity,
             committed_epoch: None,
             next_epoch: 0,
             parity_blocks,
@@ -2019,7 +2004,7 @@ impl DvdcProtocol {
 
     /// The second commit phase: every holder has acked, so the working
     /// generation atomically becomes the committed one, local stores
-    /// promote, and the round's accounting becomes the report.
+    /// promote, and the round's byte counts become the report.
     fn promote_round(&mut self, cluster: &Cluster, round: &mut PhasedRound) -> RoundReport {
         // Integrity gate: a checksum-rotten working block is never
         // promoted into a committed epoch. A group whose staged parity
@@ -2064,48 +2049,26 @@ impl DvdcProtocol {
         self.committed_epoch = Some(round.epoch);
         self.next_epoch = round.epoch + 1;
 
-        // Timing. Nodes work in parallel: the slowest link/XOR engine
-        // bounds the round.
-        let fabric = cluster.fabric();
-        let max_capture = round
-            .outbound
-            .iter()
-            .map(|&b| b / self.parity_blocks)
-            .max()
-            .unwrap_or(0);
-        let capture = fabric.memory.copy(max_capture);
-        let max_wire = round
-            .outbound
-            .iter()
-            .chain(round.parity_inbound.iter())
-            .copied()
-            .max()
-            .unwrap_or(0);
-        let transfer = fabric.network.link_transfer(max_wire);
-        let xor = Duration::from_secs(
-            round
-                .parity_xor
+        // Nodes work in parallel: the busiest node bounds each step.
+        let load = RoundLoad {
+            capture: round
+                .outbound
                 .iter()
-                .map(|&b| fabric.memory.xor(b, 1).as_secs())
-                .fold(0.0, f64::max),
-        );
-        // Forked (COW) capture copies pages lazily: the guest pauses only
-        // for the fork itself, and the copy joins the background work
-        // (Section II-B2's overhead-for-latency trade).
-        let (sync_part, background) = if self.checkpointer.mode().pauses_guest() {
-            (self.base_overhead + capture, transfer + xor)
-        } else {
-            (self.base_overhead, capture + transfer + xor)
+                .map(|&b| b / self.parity_blocks)
+                .max()
+                .unwrap_or(0),
+            wire: round
+                .outbound
+                .iter()
+                .chain(&round.parity_inbound)
+                .copied()
+                .max()
+                .unwrap_or(0),
+            fold: round.parity_xor.iter().copied().max().unwrap_or(0),
         };
-        let cost = if self.async_parity {
-            CheckpointCost::new(sync_part, sync_part + background)
-        } else {
-            CheckpointCost::synchronous(sync_part + background)
-        };
-
         RoundReport {
             epoch: round.epoch,
-            cost,
+            load,
             payload_bytes: round.payload_bytes,
             network_bytes: round.outbound.iter().sum(),
             redundancy_bytes: round.redundancy_bytes,
@@ -2344,8 +2307,17 @@ mod tests {
         assert_eq!(r.payload_bytes, 12 * 8 * 32); // first round = full images
         assert_eq!(r.redundancy_bytes, 4 * 8 * 32); // one parity block per group
         assert_eq!(p.committed_epoch(), Some(0));
-        // Async parity: checkpoint usable later than the pause ends.
-        assert!(r.cost.latency > r.cost.overhead);
+        // Each node captures and ships its three images, and each holds
+        // one group's parity, folding that group's three images.
+        let image = 8 * 32;
+        assert_eq!(
+            r.load,
+            RoundLoad {
+                capture: 3 * image,
+                wire: 3 * image,
+                fold: 3 * image
+            }
+        );
     }
 
     #[test]
@@ -2377,12 +2349,7 @@ mod tests {
             .writes_per_sec(300.0)
             .build(3);
         let placement = GroupPlacement::orthogonal_with_parity(&c, 3, m).unwrap();
-        let mut p = DvdcProtocol::with_options(
-            placement,
-            Mode::Incremental,
-            true,
-            Duration::from_millis(40.0),
-        );
+        let mut p = DvdcProtocol::new(placement);
         let reference: Box<dyn ErasureCode> = match m {
             1 => Box::new(XorCode::new(3)),
             _ => Box::new(ReedSolomon::new(3, m)),
@@ -2716,12 +2683,7 @@ mod tests {
                 .vm_memory(8, 32)
                 .build(0);
             let placement = GroupPlacement::orthogonal_with_parity(&c, 3, 2).unwrap();
-            let mut p = DvdcProtocol::with_options(
-                placement,
-                Mode::Incremental,
-                true,
-                Duration::from_millis(40.0),
-            );
+            let mut p = DvdcProtocol::new(placement);
             assert_eq!(p.failure_tolerance(), 2);
             p.run_round(&mut c).unwrap();
             let want: Vec<Vec<u8>> = c
@@ -2792,17 +2754,6 @@ mod tests {
     }
 
     #[test]
-    fn sync_mode_has_no_latency_slack() {
-        let c = fig4_cluster();
-        let placement = GroupPlacement::orthogonal(&c, 3).unwrap();
-        let mut c = fig4_cluster();
-        let mut p =
-            DvdcProtocol::with_options(placement, Mode::Full, false, Duration::from_millis(40.0));
-        let r = p.run_round(&mut c).unwrap();
-        assert_eq!(r.cost.overhead, r.cost.latency);
-    }
-
-    #[test]
     fn redundancy_is_fractional_vs_replication() {
         // Parity adds 1/k of the data footprint, not 1×: with k=3 and 12
         // VMs of 256 B, parity ≈ 4 blocks committed + 4 current.
@@ -2840,33 +2791,6 @@ mod tests {
         let r = p.run_round(&mut c).unwrap();
         // m = 1: each payload byte crosses the wire once.
         assert_eq!(r.network_bytes, r.payload_bytes);
-    }
-
-    #[test]
-    fn forked_capture_moves_copy_to_background() {
-        let c = fig4_cluster();
-        let placement = GroupPlacement::orthogonal(&c, 3).unwrap();
-        let mut c1 = fig4_cluster();
-        let mut paused = DvdcProtocol::with_options(
-            placement.clone(),
-            Mode::Incremental,
-            true,
-            Duration::from_millis(40.0),
-        );
-        let r_inc = paused.run_round(&mut c1).unwrap();
-
-        let mut c2 = fig4_cluster();
-        let mut forked =
-            DvdcProtocol::with_options(placement, Mode::Forked, true, Duration::from_millis(40.0));
-        let r_fork = forked.run_round(&mut c2).unwrap();
-
-        // Same payload either way (first round = full images)…
-        assert_eq!(r_fork.payload_bytes, r_inc.payload_bytes);
-        // …but the fork pauses the guest for the base overhead only.
-        assert!(r_fork.cost.overhead < r_inc.cost.overhead);
-        assert!((r_fork.cost.overhead.as_millis() - 40.0).abs() < 1.0);
-        // Total latency is the same work, just shifted to the background.
-        assert!((r_fork.cost.latency.as_secs() - r_inc.cost.latency.as_secs()).abs() < 1e-9);
     }
 
     fn roomy_cluster() -> Cluster {

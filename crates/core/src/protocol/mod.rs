@@ -15,8 +15,10 @@
 //! cost row over the cluster's fabric.
 //!
 //! [`DvdcProtocol::run_round`] performs a coordinated checkpoint of the
-//! whole cluster and reports its cost in the paper's overhead/latency
-//! terms; [`DvdcProtocol::recover`] is called after `Cluster::fail_node`,
+//! whole cluster and reports the bytes it moved as a
+//! [`RoundLoad`](dvdc_vcluster::fabric::RoundLoad), which
+//! [`RoundLoad::price`](dvdc_vcluster::fabric::RoundLoad::price) turns into
+//! the paper's overhead and latency; [`DvdcProtocol::recover`] is called after `Cluster::fail_node`,
 //! rebuilds the lost state, repairs the node in place, rolls the cluster
 //! back to the last committed epoch, and reports the repair time.
 
@@ -40,12 +42,12 @@ pub use transport::{dispatch, Transport, TransportError};
 
 use std::fmt;
 
-use dvdc_checkpoint::accounting::CheckpointCost;
 use dvdc_checkpoint::store::StoreError;
 use dvdc_faults::{FaultKind, NodeFault};
 use dvdc_parity::code::CodeError;
 use dvdc_simcore::time::Duration;
 use dvdc_vcluster::cluster::Cluster;
+use dvdc_vcluster::fabric::RoundLoad;
 use dvdc_vcluster::ids::{NodeId, VmId};
 use dvdc_vcluster::topology::{DcId, RackId};
 
@@ -56,8 +58,9 @@ use crate::placement::GroupId;
 pub struct RoundReport {
     /// The epoch this round committed.
     pub epoch: u64,
-    /// Overhead/latency of the round.
-    pub cost: CheckpointCost,
+    /// The busiest node's capture, wire and fold bytes: what the round
+    /// costs on a fabric ([`RoundLoad::price`]).
+    pub load: RoundLoad,
     /// Checkpoint payload captured across all VMs (post-compression view:
     /// incremental rounds ship only dirty pages).
     pub payload_bytes: usize,
@@ -336,16 +339,14 @@ mod tests {
 #[cfg(test)]
 mod first_shot {
     mod tests {
-        use dvdc_checkpoint::strategy::Mode;
-        use dvdc_simcore::time::Duration;
         use dvdc_vcluster::cluster::{Cluster, ClusterBuilder};
+        use dvdc_vcluster::fabric::base_overhead;
         use dvdc_vcluster::ids::{NodeId, VmId};
 
         use crate::placement::GroupPlacement;
         use crate::protocol::{DvdcProtocol, ProtocolError, RecoverError};
 
-        /// `compute` nodes × `slots` VMs plus a VM-less checkpoint node,
-        /// parity taken synchronously (no Section IV-C transport yet).
+        /// `compute` nodes × `slots` VMs plus a VM-less checkpoint node.
         fn checkpoint_node_cluster(compute: usize, slots: usize) -> (Cluster, DvdcProtocol) {
             let c = ClusterBuilder::new()
                 .physical_nodes(compute + 1)
@@ -354,12 +355,7 @@ mod first_shot {
                 .vm_memory(8, 32)
                 .build(0);
             let placement = GroupPlacement::dedicated(&c, NodeId(compute)).unwrap();
-            let p = DvdcProtocol::with_options(
-                placement,
-                Mode::Incremental,
-                false,
-                Duration::from_millis(40.0),
-            );
+            let p = DvdcProtocol::new(placement);
             (c, p)
         }
 
@@ -459,8 +455,11 @@ mod first_shot {
             let r = p.run_round(&mut c).unwrap();
             assert_eq!(r.payload_bytes, 9 * 8 * 32); // 9 VMs on 3 nodes
             assert_eq!(r.redundancy_bytes, 3 * 8 * 32); // 3 slot parities
+                                                        // The checkpoint node's one link takes all nine images.
+            assert_eq!(r.load.wire, r.payload_bytes);
             let distributed = c.fabric().network.link_transfer(r.payload_bytes / 3);
-            assert!(r.cost.overhead > distributed);
+            let (_, synchronous) = r.load.price(c.fabric(), base_overhead());
+            assert!(synchronous > distributed);
         }
 
         #[test]

@@ -14,6 +14,7 @@ use dvdc_observe::{Event, RecorderHandle};
 use dvdc_simcore::rng::RngHub;
 use dvdc_simcore::time::{Duration, SimTime};
 use dvdc_vcluster::cluster::Cluster;
+use dvdc_vcluster::fabric::base_overhead;
 
 use dvdc_faults::injector::ClusterFaultPlan;
 
@@ -43,6 +44,11 @@ pub struct JobRunner {
     /// (byte-level realism, slower); if false only the timing skeleton
     /// runs (for large parameter sweeps).
     pub drive_guests: bool,
+    /// If true, the guests wait out each round's transfer and parity (the
+    /// first-shot design of Fig. 1/3); if false they resume once their
+    /// images are captured and the parity follows in the background
+    /// (Section IV-C).
+    pub sync_parity: bool,
 }
 
 /// Outcome of one simulated job.
@@ -87,12 +93,19 @@ impl JobRunner {
             interval,
             recovery: RecoveryPolicy::RepairInPlace,
             drive_guests: true,
+            sync_parity: false,
         }
     }
 
     /// Switches to failover recovery.
     pub fn with_failover(mut self) -> Self {
         self.recovery = RecoveryPolicy::Failover;
+        self
+    }
+
+    /// Makes the guests wait for each round's parity.
+    pub fn with_sync_parity(mut self) -> Self {
+        self.sync_parity = true;
         self
     }
 
@@ -280,9 +293,11 @@ impl JobRunner {
                         // Coordinated checkpoint round.
                         protocol.set_clock(wall);
                         let report = protocol.run_round(cluster)?;
+                        let (pause, latency) = report.load.price(cluster.fabric(), base_overhead());
+                        let overhead = if self.sync_parity { latency } else { pause };
                         out.rounds += 1;
-                        out.overhead_total += report.cost.overhead;
-                        wall += report.cost.overhead;
+                        out.overhead_total += overhead;
+                        wall += overhead;
                         committed_progress = progress;
                     }
                 }
@@ -477,6 +492,40 @@ mod tests {
         assert!(!c.is_up(NodeId(2)), "failover leaves the node out");
         assert!(c.vms_on(NodeId(2)).is_empty());
         assert!(out.wall_time >= Duration::from_secs(100.0));
+    }
+
+    #[test]
+    fn background_and_synchronous_outcomes_are_pinned() {
+        // Guests run, so rounds after the first ship dirty pages only;
+        // traced failures strike node 1 and node 3 (first-shot's parity
+        // node). `dvdc` pauses the guests for base + capture, `first-shot`
+        // for the whole round.
+        use dvdc_faults::trace::parse_trace;
+        let plan = parse_trace("23.5,1\n61.25,3,2.5\n", Duration::from_secs(4.0)).unwrap();
+        let runner = JobRunner::new(Duration::from_secs(100.0), Duration::from_secs(10.0));
+        let run = |spare: usize| {
+            let mut c = ClusterBuilder::new()
+                .physical_nodes(4)
+                .spare_nodes(spare)
+                .vms_per_node(3)
+                .vm_memory(64, 4096)
+                .writes_per_sec(200.0)
+                .build(5);
+            let (mut p, runner) = if spare == 0 {
+                (dvdc(&c), runner)
+            } else {
+                let placement = GroupPlacement::dedicated(&c, NodeId(3)).unwrap();
+                (DvdcProtocol::new(placement), runner.with_sync_parity())
+            };
+            let out = runner.run(&mut p, &mut c, &plan, &RngHub::new(9)).unwrap();
+            (
+                out.wall_time.as_secs(),
+                out.overhead_total.as_secs(),
+                out.rounds,
+            )
+        };
+        assert_eq!(run(0), (113.93751413759999, 0.36087296, 9));
+        assert_eq!(run(1), (114.00683817600002, 0.5322615872, 9));
     }
 
     #[test]

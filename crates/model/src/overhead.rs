@@ -11,18 +11,19 @@
 //! 2. *Final step*: the baseline pays a disk write; DVDC pays an in-memory
 //!    XOR, "orders-of-magnitude faster".
 //!
-//! We model three protocols:
+//! Three rows, each priced from the bytes it moves:
 //! * [`ProtocolKind::DiskFull`] — synchronous baseline: capture → NAS
 //!   ingest (shared) → disk write; execution is suspended throughout (the
 //!   checkpoint is not safe until it is on disk).
-//! * [`ProtocolKind::DisklessSync`] — DVDC with a synchronous round:
-//!   capture → distributed transfer → XOR, all counted as overhead.
-//! * [`ProtocolKind::Diskless`] — DVDC riding the Remus-style
-//!   copy-on-write transport of Section IV-C: execution resumes after the
-//!   fork (capture), and the transfer + parity XOR happen in the
-//!   background — they show up as checkpoint *latency*, not overhead.
-//!   This is the variant Figure 5 plots, and what makes the 1 % overhead
-//!   ratio reachable.
+//! * [`ProtocolKind::Diskless`] and [`ProtocolKind::DisklessSync`] — one
+//!   DVDC round, the load [`Fig5Params::round_load`] implies, priced by
+//!   [`RoundLoad::price`](dvdc_vcluster::fabric::RoundLoad::price) exactly
+//!   as the simulated protocol's own rounds are. `Diskless` rides the
+//!   Remus-style transport of Section IV-C: the guest pauses for the base
+//!   cost and the capture, and the transfer + parity fold show up as
+//!   checkpoint *latency*, not overhead. This is the variant Figure 5
+//!   plots, and what makes the 1 % overhead ratio reachable.
+//!   `DisklessSync` pauses the guest for the whole latency.
 
 use dvdc_simcore::time::Duration;
 
@@ -86,12 +87,11 @@ pub fn cost(kind: ProtocolKind, p: &Fig5Params) -> CostBreakdown {
     let disk = &p.fabric.disk;
     let mem = &p.fabric.memory;
 
-    // Capture: every node snapshots its VMs' images at memcpy speed
-    // (nodes work in parallel, so per-node time).
-    let capture = mem.copy(p.bytes_per_node());
-
     match kind {
         ProtocolKind::DiskFull => {
+            // Capture: every node snapshots its VMs' images at memcpy
+            // speed (nodes work in parallel, so per-node time).
+            let capture = mem.copy(p.bytes_per_node());
             // All nodes push into the NAS concurrently, sharing its ingest
             // bandwidth; then the filer streams the aggregate to disk.
             let nas = net.nas_ingest(p.bytes_per_node(), p.nodes);
@@ -107,49 +107,22 @@ pub fn cost(kind: ProtocolKind, p: &Fig5Params) -> CostBreakdown {
             }
         }
         ProtocolKind::DisklessSync | ProtocolKind::Diskless => {
-            // Network step: each node ships its VMs' checkpoint data to the
-            // parity holders of their groups. Traffic is all-to-all
-            // balanced, so the per-node link is the constraint.
-            let transfer = net.link_transfer(p.bytes_per_node());
-            // Parity: per epoch each node holds parity for its share of the
-            // groups; with parity rotated evenly, each node XORs
-            // (group members) blocks for (groups/nodes) groups. Conservatively
-            // cost one group of `group_width - 1` data blocks + accumulator
-            // traffic per node.
-            let groups = p
-                .vm_count()
-                .div_ceil(p.group_width.saturating_sub(1).max(1));
-            let groups_per_node = groups.div_ceil(p.nodes).max(1);
-            let xor = mem.xor(p.vm_image_bytes, groups_per_node * (p.group_width - 1));
-            // Recovery: survivors of the failed node's groups re-send their
-            // checkpoints to the reconstruction site, which XORs them; then
-            // everyone rolls back (restore at memcpy speed).
-            let repair = net.fan_in(p.vm_image_bytes, p.group_width - 1)
-                + mem.xor(p.vm_image_bytes, p.group_width - 1)
+            let (pause, latency) = p.round_load().price(&p.fabric, p.base_overhead);
+            // Recovery: the k survivors of the failed node's groups re-send
+            // their checkpoints to the reconstruction site, which XORs
+            // them; then everyone rolls back (restore at memcpy speed).
+            let repair = net.fan_in(p.vm_image_bytes, p.k)
+                + mem.xor(p.vm_image_bytes, p.k)
                 + mem.copy(p.bytes_per_node());
-            match kind {
-                ProtocolKind::DisklessSync => {
-                    let overhead = p.base_overhead + capture + transfer + xor;
-                    CostBreakdown {
-                        overhead,
-                        latency: overhead,
-                        repair,
-                        detection: p.detection_delay,
-                    }
-                }
-                ProtocolKind::Diskless => {
-                    // COW fork: guest pauses only for the base coordination
-                    // + fork of its node's images; transfer and parity are
-                    // background (Section IV-C).
-                    let overhead = p.base_overhead + capture;
-                    CostBreakdown {
-                        overhead,
-                        latency: overhead + transfer + xor,
-                        repair,
-                        detection: p.detection_delay,
-                    }
-                }
-                ProtocolKind::DiskFull => unreachable!(),
+            CostBreakdown {
+                overhead: if kind == ProtocolKind::Diskless {
+                    pause
+                } else {
+                    latency
+                },
+                latency,
+                repair,
+                detection: p.detection_delay,
             }
         }
     }

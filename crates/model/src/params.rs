@@ -2,7 +2,7 @@
 
 use dvdc_faults::DetectorConfig;
 use dvdc_simcore::time::Duration;
-use dvdc_vcluster::fabric::FabricModel;
+use dvdc_vcluster::fabric::{base_overhead, FabricModel, RoundLoad};
 
 /// Parameters of the Figure 5 analysis, defaulting to the values the paper
 /// quotes: "published MTBFs … as low as 3 hours MTBF, giving a failure
@@ -25,9 +25,10 @@ pub struct Fig5Params {
     pub vms_per_node: usize,
     /// Memory image size of one VM, bytes.
     pub vm_image_bytes: usize,
-    /// RAID-group width (data members + the rotating parity member); the
-    /// Fig. 4 configuration stripes groups of 3 across 4 nodes.
-    pub group_width: usize,
+    /// Data members per RAID group; one rotating parity member joins
+    /// each. Fig. 4 stripes groups of 3 data VMs across its 4 nodes, as
+    /// `GroupPlacement::orthogonal(&cluster, 3)` does.
+    pub k: usize,
     /// Time between a node failing and the cluster *deciding* it failed.
     /// The paper's repair term implicitly assumes an oracle announces the
     /// failure; a real deployment pays the in-band detector's window
@@ -44,11 +45,11 @@ impl Default for Fig5Params {
         Fig5Params {
             lambda: 9.26e-5,
             total_work: Duration::from_days(2.0),
-            base_overhead: Duration::from_millis(40.0),
+            base_overhead: base_overhead(),
             nodes: 4,
             vms_per_node: 3,
             vm_image_bytes: 1 << 30, // 1 GiB per VM
-            group_width: 3,
+            k: 3,
             detection_delay: DetectorConfig::default().worst_case_detection(),
             fabric: FabricModel::default(),
         }
@@ -71,6 +72,20 @@ impl Fig5Params {
         self.vms_per_node * self.vm_image_bytes
     }
 
+    /// The load of one diskless round with parity rotated evenly: every
+    /// node captures and ships its images once, and holds the parity of
+    /// its share of the groups, taking and folding k images for each.
+    pub fn round_load(&self) -> RoundLoad {
+        let groups = self.vm_count().div_ceil(self.k);
+        let groups_per_node = groups.div_ceil(self.nodes).max(1);
+        let fold = groups_per_node * self.k * self.vm_image_bytes;
+        RoundLoad {
+            capture: self.bytes_per_node(),
+            wire: self.bytes_per_node().max(fold),
+            fold,
+        }
+    }
+
     /// The implied MTBF.
     pub fn mtbf(&self) -> Duration {
         Duration::from_secs(1.0 / self.lambda)
@@ -89,7 +104,7 @@ mod tests {
         assert_eq!(p.base_overhead.as_millis(), 40.0);
         assert_eq!(p.nodes, 4);
         assert_eq!(p.vm_count(), 12);
-        assert_eq!(p.group_width, 3);
+        assert_eq!(p.k, 3);
         // 3 h MTBF within rounding.
         assert!((p.mtbf().as_hours() - 3.0).abs() < 0.01);
     }

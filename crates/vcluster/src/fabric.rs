@@ -126,6 +126,38 @@ impl MemoryModel {
     }
 }
 
+/// The paper's fixed coordination cost of every checkpoint round, paid
+/// before a byte is captured: Section V-B's 40 ms "baseline overhead",
+/// from the live-migration literature.
+pub fn base_overhead() -> Duration {
+    Duration::from_millis(40.0)
+}
+
+/// What one checkpoint round moved, in bytes — the "amount of data" by
+/// which Section V-B prices each operation. Nodes work in parallel, so
+/// each column is its busiest node's share, taken over nodes separately.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct RoundLoad {
+    /// Bytes one node snapshots at memcpy speed.
+    pub capture: usize,
+    /// Bytes one node's link sends or receives.
+    pub wire: usize,
+    /// Bytes one parity holder folds into its blocks.
+    pub fold: usize,
+}
+
+impl RoundLoad {
+    /// Prices the round on `fabric` after a fixed `base` coordination
+    /// cost. Returns the guest pause (base + capture) and the latency
+    /// until the checkpoint is usable (pause + (transfer + fold)). A round
+    /// whose parity runs synchronously pauses the guest for the latency.
+    pub fn price(&self, fabric: &FabricModel, base: Duration) -> (Duration, Duration) {
+        let pause = base + fabric.memory.copy(self.capture);
+        let background = fabric.network.link_transfer(self.wire) + fabric.memory.xor(self.fold, 1);
+        (pause, pause + background)
+    }
+}
+
 /// Which topology tier a node-to-node path crosses. Classified by the
 /// cluster from its [`Topology`](crate::topology::Topology); the fabric
 /// only maps the class to a link model.
@@ -312,6 +344,22 @@ mod tests {
         let fabric = FabricModel::default();
         assert!(fabric.xor_vs_disk_speedup(1 << 30) > 40.0);
         assert!(fabric.xor_vs_disk_speedup(1 << 20) > 10.0);
+    }
+
+    #[test]
+    fn a_round_pauses_for_capture_and_is_usable_after_its_parity() {
+        let f = FabricModel::default();
+        let load = RoundLoad {
+            capture: 8_000_000,
+            wire: 125_000,
+            fold: 5_000_000,
+        };
+        let (pause, latency) = load.price(&f, base_overhead());
+        // 40 ms + 1 ms copy; then 100 µs + 1 ms on the link, 1 ms of XOR.
+        assert!((pause.as_millis() - 41.0).abs() < 1e-9, "{pause}");
+        assert!((latency.as_millis() - 43.1).abs() < 1e-9, "{latency}");
+        let (idle, _) = RoundLoad::default().price(&f, base_overhead());
+        assert_eq!(idle, base_overhead());
     }
 
     #[test]

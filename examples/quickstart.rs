@@ -8,6 +8,7 @@ use dvdc::protocol::DvdcProtocol;
 use dvdc_simcore::rng::RngHub;
 use dvdc_simcore::time::Duration;
 use dvdc_vcluster::cluster::ClusterBuilder;
+use dvdc_vcluster::fabric::base_overhead;
 use dvdc_vcluster::ids::NodeId;
 
 fn main() {
@@ -47,12 +48,14 @@ fn main() {
                 .stream_indexed("vm", vm.index() as u64)
         });
         let report = protocol.run_round(&mut cluster).expect("round");
+        // Parity runs in the background: the guests pause for the capture.
+        let (pause, usable) = report.load.price(cluster.fabric(), base_overhead());
         println!(
             "round {}: payload {} KiB, guest pause {:.1} ms, checkpoint usable after {:.1} ms",
             report.epoch,
             report.payload_bytes >> 10,
-            report.cost.overhead.as_millis(),
-            report.cost.latency.as_millis()
+            pause.as_millis(),
+            usable.as_millis()
         );
     }
 

@@ -22,7 +22,6 @@ use dvdc::protocol::{
     RebuildStep, RecoverError, RoundStep,
 };
 use dvdc::scenario::{apply_op, ScenarioReport};
-use dvdc_checkpoint::strategy::Mode;
 use dvdc_faults::{ClusterFaultPlan, NodeFault, PeerSet, PlanCursor};
 use dvdc_observe::audit::InvariantAuditor;
 use dvdc_observe::{Fanout, Recorder, RecorderHandle, TraceDumpGuard, TraceRecorder};
@@ -286,12 +285,7 @@ fn chaos_run_on(
         .into_iter()
         .filter(|&n| cluster.vms_on(n).is_empty() && !placement.parity_groups_of(n).is_empty())
         .collect();
-    let mut protocol = DvdcProtocol::with_options(
-        placement,
-        Mode::Incremental,
-        true,
-        Duration::from_millis(40.0),
-    );
+    let mut protocol = DvdcProtocol::new(placement);
     let hub = RngHub::new(seed);
     let mut rng = hub.stream("chaos");
     let mut stats = ChaosStats::default();

@@ -8,7 +8,6 @@
 use dvdc::placement::GroupPlacement;
 use dvdc::protocol::DvdcProtocol;
 use dvdc::sim::{JobOutcome, JobRunner};
-use dvdc_checkpoint::strategy::Mode;
 use dvdc_faults::dist::Exponential;
 use dvdc_faults::injector::{ClusterFaultPlan, FaultInjector};
 use dvdc_simcore::rng::RngHub;
@@ -77,13 +76,9 @@ fn first_shot_completes_under_failures() {
             .vm_memory(16, 64)
             .writes_per_sec(100.0)
             .build(17);
-        let mut p = DvdcProtocol::with_options(
-            GroupPlacement::dedicated(&c, NodeId(4)).unwrap(),
-            Mode::Incremental,
-            false,
-            Duration::from_millis(40.0),
-        );
-        let mut runner = JobRunner::new(Duration::from_secs(600.0), Duration::from_secs(25.0));
+        let mut p = DvdcProtocol::new(GroupPlacement::dedicated(&c, NodeId(4)).unwrap());
+        let mut runner = JobRunner::new(Duration::from_secs(600.0), Duration::from_secs(25.0))
+            .with_sync_parity();
         if failover {
             runner = runner.with_failover();
         }

@@ -11,14 +11,16 @@
 use dvdc::placement::GroupPlacement;
 use dvdc::protocol::DvdcProtocol;
 use dvdc::sim::JobRunner;
-use dvdc_checkpoint::strategy::Mode;
 use dvdc_faults::dist::Exponential;
 use dvdc_faults::injector::FaultInjector;
 use dvdc_model::analytic;
+use dvdc_model::overhead::{cost, ProtocolKind};
+use dvdc_model::Fig5Params;
 use dvdc_simcore::rng::RngHub;
 use dvdc_simcore::stats::Welford;
 use dvdc_simcore::time::Duration;
 use dvdc_vcluster::cluster::ClusterBuilder;
+use dvdc_vcluster::fabric::base_overhead;
 
 #[test]
 fn cluster_sim_tracks_analytic_expectation() {
@@ -34,6 +36,7 @@ fn cluster_sim_tracks_analytic_expectation() {
         interval: Duration::from_secs(interval),
         recovery: dvdc::sim::RecoveryPolicy::RepairInPlace,
         drive_guests: false,
+        sync_parity: false,
     };
 
     let mut walls = Welford::new();
@@ -47,12 +50,7 @@ fn cluster_sim_tracks_analytic_expectation() {
             .vm_memory(16, 64)
             .build(seed);
         let placement = GroupPlacement::orthogonal(&cluster, 3).unwrap();
-        let mut protocol = DvdcProtocol::with_options(
-            placement,
-            Mode::Incremental,
-            true,
-            Duration::from_millis(40.0),
-        );
+        let mut protocol = DvdcProtocol::new(placement);
         let injector = FaultInjector::new(
             4,
             Exponential::from_mtbf(Duration::from_secs(4.0 * cluster_mtbf)),
@@ -94,4 +92,29 @@ fn cluster_sim_tracks_analytic_expectation() {
         rel,
         walls.ci95_half_width()
     );
+}
+
+#[test]
+fn fig5_prices_the_round_fig4_runs() {
+    // Fig. 5 models "the configuration seen in [Fig.] 4": its parameters
+    // at fig4_dvdc's shape (4 nodes × 3 VMs of 1 MiB, groups of k = 3)
+    // imply the load that fig4_dvdc's first rotated round reports, and
+    // the model prices it as the protocol's readers do.
+    let mut c = ClusterBuilder::new()
+        .physical_nodes(4)
+        .vms_per_node(3)
+        .vm_memory(256, 4096)
+        .build(4);
+    let placement = GroupPlacement::orthogonal(&c, 3).unwrap();
+    let round = DvdcProtocol::new(placement).run_round(&mut c).unwrap();
+    let p = Fig5Params {
+        vm_image_bytes: 256 * 4096,
+        fabric: *c.fabric(),
+        ..Fig5Params::default()
+    };
+    assert_eq!(p.round_load(), round.load);
+    let (pause, latency) = round.load.price(c.fabric(), base_overhead());
+    let background = cost(ProtocolKind::Diskless, &p);
+    assert_eq!((background.overhead, background.latency), (pause, latency));
+    assert_eq!(cost(ProtocolKind::DisklessSync, &p).overhead, latency);
 }

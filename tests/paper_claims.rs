@@ -11,7 +11,7 @@ use dvdc_model::overhead::{cost, ProtocolKind};
 use dvdc_model::Fig5Params;
 use dvdc_simcore::time::Duration;
 use dvdc_vcluster::cluster::{Cluster, ClusterBuilder};
-use dvdc_vcluster::fabric::FabricModel;
+use dvdc_vcluster::fabric::{base_overhead, FabricModel};
 use dvdc_vcluster::ids::NodeId;
 
 fn fig4_cluster() -> Cluster {
@@ -33,12 +33,13 @@ fn claim_ii_b2_xor_orders_of_magnitude_faster_than_disk() {
 #[test]
 fn claim_ii_b2_latency_at_least_overhead() {
     // §II-B2: "latency is always at least as much as overhead" — enforced
-    // by construction: on DVDC's round report and on the disk-full cost
-    // row Fig. 5 reads.
+    // by construction: on the price of DVDC's round load and on the
+    // disk-full cost row Fig. 5 reads.
     let mut c = fig4_cluster();
     let mut dvdc = DvdcProtocol::new(GroupPlacement::orthogonal(&c, 3).unwrap());
     let r = dvdc.run_round(&mut c).unwrap();
-    assert!(r.cost.latency >= r.cost.overhead);
+    let (pause, latency) = r.load.price(c.fabric(), base_overhead());
+    assert!(latency >= pause);
 
     let disk = cost(ProtocolKind::DiskFull, &Fig5Params::default());
     assert!(disk.latency >= disk.overhead);
@@ -108,7 +109,7 @@ fn claim_iv_b_parity_parallelization_relieves_the_fan_in() {
     // only variable is where parity lives — Fig. 3's `dedicated`
     // checkpoint node (the fourth node hosts nothing) vs Fig. 4's
     // `orthogonal` rotation.
-    let round = |dedicated: bool, async_parity: bool| {
+    let round = |dedicated: bool| {
         let mut c = ClusterBuilder::new()
             .physical_nodes(4)
             .spare_nodes(usize::from(dedicated))
@@ -120,30 +121,18 @@ fn claim_iv_b_parity_parallelization_relieves_the_fan_in() {
         } else {
             GroupPlacement::orthogonal(&c, 3).unwrap()
         };
-        let mut p = DvdcProtocol::with_options(
-            placement,
-            Mode::Incremental,
-            async_parity,
-            Duration::from_millis(40.0),
-        );
-        p.run_round(&mut c).unwrap().cost
+        let r = DvdcProtocol::new(placement).run_round(&mut c).unwrap();
+        r.load.price(c.fabric(), base_overhead())
     };
-    // Synchronous parity: the guests wait out the slowest holder, and the
+    let ((rotated_pause, rotated), (fan_in_pause, fan_in)) = (round(false), round(true));
+    // Synchronous parity: the guests wait out the whole latency, and the
     // checkpoint node's one link takes all nine images (66.3 vs 117.9 ms).
-    let (rotated, fan_in) = (round(false, false), round(true, false));
-    assert!(
-        rotated.overhead < fan_in.overhead,
-        "rotated {} !< dedicated {}",
-        rotated.overhead,
-        fan_in.overhead
-    );
+    assert!(rotated < fan_in, "rotated {rotated} !< dedicated {fan_in}");
     // Background parity (§IV-C) hides the transfer behind the guests in
     // either layout: the pause is capture-only and equal (40.4 ms). What
     // rotation saves then is *latency* — how long the checkpoint stays
     // unusable — not overhead.
-    let (rotated, fan_in) = (round(false, true), round(true, true));
-    assert_eq!(rotated.overhead, fan_in.overhead);
-    assert!(rotated.latency < fan_in.latency);
+    assert_eq!(rotated_pause, fan_in_pause);
 
     // The mechanism, on a sweep of n compute nodes × s slots: the
     // dedicated holder takes every image of a full round, n·s of them,

@@ -322,7 +322,6 @@ proptest! {
 // ---------- phase-interruptible rounds ----------
 
 use dvdc::protocol::{DvdcProtocol, RoundStep};
-use dvdc_checkpoint::strategy::Mode;
 use dvdc_simcore::time::Duration;
 use dvdc_vcluster::cluster::Cluster;
 
@@ -349,12 +348,7 @@ fn six_node_protocol(seed: u64, dedicated: bool, m: usize) -> (Cluster, DvdcProt
     } else {
         GroupPlacement::orthogonal_with_parity(&c, 3, m).unwrap()
     };
-    let p = DvdcProtocol::with_options(
-        placement,
-        Mode::Incremental,
-        true,
-        Duration::from_millis(40.0),
-    );
+    let p = DvdcProtocol::new(placement);
     (c, p)
 }
 
@@ -490,12 +484,7 @@ proptest! {
             .writes_per_sec(250.0)
             .build(seed);
         let placement = GroupPlacement::orthogonal_with_parity(&c, 3, m).unwrap();
-        let mut p = DvdcProtocol::with_options(
-            placement,
-            Mode::Incremental,
-            true,
-            Duration::from_millis(40.0),
-        );
+        let mut p = DvdcProtocol::new(placement);
 
         // A committed baseline epoch, then guest progress the impaired
         // round tries to protect.

@@ -73,12 +73,7 @@ fn dvdc_matrix_shapes_modes_victims() {
                 let mut c = build(nodes, vms);
                 let placement = GroupPlacement::orthogonal(&c, k)
                     .unwrap_or_else(|e| panic!("{nodes}x{vms} k={k}: {e}"));
-                let (mut p, _audit) = audited(DvdcProtocol::with_options(
-                    placement,
-                    mode,
-                    true,
-                    Duration::from_millis(40.0),
-                ));
+                let (mut p, _audit) = audited(DvdcProtocol::with_mode(placement, mode));
                 // Two rounds with guest activity in between, so modes
                 // actually diverge in payload.
                 let hub = RngHub::new(victim as u64);
@@ -136,12 +131,7 @@ fn dvdc_incremental_rounds_then_failure_then_more_rounds() {
     for m in [1usize, 2] {
         let mut c = build(6, 2);
         let placement = GroupPlacement::orthogonal_with_parity(&c, 3, m).unwrap();
-        let (mut p, _audit) = audited(DvdcProtocol::with_options(
-            placement,
-            Mode::Incremental,
-            true,
-            Duration::from_millis(40.0),
-        ));
+        let (mut p, _audit) = audited(DvdcProtocol::new(placement));
         let hub = RngHub::new(7 + m as u64);
         p.run_round(&mut c).unwrap();
         for round in 0..4u64 {
@@ -201,12 +191,7 @@ fn default_double_parity_survives_all_node_pairs() {
         for b in (a + 1)..nodes {
             let mut c = build(nodes, 2);
             let placement = GroupPlacement::orthogonal_with_parity(&c, 3, 2).unwrap();
-            let (mut p, _audit) = audited(DvdcProtocol::with_options(
-                placement,
-                Mode::Incremental,
-                true,
-                Duration::from_millis(40.0),
-            ));
+            let (mut p, _audit) = audited(DvdcProtocol::new(placement));
             p.run_round(&mut c).unwrap();
             let want = snapshots(&c);
             c.fail_node(NodeId(a));
@@ -253,12 +238,7 @@ fn dvdc_mid_round_matrix_phase_family_victim() {
                 } else {
                     c.node_of(group0.data[0])
                 };
-                let (mut p, _audit) = audited(DvdcProtocol::with_options(
-                    placement,
-                    Mode::Incremental,
-                    true,
-                    Duration::from_millis(40.0),
-                ));
+                let (mut p, _audit) = audited(DvdcProtocol::new(placement));
                 let ctx = format!(
                     "family={family} phase={phase:?} victim={victim} parity_victim={parity_victim}"
                 );
@@ -337,12 +317,7 @@ fn dvdc_failure_right_after_commit_recovers_new_epoch() {
             } else {
                 c.node_of(group0.data[0])
             };
-            let (mut p, _audit) = audited(DvdcProtocol::with_options(
-                placement,
-                Mode::Incremental,
-                true,
-                Duration::from_millis(40.0),
-            ));
+            let (mut p, _audit) = audited(DvdcProtocol::new(placement));
             let ctx = format!("family={family} victim={victim} parity_victim={parity_victim}");
             let hub = RngHub::new(5 + m as u64);
 
@@ -407,12 +382,7 @@ fn dvdc_second_failure_during_rebuild_matrix() {
                     c.node_of(group0.data[1])
                 };
                 assert_ne!(first, second, "{family}: victims must differ");
-                let (mut p, _audit) = audited(DvdcProtocol::with_options(
-                    placement,
-                    Mode::Incremental,
-                    true,
-                    Duration::from_millis(40.0),
-                ));
+                let (mut p, _audit) = audited(DvdcProtocol::new(placement));
                 let ctx = format!(
                     "family={family} phase={phase:?} second={second} parity={second_parity}"
                 );
@@ -509,12 +479,7 @@ fn dvdc_scrub_detects_and_repairs_all_injected_corruption() {
             } else {
                 c.node_of(group0.data[0])
             };
-            let (mut p, _audit) = audited(DvdcProtocol::with_options(
-                placement,
-                Mode::Incremental,
-                true,
-                Duration::from_millis(40.0),
-            ));
+            let (mut p, _audit) = audited(DvdcProtocol::new(placement));
             let ctx = format!("family={family} target={target} parity_victim={parity_victim}");
             let hub = RngHub::new(17 * k as u64 + m as u64);
 
@@ -568,11 +533,8 @@ fn first_shot_matrix() {
                     .vm_memory(8, 32)
                     .writes_per_sec(200.0)
                     .build(nodes as u64 * 31 + vms as u64);
-                let (mut p, _audit) = audited(DvdcProtocol::with_options(
+                let (mut p, _audit) = audited(DvdcProtocol::new(
                     GroupPlacement::dedicated(&c, parity).unwrap(),
-                    Mode::Incremental,
-                    false,
-                    Duration::from_millis(40.0),
                 ));
                 p.run_round(&mut c).unwrap();
                 let want = snapshots(&c);
