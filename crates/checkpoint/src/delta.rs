@@ -1,116 +1,13 @@
-//! XOR-delta + zero-run-length compression of page increments.
+//! XOR deltas of page increments, ready for a parity fold.
 //!
 //! Section IV-C: the in-memory footprint and network traffic of diskless
 //! checkpointing become "a function of how fast and how many pages get
-//! dirtied, and, for compression, what percent of each page is changed."
-//! The classic trick (Plank's "compressed differences") is to XOR the new
-//! page against its previous version — unchanged bytes become zero — and
-//! run-length encode the zeros.
-//!
-//! Encoding: a sequence of `(zero_run_len: u16, literal_len: u16,
-//! literal bytes…)` records. Worst case (nothing unchanged) costs 4 bytes
-//! per 65535 literals — effectively incompressible data passes through
-//! with negligible expansion.
+//! dirtied". The classic trick (Plank's "compressed differences") is to
+//! XOR the new page against its previous version, so unchanged bytes
+//! become zero. A round ships those XORs as coalesced [`XorRun`]s, which
+//! a parity holder folds into its standing block in place.
 
 use crate::payload::CheckpointPayload;
-
-/// A compressed page delta.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CompressedDelta {
-    /// The encoded byte stream.
-    pub data: Vec<u8>,
-    /// Original (uncompressed) length.
-    pub original_len: usize,
-}
-
-impl CompressedDelta {
-    /// Compressed size in bytes.
-    pub fn compressed_len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Compression ratio (compressed/original); > 1 means expansion.
-    pub fn ratio(&self) -> f64 {
-        if self.original_len == 0 {
-            1.0
-        } else {
-            self.data.len() as f64 / self.original_len as f64
-        }
-    }
-}
-
-/// Fraction of bytes that differ between two page versions — the paper's
-/// "what percent of each page is changed".
-///
-/// # Panics
-/// Panics if lengths differ.
-pub fn change_fraction(old: &[u8], new: &[u8]) -> f64 {
-    assert_eq!(old.len(), new.len(), "pages must have equal length");
-    if old.is_empty() {
-        return 0.0;
-    }
-    let changed = old.iter().zip(new).filter(|(a, b)| a != b).count();
-    changed as f64 / old.len() as f64
-}
-
-/// Compresses `new` against `old`: XOR-diff, then zero-run-length encode.
-///
-/// # Panics
-/// Panics if lengths differ.
-pub fn compress(old: &[u8], new: &[u8]) -> CompressedDelta {
-    assert_eq!(old.len(), new.len(), "pages must have equal length");
-    let diff: Vec<u8> = old.iter().zip(new).map(|(a, b)| a ^ b).collect();
-    let mut data = Vec::new();
-    let mut i = 0;
-    while i < diff.len() {
-        // Count zero run (capped at u16::MAX).
-        let zero_start = i;
-        while i < diff.len() && diff[i] == 0 && i - zero_start < u16::MAX as usize {
-            i += 1;
-        }
-        let zero_len = (i - zero_start) as u16;
-        // Count literal run.
-        let lit_start = i;
-        while i < diff.len() && diff[i] != 0 && i - lit_start < u16::MAX as usize {
-            i += 1;
-        }
-        let lit = &diff[lit_start..i];
-        data.extend_from_slice(&zero_len.to_le_bytes());
-        data.extend_from_slice(&(lit.len() as u16).to_le_bytes());
-        data.extend_from_slice(lit);
-    }
-    CompressedDelta {
-        data,
-        original_len: new.len(),
-    }
-}
-
-/// Reconstructs the new page from the old version and a compressed delta.
-///
-/// # Panics
-/// Panics if the delta is malformed or `old` has the wrong length.
-pub fn decompress(old: &[u8], delta: &CompressedDelta) -> Vec<u8> {
-    assert_eq!(old.len(), delta.original_len, "base page length mismatch");
-    let mut out = old.to_vec();
-    let mut pos = 0usize; // position within the page
-    let mut i = 0usize; // position within the encoded stream
-    let data = &delta.data;
-    while i < data.len() {
-        assert!(i + 4 <= data.len(), "truncated delta header");
-        let zero_len = u16::from_le_bytes([data[i], data[i + 1]]) as usize;
-        let lit_len = u16::from_le_bytes([data[i + 2], data[i + 3]]) as usize;
-        i += 4;
-        pos += zero_len;
-        assert!(i + lit_len <= data.len(), "truncated delta literals");
-        assert!(pos + lit_len <= out.len(), "delta overruns page");
-        for b in &data[i..i + lit_len] {
-            out[pos] ^= b;
-            pos += 1;
-        }
-        i += lit_len;
-    }
-    out
-}
 
 /// One coalesced dirty region of an incremental checkpoint, expressed as
 /// the parity-ready XOR delta: `bytes[i] = old[offset + i] ^ new[offset +
@@ -185,96 +82,6 @@ pub fn xor_runs(payload: &CheckpointPayload, base: &[u8]) -> Option<(u64, Vec<Xo
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn identical_pages_compress_to_headers_only() {
-        let page = vec![0xAAu8; 4096];
-        let d = compress(&page, &page);
-        // One record per 65535-byte zero run: a single header here.
-        assert_eq!(d.compressed_len(), 4);
-        assert!(d.ratio() < 0.01);
-        assert_eq!(decompress(&page, &d), page);
-    }
-
-    #[test]
-    fn single_byte_change_is_tiny() {
-        let old = vec![1u8; 4096];
-        let mut new = old.clone();
-        new[100] = 7;
-        let d = compress(&old, &new);
-        assert!(d.compressed_len() <= 13, "len={}", d.compressed_len());
-        assert_eq!(decompress(&old, &d), new);
-    }
-
-    #[test]
-    fn fully_changed_page_expands_negligibly() {
-        let old = vec![0u8; 4096];
-        let new: Vec<u8> = (0..4096).map(|i| (i % 255 + 1) as u8).collect();
-        let d = compress(&old, &new);
-        assert!(d.compressed_len() <= 4096 + 8, "len={}", d.compressed_len());
-        assert!(d.ratio() <= 1.01);
-        assert_eq!(decompress(&old, &d), new);
-    }
-
-    #[test]
-    fn alternating_runs_roundtrip() {
-        let old = vec![0u8; 1000];
-        let mut new = old.clone();
-        for i in (0..1000).step_by(37) {
-            new[i] = (i % 250 + 1) as u8;
-        }
-        let d = compress(&old, &new);
-        assert_eq!(decompress(&old, &d), new);
-        assert!(d.compressed_len() < 1000 / 2);
-    }
-
-    #[test]
-    fn long_runs_beyond_u16_roundtrip() {
-        let n = 200_000;
-        let old = vec![3u8; n];
-        let mut new = old.clone();
-        new[n - 1] = 4;
-        let d = compress(&old, &new);
-        assert_eq!(decompress(&old, &d), new);
-        // 200000/65535 ≈ 4 headers + 1 literal byte.
-        assert!(d.compressed_len() < 32);
-    }
-
-    #[test]
-    fn change_fraction_measures() {
-        let old = vec![0u8; 100];
-        let mut new = old.clone();
-        new[..25].fill(1);
-        assert_eq!(change_fraction(&old, &new), 0.25);
-        assert_eq!(change_fraction(&old, &old), 0.0);
-        assert_eq!(change_fraction(&[], &[]), 0.0);
-    }
-
-    #[test]
-    fn compression_tracks_change_fraction() {
-        // The paper's premise: less change → smaller transfer.
-        let old = vec![0u8; 4096];
-        let mut sizes = Vec::new();
-        for changed in [16usize, 256, 1024, 4096] {
-            let mut new = old.clone();
-            new[..changed].fill(0xFF);
-            sizes.push(compress(&old, &new).compressed_len());
-        }
-        assert!(sizes.windows(2).all(|w| w[0] < w[1]), "{sizes:?}");
-    }
-
-    #[test]
-    fn empty_page_roundtrip() {
-        let d = compress(&[], &[]);
-        assert_eq!(d.compressed_len(), 0);
-        assert_eq!(decompress(&[], &d), Vec::<u8>::new());
-    }
-
-    #[test]
-    #[should_panic(expected = "equal length")]
-    fn mismatched_lengths_panic() {
-        let _ = compress(&[0u8; 4], &[0u8; 5]);
-    }
 
     fn incremental(
         pages: Vec<(usize, Vec<u8>)>,

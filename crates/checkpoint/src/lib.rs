@@ -3,20 +3,21 @@
 //! Checkpoint mechanics for the DVDC reproduction.
 //!
 //! Section II-B of the paper distinguishes three checkpoint variants from
-//! Plank's original work — *normal* (full image), *incremental*
-//! (dirty pages only), and *forked* (copy-on-write) — and Section IV-C adds
-//! delta compression for the live-migration transport. This crate
-//! implements all of them against the `dvdc-vcluster` memory model:
+//! Plank's original work — *normal* (full image), *incremental* (dirty
+//! pages only), and *forked* (copy-on-write). The paper evaluates
+//! incremental capture; this crate implements it against the
+//! `dvdc-vcluster` memory model, and keeps the other two as the memory
+//! they would need:
 //!
 //! * [`payload`] — checkpoint payload representation: full images or
 //!   dirty-page increments, with exact size accounting (what travels over
 //!   the network and what gets XORed into parity).
-//! * [`strategy`] — the capture engines ([`Checkpointer`]): full,
-//!   incremental, and forked/COW, each with the memory footprint the
-//!   paper tabulates (3I vs 2I vs I+δ).
-//! * [`delta`] — XOR-delta + zero-run-length compression of page
-//!   increments ("suitably compressing the differences of the last
-//!   checkpoint when sending information over the network", Section IV-C).
+//! * [`strategy`] — the incremental capture engine ([`Checkpointer`]),
+//!   and each variant's memory footprint as the paper tabulates it
+//!   (3I vs 2I vs I+δ, [`Mode`]).
+//! * [`delta`] — an increment as XOR runs against the base image, the
+//!   form a parity holder folds in place (Section IV-C's "differences of
+//!   the last checkpoint").
 //! * [`store`] — checkpoint stores: the in-memory double-buffered store
 //!   diskless checkpointing relies on (current + previous epoch, exactly
 //!   the paper's "2I/3I memory" discussion) and a materialized view for
@@ -27,13 +28,13 @@
 //! ## Example: incremental capture and recovery
 //!
 //! ```
-//! use dvdc_checkpoint::strategy::{Checkpointer, Mode};
+//! use dvdc_checkpoint::strategy::Checkpointer;
 //! use dvdc_checkpoint::store::MaterializedStore;
 //! use dvdc_vcluster::memory::MemoryImage;
 //! use dvdc_vcluster::ids::VmId;
 //!
 //! let mut mem = MemoryImage::patterned(8, 32, 1);
-//! let mut ckpt = Checkpointer::new(Mode::Incremental);
+//! let mut ckpt = Checkpointer::new();
 //! let mut store = MaterializedStore::new();
 //!
 //! // Epoch 0 is always a full image.

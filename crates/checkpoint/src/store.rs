@@ -458,13 +458,13 @@ impl<K: Ord + Copy> ParityStore<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::strategy::{Checkpointer, Mode};
+    use crate::strategy::Checkpointer;
     use dvdc_vcluster::memory::MemoryImage;
 
     #[test]
     fn full_then_incremental_materializes() {
         let mut mem = MemoryImage::patterned(8, 16, 3);
-        let mut ck = Checkpointer::new(Mode::Incremental);
+        let mut ck = Checkpointer::new();
         let mut store = MaterializedStore::new();
 
         store.apply(&ck.capture(VmId(0), 0, &mut mem)).unwrap();
@@ -500,7 +500,7 @@ mod tests {
     #[test]
     fn epoch_gap_rejected() {
         let mut mem = MemoryImage::patterned(4, 16, 1);
-        let mut ck = Checkpointer::new(Mode::Incremental);
+        let mut ck = Checkpointer::new();
         let mut store = MaterializedStore::new();
         store.apply(&ck.capture(VmId(0), 0, &mut mem)).unwrap();
         // Capture epoch 1 but don't apply it; epoch 2 then has base 1 ≠ 0.
@@ -535,7 +535,7 @@ mod tests {
     #[test]
     fn double_buffer_promotes_on_commit() {
         let mut mem = MemoryImage::patterned(4, 16, 7);
-        let mut ck = Checkpointer::new(Mode::Incremental);
+        let mut ck = Checkpointer::new();
         let mut store = DoubleBufferedStore::new();
 
         store.apply(&ck.capture(VmId(0), 0, &mut mem)).unwrap();
@@ -558,7 +558,7 @@ mod tests {
     #[test]
     fn double_buffer_discard_rolls_current_back() {
         let mut mem = MemoryImage::patterned(4, 16, 7);
-        let mut ck = Checkpointer::new(Mode::Full);
+        let mut ck = Checkpointer::new();
         let mut store = DoubleBufferedStore::new();
         store.apply(&ck.capture(VmId(0), 0, &mut mem)).unwrap();
         store.commit_round();
@@ -577,7 +577,7 @@ mod tests {
     #[test]
     fn double_buffer_memory_cost_is_double() {
         let mut mem = MemoryImage::patterned(4, 16, 7);
-        let mut ck = Checkpointer::new(Mode::Full);
+        let mut ck = Checkpointer::new();
         let mut store = DoubleBufferedStore::new();
         store.apply(&ck.capture(VmId(0), 0, &mut mem)).unwrap();
         store.commit_round();
@@ -628,7 +628,7 @@ mod tests {
     #[test]
     fn checksums_track_writes_and_catch_corruption() {
         let mut mem = MemoryImage::patterned(4, 16, 7);
-        let mut ck = Checkpointer::new(Mode::Incremental);
+        let mut ck = Checkpointer::new();
         let mut store = DoubleBufferedStore::new();
         store.apply(&ck.capture(VmId(0), 0, &mut mem)).unwrap();
         store.commit_round();

@@ -1,10 +1,12 @@
-//! Capture engines: full, incremental, and forked/COW checkpointing.
+//! The capture engine, and the memory row of Plank's three variants.
 //!
 //! Section II-B2 describes the three Plank variants and their memory
 //! economics: *normal* needs three images' worth of memory (process +
 //! current + previous checkpoint), *incremental* ships only dirtied pages,
 //! and *forked* copy-on-write needs 2I during checkpointing but lets
-//! execution continue immediately, trading overhead for latency.
+//! execution continue immediately, trading overhead for latency. The
+//! engine ([`Checkpointer`]) captures incrementally, the variant the
+//! paper evaluates; [`Mode`] keeps the three variants' memory multiples.
 
 use bytes::Bytes;
 
@@ -12,17 +14,15 @@ use crate::payload::{Checkpoint, CheckpointPayload, PageDelta};
 use dvdc_vcluster::ids::VmId;
 use dvdc_vcluster::memory::MemoryImage;
 
-/// Which capture variant to use.
+/// One of Section II-B2's three checkpoint variants, as the memory it
+/// needs ([`Mode::memory_multiple`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mode {
     /// Whole-image snapshot every epoch (Plank's "normal").
     Full,
     /// Dirty pages only, after an initial full image.
     Incremental,
-    /// Copy-on-write fork (Section II-B2's fork variant): captures
-    /// exactly what [`Mode::Incremental`] does and differs from it only in
-    /// [`Mode::memory_multiple`]. A round's cost row prices the fork as
-    /// base + capture, so the lazy copy after it adds nothing.
+    /// Copy-on-write fork.
     Forked,
 }
 
@@ -41,28 +41,20 @@ impl Mode {
     }
 }
 
-/// Stateful per-cluster capture engine. Tracks, per VM, whether a full
-/// base image has been shipped yet (incremental modes fall back to a full
-/// capture on first contact — and after a rollback).
-#[derive(Debug, Clone)]
+/// Stateful per-cluster incremental capture engine. Tracks, per VM,
+/// whether a full base image has been shipped yet: a VM's capture is a
+/// full image on first contact and after a reset, and its dirty pages
+/// otherwise.
+#[derive(Debug, Clone, Default)]
 pub struct Checkpointer {
-    mode: Mode,
     /// Epoch of the last capture per VM index; `None` until first capture.
     last_epoch: Vec<Option<u64>>,
 }
 
 impl Checkpointer {
-    /// Creates an engine using `mode`.
-    pub fn new(mode: Mode) -> Self {
-        Checkpointer {
-            mode,
-            last_epoch: Vec::new(),
-        }
-    }
-
-    /// The engine's mode.
-    pub fn mode(&self) -> Mode {
-        self.mode
+    /// Creates an engine that has captured nothing yet.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Captures a checkpoint of `mem` for `vm` at `epoch`, consuming (and
@@ -73,15 +65,15 @@ impl Checkpointer {
         if idx >= self.last_epoch.len() {
             self.last_epoch.resize(idx + 1, None);
         }
-        let payload = match (self.mode, self.last_epoch[idx]) {
-            (Mode::Full, _) | (_, None) => {
+        let payload = match self.last_epoch[idx] {
+            None => {
                 let image = Bytes::from(mem.snapshot());
                 CheckpointPayload::Full {
                     image,
                     page_size: mem.page_size(),
                 }
             }
-            (Mode::Incremental | Mode::Forked, Some(base_epoch)) => {
+            Some(base_epoch) => {
                 let pages = mem
                     .dirty_pages()
                     .into_iter()
@@ -124,30 +116,17 @@ mod tests {
 
     #[test]
     fn first_capture_is_always_full() {
-        for mode in [Mode::Full, Mode::Incremental, Mode::Forked] {
-            let mut mem = MemoryImage::patterned(4, 16, 1);
-            let mut c = Checkpointer::new(mode);
-            let ckpt = c.capture(VmId(0), 0, &mut mem);
-            assert!(ckpt.payload.is_full(), "mode={mode:?}");
-            assert_eq!(ckpt.payload.size_bytes(), 64);
-        }
-    }
-
-    #[test]
-    fn full_mode_always_ships_whole_image() {
         let mut mem = MemoryImage::patterned(4, 16, 1);
-        let mut c = Checkpointer::new(Mode::Full);
-        c.capture(VmId(0), 0, &mut mem);
-        mem.write_page(1, &[3u8; 16]);
-        let second = c.capture(VmId(0), 1, &mut mem);
-        assert!(second.payload.is_full());
-        assert_eq!(second.payload.size_bytes(), 64);
+        let mut c = Checkpointer::new();
+        let ckpt = c.capture(VmId(0), 0, &mut mem);
+        assert!(ckpt.payload.is_full());
+        assert_eq!(ckpt.payload.size_bytes(), 64);
     }
 
     #[test]
     fn incremental_ships_only_dirty_pages() {
         let mut mem = MemoryImage::patterned(8, 16, 1);
-        let mut c = Checkpointer::new(Mode::Incremental);
+        let mut c = Checkpointer::new();
         c.capture(VmId(0), 0, &mut mem);
         mem.write_page(2, &[9u8; 16]);
         mem.write_page(7, &[8u8; 16]);
@@ -169,7 +148,7 @@ mod tests {
     #[test]
     fn clean_epoch_gives_empty_increment() {
         let mut mem = MemoryImage::patterned(4, 16, 1);
-        let mut c = Checkpointer::new(Mode::Incremental);
+        let mut c = Checkpointer::new();
         c.capture(VmId(0), 0, &mut mem);
         let inc = c.capture(VmId(0), 1, &mut mem);
         assert_eq!(inc.payload.size_bytes(), 0);
@@ -180,7 +159,7 @@ mod tests {
     fn captures_track_vms_independently() {
         let mut a = MemoryImage::patterned(4, 16, 1);
         let mut b = MemoryImage::patterned(4, 16, 2);
-        let mut c = Checkpointer::new(Mode::Incremental);
+        let mut c = Checkpointer::new();
         c.capture(VmId(0), 0, &mut a);
         // VM 1's first capture is full even though VM 0 already has a base.
         let first_b = c.capture(VmId(1), 0, &mut b);
@@ -190,7 +169,7 @@ mod tests {
     #[test]
     fn reset_forces_full_recapture() {
         let mut mem = MemoryImage::patterned(4, 16, 1);
-        let mut c = Checkpointer::new(Mode::Incremental);
+        let mut c = Checkpointer::new();
         c.capture(VmId(0), 0, &mut mem);
         c.reset_vm(VmId(0));
         let after = c.capture(VmId(0), 1, &mut mem);
@@ -204,7 +183,7 @@ mod tests {
     #[test]
     fn incremental_payload_reconstructs_image() {
         let mut mem = MemoryImage::patterned(8, 16, 5);
-        let mut c = Checkpointer::new(Mode::Incremental);
+        let mut c = Checkpointer::new();
         let base = c.capture(VmId(0), 0, &mut mem);
         let base_bytes = base.payload.apply_to(&[]);
         mem.write_page(0, &[1u8; 16]);
@@ -227,7 +206,7 @@ mod tests {
     #[test]
     fn page_content_is_snapshotted_not_aliased() {
         let mut mem = MemoryImage::patterned(2, 16, 1);
-        let mut c = Checkpointer::new(Mode::Incremental);
+        let mut c = Checkpointer::new();
         c.capture(VmId(0), 0, &mut mem);
         mem.write_page(0, &[7u8; 16]);
         let inc = c.capture(VmId(0), 1, &mut mem);

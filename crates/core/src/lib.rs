@@ -76,4 +76,4 @@ pub use placement::{GroupId, GroupPlacement, RaidGroup};
 pub use protocol::{DvdcProtocol, ProtocolError, RecoveryReport, RoundReport};
 pub use scenario::{run_scenario, ScenarioConfig, ScenarioReport};
 pub use shard::{ShardConfig, ShardedCluster, ShardedRunReport};
-pub use sim::{JobOutcome, JobRunner, RecoveryPolicy};
+pub use sim::{JobOutcome, JobRunner};

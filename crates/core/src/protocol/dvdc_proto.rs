@@ -43,7 +43,7 @@ use std::rc::Rc;
 use dvdc_checkpoint::delta::{xor_runs, XorRun};
 use dvdc_checkpoint::payload::CheckpointPayload;
 use dvdc_checkpoint::store::{DoubleBufferedStore, MaterializedStore, ParityStore};
-use dvdc_checkpoint::strategy::{Checkpointer, Mode};
+use dvdc_checkpoint::strategy::Checkpointer;
 use dvdc_faults::buggify::{self, points, FaultRegistry};
 use dvdc_observe::{Event, RecorderHandle, NO_TOKEN};
 use dvdc_parity::code::{self, CodeError, ErasureCode};
@@ -445,12 +445,7 @@ impl DvdcProtocol {
     /// Creates the protocol with incremental captures (the Fig. 3, Fig. 4
     /// and Fig. 5 configuration). Each round reports the bytes it moved
     /// ([`RoundReport::load`]); what that costs, and whether the guests
-    /// wait for the parity, is the reader's choice.
-    pub fn new(placement: GroupPlacement) -> Self {
-        Self::with_mode(placement, Mode::Incremental)
-    }
-
-    /// The protocol with capture mode `mode`. The code follows the
+    /// wait for the parity, is the reader's choice. The code follows the
     /// placement's parity count ([`code::for_group`]): m = 1 → XOR,
     /// m ≥ 2 → Reed–Solomon.
     ///
@@ -460,7 +455,7 @@ impl DvdcProtocol {
     /// share one `(width, parity_count)` geometry. Every
     /// [`GroupPlacement`] constructor in this crate upholds both, so
     /// this only fires on a hand-built placement.
-    pub fn with_mode(placement: GroupPlacement, mode: Mode) -> Self {
+    pub fn new(placement: GroupPlacement) -> Self {
         let group_width = placement
             .groups()
             .first()
@@ -481,7 +476,7 @@ impl DvdcProtocol {
         DvdcProtocol {
             code: code::for_group(group_width, parity_blocks),
             placement,
-            checkpointer: Checkpointer::new(mode),
+            checkpointer: Checkpointer::new(),
             node_stores: Vec::new(),
             parity: ParityStore::new(),
             incremental_parity: true,
@@ -1068,7 +1063,7 @@ impl DvdcProtocol {
                             });
                         }
                         let took = match rebuild.ledger.try_complete(id, &self.fences) {
-                            Ok(t) => cluster.link_transfer(t.from, t.to, t.bytes),
+                            Ok(t) => cluster.fabric().network.link_transfer(t.bytes),
                             Err(LedgerError::Fenced { .. })
                             | Err(LedgerError::UnknownTransfer { .. }) => Duration::ZERO,
                         };
@@ -1813,7 +1808,7 @@ impl DvdcProtocol {
                             });
                         }
                         let took = match round.ledger.try_complete(id, &self.fences) {
-                            Ok(t) => cluster.link_transfer(t.from, t.to, t.bytes),
+                            Ok(t) => cluster.fabric().network.link_transfer(t.bytes),
                             // Fenced sender: the bytes crossed the wire but
                             // the receiver discards them (they still cost
                             // their transfer time). Unknown handle: the

@@ -24,7 +24,7 @@ use dvdc_simcore::time::{Duration, SimTime};
 use dvdc_vcluster::ids::NodeId;
 
 use super::node_core::{Action, ClusterSpec, Msg, NodeCore, NodeMetrics, Note, CTL};
-use super::transport::{dispatch, Transport, TransportError};
+use super::transport::{dispatch, Transport};
 
 /// One member's deliveries to come, by `(deliver_at, send order)`.
 type Inbox = BTreeMap<(SimTime, u64), (NodeId, Msg)>;
@@ -99,12 +99,9 @@ impl SimNet {
 }
 
 impl Transport for SimNet {
-    fn send(&mut self, from: NodeId, to: NodeId, msg: Msg) -> Result<(), TransportError> {
-        if self.killed.contains(&from) {
-            return Err(TransportError::Closed { to });
-        }
-        if self.killed.contains(&to) {
-            return Err(TransportError::Unreachable { to });
+    fn send(&mut self, from: NodeId, to: NodeId, msg: Msg) {
+        if self.killed.contains(&from) || self.killed.contains(&to) {
+            return;
         }
         let fired = self
             .registry
@@ -121,7 +118,6 @@ impl Transport for SimNet {
         self.sent += 1;
         let inbox = self.inboxes.entry(to).or_default();
         inbox.insert((*tail, self.sent), (from, msg));
-        Ok(())
     }
 }
 
@@ -566,9 +562,9 @@ mod tests {
     #[test]
     fn delivery_respects_latency_and_fifo_order() {
         let mut net = SimNet::new(Duration::ZERO);
-        net.send(NodeId(0), NodeId(1), hb(0)).unwrap();
+        net.send(NodeId(0), NodeId(1), hb(0));
         net.now = at_ms(1.0);
-        net.send(NodeId(2), NodeId(1), hb(2)).unwrap();
+        net.send(NodeId(2), NodeId(1), hb(2));
 
         assert!(net.take_due(NodeId(1), at_ms(0.5)).is_empty());
         assert_eq!(net.next_delivery(NodeId(1)), Some(at_ms(1.0)));
@@ -582,11 +578,11 @@ mod tests {
         let mut net = SimNet::new(Duration::ZERO);
         net.slow
             .insert((NodeId(0), NodeId(1)), Duration::from_millis(3.0));
-        net.send(NodeId(0), NodeId(1), hb(0)).unwrap();
+        net.send(NodeId(0), NodeId(1), hb(0));
         net.slow.clear();
         // Sent later on the same link, and faster: still behind the first.
-        net.send(NodeId(0), NodeId(1), hb(7)).unwrap();
-        net.send(NodeId(2), NodeId(1), hb(2)).unwrap();
+        net.send(NodeId(0), NodeId(1), hb(7));
+        net.send(NodeId(2), NodeId(1), hb(2));
         assert_eq!(net.take_due(NodeId(1), at_ms(1.0)), [(NodeId(2), hb(2))]);
         let slow = [(NodeId(0), hb(0)), (NodeId(0), hb(7))];
         assert_eq!(net.take_due(NodeId(1), at_ms(4.0)), slow);
@@ -595,23 +591,19 @@ mod tests {
     #[test]
     fn kill_drops_queues_and_in_flight_traffic() {
         let mut net = SimNet::new(Duration::ZERO);
-        net.send(NodeId(0), NodeId(1), hb(0)).unwrap();
-        net.send(NodeId(1), NodeId(2), hb(1)).unwrap();
+        net.send(NodeId(0), NodeId(1), hb(0));
+        net.send(NodeId(1), NodeId(2), hb(1));
         net.kill(NodeId(1));
         assert_eq!(net.next_delivery(NodeId(1)), None);
         assert_eq!(net.next_delivery(NodeId(2)), None);
 
-        // Sends to the dead node fail typed; sends from it fail typed.
-        assert_eq!(
-            net.send(NodeId(0), NodeId(1), hb(0)),
-            Err(TransportError::Unreachable { to: NodeId(1) })
-        );
-        assert_eq!(
-            net.send(NodeId(1), NodeId(0), hb(1)),
-            Err(TransportError::Closed { to: NodeId(0) })
-        );
+        // Nothing is queued to the dead node, or from it.
+        net.send(NodeId(0), NodeId(1), hb(0));
+        net.send(NodeId(1), NodeId(0), hb(1));
+        assert_eq!(net.next_delivery(NodeId(1)), None);
+        assert_eq!(net.next_delivery(NodeId(0)), None);
         net.killed.remove(&NodeId(1));
-        net.send(NodeId(0), NodeId(1), hb(0)).unwrap();
+        net.send(NodeId(0), NodeId(1), hb(0));
         assert_eq!(net.take_due(NodeId(1), at_ms(1.0)).len(), 1);
     }
 

@@ -16,7 +16,7 @@
 //!
 //! [`DvdcProtocol::run_round`] performs a coordinated checkpoint of the
 //! whole cluster and reports the bytes it moved as a
-//! [`RoundLoad`](dvdc_vcluster::fabric::RoundLoad), which
+//! [`RoundLoad`], which
 //! [`RoundLoad::price`](dvdc_vcluster::fabric::RoundLoad::price) turns into
 //! the paper's overhead and latency; [`DvdcProtocol::recover`] is called after `Cluster::fail_node`,
 //! rebuilds the lost state, repairs the node in place, rolls the cluster
@@ -38,7 +38,7 @@ pub use node_core::{
     DigestSource, Msg, NodeCore, NodeMetrics, Note, StatusView, CTL, PART_LEN,
 };
 pub use phased::{run_round_with_detection, run_round_with_faults, DetectionReport, PhasedOutcome};
-pub use transport::{dispatch, Transport, TransportError};
+pub use transport::{dispatch, Transport};
 
 use std::fmt;
 

@@ -741,7 +741,8 @@ impl ClusterSpec {
     /// Rejects a spec no group can run on: an empty group or image, a
     /// Reed–Solomon group wider than GF(256) has points for, a detector
     /// that suspects a member for one late heartbeat, a round whose
-    /// timeout runs out before its capture is due.
+    /// timeout runs out before its capture is due, a rebuild with no time
+    /// to fetch.
     pub fn validate(&self) -> Result<(), String> {
         let DetectorConfig {
             heartbeat_interval,
@@ -782,6 +783,13 @@ impl ClusterSpec {
                 "the round timeout ({}) must exceed the capture delay ({}): no round could commit",
                 self.round_timeout, self.capture_delay
             ));
+        }
+        if self.rebuild_timeout.is_zero() {
+            return Err(
+                "the rebuild timeout must not be zero: a rebuild would decode before any \
+                 survivor could answer"
+                    .to_string(),
+            );
         }
         Ok(())
     }
@@ -2628,7 +2636,7 @@ mod tests {
     #[test]
     fn validate_rejects_each_config_hazard_with_its_sentence() {
         type Plant = fn(&mut ClusterSpec);
-        let hazards: [(&str, Plant); 8] = [
+        let hazards: [(&str, Plant); 9] = [
             ("one data and one parity", |s| s.data_nodes = 0),
             ("one data and one parity", |s| s.parity_nodes = 0),
             ("at most 256 members", |s| {
@@ -2646,6 +2654,9 @@ mod tests {
             }),
             ("must exceed the capture delay", |s| {
                 s.round_timeout = s.capture_delay
+            }),
+            ("rebuild timeout must not be zero", |s| {
+                s.rebuild_timeout = Duration::ZERO
             }),
         ];
         for (sentence, plant) in hazards {

@@ -8,7 +8,7 @@
 //!   memory and emits declarative [`WorkloadOp`]s (migrate a VM, restart
 //!   a node, scrub) each round;
 //! * the fault axis is a [`FaultSchedule`] — it plans a
-//!   [`ClusterFaultPlan`] over the cluster's [`DomainShape`] (node, rack
+//!   [`ClusterFaultPlan`](dvdc_faults::ClusterFaultPlan) over the cluster's [`DomainShape`] (node, rack
 //!   and DC counts) without ever seeing the workload;
 //! * [`run_scenario`] resolves the ops against the live cluster through
 //!   [`apply_op`] (the placement's own choice of destination for each

@@ -6,13 +6,13 @@
 //! independence is what lets the scheme scale: a 5000-node cluster is not
 //! one giant barrier-synchronised round but many small group bundles, each
 //! running its own round clock. This module models exactly that. The
-//! cluster is split into *shards* — disjoint sub-clusters of
-//! `nodes_per_shard` physical nodes, each with its own orthogonal
-//! [`GroupPlacement`] and [`DvdcProtocol`] — and every shard drives its
-//! phased rounds on an independent, staggered clock. All shards interleave
+//! cluster is split into *shards* — disjoint sub-clusters of four
+//! physical nodes, each with its own orthogonal [`GroupPlacement`] and
+//! [`DvdcProtocol`] — and every shard drives its phased rounds on an
+//! independent, staggered clock. All shards interleave
 //! through one deterministic [`Simulation`] event queue, so the model
-//! exercises the simcore engine at thousand-node scale (the
-//! `cluster_scale` bench measures events/sec on precisely this loop).
+//! exercises the simcore engine at thousand-node scale (the benchmark's
+//! `sim_*` workloads measure events/sec on precisely this loop).
 //!
 //! Failures stay shard-local: a node crash touches one shard's groups and
 //! is recovered by that shard's protocol while every other shard's round
@@ -21,73 +21,57 @@
 use dvdc_simcore::engine::Simulation;
 use dvdc_simcore::rng::RngHub;
 use dvdc_simcore::time::{Duration, SimTime};
-use dvdc_vcluster::cluster::{Cluster, ClusterBuilder, TopologySpec};
+use dvdc_vcluster::cluster::{Cluster, ClusterBuilder};
 use dvdc_vcluster::ids::NodeId;
 
 use crate::placement::GroupPlacement;
 use crate::protocol::{DvdcProtocol, PhasedRound, RoundStep};
 
-/// Geometry and schedule of a sharded run.
+/// Physical nodes per shard: one Fig. 4 sub-cluster.
+const NODES_PER_SHARD: usize = 4;
+/// VMs hosted per node.
+const VMS_PER_NODE: usize = 3;
+/// Data members per RAID group.
+const GROUP_K: usize = 3;
+/// Parity blocks per group (= per-shard failure tolerance).
+const PARITY_M: usize = 1;
+/// Gap between a shard's commit and its next round, in seconds.
+const ROUND_INTERVAL_SECS: f64 = 30.0;
+/// Per-shard offset of the first round, in milliseconds — staggered
+/// clocks, so shard rounds interleave instead of marching in lockstep.
+const STAGGER_MS: f64 = 100.0;
+/// Guest dirtying time simulated before each capture, in seconds.
+const GUEST_DT_SECS: f64 = 1.0;
+/// Guest page-write rate during that window.
+const WRITES_PER_SEC: f64 = 20.0;
+
+/// Size, length and seed of a sharded run. The geometry and schedule
+/// are fixed: shards of four nodes hosting three VMs each in k = 3,
+/// m = 1 groups, a round every 30 s after a 1 s dirtying window at 20
+/// page writes/s, and shard clocks staggered by 100 ms.
 #[derive(Debug, Clone)]
 pub struct ShardConfig {
     /// Total physical nodes to model. Rounded down to a whole number of
     /// shards; [`ShardedCluster::node_count`] reports the modeled count.
     pub total_nodes: usize,
-    /// Nodes per shard (each shard is an independent sub-cluster). Must be
-    /// at least `group_k + parity_m` for the orthogonal placement.
-    pub nodes_per_shard: usize,
-    /// VMs hosted per node.
-    pub vms_per_node: usize,
     /// Pages per VM image.
     pub pages: usize,
     /// Bytes per page.
     pub page_size: usize,
-    /// Data members per RAID group.
-    pub group_k: usize,
-    /// Parity blocks per group (= per-shard failure tolerance).
-    pub parity_m: usize,
     /// Checkpoint rounds each shard commits.
     pub rounds: usize,
-    /// Gap between a shard's commit and its next round.
-    pub round_interval: Duration,
-    /// Per-shard offset of the first round — staggered clocks, so shard
-    /// rounds interleave instead of marching in lockstep.
-    pub stagger: Duration,
-    /// Guest dirtying time simulated before each capture.
-    pub guest_dt: Duration,
-    /// Guest page-write rate during that window.
-    pub writes_per_sec: f64,
     /// Seed for all per-VM workload RNG streams.
     pub seed: u64,
-    /// Rack/DC hierarchy applied to *each* shard's sub-cluster. A shard
-    /// is a failure-containment unit, so a rack must never straddle a
-    /// shard boundary: with [`TopologySpec::UniformRacks`],
-    /// `nodes_per_shard` must be a whole number of racks — [`build`]
-    /// rejects anything else rather than silently splitting a rack.
-    /// The default [`TopologySpec::Flat`] keeps the pre-hierarchy model
-    /// (every node its own rack).
-    ///
-    /// [`build`]: ShardedCluster::build
-    pub topology: TopologySpec,
 }
 
 impl Default for ShardConfig {
     fn default() -> Self {
         ShardConfig {
             total_nodes: 100,
-            nodes_per_shard: 4,
-            vms_per_node: 3,
             pages: 8,
             page_size: 256,
-            group_k: 3,
-            parity_m: 1,
             rounds: 2,
-            round_interval: Duration::from_secs(30.0),
-            stagger: Duration::from_millis(100.0),
-            guest_dt: Duration::from_secs(1.0),
-            writes_per_sec: 20.0,
             seed: 0x51a2d,
-            topology: TopologySpec::Flat,
         }
     }
 }
@@ -115,7 +99,7 @@ enum ShardEvent {
 pub struct ShardedRunReport {
     /// Number of shards (independent sub-clusters).
     pub shards: usize,
-    /// Physical nodes actually modeled (`shards * nodes_per_shard`).
+    /// Physical nodes actually modeled (four per shard).
     pub nodes: usize,
     /// Total VMs across all shards.
     pub vms: usize,
@@ -136,48 +120,29 @@ pub struct ShardedCluster {
 }
 
 impl ShardedCluster {
-    /// Builds `total_nodes / nodes_per_shard` sub-clusters, each with its
-    /// own orthogonal placement and [`DvdcProtocol`].
+    /// Builds `total_nodes / 4` sub-clusters, each with its own
+    /// orthogonal placement and [`DvdcProtocol`].
     ///
     /// # Panics
-    /// Panics if the geometry yields no shards, if a rack would straddle
-    /// a shard boundary (`nodes_per_shard` not a whole number of racks),
-    /// or the per-shard orthogonal placement is infeasible
-    /// (`group_k + parity_m > nodes_per_shard`, VM count not a multiple
-    /// of `group_k`, or too few racks for a rack-orthogonal layout).
+    /// Panics if the geometry yields no shards.
     pub fn build(config: ShardConfig) -> Self {
-        let shard_count = config.total_nodes / config.nodes_per_shard;
+        let shard_count = config.total_nodes / NODES_PER_SHARD;
         assert!(
             shard_count >= 1,
             "total_nodes {} below one shard of {}",
             config.total_nodes,
-            config.nodes_per_shard
+            NODES_PER_SHARD
         );
-        // A shard is the failure-containment unit: every rack must lie
-        // wholly inside one shard, never silently split across two.
-        if let TopologySpec::UniformRacks { nodes_per_rack, .. } = config.topology {
-            assert!(
-                nodes_per_rack > 0 && config.nodes_per_shard.is_multiple_of(nodes_per_rack),
-                "a rack of {} nodes would straddle a shard boundary of {} nodes",
-                nodes_per_rack,
-                config.nodes_per_shard
-            );
-        }
         let shards = (0..shard_count)
             .map(|i| {
                 let cluster = ClusterBuilder::new()
-                    .physical_nodes(config.nodes_per_shard)
-                    .vms_per_node(config.vms_per_node)
+                    .physical_nodes(NODES_PER_SHARD)
+                    .vms_per_node(VMS_PER_NODE)
                     .vm_memory(config.pages, config.page_size)
-                    .writes_per_sec(config.writes_per_sec)
-                    .topology(config.topology.clone())
+                    .writes_per_sec(WRITES_PER_SEC)
                     .build(config.seed.wrapping_add(i as u64));
-                let placement = GroupPlacement::orthogonal_with_parity(
-                    &cluster,
-                    config.group_k,
-                    config.parity_m,
-                )
-                .expect("shard geometry admits an orthogonal placement");
+                let placement = GroupPlacement::orthogonal_with_parity(&cluster, GROUP_K, PARITY_M)
+                    .expect("shard geometry admits an orthogonal placement");
                 Shard {
                     cluster,
                     protocol: DvdcProtocol::new(placement),
@@ -196,7 +161,7 @@ impl ShardedCluster {
 
     /// Physical nodes actually modeled.
     pub fn node_count(&self) -> usize {
-        self.shards.len() * self.config.nodes_per_shard
+        self.shards.len() * NODES_PER_SHARD
     }
 
     /// Total VMs across all shards.
@@ -217,23 +182,23 @@ impl ShardedCluster {
     /// Runs every shard's `rounds` checkpoint rounds to completion, all
     /// interleaved through one event queue on staggered per-shard clocks.
     ///
-    /// Each shard's cycle: guests dirty pages for `guest_dt`, a phased
+    /// Each shard's cycle: guests dirty pages for a second, a phased
     /// round opens, its discrete steps fire as events (each step's `took`
     /// schedules the next), the commit closes the round, and the next one
-    /// is scheduled `round_interval` later. Deterministic for a fixed
+    /// is scheduled 30 s later. Deterministic for a fixed
     /// config: per-VM RNG streams are keyed by `(seed, global vm index)`.
     pub fn run(&mut self) -> ShardedRunReport {
         let hub = RngHub::new(self.config.seed);
         let rounds = self.config.rounds;
-        let interval = self.config.round_interval;
-        let guest_dt = self.config.guest_dt;
-        let vms_per_shard = self.config.nodes_per_shard * self.config.vms_per_node;
+        let interval = Duration::from_secs(ROUND_INTERVAL_SECS);
+        let guest_dt = Duration::from_secs(GUEST_DT_SECS);
+        let vms_per_shard = NODES_PER_SHARD * VMS_PER_NODE;
 
         let mut sim: Simulation<Vec<Shard>, ShardEvent> =
             Simulation::new(std::mem::take(&mut self.shards));
         for i in 0..sim.world.len() {
             sim.schedule(
-                SimTime::ZERO + self.config.stagger * i as f64,
+                SimTime::ZERO + Duration::from_millis(STAGGER_MS) * i as f64,
                 ShardEvent::BeginRound { shard: i },
             );
         }
@@ -284,18 +249,14 @@ impl ShardedCluster {
         }
     }
 
-    /// Crashes the whole rack containing the first node of `shard` (on
-    /// the flat default topology that rack is exactly one node, the
-    /// pre-hierarchy behavior), recovers every victim through that
+    /// Crashes the first node of `shard`, recovers it through that
     /// shard's protocol, and asserts every VM image in the shard is
     /// byte-identical to its pre-crash state (no guest writes occur
     /// after the final commit, so memory equals the committed epoch).
     /// Returns the number of VMs rebuilt from parity.
     ///
     /// # Panics
-    /// Panics if recovery fails (a racked shard whose placement is not
-    /// rack-orthogonal, or a rack wider than the parity tolerance) or
-    /// any VM image differs post-recovery.
+    /// Panics if recovery fails or any VM image differs post-recovery.
     pub fn verify_shard_recovery(&mut self, shard: usize) -> usize {
         let s = &mut self.shards[shard];
         let before: Vec<Vec<u8>> = s
@@ -304,17 +265,14 @@ impl ShardedCluster {
             .into_iter()
             .map(|vm| s.cluster.vm(vm).memory().as_bytes().to_vec())
             .collect();
-        let rack = s.cluster.rack_of(NodeId(0));
-        let victims = s.cluster.topology().nodes_in_rack(rack);
-        s.cluster.fail_rack(rack);
-        let mut rebuilt = 0;
-        for &victim in &victims {
-            let report = s
-                .protocol
-                .recover_typed(&mut s.cluster, victim)
-                .expect("whole-rack failure within shard tolerance");
-            rebuilt += report.recovered_vms.len();
-        }
+        let victim = NodeId(0);
+        s.cluster.fail_node(victim);
+        let rebuilt = s
+            .protocol
+            .recover_typed(&mut s.cluster, victim)
+            .expect("one node failure within shard tolerance")
+            .recovered_vms
+            .len();
         for (vm, pre) in s.cluster.vm_ids().into_iter().zip(&before) {
             assert_eq!(
                 s.cluster.vm(vm).memory().as_bytes(),
@@ -364,20 +322,17 @@ mod tests {
 
     #[test]
     fn staggered_clocks_interleave_shards() {
-        // With a stagger smaller than a round's span, shard 1's round
-        // must start before shard 0's finishes — the queue interleaves
-        // them rather than serialising shard-by-shard.
+        // Shard 1 opens its first round 100 ms after shard 0 and commits
+        // its second 30 s after that: the two clocks run side by side
+        // through one queue, not one shard after the other.
         let mut sc = ShardedCluster::build(ShardConfig {
             total_nodes: 8,
-            stagger: Duration::from_micros(1.0),
-            rounds: 1,
             ..ShardConfig::default()
         });
         let report = sc.run();
-        assert_eq!(report.rounds_committed, 2);
-        // Both shards committed despite overlapping in time.
-        assert_eq!(sc.protocol(0).committed_epoch(), Some(0));
-        assert_eq!(sc.protocol(1).committed_epoch(), Some(0));
+        assert_eq!(report.rounds_committed, 4);
+        let end = report.sim_time.as_secs();
+        assert!(end > 30.1 && end < 31.0, "last commit at {end} s");
     }
 
     #[test]
@@ -392,7 +347,7 @@ mod tests {
             let report = sc.run();
             assert_eq!(report.rounds_committed, sc.shard_count() * 2);
             let recovered = sc.verify_shard_recovery(sc.shard_count() / 2);
-            assert_eq!(recovered, sc.config.vms_per_node, "{total_nodes} nodes");
+            assert_eq!(recovered, VMS_PER_NODE, "{total_nodes} nodes");
         }
     }
 
@@ -417,42 +372,6 @@ mod tests {
             (460, 4629253252786074488, 10)
         );
         assert_eq!(sc.verify_shard_recovery(sc.shard_count() / 2), 3);
-    }
-
-    #[test]
-    fn racked_shards_survive_whole_rack_failure() {
-        // Each shard: 8 nodes in 4 racks of 2, k+m = 4 → rack-orthogonal
-        // placement, so losing a whole rack (two nodes, six VMs) stays
-        // within the m=1 tolerance per group.
-        let mut sc = ShardedCluster::build(ShardConfig {
-            total_nodes: 16,
-            nodes_per_shard: 8,
-            topology: TopologySpec::UniformRacks {
-                nodes_per_rack: 2,
-                racks_per_dc: 4,
-            },
-            rounds: 1,
-            ..ShardConfig::default()
-        });
-        assert_eq!(sc.shard_count(), 2);
-        let report = sc.run();
-        assert_eq!(report.rounds_committed, 2);
-        let recovered = sc.verify_shard_recovery(0);
-        assert_eq!(recovered, 2 * sc.config.vms_per_node);
-    }
-
-    #[test]
-    #[should_panic(expected = "straddle")]
-    fn rack_straddling_shard_boundary_is_rejected() {
-        ShardedCluster::build(ShardConfig {
-            total_nodes: 12,
-            nodes_per_shard: 4,
-            topology: TopologySpec::UniformRacks {
-                nodes_per_rack: 3,
-                racks_per_dc: 2,
-            },
-            ..ShardConfig::default()
-        });
     }
 
     #[test]

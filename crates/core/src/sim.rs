@@ -20,17 +20,8 @@ use dvdc_faults::injector::ClusterFaultPlan;
 
 use crate::protocol::{apply_fault, DvdcProtocol, ProtocolError, RecoverError};
 
-/// How to handle a failed node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecoveryPolicy {
-    /// Rebuild lost state onto the repaired node (hardware comes back).
-    RepairInPlace,
-    /// Re-home lost state onto survivors; the dead node stays out
-    /// (falls back to repair-in-place if no legal host exists).
-    Failover,
-}
-
-/// Simulation configuration.
+/// Simulation configuration. A failed node is repaired in place: its
+/// state is rebuilt onto it once its hardware comes back.
 #[derive(Debug, Clone, Copy)]
 pub struct JobRunner {
     /// Fault-free job length.
@@ -38,8 +29,6 @@ pub struct JobRunner {
     /// Progress between coordinated checkpoints — the interval of
     /// Section V.
     pub interval: Duration,
-    /// Failure-recovery policy.
-    pub recovery: RecoveryPolicy,
     /// If true, VM guest workloads actually execute between rounds
     /// (byte-level realism, slower); if false only the timing skeleton
     /// runs (for large parameter sweeps).
@@ -91,16 +80,9 @@ impl JobRunner {
         JobRunner {
             job_length,
             interval,
-            recovery: RecoveryPolicy::RepairInPlace,
             drive_guests: true,
             sync_parity: false,
         }
-    }
-
-    /// Switches to failover recovery.
-    pub fn with_failover(mut self) -> Self {
-        self.recovery = RecoveryPolicy::Failover;
-        self
     }
 
     /// Makes the guests wait for each round's parity.
@@ -200,8 +182,8 @@ impl JobRunner {
                         victims.push(node);
                     }
                     if victims.is_empty() {
-                        // Hardware already out of service (failover mode):
-                        // nothing new fails.
+                        // A corruption fault, or a fault on a node that is
+                        // already down: nothing new fails.
                         out.failures -= 1;
                         progress += lost; // nothing was actually lost
                         out.lost_work -= lost;
@@ -230,20 +212,7 @@ impl JobRunner {
                     let mut recovered = 0u64;
                     let mut recovery: Result<(), RecoverError> = Ok(());
                     for &v in &victims {
-                        let one = match self.recovery {
-                            RecoveryPolicy::RepairInPlace => protocol.recover_typed(cluster, v),
-                            RecoveryPolicy::Failover => {
-                                match protocol.recover_failover(cluster, v) {
-                                    Err(ProtocolError::Unrecoverable { .. }) => {
-                                        // No legal host: fall back to waiting
-                                        // for the hardware repair.
-                                        protocol.recover_typed(cluster, v)
-                                    }
-                                    other => other.map_err(RecoverError::from),
-                                }
-                            }
-                        };
-                        match one {
+                        match protocol.recover_typed(cluster, v) {
                             Ok(rep) => {
                                 recovered += 1;
                                 repair_time += rep.repair_time;
@@ -469,32 +438,6 @@ mod tests {
     }
 
     #[test]
-    fn failover_policy_keeps_running_without_the_dead_node() {
-        // 6 nodes give failover headroom (see dvdc_proto tests).
-        let mut c = ClusterBuilder::new()
-            .physical_nodes(6)
-            .vms_per_node(2)
-            .vm_memory(8, 32)
-            .writes_per_sec(20.0)
-            .build(1);
-        let mut p = DvdcProtocol::new(GroupPlacement::orthogonal(&c, 3).unwrap());
-        let runner =
-            JobRunner::new(Duration::from_secs(100.0), Duration::from_secs(10.0)).with_failover();
-        // Node 2 dies at t=35 and, per the plan, would die "again" at
-        // t=70 — but it is already out of service, so only one failure
-        // counts.
-        let plan = ClusterFaultPlan::new(vec![
-            NodeFault::crash(2, SimTime::from_secs(35.0), Duration::from_secs(2.0)),
-            NodeFault::crash(2, SimTime::from_secs(70.0), Duration::from_secs(2.0)),
-        ]);
-        let out = runner.run(&mut p, &mut c, &plan, &RngHub::new(7)).unwrap();
-        assert_eq!(out.recoveries, 1);
-        assert!(!c.is_up(NodeId(2)), "failover leaves the node out");
-        assert!(c.vms_on(NodeId(2)).is_empty());
-        assert!(out.wall_time >= Duration::from_secs(100.0));
-    }
-
-    #[test]
     fn background_and_synchronous_outcomes_are_pinned() {
         // Guests run, so rounds after the first ship dirty pages only;
         // traced failures strike node 1 and node 3 (first-shot's parity
@@ -526,23 +469,5 @@ mod tests {
         };
         assert_eq!(run(0), (113.93751413759999, 0.36087296, 9));
         assert_eq!(run(1), (114.00683817600002, 0.5322615872, 9));
-    }
-
-    #[test]
-    fn failover_falls_back_to_repair_when_no_host_fits() {
-        // Fig. 4 shape: groups span all nodes, failover impossible; the
-        // runner must quietly fall back to repair-in-place.
-        let mut c = cluster();
-        let mut p = dvdc(&c);
-        let runner =
-            JobRunner::new(Duration::from_secs(60.0), Duration::from_secs(10.0)).with_failover();
-        let plan = ClusterFaultPlan::new(vec![NodeFault::crash(
-            1,
-            SimTime::from_secs(25.0),
-            Duration::from_secs(2.0),
-        )]);
-        let out = runner.run(&mut p, &mut c, &plan, &RngHub::new(8)).unwrap();
-        assert_eq!(out.recoveries, 1);
-        assert!(c.is_up(NodeId(1)), "repair-in-place brought the node back");
     }
 }

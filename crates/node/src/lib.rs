@@ -355,6 +355,11 @@ mod tests {
             .unwrap_err();
             assert!(err.contains("heartbeat interval must not be zero"), "{err}");
         }
+        let err = NodeOptions::parse(args(
+            "--data 1 --parity 1 --addrs 127.0.0.1:1,127.0.0.1:2 --rebuild-ms 0",
+        ))
+        .unwrap_err();
+        assert!(err.contains("rebuild timeout must not be zero"), "{err}");
         let addrs: Vec<String> = (1..=257).map(|p| format!("127.0.0.1:{p}")).collect();
         let err = NodeOptions::parse(args(&format!(
             "--data 255 --parity 2 --addrs {}",

@@ -117,7 +117,7 @@ impl Tables {
     /// Multiply-accumulate over a block: `dst[i] ^= coeff * src[i]`.
     ///
     /// This is the inner loop of RS encoding. Blocks of at least
-    /// [`MUL_TABLE_MIN`] bytes go through a freshly built [`MulTable`]
+    /// `MUL_TABLE_MIN` bytes go through a freshly built [`MulTable`]
     /// (branch-free single-lookup kernel); shorter blocks use the scalar
     /// log/exp loop. Callers that reuse a coefficient across many blocks
     /// (the RS generator rows) should hold a [`MulTable`] directly.

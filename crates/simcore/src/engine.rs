@@ -215,7 +215,6 @@ impl<W, E> Simulation<W, E> {
 mod tests {
     use super::*;
     use crate::rng::RngHub;
-    use crate::stats::TimeWeightedMean;
     use rand::Rng;
 
     #[test]
@@ -269,22 +268,26 @@ mod tests {
         struct World {
             in_system: u64,
             rng: crate::rng::StreamRng,
-            track: TimeWeightedMean,
+            /// ∫ in_system dt up to `last`.
+            area: f64,
+            last: SimTime,
         }
         let hub = RngHub::new(0x3131);
         let mut sim = Simulation::new(World {
             in_system: 0,
             rng: hub.stream("mm1"),
-            track: TimeWeightedMean::new(),
+            area: 0.0,
+            last: SimTime::ZERO,
         });
         let (lambda, mu) = (0.8, 1.0);
         let exp = |rng: &mut crate::rng::StreamRng, rate: f64| {
             Duration::from_secs(-(1.0 - rng.random::<f64>()).ln() / rate)
         };
-        sim.world.track.record(SimTime::ZERO, 0.0);
         sim.schedule(SimTime::from_secs(0.001), Ev::Arrival);
         let horizon = SimTime::from_secs(400_000.0);
         sim.run_until(horizon, |w, sched, ev| {
+            w.area += w.in_system as f64 * sched.now().since(w.last).as_secs();
+            w.last = sched.now();
             match ev {
                 Ev::Arrival => {
                     w.in_system += 1;
@@ -303,9 +306,10 @@ mod tests {
                     }
                 }
             }
-            w.track.record(sched.now(), w.in_system as f64);
         });
-        let mean_l = sim.world.track.mean_until(horizon);
+        let w = &sim.world;
+        let tail = w.in_system as f64 * horizon.since(w.last).as_secs();
+        let mean_l = (w.area + tail) / horizon.as_secs();
         assert!(
             (mean_l - 4.0).abs() < 0.4,
             "M/M/1 mean in system {mean_l} vs theory 4.0"

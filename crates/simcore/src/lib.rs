@@ -15,9 +15,9 @@
 //! * [`rng`] — named, independently seeded random-number streams
 //!   ([`RngHub`]) so that adding a new stochastic component never perturbs
 //!   the draws of existing ones.
-//! * [`stats`] — online statistics collectors (Welford mean/variance,
-//!   time-weighted means, fixed-bin histograms) and [`montecarlo`] — a
-//!   driver that runs many independent trials and summarises them.
+//! * [`stats`] — a single-pass Welford mean/variance collector, and
+//!   [`montecarlo`] — a driver that runs many independent trials and
+//!   summarises them.
 //!
 //! Everything is deterministic given a master seed. That property is load
 //! bearing: the paper's analytical model (crate `dvdc-model`) is

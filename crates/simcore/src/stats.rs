@@ -3,8 +3,6 @@
 //! Simulations in this workspace can run millions of trials, so all
 //! collectors here are single-pass and O(1) memory.
 
-use crate::time::SimTime;
-
 /// Single-pass mean/variance accumulator (Welford's algorithm).
 #[derive(Debug, Clone)]
 pub struct Welford {
@@ -118,66 +116,6 @@ impl Welford {
     }
 }
 
-/// Time-weighted mean of a piecewise-constant signal (e.g. "VMs running"
-/// over simulated time).
-#[derive(Debug, Clone)]
-pub struct TimeWeightedMean {
-    last_time: SimTime,
-    last_value: f64,
-    weighted_sum: f64,
-    started: bool,
-    start_time: SimTime,
-}
-
-impl Default for TimeWeightedMean {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl TimeWeightedMean {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        TimeWeightedMean {
-            last_time: SimTime::ZERO,
-            last_value: 0.0,
-            weighted_sum: 0.0,
-            started: false,
-            start_time: SimTime::ZERO,
-        }
-    }
-
-    /// Records that the signal changed to `value` at time `at`. The previous
-    /// value is credited for the elapsed interval.
-    ///
-    /// # Panics
-    /// Panics if `at` precedes the previous observation.
-    pub fn record(&mut self, at: SimTime, value: f64) {
-        if !self.started {
-            self.started = true;
-            self.start_time = at;
-        } else {
-            let dt = at.since(self.last_time).as_secs();
-            self.weighted_sum += self.last_value * dt;
-        }
-        self.last_time = at;
-        self.last_value = value;
-    }
-
-    /// The time-weighted mean over `[first record, until]`.
-    pub fn mean_until(&self, until: SimTime) -> f64 {
-        if !self.started {
-            return 0.0;
-        }
-        let tail = until.since(self.last_time).as_secs();
-        let total = until.since(self.start_time).as_secs();
-        if total == 0.0 {
-            return self.last_value;
-        }
-        (self.weighted_sum + self.last_value * tail) / total
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -224,22 +162,5 @@ mod tests {
         assert_eq!(w.mean(), 0.0);
         assert_eq!(w.variance(), 0.0);
         assert_eq!(w.std_err(), 0.0);
-    }
-
-    #[test]
-    fn time_weighted_mean_piecewise() {
-        let mut twm = TimeWeightedMean::new();
-        twm.record(SimTime::from_secs(0.0), 1.0);
-        twm.record(SimTime::from_secs(10.0), 3.0);
-        // 10s at 1.0, then 10s at 3.0 → mean 2.0 at t=20.
-        assert!((twm.mean_until(SimTime::from_secs(20.0)) - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn time_weighted_mean_single_point() {
-        let mut twm = TimeWeightedMean::new();
-        twm.record(SimTime::from_secs(5.0), 4.0);
-        assert_eq!(twm.mean_until(SimTime::from_secs(5.0)), 4.0);
-        assert_eq!(twm.mean_until(SimTime::from_secs(10.0)), 4.0);
     }
 }

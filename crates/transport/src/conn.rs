@@ -1,7 +1,6 @@
 //! Per-peer connection state machine: dial with retry, typed errors.
 //!
-//! Reconnect pacing reuses the cluster's
-//! [`RetryPolicy`](dvdc_vcluster::messaging::RetryPolicy) — the same
+//! Reconnect pacing reuses the cluster's [`RetryPolicy`] — the same
 //! exponential backoff-with-deterministic-jitter schedule the sim's
 //! transfer layer uses, so deployment and simulation share one retry
 //! model. Jitter is seeded per-(node, peer), so two nodes re-dialing the

@@ -21,10 +21,10 @@
 //! the first header instead of misreading a message.
 //!
 //! A frame is built in memory ([`encode_frame`]) or streamed: the codec in
-//! [`wire`](crate::wire) emits a message into a [`Sink`] and reads one
-//! from a [`Source`]. [`FrameSink`] gathers a frame for one vectored write
+//! [`wire`](crate::wire) emits a message into a `Sink` and reads one
+//! from a `Source`. `FrameSink` gathers a frame for one vectored write
 //! to a stream, borrowing a long byte string where it lies, and
-//! [`FrameSource`] reads one off a stream; each keeps the digest as the
+//! `FrameSource` reads one off a stream; each keeps the digest as the
 //! bytes pass, so an image crosses this layer without being copied.
 
 use std::io::{IoSlice, Read, Write};

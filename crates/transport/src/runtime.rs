@@ -7,12 +7,10 @@
 //! block the core has not taken. Outbound, each peer gets a writer thread
 //! owning its own dialed socket — messages are queued to it as they are and
 //! encoded onto the socket there, off the event loop — reconnecting with
-//! the cluster's
-//! [`RetryPolicy`](dvdc_vcluster::messaging::RetryPolicy) jittered
-//! backoff and a holdoff after exhaustion so a dead peer cannot turn the
-//! writer into a dial spin-loop. The event loop is single-threaded: it
-//! owns the `NodeCore`, feeds it messages stamped by
-//! [`WallClock`](crate::clock::WallClock), ticks it when its
+//! the cluster's [`RetryPolicy`] jittered backoff and a holdoff after
+//! exhaustion so a dead peer cannot turn the writer into a dial
+//! spin-loop. The event loop is single-threaded: it owns the `NodeCore`,
+//! feeds it messages stamped by [`WallClock`], ticks it when its
 //! [`next_deadline`](NodeCore::next_deadline) arrives, and carries out
 //! the returned actions through the shared [`dispatch`] helper — the same
 //! code path the deterministic harness uses. Nothing polls: the accept
@@ -43,7 +41,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration as StdDuration, Instant, SystemTime, UNIX_EPOCH};
 
 use dvdc::protocol::node_core::{ClusterSpec, Msg, NodeCore, Note, CTL};
-use dvdc::protocol::transport::{dispatch, Transport, TransportError};
+use dvdc::protocol::transport::{dispatch, Transport};
 use dvdc_observe::registry::{Counter, Gauge, MetricsHub, Stamp};
 use dvdc_observe::SyncRingRecorder;
 use dvdc_simcore::time::SimTime;
@@ -205,7 +203,7 @@ impl TcpTransport {
 }
 
 impl Transport for TcpTransport {
-    fn send(&mut self, from: NodeId, to: NodeId, msg: Msg) -> Result<(), TransportError> {
+    fn send(&mut self, from: NodeId, to: NodeId, msg: Msg) {
         self.frames_out.inc();
         self.bytes_out
             .add((HEADER_LEN + envelope_len(from, &msg) + TRAILER_LEN) as u64);
@@ -219,20 +217,20 @@ impl Transport for TcpTransport {
             } else {
                 self.ctl.clone()
             };
-            let conn = conn.ok_or(TransportError::Unreachable { to })?;
-            let mut stream = conn.lock().map_err(|_| TransportError::Closed { to })?;
-            write_envelope(&mut *stream, from, &msg).map_err(|_| TransportError::Closed { to })
-        } else {
-            let tx = self
-                .peers
-                .get(&to)
-                .ok_or(TransportError::Unreachable { to })?;
-            tx.send(ToWriter::Send(from, msg))
-                .map_err(|_| TransportError::Closed { to })?;
-            if let Some(q) = self.peer_queues.get(&to) {
-                q.add(1);
+            // No controller, a stream a panicked writer left poisoned, or
+            // one that hung up: the reply is dropped.
+            if let Some(conn) = conn {
+                if let Ok(mut stream) = conn.lock() {
+                    let _ = write_envelope(&mut *stream, from, &msg);
+                }
             }
-            Ok(())
+        } else if let Some(tx) = self.peers.get(&to) {
+            // A closed writer channel means the peer's writer is gone.
+            if tx.send(ToWriter::Send(from, msg)).is_ok() {
+                if let Some(q) = self.peer_queues.get(&to) {
+                    q.add(1);
+                }
+            }
         }
     }
 }
@@ -356,11 +354,7 @@ impl NodeRuntime {
                         // trace ring live out here beside it.
                         match incoming.msg {
                             Msg::MetricsReq => {
-                                let _ = transport.send(
-                                    config.id,
-                                    CTL,
-                                    Msg::MetricsResp(hub.snapshot()),
-                                );
+                                transport.send(config.id, CTL, Msg::MetricsResp(hub.snapshot()));
                                 continue;
                             }
                             Msg::TraceTailReq { max } => {
@@ -379,7 +373,7 @@ impl NodeRuntime {
                                     dropped,
                                     events,
                                 };
-                                let _ = transport.send(config.id, CTL, resp);
+                                transport.send(config.id, CTL, resp);
                                 continue;
                             }
                             _ => {}

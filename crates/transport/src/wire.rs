@@ -7,7 +7,7 @@
 //! decode failure is a typed [`WireError`] — a hostile or torn payload
 //! can never panic the daemon.
 //!
-//! The codec is declarative. [`Wire`] is implemented once per field
+//! The codec is declarative. `Wire` is implemented once per field
 //! *type*; each enum is one table (`tag => Variant { field, … }`) from
 //! which both directions are generated, with the field types inferred
 //! from the enum itself. **Adding a message or an event is one table
@@ -15,7 +15,7 @@
 //! renumbered once released, and tag 0 stays unassigned so a zero-filled
 //! buffer decodes to a typed error.
 //!
-//! Both directions run against a byte [`Sink`] or [`Source`] rather than
+//! Both directions run against a byte `Sink` or `Source` rather than
 //! a buffer, so the same tables fill a `Vec` ([`encode_envelope`]), read
 //! a slice ([`decode_envelope`]) and stream a message to or from a
 //! socket inside a frame ([`write_envelope`], [`read_envelope`]) — an

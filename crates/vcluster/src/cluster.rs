@@ -8,11 +8,11 @@
 
 use rand::Rng;
 
-use crate::fabric::{FabricModel, LinkClass};
+use crate::fabric::FabricModel;
 use crate::ids::{NodeId, VmId};
 use crate::memory::MemoryImage;
 use crate::topology::{RackId, Topology};
-use crate::workload::{AccessPattern, Workload};
+use crate::workload::Workload;
 use dvdc_simcore::time::Duration;
 
 /// A virtual machine: identity, memory image, and its write workload.
@@ -116,7 +116,7 @@ pub enum TopologySpec {
 
 /// Builder for [`Cluster`]. Defaults: 4 nodes × 3 VMs (the paper's Fig. 4
 /// configuration), 256 pages of 4 KiB, a 90/10 hot/cold workload at 1000
-/// page writes/second.
+/// page writes/second; every cluster runs on the default [`FabricModel`].
 #[derive(Debug, Clone)]
 pub struct ClusterBuilder {
     nodes: usize,
@@ -124,9 +124,7 @@ pub struct ClusterBuilder {
     vms_per_node: usize,
     pages: usize,
     page_size: usize,
-    pattern: AccessPattern,
     writes_per_sec: f64,
-    fabric: FabricModel,
     topology: TopologySpec,
 }
 
@@ -145,9 +143,7 @@ impl ClusterBuilder {
             vms_per_node: 3,
             pages: 256,
             page_size: 4096,
-            pattern: AccessPattern::ninety_ten(),
             writes_per_sec: 1000.0,
-            fabric: FabricModel::default(),
             topology: TopologySpec::Flat,
         }
     }
@@ -180,21 +176,9 @@ impl ClusterBuilder {
         self
     }
 
-    /// Sets the guest write pattern.
-    pub fn access_pattern(mut self, p: AccessPattern) -> Self {
-        self.pattern = p;
-        self
-    }
-
     /// Sets the guest write rate (page writes per second).
     pub fn writes_per_sec(mut self, rate: f64) -> Self {
         self.writes_per_sec = rate;
-        self
-    }
-
-    /// Overrides the fabric timing model.
-    pub fn fabric(mut self, fabric: FabricModel) -> Self {
-        self.fabric = fabric;
         self
     }
 
@@ -252,7 +236,7 @@ impl ClusterBuilder {
                     vm_id,
                     self.pages,
                     self.page_size,
-                    Workload::new(self.pattern, self.writes_per_sec),
+                    Workload::new(self.writes_per_sec),
                 ));
                 placement.push(node_id);
             }
@@ -266,7 +250,7 @@ impl ClusterBuilder {
             nodes,
             vms,
             placement,
-            fabric: self.fabric,
+            fabric: FabricModel::default(),
             topology,
         }
     }
@@ -352,27 +336,6 @@ impl Cluster {
     /// The rack hosting `node`.
     pub fn rack_of(&self, node: NodeId) -> RackId {
         self.topology.rack_of(node)
-    }
-
-    /// Which topology tier the path between two nodes crosses.
-    fn link_class(&self, a: NodeId, b: NodeId) -> LinkClass {
-        let (ra, rb) = (self.topology.rack_of(a), self.topology.rack_of(b));
-        if ra == rb {
-            LinkClass::IntraRack
-        } else if self.topology.dc_of_rack(ra) == self.topology.dc_of_rack(rb) {
-            LinkClass::CrossRack
-        } else {
-            LinkClass::CrossDc
-        }
-    }
-
-    /// Time to push `bytes` from `from` to `to`, charged through the
-    /// fabric tier the path crosses ([`Cluster::link_class`]). On a flat
-    /// fabric (no tiers installed) this equals
-    /// `fabric().network.link_transfer(bytes)` for every pair.
-    pub fn link_transfer(&self, from: NodeId, to: NodeId, bytes: usize) -> Duration {
-        self.fabric
-            .link_transfer_class(self.link_class(from, to), bytes)
     }
 
     /// Marks a node failed. Returns the VMs that went down with it — the

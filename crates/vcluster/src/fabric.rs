@@ -158,114 +158,18 @@ impl RoundLoad {
     }
 }
 
-/// Which topology tier a node-to-node path crosses. Classified by the
-/// cluster from its [`Topology`](crate::topology::Topology); the fabric
-/// only maps the class to a link model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum LinkClass {
-    /// Both endpoints share a rack (one ToR switch hop).
-    IntraRack,
-    /// Same datacenter, different racks (through the aggregation layer).
-    CrossRack,
-    /// Different datacenters (the WAN path).
-    CrossDc,
-}
-
-/// Hierarchical link asymmetry: real clusters are not flat — two nodes
-/// under one ToR switch see full line rate and microseconds of latency,
-/// while a cross-datacenter path is bandwidth-starved and milliseconds
-/// away. A `TieredNetwork` gives each [`LinkClass`] its own
-/// [`NetworkModel`]; a flat fabric (no tiers) charges every path the
-/// same `network` model as before.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TieredNetwork {
-    /// Links within one rack.
-    pub intra_rack: NetworkModel,
-    /// Links between racks of one datacenter.
-    pub cross_rack: NetworkModel,
-    /// Links between datacenters.
-    pub cross_dc: NetworkModel,
-}
-
-impl TieredNetwork {
-    /// A flat hierarchy: every tier is `net` (useful as an A/B control —
-    /// charging through tiers with this preset matches the flat fabric
-    /// exactly).
-    pub fn flat(net: NetworkModel) -> Self {
-        TieredNetwork {
-            intra_rack: net,
-            cross_rack: net,
-            cross_dc: net,
-        }
-    }
-
-    /// A 2012-era hierarchy around the default gigabit fabric: full line
-    /// rate under the ToR, a 2:1 oversubscribed aggregation layer between
-    /// racks, and a ~100 Mb/s, 10 ms inter-DC path.
-    pub fn datacenter() -> Self {
-        let base = NetworkModel::default();
-        TieredNetwork {
-            intra_rack: base,
-            cross_rack: NetworkModel {
-                link_bandwidth: base.link_bandwidth / 2.0,
-                latency: base.latency * 5.0,
-                ..base
-            },
-            cross_dc: NetworkModel {
-                link_bandwidth: 12.5e6, // 100 Mb/s WAN
-                latency: Duration::from_millis(10.0),
-                ..base
-            },
-        }
-    }
-
-    /// The link model for one path class.
-    pub fn model(&self, class: LinkClass) -> &NetworkModel {
-        match class {
-            LinkClass::IntraRack => &self.intra_rack,
-            LinkClass::CrossRack => &self.cross_rack,
-            LinkClass::CrossDc => &self.cross_dc,
-        }
-    }
-}
-
 /// The complete fabric: network + disk + memory.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct FabricModel {
-    /// Network links and the shared NAS path. With `tiers` set this is
-    /// the flat fallback for paths charged without endpoint knowledge
-    /// (e.g. heartbeats to an unmodelled monitor).
+    /// Network links and the shared NAS path.
     pub network: NetworkModel,
     /// The NAS's backing disks.
     pub disk: DiskModel,
     /// Per-node memory engine.
     pub memory: MemoryModel,
-    /// Hierarchical link models, keyed by [`LinkClass`]. `None` keeps
-    /// the historical flat fabric: every path costs `network`.
-    pub tiers: Option<TieredNetwork>,
 }
 
 impl FabricModel {
-    /// Builder-style tier installation.
-    pub fn with_tiers(mut self, tiers: TieredNetwork) -> Self {
-        self.tiers = Some(tiers);
-        self
-    }
-
-    /// The link model charged to a path of the given class: the matching
-    /// tier when tiers are installed, the flat `network` otherwise.
-    fn network_for(&self, class: LinkClass) -> &NetworkModel {
-        match &self.tiers {
-            Some(t) => t.model(class),
-            None => &self.network,
-        }
-    }
-
-    /// Time to push `bytes` across a path of the given class.
-    pub fn link_transfer_class(&self, class: LinkClass, bytes: usize) -> Duration {
-        self.network_for(class).link_transfer(bytes)
-    }
-
     /// Sanity ratio: how much faster the in-memory XOR path is than the
     /// disk write path for the same payload. The paper's argument needs
     /// this to be ≫ 1.
@@ -367,53 +271,5 @@ mod tests {
         let f = FabricModel::default();
         assert_eq!(f.network.link_bandwidth, 125e6);
         assert!(f.disk.write_bandwidth < f.memory.xor_bandwidth);
-    }
-
-    #[test]
-    fn untiers_fall_back_to_flat_network() {
-        let f = FabricModel::default();
-        let payload = 1 << 24;
-        for class in [
-            LinkClass::IntraRack,
-            LinkClass::CrossRack,
-            LinkClass::CrossDc,
-        ] {
-            assert_eq!(
-                f.link_transfer_class(class, payload),
-                f.network.link_transfer(payload)
-            );
-        }
-    }
-
-    #[test]
-    fn flat_tiers_match_untiered_charging() {
-        let flat = FabricModel::default();
-        let tiered =
-            FabricModel::default().with_tiers(TieredNetwork::flat(NetworkModel::default()));
-        let payload = 1 << 24;
-        for class in [
-            LinkClass::IntraRack,
-            LinkClass::CrossRack,
-            LinkClass::CrossDc,
-        ] {
-            assert_eq!(
-                tiered.link_transfer_class(class, payload),
-                flat.link_transfer_class(class, payload)
-            );
-        }
-    }
-
-    #[test]
-    fn datacenter_tiers_are_strictly_ordered() {
-        let f = FabricModel::default().with_tiers(TieredNetwork::datacenter());
-        let payload = 1 << 24;
-        let intra = f.link_transfer_class(LinkClass::IntraRack, payload);
-        let cross_rack = f.link_transfer_class(LinkClass::CrossRack, payload);
-        let cross_dc = f.link_transfer_class(LinkClass::CrossDc, payload);
-        assert!(intra < cross_rack, "{intra} !< {cross_rack}");
-        assert!(cross_rack < cross_dc, "{cross_rack} !< {cross_dc}");
-        // The WAN hop dominates by an order of magnitude for bulk
-        // payloads — the asymmetry the rebuild-window test leans on.
-        assert!(cross_dc.as_secs() > intra.as_secs() * 5.0);
     }
 }

@@ -11,10 +11,10 @@
 //! * [`ids`] — typed identifiers for nodes, VMs, and pages.
 //! * [`memory`] — paged VM memory images with dirty-page tracking, the
 //!   hypervisor-visible substrate for full and incremental checkpointing.
-//! * [`workload`] — synthetic page-write workloads (uniform, hot/cold
-//!   working set, sequential scan) standing in for the HPC applications
-//!   the paper targets; the working-set skew is what makes incremental
-//!   checkpointing pay off (Section II-B1).
+//! * [`workload`] — a synthetic 90/10 hot/cold page-write workload
+//!   standing in for the HPC applications the paper targets; the
+//!   working-set skew is what makes incremental checkpointing pay off
+//!   (Section II-B1).
 //! * [`fabric`] — the timing model: per-node network links, the shared
 //!   NAS bottleneck of disk-full checkpointing, disk bandwidth, and the
 //!   in-memory XOR bandwidth that makes diskless parity cheap
@@ -64,6 +64,6 @@ pub use messaging::{
 };
 pub use topology::{DcId, RackId, Topology};
 pub use workload::{
-    AccessPattern, BurstyDirtyStorm, ClusterWorkload, MigrationChurn, RollingRestarts, ScrubStorm,
+    BurstyDirtyStorm, ClusterWorkload, MigrationChurn, RollingRestarts, ScrubStorm,
     SteadyCheckpoint, WorkloadOp, WorkloadTick,
 };

@@ -3,9 +3,9 @@
 //! "The principle of locality dictates that certain regions of memory be
 //! 'hot' or 'cold' during most types of computation" (Section II-B1) —
 //! that skew is what makes incremental checkpointing and pre-copy live
-//! migration converge. Each workload decides *which* page the next guest
-//! write lands on; [`DirtyRateModel`] decides *how many* writes happen per
-//! unit of simulated time.
+//! migration converge. Every guest sends nine writes in ten to the first
+//! tenth of its pages (a [`Workload`]); [`DirtyRateModel`] decides *how
+//! many* writes happen per unit of simulated time.
 
 use rand::Rng;
 
@@ -15,60 +15,30 @@ use crate::memory::MemoryImage;
 use dvdc_simcore::rng::RngHub;
 use dvdc_simcore::time::Duration;
 
-/// Chooses the target page of each guest write.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum AccessPattern {
-    /// Every page equally likely — the adversarial case for incremental
-    /// checkpointing (working set = whole image).
-    Uniform,
-    /// A fraction of pages is "hot" and absorbs most writes.
-    HotCold {
-        /// Fraction of the image that is hot, in (0, 1].
-        hot_fraction: f64,
-        /// Probability that a write hits the hot region, in [0, 1].
-        hot_probability: f64,
-    },
-    /// Pages are written in address order, wrapping — a streaming kernel.
-    Sequential,
-}
+/// Fraction of a guest's pages that is "hot": the conventional 90/10
+/// working-set skew every simulated guest runs.
+const HOT_FRACTION: f64 = 0.1;
 
-impl AccessPattern {
-    /// A conventional 90/10 working-set skew.
-    pub fn ninety_ten() -> Self {
-        AccessPattern::HotCold {
-            hot_fraction: 0.1,
-            hot_probability: 0.9,
-        }
-    }
-}
+/// Probability that a guest write lands in the hot pages.
+const HOT_PROBABILITY: f64 = 0.9;
 
-/// Stateful per-VM workload: an access pattern plus a write rate.
+/// Stateful per-VM workload: the 90/10 hot/cold page choice at a write
+/// rate.
 #[derive(Debug, Clone)]
 pub struct Workload {
-    pattern: AccessPattern,
     rate: DirtyRateModel,
-    /// Cursor for the sequential pattern.
-    cursor: usize,
     /// Monotonically increasing value mixed into written pages so repeated
     /// writes change content.
     write_counter: u64,
 }
 
 impl Workload {
-    /// Creates a workload writing `writes_per_sec` pages per second with
-    /// the given pattern.
-    pub fn new(pattern: AccessPattern, writes_per_sec: f64) -> Self {
+    /// Creates a workload writing `writes_per_sec` pages per second.
+    pub fn new(writes_per_sec: f64) -> Self {
         Workload {
-            pattern,
             rate: DirtyRateModel::new(writes_per_sec),
-            cursor: 0,
             write_counter: 0,
         }
-    }
-
-    /// The access pattern.
-    pub fn pattern(&self) -> AccessPattern {
-        self.pattern
     }
 
     /// The configured write rate (pages/second).
@@ -93,29 +63,16 @@ impl Workload {
         writes
     }
 
-    /// Picks the page for the next write.
+    /// Picks the page for the next write: the first [`HOT_FRACTION`] of
+    /// the image with probability [`HOT_PROBABILITY`], the rest otherwise.
     fn next_page<R: Rng + ?Sized>(&mut self, page_count: usize, rng: &mut R) -> usize {
-        match self.pattern {
-            AccessPattern::Uniform => rng.random_range(0..page_count),
-            AccessPattern::HotCold {
-                hot_fraction,
-                hot_probability,
-            } => {
-                let hot_pages =
-                    ((page_count as f64 * hot_fraction).ceil() as usize).clamp(1, page_count);
-                if rng.random::<f64>() < hot_probability {
-                    rng.random_range(0..hot_pages)
-                } else if hot_pages < page_count {
-                    rng.random_range(hot_pages..page_count)
-                } else {
-                    rng.random_range(0..page_count)
-                }
-            }
-            AccessPattern::Sequential => {
-                let page = self.cursor % page_count;
-                self.cursor = self.cursor.wrapping_add(1);
-                page
-            }
+        let hot_pages = ((page_count as f64 * HOT_FRACTION).ceil() as usize).clamp(1, page_count);
+        if rng.random::<f64>() < HOT_PROBABILITY {
+            rng.random_range(0..hot_pages)
+        } else if hot_pages < page_count {
+            rng.random_range(hot_pages..page_count)
+        } else {
+            rng.random_range(0..page_count)
         }
     }
 }
@@ -181,9 +138,8 @@ fn run_guests(cluster: &mut Cluster, dt: Duration, hub: &RngHub, round: u64) -> 
     cluster.run_all(dt, |vm| sub.stream_indexed("vm", vm.index() as u64))
 }
 
-/// Steady checkpoint traffic: every VM's own [`AccessPattern`] workload
-/// runs at its configured rate, nothing else happens. This is the
-/// baseline — the pre-existing `AccessPattern` machinery as one
+/// Steady checkpoint traffic: every VM's own [`Workload`] runs at its
+/// configured rate, nothing else happens. This is the baseline
 /// implementation of the trait.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SteadyCheckpoint;
@@ -438,22 +394,10 @@ mod tests {
     }
 
     #[test]
-    fn uniform_pattern_covers_pages() {
-        let hub = RngHub::new(8);
-        let mut rng = hub.stream("u");
-        let mut w = Workload::new(AccessPattern::Uniform, 1.0);
-        let mut seen = [false; 16];
-        for _ in 0..1000 {
-            seen[w.next_page(16, &mut rng)] = true;
-        }
-        assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
     fn hot_cold_concentrates_writes() {
         let hub = RngHub::new(8);
         let mut rng = hub.stream("hc");
-        let mut w = Workload::new(AccessPattern::ninety_ten(), 1.0);
+        let mut w = Workload::new(1.0);
         let pages = 100;
         let mut hot_hits = 0;
         let n = 10_000;
@@ -467,12 +411,12 @@ mod tests {
     }
 
     #[test]
-    fn sequential_pattern_wraps() {
+    fn ninety_ten_draws_are_pinned() {
         let hub = RngHub::new(8);
-        let mut rng = hub.stream("s");
-        let mut w = Workload::new(AccessPattern::Sequential, 1.0);
-        let seq: Vec<usize> = (0..7).map(|_| w.next_page(3, &mut rng)).collect();
-        assert_eq!(seq, vec![0, 1, 2, 0, 1, 2, 0]);
+        let mut rng = hub.stream("pin");
+        let mut w = Workload::new(1.0);
+        let pages: Vec<usize> = (0..16).map(|_| w.next_page(100, &mut rng)).collect();
+        assert_eq!(pages, [5, 2, 4, 7, 2, 2, 1, 1, 4, 4, 2, 99, 6, 5, 5, 4]);
     }
 
     #[test]
@@ -480,7 +424,7 @@ mod tests {
         let hub = RngHub::new(8);
         let mut rng = hub.stream("run");
         let mut mem = MemoryImage::zeroed(64, 16);
-        let mut w = Workload::new(AccessPattern::Uniform, 100.0);
+        let mut w = Workload::new(100.0);
         let writes = w.run(&mut mem, Duration::from_secs(1.0), &mut rng);
         assert_eq!(writes, 100);
         assert!(mem.dirty_count() > 0);
@@ -492,7 +436,7 @@ mod tests {
         let hub = RngHub::new(8);
         let mut rng = hub.stream("rw");
         let mut mem = MemoryImage::zeroed(1, 16);
-        let mut w = Workload::new(AccessPattern::Sequential, 1.0);
+        let mut w = Workload::new(1.0);
         let p0 = mem.page(crate::ids::PageIndex(0)).to_vec();
         w.run(&mut mem, Duration::from_secs(1.0), &mut rng);
         let p1 = mem.page(crate::ids::PageIndex(0)).to_vec();
@@ -568,7 +512,6 @@ mod tests {
             .vms_per_node(1)
             .vm_memory(64, 16)
             .writes_per_sec(50.0)
-            .access_pattern(AccessPattern::Uniform)
             .build(0);
         let hub = RngHub::new(3);
         let mut w = BurstyDirtyStorm {
@@ -582,22 +525,5 @@ mod tests {
             storm > 4 * quiet.max(1),
             "storm={storm} must dwarf quiet={quiet}"
         );
-    }
-
-    #[test]
-    fn hot_fraction_of_one_is_uniform() {
-        let hub = RngHub::new(8);
-        let mut rng = hub.stream("edge");
-        let mut w = Workload::new(
-            AccessPattern::HotCold {
-                hot_fraction: 1.0,
-                hot_probability: 0.5,
-            },
-            1.0,
-        );
-        for _ in 0..100 {
-            let p = w.next_page(10, &mut rng);
-            assert!(p < 10);
-        }
     }
 }

@@ -65,33 +65,26 @@ fn dvdc_completes_under_failures() {
 #[test]
 fn first_shot_completes_under_failures() {
     // Fig. 3: four compute nodes and a VM-less checkpoint node that can
-    // fail like any other. No survivor may take a second member of any
-    // slot group (or its parity), so the failover arm finds no legal
-    // re-home and falls back to repair-in-place every time.
-    for failover in [false, true] {
-        let mut c = ClusterBuilder::new()
-            .physical_nodes(5)
-            .spare_nodes(1)
-            .vms_per_node(3)
-            .vm_memory(16, 64)
-            .writes_per_sec(100.0)
-            .build(17);
-        let mut p = DvdcProtocol::new(GroupPlacement::dedicated(&c, NodeId(4)).unwrap());
-        let mut runner = JobRunner::new(Duration::from_secs(600.0), Duration::from_secs(25.0))
-            .with_sync_parity();
-        if failover {
-            runner = runner.with_failover();
-        }
-        let out = runner
-            .run(&mut p, &mut c, &plan(5, 3), &RngHub::new(3))
-            .unwrap();
-        check(&out, Duration::from_secs(600.0));
-        assert!(out.failures > 0, "the plan must actually exercise failures");
-        assert_eq!(out.recoveries, out.failures, "failover={failover}");
-        assert!(!out.restarted_from_scratch);
-        assert_eq!(c.up_node_count(), 5, "every victim was repaired in place");
-        assert_eq!(c.vm_count(), 12);
-    }
+    // fail like any other; every victim is repaired in place.
+    let mut c = ClusterBuilder::new()
+        .physical_nodes(5)
+        .spare_nodes(1)
+        .vms_per_node(3)
+        .vm_memory(16, 64)
+        .writes_per_sec(100.0)
+        .build(17);
+    let mut p = DvdcProtocol::new(GroupPlacement::dedicated(&c, NodeId(4)).unwrap());
+    let runner =
+        JobRunner::new(Duration::from_secs(600.0), Duration::from_secs(25.0)).with_sync_parity();
+    let out = runner
+        .run(&mut p, &mut c, &plan(5, 3), &RngHub::new(3))
+        .unwrap();
+    check(&out, Duration::from_secs(600.0));
+    assert!(out.failures > 0, "the plan must actually exercise failures");
+    assert_eq!(out.recoveries, out.failures);
+    assert!(!out.restarted_from_scratch);
+    assert_eq!(c.up_node_count(), 5, "every victim was repaired in place");
+    assert_eq!(c.vm_count(), 12);
 }
 
 #[test]

@@ -34,7 +34,6 @@ fn cluster_sim_tracks_analytic_expectation() {
     let runner = JobRunner {
         job_length: Duration::from_secs(job),
         interval: Duration::from_secs(interval),
-        recovery: dvdc::sim::RecoveryPolicy::RepairInPlace,
         drive_guests: false,
         sync_parity: false,
     };

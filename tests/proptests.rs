@@ -1,7 +1,7 @@
 //! Property-based tests (proptest) on the workspace's core invariants:
-//! erasure codes, delta compression, placement orthogonality, the
-//! incremental parity update, the dirty-rate model, and the analytical
-//! model's structural properties.
+//! erasure codes, placement orthogonality, the incremental parity
+//! update, the dirty-rate model, and the analytical model's structural
+//! properties.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -9,7 +9,6 @@ use proptest::prelude::*;
 use dvdc::placement::GroupPlacement;
 use dvdc::protocol::delta_parity_update;
 use dvdc::protocol::node_core::{ClusterSpec, Msg, NodeCore};
-use dvdc_checkpoint::delta::{change_fraction, compress, decompress};
 use dvdc_model::analytic;
 use dvdc_parity::code::ErasureCode;
 use dvdc_parity::raid5::XorCode;
@@ -96,38 +95,6 @@ proptest! {
         }
         code.reconstruct(&mut shards).unwrap();
         prop_assert_eq!(shards, originals);
-    }
-
-    // ---------- delta compression ----------
-
-    #[test]
-    fn delta_codec_roundtrips(
-        old in vec(any::<u8>(), 0..512),
-        mask in vec(any::<u8>(), 0..512),
-    ) {
-        let n = old.len().min(mask.len());
-        let old = &old[..n];
-        let new: Vec<u8> = old.iter().zip(&mask[..n]).map(|(o, m)| o ^ m).collect();
-        let d = compress(old, &new);
-        prop_assert_eq!(decompress(old, &d), new);
-    }
-
-    #[test]
-    fn delta_size_bounded_by_change(
-        old in vec(any::<u8>(), 64..256),
-        flips in vec(any::<prop::sample::Index>(), 0..16),
-    ) {
-        let mut new = old.clone();
-        for f in &flips {
-            let i = f.index(new.len());
-            new[i] ^= 0xFF;
-        }
-        let d = compress(&old, &new);
-        // Each changed byte costs at most 1 literal + sometimes a 4-byte
-        // header; plus one trailing header.
-        let changed = (change_fraction(&old, &new) * old.len() as f64).round() as usize;
-        prop_assert!(d.compressed_len() <= changed * 5 + 8,
-            "len {} changed {}", d.compressed_len(), changed);
     }
 
     // ---------- incremental parity update ----------

@@ -1,5 +1,5 @@
-//! Exhaustive recovery drills across cluster shapes, capture modes, and
-//! failure points — the fault-tolerance contract of the paper, tested
+//! Exhaustive recovery drills across cluster shapes and failure
+//! points — the fault-tolerance contract of the paper, tested
 //! byte-for-byte.
 
 use std::rc::Rc;
@@ -11,7 +11,6 @@ use dvdc::protocol::{
     ProtocolError, RebuildMode, RebuildPhase, RebuildStep, RecoverError, RoundPhase, RoundStep,
     CTL, PART_LEN,
 };
-use dvdc_checkpoint::strategy::Mode;
 use dvdc_faults::detector::Verdict;
 use dvdc_faults::{ClusterFaultPlan, DetectorConfig, NodeFault, PlanCursor};
 use dvdc_observe::audit::InvariantAuditor;
@@ -66,38 +65,31 @@ fn assert_state(c: &Cluster, want: &[Vec<u8>], ctx: &str) {
 }
 
 #[test]
-fn dvdc_matrix_shapes_modes_victims() {
+fn dvdc_matrix_shapes_victims() {
     for (nodes, vms, k) in [(4usize, 3usize, 3usize), (5, 4, 4), (6, 2, 3), (8, 2, 4)] {
-        for mode in [Mode::Full, Mode::Incremental, Mode::Forked] {
-            for victim in 0..nodes {
-                let mut c = build(nodes, vms);
-                let placement = GroupPlacement::orthogonal(&c, k)
-                    .unwrap_or_else(|e| panic!("{nodes}x{vms} k={k}: {e}"));
-                let (mut p, _audit) = audited(DvdcProtocol::with_mode(placement, mode));
-                // Two rounds with guest activity in between, so modes
-                // actually diverge in payload.
-                let hub = RngHub::new(victim as u64);
-                p.run_round(&mut c).unwrap();
-                c.run_all(Duration::from_secs(0.5), |vm| {
-                    hub.stream_indexed("w", vm.index() as u64)
-                });
-                p.run_round(&mut c).unwrap();
-                let want = snapshots(&c);
+        for victim in 0..nodes {
+            let mut c = build(nodes, vms);
+            let placement = GroupPlacement::orthogonal(&c, k)
+                .unwrap_or_else(|e| panic!("{nodes}x{vms} k={k}: {e}"));
+            let (mut p, _audit) = audited(DvdcProtocol::new(placement));
+            // Two rounds with guest activity in between, so the second
+            // ships an increment.
+            let hub = RngHub::new(victim as u64);
+            p.run_round(&mut c).unwrap();
+            c.run_all(Duration::from_secs(0.5), |vm| {
+                hub.stream_indexed("w", vm.index() as u64)
+            });
+            p.run_round(&mut c).unwrap();
+            let want = snapshots(&c);
 
-                // More progress past the commit, then the crash.
-                c.run_all(Duration::from_secs(0.5), |vm| {
-                    hub.stream_indexed("w2", vm.index() as u64)
-                });
-                c.fail_node(NodeId(victim));
-                p.recover(&mut c, NodeId(victim)).unwrap_or_else(|e| {
-                    panic!("{nodes}x{vms} k={k} mode={mode:?} victim={victim}: {e}")
-                });
-                assert_state(
-                    &c,
-                    &want,
-                    &format!("{nodes}x{vms} k={k} mode={mode:?} victim={victim}"),
-                );
-            }
+            // More progress past the commit, then the crash.
+            c.run_all(Duration::from_secs(0.5), |vm| {
+                hub.stream_indexed("w2", vm.index() as u64)
+            });
+            c.fail_node(NodeId(victim));
+            p.recover(&mut c, NodeId(victim))
+                .unwrap_or_else(|e| panic!("{nodes}x{vms} k={k} victim={victim}: {e}"));
+            assert_state(&c, &want, &format!("{nodes}x{vms} k={k} victim={victim}"));
         }
     }
 }
@@ -710,55 +702,6 @@ fn rack_kill_matrix_confirms_every_rack_node_and_recovers() {
         }
         audit.assert_clean();
     }
-}
-
-/// Hierarchical link asymmetry: the same node rebuild on the same
-/// 2-DC topology takes measurably longer when the fabric charges
-/// cross-DC fetches at WAN rates than when every link is the flat
-/// datacenter network. With k+m = 4 rack-distinct members over 3 racks
-/// per DC, every group is forced to span both DCs, so a rebuild always
-/// pulls at least one survivor shard across the WAN tier.
-#[test]
-fn tiered_fabric_makes_cross_dc_rebuild_measurably_slower() {
-    use dvdc_vcluster::fabric::{FabricModel, NetworkModel, TieredNetwork};
-
-    let repair = |fabric: FabricModel| {
-        let mut c = ClusterBuilder::new()
-            .physical_nodes(12)
-            .vms_per_node(2)
-            .vm_memory(8, 32)
-            .writes_per_sec(200.0)
-            .topology(dvdc_vcluster::cluster::TopologySpec::UniformRacks {
-                nodes_per_rack: 2,
-                racks_per_dc: 3,
-            })
-            .fabric(fabric)
-            .build(77);
-        let placement = GroupPlacement::orthogonal_with_parity(&c, 3, 1).unwrap();
-        let (mut p, _audit) = audited(DvdcProtocol::new(placement));
-        p.run_round(&mut c).unwrap();
-        let want = snapshots(&c);
-        let victim = NodeId(0);
-        c.fail_node(victim);
-        let report = p.recover_typed(&mut c, victim).unwrap();
-        assert_state(&c, &want, "rebuild restores bytes regardless of fabric");
-        report.repair_time
-    };
-
-    let flat = repair(FabricModel::default());
-    let flat_tiered =
-        repair(FabricModel::default().with_tiers(TieredNetwork::flat(NetworkModel::default())));
-    let wan_tiered = repair(FabricModel::default().with_tiers(TieredNetwork::datacenter()));
-
-    assert_eq!(
-        flat, flat_tiered,
-        "uniform tiers must charge exactly like the untiered fabric"
-    );
-    assert!(
-        wan_tiered > flat * 1.5,
-        "cross-DC fetches at WAN rates must dominate the rebuild window: \
-         tiered {wan_tiered} vs flat {flat}"
-    );
 }
 
 /// How a member is struck in the `NodeCore` matrix.
