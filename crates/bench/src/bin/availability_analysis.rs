@@ -143,8 +143,8 @@ fn simulated_mid_round_availability() {
                 .vm_memory(8, 32)
                 .writes_per_sec(200.0)
                 .build(seed);
-            let placement = GroupPlacement::orthogonal_with_parity(&cluster, 3, m)
-                .expect("6x2 supports k=3 with m parity");
+            let placement =
+                GroupPlacement::orthogonal(&cluster, 3, m).expect("6x2 supports k=3 with m parity");
             let mut protocol = DvdcProtocol::new(placement);
 
             let hub = RngHub::new(seed);
@@ -360,8 +360,8 @@ struct DomainRow {
 }
 
 /// Correlated rack failures against the placement ablation: the same
-/// 10-node / 5-rack / k = 3 cluster under the rack-blind slot-major
-/// layout versus the rack-aware one, for m = 1 and m = 2. Every rack is
+/// 10-node / 5-rack / k = 3 cluster under the rack-blind layout (the
+/// construction on a flat twin) versus the rack-aware one, for m = 1 and m = 2. Every rack is
 /// killed in turn (fresh cluster each time) through the detector-
 /// supervised round path; a kill that lands two members of one group in
 /// the blast radius exceeds m = 1 and is recorded as honest data loss.
@@ -378,17 +378,18 @@ fn rack_domain_availability() {
             let racks = 5usize;
             for rack in 0..racks {
                 let seed = 7000 + 100 * m as u64 + rack as u64;
-                let mut cluster = ClusterBuilder::new()
+                let builder = ClusterBuilder::new()
                     .physical_nodes(10)
                     .vms_per_node(3)
                     .vm_memory(8, 32)
-                    .writes_per_sec(200.0)
-                    .racks(2)
-                    .build(seed);
+                    .writes_per_sec(200.0);
+                let mut cluster = builder.clone().racks(2).build(seed);
+                // Rack-blind: the same construction on a flat twin — same
+                // node and VM ids — run on the racked cluster.
                 let placement = if rack_aware {
-                    GroupPlacement::orthogonal_with_parity(&cluster, 3, m)
+                    GroupPlacement::orthogonal(&cluster, 3, m)
                 } else {
-                    GroupPlacement::orthogonal_flat(&cluster, 3, m)
+                    GroupPlacement::orthogonal(&builder.build(seed), 3, m)
                 }
                 .expect("10x3 supports k=3 with m parity");
                 assert_eq!(

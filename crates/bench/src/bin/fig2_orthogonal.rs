@@ -43,7 +43,7 @@ fn main() {
             .vms_per_node(v)
             .vm_memory(4, 64)
             .build(0);
-        let placement = GroupPlacement::orthogonal(&cluster, k).unwrap();
+        let placement = GroupPlacement::orthogonal(&cluster, k, 1).unwrap();
         let mut worst = 0usize;
         for node in cluster.node_ids() {
             for (_, hits) in placement.impact_of_node_failure(&cluster, node) {

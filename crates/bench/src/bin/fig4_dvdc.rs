@@ -54,7 +54,7 @@ fn main() {
             .vm_memory(256, 4096)
     };
     let cluster = build().build(4);
-    let placement = GroupPlacement::orthogonal(&cluster, 3).unwrap();
+    let placement = GroupPlacement::orthogonal(&cluster, 3, 1).unwrap();
 
     // Print the placement in the figure's lettering (VM i → letter).
     let mut rows = Vec::new();
@@ -93,7 +93,7 @@ fn main() {
     for (name, spare) in [("rotated (Fig. 4)", 0), ("dedicated (Fig. 3)", 1)] {
         let mut c = build().spare_nodes(spare).build(4);
         let placement = if spare == 0 {
-            GroupPlacement::orthogonal(&c, 3).unwrap()
+            GroupPlacement::orthogonal(&c, 3, 1).unwrap()
         } else {
             GroupPlacement::dedicated(&c, NodeId(3)).unwrap()
         };
@@ -137,7 +137,7 @@ fn main() {
     let mut drill_rows = Vec::new();
     for victim in 0..4 {
         let mut c = build().build(4);
-        let mut p = DvdcProtocol::new(GroupPlacement::orthogonal(&c, 3).unwrap());
+        let mut p = DvdcProtocol::new(GroupPlacement::orthogonal(&c, 3, 1).unwrap());
         p.run_round(&mut c).unwrap();
         let want: Vec<Vec<u8>> = c
             .vm_ids()

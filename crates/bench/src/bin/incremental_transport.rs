@@ -55,7 +55,7 @@ fn build_cluster() -> Cluster {
 
 fn run(m: usize, incremental: bool) -> TransportRecord {
     let mut c = build_cluster();
-    let placement = GroupPlacement::orthogonal_with_parity(&c, 3, m).unwrap();
+    let placement = GroupPlacement::orthogonal(&c, 3, m).unwrap();
     let mut p = DvdcProtocol::new(placement).with_incremental_parity(incremental);
 
     // First round is always a full encode; exclude it from the averages.

@@ -44,7 +44,7 @@ fn main() {
     // DVDC: one committed round + some progress + a node failure.
     let hub = RngHub::new(0xCAFE);
     let mut c1 = build();
-    let mut dvdc = DvdcProtocol::new(GroupPlacement::orthogonal(&c1, 3).unwrap());
+    let mut dvdc = DvdcProtocol::new(GroupPlacement::orthogonal(&c1, 3, 1).unwrap());
     let r1 = dvdc.run_round(&mut c1).unwrap();
     let (round_pause, _) = r1.load.price(c1.fabric(), base_overhead());
     c1.run_all(Duration::from_secs(1.0), |vm| {

@@ -388,7 +388,7 @@ fn model_cell(
         round_gap: Duration::from_secs(0.5),
     };
     let mut cluster = build_cluster(seed);
-    let placement = GroupPlacement::orthogonal_with_parity(&cluster, 3, 1)
+    let placement = GroupPlacement::orthogonal(&cluster, 3, 1)
         .expect("12-node/6-rack cluster fits k=3,m=1 orthogonally");
     let mut protocol = DvdcProtocol::new(placement)
         .with_recorder(RecorderHandle::new(audit))

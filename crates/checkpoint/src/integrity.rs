@@ -13,7 +13,7 @@
 //! bytes (the frame trailer and `NodeCore`'s `block_digest` are the same
 //! function). Not cryptographic, but it runs at memory speed, so a store
 //! can afford it on every write and before every trust, and it is more
-//! than strong enough to catch the random corruptions the fault injector
+//! than strong enough to catch the random corruptions the fault plans
 //! models (a single flipped byte changes the digest with probability
 //! ~1 − 2⁻⁶⁴).
 

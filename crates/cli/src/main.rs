@@ -19,10 +19,9 @@ use args::Args;
 use dvdc::placement::GroupPlacement;
 use dvdc::protocol::DvdcProtocol;
 use dvdc::sim::JobRunner;
-use dvdc_faults::dist::Exponential;
-use dvdc_faults::injector::FaultInjector;
 use dvdc_faults::mttdl::MttdlParams;
 use dvdc_faults::trace::parse_trace;
+use dvdc_faults::{DomainShape, FaultSchedule, NodeCrashes};
 use dvdc_model::{fig5, Fig5Params};
 use dvdc_observe::chrome::chrome_trace;
 use dvdc_observe::metrics::metrics_snapshot;
@@ -127,7 +126,7 @@ fn build_cluster(args: &Args, spare: usize) -> Result<(Cluster, usize, usize), S
 fn build_placement(args: &Args, cluster: &Cluster) -> Result<GroupPlacement, String> {
     let k = args.usize_or("group", 3).map_err(|e| e.to_string())?;
     let m = args.usize_or("parity", 1).map_err(|e| e.to_string())?;
-    GroupPlacement::orthogonal_with_parity(cluster, k, m).map_err(|e| e.to_string())
+    GroupPlacement::orthogonal(cluster, k, m).map_err(|e| e.to_string())
 }
 
 fn cmd_plan(args: &Args) -> Result<(), String> {
@@ -249,12 +248,12 @@ fn cmd_run(args: &Args) -> Result<(), String> {
                 .map_err(|e| format!("cannot read trace '{path}': {e}"))?;
             parse_trace(&text, Duration::from_secs(repair)).map_err(|e| e.to_string())?
         }
-        None => FaultInjector::new(
-            nodes,
-            Exponential::from_mtbf(Duration::from_secs(mtbf)),
-            Duration::from_secs(repair),
-        )
-        .plan(Duration::from_secs(job * 20.0), &hub),
+        None => NodeCrashes::exponential(Duration::from_secs(mtbf), Duration::from_secs(repair))
+            .plan(
+                DomainShape::flat(nodes),
+                Duration::from_secs(job * 20.0),
+                &hub,
+            ),
     };
     let runner = JobRunner::new(Duration::from_secs(job), Duration::from_secs(interval));
 

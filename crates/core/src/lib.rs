@@ -50,7 +50,7 @@
 //!     .vms_per_node(3)
 //!     .vm_memory(16, 64)
 //!     .build(1);
-//! let placement = GroupPlacement::orthogonal(&cluster, 3).unwrap();
+//! let placement = GroupPlacement::orthogonal(&cluster, 3, 1).unwrap();
 //! let mut proto = DvdcProtocol::new(placement);
 //!
 //! proto.run_round(&mut cluster).unwrap();           // coordinated checkpoint

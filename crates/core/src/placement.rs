@@ -23,14 +23,14 @@
 //! cluster has a real failure-domain hierarchy (racks, DCs — see
 //! `dvdc_vcluster::topology`), a whole-rack failure takes several nodes
 //! at once, and a group with two members in one rack exceeds its parity
-//! tolerance in a single event. On non-flat topologies
-//! [`GroupPlacement::orthogonal_with_parity`] therefore places each
-//! group's members (data *and* parity) in pairwise-distinct racks
-//! whenever the rack count permits (`rack_count ≥ k + m`), extending the
-//! orthogonality rule one level up. The rack-ignorant construction stays
-//! available as [`GroupPlacement::orthogonal_flat`] — it is the ablation
-//! baseline that the availability analysis shows losing data under
-//! correlated rack loss.
+//! tolerance in a single event. [`GroupPlacement::orthogonal`] is one
+//! construction over the topology's rack map: it places each group's
+//! members (data *and* parity) in pairwise-distinct racks whenever the
+//! rack count permits (`rack_count ≥ k + m`), extending the orthogonality
+//! rule one level up. A flat topology makes every node its own rack, so
+//! the same walk yields the slot-major layout above. The rack-blind
+//! ablation the availability analysis runs is that construction on a
+//! flat twin of the racked cluster, run on the racked one.
 
 use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
@@ -146,15 +146,6 @@ pub enum PlacementError {
         /// The node touched twice.
         node: NodeId,
     },
-    /// A group touches some rack more than once — rack-level
-    /// orthogonality violated (only reported by
-    /// [`GroupPlacement::validate_rack_aware`]).
-    RackCollision {
-        /// The offending group.
-        group: GroupId,
-        /// The rack touched twice.
-        rack: RackId,
-    },
     /// The rack-aware constructor ran out of legal hosts for a group —
     /// the topology is too skewed for the requested shape.
     Unplaceable {
@@ -194,9 +185,6 @@ impl fmt::Display for PlacementError {
             PlacementError::NotOrthogonal { group, node } => {
                 write!(f, "{group} touches {node} more than once")
             }
-            PlacementError::RackCollision { group, rack } => {
-                write!(f, "{group} touches {rack} more than once")
-            }
             PlacementError::Unplaceable { group } => {
                 write!(f, "no legal host remains for {group} on this topology")
             }
@@ -229,45 +217,6 @@ pub struct GroupPlacement {
 }
 
 impl GroupPlacement {
-    /// Builds the orthogonal placement with `k` data members and one XOR
-    /// parity block per group (the paper's configuration).
-    pub fn orthogonal(cluster: &Cluster, k: usize) -> Result<Self, PlacementError> {
-        Self::orthogonal_with_parity(cluster, k, 1)
-    }
-
-    /// Builds the orthogonal placement with `k` data members and `m`
-    /// parity blocks per group (`m ≥ 2` tolerates `m` failures with
-    /// Reed–Solomon).
-    ///
-    /// On a flat topology this is the classic slot-major construction.
-    /// On a racked topology the members of each group are additionally
-    /// placed in pairwise-distinct *racks* whenever `rack_count ≥ k + m`
-    /// (verify with [`GroupPlacement::validate_rack_aware`]); with fewer
-    /// racks the constructor still guarantees node distinctness and
-    /// spreads racks as far as they go.
-    pub fn orthogonal_with_parity(
-        cluster: &Cluster,
-        k: usize,
-        m: usize,
-    ) -> Result<Self, PlacementError> {
-        Self::check_shape(cluster, k, m)?;
-        if cluster.topology().is_flat() {
-            Self::slot_major(cluster, k, m)
-        } else {
-            Self::rack_aware(cluster, k, m)
-        }
-    }
-
-    /// The rack-*ignorant* construction: always slot-major, exactly as if
-    /// the topology were flat. This is the ablation baseline — on a
-    /// racked cluster it will happily put two group members in one rack,
-    /// which is precisely the exposure the availability analysis
-    /// quantifies.
-    pub fn orthogonal_flat(cluster: &Cluster, k: usize, m: usize) -> Result<Self, PlacementError> {
-        Self::check_shape(cluster, k, m)?;
-        Self::slot_major(cluster, k, m)
-    }
-
     /// The paper's Fig. 1 / Fig. 3 layout: one VM-less checkpoint node
     /// holds every group's parity, and group *s* is the *s*-th VM of every
     /// other node ("A XOR B XOR C for ABC"). One VM per compute node is
@@ -339,7 +288,23 @@ impl GroupPlacement {
         order
     }
 
-    fn check_shape(cluster: &Cluster, k: usize, m: usize) -> Result<(), PlacementError> {
+    /// Builds the orthogonal placement with `k` data members and `m`
+    /// parity blocks per group (`m = 1` is the paper's XOR configuration;
+    /// `m ≥ 2` tolerates `m` failures with Reed–Solomon).
+    ///
+    /// Each group draws its `k` data members from `k` distinct racks —
+    /// racks with the most unassigned VMs first (ties by rack index), FIFO
+    /// in slot-major order within a rack — so on uniform topologies the
+    /// groups coincide with the slot-major layout while never co-locating
+    /// two members in a rack. Parity goes to ring-walk candidates from the
+    /// node after the last data member, in racks the group has not
+    /// touched, least parity-load first (ties by walk order, which keeps
+    /// Fig. 4's layout when the choice is forced at `k + m = N`). Groups
+    /// are pairwise rack-distinct whenever `rack_count ≥ k + m` (see
+    /// [`GroupPlacement::is_rack_orthogonal`]); with fewer racks the rack
+    /// constraint is relaxed to node distinctness exactly where the
+    /// topology leaves no rack-fresh candidate.
+    pub fn orthogonal(cluster: &Cluster, k: usize, m: usize) -> Result<Self, PlacementError> {
         assert!(k >= 1, "groups need at least one data member");
         assert!(m >= 1, "groups need at least one parity block");
         let n = cluster.node_count();
@@ -350,69 +315,8 @@ impl GroupPlacement {
         if !vms.is_multiple_of(k) {
             return Err(PlacementError::RaggedGroups { vms, k });
         }
-        Ok(())
-    }
-
-    fn slot_major(cluster: &Cluster, k: usize, m: usize) -> Result<Self, PlacementError> {
-        let n = cluster.node_count();
-        let vms = cluster.vm_count();
-        // k consecutive positions of the slot-major walk occupy k
-        // cyclically-consecutive distinct nodes; parity blocks go on the
-        // next m nodes after the data span.
-        let order = Self::slot_major_order(cluster);
-
-        let mut groups = Vec::with_capacity(vms / k);
-        let mut group_of = vec![GroupId(0); vms];
-        let mut parity_load = vec![0usize; n];
-        for (gi, chunk) in order.chunks(k).enumerate() {
-            let id = GroupId(gi);
-            let data = chunk.to_vec();
-            // Parity nodes: walk the ring from the node after the last
-            // data member, skipping group members, and pick the m
-            // least-loaded candidates (ties broken by walk order). The
-            // walk order preserves Fig. 4's layout when the choice is
-            // forced (k + m == N); the load criterion keeps parity
-            // responsibility balanced when there is slack.
-            let data_nodes: Vec<NodeId> = data.iter().map(|&v| cluster.node_of(v)).collect();
-            let start = data_nodes.last().expect("non-empty group").index();
-            let mut candidates: Vec<NodeId> = (1..=n)
-                .map(|step| NodeId((start + step) % n))
-                .filter(|cand| !data_nodes.contains(cand))
-                .collect();
-            candidates.sort_by_key(|cand| parity_load[cand.index()]);
-            let parity_nodes: Vec<NodeId> = candidates.into_iter().take(m).collect();
-            for p in &parity_nodes {
-                parity_load[p.index()] += 1;
-            }
-            for &vm in &data {
-                group_of[vm.index()] = id;
-            }
-            groups.push(RaidGroup {
-                id,
-                data,
-                parity_nodes,
-            });
-        }
-
-        let placement = GroupPlacement { groups, group_of };
-        placement.validate(cluster)?;
-        Ok(placement)
-    }
-
-    /// Greedy rack-aware construction. Each group draws its `k` data
-    /// members from `k` distinct racks — racks with the most unassigned
-    /// VMs first (ties by rack index), FIFO in slot-major order within a
-    /// rack — so on uniform topologies the groups coincide with the
-    /// slot-major layout while never co-locating two members in a rack.
-    /// Parity goes to ring-walk candidates in racks the group has not
-    /// touched, least parity-load first; the rack constraint is relaxed
-    /// (node distinctness only) exactly when the topology leaves no
-    /// rack-fresh candidate.
-    fn rack_aware(cluster: &Cluster, k: usize, m: usize) -> Result<Self, PlacementError> {
         let topo = cluster.topology();
-        let n = cluster.node_count();
         let racks = topo.rack_count();
-        let vms = cluster.vm_count();
 
         // Per-rack FIFO queues of unassigned VMs, slot-major within rack.
         let mut queues: Vec<VecDeque<VmId>> = vec![VecDeque::new(); racks];
@@ -463,8 +367,9 @@ impl GroupPlacement {
                 data.push(vm);
             }
 
-            // Parity: same ring walk as the flat construction, but
-            // rack-fresh candidates take precedence over rack-used ones.
+            // Parity: walk the ring from the node after the last data
+            // member, skipping group members; rack-fresh candidates take
+            // precedence over rack-used ones.
             let start = data_nodes.last().expect("non-empty group").index();
             let ring: Vec<NodeId> = (1..=n)
                 .map(|step| NodeId((start + step) % n))
@@ -521,15 +426,6 @@ impl GroupPlacement {
         &self.groups[self.group_of[vm.index()].index()]
     }
 
-    /// Groups whose parity lives (partly) on `node`.
-    pub fn parity_groups_of(&self, node: NodeId) -> Vec<GroupId> {
-        self.groups
-            .iter()
-            .filter(|g| g.parity_nodes.contains(&node))
-            .map(|g| g.id)
-            .collect()
-    }
-
     /// The parity blocks `node` holds, as `(group, slot)` with `slot` an
     /// index into that group's [`RaidGroup::parity_nodes`].
     pub fn parity_slots_on(&self, node: NodeId) -> impl Iterator<Item = (GroupId, usize)> + '_ {
@@ -559,28 +455,17 @@ impl GroupPlacement {
         Ok(())
     }
 
-    /// Verifies orthogonality one level up: in addition to
-    /// [`GroupPlacement::validate`], no group may touch any *rack* more
-    /// than once. This is the invariant rack-aware construction
-    /// establishes whenever `rack_count ≥ k + m`; a whole-rack failure
-    /// then costs each group at most one member.
-    pub fn validate_rack_aware(&self, cluster: &Cluster) -> Result<(), PlacementError> {
-        self.validate(cluster)?;
-        for g in &self.groups {
-            let mut seen = BTreeSet::new();
-            let mut racks = g.occupants(cluster).map(|n| cluster.rack_of(n));
-            if let Some(rack) = racks.find(|&r| !seen.insert(r)) {
-                return Err(PlacementError::RackCollision { group: g.id, rack });
-            }
-        }
-        Ok(())
-    }
-
-    /// True if every group spans pairwise-distinct racks (and nodes) —
-    /// the placement survives any single whole-rack failure with at most
-    /// one erasure per group.
+    /// Orthogonality one level up: true if every group spans
+    /// pairwise-distinct racks (and so distinct nodes) under the
+    /// cluster's current placement. [`GroupPlacement::orthogonal`]
+    /// establishes this whenever `rack_count ≥ k + m`; a whole-rack
+    /// failure then costs each group at most one member.
     pub fn is_rack_orthogonal(&self, cluster: &Cluster) -> bool {
-        self.validate_rack_aware(cluster).is_ok()
+        self.groups.iter().all(|g| {
+            let mut seen = BTreeSet::new();
+            g.occupants(cluster)
+                .all(|n| seen.insert(cluster.rack_of(n)))
+        })
     }
 
     /// How many members (data or parity) of each group live on `node` —
@@ -712,7 +597,7 @@ mod tests {
         // 4 nodes × 3 VMs, groups of 3: the paper's Fig. 4 (A XOR D XOR G
         // on the node after G's).
         let c = cluster(4, 3);
-        let p = GroupPlacement::orthogonal(&c, 3).unwrap();
+        let p = GroupPlacement::orthogonal(&c, 3, 1).unwrap();
         assert_eq!(p.group_count(), 4);
         // Slot 0: VMs on nodes 0,1,2 = VmIds 0,3,6 ("A,D,G"); parity node 3.
         let g0 = &p.groups()[0];
@@ -733,7 +618,7 @@ mod tests {
             (16, 4, 8),
         ] {
             let c = cluster(n, v);
-            let p = GroupPlacement::orthogonal(&c, k)
+            let p = GroupPlacement::orthogonal(&c, k, 1)
                 .unwrap_or_else(|e| panic!("n={n} v={v} k={k}: {e}"));
             p.validate(&c).unwrap();
             // Any single node failure touches each group at most once.
@@ -748,7 +633,7 @@ mod tests {
     #[test]
     fn every_vm_is_in_exactly_one_group() {
         let c = cluster(4, 3);
-        let p = GroupPlacement::orthogonal(&c, 3).unwrap();
+        let p = GroupPlacement::orthogonal(&c, 3, 1).unwrap();
         let mut counts = vec![0usize; c.vm_count()];
         for g in p.groups() {
             for vm in &g.data {
@@ -766,7 +651,7 @@ mod tests {
     fn parity_load_is_balanced() {
         for (n, v, k) in [(4, 3, 3), (5, 4, 4), (8, 4, 2)] {
             let c = cluster(n, v);
-            let p = GroupPlacement::orthogonal(&c, k).unwrap();
+            let p = GroupPlacement::orthogonal(&c, k, 1).unwrap();
             let load = p.parity_load(n);
             let (min, max) = (
                 load.iter().min().copied().unwrap(),
@@ -782,7 +667,7 @@ mod tests {
     #[test]
     fn double_parity_uses_two_distinct_extra_nodes() {
         let c = cluster(6, 2);
-        let p = GroupPlacement::orthogonal_with_parity(&c, 3, 2).unwrap();
+        let p = GroupPlacement::orthogonal(&c, 3, 2).unwrap();
         for g in p.groups() {
             assert_eq!(g.parity_count(), 2);
             assert_ne!(g.parity_nodes[0], g.parity_nodes[1]);
@@ -823,41 +708,64 @@ mod tests {
         // rack orthogonality is feasible — and required.
         for m in [1usize, 2] {
             let c = racked_cluster(10, 3, 2); // 5 racks
-            let p = GroupPlacement::orthogonal_with_parity(&c, 3, m)
-                .unwrap_or_else(|e| panic!("m={m}: {e}"));
-            p.validate_rack_aware(&c)
-                .unwrap_or_else(|e| panic!("m={m}: {e}"));
-            assert!(p.is_rack_orthogonal(&c));
+            let p = GroupPlacement::orthogonal(&c, 3, m).unwrap_or_else(|e| panic!("m={m}: {e}"));
+            assert!(p.is_rack_orthogonal(&c), "m={m}");
         }
     }
 
     #[test]
     fn flat_ablation_on_racked_cluster_exceeds_rack_tolerance() {
-        // The rack-ignorant slot-major layout puts consecutive nodes —
-        // rack mates — into one group: a single rack failure costs some
-        // group two members.
-        let c = racked_cluster(8, 3, 2);
-        let p = GroupPlacement::orthogonal_flat(&c, 3, 1).unwrap();
-        assert!(matches!(
-            p.validate_rack_aware(&c),
-            Err(PlacementError::RackCollision { .. })
-        ));
+        // The rack-blind ablation: the construction run on a flat twin
+        // (same builder calls, same node and VM ids) puts consecutive
+        // nodes — rack mates — into one group, so on the racked cluster a
+        // single rack failure costs some group two members.
+        let racked = racked_cluster(8, 3, 2);
+        let blind = GroupPlacement::orthogonal(&cluster(8, 3), 3, 1).unwrap();
+        blind.validate(&racked).unwrap();
+        assert!(!blind.is_rack_orthogonal(&racked));
+        assert!(GroupPlacement::orthogonal(&racked, 3, 1)
+            .unwrap()
+            .is_rack_orthogonal(&racked));
     }
 
     #[test]
     fn rack_aware_on_flat_topology_is_the_slot_major_layout() {
-        // Flat topology → the rack-aware entry point returns the classic
-        // construction bit-for-bit.
-        let c = cluster(4, 3);
-        let aware = GroupPlacement::orthogonal_with_parity(&c, 3, 1).unwrap();
-        let flat = GroupPlacement::orthogonal_flat(&c, 3, 1).unwrap();
-        assert_eq!(aware, flat);
+        // Every node its own rack: k consecutive VMs of the slot-major
+        // walk form a group, parity on the ring after its data span.
+        let layout = |n, v, k, m| -> Vec<(Vec<usize>, Vec<usize>)> {
+            let p = GroupPlacement::orthogonal(&cluster(n, v), k, m).unwrap();
+            let groups = p.groups().iter();
+            groups
+                .map(|g| {
+                    let data = g.data.iter().map(|vm| vm.index()).collect();
+                    (data, g.parity_nodes.iter().map(|n| n.index()).collect())
+                })
+                .collect()
+        };
+        assert_eq!(
+            layout(4, 3, 3, 1),
+            [
+                (vec![0, 3, 6], vec![3]),
+                (vec![9, 1, 4], vec![2]),
+                (vec![7, 10, 2], vec![1]),
+                (vec![5, 8, 11], vec![0]),
+            ]
+        );
+        assert_eq!(
+            layout(6, 2, 3, 2),
+            [
+                (vec![0, 2, 4], vec![3, 4]),
+                (vec![6, 8, 10], vec![0, 1]),
+                (vec![1, 3, 5], vec![5, 3]),
+                (vec![7, 9, 11], vec![2, 0]),
+            ]
+        );
     }
 
     #[test]
     fn rack_aware_parity_load_stays_balanced() {
         let c = racked_cluster(8, 3, 2);
-        let p = GroupPlacement::orthogonal_with_parity(&c, 3, 1).unwrap();
+        let p = GroupPlacement::orthogonal(&c, 3, 1).unwrap();
         let load = p.parity_load(8);
         let (min, max) = (
             load.iter().min().copied().unwrap(),
@@ -871,7 +779,7 @@ mod tests {
         // 2 racks cannot host k+m = 4 distinct-rack members; the
         // constructor must still produce a node-orthogonal placement.
         let c = racked_cluster(8, 3, 4); // 2 racks of 4
-        let p = GroupPlacement::orthogonal_with_parity(&c, 3, 1).unwrap();
+        let p = GroupPlacement::orthogonal(&c, 3, 1).unwrap();
         p.validate(&c).unwrap();
         assert!(!p.is_rack_orthogonal(&c));
     }
@@ -901,7 +809,7 @@ mod tests {
         }
         // The load orthogonal placement flattens, undistributed.
         assert_eq!(p.parity_load(4), vec![0, 0, 0, 3]);
-        assert_eq!(p.parity_groups_of(NodeId(3)).len(), 3);
+        assert_eq!(p.parity_slots_on(NodeId(3)).count(), 3);
         // Still orthogonal: any node failure costs a group one member.
         p.validate(&c).unwrap();
         for node in c.node_ids() {
@@ -975,7 +883,7 @@ mod tests {
     fn too_wide_group_rejected() {
         let c = cluster(3, 2);
         assert_eq!(
-            GroupPlacement::orthogonal(&c, 3),
+            GroupPlacement::orthogonal(&c, 3, 1),
             Err(PlacementError::GroupTooWide {
                 k: 3,
                 m: 1,
@@ -988,7 +896,7 @@ mod tests {
     fn ragged_vm_count_rejected() {
         let c = cluster(4, 1); // 4 VMs
         assert_eq!(
-            GroupPlacement::orthogonal(&c, 3),
+            GroupPlacement::orthogonal(&c, 3, 1),
             Err(PlacementError::RaggedGroups { vms: 4, k: 3 })
         );
     }
@@ -996,7 +904,7 @@ mod tests {
     #[test]
     fn validation_catches_migration_induced_violation() {
         let mut c = cluster(4, 3);
-        let p = GroupPlacement::orthogonal(&c, 3).unwrap();
+        let p = GroupPlacement::orthogonal(&c, 3, 1).unwrap();
         // Migrate VM 3 (group 0, node 1) onto node 0, colliding with VM 0.
         c.migrate_vm(VmId(3), NodeId(0));
         let err = p.validate(&c).unwrap_err();
@@ -1020,7 +928,7 @@ mod tests {
         // 3 "controllers" × 2 "disks" each: exhaustively, no controller
         // failure destroys any group (Fig. 2's property).
         let c = cluster(3, 2);
-        let p = GroupPlacement::orthogonal(&c, 2).unwrap();
+        let p = GroupPlacement::orthogonal(&c, 2, 1).unwrap();
         for node in c.node_ids() {
             for (_, hits) in p.impact_of_node_failure(&c, node) {
                 assert!(hits <= 1);
@@ -1031,7 +939,7 @@ mod tests {
     #[test]
     fn rehome_parity_moves_to_free_node() {
         let c = cluster(6, 2);
-        let mut p = GroupPlacement::orthogonal(&c, 3).unwrap();
+        let mut p = GroupPlacement::orthogonal(&c, 3, 1).unwrap();
         let gid = p.groups()[0].id;
         let from = p.groups()[0].parity_nodes[0];
         // Find a node not involved with group 0 at all.
@@ -1054,7 +962,7 @@ mod tests {
     #[test]
     fn rehome_parity_onto_data_node_rejected() {
         let c = cluster(6, 2);
-        let mut p = GroupPlacement::orthogonal(&c, 3).unwrap();
+        let mut p = GroupPlacement::orthogonal(&c, 3, 1).unwrap();
         let gid = p.groups()[0].id;
         let from = p.groups()[0].parity_nodes[0];
         let data_node = c.node_of(p.groups()[0].data[0]);
@@ -1070,7 +978,7 @@ mod tests {
     fn host_for_takes_a_free_rack_first_and_a_free_node_second() {
         // 4 racks of 2, k=2 m=1: a group touches 3 racks and leaves one.
         let mut c = racked_cluster(8, 1, 2);
-        let p = GroupPlacement::orthogonal(&c, 2).unwrap();
+        let p = GroupPlacement::orthogonal(&c, 2, 1).unwrap();
         let group = &p.groups()[0];
         let vm = Member::Vm(group.data[0]);
         let home = c.node_of(group.data[0]);
@@ -1105,7 +1013,7 @@ mod tests {
     #[should_panic(expected = "holds no parity")]
     fn rehome_parity_from_wrong_node_panics() {
         let c = cluster(6, 2);
-        let mut p = GroupPlacement::orthogonal(&c, 3).unwrap();
+        let mut p = GroupPlacement::orthogonal(&c, 3, 1).unwrap();
         let gid = p.groups()[0].id;
         let data_node = c.node_of(p.groups()[0].data[0]);
         let _ = p.rehome_parity(&c, gid, data_node, NodeId(5));

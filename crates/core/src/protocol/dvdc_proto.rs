@@ -61,31 +61,6 @@ use crate::placement::{GroupId, GroupPlacement, Member, PlacementError};
 
 use super::{rollback_vms, ProtocolError, RecoverError, RecoveryReport, RoundReport, ScrubReport};
 
-/// Applies an incremental parity update in place:
-/// `parity[offset..] ^= old_page ^ new_page`.
-///
-/// This is the single-parity (XOR, m = 1) special case of the transport
-/// [`DvdcProtocol::run_round`] actually rides on: parity holders never
-/// need full images — only the XOR of each dirtied page's before and
-/// after contents. The general, per-code form (Reed–Solomon's GF(256)
-/// coefficients) lives in
-/// [`dvdc_parity::code::ErasureCode::apply_delta`]; this free function
-/// remains as the minimal didactic kernel and is property-tested against a
-/// full re-encode.
-///
-/// # Panics
-/// Panics if the pages differ in length or overrun the parity block.
-pub fn delta_parity_update(parity: &mut [u8], offset: usize, old_page: &[u8], new_page: &[u8]) {
-    assert_eq!(old_page.len(), new_page.len(), "page versions must match");
-    assert!(
-        offset + old_page.len() <= parity.len(),
-        "delta overruns parity block"
-    );
-    for (i, (o, n)) in old_page.iter().zip(new_page).enumerate() {
-        parity[offset + i] ^= o ^ n;
-    }
-}
-
 /// The four phases of a DVDC round, in execution order.
 ///
 /// A round is a sequence of discrete steps grouped into phases; a node
@@ -2209,7 +2184,7 @@ impl DvdcProtocol {
     ///
     /// Repair-in-place recovery = a phased rebuild stepped to completion
     /// with no interruption: fetch survivors → decode → place → readmit.
-    /// The event-driven drivers (`phased::run_round_with_detection`)
+    /// The event-driven drivers (`phased::run_round_with_faults`)
     /// instead advance the same machine step by step so a second failure
     /// can land mid-rebuild.
     pub fn recover(
@@ -2290,7 +2265,7 @@ mod tests {
     }
 
     fn fig4_protocol(c: &Cluster) -> DvdcProtocol {
-        DvdcProtocol::new(GroupPlacement::orthogonal(c, 3).unwrap())
+        DvdcProtocol::new(GroupPlacement::orthogonal(c, 3, 1).unwrap())
     }
 
     #[test]
@@ -2343,7 +2318,7 @@ mod tests {
             .vm_memory(8, 32)
             .writes_per_sec(300.0)
             .build(3);
-        let placement = GroupPlacement::orthogonal_with_parity(&c, 3, m).unwrap();
+        let placement = GroupPlacement::orthogonal(&c, 3, m).unwrap();
         let mut p = DvdcProtocol::new(placement);
         let reference: Box<dyn ErasureCode> = match m {
             1 => Box::new(XorCode::new(3)),
@@ -2468,7 +2443,7 @@ mod tests {
             .vm_memory(8, 32)
             .writes_per_sec(200.0)
             .build(5);
-        let mut p = DvdcProtocol::new(GroupPlacement::orthogonal(&c, 3).unwrap());
+        let mut p = DvdcProtocol::new(GroupPlacement::orthogonal(&c, 3, 1).unwrap());
         p.run_round(&mut c).unwrap();
         let want: Vec<Vec<u8>> = c
             .vm_ids()
@@ -2677,7 +2652,7 @@ mod tests {
                 .vms_per_node(2)
                 .vm_memory(8, 32)
                 .build(0);
-            let placement = GroupPlacement::orthogonal_with_parity(&c, 3, 2).unwrap();
+            let placement = GroupPlacement::orthogonal(&c, 3, 2).unwrap();
             let mut p = DvdcProtocol::new(placement);
             assert_eq!(p.failure_tolerance(), 2);
             p.run_round(&mut c).unwrap();
@@ -2710,7 +2685,7 @@ mod tests {
         let data: Vec<Vec<u8>> = (0..3u8).map(|i| vec![i * 41 + 7; 64]).collect();
         let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
         for m in 1..=3 {
-            let placement = GroupPlacement::orthogonal_with_parity(&c, 3, m).unwrap();
+            let placement = GroupPlacement::orthogonal(&c, 3, m).unwrap();
             let p = DvdcProtocol::new(placement);
             let want = match m {
                 1 => vec![xor_all(&refs)],
@@ -2730,7 +2705,7 @@ mod tests {
             .vm_memory(5, 2)
             .writes_per_sec(50.0)
             .build(13);
-        let placement = GroupPlacement::orthogonal_with_parity(&c, 3, 2).unwrap();
+        let placement = GroupPlacement::orthogonal(&c, 3, 2).unwrap();
         let mut p = DvdcProtocol::new(placement);
         p.run_round(&mut c).unwrap();
 
@@ -2762,24 +2737,6 @@ mod tests {
     }
 
     #[test]
-    fn delta_parity_update_equals_recompute() {
-        // The incremental parity path is byte-identical to re-encoding.
-        let a0 = vec![1u8; 64];
-        let b0 = vec![2u8; 64];
-        let c0 = vec![3u8; 64];
-        let code = XorCode::new(3);
-        let mut parity = code.encode(&[&a0, &b0, &c0]).remove(0);
-
-        // VM B dirties "page" [16..32).
-        let mut b1 = b0.clone();
-        b1[16..32].copy_from_slice(&[0xEE; 16]);
-        delta_parity_update(&mut parity, 16, &b0[16..32], &b1[16..32]);
-
-        let expect = code.encode(&[&a0, &b1, &c0]).remove(0);
-        assert_eq!(parity, expect);
-    }
-
-    #[test]
     fn network_bytes_count_parity_copies() {
         let mut c = fig4_cluster();
         let mut p = fig4_protocol(&c);
@@ -2802,7 +2759,7 @@ mod tests {
     #[test]
     fn failover_rehomes_vms_and_parity_byte_exactly() {
         let mut c = roomy_cluster();
-        let mut p = DvdcProtocol::new(GroupPlacement::orthogonal(&c, 3).unwrap());
+        let mut p = DvdcProtocol::new(GroupPlacement::orthogonal(&c, 3, 1).unwrap());
         p.run_round(&mut c).unwrap();
         let want: Vec<Vec<u8>> = c
             .vm_ids()
@@ -2823,7 +2780,7 @@ mod tests {
         }
         // No parity responsibility left on the corpse; placement is still
         // orthogonal under the new homes.
-        assert!(p.placement().parity_groups_of(victim).is_empty());
+        assert!(p.placement().parity_slots_on(victim).next().is_none());
         p.placement().validate(&c).unwrap();
         // On a flat topology the chooser is least-loaded, lowest id: the
         // homes every earlier revision picked.
@@ -2848,7 +2805,7 @@ mod tests {
                     .writes_per_sec(50.0)
                     .racks(per_rack)
                     .build(0);
-                let placement = GroupPlacement::orthogonal(&c, k).unwrap();
+                let placement = GroupPlacement::orthogonal(&c, k, 1).unwrap();
                 assert!(placement.is_rack_orthogonal(&c), "{ctx}");
                 let mut p = DvdcProtocol::new(placement);
                 p.run_round(&mut c).unwrap();
@@ -2866,7 +2823,7 @@ mod tests {
     #[test]
     fn failover_cluster_keeps_checkpointing_and_survives_next_failure() {
         let mut c = roomy_cluster();
-        let mut p = DvdcProtocol::new(GroupPlacement::orthogonal(&c, 3).unwrap());
+        let mut p = DvdcProtocol::new(GroupPlacement::orthogonal(&c, 3, 1).unwrap());
         p.run_round(&mut c).unwrap();
         c.fail_node(NodeId(0));
         p.recover_failover(&mut c, NodeId(0)).unwrap();
@@ -2903,7 +2860,7 @@ mod tests {
         // host and must be decoded from the group; with custody left
         // behind, recovery would silently skip the VM.
         let mut c = roomy_cluster();
-        let mut p = DvdcProtocol::new(GroupPlacement::orthogonal(&c, 3).unwrap());
+        let mut p = DvdcProtocol::new(GroupPlacement::orthogonal(&c, 3, 1).unwrap());
         p.run_round(&mut c).unwrap();
         let want = snapshots_of(&c);
 
@@ -2934,7 +2891,7 @@ mod tests {
         // And the OLD host dying must not resurrect a stale copy: its
         // store no longer holds the VM.
         let mut c2 = roomy_cluster();
-        let mut p2 = DvdcProtocol::new(GroupPlacement::orthogonal(&c2, 3).unwrap());
+        let mut p2 = DvdcProtocol::new(GroupPlacement::orthogonal(&c2, 3, 1).unwrap());
         p2.run_round(&mut c2).unwrap();
         let want2 = snapshots_of(&c2);
         p2.migrate(&mut c2, vm, dest).unwrap();

@@ -29,15 +29,15 @@ mod phased;
 pub mod transport;
 
 pub use dvdc_proto::{
-    delta_parity_update, DvdcProtocol, PhasedRebuild, PhasedRound, RebuildMode, RebuildPhase,
-    RebuildStep, RoundPhase, RoundStep,
+    DvdcProtocol, PhasedRebuild, PhasedRound, RebuildMode, RebuildPhase, RebuildStep, RoundPhase,
+    RoundStep,
 };
 pub use harness::Harness;
 pub use node_core::{
     block_digest, fnv64, initial_image, note_event, Action, BlockInfo, BlockKind, ClusterSpec,
     DigestSource, Msg, NodeCore, NodeMetrics, Note, StatusView, CTL, PART_LEN,
 };
-pub use phased::{run_round_with_detection, run_round_with_faults, DetectionReport, PhasedOutcome};
+pub use phased::{run_round_with_faults, DetectionReport, PhasedOutcome};
 pub use transport::{dispatch, Transport};
 
 use std::fmt;

@@ -80,7 +80,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use dvdc_faults::detector::{DetectorConfig, FailureDetector, Verdict};
 use dvdc_observe::metrics::EventMetrics;
-use dvdc_observe::registry::{Counter, HistogramHandle, MetricsHub, Stamp};
+use dvdc_observe::registry::{nanos_between, Counter, HistogramHandle, MetricsHub};
 use dvdc_observe::spans::OPEN_SPAN_CAP;
 use dvdc_observe::{Event, MetricsSnapshot, TimedEvent};
 use dvdc_parity::code::{self, ErasureCode};
@@ -644,8 +644,9 @@ impl NodeMetrics {
     pub fn fold(&mut self, at: SimTime, note: &Note) -> Event {
         match note {
             Note::CaptureShipped { window_secs, .. } => {
+                let window = SimTime::from_secs(*window_secs);
                 self.capture_window
-                    .record(Stamp::Sim(SimTime::from_secs(*window_secs)).nanos());
+                    .record(nanos_between(SimTime::ZERO, window));
             }
             Note::PeerVerdict {
                 verdict: Verdict::Confirmed,

@@ -1,6 +1,6 @@
 //! Detector-driven execution of phase-interruptible DVDC rounds.
 //!
-//! [`run_round_with_detection`] drives one [`DvdcProtocol`] round as
+//! [`run_round_with_faults`] drives one [`DvdcProtocol`] round as
 //! discrete events on the `simcore` engine — one event per capture,
 //! transfer launch/arrival, parity fold, and commit ack — **plus** the
 //! in-band failure detector's traffic: every monitored node heartbeats at
@@ -45,9 +45,8 @@
 //! left behind. A partition that cuts an in-flight transfer is retried
 //! with bounded exponential backoff before it can doom the round.
 //!
-//! [`run_round_with_faults`] is the same harness with the default
-//! [`DetectorConfig`] — the drop-in successor of the old oracle-driven
-//! runner, which handed the protocol the exact failure instant for free.
+//! The detector runs under the default [`DetectorConfig`]: the protocol
+//! learns of a failure only by detecting it, never from the plan.
 //!
 //! One simplification is deliberate: the detector is an abstract monitor
 //! observing through the same links as everyone else, so *any* partition
@@ -323,18 +322,20 @@ fn cancel_all_but_pending_verdicts(w: &Driver<'_, '_>, sched: &mut Scheduler<'_,
 /// for the caller's next round. Faults already overdue at `start` fire
 /// immediately at `start`.
 ///
+/// The detector runs under the default [`DetectorConfig`].
+///
 /// Returns the outcome and the simulated instant the round — including
 /// detection latency, any stall, any fenced wake-up resync, **and** the
 /// rebuild window (recovery work is phased and charged through the fabric
 /// timing model, so repair wall-clock elapses on the simulated clock) —
 /// ended.
-pub fn run_round_with_detection(
+pub fn run_round_with_faults(
     protocol: &mut DvdcProtocol,
     cluster: &mut Cluster,
     cursor: &mut PlanCursor<'_>,
     start: SimTime,
-    config: &DetectorConfig,
 ) -> Result<(PhasedOutcome, SimTime), ProtocolError> {
+    let config = DetectorConfig::default();
     let recorder = protocol.recorder().clone();
     let recording = recorder.enabled();
     protocol.set_clock(start);
@@ -348,7 +349,7 @@ pub fn run_round_with_detection(
         .filter(|&n| cluster.is_up(n))
         .map(|n| n.index())
         .collect();
-    let mut detector = FailureDetector::new(*config, monitored.iter().copied(), start);
+    let mut detector = FailureDetector::new(config, monitored.iter().copied(), start);
     if recording {
         detector.enable_journal();
     }
@@ -357,7 +358,7 @@ pub fn run_round_with_detection(
         protocol,
         cluster,
         cursor,
-        config: *config,
+        config,
         detector,
         round: Some(round),
         report: None,
@@ -879,17 +880,6 @@ fn drive_rebuild_window(
     Ok(w)
 }
 
-/// [`run_round_with_detection`] under the default [`DetectorConfig`] —
-/// the standard harness for fault-exposed rounds.
-pub fn run_round_with_faults(
-    protocol: &mut DvdcProtocol,
-    cluster: &mut Cluster,
-    cursor: &mut PlanCursor<'_>,
-    start: SimTime,
-) -> Result<(PhasedOutcome, SimTime), ProtocolError> {
-    run_round_with_detection(protocol, cluster, cursor, start, &DetectorConfig::default())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -922,8 +912,8 @@ mod tests {
     fn empty_plan_commits_identically_to_atomic_round() {
         let mut c1 = build(4, 3);
         let mut c2 = build(4, 3);
-        let mut p1 = DvdcProtocol::new(GroupPlacement::orthogonal(&c1, 3).unwrap());
-        let mut p2 = DvdcProtocol::new(GroupPlacement::orthogonal(&c2, 3).unwrap());
+        let mut p1 = DvdcProtocol::new(GroupPlacement::orthogonal(&c1, 3, 1).unwrap());
+        let mut p2 = DvdcProtocol::new(GroupPlacement::orthogonal(&c2, 3, 1).unwrap());
         let want = p1.run_round(&mut c1).unwrap();
 
         let plan = ClusterFaultPlan::default();
@@ -950,7 +940,7 @@ mod tests {
     #[test]
     fn crash_is_detected_then_rolled_back_byte_exactly() {
         let mut c = build(4, 3);
-        let mut p = DvdcProtocol::new(GroupPlacement::orthogonal(&c, 3).unwrap());
+        let mut p = DvdcProtocol::new(GroupPlacement::orthogonal(&c, 3, 1).unwrap());
         p.run_round(&mut c).unwrap();
         let want = snapshots(&c);
 
@@ -1010,7 +1000,7 @@ mod tests {
     #[test]
     fn fault_beyond_round_end_is_left_for_the_caller() {
         let mut c = build(4, 3);
-        let mut p = DvdcProtocol::new(GroupPlacement::orthogonal(&c, 3).unwrap());
+        let mut p = DvdcProtocol::new(GroupPlacement::orthogonal(&c, 3, 1).unwrap());
         let plan = ClusterFaultPlan::new(vec![fault(2, 1e9)]);
         let mut cursor = PlanCursor::new(&plan);
         let (outcome, end) =
@@ -1030,7 +1020,7 @@ mod tests {
         // the corpse (or on a node that holds nothing) must not abort the
         // round. We arrange the evacuated case via recover_failover.
         let mut c = build(6, 2);
-        let mut p = DvdcProtocol::new(GroupPlacement::orthogonal(&c, 3).unwrap());
+        let mut p = DvdcProtocol::new(GroupPlacement::orthogonal(&c, 3, 1).unwrap());
         p.run_round(&mut c).unwrap();
         c.fail_node(NodeId(0));
         p.recover_failover(&mut c, NodeId(0)).unwrap();
@@ -1061,7 +1051,7 @@ mod tests {
         // mid-round, the detector confirms the first (stalling the round
         // from the first injection), and recovery handles every down node.
         let mut c = build(6, 2);
-        let placement = GroupPlacement::orthogonal_with_parity(&c, 3, 2).unwrap();
+        let placement = GroupPlacement::orthogonal(&c, 3, 2).unwrap();
         let mut p = DvdcProtocol::new(placement);
         p.run_round(&mut c).unwrap();
         let want = snapshots(&c);
@@ -1089,7 +1079,7 @@ mod tests {
     #[test]
     fn short_hang_stalls_the_round_without_any_suspicion() {
         let mut c = build(4, 3);
-        let mut p = DvdcProtocol::new(GroupPlacement::orthogonal(&c, 3).unwrap());
+        let mut p = DvdcProtocol::new(GroupPlacement::orthogonal(&c, 3, 1).unwrap());
         p.run_round(&mut c).unwrap();
 
         // 20 ms hang < 35 ms timeout: the node resumes before the
@@ -1124,7 +1114,7 @@ mod tests {
     #[test]
     fn medium_hang_is_suspected_then_refuted() {
         let mut c = build(4, 3);
-        let mut p = DvdcProtocol::new(GroupPlacement::orthogonal(&c, 3).unwrap());
+        let mut p = DvdcProtocol::new(GroupPlacement::orthogonal(&c, 3, 1).unwrap());
         p.run_round(&mut c).unwrap();
         let want = snapshots(&c);
         let hub = RngHub::new(5);
@@ -1163,7 +1153,7 @@ mod tests {
     #[test]
     fn long_hang_causes_fenced_false_failover_and_resync() {
         let mut c = build(6, 2);
-        let mut p = DvdcProtocol::new(GroupPlacement::orthogonal(&c, 3).unwrap());
+        let mut p = DvdcProtocol::new(GroupPlacement::orthogonal(&c, 3, 1).unwrap());
         p.run_round(&mut c).unwrap();
         let want = snapshots(&c);
         let hub = RngHub::new(7);
@@ -1226,7 +1216,7 @@ mod tests {
         use std::rc::Rc;
 
         let mut c = build(4, 3);
-        let mut p = DvdcProtocol::new(GroupPlacement::orthogonal(&c, 3).unwrap());
+        let mut p = DvdcProtocol::new(GroupPlacement::orthogonal(&c, 3, 1).unwrap());
         p.run_round(&mut c).unwrap();
 
         let trace = Rc::new(TraceRecorder::unbounded());
@@ -1289,7 +1279,7 @@ mod tests {
             .writes_per_sec(200.0)
             .racks(2)
             .build(11);
-        let placement = GroupPlacement::orthogonal_with_parity(&c, 3, 1).unwrap();
+        let placement = GroupPlacement::orthogonal(&c, 3, 1).unwrap();
         assert!(placement.is_rack_orthogonal(&c));
         let mut p = DvdcProtocol::new(placement);
         p.run_round(&mut c).unwrap();
@@ -1338,7 +1328,7 @@ mod tests {
     #[test]
     fn partition_healing_before_timeout_is_invisible() {
         let mut c = build(4, 3);
-        let mut p = DvdcProtocol::new(GroupPlacement::orthogonal(&c, 3).unwrap());
+        let mut p = DvdcProtocol::new(GroupPlacement::orthogonal(&c, 3, 1).unwrap());
         p.run_round(&mut c).unwrap();
 
         let plan = ClusterFaultPlan::new(vec![NodeFault::partition(
@@ -1363,7 +1353,7 @@ mod tests {
     #[test]
     fn long_partition_is_indistinguishable_from_a_long_hang() {
         let mut c = build(6, 2);
-        let mut p = DvdcProtocol::new(GroupPlacement::orthogonal(&c, 3).unwrap());
+        let mut p = DvdcProtocol::new(GroupPlacement::orthogonal(&c, 3, 1).unwrap());
         p.run_round(&mut c).unwrap();
         let want = snapshots(&c);
 

@@ -293,7 +293,7 @@ mod tests {
     #[test]
     fn steady_quiet_scenario_commits_every_round() {
         let mut c = racked(8, 3, 2, 11);
-        let mut p = DvdcProtocol::new(GroupPlacement::orthogonal_with_parity(&c, 3, 1).unwrap());
+        let mut p = DvdcProtocol::new(GroupPlacement::orthogonal(&c, 3, 1).unwrap());
         let hub = RngHub::new(3);
         let cfg = ScenarioConfig::default();
         let report =
@@ -309,7 +309,7 @@ mod tests {
     #[test]
     fn churn_under_a_rack_kill_survives_with_rack_aware_placement() {
         let mut c = racked(8, 3, 2, 23);
-        let placement = GroupPlacement::orthogonal_with_parity(&c, 3, 1).unwrap();
+        let placement = GroupPlacement::orthogonal(&c, 3, 1).unwrap();
         assert!(placement.is_rack_orthogonal(&c));
         let mut p = DvdcProtocol::new(placement);
         let cfg = ScenarioConfig::default();

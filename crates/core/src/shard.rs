@@ -141,7 +141,7 @@ impl ShardedCluster {
                     .vm_memory(config.pages, config.page_size)
                     .writes_per_sec(WRITES_PER_SEC)
                     .build(config.seed.wrapping_add(i as u64));
-                let placement = GroupPlacement::orthogonal_with_parity(&cluster, GROUP_K, PARITY_M)
+                let placement = GroupPlacement::orthogonal(&cluster, GROUP_K, PARITY_M)
                     .expect("shard geometry admits an orthogonal placement");
                 Shard {
                     cluster,

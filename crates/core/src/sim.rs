@@ -315,7 +315,7 @@ mod tests {
     }
 
     fn dvdc(c: &Cluster) -> DvdcProtocol {
-        DvdcProtocol::new(GroupPlacement::orthogonal(c, 3).unwrap())
+        DvdcProtocol::new(GroupPlacement::orthogonal(c, 3, 1).unwrap())
     }
 
     #[test]

@@ -1,21 +1,18 @@
-//! Cluster-level fault injection.
+//! Cluster-level fault plans.
 //!
 //! The paper's key correlation observation (Section IV-A): *"VM's residing
 //! on the same physical node would be subject to the same hardware faults,
-//! and thus be perfectly correlated in these types of errors."* The
-//! injector therefore schedules failures per **physical node**; whichever
-//! layer consumes the plan is responsible for failing every VM hosted on
-//! the node at that instant (see `dvdc::sim`).
+//! and thus be perfectly correlated in these types of errors."* A plan
+//! therefore schedules failures per **physical node**; whichever layer
+//! consumes it is responsible for failing every VM hosted on the node at
+//! that instant (see `dvdc::sim`). The generators that draw plans live in
+//! [`crate::schedule`].
 
-use dvdc_simcore::rng::RngHub;
 use dvdc_simcore::time::{Duration, SimTime};
 
-use crate::dist::FailureDistribution;
-use crate::process::RenewalProcess;
-
 /// A set of physical-node indices, packed as a bitmask so fault records
-/// stay `Copy`. Sufficient for the simulated clusters in this repo (the
-/// injector asserts `nodes <= 64` when partitions are in play).
+/// stay `Copy`. Sufficient for the simulated clusters in this repo
+/// ([`PeerSet::from_nodes`] refuses an index ≥ 64).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PeerSet(pub u64);
 
@@ -292,62 +289,30 @@ impl<'a> PlanCursor<'a> {
     }
 }
 
-/// Generates [`ClusterFaultPlan`]s by running one independent renewal
-/// process per physical node.
-#[derive(Debug, Clone)]
-pub struct FaultInjector<D> {
-    per_node: RenewalProcess<D>,
-    repair: Duration,
-    nodes: usize,
-}
-
-impl<D: FailureDistribution + Clone> FaultInjector<D> {
-    /// Creates an injector where each of `nodes` physical nodes fails
-    /// according to `dist` and takes `repair` to come back.
-    pub fn new(nodes: usize, dist: D, repair: Duration) -> Self {
-        assert!(nodes > 0, "cluster must have at least one node");
-        FaultInjector {
-            per_node: RenewalProcess::with_repair(dist.clone(), repair),
-            repair,
-            nodes,
-        }
-    }
-
-    /// Number of physical nodes covered.
-    pub fn nodes(&self) -> usize {
-        self.nodes
-    }
-
-    /// Generates the failure schedule over `[0, horizon)`. Node `i` draws
-    /// from the RNG stream `("node-faults", i)` of `hub`, so per-node
-    /// schedules are independent and adding nodes never perturbs existing
-    /// ones.
-    pub fn plan(&self, horizon: Duration, hub: &RngHub) -> ClusterFaultPlan {
-        let mut faults = Vec::new();
-        for node in 0..self.nodes {
-            let mut rng = hub.stream_indexed("node-faults", node as u64);
-            for at in self.per_node.failures_within(horizon, &mut rng) {
-                faults.push(NodeFault::crash(node, at, self.repair));
-            }
-        }
-        ClusterFaultPlan::new(faults)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dist::{Deterministic, Exponential};
+    use crate::schedule::{DomainShape, FaultSchedule, NodeCrashes};
+    use dvdc_simcore::rng::RngHub;
+
+    /// `nodes` nodes crashing at `mtbf` seconds, repaired in `repair`.
+    fn crash_plan(
+        nodes: usize,
+        mtbf: f64,
+        repair: f64,
+        horizon: f64,
+        seed: u64,
+    ) -> ClusterFaultPlan {
+        NodeCrashes::exponential(Duration::from_secs(mtbf), Duration::from_secs(repair)).plan(
+            DomainShape::flat(nodes),
+            Duration::from_secs(horizon),
+            &RngHub::new(seed),
+        )
+    }
 
     #[test]
     fn plan_is_time_ordered() {
-        let inj = FaultInjector::new(
-            8,
-            Exponential::from_mtbf(Duration::from_secs(100.0)),
-            Duration::from_secs(10.0),
-        );
-        let hub = RngHub::new(21);
-        let plan = inj.plan(Duration::from_secs(2_000.0), &hub);
+        let plan = crash_plan(8, 100.0, 10.0, 2_000.0, 21);
         assert!(!plan.is_empty());
         for w in plan.faults().windows(2) {
             assert!(w[0].at <= w[1].at);
@@ -356,24 +321,15 @@ mod tests {
 
     #[test]
     fn plan_is_reproducible() {
-        let inj = FaultInjector::new(
-            4,
-            Exponential::from_mtbf(Duration::from_secs(50.0)),
-            Duration::ZERO,
-        );
-        let hub = RngHub::new(77);
-        let a = inj.plan(Duration::from_secs(500.0), &hub);
-        let b = inj.plan(Duration::from_secs(500.0), &hub);
+        let a = crash_plan(4, 50.0, 0.0, 500.0, 77);
+        let b = crash_plan(4, 50.0, 0.0, 500.0, 77);
         assert_eq!(a.faults(), b.faults());
     }
 
     #[test]
     fn adding_nodes_preserves_existing_schedules() {
-        let hub = RngHub::new(13);
-        let horizon = Duration::from_secs(1_000.0);
-        let dist = Exponential::from_mtbf(Duration::from_secs(100.0));
-        let small = FaultInjector::new(2, dist, Duration::ZERO).plan(horizon, &hub);
-        let large = FaultInjector::new(4, dist, Duration::ZERO).plan(horizon, &hub);
+        let small = crash_plan(2, 100.0, 0.0, 1_000.0, 13);
+        let large = crash_plan(4, 100.0, 0.0, 1_000.0, 13);
         for node in 0..2 {
             let of = |plan: &ClusterFaultPlan| -> Vec<NodeFault> {
                 plan.faults()
@@ -389,13 +345,7 @@ mod tests {
 
     #[test]
     fn per_node_rates_are_uniform() {
-        let inj = FaultInjector::new(
-            4,
-            Exponential::from_mtbf(Duration::from_secs(100.0)),
-            Duration::ZERO,
-        );
-        let hub = RngHub::new(99);
-        let plan = inj.plan(Duration::from_secs(100_000.0), &hub);
+        let plan = crash_plan(4, 100.0, 0.0, 100_000.0, 99);
         // E[count/node] = 1000; all four nodes should land within ±15 %.
         for node in 0..4 {
             let count = plan.faults().iter().filter(|f| f.node == node).count();
@@ -452,18 +402,5 @@ mod tests {
         assert_eq!(cur.advance().unwrap().node, 2);
         assert!(cur.advance().is_none());
         assert_eq!(cur.remaining(), 0);
-    }
-
-    #[test]
-    fn deterministic_dist_gives_synchronized_plan() {
-        let inj = FaultInjector::new(
-            3,
-            Deterministic::new(Duration::from_secs(40.0)),
-            Duration::ZERO,
-        );
-        let hub = RngHub::new(0);
-        let plan = inj.plan(Duration::from_secs(100.0), &hub);
-        // Each node fails at t=40 and t=80 → 6 faults.
-        assert_eq!(plan.len(), 6);
     }
 }

@@ -7,21 +7,21 @@
 //! rate λ = 1/MTBF. The paper also acknowledges that real hardware follows
 //! a "bathtub curve". This crate provides:
 //!
-//! * [`dist`] — inter-failure-time distributions: [`Exponential`] (the
-//!   model's assumption) and [`Deterministic`] (scripted scenarios).
-//! * [`process`] — renewal failure processes that turn a distribution into
-//!   a timeline of failure instants over a horizon.
-//! * [`injector`] — cluster-level fault injection: per-physical-node
-//!   failure schedules with repair times, and the *correlated* VM failures
-//!   that motivate the paper's orthogonal RAID-group placement (every VM on
-//!   a failing physical node fails with it). Faults carry a
-//!   [`FaultKind`] — crash, transient hang, network partition, or silent
-//!   block corruption (node up, stored bytes rotten — only checksums
-//!   notice).
+//! * [`dist`] — the inter-failure-time distribution, [`Exponential`] (the
+//!   model's assumption), drawn through one renewal loop: fail, sit out
+//!   the repair span, draw the next gap.
+//! * [`injector`] — cluster-level fault plans: per-physical-node faults
+//!   with repair times, and the *correlated* VM failures that motivate
+//!   the paper's orthogonal RAID-group placement (every VM on a failing
+//!   physical node fails with it). Faults carry a [`FaultKind`] — crash,
+//!   transient hang, network partition, or silent block corruption (node
+//!   up, stored bytes rotten — only checksums notice).
 //! * [`schedule`] — composable fault schedules: named plan generators
 //!   (quiet, per-node crashes, correlated rack kills, a DC kill,
 //!   impairment storms, mixtures) over a [`DomainShape`] of node / rack /
 //!   DC counts — the fault-side axis of the workload × fault matrix.
+//!   [`NodeCrashes`] is the one crash-plan generator: every seeded run
+//!   that crashes nodes independently draws its plan there.
 //! * [`detector`] — the in-band failure detector: heartbeat deadlines,
 //!   timeout-based suspicion, and `Suspected`/`Confirmed`/`Refuted`
 //!   verdicts. Since hangs and partitions are indistinguishable from
@@ -29,18 +29,17 @@
 //!   must fence wrongly-failed-over nodes.
 //! * [`mttdl`] — RAID-style mean-time-to-data-loss analysis for single
 //!   and double parity: the overlapping-repair window that kills an
-//!   m = 1 cluster, validated against the injector.
+//!   m = 1 cluster, validated against [`NodeCrashes`] plans.
 //! * [`trace`] — trace-driven plans: parse measured failure logs
 //!   (`time,node[,repair]` CSV) into the same [`ClusterFaultPlan`] the
-//!   synthetic injectors produce.
+//!   synthetic schedules produce.
 //! * [`buggify`] — FoundationDB-style seed-deterministic fault points
 //!   planted *inside* the protocol's IO callsites (transfer arrivals,
 //!   heartbeat sends, scrub reads), plus the greedy repro shrinker the
-//!   swarm harness uses. Where [`injector`] faults whole nodes from the
+//!   swarm harness uses. Where a plan faults whole nodes from the
 //!   outside, buggify stresses the code between those faults.
 //!
 //! [`Exponential`]: dist::Exponential
-//! [`Deterministic`]: dist::Deterministic
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -50,16 +49,15 @@ pub mod detector;
 pub mod dist;
 pub mod injector;
 pub mod mttdl;
-pub mod process;
+mod process;
 pub mod schedule;
 pub mod trace;
 
 pub use buggify::{FaultRegistry, Intensity};
 pub use detector::{DetectorConfig, DetectorStats, FailureDetector, Verdict};
-pub use dist::{Deterministic, Exponential, FailureDistribution};
-pub use injector::{ClusterFaultPlan, FaultInjector, FaultKind, NodeFault, PeerSet, PlanCursor};
+pub use dist::Exponential;
+pub use injector::{ClusterFaultPlan, FaultKind, NodeFault, PeerSet, PlanCursor};
 pub use mttdl::MttdlParams;
-pub use process::RenewalProcess;
 pub use schedule::{
     DcKill, DomainShape, FaultSchedule, ImpairmentStorm, MixedSchedule, NodeCrashes, Quiet,
     RackKills,

@@ -16,8 +16,8 @@
 //! failure inside the repair windows of both predecessors:
 //! `MTTDL₂ ≈ MTBF³ / (N·(N−1)·(N−2)·R²)`.
 //!
-//! These closed forms are validated against the fault injector's
-//! overlapping-downtime detection in this module's tests and swept into
+//! These closed forms are validated against the overlapping downtime of
+//! [`NodeCrashes`](crate::NodeCrashes) plans in this module's tests and swept into
 //! a table by the `availability_analysis` bench binary.
 
 use dvdc_simcore::time::Duration;
@@ -84,8 +84,7 @@ impl MttdlParams {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dist::Exponential;
-    use crate::injector::FaultInjector;
+    use crate::schedule::{DomainShape, FaultSchedule, NodeCrashes};
     use dvdc_simcore::rng::RngHub;
 
     fn params(nodes: usize, mtbf_h: f64, repair_s: f64) -> MttdlParams {
@@ -148,10 +147,10 @@ mod tests {
         // node's failure within the repair window matches the closed
         // form.
         let p = params(4, 2.0, 900.0); // aggressive to get statistics
-        let injector = FaultInjector::new(4, Exponential::from_mtbf(p.node_mtbf), p.repair);
+        let crashes = NodeCrashes::exponential(p.node_mtbf, p.repair);
         let hub = RngHub::new(0xD07A);
         let horizon = Duration::from_days(200.0);
-        let plan = injector.plan(horizon, &hub);
+        let plan = crashes.plan(DomainShape::flat(4), horizon, &hub);
         let faults = plan.faults();
         let mut overlapping = 0usize;
         for (i, f) in faults.iter().enumerate() {

@@ -16,7 +16,7 @@ use dvdc_simcore::time::{Duration, SimTime};
 
 use crate::dist::Exponential;
 use crate::injector::{ClusterFaultPlan, NodeFault, PeerSet};
-use crate::process::RenewalProcess;
+use crate::process::failures_within;
 
 /// The failure-domain hierarchy a schedule targets, reduced to counts.
 ///
@@ -71,7 +71,9 @@ impl FaultSchedule for Quiet {
 }
 
 /// Independent per-node crashes: each node runs its own Poisson process —
-/// the uncorrelated regime the paper's Section V model assumes.
+/// the uncorrelated regime the paper's Section V model assumes. The one
+/// crash-plan generator: the CLI's `run`, the tests and the swarm all draw
+/// their node crashes here.
 #[derive(Debug, Clone, Copy)]
 pub struct NodeCrashes {
     /// Inter-failure distribution per node.
@@ -95,12 +97,14 @@ impl FaultSchedule for NodeCrashes {
         "node-crashes"
     }
 
+    /// Node `i` draws from the RNG stream `("node-faults", i)` of `hub`,
+    /// so per-node schedules are independent and adding nodes never
+    /// perturbs existing ones.
     fn plan(&self, shape: DomainShape, horizon: Duration, hub: &RngHub) -> ClusterFaultPlan {
-        let proc = RenewalProcess::with_repair(self.dist, self.repair);
         let mut faults = Vec::new();
         for node in 0..shape.nodes {
-            let mut rng = hub.stream_indexed("sched-node", node as u64);
-            for at in proc.failures_within(horizon, &mut rng) {
+            let mut rng = hub.stream_indexed("node-faults", node as u64);
+            for at in failures_within(self.dist, self.repair, horizon, &mut rng) {
                 faults.push(NodeFault::crash(node, at, self.repair));
             }
         }
@@ -126,11 +130,11 @@ impl FaultSchedule for RackKills {
     }
 
     fn plan(&self, shape: DomainShape, horizon: Duration, hub: &RngHub) -> ClusterFaultPlan {
-        let proc = RenewalProcess::with_repair(Exponential::from_mtbf(self.mtbf), self.repair);
+        let dist = Exponential::from_mtbf(self.mtbf);
         let mut faults = Vec::new();
         for rack in 0..shape.racks {
             let mut rng = hub.stream_indexed("sched-rack", rack as u64);
-            for at in proc.failures_within(horizon, &mut rng) {
+            for at in failures_within(dist, self.repair, horizon, &mut rng) {
                 faults.push(NodeFault::rack_failure(rack, at, self.repair));
             }
         }
@@ -296,15 +300,55 @@ mod tests {
         assert_eq!(
             first,
             [
-                (7, 13.520298677165668),
-                (3, 14.123338859616041),
-                (6, 16.98339760778069),
-                (2, 20.393629543735404),
-                (5, 20.7554067222511),
-                (0, 42.39083121189564),
+                (3, 0.4171734785140571),
+                (0, 0.5956726108918976),
+                (6, 5.356015253952634),
+                (4, 12.39890715012871),
+                (4, 21.89443737845525),
+                (0, 23.040751120548904),
             ]
         );
-        assert_eq!(plan.len(), 285);
+        assert_eq!(plan.len(), 302);
+    }
+
+    /// The head of the plan `dvdc-sim run --nodes 4 --mtbf-secs 400
+    /// --seed 42` runs, bit for bit.
+    #[test]
+    fn node_crashes_plan_is_pinned() {
+        let s = NodeCrashes::exponential(Duration::from_secs(400.0), Duration::from_secs(5.0));
+        let plan = s.plan(
+            DomainShape::flat(4),
+            Duration::from_secs(3_600.0),
+            &RngHub::new(42),
+        );
+        let first: Vec<(usize, u64)> = plan
+            .faults()
+            .iter()
+            .take(16)
+            .map(|f| (f.node, f.at.as_secs().to_bits()))
+            .collect();
+        assert_eq!(
+            first,
+            [
+                (0, 0x40559c63cac20100),
+                (3, 0x406821b7fc40f507),
+                (0, 0x4071ebe30fb48634),
+                (0, 0x407a498cf2475c11),
+                (1, 0x407b7f70cc339706),
+                (3, 0x407e24b61cbc6b98),
+                (1, 0x408156355218395a),
+                (0, 0x4081a7674f020254),
+                (3, 0x408403e14516418a),
+                (3, 0x4085979dc60df5aa),
+                (3, 0x40861e8e45ae6d09),
+                (1, 0x408c37cde62b0174),
+                (3, 0x4090afd542c231f2),
+                (1, 0x409188ca956e9b64),
+                (0, 0x40921e7c747fc016),
+                (1, 0x40924b952e717128),
+            ]
+        );
+        assert_eq!(plan.len(), 37);
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub struct Fig5Params {
     pub vm_image_bytes: usize,
     /// Data members per RAID group; one rotating parity member joins
     /// each. Fig. 4 stripes groups of 3 data VMs across its 4 nodes, as
-    /// `GroupPlacement::orthogonal(&cluster, 3)` does.
+    /// `GroupPlacement::orthogonal(&cluster, 3, 1)` does.
     pub k: usize,
     /// Time between a node failing and the cluster *deciding* it failed.
     /// The paper's repair term implicitly assumes an oracle announces the

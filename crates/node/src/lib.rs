@@ -153,6 +153,11 @@ impl NodeOptions {
                 opts.image_len
             ));
         }
+        if opts.ring_events == 0 {
+            return Err("--ring-events 0 leaves the trace ring no room: \
+                        it keeps the last N events, so N must be at least 1"
+                .into());
+        }
         if opts.id >= opts.addrs.len() {
             return Err(format!(
                 "--id {} out of range for {} members",
@@ -367,6 +372,11 @@ mod tests {
         )))
         .unwrap_err();
         assert!(err.contains("at most 256 members"), "{err}");
+        let err = NodeOptions::parse(args(
+            "--data 1 --parity 1 --addrs 127.0.0.1:1,127.0.0.1:2 --ring-events 0",
+        ))
+        .unwrap_err();
+        assert!(err.contains("--ring-events"), "{err}");
     }
 
     /// A negative, NaN or infinite value of `flag` is a usage error that

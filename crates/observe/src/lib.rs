@@ -17,10 +17,10 @@
 //!   [`RecorderHandle::enabled`] before doing any work, so an
 //!   uninstrumented run pays one virtual call per *attachment*, not per
 //!   event.
-//! * [`TraceRecorder`] — an in-memory buffer, either unbounded (for
+//! * [`TraceRecorder`] — the one in-memory buffer, either unbounded (for
 //!   export) or a fixed-size ring (for attaching the last N events to a
-//!   chaos-failure report); [`SyncRingRecorder`] is the ring for a
-//!   multi-threaded daemon.
+//!   chaos-failure report). A `Mutex` guards it, so the sim shares it as
+//!   `Rc` and the multi-threaded daemon as `Arc`.
 //! * [`Fanout`] — broadcasts to several recorders (e.g. ring + auditor).
 //! * [`audit::InvariantAuditor`] — checks causal protocol invariants
 //!   online and accumulates violations instead of events.
@@ -71,13 +71,13 @@ pub mod spans;
 pub use event::{Arg, Event, NO_TOKEN};
 pub use registry::{
     intern, Counter, Gauge, HistSnapshot, HistogramHandle, LogHistogram, MetricsHub,
-    MetricsSnapshot, Stamp,
+    MetricsSnapshot,
 };
 
-use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt;
 use std::rc::Rc;
+use std::sync::{Mutex, MutexGuard};
 
 use dvdc_simcore::time::SimTime;
 
@@ -128,10 +128,13 @@ pub struct TimedEvent {
 
 /// In-memory trace buffer: either unbounded (collect everything for
 /// export) or a fixed-capacity ring that keeps only the most recent
-/// events (attach the tail to a panic report).
+/// events (attach the tail to a panic report). A `Mutex` guards the
+/// buffer, so one type serves the single-threaded sim (shared as `Rc`)
+/// and the multi-threaded daemon (shared as `Arc`, read by its panic
+/// hook while other threads hold clones).
 #[derive(Debug, Default)]
 pub struct TraceRecorder {
-    inner: RefCell<TraceBuf>,
+    inner: Mutex<TraceBuf>,
 }
 
 #[derive(Debug, Default)]
@@ -181,18 +184,24 @@ impl TraceRecorder {
     /// Panics if `cap` is 0.
     pub fn ring(cap: usize) -> Self {
         TraceRecorder {
-            inner: RefCell::new(TraceBuf::with_cap(cap)),
+            inner: Mutex::new(TraceBuf::with_cap(cap)),
         }
+    }
+
+    /// The buffer, including after a poisoning panic — that is exactly
+    /// when a panic hook needs the events recorded before it.
+    fn buf(&self) -> MutexGuard<'_, TraceBuf> {
+        self.inner.lock().unwrap_or_else(|p| p.into_inner())
     }
 
     /// Snapshot of the buffered events, oldest first.
     pub fn events(&self) -> Vec<TimedEvent> {
-        self.inner.borrow().events.iter().cloned().collect()
+        self.buf().events.iter().cloned().collect()
     }
 
     /// Number of events currently buffered.
     pub fn len(&self) -> usize {
-        self.inner.borrow().events.len()
+        self.buf().events.len()
     }
 
     /// True if nothing has been recorded (or everything fell out of the
@@ -203,87 +212,18 @@ impl TraceRecorder {
 
     /// Events evicted from the ring (always 0 for unbounded buffers).
     pub fn dropped(&self) -> u64 {
-        self.inner.borrow().dropped
+        self.buf().dropped
     }
 
     /// Total events ever recorded, including evicted ones.
     pub fn recorded(&self) -> u64 {
-        self.inner.borrow().next_seq
+        self.buf().next_seq
     }
 }
 
 impl Recorder for TraceRecorder {
     fn record(&self, at: SimTime, event: &Event) {
-        self.inner.borrow_mut().push(at, event);
-    }
-}
-
-/// Thread-safe ring of recent events, for multi-threaded runtimes (the
-/// `dvdc-node` daemon) where the single-threaded [`TraceRecorder`]
-/// cannot be shared. A `Mutex` guards the buffer; the panic hook reads
-/// the tail through [`SyncRingRecorder::events`] even while other
-/// threads hold clones of the `Arc`.
-#[derive(Debug)]
-pub struct SyncRingRecorder {
-    inner: std::sync::Mutex<TraceBuf>,
-}
-
-impl SyncRingRecorder {
-    /// A ring that keeps only the most recent `cap` events.
-    ///
-    /// # Panics
-    /// Panics if `cap` is 0.
-    pub fn ring(cap: usize) -> Self {
-        SyncRingRecorder {
-            inner: std::sync::Mutex::new(TraceBuf::with_cap(cap)),
-        }
-    }
-
-    /// Snapshot of the buffered events, oldest first. Returns the
-    /// events recorded before a poisoning panic too — that is exactly
-    /// when the panic hook needs them.
-    pub fn events(&self) -> Vec<TimedEvent> {
-        let buf = self.inner.lock().unwrap_or_else(|p| p.into_inner());
-        buf.events.iter().cloned().collect()
-    }
-
-    /// Events evicted from the ring.
-    pub fn dropped(&self) -> u64 {
-        let buf = self.inner.lock().unwrap_or_else(|p| p.into_inner());
-        buf.dropped
-    }
-
-    /// Total events ever recorded, including evicted ones.
-    pub fn recorded(&self) -> u64 {
-        let buf = self.inner.lock().unwrap_or_else(|p| p.into_inner());
-        buf.next_seq
-    }
-}
-
-impl Recorder for SyncRingRecorder {
-    fn record(&self, at: SimTime, event: &Event) {
-        if let Ok(mut buf) = self.inner.lock() {
-            buf.push(at, event);
-        }
-    }
-}
-
-/// Anything a [`TraceDumpGuard`] (or a panic hook) can drain a trace
-/// tail from: the buffered events plus the evicted-count.
-pub trait TraceTail {
-    /// `(events oldest-first, number of older events dropped)`.
-    fn tail(&self) -> (Vec<TimedEvent>, u64);
-}
-
-impl TraceTail for Rc<TraceRecorder> {
-    fn tail(&self) -> (Vec<TimedEvent>, u64) {
-        (self.events(), self.dropped())
-    }
-}
-
-impl TraceTail for std::sync::Arc<SyncRingRecorder> {
-    fn tail(&self) -> (Vec<TimedEvent>, u64) {
-        (self.events(), self.dropped())
+        self.buf().push(at, event);
     }
 }
 
@@ -308,27 +248,25 @@ pub fn dump_tail(events: &[TimedEvent], dropped: u64, footer: &str) {
 
 /// Dumps the tail of a trace ring to stderr when the holding scope
 /// unwinds from a panic, so a failing run ships its last N protocol
-/// events alongside a repro line without re-running under tracing.
-/// Arms over any [`TraceTail`] source — `Rc<TraceRecorder>` in
-/// single-threaded chaos tests, `Arc<SyncRingRecorder>` in the daemon.
-pub struct TraceDumpGuard<S: TraceTail> {
-    trace: S,
+/// events alongside a repro line without re-running under tracing. (The
+/// daemon's panic hook calls [`dump_tail`] on its ring directly.)
+pub struct TraceDumpGuard {
+    trace: Rc<TraceRecorder>,
     footer: String,
 }
 
-impl<S: TraceTail> TraceDumpGuard<S> {
+impl TraceDumpGuard {
     /// Arms the guard; `footer` closes the dump (repro command,
     /// seed/epoch, ...).
-    pub fn new(trace: S, footer: String) -> Self {
+    pub fn new(trace: Rc<TraceRecorder>, footer: String) -> Self {
         TraceDumpGuard { trace, footer }
     }
 }
 
-impl<S: TraceTail> Drop for TraceDumpGuard<S> {
+impl Drop for TraceDumpGuard {
     fn drop(&mut self) {
         if std::thread::panicking() {
-            let (events, dropped) = self.trace.tail();
-            dump_tail(&events, dropped, &self.footer);
+            dump_tail(&self.trace.events(), self.trace.dropped(), &self.footer);
         }
     }
 }
@@ -458,7 +396,7 @@ mod tests {
 
     #[test]
     fn sync_ring_is_shared_across_threads_and_keeps_the_tail() {
-        let rec = std::sync::Arc::new(SyncRingRecorder::ring(8));
+        let rec = std::sync::Arc::new(TraceRecorder::ring(8));
         let mut handles = Vec::new();
         for thread in 0..4u64 {
             let rec = std::sync::Arc::clone(&rec);
@@ -479,22 +417,6 @@ mod tests {
         let mut sorted = seqs.clone();
         sorted.sort_unstable();
         assert_eq!(seqs, sorted);
-    }
-
-    #[test]
-    fn trace_tail_reads_both_recorder_kinds() {
-        let rc = Rc::new(TraceRecorder::ring(1));
-        rc.record(t(1.0), &Event::RoundBegin { epoch: 1 });
-        rc.record(t(2.0), &Event::RoundBegin { epoch: 2 });
-        let (events, dropped) = rc.tail();
-        assert_eq!(events.len(), 1);
-        assert_eq!(dropped, 1);
-
-        let arc = std::sync::Arc::new(SyncRingRecorder::ring(4));
-        arc.record(t(1.0), &Event::Suspected { node: 2 });
-        let (events, dropped) = arc.tail();
-        assert_eq!(events.len(), 1);
-        assert_eq!(dropped, 0);
     }
 
     #[test]

@@ -25,7 +25,7 @@ use std::collections::BTreeMap;
 
 use dvdc_simcore::time::SimTime;
 
-use crate::registry::{Counter, HistogramHandle, MetricsHub, MetricsSnapshot, Stamp};
+use crate::registry::{nanos_between, Counter, HistogramHandle, MetricsHub, MetricsSnapshot};
 use crate::spans::{Edge, End, Span, SpanFold};
 use crate::{Event, TimedEvent};
 
@@ -103,7 +103,7 @@ impl EventMetrics {
                         phase: "Decode", ..
                     } = event
                     {
-                        self.rebuild_fetch.record(nanos(rebuild.start, at));
+                        self.rebuild_fetch.record(nanos_between(rebuild.start, at));
                     }
                 }
                 Edge::Open(_) | Edge::Unpaired => {}
@@ -112,7 +112,7 @@ impl EventMetrics {
     }
 
     fn closed(&mut self, span: Span, end: End, at: SimTime, by: &Event) {
-        let took = nanos(span.start, at);
+        let took = nanos_between(span.start, at);
         match (span.opener, end) {
             (Event::RoundPhase { phase, .. }, End::Followed) => {
                 self.labelled("node.round_phase_ns", phase).record(took);
@@ -149,10 +149,6 @@ impl EventMetrics {
             .entry((family, label))
             .or_insert_with(|| hub.histogram(&format!("{family}.{label}")))
     }
-}
-
-fn nanos(from: SimTime, to: SimTime) -> u64 {
-    Stamp::Sim(to).nanos_since(Stamp::Sim(from))
 }
 
 /// Folds a recorded timeline into a fresh hub and snapshots it.

@@ -20,9 +20,9 @@
 //! * [`MetricsSnapshot`] / [`HistSnapshot`] — plain-data snapshots that
 //!   travel over the ctl wire (`Msg::MetricsResp`) and render as JSON or
 //!   a human table.
-//! * [`Stamp`] — one timestamp type over both clock domains (simulated
-//!   seconds and wall-clock nanoseconds), so recorders and histograms
-//!   share instants without caring which clock produced them.
+//! * [`nanos_between`] — the one conversion from two instants on the
+//!   [`SimTime`] axis (the sim's seconds, or a daemon's wall clock mapped
+//!   onto it) to the nanoseconds a histogram records.
 //!
 //! Everything here is `std` atomics behind `Arc` — no locks on the hot
 //! path, no unsafe.
@@ -41,64 +41,15 @@ use dvdc_simcore::time::SimTime;
 pub const HIST_BUCKETS: usize = 65;
 
 // ---------------------------------------------------------------------
-// Stamp
+// Instants to nanoseconds
 // ---------------------------------------------------------------------
 
-/// A timestamp in either clock domain.
-///
-/// The simulator stamps events with [`SimTime`] (f64 seconds from sim
-/// zero); the deployment stamps them with wall-clock nanoseconds from
-/// process start (the transport's `WallClock` maps the same instant onto
-/// the `SimTime` axis one-to-one). `Stamp` carries either and converts
-/// both ways, so [`crate::Recorder`]/[`crate::TimedEvent`] pipelines and
-/// the nanosecond-keyed [`LogHistogram`] can share one instant.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Stamp {
-    /// A simulated instant (seconds from sim zero).
-    Sim(SimTime),
-    /// Wall-clock nanoseconds since an arbitrary per-process origin.
-    WallNanos(u64),
-}
-
-impl Stamp {
-    /// The instant projected onto the [`SimTime`] axis (wall nanoseconds
-    /// become seconds — the `WallClock` convention).
-    pub fn sim_time(self) -> SimTime {
-        match self {
-            Stamp::Sim(t) => t,
-            Stamp::WallNanos(ns) => SimTime::from_secs(ns as f64 / 1e9),
-        }
-    }
-
-    /// The instant as whole nanoseconds (simulated seconds scale by 1e9;
-    /// negative simulated instants clamp to zero).
-    pub fn nanos(self) -> u64 {
-        match self {
-            Stamp::Sim(t) => {
-                let ns = t.as_secs() * 1e9;
-                if ns <= 0.0 {
-                    0
-                } else if ns >= u64::MAX as f64 {
-                    u64::MAX
-                } else {
-                    ns as u64
-                }
-            }
-            Stamp::WallNanos(ns) => ns,
-        }
-    }
-
-    /// Nanoseconds elapsed since `earlier` (zero when clocks ran
-    /// backwards or the stamps are from different domains' origins).
-    pub fn nanos_since(self, earlier: Stamp) -> u64 {
-        self.nanos().saturating_sub(earlier.nanos())
-    }
-}
-
-impl From<SimTime> for Stamp {
-    fn from(t: SimTime) -> Self {
-        Stamp::Sim(t)
-    }
+/// Nanoseconds from `from` to `to`. Each instant is first truncated to
+/// whole nanoseconds since the axis origin (the float-to-int cast
+/// saturates at `u64::MAX`); a span whose clock ran backwards is 0.
+pub fn nanos_between(from: SimTime, to: SimTime) -> u64 {
+    let nanos = |t: SimTime| (t.as_secs() * 1e9) as u64;
+    nanos(to).saturating_sub(nanos(from))
 }
 
 // ---------------------------------------------------------------------
@@ -728,13 +679,16 @@ mod tests {
     }
 
     #[test]
-    fn stamp_converts_between_domains() {
-        let s = Stamp::from(SimTime::from_secs(1.5));
-        assert_eq!(s.nanos(), 1_500_000_000);
-        let w = Stamp::WallNanos(2_000_000_000);
-        assert!((w.sim_time().as_secs() - 2.0).abs() < 1e-9);
-        assert_eq!(w.nanos_since(s), 500_000_000);
-        assert_eq!(s.nanos_since(w), 0);
+    fn nanos_between_saturates() {
+        let (a, b) = (SimTime::from_secs(1.5), SimTime::from_secs(2.0));
+        assert_eq!(nanos_between(SimTime::ZERO, a), 1_500_000_000);
+        assert_eq!(nanos_between(a, b), 500_000_000);
+        // A clock that ran backwards records 0, not a wrapped span.
+        assert_eq!(nanos_between(b, a), 0);
+        assert_eq!(
+            nanos_between(SimTime::ZERO, SimTime::from_secs(1e12)),
+            u64::MAX
+        );
     }
 
     #[test]

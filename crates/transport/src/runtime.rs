@@ -42,8 +42,8 @@ use std::time::{Duration as StdDuration, Instant, SystemTime, UNIX_EPOCH};
 
 use dvdc::protocol::node_core::{ClusterSpec, Msg, NodeCore, Note, CTL};
 use dvdc::protocol::transport::{dispatch, Transport};
-use dvdc_observe::registry::{Counter, Gauge, MetricsHub, Stamp};
-use dvdc_observe::SyncRingRecorder;
+use dvdc_observe::registry::{nanos_between, Counter, Gauge, MetricsHub};
+use dvdc_observe::TraceRecorder;
 use dvdc_simcore::time::SimTime;
 use dvdc_vcluster::ids::NodeId;
 use dvdc_vcluster::messaging::RetryPolicy;
@@ -81,7 +81,7 @@ pub struct ObserveConfig {
     pub metrics: MetricsHub,
     /// The node's trace ring, scraped by `Msg::TraceTailReq` — normally
     /// the same ring the daemon's panic hook dumps.
-    pub ring: Option<Arc<SyncRingRecorder>>,
+    pub ring: Option<Arc<TraceRecorder>>,
 }
 
 impl RuntimeConfig {
@@ -383,7 +383,7 @@ impl NodeRuntime {
                     if hub.enabled() {
                         if let Msg::Heartbeat { node } = &incoming.msg {
                             if let Some(prev) = last_hb.insert(*node, now) {
-                                hb_gap.record(Stamp::Sim(now).nanos_since(Stamp::Sim(prev)));
+                                hb_gap.record(nanos_between(prev, now));
                             }
                         }
                     }

@@ -29,7 +29,7 @@ fn main() {
 
     // 2. Orthogonal RAID groups: 3 data VMs per group, each on a distinct
     //    node, XOR parity on a fourth node, parity role balanced.
-    let placement = GroupPlacement::orthogonal(&cluster, 3).expect("placement");
+    let placement = GroupPlacement::orthogonal(&cluster, 3, 1).expect("placement");
     for g in placement.groups() {
         println!(
             "  {}: data {:?} parity on {}",

@@ -243,7 +243,7 @@ fn detector_round(
 }
 
 /// One chaos run on the rotated-parity layout
-/// (`orthogonal_with_parity(k, m)`); see [`chaos_run_on`].
+/// (`orthogonal(k, m)`); see [`chaos_run_on`].
 #[allow(clippy::too_many_arguments)]
 fn chaos_run(
     seed: u64,
@@ -262,7 +262,7 @@ fn chaos_run(
         .writes_per_sec(300.0)
         .topology(topo)
         .build(seed);
-    let placement = GroupPlacement::orthogonal_with_parity(&cluster, k, m).unwrap();
+    let placement = GroupPlacement::orthogonal(&cluster, k, m).unwrap();
     chaos_run_on(seed, test, cluster, placement, steps)
 }
 
@@ -283,7 +283,7 @@ fn chaos_run_on(
     let checkpoint_nodes: Vec<NodeId> = cluster
         .node_ids()
         .into_iter()
-        .filter(|&n| cluster.vms_on(n).is_empty() && !placement.parity_groups_of(n).is_empty())
+        .filter(|&n| cluster.vms_on(n).is_empty() && placement.parity_slots_on(n).next().is_some())
         .collect();
     let mut protocol = DvdcProtocol::new(placement);
     let hub = RngHub::new(seed);
@@ -750,7 +750,7 @@ fn auditor_flags_injected_ordering_violation() {
         .vm_memory(8, 32)
         .writes_per_sec(300.0)
         .build(7);
-    let placement = GroupPlacement::orthogonal_with_parity(&cluster, 3, 1).unwrap();
+    let placement = GroupPlacement::orthogonal(&cluster, 3, 1).unwrap();
     let mut protocol = DvdcProtocol::new(placement);
     let trace = Rc::new(TraceRecorder::unbounded());
     protocol.set_recorder(RecorderHandle::new(trace.clone()));

@@ -31,7 +31,7 @@ fn run_cell(
     let (wl_name, mut workload) = make_workload(workload);
     let ctx = format!("cell {wl_name} x {}", schedule.name());
     let mut cluster = build_cluster(seed);
-    let placement = GroupPlacement::orthogonal_with_parity(&cluster, 3, 1)
+    let placement = GroupPlacement::orthogonal(&cluster, 3, 1)
         .unwrap_or_else(|e| panic!("{ctx}: placement failed: {e}"));
     assert!(
         placement.is_rack_orthogonal(&cluster),

@@ -8,8 +8,7 @@
 use dvdc::placement::GroupPlacement;
 use dvdc::protocol::DvdcProtocol;
 use dvdc::sim::{JobOutcome, JobRunner};
-use dvdc_faults::dist::Exponential;
-use dvdc_faults::injector::{ClusterFaultPlan, FaultInjector};
+use dvdc_faults::{ClusterFaultPlan, DomainShape, FaultSchedule, NodeCrashes};
 use dvdc_simcore::rng::RngHub;
 use dvdc_simcore::time::Duration;
 use dvdc_vcluster::cluster::{Cluster, ClusterBuilder};
@@ -25,13 +24,11 @@ fn cluster(nodes: usize) -> Cluster {
 }
 
 fn plan(nodes: usize, seed: u64) -> ClusterFaultPlan {
-    let hub = RngHub::new(seed);
-    FaultInjector::new(
-        nodes,
-        Exponential::from_mtbf(Duration::from_secs(400.0)),
-        Duration::from_secs(4.0),
+    NodeCrashes::exponential(Duration::from_secs(400.0), Duration::from_secs(4.0)).plan(
+        DomainShape::flat(nodes),
+        Duration::from_secs(7_200.0),
+        &RngHub::new(seed),
     )
-    .plan(Duration::from_secs(7_200.0), &hub)
 }
 
 fn check(out: &JobOutcome, job: Duration) {
@@ -53,7 +50,7 @@ fn check(out: &JobOutcome, job: Duration) {
 #[test]
 fn dvdc_completes_under_failures() {
     let mut c = cluster(4);
-    let mut p = DvdcProtocol::new(GroupPlacement::orthogonal(&c, 3).unwrap());
+    let mut p = DvdcProtocol::new(GroupPlacement::orthogonal(&c, 3, 1).unwrap());
     let runner = JobRunner::new(Duration::from_secs(900.0), Duration::from_secs(20.0));
     let out = runner
         .run(&mut p, &mut c, &plan(4, 1), &RngHub::new(1))
@@ -102,7 +99,7 @@ fn repeated_failures_of_every_node_are_survivable() {
     // Round-robin killing each node between committed rounds; DVDC must
     // recover every time, indefinitely.
     let mut c = cluster(4);
-    let mut p = DvdcProtocol::new(GroupPlacement::orthogonal(&c, 3).unwrap());
+    let mut p = DvdcProtocol::new(GroupPlacement::orthogonal(&c, 3, 1).unwrap());
     let hub = RngHub::new(88);
     for round in 0..12u64 {
         c.run_all(Duration::from_secs(0.5), |vm| {

@@ -11,8 +11,7 @@
 use dvdc::placement::GroupPlacement;
 use dvdc::protocol::DvdcProtocol;
 use dvdc::sim::JobRunner;
-use dvdc_faults::dist::Exponential;
-use dvdc_faults::injector::FaultInjector;
+use dvdc_faults::{DomainShape, FaultSchedule, NodeCrashes};
 use dvdc_model::analytic;
 use dvdc_model::overhead::{cost, ProtocolKind};
 use dvdc_model::Fig5Params;
@@ -48,14 +47,11 @@ fn cluster_sim_tracks_analytic_expectation() {
             .vms_per_node(3)
             .vm_memory(16, 64)
             .build(seed);
-        let placement = GroupPlacement::orthogonal(&cluster, 3).unwrap();
+        let placement = GroupPlacement::orthogonal(&cluster, 3, 1).unwrap();
         let mut protocol = DvdcProtocol::new(placement);
-        let injector = FaultInjector::new(
-            4,
-            Exponential::from_mtbf(Duration::from_secs(4.0 * cluster_mtbf)),
-            Duration::ZERO,
-        );
-        let plan = injector.plan(Duration::from_secs(20.0 * job), &hub);
+        let crashes =
+            NodeCrashes::exponential(Duration::from_secs(4.0 * cluster_mtbf), Duration::ZERO);
+        let plan = crashes.plan(DomainShape::flat(4), Duration::from_secs(20.0 * job), &hub);
         let out = runner
             .run(&mut protocol, &mut cluster, &plan, &hub)
             .unwrap();
@@ -104,7 +100,7 @@ fn fig5_prices_the_round_fig4_runs() {
         .vms_per_node(3)
         .vm_memory(256, 4096)
         .build(4);
-    let placement = GroupPlacement::orthogonal(&c, 3).unwrap();
+    let placement = GroupPlacement::orthogonal(&c, 3, 1).unwrap();
     let round = DvdcProtocol::new(placement).run_round(&mut c).unwrap();
     let p = Fig5Params {
         vm_image_bytes: 256 * 4096,

@@ -36,7 +36,7 @@ fn claim_ii_b2_latency_at_least_overhead() {
     // by construction: on the price of DVDC's round load and on the
     // disk-full cost row Fig. 5 reads.
     let mut c = fig4_cluster();
-    let mut dvdc = DvdcProtocol::new(GroupPlacement::orthogonal(&c, 3).unwrap());
+    let mut dvdc = DvdcProtocol::new(GroupPlacement::orthogonal(&c, 3, 1).unwrap());
     let r = dvdc.run_round(&mut c).unwrap();
     let (pause, latency) = r.load.price(c.fabric(), base_overhead());
     assert!(latency >= pause);
@@ -69,7 +69,7 @@ fn claim_iv_a_one_vm_per_node_restriction_is_needed_naively() {
         .vms_per_node(2)
         .vm_memory(4, 16)
         .build(0);
-    let placement = GroupPlacement::orthogonal(&c, 2).unwrap();
+    let placement = GroupPlacement::orthogonal(&c, 2, 1).unwrap();
     // Collapse one group onto a single node.
     let g = placement.groups()[0].clone();
     let host = c.node_of(g.data[0]);
@@ -92,7 +92,7 @@ fn claim_iv_b_all_nodes_compute_with_distributed_parity() {
     // §IV-B: "we can distribute the parity and allow all physical
     // machines to host working VMs."
     let c = fig4_cluster();
-    let placement = GroupPlacement::orthogonal(&c, 3).unwrap();
+    let placement = GroupPlacement::orthogonal(&c, 3, 1).unwrap();
     // Every node hosts working VMs…
     for n in c.node_ids() {
         assert!(!c.vms_on(n).is_empty());
@@ -119,7 +119,7 @@ fn claim_iv_b_parity_parallelization_relieves_the_fan_in() {
         let placement = if dedicated {
             GroupPlacement::dedicated(&c, NodeId(3)).unwrap()
         } else {
-            GroupPlacement::orthogonal(&c, 3).unwrap()
+            GroupPlacement::orthogonal(&c, 3, 1).unwrap()
         };
         let r = DvdcProtocol::new(placement).run_round(&mut c).unwrap();
         r.load.price(c.fabric(), base_overhead())
@@ -158,7 +158,7 @@ fn claim_iv_b_parity_parallelization_relieves_the_fan_in() {
             .vms_per_node(s)
             .vm_memory(8, 32)
             .build(1);
-        let placement = GroupPlacement::orthogonal(&c, n).unwrap();
+        let placement = GroupPlacement::orthogonal(&c, n, 1).unwrap();
         let load = placement.parity_load(n + 1);
         let mut p = DvdcProtocol::new(placement);
         let r = p.run_round(&mut c).unwrap();
@@ -210,7 +210,7 @@ fn claim_vi_dvdc_accommodates_varying_cluster_sizes() {
             .vms_per_node(vms)
             .vm_memory(4, 16)
             .build(0);
-        let mut p = DvdcProtocol::new(GroupPlacement::orthogonal(&c, k).unwrap());
+        let mut p = DvdcProtocol::new(GroupPlacement::orthogonal(&c, k, 1).unwrap());
         p.run_round(&mut c).unwrap();
         c.fail_node(NodeId(0));
         p.recover(&mut c, NodeId(0)).unwrap();
@@ -223,7 +223,7 @@ fn claim_vi_dvdc_rolls_back_where_remus_does_not() {
     // checkpoints … while Remus can resume execution upon failure
     // immediately."
     let mut c1 = fig4_cluster();
-    let mut dvdc = DvdcProtocol::new(GroupPlacement::orthogonal(&c1, 3).unwrap());
+    let mut dvdc = DvdcProtocol::new(GroupPlacement::orthogonal(&c1, 3, 1).unwrap());
     dvdc.run_round(&mut c1).unwrap();
     c1.fail_node(NodeId(0));
     assert!(dvdc

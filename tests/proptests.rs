@@ -7,7 +7,6 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use dvdc::placement::GroupPlacement;
-use dvdc::protocol::delta_parity_update;
 use dvdc::protocol::node_core::{ClusterSpec, Msg, NodeCore};
 use dvdc_model::analytic;
 use dvdc_parity::code::ErasureCode;
@@ -98,26 +97,6 @@ proptest! {
     }
 
     // ---------- incremental parity update ----------
-
-    #[test]
-    fn delta_parity_update_matches_reencode(
-        group in shards_strategy(3, 64),
-        page in 0usize..4,
-        new_page in vec(any::<u8>(), 16),
-    ) {
-        let code = XorCode::new(3);
-        let refs: Vec<&[u8]> = group.iter().map(|d| d.as_slice()).collect();
-        let mut parity = code.encode(&refs).remove(0);
-
-        // Member 1 rewrites one 16-byte "page".
-        let off = page * 16;
-        let mut updated = group.clone();
-        updated[1][off..off + 16].copy_from_slice(&new_page);
-        delta_parity_update(&mut parity, off, &group[1][off..off + 16], &new_page);
-
-        let refs2: Vec<&[u8]> = updated.iter().map(|d| d.as_slice()).collect();
-        prop_assert_eq!(parity, code.encode(&refs2).remove(0));
-    }
 
     #[test]
     fn apply_delta_matches_reencode_for_all_codes(
@@ -215,7 +194,7 @@ proptest! {
             .vms_per_node(vms)
             .vm_memory(2, 8)
             .build(1);
-        let placement = GroupPlacement::orthogonal(&cluster, k).unwrap();
+        let placement = GroupPlacement::orthogonal(&cluster, k, 1).unwrap();
         placement.validate(&cluster).unwrap();
         for node in cluster.node_ids() {
             for (_, hits) in placement.impact_of_node_failure(&cluster, node) {
@@ -313,7 +292,7 @@ fn six_node_protocol(seed: u64, dedicated: bool, m: usize) -> (Cluster, DvdcProt
     let placement = if dedicated {
         GroupPlacement::dedicated(&c, NodeId(5)).unwrap()
     } else {
-        GroupPlacement::orthogonal_with_parity(&c, 3, m).unwrap()
+        GroupPlacement::orthogonal(&c, 3, m).unwrap()
     };
     let p = DvdcProtocol::new(placement);
     (c, p)
@@ -450,7 +429,7 @@ proptest! {
             .vm_memory(8, 32)
             .writes_per_sec(250.0)
             .build(seed);
-        let placement = GroupPlacement::orthogonal_with_parity(&c, 3, m).unwrap();
+        let placement = GroupPlacement::orthogonal(&c, 3, m).unwrap();
         let mut p = DvdcProtocol::new(placement);
 
         // A committed baseline epoch, then guest progress the impaired
@@ -547,7 +526,7 @@ proptest! {
             .writes_per_sec(200.0)
             .racks(npr)
             .build(seed);
-        let placement = GroupPlacement::orthogonal_with_parity(&c, k, m).unwrap();
+        let placement = GroupPlacement::orthogonal(&c, k, m).unwrap();
         placement.validate(&c).unwrap();
         prop_assert!(
             placement.is_rack_orthogonal(&c),
@@ -555,7 +534,6 @@ proptest! {
             c.topology().rack_count(),
             k + m
         );
-        placement.validate_rack_aware(&c).unwrap();
 
         let mut p = DvdcProtocol::new(placement);
         p.run_round(&mut c).unwrap();
@@ -604,7 +582,7 @@ proptest! {
             .writes_per_sec(200.0)
             .topology(TopologySpec::Explicit(topo))
             .build(seed);
-        let placement = GroupPlacement::orthogonal_with_parity(&c, k, m).unwrap();
+        let placement = GroupPlacement::orthogonal(&c, k, m).unwrap();
         // Node-level orthogonality holds regardless of how skewed the
         // rack sizes came out. (Strict parity balance is only promised on
         // uniform topologies: rack-freshness constraints on skewed racks

@@ -69,7 +69,7 @@ fn dvdc_matrix_shapes_victims() {
     for (nodes, vms, k) in [(4usize, 3usize, 3usize), (5, 4, 4), (6, 2, 3), (8, 2, 4)] {
         for victim in 0..nodes {
             let mut c = build(nodes, vms);
-            let placement = GroupPlacement::orthogonal(&c, k)
+            let placement = GroupPlacement::orthogonal(&c, k, 1)
                 .unwrap_or_else(|e| panic!("{nodes}x{vms} k={k}: {e}"));
             let (mut p, _audit) = audited(DvdcProtocol::new(placement));
             // Two rounds with guest activity in between, so the second
@@ -101,7 +101,7 @@ fn dvdc_failure_mid_progress_rolls_back_cleanly() {
     // survivors is discarded too (global consistency).
     let mut c = build(4, 3);
     let (mut p, _audit) = audited(DvdcProtocol::new(
-        GroupPlacement::orthogonal(&c, 3).unwrap(),
+        GroupPlacement::orthogonal(&c, 3, 1).unwrap(),
     ));
     p.run_round(&mut c).unwrap();
     let want = snapshots(&c);
@@ -122,7 +122,7 @@ fn dvdc_incremental_rounds_then_failure_then_more_rounds() {
     // re-encode, later rounds go incremental again).
     for m in [1usize, 2] {
         let mut c = build(6, 2);
-        let placement = GroupPlacement::orthogonal_with_parity(&c, 3, m).unwrap();
+        let placement = GroupPlacement::orthogonal(&c, 3, m).unwrap();
         let (mut p, _audit) = audited(DvdcProtocol::new(placement));
         let hub = RngHub::new(7 + m as u64);
         p.run_round(&mut c).unwrap();
@@ -182,7 +182,7 @@ fn default_double_parity_survives_all_node_pairs() {
     for a in 0..nodes {
         for b in (a + 1)..nodes {
             let mut c = build(nodes, 2);
-            let placement = GroupPlacement::orthogonal_with_parity(&c, 3, 2).unwrap();
+            let placement = GroupPlacement::orthogonal(&c, 3, 2).unwrap();
             let (mut p, _audit) = audited(DvdcProtocol::new(placement));
             p.run_round(&mut c).unwrap();
             let want = snapshots(&c);
@@ -222,7 +222,7 @@ fn dvdc_mid_round_matrix_phase_family_victim() {
         for phase in phases {
             for parity_victim in [false, true] {
                 let mut c = build(nodes, vms);
-                let placement = GroupPlacement::orthogonal_with_parity(&c, k, m)
+                let placement = GroupPlacement::orthogonal(&c, k, m)
                     .unwrap_or_else(|e| panic!("{family}: {e}"));
                 let group0 = placement.groups()[0].clone();
                 let victim = if parity_victim {
@@ -302,7 +302,7 @@ fn dvdc_failure_right_after_commit_recovers_new_epoch() {
     for (family, k, m, nodes, vms) in MID_ROUND_FAMILIES {
         for parity_victim in [false, true] {
             let mut c = build(nodes, vms);
-            let placement = GroupPlacement::orthogonal_with_parity(&c, k, m).unwrap();
+            let placement = GroupPlacement::orthogonal(&c, k, m).unwrap();
             let group0 = placement.groups()[0].clone();
             let victim = if parity_victim {
                 group0.parity_nodes[0]
@@ -364,7 +364,7 @@ fn dvdc_second_failure_during_rebuild_matrix() {
         for phase in phases {
             for second_parity in [false, true] {
                 let mut c = build(nodes, vms);
-                let placement = GroupPlacement::orthogonal_with_parity(&c, k, m)
+                let placement = GroupPlacement::orthogonal(&c, k, m)
                     .unwrap_or_else(|e| panic!("{family}: {e}"));
                 let group0 = placement.groups()[0].clone();
                 let first = c.node_of(group0.data[0]);
@@ -463,8 +463,8 @@ fn dvdc_scrub_detects_and_repairs_all_injected_corruption() {
     for (family, k, m, nodes, vms) in MID_ROUND_FAMILIES {
         for parity_victim in [false, true] {
             let mut c = build(nodes, vms);
-            let placement = GroupPlacement::orthogonal_with_parity(&c, k, m)
-                .unwrap_or_else(|e| panic!("{family}: {e}"));
+            let placement =
+                GroupPlacement::orthogonal(&c, k, m).unwrap_or_else(|e| panic!("{family}: {e}"));
             let group0 = placement.groups()[0].clone();
             let target = if parity_victim {
                 group0.parity_nodes[0]
@@ -564,7 +564,7 @@ fn recovery_after_migration_keeps_working_when_orthogonal() {
     // Migrate a VM to a node that keeps its group orthogonal, re-run a
     // round, then fail its *new* host: the checkpoint now lives there.
     let mut c = build(6, 2);
-    let placement = GroupPlacement::orthogonal(&c, 3).unwrap();
+    let placement = GroupPlacement::orthogonal(&c, 3, 1).unwrap();
     let vm = placement.groups()[0].data[0];
     let group = placement.group_of(vm).clone();
     let forbidden: Vec<NodeId> = group
@@ -594,7 +594,7 @@ fn non_orthogonal_migration_is_detected_before_it_bites() {
     // Migrating a VM onto a group peer's node breaks the guarantee; the
     // placement validator is the guard rail that must catch it.
     let mut c = build(4, 3);
-    let placement = GroupPlacement::orthogonal(&c, 3).unwrap();
+    let placement = GroupPlacement::orthogonal(&c, 3, 1).unwrap();
     let group = placement.groups()[0].clone();
     let (a, b) = (group.data[0], group.data[1]);
     c.migrate_vm(a, c.node_of(b));
@@ -621,7 +621,7 @@ fn rack_kill_matrix_confirms_every_rack_node_and_recovers() {
             .writes_per_sec(200.0)
             .racks(nodes_per_rack)
             .build(31 + rack as u64);
-        let placement = GroupPlacement::orthogonal_with_parity(&c, 3, 1).unwrap();
+        let placement = GroupPlacement::orthogonal(&c, 3, 1).unwrap();
         assert!(placement.is_rack_orthogonal(&c), "{ctx}");
         let audit = Rc::new(InvariantAuditor::new());
         let trace = Rc::new(TraceRecorder::unbounded());

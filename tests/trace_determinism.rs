@@ -10,8 +10,7 @@ use std::rc::Rc;
 use dvdc::placement::GroupPlacement;
 use dvdc::protocol::DvdcProtocol;
 use dvdc::sim::{JobOutcome, JobRunner};
-use dvdc_faults::dist::Exponential;
-use dvdc_faults::injector::FaultInjector;
+use dvdc_faults::{DomainShape, FaultSchedule, NodeCrashes};
 use dvdc_observe::chrome::chrome_trace;
 use dvdc_observe::metrics::{fold_events, metrics_snapshot};
 use dvdc_observe::{MetricsHub, RecorderHandle, TimedEvent, TraceRecorder};
@@ -28,14 +27,13 @@ fn traced_run(seed: u64) -> (Vec<TimedEvent>, JobOutcome) {
         .vm_memory(8, 32)
         .writes_per_sec(300.0)
         .build(seed);
-    let placement = GroupPlacement::orthogonal(&cluster, 3).unwrap();
+    let placement = GroupPlacement::orthogonal(&cluster, 3, 1).unwrap();
     let hub = RngHub::new(seed);
-    let plan = FaultInjector::new(
-        4,
-        Exponential::from_mtbf(Duration::from_secs(400.0)),
-        Duration::from_secs(5.0),
-    )
-    .plan(Duration::from_secs(600.0 * 20.0), &hub);
+    let plan = NodeCrashes::exponential(Duration::from_secs(400.0), Duration::from_secs(5.0)).plan(
+        DomainShape::flat(4),
+        Duration::from_secs(600.0 * 20.0),
+        &hub,
+    );
     let runner = JobRunner::new(Duration::from_secs(600.0), Duration::from_secs(30.0));
 
     let buf = Rc::new(TraceRecorder::unbounded());
@@ -136,7 +134,6 @@ fn harness_exports(seed: u64) -> (String, String) {
     use dvdc::protocol::harness::Harness;
     use dvdc::protocol::ClusterSpec;
     use dvdc_faults::buggify::{FaultRegistry, Intensity};
-    use dvdc_faults::{DomainShape, FaultSchedule, NodeCrashes};
     use dvdc_observe::chrome::merge_node_traces;
 
     let mut h = Harness::new(ClusterSpec::drill(3, 2));
