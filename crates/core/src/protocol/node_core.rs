@@ -45,7 +45,9 @@
 //!   custody blocks of members that are out; holders fold each block
 //!   into their shard as it arrives and `FoldAck` on the `k`-th; the
 //!   coordinator broadcasts `Commit`; everyone promotes staged state and
-//!   `CommitAck`s, and the last `CommitAck` closes the round.
+//!   `CommitAck`s, and the last `CommitAck` closes the round. A data
+//!   node's guest writes its next image once the next round opens, in the
+//!   capture window, not before its `CommitAck`.
 //! * Heartbeats flow between established sessions; each node feeds its
 //!   own detector, which confirms a node after enough silence, or a heartbeat
 //!   interval after the driver says its port refuses connections. When
@@ -688,7 +690,9 @@ pub struct ClusterSpec {
     /// deciding with what it has.
     pub rebuild_timeout: Duration,
     /// Pause between `RoundBegin` and the local capture — the genuine
-    /// mid-round window fault-injection (and SIGKILL tests) aim at.
+    /// mid-round window fault-injection (and SIGKILL tests) aim at. A
+    /// data node's stand-in guest writes its next image at the start of
+    /// the window, so the capture ships what it wrote.
     pub capture_delay: Duration,
 }
 
@@ -989,8 +993,14 @@ pub struct NodeCore {
     boots: BTreeMap<NodeId, u64>,
     detector: FailureDetector,
     fences: FenceRegistry,
-    /// Live VM image (data nodes only).
+    /// Live VM image (data nodes only). A data node has none while it
+    /// owes the write of a commit that promoted it: its image is then the
+    /// committed block plus that write.
     live: Option<Vec<u8>>,
+    /// The epoch of the commit whose guest write (`churn_image`) this data
+    /// node has yet to make. It is paid once a round is open, at the
+    /// latest by the capture, and an overwrite of `live` forgets it.
+    owed_write: Option<u64>,
     /// Committed checkpoint block: data image or parity shard.
     committed: Option<(u64, Vec<u8>)>,
     /// The buffer of the block the last commit replaced, kept for the
@@ -1056,6 +1066,7 @@ impl NodeCore {
             detector: FailureDetector::new(spec.detector, [], SimTime::ZERO),
             fences: FenceRegistry::new(),
             live,
+            owed_write: None,
             committed: None,
             spare: None,
             custody: BTreeMap::new(),
@@ -1212,10 +1223,12 @@ impl NodeCore {
     /// The earliest instant [`on_tick`](Self::on_tick) has work to do: the
     /// minimum of the timers it checks, each fired there at `now >=` the
     /// instant returned here, so a tick at the deadline always moves it
-    /// later. A rebuild backlog is due at once. Drivers sleep until then
-    /// or the next message.
+    /// later. A rebuild backlog is due at once, and so is a guest write
+    /// owed while a round is open. Drivers sleep until then or the next
+    /// message.
     pub fn next_deadline(&self) -> Option<SimTime> {
-        if self.rebuild_backlog().is_some() {
+        let owed = self.owed_write.is_some() && self.part_round.is_some();
+        if owed || self.rebuild_backlog().is_some() {
             return Some(SimTime::ZERO);
         }
         let (coord, part) = (self.coord_round.as_ref(), self.part_round.as_ref());
@@ -1262,7 +1275,8 @@ impl NodeCore {
     }
 
     /// Drives time-based behaviour: heartbeat sends, detector deadlines,
-    /// deferred captures, round/rebuild timeouts, handshake retries.
+    /// the guest's owed write, deferred captures, round/rebuild timeouts,
+    /// handshake retries.
     /// Call with a monotone `now`, no later than
     /// [`next_deadline`](Self::next_deadline).
     pub fn on_tick(&mut self, now: SimTime) -> Vec<Action> {
@@ -1307,6 +1321,12 @@ impl NodeCore {
             if let Some(verdict) = self.detector.poll(n, now) {
                 self.note_verdict(NodeId(n), verdict, evidence, now, &mut out);
             }
+        }
+
+        // The guest writes at the start of the capture window, and the
+        // capture then ships what it wrote.
+        if self.part_round.is_some() {
+            self.write_guest();
         }
 
         // Deferred capture.
@@ -1703,12 +1723,15 @@ impl NodeCore {
                 // Control-plane replies terminate at the ctl client; a
                 // daemon receiving one ignores it.
             }
-            Msg::CheckpointReq => {
-                self.ctl_waiting = true;
-                if let Err(reason) = self.try_start_round(now, &mut out) {
-                    self.answer_ctl(Msg::CheckpointFailed { reason }, &mut out);
-                }
-            }
+            // A refusal answers the request it refuses, and leaves whoever
+            // waits on an open round waiting for it.
+            Msg::CheckpointReq => match self.try_start_round(now, &mut out) {
+                Ok(()) => self.ctl_waiting = true,
+                Err(reason) => out.push(Action::Send {
+                    to: CTL,
+                    msg: Msg::CheckpointFailed { reason },
+                }),
+            },
             Msg::DigestReq { node } => {
                 let source = match node == self.id {
                     true => DigestSource::Committed,
@@ -1855,6 +1878,10 @@ impl NodeCore {
     pub fn on_peer_refused(&mut self, peer: NodeId, now: SimTime) -> Vec<Action> {
         let mut out = Vec::new();
         self.ran(now, &mut out);
+        // Like a tick, it leaves nothing due at once.
+        if self.part_round.is_some() {
+            self.write_guest();
+        }
         if self.sessions.contains(&peer) {
             if let Some(verdict) = self.detector.suspect_now(peer.index(), now) {
                 self.note_verdict(peer, verdict, true, now, &mut out);
@@ -2350,11 +2377,14 @@ impl NodeCore {
         let holders = r.holders.clone();
         let sources = r.sources.clone();
         let window_secs = now.since(r.started_at).as_secs();
-        // The block this node commits is `live` itself: nothing writes it
-        // before the commit promotes it, and whatever does voids the
-        // capture. What travels is copied from it straight into parts.
-        if self.live.is_some() && sources.contains(&self.id) {
-            r.captured = true;
+        // The block this node commits is `live` itself, once the guest has
+        // made the write it owes: nothing writes it before the commit
+        // promotes it, and whatever does voids the capture. What travels
+        // is copied from it straight into parts.
+        let captured = sources.contains(&self.id);
+        r.captured = captured;
+        self.write_guest();
+        if captured {
             self.ship(epoch, self.id, &holders, out);
             out.push(Action::Send {
                 to: self.coordinator(),
@@ -2511,8 +2541,9 @@ impl NodeCore {
         (r.pending.remove(&node) && r.pending.is_empty()).then_some(r)
     }
 
-    /// Participant: promote staged state to committed, churn the live
-    /// image, ack the coordinator.
+    /// Participant: promote staged state to committed, ack the
+    /// coordinator, and on a data node owe the guest's next write, which
+    /// the next round's capture window pays.
     fn on_commit(&mut self, epoch: u64, out: &mut Vec<Action>) {
         let Some(r) = self.part_round.take_if(|r| r.epoch == epoch) else {
             return;
@@ -2523,18 +2554,13 @@ impl NodeCore {
         if let Some(shard) = r.staged_parity.filter(|_| whole) {
             self.promote(epoch, shard);
         }
-        // The captured image is committed by move, and the next one is
-        // written from it in one pass into the buffer the commit freed.
+        // A write still owed is made before this commit owes the next. The
+        // captured image is committed by move.
+        self.write_guest();
         if let Some(image) = self.live.take_if(|_| r.captured) {
             self.promote(epoch, image);
-            let (_, image) = self.committed.as_ref().expect("promoted above");
-            let mut next = self.spare.take().unwrap_or_default();
-            next.resize(image.len(), 0);
-            churn_image(self.spec.cluster_id, self.id, epoch, Some(image), &mut next);
-            self.live = Some(next);
-        } else if let Some(live) = &mut self.live {
-            churn_image(self.spec.cluster_id, self.id, epoch, None, live);
         }
+        self.owed_write = self.spec.is_data(self.id).then_some(epoch);
         // Custody orphans' images are re-committed at this epoch (same
         // bytes). An orphan's parity shard is parity of the round it was
         // rebuilt at and of no later one: it keeps that epoch, so a resync
@@ -2606,14 +2632,35 @@ impl NodeCore {
         self.spare = self.committed.replace((epoch, block)).map(|(_, b)| b);
     }
 
-    /// Writes `img` over the live image outside a commit, into the buffer
-    /// `live` already owns. What the open round captured is no longer
-    /// there, so its commit promotes nothing.
-    fn overwrite_live(&mut self, img: &[u8]) {
+    /// Makes the guest write a commit left owed: `churn_image` of that
+    /// epoch, from the committed block into the buffer the commit freed,
+    /// or over `live` in place when the commit promoted none of it.
+    fn write_guest(&mut self) {
+        let Some(epoch) = self.owed_write.take() else {
+            return;
+        };
+        let (cluster_id, id) = (self.spec.cluster_id, self.id);
         match &mut self.live {
-            Some(live) if live.len() == img.len() => live.copy_from_slice(img),
-            live => *live = Some(img.to_vec()),
+            Some(live) => churn_image(cluster_id, id, epoch, None, live),
+            None => {
+                let (_, image) = self.committed.as_ref().expect("the commit promoted live");
+                let mut next = self.spare.take().unwrap_or_default();
+                next.resize(image.len(), 0);
+                churn_image(cluster_id, id, epoch, Some(image), &mut next);
+                self.live = Some(next);
+            }
         }
+    }
+
+    /// Writes `img` over the live image outside a commit, into the buffer
+    /// `live` already owns (or the spare, while the image is the committed
+    /// block), and forgets a guest write still owed. What the open round
+    /// captured is no longer there, so its commit promotes nothing.
+    fn overwrite_live(&mut self, img: &[u8]) {
+        self.owed_write = None;
+        let live = (self.live).get_or_insert_with(|| self.spare.take().unwrap_or_default());
+        live.clear();
+        live.extend_from_slice(img);
         if let Some(r) = &mut self.part_round {
             r.captured = false;
         }
@@ -3290,17 +3337,26 @@ mod tests {
         }
     }
 
-    /// The data member's capture on `RoundBegin` of `epoch` (the delay of
-    /// `spec()` is zero): the bytes it shipped to the holder, read back
-    /// from its parts.
-    fn captured(n: &mut NodeCore, epoch: u64) -> Vec<u8> {
-        let begin = Msg::RoundBegin {
+    /// Round `epoch` of `spec()`'s layout, as the coordinator begins it.
+    fn begin(epoch: u64) -> Msg {
+        Msg::RoundBegin {
             epoch,
             sources: (0..3).map(NodeId).collect(),
             holders: vec![NodeId(3)],
-        };
-        let out = n.on_message(NodeId(0), begin, SimTime::ZERO);
-        let mut shipped = vec![0xEE; n.spec().image_len];
+        }
+    }
+
+    /// The data member's capture on `RoundBegin` of `epoch` (the delay of
+    /// `spec()` is zero): the bytes it shipped to the holder.
+    fn captured(n: &mut NodeCore, epoch: u64) -> Vec<u8> {
+        let out = n.on_message(NodeId(0), begin(epoch), SimTime::ZERO);
+        shipped(out, n.spec().image_len)
+    }
+
+    /// The `len`-byte image a capture's actions ship to the holder, read
+    /// back from its parts.
+    fn shipped(out: Vec<Action>, len: usize) -> Vec<u8> {
+        let mut shipped = vec![0xEE; len];
         let mut ends = Vec::new();
         for action in out {
             let (at, data) = match action {
@@ -3398,11 +3454,93 @@ mod tests {
         resynced.on_message(NodeId(0), state, SimTime::ZERO);
         resynced.resync = None;
 
+        // The commit promotes nothing, and the guest's write of round 2
+        // lands on what was written: the next capture ships that.
         for (mut n, written) in [(rolled_back, first), (resynced, rebuilt)] {
             assert_eq!(n.live.as_ref(), Some(&written));
             n.on_message(NodeId(0), Msg::Commit { epoch: 2 }, SimTime::ZERO);
             assert_eq!(n.committed(), Some((1, written.as_slice())));
-            assert_eq!(n.live, Some(churned(2, written)));
+            assert_eq!(captured(&mut n, 3), churned(2, written));
+        }
+    }
+
+    #[test]
+    fn a_commit_acks_before_the_guest_writes() {
+        let s = ClusterSpec {
+            capture_delay: Duration::from_millis(5.0),
+            ..spec()
+        };
+        let mut n = meshed_in(&s, 1);
+        n.on_tick(SimTime::ZERO);
+        n.on_message(NodeId(0), begin(1), SimTime::ZERO);
+        let at = SimTime::ZERO + s.capture_delay;
+        let first = shipped(n.on_tick(at), s.image_len);
+        // The ack leaves with the shipped image committed and the guest's
+        // write still owed: `live` went to the commit, and nothing is due.
+        let out = n.on_message(NodeId(0), Msg::Commit { epoch: 1 }, at);
+        let ack = Msg::CommitAck {
+            epoch: 1,
+            node: NodeId(1),
+        };
+        assert!(out.contains(&Action::Send {
+            to: NodeId(0),
+            msg: ack
+        }));
+        assert_eq!(n.committed(), Some((1, first.as_slice())));
+        assert_eq!((n.live.as_ref(), n.owed_write), (None, Some(1)));
+        assert!(n.next_deadline().is_some_and(|due| due > at));
+        // A round opens: the write is due at once, and the tick makes it.
+        n.on_message(NodeId(0), begin(2), at);
+        assert_eq!(n.next_deadline(), Some(SimTime::ZERO));
+        n.on_tick(at);
+        assert_eq!(n.owed_write, None);
+        assert!(n.next_deadline().is_some_and(|due| due > at));
+        let second = shipped(n.on_tick(at + s.capture_delay), s.image_len);
+        assert_eq!(second, churned(1, first));
+    }
+
+    #[test]
+    fn an_owed_write_is_paid_before_capture_and_forgotten_by_an_overwrite() {
+        // Zero delay: the capture on `RoundBegin` makes the write first.
+        let mut n = NodeCore::new(NodeId(1), spec(), 1);
+        let first = captured(&mut n, 1);
+        n.on_message(NodeId(0), Msg::Commit { epoch: 1 }, SimTime::ZERO);
+        assert_eq!(n.owed_write, Some(1));
+        assert_eq!(captured(&mut n, 2), churned(1, first.clone()));
+        assert_eq!(n.owed_write, None);
+
+        // A rollback right after a commit: the image is the committed one,
+        // not the committed one written over.
+        let mut rolled_back = NodeCore::new(NodeId(1), spec(), 1);
+        captured(&mut rolled_back, 1);
+        rolled_back.on_message(NodeId(0), Msg::Commit { epoch: 1 }, SimTime::ZERO);
+        let readmit = Msg::Readmit {
+            node: NodeId(2),
+            fence_epoch: 1,
+            rollback_epoch: 1,
+        };
+        rolled_back.on_message(NodeId(0), readmit, SimTime::ZERO);
+        // A resync's rebuilt state right after a commit.
+        let mut resynced = NodeCore::new(NodeId(1), spec(), 1);
+        captured(&mut resynced, 1);
+        resynced.on_message(NodeId(0), Msg::Commit { epoch: 1 }, SimTime::ZERO);
+        resynced.resync = Some(ResyncClient {
+            coordinator: NodeId(0),
+            next_retry: SimTime::ZERO,
+        });
+        let rebuilt = vec![0xAB; 64];
+        let state = Msg::ResyncState {
+            node: NodeId(1),
+            fence_epoch: 1,
+            committed_epoch: 1,
+            image: Some(rebuilt.clone()),
+        };
+        resynced.on_message(NodeId(0), state, SimTime::ZERO);
+        resynced.resync = None;
+
+        for (mut n, written) in [(rolled_back, first), (resynced, rebuilt)] {
+            assert_eq!(n.owed_write, None);
+            assert_eq!(captured(&mut n, 2), written);
         }
     }
 
@@ -3481,6 +3619,40 @@ mod tests {
             let next = n.next_deadline().expect("heartbeats never end");
             assert!(next > due, "tick at {due} left the deadline at {next}");
         }
+    }
+
+    #[test]
+    fn a_second_checkpoint_request_is_refused_and_the_first_hears_its_round() {
+        let s = ClusterSpec {
+            capture_delay: Duration::from_millis(5.0),
+            ..spec()
+        };
+        let mut c = coordinator_in_round_1(s.clone());
+        let to_ctl = |out: Vec<Action>| -> Vec<Msg> {
+            let ctl = |a| match a {
+                Action::Send { to: CTL, msg } => Some(msg),
+                _ => None,
+            };
+            out.into_iter().filter_map(ctl).collect()
+        };
+        let refused = Msg::CheckpointFailed {
+            reason: "a round is already open".to_string(),
+        };
+        let out = c.on_message(CTL, Msg::CheckpointReq, SimTime::ZERO);
+        assert_eq!(to_ctl(out), [refused]);
+        // Nobody acks: the first request hears its round time out.
+        let mut heard = Vec::new();
+        let timeout = SimTime::ZERO + s.round_timeout;
+        while let Some(due) = c.next_deadline().filter(|due| *due <= timeout) {
+            for peer in 1..4 {
+                c.on_message(NodeId(peer), Msg::Heartbeat { node: NodeId(peer) }, due);
+            }
+            heard.extend(to_ctl(c.on_tick(due)));
+        }
+        let timed_out = Msg::CheckpointFailed {
+            reason: "round timed out".to_string(),
+        };
+        assert_eq!(heard, [timed_out]);
     }
 
     #[test]

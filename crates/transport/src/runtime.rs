@@ -163,15 +163,18 @@ enum ToWriter {
 /// Two ctl routes exist because checkpoint outcomes are *deferred*:
 /// `CheckpointDone`/`CheckpointFailed` can surface turns later, while a
 /// status poller has long since become the "most recent" ctl
-/// connection. The connection that sent `CheckpointReq` is therefore
-/// pinned separately until its outcome is delivered.
+/// connection. Each connection that sends `CheckpointReq` is therefore
+/// pinned until an outcome is delivered to it, newest first: a request
+/// the core refuses is answered in the same dispatch, before anything
+/// else is pinned, so the refusal reaches the request it refuses and the
+/// round's outcome the request that opened it.
 struct TcpTransport {
     peers: BTreeMap<NodeId, Sender<ToWriter>>,
     /// The most recent ctl connection: immediate replies (status,
     /// digest, kill-query) go here.
     ctl: Option<Arc<Mutex<TcpStream>>>,
-    /// The connection awaiting a checkpoint outcome, if any.
-    checkpoint_waiter: Option<Arc<Mutex<TcpStream>>>,
+    /// The connections awaiting a checkpoint outcome, newest last.
+    checkpoint_waiters: Vec<Arc<Mutex<TcpStream>>>,
     /// Frames handed to any outbound path (peer queue or ctl write).
     frames_out: Counter,
     /// Bytes of those frames on the wire (header, envelope, trailer),
@@ -184,15 +187,15 @@ struct TcpTransport {
 
 impl TcpTransport {
     /// Note an inbound [`CTL`] message: point immediate replies at its
-    /// connection, and pin it as the checkpoint waiter if it is one.
+    /// connection, and pin it as a checkpoint waiter if it is one.
     fn note_ctl_request(&mut self, conn: Option<Arc<Mutex<TcpStream>>>, msg: &Msg) {
-        if conn.is_none() {
+        let Some(conn) = conn else {
             return;
-        }
+        };
         if matches!(msg, Msg::CheckpointReq) {
-            self.checkpoint_waiter.clone_from(&conn);
+            self.checkpoint_waiters.push(Arc::clone(&conn));
         }
-        self.ctl = conn;
+        self.ctl = Some(conn);
     }
 
     fn tell_writer(&self, peer: NodeId, command: ToWriter) {
@@ -212,8 +215,8 @@ impl Transport for TcpTransport {
                 msg,
                 Msg::CheckpointDone { .. } | Msg::CheckpointFailed { .. }
             ) {
-                // Outcome delivery consumes the pinned waiter.
-                self.checkpoint_waiter.take().or_else(|| self.ctl.clone())
+                // Outcome delivery consumes the newest pinned waiter.
+                self.checkpoint_waiters.pop().or_else(|| self.ctl.clone())
             } else {
                 self.ctl.clone()
             };
@@ -291,7 +294,7 @@ impl NodeRuntime {
         let mut transport = TcpTransport {
             peers: BTreeMap::new(),
             ctl: None,
-            checkpoint_waiter: None,
+            checkpoint_waiters: Vec::new(),
             frames_out: hub.counter("transport.frames_out"),
             bytes_out: hub.counter("transport.bytes_out"),
             peer_queues: BTreeMap::new(),

@@ -238,6 +238,38 @@ fn commit_a_round(capture_delay: Duration) {
 }
 
 #[test]
+fn a_second_checkpoint_request_is_refused_and_the_first_hears_its_commit() {
+    // A capture window long enough for a second request to land while the
+    // first round is open.
+    let cluster = Cluster::launch(&spec(Duration::from_millis(300.0)));
+    let addrs = &cluster.addrs;
+    wait_full_mesh(addrs);
+
+    let mut first = TcpStream::connect(addrs[0]).expect("ctl connect");
+    first
+        .set_read_timeout(Some(StdDuration::from_secs(10)))
+        .expect("set timeout");
+    write_frame(&mut first, &encode_envelope(CTL, &Msg::CheckpointReq)).expect("ctl send");
+    wait_for("round 1 to open", || {
+        let started = |(i, _, note): (usize, Instant, Note)| {
+            i == 0 && matches!(note, Note::RoundStarted { epoch: 1 })
+        };
+        cluster.notes.try_iter().any(started).then_some(())
+    });
+    match ctl_request(addrs[0], &Msg::CheckpointReq) {
+        Msg::CheckpointFailed { reason } => {
+            assert!(reason.contains("already open"), "reason: {reason}");
+        }
+        other => panic!("expected CheckpointFailed, got {other:?}"),
+    }
+    let payload = read_frame(&mut first).expect("the first request's outcome");
+    let (_, outcome) = decode_envelope(&payload).expect("ctl reply envelope");
+    assert_eq!(outcome, Msg::CheckpointDone { epoch: 1 });
+
+    cluster.shutdown();
+}
+
+#[test]
 fn stopped_runtime_returns_and_frees_its_port() {
     let cluster = Cluster::launch(&spec(Duration::ZERO));
     let addrs = cluster.addrs.clone();
