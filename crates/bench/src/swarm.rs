@@ -199,21 +199,17 @@ fn core_cell(
     let epoch = h
         .checkpoint(0, 500.0)
         .map_err(|e| format!("no full-strength round: {e}"))?;
-    let blocks: Vec<&[u8]> = (0..k + m)
+    let blocks: Vec<Vec<u8>> = (0..k + m)
         .map(|i| match h.node(i).committed() {
-            Some((e, block)) if e == epoch => Ok(block),
+            Some((e, block)) if e == epoch => Ok(block.to_vec()),
             other => Err(format!(
                 "node{i} holds {:?}, not epoch {epoch}",
                 other.map(|(e, _)| e)
             )),
         })
         .collect::<Result<_, _>>()?;
-    let parity = spec.code().encode(&blocks[..k]);
-    match parity
-        .iter()
-        .map(Vec::as_slice)
-        .eq(blocks[k..].iter().copied())
-    {
+    let images: Vec<&[u8]> = blocks[..k].iter().map(Vec::as_slice).collect();
+    match spec.code().encode(&images) == blocks[k..] {
         true => Ok(report),
         false => Err(format!(
             "epoch {epoch}'s parity is not parity of its images"

@@ -22,12 +22,14 @@
 //! rebuilds the lost state, repairs the node in place, rolls the cluster
 //! back to the last committed epoch, and reports the repair time.
 
+pub mod block;
 mod dvdc_proto;
 pub mod harness;
 pub mod node_core;
 mod phased;
 pub mod transport;
 
+pub use block::{Block, Page};
 pub use dvdc_proto::{
     DvdcProtocol, PhasedRebuild, PhasedRound, RebuildMode, RebuildPhase, RebuildStep, RoundPhase,
     RoundStep,

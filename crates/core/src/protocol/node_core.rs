@@ -79,6 +79,7 @@
 
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use dvdc_faults::detector::{DetectorConfig, FailureDetector, Verdict};
 use dvdc_observe::metrics::EventMetrics;
@@ -91,6 +92,8 @@ use dvdc_simcore::rng::{splitmix64, SPLITMIX_GAMMA};
 use dvdc_simcore::time::{Duration, SimTime};
 use dvdc_vcluster::ids::NodeId;
 use dvdc_vcluster::messaging::FenceRegistry;
+
+use super::block::{Block, Page};
 
 /// Pseudo node id used by `dvdc-ctl` (and test drivers) as the sender of
 /// control-plane requests; replies are routed back to it by the runtime.
@@ -232,8 +235,9 @@ pub enum Msg {
         fence_epoch: u64,
         /// Where in the block the part begins, a multiple of [`PART_LEN`].
         offset: u64,
-        /// The part's [`PART_LEN`] bytes.
-        data: Vec<u8>,
+        /// The part's [`PART_LEN`] bytes: a page of the sender's block,
+        /// shared with it, not copied.
+        data: Page,
     },
     /// Data member reports its capture is staged and shipped.
     CaptureAck {
@@ -322,8 +326,9 @@ pub enum Msg {
         /// The committed epoch of the shipped block (and of the cluster).
         committed_epoch: u64,
         /// The custody block (`None` when nothing is held — e.g. a parity
-        /// node whose shard went stale; it re-folds next round).
-        image: Option<Vec<u8>>,
+        /// node whose shard went stale; it re-folds next round), shared
+        /// with the custody it is served from, and whole on the wire.
+        image: Option<Block>,
     },
     /// Resyncing node confirms it installed the shipped state.
     ResyncDone {
@@ -850,19 +855,12 @@ pub use dvdc_simcore::rng::fnv1a64 as fnv64;
 /// and the frame trailer; comparable only between nodes of one build.
 pub use dvdc_simcore::rng::xxh64 as block_digest;
 
-/// A block travels as parts of this many bytes, each its own message, and
-/// is applied part by part where it lands, so no receiver holds a block it
-/// has not applied: part *i* covers `[i·PART_LEN, min((i+1)·PART_LEN,
+/// A block is held in pages of this many bytes ([`Block`]) and travels as
+/// parts of the same, one page each, each its own message, applied part
+/// by part where it lands, so no receiver holds a block it has not
+/// applied: part *i* covers `[i·PART_LEN, min((i+1)·PART_LEN,
 /// image_len))`.
 pub const PART_LEN: usize = 256 << 10;
-
-/// `block` as the parts it travels in: every part but the last with its
-/// offset, and the last, whose offset its length implies.
-fn cut(block: &[u8]) -> (impl Iterator<Item = (u64, &[u8])>, &[u8]) {
-    let (head, last) = block.split_at(block.len().saturating_sub(1) / PART_LEN * PART_LEN);
-    let offsets = (0..).step_by(PART_LEN).map(|at: usize| at as u64);
-    (offsets.zip(head.chunks(PART_LEN)), last)
-}
 
 /// Writes `src ^ stream` into `dst` (as long as `src`), where `stream` is
 /// the reference SplitMix64 stream from state `seed`: word `n` is
@@ -890,21 +888,39 @@ fn xor_pseudo(seed: u64, src: Option<&[u8]>, dst: &mut [u8]) {
 /// without shipping golden files around.
 pub fn initial_image(cluster_id: u64, node: NodeId, len: usize) -> Vec<u8> {
     let mut img = vec![0u8; len];
-    xor_pseudo(
-        splitmix64(cluster_id).wrapping_add(node.index() as u64),
-        None,
-        &mut img,
-    );
+    xor_pseudo(initial_seed(cluster_id, node), None, &mut img);
     img
 }
 
-/// Writes `node`'s next live image after committing `epoch` — `src` (or
-/// `image` itself) XOR the epoch's stream, the stand-in for guest
-/// dirty-page traffic between rounds.
-fn churn_image(cluster_id: u64, node: NodeId, epoch: u64, src: Option<&[u8]>, image: &mut [u8]) {
-    let seed = splitmix64(cluster_id ^ epoch.wrapping_mul(SPLITMIX_GAMMA))
-        .wrapping_add(node.index() as u64);
-    xor_pseudo(seed, src, image);
+/// [`initial_image`] written straight into pages, with no image-sized
+/// buffer in between.
+fn initial_block(cluster_id: u64, node: NodeId, len: usize) -> Block {
+    let seed = initial_seed(cluster_id, node);
+    Block::recycle(None, len, |i, page| {
+        page.fill(0);
+        xor_pseudo(page_seed(seed, i), None, page);
+    })
+}
+
+/// The state of the stream [`initial_image`] stores.
+fn initial_seed(cluster_id: u64, node: NodeId) -> u64 {
+    splitmix64(cluster_id).wrapping_add(node.index() as u64)
+}
+
+/// The state of the stream `node`'s guest writes its next image with
+/// after committing `epoch`: the image XOR the stream is the next one, the
+/// stand-in for guest dirty-page traffic between rounds.
+fn churn_seed(cluster_id: u64, node: NodeId, epoch: u64) -> u64 {
+    splitmix64(cluster_id ^ epoch.wrapping_mul(SPLITMIX_GAMMA)).wrapping_add(node.index() as u64)
+}
+
+/// The state the stream from `seed` is at where page `page` of a block
+/// begins: [`xor_pseudo`] from it over each page in turn is `xor_pseudo`
+/// from `seed` over the whole block, since a page is a whole number of
+/// words.
+fn page_seed(seed: u64, page: usize) -> u64 {
+    const WORDS: u64 = (PART_LEN / 8) as u64;
+    seed.wrapping_add((page as u64 * WORDS).wrapping_mul(SPLITMIX_GAMMA))
 }
 
 /// Coordinator-side bookkeeping of one open round.
@@ -943,7 +959,7 @@ struct PartRound {
     /// `staged_parity`. A source is in once all its parts are, and the
     /// shard is this holder's once all `k` sources are.
     folded: BTreeMap<NodeId, BTreeSet<usize>>,
-    staged_parity: Option<Vec<u8>>,
+    staged_parity: Option<Block>,
 }
 
 impl PartRound {
@@ -956,7 +972,7 @@ impl PartRound {
 /// One source's parts parked ahead of their round: the round (one per
 /// source), and each part once, by index, with its sender and the fence
 /// epoch it came with.
-type Parked = (u64, BTreeMap<usize, (NodeId, u64, Vec<u8>)>);
+type Parked = (u64, BTreeMap<usize, (NodeId, u64, Page)>);
 
 /// Coordinator-side bookkeeping of one rebuild in flight.
 #[derive(Debug, Clone)]
@@ -965,9 +981,9 @@ struct Rebuild {
     /// When the decode goes ahead with the blocks that have arrived.
     deadline: SimTime,
     awaiting: BTreeSet<NodeId>,
-    /// Survivors' blocks by epoch and slot, each copied into a buffer of
-    /// its own part by part, with the parts landed so far.
-    fetched: BTreeMap<(u64, NodeId), (Vec<u8>, BTreeSet<usize>)>,
+    /// Survivors' blocks by epoch and slot, by page: each part as it
+    /// landed, and `None` where none has yet.
+    fetched: BTreeMap<(u64, NodeId), Vec<Option<Page>>>,
 }
 
 /// Victim-side bookkeeping of a resync in flight.
@@ -995,20 +1011,20 @@ pub struct NodeCore {
     fences: FenceRegistry,
     /// Live VM image (data nodes only). A data node has none while it
     /// owes the write of a commit that promoted it: its image is then the
-    /// committed block plus that write.
-    live: Option<Vec<u8>>,
-    /// The epoch of the commit whose guest write (`churn_image`) this data
-    /// node has yet to make. It is paid once a round is open, at the
-    /// latest by the capture, and an overwrite of `live` forgets it.
+    /// committed block plus that write. A capture ships its pages.
+    live: Option<Block>,
+    /// The epoch of the commit whose guest write (`churn_seed`'s stream)
+    /// this data node has yet to make. It is paid once a round is open, at
+    /// the latest by the capture, and an overwrite of `live` forgets it.
     owed_write: Option<u64>,
     /// Committed checkpoint block: data image or parity shard.
-    committed: Option<(u64, Vec<u8>)>,
-    /// The buffer of the block the last commit replaced, kept for the
-    /// next image-sized write: a data node's next live image, a holder's
-    /// next accumulator.
-    spare: Option<Vec<u8>>,
+    committed: Option<(u64, Block)>,
+    /// The pages of the block the last commit replaced, kept for the next
+    /// image-sized write: a data node's next live image, a holder's next
+    /// accumulator.
+    spare: Option<Block>,
     /// Committed blocks held on behalf of fenced nodes, rebuilt.
-    custody: BTreeMap<NodeId, (u64, Vec<u8>)>,
+    custody: BTreeMap<NodeId, (u64, Block)>,
     coord_round: Option<CoordRound>,
     part_round: Option<PartRound>,
     rebuild: Option<Rebuild>,
@@ -1055,7 +1071,7 @@ impl NodeCore {
         );
         spec.detector.validate();
         let live = if spec.is_data(id) {
-            Some(initial_image(spec.cluster_id, id, spec.image_len))
+            Some(initial_block(spec.cluster_id, id, spec.image_len))
         } else {
             None
         };
@@ -1103,13 +1119,13 @@ impl NodeCore {
     }
 
     /// Last committed epoch and block (image or parity shard), if any.
-    pub fn committed(&self) -> Option<(u64, &[u8])> {
-        self.committed.as_ref().map(|(e, b)| (*e, b.as_slice()))
+    pub fn committed(&self) -> Option<(u64, &Block)> {
+        self.committed.as_ref().map(|(e, b)| (*e, b))
     }
 
     /// The custody block held for `node`, if any.
-    pub fn custody_block(&self, node: NodeId) -> Option<(u64, &[u8])> {
-        self.custody.get(&node).map(|(e, b)| (*e, b.as_slice()))
+    pub fn custody_block(&self, node: NodeId) -> Option<(u64, &Block)> {
+        self.custody.get(&node).map(|(e, b)| (*e, b))
     }
 
     /// True if a session with `peer` is established.
@@ -1545,7 +1561,10 @@ impl NodeCore {
                 source,
                 fence_epoch,
                 data,
-            } => self.on_part(from, (epoch, source, fence_epoch, None), data, &mut out),
+            } => {
+                let part = (epoch, source, fence_epoch, None);
+                self.on_part(from, part, Arc::new(data), &mut out)
+            }
             Msg::PayloadPart {
                 epoch,
                 source,
@@ -1627,16 +1646,16 @@ impl NodeCore {
                 asking.next_retry = now + self.spec.detector.heartbeat_interval * 10.0;
                 // Adopt the post-fence epoch and the rebuilt state.
                 self.fences.readmit_at(self.id, fence_epoch);
-                if let Some(img) = image {
+                if let Some(block) = image {
                     if self.spec.is_data(self.id) {
-                        self.overwrite_live(&img);
+                        self.overwrite_live(block.clone());
                     }
-                    self.committed = Some((committed_epoch, img));
+                    self.committed = Some((committed_epoch, block));
                 } else if self.spec.is_data(self.id) {
                     // A data resync always ships bytes; an empty one means
                     // nothing was ever committed — restart from the seed.
-                    let image = initial_image(self.spec.cluster_id, self.id, self.spec.image_len);
-                    self.overwrite_live(&image);
+                    let image = initial_block(self.spec.cluster_id, self.id, self.spec.image_len);
+                    self.overwrite_live(image);
                 }
                 // Sessions re-open when the members greet us, which each
                 // does as it learns of the readmission, after we have.
@@ -1738,7 +1757,7 @@ impl NodeCore {
                     false => DigestSource::Custody,
                 };
                 let (epoch, digest, source) = match self.block(node) {
-                    Some((e, b)) => (*e, block_digest(b), source),
+                    Some((e, b)) => (*e, b.digest(), source),
                     None => (0, 0, DigestSource::Missing),
                 };
                 out.push(Action::Send {
@@ -1953,7 +1972,7 @@ impl NodeCore {
 
     /// The committed block this node holds for `slot`: its own, or the one
     /// it keeps in custody for a fenced member.
-    fn block(&self, slot: NodeId) -> Option<&(u64, Vec<u8>)> {
+    fn block(&self, slot: NodeId) -> Option<&(u64, Block)> {
         match slot == self.id {
             true => self.committed.as_ref(),
             false => self.custody.get(&slot),
@@ -1962,14 +1981,14 @@ impl NodeCore {
 
     /// What this node can give a rebuild of `victim`: the block of every
     /// slot [`NodeCore::block`] holds but the victim's.
-    fn held(&self, victim: NodeId) -> impl Iterator<Item = (NodeId, u64, &[u8])> {
+    fn held(&self, victim: NodeId) -> impl Iterator<Item = (NodeId, u64, &Block)> {
         let slots = std::iter::once(self.id).chain(self.custody.keys().copied());
         let slots = slots.filter(move |n| *n != victim);
-        slots.filter_map(move |n| self.block(n).map(|(e, b)| (n, *e, &b[..])))
+        slots.filter_map(move |n| self.block(n).map(|(e, b)| (n, *e, b)))
     }
 
-    /// The buffer of the block [`NodeCore::block`] gives for `slot`.
-    fn held_mut(&mut self, slot: NodeId) -> &mut Vec<u8> {
+    /// The block [`NodeCore::block`] gives for `slot`, to lend.
+    fn held_mut(&mut self, slot: NodeId) -> &mut Block {
         let block = match slot == self.id {
             true => self.committed.as_mut(),
             false => self.custody.get_mut(&slot),
@@ -1977,26 +1996,28 @@ impl NodeCore {
         &mut block.expect("a block this node holds").1
     }
 
-    /// A survivor's answer to a `FetchReq`: every part but the last of
-    /// each block it holds, then a `FetchBlocks` with the last ones.
+    /// A survivor's answer to a `FetchReq`: every page but the last of
+    /// each block it holds, each copied into a part, then a `FetchBlocks`
+    /// with the last ones.
     fn answer_fetch(&self, to: NodeId, victim: NodeId, out: &mut Vec<Action>) {
         let (node, fence_epoch) = (self.id, self.fences.epoch_of(self.id));
         let mut blocks = Vec::new();
         for (holder, epoch, block) in self.held(victim) {
-            let tag = |data: &[u8]| BlockInfo {
+            let tag = |page: &Page| BlockInfo {
                 holder,
                 kind: self.spec.kind_of(holder),
                 epoch,
-                data: data.to_vec(),
+                data: page.to_vec(),
             };
-            let (parts, last) = cut(block);
-            for (offset, part) in parts {
-                let part = tag(part);
+            let Some((last, pages)) = block.pages().split_last() else {
+                continue;
+            };
+            for (i, page) in pages.iter().enumerate() {
                 let msg = Msg::FetchPart {
                     node,
                     fence_epoch,
-                    offset,
-                    part,
+                    offset: (i * PART_LEN) as u64,
+                    part: tag(page),
                 };
                 out.push(Action::Send { to, msg });
             }
@@ -2057,9 +2078,9 @@ impl NodeCore {
         }))
     }
 
-    /// Parts of a survivor's answer: each lands once, in the rebuild's
-    /// buffer for its slot and epoch; a `FetchBlocks` (`closes`) ends the
-    /// answer, and the last answer awaited starts the decode.
+    /// Parts of a survivor's answer: each lands once, as its page of the
+    /// rebuild's block for its slot and epoch; a `FetchBlocks` (`closes`)
+    /// ends the answer, and the last answer awaited starts the decode.
     fn on_fetched(
         &mut self,
         (node, fence_epoch): (NodeId, u64),
@@ -2074,23 +2095,24 @@ impl NodeCore {
         if !self.rebuild.as_ref().is_some_and(awaited) {
             return;
         }
-        let image_len = self.spec.image_len;
+        let pages = self.spec.parts();
         for (offset, part) in parts {
             let index = self.spec.part(offset, part.data.len());
             let rb = self.rebuild.as_mut().expect("awaiting this answer");
+            let (holder, epoch) = (part.holder, part.epoch);
             let reason = match index {
                 Err(reason) => reason,
                 Ok(index) => {
-                    let (block, landed) = rb
-                        .fetched
-                        .entry((part.epoch, part.holder))
-                        .or_insert_with(|| (vec![0; image_len], BTreeSet::new()));
-                    if landed.insert(index) {
-                        let at = index * PART_LEN;
-                        block[at..at + part.data.len()].copy_from_slice(&part.data);
+                    let block =
+                        (rb.fetched.entry((epoch, holder))).or_insert_with(|| vec![None; pages]);
+                    // Into a page of this thread's own, so the reader's
+                    // buffer goes back to it at once: kept until the
+                    // decode, each reader's allocator arena would hold
+                    // its survivor's whole block (EXPERIMENTS.md).
+                    if block[index].is_none() {
+                        block[index] = Some(Arc::new(part.data.to_vec()));
                         continue;
                     }
-                    let (holder, epoch) = (part.holder, part.epoch);
                     format!("part {index} of {holder}'s block of epoch {epoch} has landed")
                 }
             };
@@ -2116,11 +2138,12 @@ impl NodeCore {
             victim,
             phase: "Decode",
         }));
-        let (k, parts) = (self.spec.data_nodes, self.spec.parts());
+        let k = self.spec.data_nodes;
         let slot = |n: &NodeId| n.index() < self.spec.total() && *n != victim;
-        let fetched: BTreeMap<(u64, NodeId), Vec<u8>> = (rb.fetched.into_iter())
-            .filter(|((_, n), (_, landed))| slot(n) && landed.len() == parts)
-            .map(|(at, (block, _))| (at, block))
+        let whole = |pages: Vec<Option<Page>>| pages.into_iter().collect::<Option<Vec<_>>>();
+        let fetched: BTreeMap<(u64, NodeId), Block> = (rb.fetched.into_iter())
+            .filter(|((_, n), _)| slot(n))
+            .filter_map(|(at, pages)| Some((at, Block::from_pages(whole(pages)?))))
             .collect();
         let own: Vec<(u64, NodeId)> = (self.held(victim))
             .filter(|(.., block)| block.len() == self.spec.image_len)
@@ -2143,35 +2166,28 @@ impl NodeCore {
 
         // This node's own blocks are lent to the decode, not copied, and
         // each goes back to where it was, whatever the decode concludes.
-        let mut shards: Vec<Option<Vec<u8>>> = vec![None; self.spec.total()];
         let lent: Vec<NodeId> = own
             .iter()
             .filter(|(e, _)| *e == epoch)
             .map(|(_, n)| *n)
             .collect();
+        let mut blocks: Vec<(NodeId, Block)> = Vec::new();
         for &slot in &lent {
-            shards[slot.index()] = Some(std::mem::take(self.held_mut(slot)));
+            blocks.push((slot, std::mem::take(self.held_mut(slot))));
         }
-        for ((_, slot), block) in fetched.into_iter().filter(|((e, _), _)| *e == epoch) {
-            shards[slot.index()].get_or_insert(block);
+        let fetched = fetched
+            .into_iter()
+            .filter(|((e, n), _)| *e == epoch && !lent.contains(n));
+        blocks.extend(fetched.map(|((_, slot), block)| (slot, block)));
+        let (decoded, back) = decode(&*self.code, victim, blocks, lent.len());
+        for (slot, block) in lent.into_iter().zip(back) {
+            *self.held_mut(slot) = block;
         }
-        let decoded = self.code.reconstruct(&mut shards);
-        let rebuilt = shards[victim.index()].take();
-        for slot in lent {
-            let block = shards[slot.index()].take();
-            *self.held_mut(slot) = block.expect("a decode keeps the blocks it is given");
-        }
-        let block = match (decoded, rebuilt) {
-            (Err(e), _) => {
-                return self.lose(victim, format!("decode at epoch {epoch} failed: {e}"), out)
-            }
-            (Ok(()), None) => {
-                let reason = format!("decode at epoch {epoch} left the victim slot empty");
-                return self.lose(victim, reason, out);
-            }
-            (Ok(()), Some(block)) => block,
+        let block = match decoded {
+            Ok(block) => block,
+            Err(why) => return self.lose(victim, format!("decode at epoch {epoch} {why}"), out),
         };
-        let digest = block_digest(&block);
+        let digest = block.digest();
         self.custody.insert(victim, (epoch, block));
         out.push(Action::Note(Note::RebuildCompleted {
             victim,
@@ -2380,7 +2396,7 @@ impl NodeCore {
         // The block this node commits is `live` itself, once the guest has
         // made the write it owes: nothing writes it before the commit
         // promotes it, and whatever does voids the capture. What travels
-        // is copied from it straight into parts.
+        // is its pages.
         let captured = sources.contains(&self.id);
         r.captured = captured;
         self.write_guest();
@@ -2403,25 +2419,24 @@ impl NodeCore {
     }
 
     /// Sends slot `source`'s capture — this node's `live`, or the custody
-    /// block standing in for `source` — to every holder as parts, each a
-    /// copy of its bytes.
+    /// block standing in for `source` — to every holder as parts: each
+    /// page but the last by reference, the last copied into a `Payload`.
     fn ship(&self, epoch: u64, source: NodeId, holders: &[NodeId], out: &mut Vec<Action>) {
         let fence_epoch = self.fences.epoch_of(self.id);
         let block = match source == self.id {
-            true => self.live.as_deref(),
-            false => self.custody.get(&source).map(|(_, b)| &b[..]),
+            true => self.live.as_ref(),
+            false => self.custody.get(&source).map(|(_, b)| b),
         };
-        let Some(block) = block else {
+        let Some((last, pages)) = block.and_then(|b| b.pages().split_last()) else {
             return;
         };
         for &h in holders {
-            let (parts, last) = cut(block);
-            let parts = parts.map(|(offset, part)| Msg::PayloadPart {
+            let parts = pages.iter().enumerate().map(|(i, page)| Msg::PayloadPart {
                 epoch,
                 source,
                 fence_epoch,
-                offset,
-                data: part.to_vec(),
+                offset: (i * PART_LEN) as u64,
+                data: Arc::clone(page),
             });
             let last = Msg::Payload {
                 epoch,
@@ -2442,7 +2457,7 @@ impl NodeCore {
         &mut self,
         from: NodeId,
         (epoch, source, fence_epoch, offset): (u64, NodeId, u64, Option<u64>),
-        data: Vec<u8>,
+        data: Page,
         out: &mut Vec<Action>,
     ) {
         let dropped = |reason: String| Action::Note(Note::PayloadDropped { from, reason });
@@ -2507,19 +2522,15 @@ impl NodeCore {
             return;
         }
         let whole = folded.len() == parts;
-        // Fold the part into our shard at its offset and drop it. The
-        // codes are GF(2)-linear, so every part of k blocks folded in any
-        // order into zeros equals `encode`'s shard; the zeros are the
-        // spare buffer, cleared.
+        // Fold the part into its page of our shard and drop it. The codes
+        // are GF(2)-linear, so every part of k blocks folded in any order
+        // into zeros equals `encode`'s shard; the zeros are the spare
+        // pages, cleared.
         let j = self.id.index() - self.spec.data_nodes;
         let len = self.spec.image_len;
-        let shard = r.staged_parity.get_or_insert_with(|| {
-            let mut zeros = self.spare.take().unwrap_or_default();
-            zeros.clear();
-            zeros.resize(len, 0);
-            zeros
-        });
-        (self.code).apply_delta(j, shard, source.index(), index * PART_LEN, &data);
+        let shard = (r.staged_parity)
+            .get_or_insert_with(|| Block::recycle(self.spare.take(), len, |_, page| page.fill(0)));
+        (self.code).apply_delta(j, shard.page_mut(index), source.index(), 0, &data);
         if !whole || r.folded_whole(parts) < self.spec.data_nodes {
             return;
         }
@@ -2619,57 +2630,113 @@ impl NodeCore {
         if !self.spec.is_data(self.id) {
             return;
         }
-        let committed = self.committed.take();
-        if let Some((_, img)) = &committed {
-            self.overwrite_live(img);
+        if let Some((_, image)) = &self.committed {
+            self.overwrite_live(image.clone());
         }
-        self.committed = committed;
     }
 
-    /// Makes `block` the committed block of `epoch`, keeping the buffer of
+    /// Makes `block` the committed block of `epoch`, keeping the pages of
     /// the one it replaces as the spare.
-    fn promote(&mut self, epoch: u64, block: Vec<u8>) {
+    fn promote(&mut self, epoch: u64, block: Block) {
         self.spare = self.committed.replace((epoch, block)).map(|(_, b)| b);
     }
 
-    /// Makes the guest write a commit left owed: `churn_image` of that
-    /// epoch, from the committed block into the buffer the commit freed,
-    /// or over `live` in place when the commit promoted none of it.
+    /// Makes the guest write a commit left owed: the stream of that epoch,
+    /// from the committed block into pages the commit freed, or over
+    /// `live` in place when the commit promoted none of it — where a page
+    /// is still shipped or committed, over a copy.
     fn write_guest(&mut self) {
         let Some(epoch) = self.owed_write.take() else {
             return;
         };
-        let (cluster_id, id) = (self.spec.cluster_id, self.id);
+        let seed = churn_seed(self.spec.cluster_id, self.id, epoch);
         match &mut self.live {
-            Some(live) => churn_image(cluster_id, id, epoch, None, live),
+            Some(live) => {
+                for i in 0..live.pages().len() {
+                    xor_pseudo(page_seed(seed, i), None, live.page_mut(i));
+                }
+            }
             None => {
                 let (_, image) = self.committed.as_ref().expect("the commit promoted live");
-                let mut next = self.spare.take().unwrap_or_default();
-                next.resize(image.len(), 0);
-                churn_image(cluster_id, id, epoch, Some(image), &mut next);
+                let pages = image.pages();
+                let next = Block::recycle(self.spare.take(), image.len(), |i, page| {
+                    xor_pseudo(page_seed(seed, i), Some(&pages[i]), page)
+                });
                 self.live = Some(next);
             }
         }
     }
 
-    /// Writes `img` over the live image outside a commit, into the buffer
-    /// `live` already owns (or the spare, while the image is the committed
-    /// block), and forgets a guest write still owed. What the open round
-    /// captured is no longer there, so its commit promotes nothing.
-    fn overwrite_live(&mut self, img: &[u8]) {
+    /// Makes `image` the live image outside a commit, and forgets a guest
+    /// write still owed. What the open round captured is no longer there,
+    /// so its commit promotes nothing; the pages it shipped are untouched.
+    fn overwrite_live(&mut self, image: Block) {
         self.owed_write = None;
-        let live = (self.live).get_or_insert_with(|| self.spare.take().unwrap_or_default());
-        live.clear();
-        live.extend_from_slice(img);
+        self.live = Some(image);
         if let Some(r) = &mut self.part_round {
             r.captured = false;
         }
     }
 }
 
+/// Decodes slot `victim`'s block page by page from `blocks`, whole blocks
+/// of other slots: page `i` of each is moved into the decode (copied only
+/// where something else holds it) and out again. The first `lent` blocks
+/// come back whatever the decode concludes; the rest are dropped a page at
+/// a time as it passes them.
+fn decode(
+    code: &dyn ErasureCode,
+    victim: NodeId,
+    blocks: Vec<(NodeId, Block)>,
+    lent: usize,
+) -> (Result<Block, String>, Vec<Block>) {
+    let parts = blocks.first().map_or(0, |(_, b)| b.pages().len());
+    let slots: Vec<usize> = blocks.iter().map(|(n, _)| n.index()).collect();
+    let mut pages: Vec<_> = (blocks.into_iter())
+        .map(|(_, b)| b.into_pages().into_iter())
+        .collect();
+    let mut back = vec![Vec::with_capacity(parts); lent];
+    let mut rebuilt = Ok(Vec::with_capacity(parts));
+    for _ in 0..parts {
+        let mut shards: Vec<Option<Vec<u8>>> = vec![None; code.total_shards()];
+        for (&slot, pages) in slots.iter().zip(&mut pages) {
+            let page = pages.next().expect("whole blocks of one length");
+            shards[slot] = Some(Arc::try_unwrap(page).unwrap_or_else(|held| (*held).clone()));
+        }
+        if let Ok(pages) = &mut rebuilt {
+            let page = code
+                .reconstruct(&mut shards)
+                .map(|()| shards[victim.index()].take());
+            match page {
+                Ok(Some(page)) => pages.push(Arc::new(page)),
+                Ok(None) => rebuilt = Err("left the victim slot empty".to_string()),
+                Err(e) => rebuilt = Err(format!("failed: {e}")),
+            }
+        }
+        for (&slot, pages) in slots.iter().zip(&mut back) {
+            let page = shards[slot]
+                .take()
+                .expect("a decode keeps the blocks it is given");
+            pages.push(Arc::new(page));
+        }
+    }
+    let back = back.into_iter().map(Block::from_pages).collect();
+    (rebuilt.map(Block::from_pages), back)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A held block as its epoch and bytes.
+    fn bytes(held: Option<(u64, &Block)>) -> Option<(u64, Vec<u8>)> {
+        held.map(|(epoch, block)| (epoch, block.to_vec()))
+    }
+
+    /// Writes `node`'s guest stream after committing `epoch` over `image`.
+    fn churn_image(cluster_id: u64, node: NodeId, epoch: u64, image: &mut [u8]) {
+        xor_pseudo(churn_seed(cluster_id, node, epoch), None, image);
+    }
 
     fn spec() -> ClusterSpec {
         ClusterSpec {
@@ -2759,10 +2826,10 @@ mod tests {
     fn churn_changes_bytes_deterministically() {
         let mut a = initial_image(7, NodeId(0), 64);
         let orig = a.clone();
-        churn_image(7, NodeId(0), 1, None, &mut a);
+        churn_image(7, NodeId(0), 1, &mut a);
         assert_ne!(a, orig);
         let mut b = orig.clone();
-        churn_image(7, NodeId(0), 1, None, &mut b);
+        churn_image(7, NodeId(0), 1, &mut b);
         assert_eq!(a, b);
     }
 
@@ -2782,6 +2849,16 @@ mod tests {
             xor_pseudo(seed, Some(&src), &mut fused);
             assert_eq!(fused, in_place, "len {len}");
         }
+        // And page by page, each from the state its first word is at.
+        let src = initial_image(7, NodeId(1), 2 * PART_LEN + 3);
+        let mut whole = src.clone();
+        xor_pseudo(0xDEAD_BEEF, None, &mut whole);
+        let paged = Block::recycle(None, src.len(), |i, page| {
+            let at = i * PART_LEN;
+            let from = &src[at..at + page.len()];
+            xor_pseudo(page_seed(0xDEAD_BEEF, i), Some(from), page)
+        });
+        assert_eq!(paged.to_vec(), whole);
     }
 
     fn block(epoch: u64, source: usize, data: Vec<u8>) -> Msg {
@@ -2834,7 +2911,7 @@ mod tests {
 
         let refs: Vec<&[u8]> = images.iter().map(Vec::as_slice).collect();
         let want = spec().code().encode(&refs).remove(0);
-        assert_eq!(p.committed(), Some((1, want.as_slice())));
+        assert_eq!(bytes(p.committed()), Some((1, want)));
     }
 
     #[test]
@@ -2895,7 +2972,7 @@ mod tests {
                     source,
                     fence_epoch: 0,
                     offset: (i * PART_LEN) as u64,
-                    data,
+                    data: data.into(),
                 },
             }
         };
@@ -2987,8 +3064,8 @@ mod tests {
                     assert_eq!(acks.iter().sum::<usize>(), 1, "{how}");
                     assert_eq!(acks.last(), Some(&1), "{how}");
                     p.on_message(NodeId(0), Msg::Commit { epoch: 1 }, SimTime::ZERO);
-                    let want = Some((1, blocks[4 + j].as_slice()));
-                    assert_eq!(p.committed(), want, "{how}, holder {j} of 4+{m}");
+                    let want = Some((1, blocks[4 + j].clone()));
+                    assert_eq!(bytes(p.committed()), want, "{how}, holder {j} of 4+{m}");
                 }
             }
         }
@@ -3014,8 +3091,8 @@ mod tests {
                     }
                 }
                 p.on_message(NodeId(0), Msg::Commit { epoch: 1 }, SimTime::ZERO);
-                let want = Some((1, blocks[4 + j].as_slice()));
-                assert_eq!(p.committed(), want, "holder {j} of 4+{m}");
+                let want = Some((1, blocks[4 + j].clone()));
+                assert_eq!(bytes(p.committed()), want, "holder {j} of 4+{m}");
             }
         }
     }
@@ -3114,7 +3191,7 @@ mod tests {
                 .sum();
             assert_eq!(acks, 1);
             p.on_message(NodeId(0), Msg::Commit { epoch: 1 }, SimTime::ZERO);
-            assert_eq!(p.committed(), Some((1, blocks[4].as_slice())), "4+{m}");
+            assert_eq!(bytes(p.committed()), Some((1, blocks[4].clone())), "4+{m}");
             assert_eq!(p.early.keys().collect::<Vec<_>>(), [&NodeId(3)]);
         }
     }
@@ -3123,7 +3200,7 @@ mod tests {
     /// rebuild of `victim` begun on link evidence.
     fn rebuilding(spec: &ClusterSpec, own: &[u8], victim: usize) -> NodeCore {
         let mut c = meshed_in(spec, 0);
-        c.committed = Some((1, own.to_vec()));
+        c.committed = Some((1, Block::from(own.to_vec())));
         refused_and_confirmed(&mut c, victim, SimTime::ZERO);
         c
     }
@@ -3147,7 +3224,10 @@ mod tests {
                 1 => assert!(c.saw_data_loss() && c.custody_block(NodeId(2)).is_none()),
                 // Slots 0, 3, 4 and 5 decode byte-exact without the torn
                 // slot 1, which the decode would take first.
-                _ => assert_eq!(c.custody_block(NodeId(2)), Some((1, blocks[2].as_slice()))),
+                _ => assert_eq!(
+                    bytes(c.custody_block(NodeId(2))),
+                    Some((1, blocks[2].clone()))
+                ),
             }
         }
     }
@@ -3184,7 +3264,7 @@ mod tests {
                     source,
                     fence_epoch,
                     offset,
-                    data,
+                    data: data.into(),
                 },
                 None => Msg::Payload {
                     epoch,
@@ -3202,7 +3282,7 @@ mod tests {
             }
         }
         p.on_message(NodeId(0), Msg::Commit { epoch: 1 }, SimTime::ZERO);
-        assert_eq!(p.committed(), Some((1, blocks[4].as_slice())));
+        assert_eq!(bytes(p.committed()), Some((1, blocks[4].clone())));
 
         // A coordinator drops each inside an answer, and the rest of the
         // answer still lands.
@@ -3242,7 +3322,10 @@ mod tests {
                 assert_eq!(drops.count(), want, "{out:?}");
             }
         }
-        assert_eq!(c.custody_block(NodeId(2)), Some((1, blocks[2].as_slice())));
+        assert_eq!(
+            bytes(c.custody_block(NodeId(2))),
+            Some((1, blocks[2].clone()))
+        );
     }
 
     #[test]
@@ -3257,7 +3340,7 @@ mod tests {
             ..spec()
         };
         let mut n = meshed_in(&s, 1);
-        let image = n.live.clone().expect("a data member's image");
+        let image = n.live.as_ref().expect("a data member's image").to_vec();
         let begin = Msg::RoundBegin {
             epoch: 1,
             sources: (0..4).map(NodeId).collect(),
@@ -3303,7 +3386,7 @@ mod tests {
             for answered_epoch in [1, 2] {
                 let ctx = format!("4+{m}, answers of round {answered_epoch}");
                 let mut c = meshed_in(&s, 0);
-                c.committed = Some((1, blocks[0].clone()));
+                c.committed = Some((1, Block::from(blocks[0].clone())));
                 // With two parity blocks the coordinator holds slot 1 too.
                 let survivors = match m {
                     1 => vec![1, 3, 4],
@@ -3313,7 +3396,8 @@ mod tests {
                             epoch: 1,
                         };
                         c.on_message(NodeId(3), fence, SimTime::ZERO);
-                        c.custody.insert(NodeId(1), (1, blocks[1].clone()));
+                        c.custody
+                            .insert(NodeId(1), (1, Block::from(blocks[1].clone())));
                         vec![3, 4, 5]
                     }
                 };
@@ -3329,7 +3413,11 @@ mod tests {
                 // are as they were.
                 let rebuilt = c.custody.remove(&NodeId(2));
                 match answered_epoch {
-                    1 => assert_eq!(rebuilt.map(|b| b.1), Some(blocks[2].clone()), "{ctx}"),
+                    1 => assert_eq!(
+                        rebuilt.map(|b| b.1.to_vec()),
+                        Some(blocks[2].clone()),
+                        "{ctx}"
+                    ),
                     _ => assert!(rebuilt.is_none() && c.saw_data_loss(), "{ctx}"),
                 }
                 assert!((c.committed.clone(), c.custody.clone()) == before, "{ctx}");
@@ -3363,7 +3451,7 @@ mod tests {
                 Action::Send {
                     to: NodeId(3),
                     msg: Msg::PayloadPart { offset, data, .. },
-                } => (offset as usize, data),
+                } => (offset as usize, data.to_vec()),
                 Action::Send {
                     to: NodeId(3),
                     msg: Msg::Payload { data, .. },
@@ -3382,7 +3470,7 @@ mod tests {
 
     /// Node 1's image after the guest's writes of round `epoch`.
     fn churned(epoch: u64, mut image: Vec<u8>) -> Vec<u8> {
-        churn_image(7, NodeId(1), epoch, None, &mut image);
+        churn_image(7, NodeId(1), epoch, &mut image);
         image
     }
 
@@ -3395,7 +3483,7 @@ mod tests {
             let shipped = captured(&mut n, epoch);
             assert_eq!(shipped, want, "round {epoch}");
             n.on_message(NodeId(0), Msg::Commit { epoch }, SimTime::ZERO);
-            assert_eq!(n.committed(), Some((epoch, shipped.as_slice())));
+            assert_eq!(bytes(n.committed()), Some((epoch, shipped.clone())));
             want = churned(epoch, shipped);
         }
     }
@@ -3419,19 +3507,22 @@ mod tests {
         assert_eq!(n.committed(), None);
     }
 
-    /// Node 1 of `spec()` with round 1 committed and round 2 captured.
-    fn captured_after_a_commit() -> (NodeCore, Vec<u8>) {
-        let mut n = NodeCore::new(NodeId(1), spec(), 1);
+    /// Node 1 of `spec()` in parts with round 1 committed and round 2
+    /// captured: the node, what round 1 shipped, and what round 2's
+    /// capture sent, its parts still held.
+    fn captured_after_a_commit() -> (NodeCore, Vec<u8>, Vec<Action>) {
+        let mut n = NodeCore::new(NodeId(1), in_parts(spec()), 1);
         let first = captured(&mut n, 1);
         n.on_message(NodeId(0), Msg::Commit { epoch: 1 }, SimTime::ZERO);
-        captured(&mut n, 2);
-        (n, first)
+        let second = n.on_message(NodeId(0), begin(2), SimTime::ZERO);
+        (n, first, second)
     }
 
     #[test]
     fn writing_live_between_capture_and_commit_voids_the_capture() {
+        let len = in_parts(spec()).image_len;
         // The cluster rollback a readmission brings.
-        let (mut rolled_back, first) = captured_after_a_commit();
+        let (mut rolled_back, first, rolled_back_parts) = captured_after_a_commit();
         let readmit = Msg::Readmit {
             node: NodeId(2),
             fence_epoch: 1,
@@ -3439,28 +3530,73 @@ mod tests {
         };
         rolled_back.on_message(NodeId(0), readmit, SimTime::ZERO);
         // A resync's rebuilt state, landing while the round is open.
-        let (mut resynced, _) = captured_after_a_commit();
+        let (mut resynced, _, resynced_parts) = captured_after_a_commit();
         resynced.resync = Some(ResyncClient {
             coordinator: NodeId(0),
             next_retry: SimTime::ZERO,
         });
-        let rebuilt = vec![0xAB; 64];
+        let rebuilt = vec![0xAB; len];
         let state = Msg::ResyncState {
             node: NodeId(1),
             fence_epoch: 1,
             committed_epoch: 1,
-            image: Some(rebuilt.clone()),
+            image: Some(Block::from(rebuilt.clone())),
         };
         resynced.on_message(NodeId(0), state, SimTime::ZERO);
         resynced.resync = None;
 
         // The commit promotes nothing, and the guest's write of round 2
-        // lands on what was written: the next capture ships that.
-        for (mut n, written) in [(rolled_back, first), (resynced, rebuilt)] {
-            assert_eq!(n.live.as_ref(), Some(&written));
+        // lands on what was written: the next capture ships that. The
+        // parts round 2 handed out are what it captured, after all of it.
+        let second = churned(1, first.clone());
+        for (mut n, written, parts) in [
+            (rolled_back, first, rolled_back_parts),
+            (resynced, rebuilt, resynced_parts),
+        ] {
+            assert_eq!(n.live.as_ref().map(Block::to_vec), Some(written.clone()));
             n.on_message(NodeId(0), Msg::Commit { epoch: 2 }, SimTime::ZERO);
-            assert_eq!(n.committed(), Some((1, written.as_slice())));
+            assert_eq!(bytes(n.committed()), Some((1, written.clone())));
             assert_eq!(captured(&mut n, 3), churned(2, written));
+            assert_eq!(shipped(parts, len), second);
+        }
+    }
+
+    #[test]
+    fn a_capture_ships_the_live_pages_by_reference_and_copies_only_the_last() {
+        for m in [1, 2] {
+            let s = ragged(m);
+            let mut n = NodeCore::new(NodeId(1), s.clone(), 1);
+            let begin = Msg::RoundBegin {
+                epoch: 1,
+                sources: (0..4).map(NodeId).collect(),
+                holders: (4..4 + m).map(NodeId).collect(),
+            };
+            let out = n.on_message(NodeId(0), begin, SimTime::ZERO);
+            let live = n.live.as_ref().expect("the captured image");
+            let (last, pages) = live.pages().split_last().expect("a block has a last page");
+            assert_eq!(pages.len(), 3);
+            for h in 4..4 + m {
+                let sent: Vec<&Msg> = (out.iter())
+                    .filter_map(|a| match a {
+                        Action::Send { to, msg } if *to == NodeId(h) => Some(msg),
+                        _ => None,
+                    })
+                    .collect();
+                assert_eq!(sent.len(), pages.len() + 1, "4+{m}, holder {h}");
+                for (i, msg) in sent.into_iter().enumerate() {
+                    match msg {
+                        Msg::PayloadPart { offset, data, .. } => {
+                            assert_eq!(*offset, (i * PART_LEN) as u64);
+                            assert!(Arc::ptr_eq(data, &pages[i]), "4+{m}, holder {h}, part {i}");
+                        }
+                        Msg::Payload { data, .. } => {
+                            assert_eq!(i, pages.len());
+                            assert!(data[..] == last[..], "4+{m}, holder {h}");
+                        }
+                        other => panic!("4+{m}, holder {h}: {other:?}"),
+                    }
+                }
+            }
         }
     }
 
@@ -3486,7 +3622,7 @@ mod tests {
             to: NodeId(0),
             msg: ack
         }));
-        assert_eq!(n.committed(), Some((1, first.as_slice())));
+        assert_eq!(bytes(n.committed()), Some((1, first.clone())));
         assert_eq!((n.live.as_ref(), n.owed_write), (None, Some(1)));
         assert!(n.next_deadline().is_some_and(|due| due > at));
         // A round opens: the write is due at once, and the tick makes it.
@@ -3533,7 +3669,7 @@ mod tests {
             node: NodeId(1),
             fence_epoch: 1,
             committed_epoch: 1,
-            image: Some(rebuilt.clone()),
+            image: Some(Block::from(rebuilt.clone())),
         };
         resynced.on_message(NodeId(0), state, SimTime::ZERO);
         resynced.resync = None;
@@ -3572,10 +3708,10 @@ mod tests {
                     p.on_message(NodeId(0), Msg::Commit { epoch }, SimTime::ZERO);
                     let refs: Vec<&[u8]> = images.iter().map(Vec::as_slice).collect();
                     let want = s.code().encode(&refs).remove(j);
-                    let got = p.committed();
-                    assert_eq!(got, Some((epoch, want.as_slice())), "{h} of 4+{m}, {epoch}");
+                    let got = bytes(p.committed());
+                    assert_eq!(got, Some((epoch, want)), "{h} of 4+{m}, {epoch}");
                     for (i, image) in images.iter_mut().enumerate() {
-                        churn_image(7, NodeId(i), epoch, None, image);
+                        churn_image(7, NodeId(i), epoch, image);
                     }
                 }
             }
@@ -3865,7 +4001,7 @@ mod tests {
         let refs: Vec<&[u8]> = images.iter().map(Vec::as_slice).collect();
         let parity = spec().code().encode(&refs).remove(0);
         let mut c = meshed(0);
-        c.committed = Some((1, images[0].clone()));
+        c.committed = Some((1, Block::from(images[0].clone())));
         refused_and_confirmed(&mut c, 2, SimTime::ZERO);
         let mut rebuilt = Vec::new();
         for (holder, kind, data) in [
@@ -3885,7 +4021,10 @@ mod tests {
             };
             rebuilt.extend(notes(&c.on_message(NodeId(holder), fetched, SimTime::ZERO)));
         }
-        assert_eq!(c.custody_block(NodeId(2)), Some((1, images[2].as_slice())));
+        assert_eq!(
+            bytes(c.custody_block(NodeId(2))),
+            Some((1, images[2].clone()))
+        );
         let completed = Note::RebuildCompleted {
             victim: NodeId(2),
             epoch: 1,
@@ -3911,7 +4050,7 @@ mod tests {
         assert_eq!(served(&mut c), block_digest(&images[2]));
         // Hashed per request, as a node's own block is: the answer is of
         // the bytes held now.
-        c.custody.get_mut(&NodeId(2)).expect("in custody").1.fill(0);
+        c.custody.get_mut(&NodeId(2)).expect("in custody").1 = Block::from(vec![0; 64]);
         assert_eq!(served(&mut c), block_digest(&[0; 64]));
     }
 

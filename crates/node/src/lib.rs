@@ -13,6 +13,7 @@ use std::time::Duration as StdDuration;
 
 pub use dvdc::protocol::node_core::{note_event, NodeMetrics};
 use dvdc::protocol::node_core::{ClusterSpec, Msg, StatusView, CTL};
+use dvdc::protocol::Block;
 use dvdc_faults::detector::DetectorConfig;
 use dvdc_observe::chrome::NodeTail;
 use dvdc_observe::registry::MetricsSnapshot;
@@ -143,7 +144,7 @@ impl NodeOptions {
             node: CTL,
             fence_epoch: 0,
             committed_epoch: 0,
-            image: Some(Vec::new()),
+            image: Some(Block::default()),
         };
         let max_image = MAX_FRAME as usize - envelope_len(CTL, &empty);
         if opts.image_len > max_image {

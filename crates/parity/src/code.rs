@@ -270,6 +270,48 @@ mod tests {
     }
 
     #[test]
+    fn every_pattern_of_up_to_m_erasures_decodes_byte_exact() {
+        // Every group with k + m ≤ 8 and m ≤ 3 (and Reed–Solomon at m = 1
+        // too), at a length no word or cache block divides.
+        let len = 1_027;
+        for m in 1..=3 {
+            for k in 1..=8 - m {
+                let mut codes = vec![for_group(k, m)];
+                if m == 1 {
+                    codes.push(Box::new(ReedSolomon::new(k, 1)));
+                }
+                for code in codes {
+                    let data: Vec<Vec<u8>> = (0..k)
+                        .map(|c| {
+                            (0..len)
+                                .map(|i| ((i * 31 + c * 101 + 7) % 251) as u8)
+                                .collect()
+                        })
+                        .collect();
+                    let refs: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
+                    let whole: Vec<Option<Vec<u8>>> = (data.iter().cloned())
+                        .chain(code.encode(&refs))
+                        .map(Some)
+                        .collect();
+                    for lost in 0u32..1 << (k + m) {
+                        if lost.count_ones() as usize > m {
+                            continue;
+                        }
+                        let mut shards = whole.clone();
+                        for (i, shard) in shards.iter_mut().enumerate() {
+                            if lost >> i & 1 == 1 {
+                                *shard = None;
+                            }
+                        }
+                        code.reconstruct(&mut shards).expect("within tolerance");
+                        assert!(shards == whole, "{code:?} lost {lost:0w$b}", w = k + m);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn error_display_is_informative() {
         let e = CodeError::TooManyErasures {
             missing: 3,

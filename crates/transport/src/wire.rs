@@ -23,8 +23,10 @@
 //! an envelope or frame buffer in between.
 
 use std::io::{Read, Write};
+use std::sync::Arc;
 
 use dvdc::protocol::node_core::{BlockInfo, BlockKind, DigestSource, Msg, StatusView};
+use dvdc::protocol::Block;
 use dvdc_observe::registry::{intern, HistSnapshot, MetricsSnapshot, HIST_BUCKETS};
 use dvdc_observe::{Event, TimedEvent};
 use dvdc_simcore::time::SimTime;
@@ -238,6 +240,41 @@ impl<T: Wire> Wire for Vec<T> {
             return Err(WireError::Truncated);
         }
         T::get_all(r, n)
+    }
+}
+
+/// A shared value travels as the value: a [`Page`](dvdc::protocol::Page)
+/// is a byte string, written from the page itself.
+impl<T: Wire> Wire for Arc<T> {
+    const MIN_LEN: usize = T::MIN_LEN;
+
+    fn put<'a>(&'a self, out: &mut impl Sink<'a>) {
+        T::put(self, out);
+    }
+
+    fn get(r: &mut impl Source) -> Result<Self, WireError> {
+        T::get(r).map(Arc::new)
+    }
+}
+
+/// A block travels as one byte string: written from its pages where they
+/// lie, read back straight into pages.
+impl Wire for Block {
+    const MIN_LEN: usize = 4;
+
+    fn put<'a>(&'a self, out: &mut impl Sink<'a>) {
+        out.put(&(self.len() as u32).to_le_bytes());
+        for page in self.pages() {
+            out.put_ref(page);
+        }
+    }
+
+    fn get(r: &mut impl Source) -> Result<Self, WireError> {
+        let n = u32::get(r)? as usize;
+        if r.left() < n {
+            return Err(WireError::Truncated);
+        }
+        Block::read_pages(n, |len| r.bytes(len)).ok_or(WireError::Truncated)
     }
 }
 
@@ -736,7 +773,7 @@ mod tests {
                 node: n,
                 fence_epoch: 2,
                 committed_epoch: 4,
-                image: Some(vec![7; 32]),
+                image: Some(vec![7; 32].into()),
             },
             Msg::ResyncState {
                 node: n,
@@ -793,7 +830,7 @@ mod tests {
                 source: n,
                 fence_epoch: 1,
                 offset: 1 << 18,
-                data: vec![4, 5, 6],
+                data: vec![4, 5, 6].into(),
             },
             Msg::FetchPart {
                 node: NodeId(0),
@@ -908,7 +945,7 @@ mod tests {
             source: NodeId(2),
             fence_epoch: 1,
             offset: PART_LEN as u64,
-            data: initial_image(7, NodeId(2), PART_LEN),
+            data: initial_image(7, NodeId(2), PART_LEN).into(),
         };
         let last = Msg::FetchBlocks {
             node: NodeId(3),
@@ -975,9 +1012,16 @@ mod tests {
     #[test]
     fn streamed_frames_are_the_buffered_bytes_and_read_back_off_any_stream() {
         // The golden set plus an image that takes the unbuffered path on
-        // both sides, several chunks long with a ragged end.
+        // both sides, several chunks long with a ragged end, and a resync
+        // whose block is written from three pages and read back into them.
         let mut msgs = msg_samples();
         msgs.push(image_payload((1 << 20) + 5));
+        msgs.push(Msg::ResyncState {
+            node: NodeId(2),
+            fence_epoch: 1,
+            committed_epoch: 4,
+            image: Some(initial_image(7, NodeId(2), 2 * PART_LEN + 5).into()),
+        });
         let from = NodeId(1);
         let mut wire = Vec::new();
         for msg in &msgs {

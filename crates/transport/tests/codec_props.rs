@@ -97,7 +97,7 @@ proptest! {
         let part = BlockInfo { holder: source, kind: BlockKind::Parity, epoch, data: data.clone() };
         let msgs = [
             Msg::Payload { epoch, source, fence_epoch, data: data.clone() },
-            Msg::PayloadPart { epoch, source, fence_epoch, offset, data },
+            Msg::PayloadPart { epoch, source, fence_epoch, offset, data: data.into() },
             Msg::FetchPart { node: NodeId(sender), fence_epoch, offset, part },
         ];
         for msg in msgs {
@@ -122,7 +122,7 @@ proptest! {
             source: NodeId(0),
             fence_epoch: 0,
             offset,
-            data: vec![7; have],
+            data: vec![7; have].into(),
         };
         let block = |i| BlockInfo { holder: NodeId(i), kind: BlockKind::Data, epoch: 1, data: vec![] };
         let answer = Msg::FetchBlocks {

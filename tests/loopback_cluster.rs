@@ -392,10 +392,16 @@ fn payload_overtaking_its_round_begin_is_parked_and_the_round_commits() {
 fn restart_inside_a_heartbeat_interval_is_fenced_resynced_and_protection_holds() {
     // The process dies and a supervisor restarts it at once: the new
     // instance greets everyone before a single heartbeat is missed, at a
-    // fence epoch nobody has raised yet, with nothing in memory.
-    for (k, m) in [(4, 1), (3, 2)] {
-        let ctx = format!("{k}+{m}");
-        let mut h = meshed(ClusterSpec::drill(k, m), 2);
+    // fence epoch nobody has raised yet, with nothing in memory. Images of
+    // one part, and of three whole parts and a ragged fourth.
+    let in_parts = 3 * PART_LEN + 4_099;
+    for (k, m, image_len) in [(4, 1, 512), (3, 2, 512), (4, 1, in_parts), (3, 2, in_parts)] {
+        let ctx = format!("{k}+{m}, {image_len} bytes");
+        let spec = ClusterSpec {
+            image_len,
+            ..ClusterSpec::drill(k, m)
+        };
+        let mut h = meshed(spec, 2);
         let (victim, other) = (2, 1);
         let pre_crash = h.node(victim).committed().expect("committed").1.to_vec();
         let crashed_at = h.now();
@@ -425,9 +431,9 @@ fn restart_inside_a_heartbeat_interval_is_fenced_resynced_and_protection_holds()
                 if *v == NodeId(victim) && *d == digest)
         };
         assert_eq!(count(&h, rebuilt), 1, "{ctx}");
-        assert_eq!(
-            h.node(victim).committed(),
-            Some((2, &pre_crash[..])),
+        let resynced = h.node(victim).committed();
+        assert!(
+            matches!(resynced, Some((2, b)) if *b == pre_crash[..]),
             "{ctx}"
         );
 
@@ -440,7 +446,10 @@ fn restart_inside_a_heartbeat_interval_is_fenced_resynced_and_protection_holds()
             h.node(0).custody_block(NodeId(other)).is_some()
         });
         let custody = h.node(0).custody_block(NodeId(other));
-        assert_eq!(custody, Some((3, &pre_crash[..])), "{ctx}");
+        assert!(
+            matches!(custody, Some((3, b)) if *b == pre_crash[..]),
+            "{ctx}"
+        );
         assert_eq!(count(&h, |_, n| matches!(n, Note::DataLoss { .. })), 0);
         assert!(h.live().all(|n| !n.saw_data_loss()), "{ctx}");
     }
@@ -508,14 +517,14 @@ fn returning_coordinator_learns_who_else_is_out_and_serves_them() {
     h.run_until(200.0, "node 2 in node 1's custody", |h| {
         h.node(1).custody_block(NodeId(2)).is_some()
     });
-    let rebuilt = block_digest(h.node(1).custody_block(NodeId(2)).unwrap().1);
+    let rebuilt = h.node(1).custody_block(NodeId(2)).unwrap().1.digest();
 
     h.run_until(200.0, "node 0 back and holding node 2 itself", |h| {
         h.node(0).custody_block(NodeId(2)).is_some()
     });
     assert_eq!(fences_seen_by(&h, 0, 2), [1], "told on readmission");
     assert_eq!(
-        block_digest(h.node(0).custody_block(NodeId(2)).unwrap().1),
+        h.node(0).custody_block(NodeId(2)).unwrap().1.digest(),
         rebuilt
     );
     h.run_until(500.0, "node 2 back, resynced by node 0", |h| {
@@ -574,7 +583,7 @@ fn parity_coordinator_ships_both_orphans_to_itself_and_its_peer_and_both_return(
     let healthy: Vec<u64> = {
         let twin = meshed(spec.clone(), 2);
         (0..4)
-            .map(|i| block_digest(twin.node(i).committed().expect("committed").1))
+            .map(|i| twin.node(i).committed().expect("committed").1.digest())
             .collect()
     };
     let mut h = meshed(spec, 2);
@@ -588,7 +597,7 @@ fn parity_coordinator_ships_both_orphans_to_itself_and_its_peer_and_both_return(
     });
     for (i, want) in healthy[..2].iter().enumerate() {
         let (epoch, block) = h.node(2).custody_block(NodeId(i)).expect("in custody");
-        assert_eq!((epoch, block_digest(block)), (2, *want), "node{i}");
+        assert_eq!((epoch, block.digest()), (2, *want), "node{i}");
     }
 
     // A round with no live data member: node 2 ships both orphans to
@@ -596,11 +605,11 @@ fn parity_coordinator_ships_both_orphans_to_itself_and_its_peer_and_both_return(
     assert_eq!(h.checkpoint(2, 1000.0), Ok(3));
     for i in [2, 3] {
         let (epoch, shard) = h.node(i).committed().expect("committed");
-        assert_eq!((epoch, block_digest(shard)), (3, healthy[i]), "node{i}");
+        assert_eq!((epoch, shard.digest()), (3, healthy[i]), "node{i}");
     }
     for (i, want) in healthy[..2].iter().enumerate() {
         let (epoch, block) = h.node(2).custody_block(NodeId(i)).expect("in custody");
-        assert_eq!((epoch, block_digest(block)), (3, *want), "node{i}");
+        assert_eq!((epoch, block.digest()), (3, *want), "node{i}");
     }
 
     // Both come back empty, resync, are readmitted, and the group runs a
@@ -612,7 +621,7 @@ fn parity_coordinator_ships_both_orphans_to_itself_and_its_peer_and_both_return(
     });
     for (i, want) in healthy[..2].iter().enumerate() {
         let (epoch, image) = h.node(i).committed().expect("resynced");
-        assert_eq!((epoch, block_digest(image)), (3, *want), "node{i}");
+        assert_eq!((epoch, image.digest()), (3, *want), "node{i}");
     }
     assert_eq!(h.checkpoint(0, 1000.0), Ok(4));
     for i in 0..4 {

@@ -170,8 +170,8 @@ proptest! {
                     }
                     node.on_message(NodeId(0), Msg::Commit { epoch: 1 }, SimTime::ZERO);
                     prop_assert_eq!(
-                        node.committed(),
-                        Some((1, want[j].as_slice())),
+                        node.committed().map(|(e, b)| (e, b.to_vec())),
+                        Some((1, want[j].clone())),
                         "m={} holder={} order={:?}", m, j, order
                     );
                 }

@@ -7,9 +7,8 @@ use std::rc::Rc;
 use dvdc::placement::GroupPlacement;
 use dvdc::protocol::harness::Harness;
 use dvdc::protocol::{
-    block_digest, run_round_with_faults, ClusterSpec, DvdcProtocol, Msg, Note, PhasedOutcome,
-    ProtocolError, RebuildMode, RebuildPhase, RebuildStep, RecoverError, RoundPhase, RoundStep,
-    CTL, PART_LEN,
+    run_round_with_faults, ClusterSpec, DvdcProtocol, Msg, Note, PhasedOutcome, ProtocolError,
+    RebuildMode, RebuildPhase, RebuildStep, RecoverError, RoundPhase, RoundStep, CTL, PART_LEN,
 };
 use dvdc_faults::detector::Verdict;
 use dvdc_faults::{ClusterFaultPlan, DetectorConfig, NodeFault, PlanCursor};
@@ -748,7 +747,7 @@ fn healthy_digests(spec: &ClusterSpec) -> [Vec<u64>; 2] {
     assert_eq!(h.checkpoint(0, 1000.0), Ok(1));
     [2, 3].map(|epoch| {
         assert_eq!(h.checkpoint(0, 1000.0), Ok(epoch));
-        let digest = |i| block_digest(h.node(i).committed().expect("committed").1);
+        let digest = |i| h.node(i).committed().expect("committed").1.digest();
         (0..k + m).map(digest).collect()
     })
 }
@@ -849,11 +848,7 @@ fn node_core_case(
         let (epoch, block) = h.node(c).custody_block(NodeId(victim)).expect("in custody");
         let outran = !dead && (1..k).contains(&victim) && instant == Instant::CapturesShipped;
         assert_eq!(epoch, if outran { 3 } else { pre_epoch }, "{ctx}");
-        assert_eq!(
-            block_digest(block),
-            healthy[epoch as usize - 2][victim],
-            "{ctx}"
-        );
+        assert_eq!(block.digest(), healthy[epoch as usize - 2][victim], "{ctx}");
 
         // A degraded round commits with custody standing in, as long as a
         // parity holder is left to fold it.
@@ -994,13 +989,13 @@ fn node_core_returning_parity_holder_does_not_vouch_for_a_stale_shard() {
             assert_eq!(h.node(holder).committed(), None, "{ctx}");
 
             let lost = 1;
-            let want = block_digest(h.node(lost).committed().expect("committed").1);
+            let want = h.node(lost).committed().expect("committed").1.digest();
             h.crash(lost);
             h.run_until(500.0, "the data member's image in custody", |h| {
                 h.node(0).custody_block(NodeId(lost)).is_some()
             });
             let (epoch, block) = h.node(0).custody_block(NodeId(lost)).expect("in custody");
-            assert_eq!((epoch, block_digest(block)), (3, want), "{ctx}");
+            assert_eq!((epoch, block.digest()), (3, want), "{ctx}");
             assert!(h.live().all(|n| !n.saw_data_loss()), "{ctx}");
         }
     }
