@@ -32,6 +32,7 @@ use dvdc_faults::{
 };
 use dvdc_observe::audit::InvariantAuditor;
 use dvdc_observe::RecorderHandle;
+use dvdc_parity::code::ErasureCode;
 use dvdc_simcore::rng::RngHub;
 use dvdc_simcore::time::Duration;
 use dvdc_vcluster::cluster::{Cluster, ClusterBuilder, TopologySpec};

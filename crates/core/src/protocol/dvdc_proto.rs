@@ -46,7 +46,8 @@ use dvdc_checkpoint::store::{DoubleBufferedStore, MaterializedStore, ParityStore
 use dvdc_checkpoint::strategy::Checkpointer;
 use dvdc_faults::buggify::{self, points, FaultRegistry};
 use dvdc_observe::{Event, RecorderHandle, NO_TOKEN};
-use dvdc_parity::code::{self, CodeError, ErasureCode};
+use dvdc_parity::code::{CodeError, ErasureCode};
+use dvdc_parity::rs::ReedSolomon;
 use dvdc_simcore::rng::{splitmix64, SPLITMIX_GAMMA};
 use dvdc_simcore::time::{Duration, SimTime};
 use dvdc_vcluster::cluster::Cluster;
@@ -374,7 +375,7 @@ fn splitmix(state: &mut u64) -> u64 {
 #[derive(Debug)]
 pub struct DvdcProtocol {
     placement: GroupPlacement,
-    code: Box<dyn ErasureCode>,
+    code: ReedSolomon,
     checkpointer: Checkpointer,
     /// Per-node local checkpoint memory (dies with the node).
     node_stores: Vec<DoubleBufferedStore>,
@@ -420,9 +421,9 @@ impl DvdcProtocol {
     /// Creates the protocol with incremental captures (the Fig. 3, Fig. 4
     /// and Fig. 5 configuration). Each round reports the bytes it moved
     /// ([`RoundReport::load`]); what that costs, and whether the guests
-    /// wait for the parity, is the reader's choice. The code follows the
-    /// placement's parity count ([`code::for_group`]): m = 1 → XOR,
-    /// m ≥ 2 → Reed–Solomon.
+    /// wait for the parity, is the reader's choice. The code is
+    /// Reed–Solomon over the placement's group geometry; its first parity
+    /// block is the XOR of the data, all of it at m = 1.
     ///
     /// # Panics
     ///
@@ -449,7 +450,7 @@ impl DvdcProtocol {
             "all groups must share one geometry"
         );
         DvdcProtocol {
-            code: code::for_group(group_width, parity_blocks),
+            code: ReedSolomon::new(group_width, parity_blocks),
             placement,
             checkpointer: Checkpointer::new(),
             node_stores: Vec::new(),
@@ -2249,8 +2250,6 @@ impl DvdcProtocol {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dvdc_parity::raid5::XorCode;
-    use dvdc_parity::rs::ReedSolomon;
     use dvdc_parity::xor::xor_all;
     use dvdc_simcore::rng::RngHub;
     use dvdc_vcluster::cluster::ClusterBuilder;
@@ -2309,8 +2308,8 @@ mod tests {
 
     /// Every parity block the incremental transport maintains must be
     /// byte-identical to a from-scratch re-encode of the members' current
-    /// images by the code a daemon's group of the same shape runs — XOR
-    /// for m = 1, Reed–Solomon for m = 2 — across several dirty rounds.
+    /// images by the code a daemon's group of the same shape runs —
+    /// Reed–Solomon at m = 1 and m = 2 — across several dirty rounds.
     fn assert_incremental_matches_reencode(m: usize) {
         let mut c = ClusterBuilder::new()
             .physical_nodes(6)
@@ -2320,10 +2319,7 @@ mod tests {
             .build(3);
         let placement = GroupPlacement::orthogonal(&c, 3, m).unwrap();
         let mut p = DvdcProtocol::new(placement);
-        let reference: Box<dyn ErasureCode> = match m {
-            1 => Box::new(XorCode::new(3)),
-            _ => Box::new(ReedSolomon::new(3, m)),
-        };
+        let reference = ReedSolomon::new(3, m);
         let first = p.run_round(&mut c).unwrap();
         assert_eq!(first.parity_update_bytes, first.redundancy_bytes);
 
@@ -2675,8 +2671,9 @@ mod tests {
 
     #[test]
     fn default_code_family_tracks_parity_count() {
-        // The protocol's code is `code::for_group`'s: m = 1 encodes as the
-        // XOR of the data, m = 2 and m = 3 as Reed–Solomon.
+        // The protocol's code is Reed–Solomon at the placement's m: m = 1
+        // encodes as the XOR of the data, m = 2 and m = 3 as the wider
+        // code, whose first parity block is that same XOR.
         let c = ClusterBuilder::new()
             .physical_nodes(8)
             .vms_per_node(3)
@@ -2687,11 +2684,9 @@ mod tests {
         for m in 1..=3 {
             let placement = GroupPlacement::orthogonal(&c, 3, m).unwrap();
             let p = DvdcProtocol::new(placement);
-            let want = match m {
-                1 => vec![xor_all(&refs)],
-                _ => ReedSolomon::new(3, m).encode(&refs),
-            };
-            assert_eq!(p.code.encode(&refs), want, "m={m}");
+            let parity = p.code.encode(&refs);
+            assert_eq!(parity, ReedSolomon::new(3, m).encode(&refs), "m={m}");
+            assert_eq!(parity[0], xor_all(&refs), "m={m}");
         }
     }
 

@@ -17,8 +17,8 @@
 //! The pieces are genuinely reused, not reimplemented: heartbeat silence
 //! is judged by [`FailureDetector`], fencing by a replicated
 //! [`FenceRegistry`] (converged via broadcast with
-//! [`FenceRegistry::advance_to`]), and parity by the [`ErasureCode`]
-//! implementations the sim protocols use.
+//! [`FenceRegistry::advance_to`]), and parity by the [`ReedSolomon`] code
+//! the sim protocols use.
 //!
 //! # Two rules that keep the coordinator a member like any other
 //!
@@ -86,8 +86,8 @@ use dvdc_observe::metrics::EventMetrics;
 use dvdc_observe::registry::{nanos_between, Counter, HistogramHandle, MetricsHub};
 use dvdc_observe::spans::OPEN_SPAN_CAP;
 use dvdc_observe::{Event, MetricsSnapshot, TimedEvent};
-use dvdc_parity::code::{self, ErasureCode};
-use dvdc_parity::rs::MAX_SHARDS;
+use dvdc_parity::code::ErasureCode;
+use dvdc_parity::rs::{ReedSolomon, MAX_SHARDS};
 use dvdc_simcore::rng::{splitmix64, SPLITMIX_GAMMA};
 use dvdc_simcore::time::{Duration, SimTime};
 use dvdc_vcluster::ids::NodeId;
@@ -804,10 +804,11 @@ impl ClusterSpec {
         Ok(())
     }
 
-    /// Instantiates the group's erasure code ([`code::for_group`]): XOR
-    /// for `m == 1`, Reed–Solomon otherwise.
-    pub fn code(&self) -> Box<dyn ErasureCode> {
-        code::for_group(self.data_nodes, self.parity_nodes)
+    /// Instantiates the group's erasure code: Reed–Solomon over `k` data
+    /// and `m` parity nodes, whose first parity block is the XOR of the
+    /// data (at `m == 1`, the paper's RAID parity).
+    pub fn code(&self) -> ReedSolomon {
+        ReedSolomon::new(self.data_nodes, self.parity_nodes)
     }
 }
 
@@ -1000,7 +1001,7 @@ pub struct NodeCore {
     id: NodeId,
     spec: ClusterSpec,
     incarnation: u64,
-    code: Box<dyn ErasureCode>,
+    code: ReedSolomon,
     /// Peers with an established session (either handshake direction).
     sessions: BTreeSet<NodeId>,
     /// The boot of each peer a session was last opened with. It outlives
@@ -2179,7 +2180,7 @@ impl NodeCore {
             .into_iter()
             .filter(|((e, n), _)| *e == epoch && !lent.contains(n));
         blocks.extend(fetched.map(|((_, slot), block)| (slot, block)));
-        let (decoded, back) = decode(&*self.code, victim, blocks, lent.len());
+        let (decoded, back) = decode(&self.code, victim, blocks, lent.len());
         for (slot, block) in lent.into_iter().zip(back) {
             *self.held_mut(slot) = block;
         }
@@ -2685,7 +2686,7 @@ impl NodeCore {
 /// come back whatever the decode concludes; the rest are dropped a page at
 /// a time as it passes them.
 fn decode(
-    code: &dyn ErasureCode,
+    code: &ReedSolomon,
     victim: NodeId,
     blocks: Vec<(NodeId, Block)>,
     lent: usize,

@@ -1,9 +1,7 @@
-//! The erasure-code abstraction shared by all codes in this crate.
+//! The erasure-code interface [`ReedSolomon`](crate::rs::ReedSolomon)
+//! implements, and the shape checks its methods share.
 
 use std::fmt;
-
-use crate::raid5::XorCode;
-use crate::rs::ReedSolomon;
 
 /// Errors returned by [`ErasureCode::reconstruct`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -72,9 +70,9 @@ pub trait ErasureCode: fmt::Debug {
     /// Applies an incremental data update to one parity shard in place.
     ///
     /// `delta` must be `old ⊕ new` over bytes `[offset, offset + delta.len())`
-    /// of data shard `data_index`. Because every code in this crate is
-    /// GF(2)-linear, updating each parity shard this way yields byte-for-byte
-    /// the shard `encode` would produce from the updated data — without
+    /// of data shard `data_index`. Because the code is GF(2)-linear,
+    /// updating each parity shard this way yields byte-for-byte the shard
+    /// `encode` would produce from the updated data — without
     /// touching the other `k − 1` data shards. This is the transport the
     /// paper's incremental checkpointing rides on: parity holders fold in
     /// `old ⊕ new` for just the dirtied pages instead of re-encoding whole
@@ -92,27 +90,6 @@ pub trait ErasureCode: fmt::Debug {
         offset: usize,
         delta: &[u8],
     );
-
-    /// Convenience: true if the erasure pattern in `shards` is repairable
-    /// by this code (count of `None` ≤ tolerance and shape is right).
-    fn can_reconstruct(&self, shards: &[Option<Vec<u8>>]) -> bool {
-        shards.len() == self.total_shards()
-            && shards.iter().filter(|s| s.is_none()).count() <= self.parity_shards()
-    }
-}
-
-/// The code protecting a group of `k` data and `m` parity blocks: XOR
-/// parity for `m == 1`, the paper's configuration, and Reed–Solomon for
-/// any larger `m`.
-///
-/// # Panics
-/// Panics if `k == 0`, `m == 0`, or `m ≥ 2` with `k + m` above
-/// [`MAX_SHARDS`](crate::rs::MAX_SHARDS).
-pub fn for_group(k: usize, m: usize) -> Box<dyn ErasureCode> {
-    match m {
-        1 => Box::new(XorCode::new(k)),
-        _ => Box::new(ReedSolomon::new(k, m)),
-    }
 }
 
 /// Validates the shared `apply_delta` preconditions. Panics (like
@@ -142,7 +119,7 @@ pub(crate) fn validate_delta(
     );
 }
 
-/// Validates the common preconditions shared by all codes: shard count,
+/// Validates the common preconditions of a reconstruct: shard count,
 /// erasure count, and equal lengths of present shards. Returns the common
 /// shard length.
 pub(crate) fn validate_shards(
@@ -175,13 +152,14 @@ pub(crate) fn validate_shards(
 #[cfg(test)]
 pub(crate) mod test_util {
     use super::ErasureCode;
+    use crate::rs::ReedSolomon;
 
     /// Asserts that folding `old ⊕ new` deltas into encoded parity matches
     /// a from-scratch re-encode, across a spread of update shapes: a short
     /// prefix patch, an unaligned mid-shard patch, a single tail byte, and
     /// a whole-shard rewrite. `len` must be at least 8 (and satisfy the
     /// code's own length constraints).
-    pub(crate) fn assert_delta_matches_reencode(code: &dyn ErasureCode, len: usize) {
+    pub(crate) fn assert_delta_matches_reencode(code: &ReedSolomon, len: usize) {
         assert!(len >= 8, "helper expects non-trivial shards");
         let k = code.data_shards();
         let mut data: Vec<Vec<u8>> = (0..k)
@@ -229,6 +207,7 @@ pub(crate) mod test_util {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rs::ReedSolomon;
 
     #[test]
     fn validate_accepts_good_shards() {
@@ -271,41 +250,37 @@ mod tests {
 
     #[test]
     fn every_pattern_of_up_to_m_erasures_decodes_byte_exact() {
-        // Every group with k + m ≤ 8 and m ≤ 3 (and Reed–Solomon at m = 1
-        // too), at a length no word or cache block divides.
+        // Every group with k + m ≤ 8 and m ≤ 3, at a length no word or
+        // cache block divides.
         let len = 1_027;
         for m in 1..=3 {
             for k in 1..=8 - m {
-                let mut codes = vec![for_group(k, m)];
-                if m == 1 {
-                    codes.push(Box::new(ReedSolomon::new(k, 1)));
-                }
-                for code in codes {
-                    let data: Vec<Vec<u8>> = (0..k)
-                        .map(|c| {
-                            (0..len)
-                                .map(|i| ((i * 31 + c * 101 + 7) % 251) as u8)
-                                .collect()
-                        })
-                        .collect();
-                    let refs: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
-                    let whole: Vec<Option<Vec<u8>>> = (data.iter().cloned())
-                        .chain(code.encode(&refs))
-                        .map(Some)
-                        .collect();
-                    for lost in 0u32..1 << (k + m) {
-                        if lost.count_ones() as usize > m {
-                            continue;
-                        }
-                        let mut shards = whole.clone();
-                        for (i, shard) in shards.iter_mut().enumerate() {
-                            if lost >> i & 1 == 1 {
-                                *shard = None;
-                            }
-                        }
-                        code.reconstruct(&mut shards).expect("within tolerance");
-                        assert!(shards == whole, "{code:?} lost {lost:0w$b}", w = k + m);
+                let code = ReedSolomon::new(k, m);
+                assert!((0..k).all(|c| code.coefficient(0, c) == 1), "k={k} m={m}");
+                let data: Vec<Vec<u8>> = (0..k)
+                    .map(|c| {
+                        (0..len)
+                            .map(|i| ((i * 31 + c * 101 + 7) % 251) as u8)
+                            .collect()
+                    })
+                    .collect();
+                let refs: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
+                let whole: Vec<Option<Vec<u8>>> = (data.iter().cloned())
+                    .chain(code.encode(&refs))
+                    .map(Some)
+                    .collect();
+                for lost in 0u32..1 << (k + m) {
+                    if lost.count_ones() as usize > m {
+                        continue;
                     }
+                    let mut shards = whole.clone();
+                    for (i, shard) in shards.iter_mut().enumerate() {
+                        if lost >> i & 1 == 1 {
+                            *shard = None;
+                        }
+                    }
+                    code.reconstruct(&mut shards).expect("within tolerance");
+                    assert!(shards == whole, "{code:?} lost {lost:0w$b}", w = k + m);
                 }
             }
         }

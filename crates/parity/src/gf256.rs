@@ -16,11 +16,6 @@ use std::sync::OnceLock;
 /// The irreducible polynomial generating the field.
 const POLY: u16 = 0x11D;
 
-/// Block lengths at or above this use the table-driven kernel; below it
-/// the 256-entry table build (one pass over the field) costs more than
-/// the branchy scalar loop it replaces.
-const MUL_TABLE_MIN: usize = 64;
-
 /// Precomputed log/exp tables.
 #[derive(Debug)]
 pub struct Tables {
@@ -114,29 +109,6 @@ impl Tables {
         self.exp[l as usize]
     }
 
-    /// Multiply-accumulate over a block: `dst[i] ^= coeff * src[i]`.
-    ///
-    /// This is the inner loop of RS encoding. Blocks of at least
-    /// `MUL_TABLE_MIN` bytes go through a freshly built [`MulTable`]
-    /// (branch-free single-lookup kernel); shorter blocks use the scalar
-    /// log/exp loop. Callers that reuse a coefficient across many blocks
-    /// (the RS generator rows) should hold a [`MulTable`] directly.
-    pub fn mul_acc(&self, dst: &mut [u8], src: &[u8], coeff: u8) {
-        assert_eq!(dst.len(), src.len(), "mul_acc operands must match");
-        if coeff == 0 {
-            return;
-        }
-        if coeff == 1 {
-            crate::xor::xor_into(dst, src);
-            return;
-        }
-        if dst.len() >= MUL_TABLE_MIN {
-            MulTable::new(self, coeff).mul_acc(dst, src);
-        } else {
-            self.mul_acc_scalar(dst, src, coeff);
-        }
-    }
-
     /// The pre-table scalar kernel: per-byte branch on zero plus two
     /// log/exp lookups. Kept as the byte-exact reference the table-driven
     /// kernels are property-tested (and benchmarked) against.
@@ -207,8 +179,8 @@ impl MulTable {
 
     /// Multiply-accumulate over a block: `dst[i] ^= coeff · src[i]`.
     ///
-    /// Identity coefficients degrade to the word-wide XOR kernel (the
-    /// m = 1 fast path); zero is a no-op. Otherwise the loop runs eight
+    /// Identity coefficients — every code's first parity row — degrade to
+    /// the word-wide XOR kernel; zero is a no-op. Otherwise the loop runs eight
     /// lookups per iteration against the resident 256-byte row.
     ///
     /// # Panics
@@ -386,7 +358,7 @@ mod tests {
                 .zip(&src)
                 .map(|(&d, &s)| d ^ t.mul(coeff, s))
                 .collect();
-            t.mul_acc(&mut dst, &src, coeff);
+            MulTable::new(&t, coeff).mul_acc(&mut dst, &src);
             assert_eq!(dst, expect, "coeff={coeff}");
         }
     }
@@ -424,9 +396,6 @@ mod tests {
                 let mut table = base.clone();
                 MulTable::new(&t, coeff).mul_acc(&mut table, &src);
                 assert_eq!(table, scalar, "len={len} coeff={coeff}");
-                let mut auto = base.clone();
-                t.mul_acc(&mut auto, &src, coeff);
-                assert_eq!(auto, scalar, "auto path len={len} coeff={coeff}");
             }
         }
     }

@@ -1,16 +1,19 @@
-//! Systematic Vandermonde Reed–Solomon code over GF(2⁸).
+//! Systematic Vandermonde Reed–Solomon code over GF(2⁸), the one code
+//! every group runs.
 //!
-//! The general `m`-failure extension beyond the paper's single-parity XOR
-//! (m = 1): every group with m ≥ 2 runs on it. Construction follows
-//! Plank's tutorial: start from an `(k+m) × k` Vandermonde matrix with
-//! distinct evaluation points, column-reduce so the top `k × k` block is
-//! the identity (column operations multiply every `k`-row minor by the
-//! same nonzero factor, so the "any k rows are invertible" MDS property is
-//! preserved), and use the bottom `m` rows as the parity generator.
+//! Construction follows Plank's tutorial: start from an `(k+m) × k`
+//! Vandermonde matrix with distinct evaluation points, column-reduce so
+//! the top `k × k` block is the identity (column operations multiply every
+//! `k`-row minor by the same nonzero factor, so the "any k rows are
+//! invertible" MDS property is preserved), and use the bottom `m` rows as
+//! the parity generator. Each parity column is then scaled so the first
+//! parity row is all ones, as Linux md's RAID-6 P + Q does (Anvin, "The
+//! mathematics of RAID-6"): parity 0 is the XOR of the data, so `m = 1` is
+//! the paper's RAID parity ("A XOR B XOR C", Fig. 3) byte for byte, and
+//! any single loss among the data and parity 0 repairs by XOR at every `m`.
 
 use crate::code::{validate_delta, validate_shards, CodeError, ErasureCode};
 use crate::gf256::{MulTable, Tables};
-use crate::xor::xor_into;
 use std::sync::OnceLock;
 
 /// Bytes per cache block in the encode fold: the source block plus the
@@ -53,7 +56,8 @@ pub struct ReedSolomon {
 }
 
 impl ReedSolomon {
-    /// Creates a code with `k` data and `m` parity shards.
+    /// Creates a code with `k` data and `m` parity shards. Parity row 0 is
+    /// all ones: parity 0 is the XOR of the data.
     ///
     /// The GF(2⁸) log/exp tables are shared process-wide
     /// ([`Tables::shared`]); only the `m × k` generator product rows are
@@ -107,7 +111,17 @@ impl ReedSolomon {
             }
         }
 
-        let parity_rows = v.split_off(k);
+        // Scale parity column c by the inverse of its row-0 entry. Every
+        // square submatrix of P·D is nonsingular exactly when P's is (D is
+        // diagonal and nonzero), so the code stays MDS, and row 0 becomes
+        // all ones.
+        let mut parity_rows = v.split_off(k);
+        for c in 0..k {
+            let scale = tables.inv(parity_rows[0][c]);
+            for row in parity_rows.iter_mut() {
+                row[c] = tables.mul(row[c], scale);
+            }
+        }
         let row_tables = parity_rows
             .iter()
             .map(|row| row.iter().map(|&c| MulTable::new(tables, c)).collect())
@@ -190,11 +204,24 @@ fn fold<R: AsRef<[MulTable]>>(rows: &[R], data: &[&[u8]], outs: &mut [&mut [u8]]
 }
 
 /// `rows.len()` blocks of `len` bytes, each the fold of `data` through
-/// one of `rows`.
+/// one of `rows`. Each block starts as its first source's term, a copy
+/// where the coefficient is 1, and the fold adds the other sources: a
+/// row of ones costs what `xor_all` does.
 fn folded<R: AsRef<[MulTable]>>(rows: &[R], data: &[&[u8]], len: usize) -> Vec<Vec<u8>> {
-    let mut outs: Vec<Vec<u8>> = rows.iter().map(|_| vec![0u8; len]).collect();
+    let mut outs: Vec<Vec<u8>> = (rows.iter())
+        .map(|row| {
+            let (first, src) = (&row.as_ref()[0], data[0]);
+            if first.coeff() == 1 {
+                return src.to_vec();
+            }
+            let mut out = vec![0u8; len];
+            first.mul_acc(&mut out, src);
+            out
+        })
+        .collect();
+    let rest: Vec<&[MulTable]> = rows.iter().map(|row| &row.as_ref()[1..]).collect();
     let mut out_refs: Vec<&mut [u8]> = outs.iter_mut().map(Vec::as_mut_slice).collect();
-    fold(rows, data, &mut out_refs, 0);
+    fold(&rest, &data[1..], &mut out_refs, 0);
     outs
 }
 
@@ -214,8 +241,11 @@ impl ErasureCode for ReedSolomon {
             data.iter().all(|d| d.len() == len),
             "data shards must have equal length"
         );
+        // A fold of ones is XOR, which is memory-bound: it runs on the
+        // caller's thread at every size, as `xor` says.
+        let ones = self.row_tables.iter().flatten().all(|t| t.coeff() == 1);
         let workers = encode_workers().min(len / MIN_ENCODE_CHUNK);
-        if workers <= 1 {
+        if ones || workers <= 1 {
             return folded(&self.row_tables, data, len);
         }
         let mut outs: Vec<Vec<u8>> = (0..self.m).map(|_| vec![0u8; len]).collect();
@@ -309,14 +339,10 @@ impl ErasureCode for ReedSolomon {
         );
         // Each parity row is a GF(256)-linear combination of the data
         // shards, so a data delta scales by that row's coefficient and
-        // accumulates positionally: P_r' = P_r ⊕ coeff·(old ⊕ new).
-        let coeff = self.parity_rows[parity_index][data_index];
+        // accumulates positionally: P_r' = P_r ⊕ coeff·(old ⊕ new). Row
+        // 0's coefficients are 1, which `mul_acc` folds as plain XOR.
         let dst = &mut parity[offset..offset + delta.len()];
-        if coeff == 1 {
-            xor_into(dst, delta);
-        } else {
-            self.row_tables[parity_index][data_index].mul_acc(dst, delta);
-        }
+        self.row_tables[parity_index][data_index].mul_acc(dst, delta);
     }
 }
 
@@ -415,6 +441,7 @@ mod tests {
     fn max_geometry_accepted() {
         let code = ReedSolomon::new(200, 56);
         assert_eq!(code.total_shards(), 256);
+        assert!((0..200).all(|c| code.coefficient(0, c) == 1));
     }
 
     #[test]

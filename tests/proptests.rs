@@ -10,7 +10,6 @@ use dvdc::placement::GroupPlacement;
 use dvdc::protocol::node_core::{ClusterSpec, Msg, NodeCore};
 use dvdc_model::analytic;
 use dvdc_parity::code::ErasureCode;
-use dvdc_parity::raid5::XorCode;
 use dvdc_parity::rs::ReedSolomon;
 use dvdc_parity::xor::{is_zero, xor_all};
 use dvdc_simcore::rng::RngHub;
@@ -49,7 +48,7 @@ proptest! {
         data in shards_strategy(4, 48),
         lost in 0usize..5,
     ) {
-        let code = XorCode::new(4);
+        let code = ReedSolomon::new(4, 1);
         let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
         let parity = code.encode(&refs);
         let mut shards: Vec<Option<Vec<u8>>> = data
@@ -66,7 +65,7 @@ proptest! {
 
     #[test]
     fn xor_group_with_parity_xors_to_zero(data in shards_strategy(5, 32)) {
-        let code = XorCode::new(5);
+        let code = ReedSolomon::new(5, 1);
         let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
         let parity = code.encode(&refs).remove(0);
         let mut all_refs: Vec<&[u8]> = refs.clone();
@@ -116,11 +115,7 @@ proptest! {
             updated[member][off + i] ^= d;
         }
 
-        let codes: Vec<Box<dyn ErasureCode>> = vec![
-            Box::new(XorCode::new(4)),
-            Box::new(ReedSolomon::new(4, 2)),
-        ];
-        for code in &codes {
+        for code in [ReedSolomon::new(4, 1), ReedSolomon::new(4, 2)] {
             let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
             let mut parity = code.encode(&refs);
             for (j, block) in parity.iter_mut().enumerate() {

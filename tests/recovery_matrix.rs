@@ -198,8 +198,8 @@ fn default_double_parity_survives_all_node_pairs() {
 
 /// The code families the mid-round matrix sweeps: label, k, m, and a
 /// cluster shape (nodes, VMs per node) whose placement supports them.
-/// The code is the protocol's default for m: XOR at m = 1, Reed–Solomon
-/// at m = 2, at two group widths.
+/// The code is the protocol's Reed–Solomon at each m (XOR at m = 1), with
+/// m = 2 at two group widths.
 const MID_ROUND_FAMILIES: [(&str, usize, usize, usize, usize); 3] =
     [("xor", 3, 1, 6, 2), ("rs", 4, 2, 8, 2), ("rs", 3, 2, 6, 2)];
 
