@@ -191,7 +191,11 @@ impl ClusterView {
                     self.audit.record(at, &aborted(victim, "CoordinatorLost"));
                 }
             }
-            Event::RebuildCompleted { victim } if self.rebuilds.get(&victim) == Some(&from) => {
+            // Ended by its owner: installed, or, begun on a suspicion,
+            // ended before the verdict.
+            Event::RebuildCompleted { victim } | Event::RebuildAborted { victim, .. }
+                if self.rebuilds.get(&victim) == Some(&from) =>
+            {
                 self.rebuilds.remove(&victim);
             }
             // `NodeCore` ends a rebuild it cannot decode with the loss itself.

@@ -494,6 +494,18 @@ pub enum Note {
         /// [`block_digest`] of the rebuilt bytes.
         digest: u64,
     },
+    /// A rebuild ended with nothing in custody and no loss. One begun on
+    /// a suspicion ends so when the suspicion is refuted (`Refuted`), when
+    /// this node stops coordinating before the verdict (`CoordinatorLost`),
+    /// when its decode comes up short (`Decode`) and when its block is of
+    /// an epoch no longer committed at the verdict (`Stale`); any rebuild
+    /// ends so when this node is fenced (`Fenced`).
+    RebuildAborted {
+        /// The node whose rebuild ended.
+        victim: NodeId,
+        /// Why it ended.
+        phase: &'static str,
+    },
     /// The failure pattern exceeded the code's tolerance — the paper's
     /// honest failure mode, typed instead of panicking.
     DataLoss {
@@ -531,7 +543,9 @@ pub enum Note {
         /// Seconds from round open to the capture leaving this node.
         window_secs: f64,
     },
-    /// A rebuild pipeline crossed into a named phase (Fetch, Decode).
+    /// A rebuild pipeline crossed into a named phase: `Fetch`, `Decode`,
+    /// and for one begun on a suspicion, `Verdict` while its block waits
+    /// for the verdict.
     RebuildPhase {
         /// The node being rebuilt.
         victim: NodeId,
@@ -574,6 +588,10 @@ pub fn note_event(note: &Note) -> Event {
             epoch: 0,
         },
         Note::RebuildCompleted { victim, .. } => Event::RebuildCompleted { victim: victim.0 },
+        Note::RebuildAborted { victim, phase } => Event::RebuildAborted {
+            victim: victim.0,
+            phase,
+        },
         Note::DataLoss { victim, .. } => Event::DataLoss {
             node: victim.0,
             group: 0,
@@ -975,6 +993,9 @@ impl PartRound {
 /// epoch it came with.
 type Parked = (u64, BTreeMap<usize, (NodeId, u64, Page)>);
 
+/// A decoded block: its epoch, the block and its [`block_digest`].
+type Rebuilt = (u64, Block, u64);
+
 /// Coordinator-side bookkeeping of one rebuild in flight.
 #[derive(Debug, Clone)]
 struct Rebuild {
@@ -985,6 +1006,13 @@ struct Rebuild {
     /// Survivors' blocks by epoch and slot, by page: each part as it
     /// landed, and `None` where none has yet.
     fetched: BTreeMap<(u64, NodeId), Vec<Option<Page>>>,
+    /// Begun on link evidence whose verdict is still to come: the victim
+    /// is not fenced, and nothing this rebuild makes is custodied or lost
+    /// before the verdict.
+    suspected: bool,
+    /// What the decode made while the suspicion stood, installed by the
+    /// verdict.
+    decoded: Option<Rebuilt>,
 }
 
 /// Victim-side bookkeeping of a resync in flight.
@@ -1269,7 +1297,9 @@ impl NodeCore {
     /// A confirmed-dead member not yet rebuilt, when this node coordinates
     /// and has no rebuild in flight: one confirmed while another rebuild
     /// ran, or while somebody else coordinated who never got to it, or
-    /// whose first attempt raced a second failure.
+    /// whose first attempt raced a second failure. Or the victim of the
+    /// rebuild in flight, begun on a suspicion that a fence or a resync
+    /// request, not this node's own verdict, has since confirmed.
     fn rebuild_backlog(&self) -> Option<NodeId> {
         // A coordinator still meeting the members — one just readmitted —
         // would decode from too few of them and call it loss.
@@ -1280,8 +1310,12 @@ impl NodeCore {
                 || self.fences.is_fenced(p)
                 || self.detector.is_confirmed(p.index())
         };
-        if self.rebuild.is_some() || !self.is_acting_coordinator() || !members.clone().all(met) {
+        if !self.is_acting_coordinator() || !members.clone().all(met) {
             return None;
+        }
+        if let Some(rb) = &self.rebuild {
+            let confirmed = rb.suspected && self.detector.is_confirmed(rb.victim.index());
+            return confirmed.then_some(rb.victim);
         }
         members.find(|n| {
             *n != self.id
@@ -1414,6 +1448,7 @@ impl NodeCore {
     /// to it, then the remembered resync requests it can now answer are,
     /// and the driver gets the rest.
     fn settle(&mut self, mut out: Vec<Action>, now: SimTime) -> Vec<Action> {
+        self.withdraw_speculation(&mut out);
         self.deliver_own(&mut out, now);
         self.serve_deferred_resyncs(now, &mut out);
         self.deliver_own(&mut out, now);
@@ -1878,6 +1913,10 @@ impl NodeCore {
         if let Some(epoch) = self.coord_round.as_ref().map(|r| r.epoch) {
             self.abort_round(epoch, format!("{} was fenced", self.id), out);
         }
+        if let Some(victim) = self.rebuild.as_ref().map(|rb| rb.victim) {
+            let phase = "Fenced";
+            out.push(Action::Note(Note::RebuildAborted { victim, phase }));
+        }
         *self = NodeCore::new(self.id, self.spec.clone(), self.incarnation);
         self.resync = Some(ResyncClient {
             coordinator,
@@ -1910,8 +1949,11 @@ impl NodeCore {
         self.settle(out, now)
     }
 
-    /// Emits a verdict note and, on confirmation by the acting
-    /// coordinator, fences the victim and starts the rebuild.
+    /// Emits a verdict note. On a suspicion that link evidence raised, the
+    /// acting coordinator with no round open starts the rebuild without
+    /// fencing anyone, so that the repair runs while the suspicion stands;
+    /// on confirmation it fences the victim and starts the rebuild, or
+    /// installs the one already made.
     fn note_verdict(
         &mut self,
         node: NodeId,
@@ -1925,6 +1967,10 @@ impl NodeCore {
             verdict,
             evidence,
         }));
+        let suspected = verdict == Verdict::Suspected && evidence;
+        if suspected && self.coord_round.is_none() && self.is_acting_coordinator() {
+            self.start_rebuild(node, true, now, out);
+        }
         if verdict != Verdict::Confirmed {
             return;
         }
@@ -1955,7 +2001,53 @@ impl NodeCore {
         for dead in members.filter(unfenced).collect::<Vec<_>>() {
             self.raise_fence(dead, out);
         }
-        self.start_rebuild(node, now, out);
+        self.confirm_speculation(node, out);
+        self.start_rebuild(node, false, now, out);
+    }
+
+    /// The verdict on a rebuild of `victim` begun at its suspicion. A
+    /// block it decoded at this node's committed epoch enters custody now;
+    /// one of another epoch is dropped, and the rebuild starts anew. One
+    /// still fetching installs when its last answer lands.
+    fn confirm_speculation(&mut self, victim: NodeId, out: &mut Vec<Action>) {
+        let began_on_suspicion = |rb: &&mut Rebuild| rb.suspected && rb.victim == victim;
+        let Some(rb) = self.rebuild.as_mut().filter(began_on_suspicion) else {
+            return;
+        };
+        rb.suspected = false;
+        let Some(rebuilt) = rb.decoded.take() else {
+            return;
+        };
+        self.rebuild = None;
+        if Some(rebuilt.0) == self.committed.as_ref().map(|(e, _)| *e) {
+            self.install(victim, rebuilt, out);
+        } else {
+            let phase = "Stale";
+            out.push(Action::Note(Note::RebuildAborted { victim, phase }));
+        }
+    }
+
+    /// A rebuild begun on a suspicion stands while the suspicion does and
+    /// this node coordinates. A heartbeat that refutes it, a greeting that
+    /// clears it, or a lower member back in session ends it, and nothing
+    /// it fetched or decoded is kept.
+    fn withdraw_speculation(&mut self, out: &mut Vec<Action>) {
+        let Some(victim) = (self.rebuild.as_ref())
+            .filter(|rb| rb.suspected)
+            .map(|rb| rb.victim)
+        else {
+            return;
+        };
+        let n = victim.index();
+        let phase = if !self.detector.is_suspected(n) && !self.detector.is_confirmed(n) {
+            "Refuted"
+        } else if !self.is_acting_coordinator() {
+            "CoordinatorLost"
+        } else {
+            return;
+        };
+        self.rebuild = None;
+        out.push(Action::Note(Note::RebuildAborted { victim, phase }));
     }
 
     /// Fences `node` and tells every member in.
@@ -2032,7 +2124,15 @@ impl NodeCore {
         out.push(Action::Send { to, msg });
     }
 
-    fn start_rebuild(&mut self, victim: NodeId, now: SimTime, out: &mut Vec<Action>) {
+    /// Asks every live member but `victim` for what it holds of the
+    /// group. `suspected`: begun at the suspicion, the verdict to come.
+    fn start_rebuild(
+        &mut self,
+        victim: NodeId,
+        suspected: bool,
+        now: SimTime,
+        out: &mut Vec<Action>,
+    ) {
         if self.rebuild.is_some() || self.custody.contains_key(&victim) {
             return;
         }
@@ -2048,8 +2148,10 @@ impl NodeCore {
             phase: "Fetch",
         }));
         // Nothing is copied before the requests leave: this node's own
-        // blocks join the decode when it runs, lent.
-        let peers = self.live_peers();
+        // blocks join the decode when it runs, lent. A suspect still holds
+        // its session.
+        let mut peers = self.live_peers();
+        peers.retain(|p| *p != victim);
         for &p in &peers {
             out.push(Action::Send {
                 to: p,
@@ -2061,6 +2163,8 @@ impl NodeCore {
             deadline: now + self.spec.rebuild_timeout,
             awaiting: peers.iter().copied().collect(),
             fetched: BTreeMap::new(),
+            suspected,
+            decoded: None,
         });
         if peers.is_empty() {
             self.finish_rebuild(out);
@@ -2126,10 +2230,12 @@ impl NodeCore {
     }
 
     /// Decodes the victim's block at the newest epoch of which `k` slots
-    /// are whole — fetched with every part landed, or this node's own.
-    /// Failure is typed ([`Note::DataLoss`]), never a panic.
+    /// are whole — fetched with every part landed, or this node's own —
+    /// and installs it; a rebuild begun on a suspicion keeps it for the
+    /// verdict instead. Failure is typed ([`Note::DataLoss`]), never a
+    /// panic; before the verdict it only ends the rebuild.
     fn finish_rebuild(&mut self, out: &mut Vec<Action>) {
-        let Some(rb) = self.rebuild.take() else {
+        let Some(mut rb) = self.rebuild.take() else {
             return;
         };
         let victim = rb.victim;
@@ -2139,10 +2245,36 @@ impl NodeCore {
             victim,
             phase: "Decode",
         }));
+        let fetched = std::mem::take(&mut rb.fetched);
+        match (self.decode_fetched(victim, fetched), rb.suspected) {
+            (Ok(rebuilt), true) => {
+                rb.decoded = Some(rebuilt);
+                self.rebuild = Some(rb);
+                out.push(Action::Note(Note::RebuildPhase {
+                    victim,
+                    phase: "Verdict",
+                }));
+            }
+            (Ok(rebuilt), false) => self.install(victim, rebuilt, out),
+            (Err(_), true) => {
+                let phase = "Decode";
+                out.push(Action::Note(Note::RebuildAborted { victim, phase }));
+            }
+            (Err(reason), false) => self.lose(victim, reason, out),
+        }
+    }
+
+    /// The victim's block decoded from `fetched` and this node's own
+    /// blocks, at the newest epoch of which `k` slots are whole.
+    fn decode_fetched(
+        &mut self,
+        victim: NodeId,
+        fetched: BTreeMap<(u64, NodeId), Vec<Option<Page>>>,
+    ) -> Result<Rebuilt, String> {
         let k = self.spec.data_nodes;
         let slot = |n: &NodeId| n.index() < self.spec.total() && *n != victim;
         let whole = |pages: Vec<Option<Page>>| pages.into_iter().collect::<Option<Vec<_>>>();
-        let fetched: BTreeMap<(u64, NodeId), Block> = (rb.fetched.into_iter())
+        let fetched: BTreeMap<(u64, NodeId), Block> = (fetched.into_iter())
             .filter(|((_, n), _)| slot(n))
             .filter_map(|(at, pages)| Some((at, Block::from_pages(whole(pages)?))))
             .collect();
@@ -2160,9 +2292,9 @@ impl NodeCore {
             .rev()
             .find(|(_, slots)| slots.len() >= k);
         let Some((epoch, _)) = chosen else {
-            let reason =
-                format!("no committed epoch has the {k} blocks needed (best coverage: {best})");
-            return self.lose(victim, reason, out);
+            return Err(format!(
+                "no committed epoch has the {k} blocks needed (best coverage: {best})"
+            ));
         };
 
         // This node's own blocks are lent to the decode, not copied, and
@@ -2184,11 +2316,13 @@ impl NodeCore {
         for (slot, block) in lent.into_iter().zip(back) {
             *self.held_mut(slot) = block;
         }
-        let block = match decoded {
-            Ok(block) => block,
-            Err(why) => return self.lose(victim, format!("decode at epoch {epoch} {why}"), out),
-        };
+        let block = decoded.map_err(|why| format!("decode at epoch {epoch} {why}"))?;
         let digest = block.digest();
+        Ok((epoch, block, digest))
+    }
+
+    /// The rebuilt block of `victim` enters custody.
+    fn install(&mut self, victim: NodeId, (epoch, block, digest): Rebuilt, out: &mut Vec<Action>) {
         self.custody.insert(victim, (epoch, block));
         out.push(Action::Note(Note::RebuildCompleted {
             victim,
@@ -3885,32 +4019,61 @@ mod tests {
         }
     }
 
-    /// Evidence against `peer` at `at`, then the tick one heartbeat interval
-    /// later that confirms it; returns what that tick did.
-    fn refused_and_confirmed(n: &mut NodeCore, peer: usize, at: SimTime) -> Vec<Action> {
+    fn is_fetch(m: &Msg) -> bool {
+        matches!(m, Msg::FetchReq { .. })
+    }
+
+    fn is_fence(m: &Msg) -> bool {
+        matches!(m, Msg::Fence { .. })
+    }
+
+    fn rebuild_started(victim: usize) -> Note {
+        Note::RebuildStarted {
+            victim: NodeId(victim),
+        }
+    }
+
+    fn rebuild_aborted(victim: usize, phase: &'static str) -> Note {
+        Note::RebuildAborted {
+            victim: NodeId(victim),
+            phase,
+        }
+    }
+
+    /// Evidence against `peer` at `at`; returns what it did.
+    fn refused(n: &mut NodeCore, peer: usize, at: SimTime) -> Vec<Action> {
         n.on_tick(at);
         let out = n.on_peer_refused(NodeId(peer), at);
-        assert_eq!(notes(&out), [verdict(peer, Verdict::Suspected)]);
-        assert!(sent_to(&out, |_| true).is_empty(), "{out:?}");
+        assert_eq!(notes(&out)[0], verdict(peer, Verdict::Suspected));
+        out
+    }
+
+    /// The tick one heartbeat interval after evidence at `at`, which
+    /// confirms it; returns what it did.
+    fn confirmed(n: &mut NodeCore, at: SimTime) -> Vec<Action> {
         let due = at + spec().detector.heartbeat_interval;
         assert_eq!(n.next_deadline(), Some(due));
         n.on_tick(due)
+    }
+
+    /// Evidence against `peer` at `at`, then the tick one heartbeat interval
+    /// later that confirms it; returns what that tick did.
+    fn refused_and_confirmed(n: &mut NodeCore, peer: usize, at: SimTime) -> Vec<Action> {
+        refused(n, peer, at);
+        confirmed(n, at)
     }
 
     #[test]
     fn evidence_suspects_at_once_and_the_coordinator_fences_once_a_heartbeat_interval_later() {
         let mut c = meshed(0);
         let at = SimTime::from_secs(0.003);
-        let out = refused_and_confirmed(&mut c, 2, at);
-        // The timers' own path, a heartbeat interval after the evidence.
+        // The repair starts with the suspicion: every survivor but the
+        // suspect is asked for its blocks, and nobody is fenced.
+        let out = refused(&mut c, 2, at);
         assert_eq!(
             notes(&out),
             [
-                verdict(2, Verdict::Confirmed),
-                Note::Fenced {
-                    node: NodeId(2),
-                    epoch: 1
-                },
+                verdict(2, Verdict::Suspected),
                 Note::RebuildStarted { victim: NodeId(2) },
                 Note::RebuildPhase {
                     victim: NodeId(2),
@@ -3919,11 +4082,18 @@ mod tests {
             ]
         );
         let survivors = [NodeId(1), NodeId(3)];
-        assert_eq!(sent_to(&out, |m| matches!(m, Msg::Fence { .. })), survivors);
-        assert_eq!(
-            sent_to(&out, |m| matches!(m, Msg::FetchReq { .. })),
-            survivors
-        );
+        assert_eq!(sent_to(&out, is_fetch), survivors);
+        assert!(sent_to(&out, is_fence).is_empty(), "{out:?}");
+        // The timers' own verdict, a heartbeat interval after the evidence,
+        // fences and asks nobody again.
+        let out = confirmed(&mut c, at);
+        let fenced = Note::Fenced {
+            node: NodeId(2),
+            epoch: 1,
+        };
+        assert_eq!(notes(&out), [verdict(2, Verdict::Confirmed), fenced]);
+        assert_eq!(sent_to(&out, is_fence), survivors);
+        assert!(sent_to(&out, is_fetch).is_empty(), "{out:?}");
         assert_eq!(c.status().confirmed, [NodeId(2)]);
         // The other survivors' writers report the same death; so may this
         // node's own, twice. None of it is news.
@@ -3942,10 +4112,248 @@ mod tests {
             verdict: Verdict::Refuted,
             evidence: false,
         };
-        assert_eq!(notes(&out), [refuted]);
+        // The rebuild the suspicion began ends with it.
+        assert_eq!(notes(&out), [refuted, rebuild_aborted(2, "Refuted")]);
         let out = c.on_tick(at + spec().detector.heartbeat_interval);
         assert!(notes(&out).is_empty(), "{out:?}");
         assert!(c.has_session(NodeId(2)) && c.status().confirmed.is_empty());
+    }
+
+    /// Node 0 of a 4+1 group in parts, `own` committed at round 1, the
+    /// rebuild of node 2 begun on link evidence at time zero and every
+    /// survivor's answer landed before the verdict; and the group's blocks.
+    fn decoded_before_the_verdict() -> (NodeCore, Vec<Vec<u8>>) {
+        let s = ragged(1);
+        let blocks = group_blocks(&s);
+        let mut c = meshed_in(&s, 0);
+        c.committed = Some((1, Block::from(blocks[0].clone())));
+        let out = refused(&mut c, 2, SimTime::ZERO);
+        assert_eq!(sent_to(&out, is_fetch), [NodeId(1), NodeId(3), NodeId(4)]);
+        let mut landed = Vec::new();
+        for node in [1, 3, 4] {
+            for msg in answer(node, node, 1, &blocks[node]) {
+                landed.extend(notes(&c.on_message(NodeId(node), msg, SimTime::ZERO)));
+            }
+        }
+        let phase = |phase| Note::RebuildPhase {
+            victim: NodeId(2),
+            phase,
+        };
+        assert_eq!(landed, [phase("Decode"), phase("Verdict")]);
+        (c, blocks)
+    }
+
+    /// What `n` answers `dvdc-ctl digest 2` with: the digest and its source.
+    fn digest_of_2(n: &mut NodeCore) -> (u64, DigestSource) {
+        let out = n.on_message(CTL, Msg::DigestReq { node: NodeId(2) }, SimTime::ZERO);
+        match &out[..] {
+            [Action::Send {
+                msg: Msg::DigestResp { digest, source, .. },
+                ..
+            }] => (*digest, *source),
+            other => panic!("expected a digest, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn answers_that_land_before_the_verdict_decode_and_custody_waits_for_it() {
+        let (mut c, _) = decoded_before_the_verdict();
+        assert!(c.custody_block(NodeId(2)).is_none());
+        assert_eq!(digest_of_2(&mut c), (0, DigestSource::Missing));
+        // The rebuild stands until the verdict, and no round opens under it.
+        let out = c.on_message(CTL, Msg::CheckpointReq, SimTime::ZERO);
+        let refused = Msg::CheckpointFailed {
+            reason: "a rebuild is in flight".to_string(),
+        };
+        assert_eq!(sent_to(&out, |m| *m == refused), [CTL]);
+    }
+
+    #[test]
+    fn the_verdict_fences_and_installs_the_decoded_block_in_one_step() {
+        let (mut c, blocks) = decoded_before_the_verdict();
+        let out = confirmed(&mut c, SimTime::ZERO);
+        let installed = [
+            verdict(2, Verdict::Confirmed),
+            Note::Fenced {
+                node: NodeId(2),
+                epoch: 1,
+            },
+            Note::RebuildCompleted {
+                victim: NodeId(2),
+                epoch: 1,
+                digest: block_digest(&blocks[2]),
+            },
+        ];
+        assert_eq!(notes(&out), installed);
+        assert!(sent_to(&out, is_fetch).is_empty(), "{out:?}");
+        assert_eq!(sent_to(&out, is_fence), [NodeId(1), NodeId(3), NodeId(4)]);
+        assert_eq!(
+            bytes(c.custody_block(NodeId(2))),
+            Some((1, blocks[2].clone()))
+        );
+    }
+
+    #[test]
+    fn a_fence_from_another_member_confirms_the_suspect_and_the_next_tick_installs() {
+        let (mut c, blocks) = decoded_before_the_verdict();
+        // A member that met the suspect's next boot fenced it first.
+        let fence = Msg::Fence {
+            node: NodeId(2),
+            epoch: 1,
+        };
+        c.on_message(NodeId(1), fence, SimTime::ZERO);
+        assert_eq!(c.next_deadline(), Some(SimTime::ZERO));
+        let out = c.on_tick(SimTime::ZERO);
+        let completed = Note::RebuildCompleted {
+            victim: NodeId(2),
+            epoch: 1,
+            digest: block_digest(&blocks[2]),
+        };
+        assert!(notes(&out).contains(&completed), "{out:?}");
+        assert!(sent_to(&out, is_fetch).is_empty(), "{out:?}");
+        assert_eq!(
+            bytes(c.custody_block(NodeId(2))),
+            Some((1, blocks[2].clone()))
+        );
+    }
+
+    #[test]
+    fn a_block_decoded_at_an_epoch_no_longer_committed_is_fetched_anew_at_the_verdict() {
+        let (mut c, blocks) = decoded_before_the_verdict();
+        c.committed = Some((2, Block::from(blocks[0].clone())));
+        let out = confirmed(&mut c, SimTime::ZERO);
+        let notes = notes(&out);
+        assert_eq!(
+            notes[2..4],
+            [rebuild_aborted(2, "Stale"), rebuild_started(2)]
+        );
+        assert_eq!(sent_to(&out, is_fetch), [NodeId(1), NodeId(3), NodeId(4)]);
+        assert!(c.custody.is_empty() && !c.saw_data_loss());
+    }
+
+    #[test]
+    fn a_refuted_rebuild_keeps_nothing_and_the_next_checkpoint_opens_a_round() {
+        let s = ragged(1);
+        let blocks = group_blocks(&s);
+        let mut c = meshed_in(&s, 0);
+        c.committed = Some((1, Block::from(blocks[0].clone())));
+        refused(&mut c, 2, SimTime::ZERO);
+        let alive = Msg::Heartbeat { node: NodeId(2) };
+        let out = c.on_message(NodeId(2), alive, SimTime::ZERO);
+        assert!(notes(&out).contains(&rebuild_aborted(2, "Refuted")));
+        // The answers to the withdrawn requests land on nothing.
+        for node in [1, 3, 4] {
+            for msg in answer(node, node, 1, &blocks[node]) {
+                let out = c.on_message(NodeId(node), msg, SimTime::ZERO);
+                assert!(out.is_empty(), "{out:?}");
+            }
+        }
+        let out = c.on_tick(SimTime::ZERO + s.detector.heartbeat_interval);
+        assert!(notes(&out).is_empty(), "{out:?}");
+        assert!(c.custody.is_empty() && c.rebuild.is_none() && !c.saw_data_loss());
+        assert!(!c.fences.is_fenced(NodeId(2)) && c.has_session(NodeId(2)));
+        let out = c.on_message(CTL, Msg::CheckpointReq, SimTime::ZERO);
+        assert!(
+            notes(&out).contains(&Note::RoundStarted { epoch: 2 }),
+            "{out:?}"
+        );
+    }
+
+    #[test]
+    fn a_suspected_coordinator_or_an_open_round_waits_for_the_verdict() {
+        // Node 1 does not coordinate while node 0 is only suspected.
+        let mut n = meshed(1);
+        let out = refused(&mut n, 0, SimTime::ZERO);
+        assert_eq!(notes(&out), [verdict(0, Verdict::Suspected)]);
+        assert!(sent_to(&out, |_| true).is_empty(), "{out:?}");
+
+        // A round open at the evidence: the verdict aborts it, then fences
+        // and fetches, as with the timers.
+        let mut c = coordinator_in_round_1(spec());
+        let out = refused(&mut c, 2, SimTime::ZERO);
+        assert_eq!(notes(&out), [verdict(2, Verdict::Suspected)]);
+        assert!(sent_to(&out, is_fetch).is_empty(), "{out:?}");
+        let out = confirmed(&mut c, SimTime::ZERO);
+        let notes = notes(&out);
+        assert!(
+            matches!(
+                notes[..],
+                [
+                    Note::PeerVerdict {
+                        verdict: Verdict::Confirmed,
+                        ..
+                    },
+                    Note::Fenced { .. },
+                    Note::RoundAborted { epoch: 1, .. },
+                    Note::RebuildStarted { .. },
+                    Note::RebuildPhase { phase: "Fetch", .. },
+                ]
+            ),
+            "{notes:?}"
+        );
+        assert_eq!(sent_to(&out, is_fetch), [NodeId(1), NodeId(3)]);
+    }
+
+    #[test]
+    fn a_short_decode_before_the_verdict_notes_no_loss_and_the_verdict_fetches_anew() {
+        let s = ragged(1);
+        let blocks = group_blocks(&s);
+        let mut c = meshed_in(&s, 0);
+        c.committed = Some((1, Block::from(blocks[0].clone())));
+        refused(&mut c, 2, SimTime::ZERO);
+        let mut landed = Vec::new();
+        for node in [1, 3, 4] {
+            for (n, msg) in answer(node, node, 1, &blocks[node]).into_iter().enumerate() {
+                // Slot 1's answer is short of its second part: three whole
+                // slots of the four needed.
+                if (node, n) != (1, 1) {
+                    landed.extend(notes(&c.on_message(NodeId(node), msg, SimTime::ZERO)));
+                }
+            }
+        }
+        let decode = Note::RebuildPhase {
+            victim: NodeId(2),
+            phase: "Decode",
+        };
+        assert_eq!(landed, [decode, rebuild_aborted(2, "Decode")]);
+        assert!(!c.saw_data_loss() && c.rebuild.is_none());
+        let out = confirmed(&mut c, SimTime::ZERO);
+        assert!(notes(&out).contains(&rebuild_started(2)), "{out:?}");
+        assert_eq!(sent_to(&out, is_fetch), [NodeId(1), NodeId(3), NodeId(4)]);
+    }
+
+    #[test]
+    fn losing_the_coordinator_role_or_being_fenced_ends_a_rebuild_begun_on_suspicion() {
+        // Node 1 coordinates while node 0 is out of session.
+        let spec = spec();
+        let mut n = NodeCore::new(NodeId(1), spec.clone(), 1);
+        for peer in [2, 3] {
+            let hello = NodeCore::new(NodeId(peer), spec.clone(), 1).hello();
+            n.on_message(NodeId(peer), hello, SimTime::ZERO);
+        }
+        let out = refused(&mut n, 2, SimTime::ZERO);
+        assert_eq!(sent_to(&out, is_fetch), [NodeId(3)]);
+        let hello = NodeCore::new(NodeId(0), spec.clone(), 1).hello();
+        let out = n.on_message(NodeId(0), hello, SimTime::ZERO);
+        assert!(
+            notes(&out).ends_with(&[rebuild_aborted(2, "CoordinatorLost")]),
+            "{out:?}"
+        );
+        assert!(n.rebuild.is_none());
+
+        // Fenced mid-rebuild: the node stands down, and says what it drops.
+        let mut c = meshed(0);
+        refused(&mut c, 2, SimTime::ZERO);
+        let rejected = Msg::Rejected {
+            node: NodeId(0),
+            required_epoch: 1,
+            coordinator: NodeId(1),
+        };
+        let out = c.on_message(NodeId(1), rejected, SimTime::ZERO);
+        assert!(
+            notes(&out).contains(&rebuild_aborted(2, "Fenced")),
+            "{out:?}"
+        );
     }
 
     #[test]
@@ -4003,8 +4411,7 @@ mod tests {
         let parity = spec().code().encode(&refs).remove(0);
         let mut c = meshed(0);
         c.committed = Some((1, Block::from(images[0].clone())));
-        refused_and_confirmed(&mut c, 2, SimTime::ZERO);
-        let mut rebuilt = Vec::new();
+        refused(&mut c, 2, SimTime::ZERO);
         for (holder, kind, data) in [
             (1, BlockKind::Data, images[1].clone()),
             (3, BlockKind::Parity, parity),
@@ -4020,8 +4427,10 @@ mod tests {
                 fence_epoch: 0,
                 blocks,
             };
-            rebuilt.extend(notes(&c.on_message(NodeId(holder), fetched, SimTime::ZERO)));
+            c.on_message(NodeId(holder), fetched, SimTime::ZERO);
         }
+        // Decoded while the suspicion stood, installed by the verdict.
+        let rebuilt = notes(&confirmed(&mut c, SimTime::ZERO));
         assert_eq!(
             bytes(c.custody_block(NodeId(2))),
             Some((1, images[2].clone()))
@@ -4033,26 +4442,12 @@ mod tests {
         };
         assert!(rebuilt.contains(&completed), "{rebuilt:?}");
 
-        let served = |c: &mut NodeCore| {
-            let out = c.on_message(CTL, Msg::DigestReq { node: NodeId(2) }, SimTime::ZERO);
-            match &out[..] {
-                [Action::Send {
-                    msg:
-                        Msg::DigestResp {
-                            digest,
-                            source: DigestSource::Custody,
-                            ..
-                        },
-                    ..
-                }] => *digest,
-                other => panic!("expected a custody digest, got {other:?}"),
-            }
-        };
-        assert_eq!(served(&mut c), block_digest(&images[2]));
+        let custody = |digest| (digest, DigestSource::Custody);
+        assert_eq!(digest_of_2(&mut c), custody(block_digest(&images[2])));
         // Hashed per request, as a node's own block is: the answer is of
         // the bytes held now.
         c.custody.get_mut(&NodeId(2)).expect("in custody").1 = Block::from(vec![0; 64]);
-        assert_eq!(served(&mut c), block_digest(&[0; 64]));
+        assert_eq!(digest_of_2(&mut c), custody(block_digest(&[0; 64])));
     }
 
     #[test]

@@ -10,7 +10,10 @@
 //! redial) well inside the heartbeat timeout, the coordinator rebuilds the victim's committed
 //! block byte-exactly from parity (digest-verified), a degraded round
 //! commits, and the restarted (empty — diskless) process rejoins through
-//! fence/resync with a post-fence epoch. Zero panics, all failures
+//! fence/resync with a post-fence epoch. Then a second data node is
+//! SIGKILLed between rounds, and the coordinator's metrics show its
+//! rebuild ran while the suspicion stood; they are written to the log
+//! directory as `coordinator-metrics.json`. Zero panics, all failures
 //! typed.
 
 use std::fs::File;
@@ -21,10 +24,15 @@ use std::time::{Duration, Instant};
 
 use dvdc::protocol::node_core::{DigestSource, Msg, StatusView, PART_LEN};
 use dvdc_node::{ctl_metrics, ctl_request, ctl_status, format_status};
+use dvdc_observe::MetricsSnapshot;
 use dvdc_vcluster::ids::NodeId;
 
 const N: usize = 5; // k=4 + m=1
 const VICTIM: usize = 2;
+/// Killed between rounds once the first victim is back.
+const SECOND_VICTIM: usize = 3;
+/// The daemons' `--hb-ms`: how long an evidence suspicion stands.
+const HEARTBEAT: Duration = Duration::from_millis(50);
 const CLUSTER_ID: u64 = 99;
 const RPC: Duration = Duration::from_secs(30);
 /// Three whole parts and a ragged fourth: every block crosses the sockets
@@ -105,7 +113,7 @@ fn spawn_node(id: usize, addrs: &[SocketAddr], log_dir: &Path, restarted: bool) 
             "--addrs",
             &addr_list,
             "--hb-ms",
-            "50",
+            &HEARTBEAT.as_millis().to_string(),
             "--timeout-ms",
             "250",
             "--grace-ms",
@@ -304,4 +312,46 @@ fn five_process_cluster_survives_sigkill_and_victim_rejoins() {
     let (final_epoch, _, final_source) = digest(addrs[VICTIM], VICTIM);
     assert_eq!(final_epoch, last);
     assert_eq!(final_source, DigestSource::Committed);
+
+    // A second SIGKILL, between rounds: the coordinator fetches and
+    // decodes while the evidence suspicion stands, and the verdict a
+    // heartbeat interval later installs the block. So the rebuild span
+    // opens at the suspicion and lasts at least the interval, of which
+    // the fetch is only the start.
+    let (pre_epoch, pre_digest, _) = digest(addrs[SECOND_VICTIM], SECOND_VICTIM);
+    assert_eq!(pre_epoch, last);
+    let before = ctl_metrics(addrs[0], RPC).expect("coordinator metrics");
+    cluster.kill(SECOND_VICTIM);
+    poll_status(
+        addrs[0],
+        "custody of the second victim",
+        Duration::from_secs(30),
+        |v| v.custody.contains(&NodeId(SECOND_VICTIM)),
+    );
+    assert_eq!(
+        digest(addrs[0], SECOND_VICTIM),
+        (pre_epoch, pre_digest, DigestSource::Custody)
+    );
+    let after = ctl_metrics(addrs[0], RPC).expect("coordinator metrics");
+    let path = log_dir.join("coordinator-metrics.json");
+    std::fs::write(&path, after.to_json()).expect("write the coordinator's metrics");
+    let counted = |name: &str| {
+        let count = |m: &MetricsSnapshot| m.counter(name).unwrap_or(0);
+        count(&after) - count(&before)
+    };
+    assert_eq!(counted("faults.detector.confirmed_by_evidence"), 1);
+    assert_eq!(counted("node.rebuilds_completed"), 1);
+    let spent = |name: &str| {
+        let sum = |m: &MetricsSnapshot| m.histogram(name).map_or(0, |h| h.sum);
+        Duration::from_nanos(sum(&after) - sum(&before))
+    };
+    let (total, fetch) = (
+        spent("node.rebuild_total_ns"),
+        spent("node.rebuild_fetch_ns"),
+    );
+    assert!(
+        total >= HEARTBEAT,
+        "rebuild span {total:?}, fetch {fetch:?}"
+    );
+    assert!(fetch < total, "rebuild span {total:?}, fetch {fetch:?}");
 }

@@ -14,7 +14,8 @@
 
 use crate::code::{validate_delta, validate_shards, CodeError, ErasureCode};
 use crate::gf256::{MulTable, Tables};
-use std::sync::OnceLock;
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// Bytes per cache block in the encode fold: the source block plus the
 /// `m` parity blocks it feeds stay resident in L1/L2 while every
@@ -48,6 +49,13 @@ pub struct ReedSolomon {
     k: usize,
     m: usize,
     tables: &'static Tables,
+    generator: Arc<Generator>,
+}
+
+/// The parity generator of one `(k, m)`, built once per process and
+/// shared by every code of that geometry.
+#[derive(Debug)]
+struct Generator {
     /// `m × k` parity generator rows (systematic part omitted).
     parity_rows: Vec<Vec<u8>>,
     /// Materialised product rows, one per generator coefficient — the
@@ -55,23 +63,18 @@ pub struct ReedSolomon {
     row_tables: Vec<Vec<MulTable>>,
 }
 
-impl ReedSolomon {
-    /// Creates a code with `k` data and `m` parity shards. Parity row 0 is
-    /// all ones: parity 0 is the XOR of the data.
-    ///
-    /// The GF(2⁸) log/exp tables are shared process-wide
-    /// ([`Tables::shared`]); only the `m × k` generator product rows are
-    /// built per instance.
-    ///
-    /// # Panics
-    /// Panics if `k == 0`, `m == 0`, or `k + m > MAX_SHARDS`.
-    pub fn new(k: usize, m: usize) -> Self {
-        assert!(k > 0, "need at least one data shard");
-        assert!(m > 0, "need at least one parity shard");
-        assert!(
-            k + m <= MAX_SHARDS,
-            "GF(256) supports at most {MAX_SHARDS} total shards"
-        );
+impl Generator {
+    /// The generator of `(k, m)`, built by the first caller that asks.
+    fn shared(k: usize, m: usize) -> Arc<Generator> {
+        type Built = Mutex<BTreeMap<(usize, usize), Arc<Generator>>>;
+        static BUILT: OnceLock<Built> = OnceLock::new();
+        let built = BUILT.get_or_init(Built::default);
+        let mut built = built.lock().unwrap_or_else(PoisonError::into_inner);
+        let generator = built.entry((k, m)).or_insert_with(|| Generator::new(k, m));
+        Arc::clone(generator)
+    }
+
+    fn new(k: usize, m: usize) -> Arc<Generator> {
         let tables = Tables::shared();
 
         // Vandermonde: V[i][j] = i^j for i in 0..k+m (distinct points).
@@ -126,18 +129,42 @@ impl ReedSolomon {
             .iter()
             .map(|row| row.iter().map(|&c| MulTable::new(tables, c)).collect())
             .collect();
+        Arc::new(Generator {
+            parity_rows,
+            row_tables,
+        })
+    }
+}
+
+impl ReedSolomon {
+    /// Creates a code with `k` data and `m` parity shards. Parity row 0 is
+    /// all ones: parity 0 is the XOR of the data.
+    ///
+    /// The GF(2⁸) log/exp tables are shared process-wide
+    /// ([`Tables::shared`]), and so are the `m × k` generator product
+    /// rows of each `(k, m)`: only the first code of a geometry builds
+    /// them.
+    ///
+    /// # Panics
+    /// Panics if `k == 0`, `m == 0`, or `k + m > MAX_SHARDS`.
+    pub fn new(k: usize, m: usize) -> Self {
+        assert!(k > 0, "need at least one data shard");
+        assert!(m > 0, "need at least one parity shard");
+        assert!(
+            k + m <= MAX_SHARDS,
+            "GF(256) supports at most {MAX_SHARDS} total shards"
+        );
         ReedSolomon {
             k,
             m,
-            tables,
-            parity_rows,
-            row_tables,
+            tables: Tables::shared(),
+            generator: Generator::shared(k, m),
         }
     }
 
     /// The parity generator coefficient for parity row `r`, data column `c`.
     pub fn coefficient(&self, r: usize, c: usize) -> u8 {
-        self.parity_rows[r][c]
+        self.generator.parity_rows[r][c]
     }
 
     /// The process-wide GF(2⁸) tables this instance borrows — every
@@ -156,7 +183,7 @@ impl ReedSolomon {
         let mut a: Vec<Vec<u8>> = (survivors.iter())
             .map(|&i| match i < k {
                 true => unit(i),
-                false => self.parity_rows[i - k].clone(),
+                false => self.generator.parity_rows[i - k].clone(),
             })
             .collect();
         let mut inverse: Vec<Vec<u8>> = (0..k).map(unit).collect();
@@ -243,10 +270,15 @@ impl ErasureCode for ReedSolomon {
         );
         // A fold of ones is XOR, which is memory-bound: it runs on the
         // caller's thread at every size, as `xor` says.
-        let ones = self.row_tables.iter().flatten().all(|t| t.coeff() == 1);
+        let ones = self
+            .generator
+            .row_tables
+            .iter()
+            .flatten()
+            .all(|t| t.coeff() == 1);
         let workers = encode_workers().min(len / MIN_ENCODE_CHUNK);
         if ones || workers <= 1 {
-            return folded(&self.row_tables, data, len);
+            return folded(&self.generator.row_tables, data, len);
         }
         let mut outs: Vec<Vec<u8>> = (0..self.m).map(|_| vec![0u8; len]).collect();
         // Parallel per-group fold: split the byte range into one
@@ -264,7 +296,7 @@ impl ErasureCode for ReedSolomon {
                 }
                 scope.spawn(move || {
                     let mut group = group;
-                    fold(&self.row_tables, data, &mut group, start);
+                    fold(&self.generator.row_tables, data, &mut group, start);
                 });
                 start += chunk;
             }
@@ -307,7 +339,7 @@ impl ErasureCode for ReedSolomon {
         // Then each lost parity shard is its generator row over the data.
         if !lost_parity.is_empty() {
             let rows: Vec<&[MulTable]> = (lost_parity.iter())
-                .map(|&p| &self.row_tables[p - k][..])
+                .map(|&p| &self.generator.row_tables[p - k][..])
                 .collect();
             let data: Vec<&[u8]> = (shards[..k].iter())
                 .map(|s| s.as_deref().expect("data whole"))
@@ -342,7 +374,7 @@ impl ErasureCode for ReedSolomon {
         // accumulates positionally: P_r' = P_r ⊕ coeff·(old ⊕ new). Row
         // 0's coefficients are 1, which `mul_acc` folds as plain XOR.
         let dst = &mut parity[offset..offset + delta.len()];
-        self.row_tables[parity_index][data_index].mul_acc(dst, delta);
+        self.generator.row_tables[parity_index][data_index].mul_acc(dst, delta);
     }
 }
 
@@ -455,6 +487,15 @@ mod tests {
             std::ptr::eq(a.tables(), b.tables()),
             "each ReedSolomon rebuilt its own GF(256) tables"
         );
+    }
+
+    #[test]
+    fn codes_of_one_geometry_share_one_generator() {
+        let a = ReedSolomon::new(3, 1);
+        let b = ReedSolomon::new(3, 1);
+        let c = ReedSolomon::new(3, 2);
+        assert!(Arc::ptr_eq(&a.generator, &b.generator));
+        assert!(!Arc::ptr_eq(&a.generator, &c.generator));
     }
 
     #[test]
