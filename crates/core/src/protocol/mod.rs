@@ -24,6 +24,7 @@
 
 pub mod block;
 mod dvdc_proto;
+mod group_core;
 pub mod harness;
 pub mod node_core;
 mod phased;

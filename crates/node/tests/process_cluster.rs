@@ -11,9 +11,9 @@
 //! block byte-exactly from parity (digest-verified), a degraded round
 //! commits, and the restarted (empty — diskless) process rejoins through
 //! fence/resync with a post-fence epoch. Then a second data node is
-//! SIGKILLed between rounds, and the coordinator's metrics show its
-//! rebuild ran while the suspicion stood; they are written to the log
-//! directory as `coordinator-metrics.json`. Zero panics, all failures
+//! SIGKILLed between rounds, and the coordinator's trace shows its
+//! rebuild opened while the suspicion stood; its metrics are written to
+//! the log directory as `coordinator-metrics.json`. Zero panics, all failures
 //! typed.
 
 use std::fs::File;
@@ -23,8 +23,8 @@ use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use dvdc::protocol::node_core::{DigestSource, Msg, StatusView, PART_LEN};
-use dvdc_node::{ctl_metrics, ctl_request, ctl_status, format_status};
-use dvdc_observe::MetricsSnapshot;
+use dvdc_node::{ctl_metrics, ctl_request, ctl_status, ctl_trace_tail, format_status};
+use dvdc_observe::{Event, MetricsSnapshot};
 use dvdc_vcluster::ids::NodeId;
 
 const N: usize = 5; // k=4 + m=1
@@ -316,8 +316,7 @@ fn five_process_cluster_survives_sigkill_and_victim_rejoins() {
     // A second SIGKILL, between rounds: the coordinator fetches and
     // decodes while the evidence suspicion stands, and the verdict a
     // heartbeat interval later installs the block. So the rebuild span
-    // opens at the suspicion and lasts at least the interval, of which
-    // the fetch is only the start.
+    // opens at the suspicion and lasts at least the interval.
     let (pre_epoch, pre_digest, _) = digest(addrs[SECOND_VICTIM], SECOND_VICTIM);
     assert_eq!(pre_epoch, last);
     let before = ctl_metrics(addrs[0], RPC).expect("coordinator metrics");
@@ -345,13 +344,23 @@ fn five_process_cluster_survives_sigkill_and_victim_rejoins() {
         let sum = |m: &MetricsSnapshot| m.histogram(name).map_or(0, |h| h.sum);
         Duration::from_nanos(sum(&after) - sum(&before))
     };
-    let (total, fetch) = (
-        spent("node.rebuild_total_ns"),
-        spent("node.rebuild_fetch_ns"),
-    );
+    let total = spent("node.rebuild_total_ns");
+    assert!(total >= HEARTBEAT, "rebuild span {total:?}");
+    // The rebuild opened at the suspicion: the coordinator's trace has its
+    // `RebuildBegin` after the second victim's `Suspected` and before its
+    // `Confirmed`, whatever the fetch took.
+    let tail = ctl_trace_tail(addrs[0], 0, RPC).expect("coordinator trace tail");
+    let victim = SECOND_VICTIM;
+    let seq = |want: &dyn Fn(&Event) -> bool| {
+        let hit = tail.events.iter().rev().find(|e| want(&e.event));
+        hit.unwrap_or_else(|| panic!("missing in {:?}", tail.events))
+            .seq
+    };
+    let suspected = seq(&|e| matches!(e, Event::Suspected { node } if *node == victim));
+    let begun = seq(&|e| matches!(e, Event::RebuildBegin { victim: v, .. } if *v == victim));
+    let confirmed = seq(&|e| matches!(e, Event::Confirmed { node } if *node == victim));
     assert!(
-        total >= HEARTBEAT,
-        "rebuild span {total:?}, fetch {fetch:?}"
+        suspected < begun && begun < confirmed,
+        "Suspected #{suspected}, RebuildBegin #{begun}, Confirmed #{confirmed}"
     );
-    assert!(fetch < total, "rebuild span {total:?}, fetch {fetch:?}");
 }
