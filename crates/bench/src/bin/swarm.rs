@@ -2,7 +2,10 @@
 //! workload × fault-domain matrix of the model, and the same seeds across
 //! the layouts, plans and restart delays of the daemon's `NodeCore`s on
 //! the harness; print per-intensity outcome counts and a repro line for
-//! every failure, and write both sweeps to `bench_results/swarm.json`.
+//! every failure, and write both sweeps as JSON: to the committed
+//! `bench_results/swarm.json` for the configuration it records (36 seeds
+//! from 1, quick, 4 rounds), to `target/swarm-<seeds>-<intensities>.json`
+//! for any other.
 //!
 //! Knobs (all env, all optional):
 //!
@@ -22,7 +25,7 @@
 use std::process::ExitCode;
 
 use dvdc_bench::swarm::{run_swarm, CellStatus, Subject, SwarmConfig, SwarmSummary};
-use dvdc_bench::{render_table, write_json};
+use dvdc_bench::{render_table, write_json, write_json_in};
 use dvdc_faults::buggify::{self, Intensity};
 
 fn env_u64(name: &str, default: u64) -> u64 {
@@ -85,7 +88,15 @@ fn main() -> ExitCode {
     print_summary(&sweeps.matrix, &cfg);
     println!("\nNodeCore on the harness, layout x plan x restart delay");
     print_summary(&sweeps.core, &cfg);
-    write_json("swarm", &sweeps);
+    let names: Vec<&str> = cfg.intensities.iter().map(|i| i.name()).collect();
+    let committed = (cfg.base_seed, cfg.seeds, cfg.rounds) == (1, 36, 4) && names == ["quick"];
+    match committed && repro_seed.is_none() {
+        true => write_json("swarm", &sweeps),
+        false => {
+            let name = format!("swarm-{}-{}", cfg.seeds, names.join("-"));
+            write_json_in("target", &name, &sweeps)
+        }
+    }
     let (cells, failed) = (
         sweeps.matrix.cells + sweeps.core.cells,
         sweeps.matrix.failed + sweeps.core.failed,

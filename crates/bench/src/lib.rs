@@ -114,7 +114,13 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
 /// (`bench_results/<name>.json`). Failures to write are reported but not
 /// fatal — the stdout table is the primary artifact.
 pub fn write_json<T: Serialize>(name: &str, value: &T) {
-    let dir = results_dir();
+    write_json_in("bench_results", name, value);
+}
+
+/// [`write_json`] into the workspace directory `dir` instead, as
+/// `<dir>/<name>.json`: `target` for a run whose record is not committed.
+pub fn write_json_in<T: Serialize>(dir: &str, name: &str, value: &T) {
+    let dir = workspace_dir(dir);
     if let Err(e) = fs::create_dir_all(&dir) {
         eprintln!("warn: cannot create {}: {e}", dir.display());
         return;
@@ -132,14 +138,14 @@ pub fn write_json<T: Serialize>(name: &str, value: &T) {
     }
 }
 
-/// Where experiment JSON lands: `$CARGO_MANIFEST_DIR/../../bench_results`
-/// (the workspace root) or `./bench_results` as a fallback.
-fn results_dir() -> PathBuf {
+/// `$CARGO_MANIFEST_DIR/../../<dir>` (under the workspace root), or
+/// `./<dir>` as a fallback.
+fn workspace_dir(dir: &str) -> PathBuf {
     let manifest = std::env::var("CARGO_MANIFEST_DIR").unwrap_or_else(|_| ".".into());
     let mut p = PathBuf::from(manifest);
     p.pop();
     p.pop();
-    p.push("bench_results");
+    p.push(dir);
     p
 }
 

@@ -146,17 +146,20 @@ fn core_schedule(seed: u64, horizon: Duration) -> Box<dyn FaultSchedule> {
 }
 
 /// One core cell: a meshed cluster with one round committed, then `rounds`
-/// checkpoints requested 100 ms apart of whoever coordinates while the plan
-/// strikes, then time to settle. A cell that lost nothing must end whole:
-/// every member back and meshed, a full-strength round committing, and the
-/// parity that round left behind the parity of the images it left behind.
-/// Anything else is the error.
+/// checkpoints requested of whoever coordinates while the plan strikes,
+/// then time to settle. Request `i` is due 100 ms × `i` after the first
+/// commit, or at once if the one before returned later, so how long a
+/// rebuild or a round takes shifts no later request. A cell that lost
+/// nothing must end whole: every member back and meshed, a full-strength
+/// round committing, and the parity that round left behind the parity of
+/// the images it left behind. Anything else is the error. Besides the
+/// report, the requests refused because a rebuild was in flight.
 fn core_cell(
     spec: ClusterSpec,
     seed: u64,
     rounds: u64,
     registry: Rc<FaultRegistry>,
-) -> Result<ScenarioReport, String> {
+) -> Result<(ScenarioReport, u64), String> {
     let (k, m) = (spec.data_nodes, spec.parity_nodes);
     let gap = Duration::from_millis(100.0);
     let horizon = gap * rounds as f64;
@@ -177,13 +180,18 @@ fn core_cell(
         h.notes().iter().filter(|(.., note)| pred(note)).count() as u64
     };
     let started = |h: &Harness| count(h, |n| matches!(n, Note::RoundStarted { .. }));
-    for _ in 0..rounds {
-        h.run_for(gap);
+    let (first, mut rebuilding) = (h.now(), 0);
+    for i in 1..=rounds {
+        let due = first + gap * i as f64;
+        if h.now() < due {
+            h.run_for(due.since(h.now()));
+        }
         let before = started(&h);
         let coordinator = h.live().next().map(|n| n.id().index());
         match coordinator.map(|c| h.checkpoint(c, 500.0)) {
             Some(Ok(_)) => report.rounds_committed += 1,
             Some(Err(_)) if started(&h) > before => report.rollbacks += 1,
+            Some(Err(e)) if e.contains("a rebuild is in flight") => rebuilding += 1,
             _ => report.rounds_skipped += 1,
         }
     }
@@ -191,7 +199,7 @@ fn core_cell(
     report.data_loss = count(&h, |n| matches!(n, Note::DataLoss { .. }));
     report.end = h.now();
     if report.data_loss > 0 {
-        return Ok(report);
+        return Ok((report, rebuilding));
     }
 
     if h.live().count() < k + m || !h.fully_meshed() {
@@ -211,7 +219,7 @@ fn core_cell(
         .collect::<Result<_, _>>()?;
     let images: Vec<&[u8]> = blocks[..k].iter().map(Vec::as_slice).collect();
     match spec.code().encode(&images) == blocks[k..] {
-        true => Ok(report),
+        true => Ok((report, rebuilding)),
         false => Err(format!(
             "epoch {epoch}'s parity is not parity of its images"
         )),
@@ -286,6 +294,8 @@ pub struct CellOutcome {
     pub rounds_committed: u64,
     /// Rounds aborted by a confirmed mid-round failure.
     pub rollbacks: u64,
+    /// Core cells: requests refused because a rebuild was in flight.
+    pub rebuild_refusals: u64,
     /// Typed data-loss events.
     pub data_loss: u64,
     /// Fault points that fired, with counts folded in.
@@ -359,7 +369,8 @@ impl SwarmSummary {
 
 /// What one raw cell run produced, before shrinking.
 struct RawRun {
-    report: Option<ScenarioReport>,
+    /// The report, and the requests refused while a rebuild was in flight.
+    report: Option<(ScenarioReport, u64)>,
     failure: Option<(String, String)>, // (kind, detail)
     fired_points: Vec<&'static str>,
     fired: u64,
@@ -436,7 +447,9 @@ fn run_raw(
         let (k, m) = CORE_LAYOUTS[(seed % 4) as usize];
         let spec = ClusterSpec::drill(k, m);
         let result = match subject {
-            Subject::Model => model_cell(seed, rounds, run_registry.clone(), run_audit),
+            Subject::Model => {
+                model_cell(seed, rounds, run_registry.clone(), run_audit).map(|r| (r, 0))
+            }
             Subject::Core => core_cell(spec, seed, rounds, run_registry.clone()),
             Subject::CoreInParts => {
                 let image_len = 3 * PART_LEN + 4_099;
@@ -534,6 +547,7 @@ fn run_cell_poisoned(
         status: CellStatus::Committed,
         rounds_committed: 0,
         rollbacks: 0,
+        rebuild_refusals: 0,
         data_loss: 0,
         fired_points: raw.fired_points.iter().map(|p| p.to_string()).collect(),
         fired: raw.fired,
@@ -541,13 +555,15 @@ fn run_cell_poisoned(
         failure: None,
     };
     match (&raw.report, &raw.failure) {
-        (Some(report), None) => {
+        (Some((report, rebuilding)), None) => {
             outcome.rounds_committed = report.rounds_committed;
             outcome.rollbacks = report.rollbacks;
+            outcome.rebuild_refusals = *rebuilding;
             outcome.data_loss = report.data_loss;
+            let skipped = report.rounds_skipped + rebuilding;
             outcome.status = if report.data_loss > 0 {
                 CellStatus::DataLoss
-            } else if report.rollbacks > 0 || report.rounds_skipped > 0 {
+            } else if report.rollbacks > 0 || skipped > 0 {
                 CellStatus::Degraded
             } else {
                 CellStatus::Committed

@@ -2,7 +2,7 @@
 //!
 //! Every block a [`NodeCore`](super::NodeCore) holds — its live image, its
 //! committed block, a holder's staged shard, a custody block, a rebuild's
-//! fetched slots — is a [`Block`]: a vector of reference-counted pages of
+//! accumulator — is a [`Block`]: a vector of reference-counted pages of
 //! [`PART_LEN`] bytes, the last one shorter. A page is the part a block
 //! travels in, so a capture hands a holder the live block's own pages and
 //! copies only the last. What shares a page never sees it change: a write goes
@@ -73,13 +73,6 @@ impl Block {
             h.update(page);
         }
         h.finish()
-    }
-
-    /// The block whose pages are `pages`, each but the last [`PART_LEN`]
-    /// bytes long.
-    pub(crate) fn from_pages(pages: Vec<Page>) -> Block {
-        debug_assert!(pages.iter().rev().skip(1).all(|p| p.len() == PART_LEN));
-        Block { pages }
     }
 
     /// The pages, given up.

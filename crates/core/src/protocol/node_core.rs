@@ -130,9 +130,9 @@ pub enum DigestSource {
     Missing,
 }
 
-/// One part of a block in a rebuild answer ([`Msg::FetchPart`],
-/// [`Msg::FetchBlocks`]): bytes of the committed state of slot `holder`
-/// at `epoch`.
+/// The last part of a block in a rebuild answer ([`Msg::FetchBlocks`]):
+/// bytes of the committed state of slot `holder` at `epoch`. Every other
+/// part travels in a [`Msg::FetchPart`] with these fields and a page.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BlockInfo {
     /// The node whose erasure-group slot this block fills (not
@@ -300,7 +300,8 @@ pub enum Msg {
     },
     /// One part of a block in a survivor's rebuild contribution, other
     /// than the block's last, which travels in the closing
-    /// [`Msg::FetchBlocks`].
+    /// [`Msg::FetchBlocks`]. Its fields after `offset` are a
+    /// [`BlockInfo`]'s, in its order, on the wire too.
     FetchPart {
         /// The responding node.
         node: NodeId,
@@ -308,8 +309,15 @@ pub enum Msg {
         fence_epoch: u64,
         /// Where in the block the part begins, a multiple of [`PART_LEN`].
         offset: u64,
-        /// The part, tagged with its block's slot and epoch.
-        part: BlockInfo,
+        /// The slot whose block the part is of (see [`BlockInfo::holder`]).
+        holder: NodeId,
+        /// Data image or parity shard.
+        kind: BlockKind,
+        /// The committed epoch the block belongs to.
+        epoch: u64,
+        /// The part's [`PART_LEN`] bytes: a page of the sender's committed
+        /// block, shared with it, not copied.
+        data: Page,
     },
     /// Closes a survivor's rebuild contribution — its own committed block
     /// plus any custody blocks it holds — with the last part of each, its
@@ -1477,18 +1485,21 @@ impl NodeCore {
                 node,
                 fence_epoch,
                 offset,
-                part,
+                holder,
+                epoch,
+                data,
+                ..
             } => {
-                let parts = [(Some(offset), part)];
-                group.on_fetched(m, (node, fence_epoch), parts, false, &mut out)
+                let parts = [(Some(offset), (holder, epoch), &data[..])];
+                group.on_fetched(m, (node, fence_epoch), parts, (false, now), &mut out)
             }
             Msg::FetchBlocks {
                 node,
                 fence_epoch,
                 blocks,
             } => {
-                let last = blocks.into_iter().map(|b| (None, b));
-                group.on_fetched(m, (node, fence_epoch), last, true, &mut out)
+                let last = (blocks.iter()).map(|b| (None, (b.holder, b.epoch), &b.data[..]));
+                group.on_fetched(m, (node, fence_epoch), last, (true, now), &mut out)
             }
             Msg::ResyncReq { node } => self.on_resync_req(node, now, &mut out),
             Msg::ResyncState {
@@ -2065,13 +2076,8 @@ mod tests {
     /// Survivor `node`'s answer to a `FetchReq`: slot `holder`'s `block` of
     /// `epoch` as `FetchPart`s, then the `FetchBlocks` that closes it.
     fn answer(node: usize, holder: usize, epoch: u64, block: &[u8]) -> Vec<Msg> {
-        let tag = |data: &[u8]| BlockInfo {
-            holder: NodeId(holder),
-            kind: ragged(1).kind_of(NodeId(holder)),
-            epoch,
-            data: data.to_vec(),
-        };
-        let node = NodeId(node);
+        let (node, holder) = (NodeId(node), NodeId(holder));
+        let kind = ragged(1).kind_of(holder);
         let mut chunks: Vec<&[u8]> = block.chunks(PART_LEN).collect();
         let last = chunks.pop().expect("a block has a last part");
         let mut msgs: Vec<Msg> = (chunks.into_iter().enumerate())
@@ -2079,13 +2085,22 @@ mod tests {
                 node,
                 fence_epoch: 0,
                 offset: (i * PART_LEN) as u64,
-                part: tag(data),
+                holder,
+                kind,
+                epoch,
+                data: data.to_vec().into(),
             })
             .collect();
+        let data = last.to_vec();
         msgs.push(Msg::FetchBlocks {
             node,
             fence_epoch: 0,
-            blocks: vec![tag(last)],
+            blocks: vec![BlockInfo {
+                holder,
+                kind,
+                epoch,
+                data,
+            }],
         });
         msgs
     }
@@ -2296,12 +2311,19 @@ mod tests {
             let s = ragged(m);
             let blocks = group_blocks(&s);
             let mut c = rebuilding(&s, &blocks[0], 2);
+            let mut asked = Vec::new();
             for node in [1, 3, 4, 5].into_iter().filter(|n| *n < s.total()) {
                 for (n, msg) in answer(node, node, 1, &blocks[node]).into_iter().enumerate() {
                     // Slot 1's answer is short of its second part.
                     if (node, n) != (1, 1) {
-                        c.on_message(NodeId(node), msg, SimTime::ZERO);
+                        asked = c.on_message(NodeId(node), msg, SimTime::ZERO);
                     }
+                }
+            }
+            // The fold read slot 1: the slots read instead are fetched anew.
+            for node in sent_to(&asked, is_fetch) {
+                for msg in answer(node.index(), node.index(), 1, &blocks[node.index()]) {
+                    c.on_message(node, msg, SimTime::ZERO);
                 }
             }
             match m {
@@ -2388,7 +2410,10 @@ mod tests {
                 node: NodeId(1),
                 fence_epoch: 0,
                 offset,
-                part,
+                holder: part.holder,
+                kind: part.kind,
+                epoch: part.epoch,
+                data: part.data.into(),
             };
             let out = c.on_message(NodeId(1), msg, SimTime::ZERO);
             assert!(dropped(&out, 1, "no part"), "{offset} {n}: {out:?}");

@@ -14,7 +14,9 @@
 //! SIGKILLed between rounds, and the coordinator's trace shows its
 //! rebuild opened while the suspicion stood; its metrics are written to
 //! the log directory as `coordinator-metrics.json`. Zero panics, all failures
-//! typed.
+//! typed. Each daemon's peak resident set (`VmHWM`), read before each
+//! SIGKILL and at the end, is written there as `daemon-peaks.json`: a
+//! report of which daemon sets the cluster's peak, not an assertion.
 
 use std::fs::File;
 use std::net::{SocketAddr, TcpListener};
@@ -44,15 +46,39 @@ const IMAGE_LEN: usize = 3 * PART_LEN + 4_099;
 struct ClusterGuard {
     children: Vec<Option<Child>>,
     log_dir: PathBuf,
+    /// Each daemon's `VmHWM` in kB, one reading per incarnation ended.
+    peaks: Vec<Vec<u64>>,
+}
+
+/// The peak resident set of process `pid` in kB, from `/proc`.
+fn vm_hwm(pid: u32) -> Option<u64> {
+    let status = std::fs::read_to_string(format!("/proc/{pid}/status")).ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    line.split_whitespace().nth(1)?.parse().ok()
 }
 
 impl ClusterGuard {
     fn kill(&mut self, id: usize) {
         if let Some(child) = self.children[id].as_mut() {
+            self.peaks[id].extend(vm_hwm(child.id()));
             child.kill().expect("SIGKILL");
             child.wait().expect("reap");
         }
         self.children[id] = None;
+    }
+
+    /// Reads every running daemon's `VmHWM` and writes all readings to
+    /// `daemon-peaks.json`: per daemon, one per incarnation, in kB.
+    fn write_peaks(&mut self) {
+        for (child, peaks) in self.children.iter().zip(&mut self.peaks) {
+            peaks.extend(child.as_ref().and_then(|c| vm_hwm(c.id())));
+        }
+        let daemons: Vec<String> = (self.peaks.iter().enumerate())
+            .map(|(id, kb)| format!("{{\"id\": {id}, \"vm_hwm_kb\": {kb:?}}}"))
+            .collect();
+        let json = format!("{{\"daemons\": [{}]}}\n", daemons.join(", "));
+        let path = self.log_dir.join("daemon-peaks.json");
+        std::fs::write(&path, json).expect("write the daemons' peaks");
     }
 }
 
@@ -200,6 +226,7 @@ fn five_process_cluster_survives_sigkill_and_victim_rejoins() {
             .map(|id| Some(spawn_node(id, &addrs, &log_dir, false)))
             .collect(),
         log_dir: log_dir.clone(),
+        peaks: vec![Vec::new(); N],
     };
 
     // Mesh formation, checked through the real dvdc-ctl binary.
@@ -363,4 +390,5 @@ fn five_process_cluster_survives_sigkill_and_victim_rejoins() {
         suspected < begun && begun < confirmed,
         "Suspected #{suspected}, RebuildBegin #{begun}, Confirmed #{confirmed}"
     );
+    cluster.write_peaks();
 }

@@ -249,8 +249,9 @@ impl ReedSolomon {
 }
 
 /// A decode worked out once for one set of present shards, to apply to
-/// every stripe that shares it: a block stored as pages is planned once
-/// and decoded page by page.
+/// every stripe that shares it, one source at a time: a block stored as
+/// pages is planned once, and each page of each shard read is folded into
+/// the wanted shards' pages as it comes, in any order.
 #[derive(Debug)]
 pub struct Plan {
     /// How many of the present shards, from the first, are read.
@@ -260,12 +261,12 @@ pub struct Plan {
 }
 
 impl Plan {
-    /// The wanted shards of one stripe, in the order the plan was asked
-    /// for, from `present`: the stripe's bytes of each present shard, in
-    /// the order of the list the plan was made for.
-    pub fn apply(&self, present: &[&[u8]]) -> Vec<Vec<u8>> {
-        let src = &present[..self.reads];
-        folded(&self.rows, src, src[0].len())
+    /// Folds `src`, bytes of the `r`-th shard read, into the same bytes of
+    /// the `w`-th wanted shard: `out ^= c · src`, where `c` is that read
+    /// shard's coefficient in the wanted one's row. A wanted shard is the
+    /// fold of every shard read into zeros.
+    pub fn fold(&self, w: usize, r: usize, out: &mut [u8], src: &[u8]) {
+        self.rows[w][r].mul_acc(out, src);
     }
 }
 
@@ -366,10 +367,16 @@ impl ErasureCode for ReedSolomon {
         let (present, lost): (Vec<usize>, Vec<usize>) =
             (0..shards.len()).partition(|&i| shards[i].is_some());
         let plan = self.plan(&present, &lost)?;
-        let stripe: Vec<&[u8]> = (present.iter())
-            .map(|&i| shards[i].as_deref().expect("present"))
+        let read = |r: usize| shards[present[r]].as_deref().expect("present");
+        let rebuilt: Vec<Vec<u8>> = (0..lost.len())
+            .map(|w| {
+                let mut out = vec![0u8; read(0).len()];
+                for r in 0..plan.reads {
+                    plan.fold(w, r, &mut out, read(r));
+                }
+                out
+            })
             .collect();
-        let rebuilt = plan.apply(&stripe);
         for (w, shard) in lost.into_iter().zip(rebuilt) {
             shards[w] = Some(shard);
         }
@@ -459,12 +466,15 @@ mod tests {
                 }
                 let plan = planned.expect("within tolerance");
                 code.reconstruct(&mut shards).unwrap();
+                // Page by page, each source's pages folded in reverse.
                 let mut paged = vec![Vec::new(); lost.len()];
                 for at in (0..whole[0].len()).step_by(PAGE) {
-                    let stripe: Vec<&[u8]> = (present.iter())
-                        .map(|&i| &whole[i][at..(at + PAGE).min(whole[i].len())])
-                        .collect();
-                    for (out, page) in paged.iter_mut().zip(plan.apply(&stripe)) {
+                    let end = (at + PAGE).min(whole[0].len());
+                    for (w, out) in paged.iter_mut().enumerate() {
+                        let mut page = vec![0u8; end - at];
+                        for (r, &i) in present[..plan.reads].iter().enumerate().rev() {
+                            plan.fold(w, r, &mut page, &whole[i][at..end]);
+                        }
                         out.extend(page);
                     }
                 }

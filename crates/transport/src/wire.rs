@@ -488,7 +488,7 @@ wire_enum! { Msg, WireError::UnknownTag;
     30 => TraceTailReq { max },
     31 => TraceTailResp { node, now, dropped, events },
     32 => PayloadPart { epoch, source, fence_epoch, offset, data },
-    33 => FetchPart { node, fence_epoch, offset, part },
+    33 => FetchPart { node, fence_epoch, offset, holder, kind, epoch, data },
 }
 
 // A tag space of its own, independent of `Msg`'s.
@@ -836,12 +836,10 @@ mod tests {
                 node: NodeId(0),
                 fence_epoch: 2,
                 offset: 2 << 18,
-                part: BlockInfo {
-                    holder: NodeId(1),
-                    kind: BlockKind::Data,
-                    epoch: 5,
-                    data: vec![8u8; 16],
-                },
+                holder: NodeId(1),
+                kind: BlockKind::Data,
+                epoch: 5,
+                data: vec![8u8; 16].into(),
             },
         ]
     }

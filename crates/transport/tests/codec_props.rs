@@ -94,11 +94,11 @@ proptest! {
         // The codec carries any offset; what fits an image is the
         // receiving core's to judge.
         let (source, fence_epoch) = (NodeId(source), fence);
-        let part = BlockInfo { holder: source, kind: BlockKind::Parity, epoch, data: data.clone() };
+        let (node, kind) = (NodeId(sender), BlockKind::Parity);
         let msgs = [
             Msg::Payload { epoch, source, fence_epoch, data: data.clone() },
-            Msg::PayloadPart { epoch, source, fence_epoch, offset, data: data.into() },
-            Msg::FetchPart { node: NodeId(sender), fence_epoch, offset, part },
+            Msg::PayloadPart { epoch, source, fence_epoch, offset, data: data.clone().into() },
+            Msg::FetchPart { node, fence_epoch, offset, holder: source, kind, epoch, data: data.into() },
         ];
         for msg in msgs {
             let bytes = encode_envelope(NodeId(sender), &msg);
