@@ -4,8 +4,8 @@
 //! committed block, a holder's staged shard, a custody block, a rebuild's
 //! accumulator — is a [`Block`]: a vector of reference-counted pages of
 //! [`PART_LEN`] bytes, the last one shorter. A page is the part a block
-//! travels in, so a capture hands a holder the live block's own pages and
-//! copies only the last. What shares a page never sees it change: a write goes
+//! travels in, so a capture hands a holder the live block's own pages, or
+//! its term's, and copies none. What shares a page never sees it change: a write goes
 //! through [`Arc::make_mut`], which copies a page somebody else still holds
 //! before it writes, and a recycled page is reused only when
 //! [`Arc::get_mut`] shows nobody else holds it.

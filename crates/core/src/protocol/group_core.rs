@@ -11,6 +11,14 @@
 //! decode follows (the newest epoch of which `k` slots are whole, its
 //! first `k` slots) reads other slots than the plan did, those are
 //! fetched anew into a fold planned for them.
+//!
+//! A holder folds by XOR alone. Row 0 of the code is all ones, so its
+//! holder folds each source's live pages as they come; the term a row
+//! `j ≥ 1` holder needs, `c_{j,i}·D_i`, is made by source `i` itself in
+//! the capture window, once the guest's write is paid and before the
+//! capture is due, and the capture ships that holder the term in place of
+//! the image. The `k`-to-1 multiply at one holder becomes one multiply per
+//! row at each source, in time the source would spend idle.
 
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
@@ -19,6 +27,7 @@ use std::sync::Arc;
 use dvdc_faults::detector::Verdict;
 use dvdc_parity::code::ErasureCode;
 use dvdc_parity::rs::{Plan, ReedSolomon};
+use dvdc_parity::xor::xor_into;
 use dvdc_simcore::time::SimTime;
 use dvdc_vcluster::ids::NodeId;
 
@@ -171,8 +180,17 @@ pub(super) struct GroupCore {
     pub(super) held: BTreeMap<NodeId, (u64, Block)>,
     /// Live VM image (data slots only). A data slot has none while it
     /// owes the write of a commit that promoted it: its image is then the
-    /// committed block plus that write. A capture ships its pages.
+    /// committed block plus that write. A capture ships its pages to the
+    /// holder of parity row 0.
     pub(super) live: Option<Block>,
+    /// Data slot: the term `c_{j,slot}·live` of each parity row `j ≥ 1`
+    /// the open round's holders hold, by row, made once the guest's write
+    /// is paid; a capture ships row `j`'s holder its term. A cache of
+    /// `live`: whatever writes or replaces `live` drops them.
+    pub(super) terms: BTreeMap<usize, Block>,
+    /// The pages of terms dropped, by row, kept for the next terms as
+    /// `spare` is kept for the next image.
+    spare_terms: BTreeMap<usize, Block>,
     /// The epoch of the commit whose guest write (`churn_seed`'s stream)
     /// this data slot has yet to make. It is paid once a round is open, at
     /// the latest by the capture, and an overwrite of `live` forgets it.
@@ -214,6 +232,8 @@ impl GroupCore {
             code: spec.code(),
             held: BTreeMap::new(),
             live: parity_row.is_none().then(image),
+            terms: BTreeMap::new(),
+            spare_terms: BTreeMap::new(),
             owed_write: None,
             spare: None,
             coord_round: None,
@@ -320,10 +340,12 @@ impl GroupCore {
     }
 
     /// The guest writes at the start of the capture window, and the
-    /// capture then ships what it wrote.
+    /// source makes the terms of what it wrote; the capture then ships
+    /// both.
     pub fn guest_writes(&mut self, m: &Members) {
         if self.part_round.is_some() {
             self.write_guest(m);
+            self.make_terms(m);
         }
     }
 
@@ -864,9 +886,10 @@ impl GroupCore {
     }
 
     /// Performs the deferred capture once it is due: a data member ships
-    /// its live image to every holder and acks the coordinator, and the
-    /// coordinator ships the custody block of every source that is out, so
-    /// the encode always spans all `k` data slots.
+    /// its live image, or its term of the holder's row, to every holder
+    /// and acks the coordinator, and the coordinator ships the custody
+    /// block of every source that is out the same way, so the encode
+    /// always spans all `k` data slots.
     fn do_capture(&mut self, m: &Members, now: SimTime, out: &mut Vec<Action>) {
         let Some(r) = &mut self.part_round else {
             return;
@@ -883,8 +906,9 @@ impl GroupCore {
         let captured = sources.contains(&self.slot);
         r.captured = captured;
         self.write_guest(m);
+        self.make_terms(m);
         if captured {
-            ship(m, (epoch, self.slot), self.live.as_ref(), &holders, out);
+            self.ship(m, (epoch, self.slot), self.live.as_ref(), &holders, out);
             let (to, node) = (m.coordinator(), self.slot);
             let msg = Msg::CaptureAck { epoch, node };
             out.push(Action::Send { to, msg });
@@ -892,16 +916,17 @@ impl GroupCore {
         }
         if m.is_acting_coordinator() {
             for &s in sources.iter().filter(|s| self.in_custody(**s)) {
-                ship(m, (epoch, s), self.block(s).map(|(_, b)| b), &holders, out);
+                self.ship(m, (epoch, s), self.block(s).map(|(_, b)| b), &holders, out);
             }
         }
     }
 
     /// A part of slot `source`'s capture of round `epoch` at `offset` (or,
-    /// with none, the block's last part): parked if its round has not
-    /// begun here, else folded into the staged shard at most once. A
-    /// source counts as folded once every part of its block is, and the
-    /// shard is acked once all `k` are.
+    /// with none, the block's last part) — its image on row 0, its term
+    /// of this row on any other: parked if its round has not begun here,
+    /// else XORed into the staged shard at most once. A source counts as
+    /// folded once every part of its block is, and the shard is acked
+    /// once all `k` are.
     pub fn on_part(
         &mut self,
         m: &Members,
@@ -911,9 +936,9 @@ impl GroupCore {
         out: &mut Vec<Action>,
     ) {
         let dropped = |reason: String| Action::Note(Note::PayloadDropped { from, reason });
-        let Some(j) = self.parity_row else {
+        if self.parity_row.is_none() {
             return out.push(dropped("this node holds no parity".to_string()));
-        };
+        }
         if let Some(stale) = m.stale(from, fence_epoch) {
             return out.push(stale);
         }
@@ -965,14 +990,14 @@ impl GroupCore {
             return out.push(dropped(reason));
         }
         let whole = folded.len() == parts;
-        // Fold the part into its page of our shard and drop it. The codes
-        // are GF(2)-linear, so every part of k blocks folded in any order
-        // into zeros equals `encode`'s shard; the zeros are the spare
-        // pages, cleared.
+        // XOR the part into its page of our shard and drop it. Each part
+        // is its source's term of this row, already scaled, so every part
+        // of k blocks folded in any order into zeros equals `encode`'s
+        // shard; the zeros are the spare pages, cleared.
         let len = m.spec.image_len;
         let shard = (r.staged_parity)
             .get_or_insert_with(|| Block::recycle(self.spare.take(), len, |_, page| page.fill(0)));
-        (self.code).apply_delta(j, shard.page_mut(index), source.index(), 0, &data);
+        xor_into(shard.page_mut(index), &data);
         if !whole || r.folded_whole(parts) < m.spec.data_nodes {
             return;
         }
@@ -1024,6 +1049,7 @@ impl GroupCore {
         // captured image is committed by move.
         self.write_guest(m);
         if let Some(image) = self.live.take_if(|_| r.captured) {
+            self.drop_terms();
             self.promote(epoch, image);
         }
         self.owed_write = self.parity_row.is_none().then_some(epoch);
@@ -1089,6 +1115,7 @@ impl GroupCore {
         let Some(epoch) = self.owed_write.take() else {
             return;
         };
+        self.drop_terms();
         let seed = churn_seed(m.spec.cluster_id, self.slot, epoch);
         match &mut self.live {
             Some(live) => {
@@ -1112,43 +1139,105 @@ impl GroupCore {
     /// so its commit promotes nothing; the pages it shipped are untouched.
     fn overwrite_live(&mut self, image: Block) {
         self.owed_write = None;
+        self.drop_terms();
         self.live = Some(image);
         if let Some(r) = &mut self.part_round {
             r.captured = false;
         }
     }
+
+    /// Forgets the terms of `live`, keeping their pages for the next ones.
+    fn drop_terms(&mut self) {
+        self.spare_terms.append(&mut self.terms);
+    }
+
+    /// Makes the term of `live` of each parity row `j ≥ 1` among the open
+    /// round's holders that `terms` lacks, if this slot is a source of it.
+    fn make_terms(&mut self, m: &Members) {
+        let (Some(r), Some(live)) = (&self.part_round, &self.live) else {
+            return;
+        };
+        if !r.sources.contains(&self.slot) {
+            return;
+        }
+        for j in r
+            .holders
+            .iter()
+            .filter_map(|h| row(m, *h))
+            .filter(|j| *j > 0)
+        {
+            if let Entry::Vacant(term) = self.terms.entry(j) {
+                let spare = self.spare_terms.remove(&j);
+                term.insert(scale(&self.code, (j, self.slot), live, spare));
+            }
+        }
+    }
+
+    /// Sends `block` as slot `source`'s capture of round `epoch` to every
+    /// holder, each page a part by reference: to row 0's holder the
+    /// block's own pages, to row `j`'s its term — this slot's made in the
+    /// window, any other's (a custody block's) made here.
+    fn ship(
+        &self,
+        m: &Members,
+        (epoch, source): (u64, NodeId),
+        block: Option<&Block>,
+        holders: &[NodeId],
+        out: &mut Vec<Action>,
+    ) {
+        let Some(block) = block else {
+            return;
+        };
+        let fence_epoch = m.fences.epoch_of(m.id);
+        let own = (source == self.slot).then_some(&self.terms);
+        for &h in holders {
+            let Some(j) = row(m, h) else {
+                continue;
+            };
+            let made;
+            let part = if j == 0 {
+                block
+            } else if let Some(term) = own.and_then(|terms| terms.get(&j)) {
+                term
+            } else {
+                made = scale(&self.code, (j, source), block, None);
+                &made
+            };
+            let parts = part
+                .pages()
+                .iter()
+                .enumerate()
+                .map(|(i, page)| Msg::PayloadPart {
+                    epoch,
+                    source,
+                    fence_epoch,
+                    offset: (i * PART_LEN) as u64,
+                    data: Arc::clone(page),
+                });
+            out.extend(parts.map(|msg| Action::Send { to: h, msg }));
+        }
+    }
 }
 
-/// Sends `block` as slot `source`'s capture of round `epoch` to every
-/// holder as parts: each page but the last by reference, the last copied
-/// into a `Payload`.
-fn ship(
-    m: &Members,
-    (epoch, source): (u64, NodeId),
-    block: Option<&Block>,
-    holders: &[NodeId],
-    out: &mut Vec<Action>,
-) {
-    let fence_epoch = m.fences.epoch_of(m.id);
-    let Some((last, pages)) = block.and_then(|b| b.pages().split_last()) else {
-        return;
-    };
-    for &h in holders {
-        let parts = pages.iter().enumerate().map(|(i, page)| Msg::PayloadPart {
-            epoch,
-            source,
-            fence_epoch,
-            offset: (i * PART_LEN) as u64,
-            data: Arc::clone(page),
-        });
-        let last = Msg::Payload {
-            epoch,
-            source,
-            fence_epoch,
-            data: last.to_vec(),
-        };
-        out.extend(parts.chain([last]).map(|msg| Action::Send { to: h, msg }));
-    }
+/// The parity row slot `h` holds, if it is a parity slot.
+fn row(m: &Members, h: NodeId) -> Option<usize> {
+    let j = h.index().checked_sub(m.spec.data_nodes)?;
+    (j < m.spec.parity_nodes).then_some(j)
+}
+
+/// Slot `source`'s term of parity row `j`, `c_{j,source}·block`, into the
+/// pages of `spare` where nothing else holds them.
+fn scale(
+    code: &ReedSolomon,
+    (j, source): (usize, NodeId),
+    block: &Block,
+    spare: Option<Block>,
+) -> Block {
+    let pages = block.pages();
+    Block::recycle(spare, block.len(), |i, page| {
+        page.fill(0);
+        code.apply_delta(j, page, source.index(), 0, &pages[i]);
+    })
 }
 
 #[cfg(test)]
@@ -1156,6 +1245,7 @@ mod tests {
     use super::*;
     use crate::protocol::node_core::{block_digest, initial_image};
     use dvdc_faults::detector::FailureDetector;
+    use dvdc_simcore::time::Duration;
     use dvdc_vcluster::messaging::FenceRegistry;
 
     /// A 2+1 group of 64-byte images whose captures are due at once.
@@ -1187,12 +1277,18 @@ mod tests {
         }
     }
 
-    /// Delivers every send in `out` to the group it addresses, and what
-    /// that sends in turn, until none is left; returns the rest: notes and
-    /// what `CTL` is told.
-    fn deliver(groups: &mut [GroupCore], views: &[Members], out: Vec<Action>) -> Vec<Action> {
-        let (mut queue, mut rest) = (std::collections::VecDeque::from(out), Vec::new());
-        while let Some(action) = queue.pop_front() {
+    /// Delivers every send in `out`, which slot `from` made, to the group
+    /// it addresses, and what that sends in turn, until none is left;
+    /// returns the rest: notes and what `CTL` is told.
+    fn deliver(
+        groups: &mut [GroupCore],
+        views: &[Members],
+        from: usize,
+        out: Vec<Action>,
+    ) -> Vec<Action> {
+        let mut queue: std::collections::VecDeque<_> = out.into_iter().map(|a| (from, a)).collect();
+        let mut rest = Vec::new();
+        while let Some((from, action)) = queue.pop_front() {
             let (to, msg) = match action {
                 Action::Send { to, msg } if to != CTL => (to.index(), msg),
                 other => {
@@ -1200,6 +1296,7 @@ mod tests {
                     continue;
                 }
             };
+            let from = NodeId(from);
             let (g, m, now, mut out) = (&mut groups[to], &views[to], SimTime::ZERO, Vec::new());
             match msg {
                 Msg::RoundBegin {
@@ -1214,7 +1311,7 @@ mod tests {
                     data,
                 } => {
                     let part = (epoch, source, fence_epoch, None);
-                    g.on_part(m, source, part, Arc::new(data), &mut out)
+                    g.on_part(m, from, part, Arc::new(data), &mut out)
                 }
                 Msg::PayloadPart {
                     epoch,
@@ -1224,7 +1321,7 @@ mod tests {
                     data,
                 } => {
                     let part = (epoch, source, fence_epoch, Some(offset));
-                    g.on_part(m, source, part, data, &mut out)
+                    g.on_part(m, from, part, data, &mut out)
                 }
                 Msg::CaptureAck { epoch, node } | Msg::FoldAck { epoch, node } => {
                     g.on_ack(epoch, node, false, &mut out)
@@ -1237,7 +1334,7 @@ mod tests {
                 }
                 other => panic!("no group message: {other:?}"),
             }
-            queue.extend(out);
+            queue.extend(out.into_iter().map(|a| (to, a)));
         }
         rest
     }
@@ -1279,7 +1376,7 @@ mod tests {
         groups[0]
             .try_start_round(&views[0], SimTime::ZERO, &mut out)
             .expect("the coordinator of a whole group opens a round");
-        let rest = deliver(&mut groups, &views, out);
+        let rest = deliver(&mut groups, &views, 0, out);
         let done = Action::Send {
             to: CTL,
             msg: Msg::CheckpointDone { epoch: 1 },
@@ -1315,7 +1412,7 @@ mod tests {
         views[0].sessions.remove(&NodeId(1));
         let mut out = Vec::new();
         groups[0].on_fenced(&views[0], NodeId(1), SimTime::ZERO, &mut out);
-        let rest = deliver(&mut groups, &views, out);
+        let rest = deliver(&mut groups, &views, 0, out);
         let phase = |phase| Note::RebuildPhase {
             victim: NodeId(1),
             phase,
@@ -1538,6 +1635,176 @@ mod tests {
         for (info, (slot, pages)) in blocks.iter().zip(&held) {
             assert_eq!((info.holder, info.epoch), (*slot, 1));
             assert!(info.data[..] == pages[2][..], "{slot}");
+        }
+    }
+
+    /// Slot `source`'s term of parity row `j` over `image`,
+    /// `c_{j,source}·image`, made here rather than by the code under test.
+    fn term(s: &ClusterSpec, j: usize, source: usize, image: &[u8]) -> Vec<u8> {
+        let mut term = vec![0; image.len()];
+        s.code().apply_delta(j, &mut term, source, 0, image);
+        term
+    }
+
+    /// The `len` bytes the parts in `out` ship to `holder`, each part once.
+    fn shipped_to(out: &[Action], holder: usize, len: usize) -> Vec<u8> {
+        let mut bytes = vec![0xEE; len];
+        let mut offsets = Vec::new();
+        for action in out {
+            if let Action::Send {
+                to,
+                msg: Msg::PayloadPart { offset, data, .. },
+            } = action
+            {
+                if to.index() == holder {
+                    let at = *offset as usize;
+                    bytes[at..at + data.len()].copy_from_slice(data);
+                    offsets.push(at);
+                }
+            }
+        }
+        let every: Vec<usize> = (0..len.div_ceil(PART_LEN)).map(|i| i * PART_LEN).collect();
+        assert_eq!(offsets, every, "every part to {holder}, once, in order");
+        bytes
+    }
+
+    /// Runs round `epoch` of `groups` from slot 0, its coordinator, to its
+    /// commit. With a capture delay, every live slot ticks at the round's
+    /// start, where a source makes its terms, and again at its capture.
+    fn run_round(groups: &mut [GroupCore], views: &[Members], epoch: u64) {
+        let mut out = Vec::new();
+        let start = SimTime::ZERO;
+        groups[0]
+            .try_start_round(&views[0], start, &mut out)
+            .expect("the coordinator opens a round");
+        let mut rest = deliver(groups, views, 0, out);
+        let live: Vec<usize> = (0..groups.len())
+            .filter(|i| *i == 0 || views[0].sessions.contains(&NodeId(*i)))
+            .collect();
+        let delay = views[0].spec.capture_delay;
+        if delay > Duration::ZERO {
+            for at in [start, start + delay] {
+                for &i in &live {
+                    let mut out = Vec::new();
+                    groups[i].on_tick(&views[i], at, &mut out);
+                    if at == start {
+                        // The terms are made before the capture is due.
+                        let (s, g) = (&views[i].spec, &groups[i]);
+                        let rows = if s.is_data(NodeId(i)) {
+                            1..s.parity_nodes
+                        } else {
+                            0..0
+                        };
+                        assert_eq!(
+                            g.terms.keys().copied().collect::<Vec<_>>(),
+                            rows.collect::<Vec<_>>()
+                        );
+                    }
+                    rest.extend(deliver(groups, views, i, out));
+                }
+            }
+        }
+        let dropped = |a: &&Action| matches!(a, Action::Note(Note::PayloadDropped { .. }));
+        assert_eq!(rest.iter().find(dropped), None);
+        assert!(
+            rest.contains(&Action::Note(Note::RoundCommitted { epoch })),
+            "{rest:?}"
+        );
+    }
+
+    /// Asserts that every holder's committed shard of round `epoch` is
+    /// `encode` of the data slots' committed blocks: each slot's own, or
+    /// the one slot 0 holds in custody for it.
+    fn assert_parity(groups: &[GroupCore], s: &ClusterSpec, epoch: u64, ctx: &str) {
+        let k = s.data_nodes;
+        let data: Vec<Vec<u8>> = (0..k)
+            .map(|i| {
+                let custodian = if groups[0].in_custody(NodeId(i)) {
+                    0
+                } else {
+                    i
+                };
+                let (at, block) = groups[custodian].block(NodeId(i)).expect("committed");
+                assert_eq!(at, epoch, "{ctx}, slot {i}");
+                block.to_vec()
+            })
+            .collect();
+        let refs: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
+        for (j, want) in s.code().encode(&refs).into_iter().enumerate() {
+            let (at, shard) = groups[k + j].block(NodeId(k + j)).expect("a shard");
+            assert!(at == epoch && *shard == want[..], "{ctx}, row {j}");
+        }
+    }
+
+    #[test]
+    fn every_commit_leaves_each_holder_the_encoded_shard_of_the_committed_images() {
+        for (k, m) in [(3, 2), (4, 2), (4, 3)] {
+            let s = ragged(k, m);
+            let mut views: Vec<Members> = (0..s.total()).map(|i| view_in(&s, i)).collect();
+            let mut groups: Vec<GroupCore> = (0..s.total())
+                .map(|i| GroupCore::new(NodeId(i), &s))
+                .collect();
+            let delays = [5.0, 0.0, 5.0, 0.0].map(Duration::from_millis);
+            for (epoch, delay) in (1..).zip(delays) {
+                if epoch == 3 {
+                    // Slot 1 is fenced and rebuilt into slot 0's custody:
+                    // from here on slot 0 ships its block too.
+                    for v in &mut views {
+                        v.fences.fence(NodeId(1));
+                        v.sessions.remove(&NodeId(1));
+                    }
+                    let mut out = Vec::new();
+                    groups[0].on_fenced(&views[0], NodeId(1), SimTime::ZERO, &mut out);
+                    deliver(&mut groups, &views, 0, out);
+                    assert!(groups[0].in_custody(NodeId(1)), "{k}+{m}");
+                }
+                for v in &mut views {
+                    v.spec.capture_delay = delay;
+                }
+                run_round(&mut groups, &views, epoch);
+                assert_parity(&groups, &s, epoch, &format!("{k}+{m}, round {epoch}"));
+            }
+        }
+    }
+
+    #[test]
+    fn a_live_image_replaced_in_the_capture_window_ships_the_new_images_terms() {
+        let s = ClusterSpec {
+            capture_delay: Duration::from_millis(5.0),
+            ..ragged(4, 2)
+        };
+        let m = view_in(&s, 1);
+        // Slot 1's image at boot, another committed, a third resynced.
+        let image = |cluster_id| initial_image(cluster_id, NodeId(1), s.image_len);
+        let (initial, committed, resynced) = (image(7), image(9), image(11));
+        type Replace = fn(&mut GroupCore, &Members, Vec<u8>);
+        let replacements: [(&str, Vec<u8>, Replace); 2] = [
+            ("a resync's adopt", resynced, |g, m, image| {
+                g.adopt(m, 1, Some(Block::from(image)))
+            }),
+            ("a readmission's rollback", committed.clone(), |g, _, _| {
+                g.readmitted(NodeId(3))
+            }),
+        ];
+        for (how, image, replace) in replacements {
+            let mut g = GroupCore::new(NodeId(1), &s);
+            g.held
+                .insert(NodeId(1), (1, Block::from(committed.clone())));
+            let (sources, holders) = ((0..4).map(NodeId).collect(), vec![NodeId(4), NodeId(5)]);
+            let mut out = Vec::new();
+            g.on_round_begin(&m, (2, sources, holders), SimTime::ZERO, &mut out);
+            g.on_tick(&m, SimTime::ZERO, &mut out);
+            assert!(g.terms[&1] == term(&s, 1, 1, &initial)[..], "{how}");
+            replace(&mut g, &m, image.clone());
+            assert!(g.terms.is_empty(), "{how}");
+            let mut out = Vec::new();
+            g.on_tick(&m, SimTime::ZERO + s.capture_delay, &mut out);
+            assert_eq!(shipped_to(&out, 4, s.image_len), image, "{how}");
+            assert_eq!(
+                shipped_to(&out, 5, s.image_len),
+                term(&s, 1, 1, &image),
+                "{how}"
+            );
         }
     }
 }

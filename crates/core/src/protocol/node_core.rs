@@ -52,10 +52,12 @@
 //!   coordinator.
 //! * A round is the paper's two-phase commit: `RoundBegin` → each data
 //!   node captures its image (after a configurable delay — the real
-//!   mid-round fault window), ships it to every parity holder and
-//!   `CaptureAck`s, and at the same instant the coordinator ships the
-//!   custody blocks of members that are out; holders fold each block
-//!   into their shard as it arrives and `FoldAck` on the `k`-th; the
+//!   mid-round fault window), ships it to the holder of parity row 0 and
+//!   its term of row `j` (`c_{j,i}·image`, made in the window) to the
+//!   holder of row `j ≥ 1`, and `CaptureAck`s; at the same instant the
+//!   coordinator ships the custody blocks of members that are out the
+//!   same way; holders XOR each part into their shard as it arrives and
+//!   `FoldAck` on the `k`-th block; the
 //!   coordinator broadcasts `Commit`; everyone promotes staged state and
 //!   `CommitAck`s, and the last `CommitAck` closes the round. A data
 //!   node's guest writes its next image once the next round opens, in the
@@ -2048,6 +2050,15 @@ mod tests {
         blocks
     }
 
+    /// Slot `source`'s term of parity row `j` over `image`,
+    /// `c_{j,source}·image`: what a capture ships row `j`'s holder, made
+    /// here rather than by the code under test.
+    fn term(spec: &ClusterSpec, j: usize, source: usize, image: &[u8]) -> Vec<u8> {
+        let mut term = vec![0; image.len()];
+        spec.code().apply_delta(j, &mut term, source, 0, image);
+        term
+    }
+
     /// The messages `block` travels to a holder in as slot `source`'s
     /// capture of `epoch`, cut here rather than by the code under test.
     fn parts(epoch: u64, source: usize, block: &[u8]) -> Vec<Msg> {
@@ -2135,21 +2146,24 @@ mod tests {
         for m in [1, 2] {
             let s = ragged(m);
             let blocks = group_blocks(&s);
-            let by_source: Vec<Vec<Msg>> = (0..4).map(|i| parts(1, i, &blocks[i])).collect();
-            let in_order: Vec<(usize, Msg)> = (0..4)
-                .flat_map(|i| by_source[i].iter().map(move |msg| (i, msg.clone())))
-                .collect();
-            let reversed = in_order.iter().rev().cloned().collect();
-            let interleaved = (0..4)
-                .flat_map(|part| (0..4).map(move |i| (i, part)))
-                .map(|(i, part)| (i, by_source[i][part].clone()))
-                .collect();
-            for (how, order) in [
-                ("in order", in_order),
-                ("reversed", reversed),
-                ("interleaved", interleaved),
-            ] {
-                for j in 0..m {
+            for j in 0..m {
+                // Each source's term of row j, as its capture ships it.
+                let by_source: Vec<Vec<Msg>> = (0..4)
+                    .map(|i| parts(1, i, &term(&s, j, i, &blocks[i])))
+                    .collect();
+                let in_order: Vec<(usize, Msg)> = (0..4)
+                    .flat_map(|i| by_source[i].iter().map(move |msg| (i, msg.clone())))
+                    .collect();
+                let reversed = in_order.iter().rev().cloned().collect();
+                let interleaved = (0..4)
+                    .flat_map(|part| (0..4).map(move |i| (i, part)))
+                    .map(|(i, part)| (i, by_source[i][part].clone()))
+                    .collect();
+                for (how, order) in [
+                    ("in order", in_order),
+                    ("reversed", reversed),
+                    ("interleaved", interleaved),
+                ] {
                     let mut p = holder_in_round(&s, 4 + j);
                     let acks: Vec<usize> = (order.iter().cloned())
                         .map(|(i, msg)| {
@@ -2177,7 +2191,8 @@ mod tests {
             for j in 0..m {
                 let mut p = holder_in_round(&s, 4 + j);
                 for (i, block) in blocks[..4].iter().enumerate() {
-                    for (n, msg) in parts(1, i, block).into_iter().enumerate() {
+                    let term = term(&s, j, i, block);
+                    for (n, msg) in parts(1, i, &term).into_iter().enumerate() {
                         let again = msg.clone();
                         p.on_message(NodeId(i), msg, SimTime::ZERO);
                         // Part n of source n twice: middle parts, and the
@@ -2440,9 +2455,9 @@ mod tests {
 
     #[test]
     fn at_4_kib_a_block_travels_in_the_one_message_it_always_did() {
-        // What a data member ships, and what it answers a rebuild with, are
-        // the messages version 3 sent: one `Payload` of the whole image,
-        // one `FetchBlocks` of the whole committed block.
+        // A data member ships its image, and answers a rebuild, in one
+        // message as version 3 did: one `PayloadPart` at offset 0 sharing
+        // the whole image, one `FetchBlocks` of the whole committed block.
         let s = ClusterSpec {
             data_nodes: 4,
             parity_nodes: 1,
@@ -2469,11 +2484,12 @@ mod tests {
             out.into_iter().filter_map(sent).collect()
         };
         let shipped = to(n.on_message(NodeId(0), begin, SimTime::ZERO), 4);
-        let payload = Msg::Payload {
+        let payload = Msg::PayloadPart {
             epoch: 1,
             source: NodeId(1),
             fence_epoch: 0,
-            data: image.clone(),
+            offset: 0,
+            data: image.clone().into(),
         };
         assert_eq!(shipped, [payload]);
         n.on_message(NodeId(0), Msg::Commit { epoch: 1 }, SimTime::ZERO);
@@ -2683,8 +2699,8 @@ mod tests {
     }
 
     #[test]
-    fn a_capture_ships_the_live_pages_by_reference_and_copies_only_the_last() {
-        for m in [1, 2] {
+    fn a_capture_ships_every_page_by_reference() {
+        for m in [1, 2, 3] {
             let s = ragged(m);
             let mut n = NodeCore::new(NodeId(1), s.clone(), 1);
             let begin = Msg::RoundBegin {
@@ -2694,28 +2710,32 @@ mod tests {
             };
             let out = n.on_message(NodeId(0), begin, SimTime::ZERO);
             let live = n.group.live.as_ref().expect("the captured image");
-            let (last, pages) = live.pages().split_last().expect("a block has a last page");
-            assert_eq!(pages.len(), 3);
-            for h in 4..4 + m {
+            // Row 0's holder gets the image; row j's the term of row j.
+            let terms = &n.group.terms;
+            assert_eq!(
+                terms.keys().copied().collect::<Vec<_>>(),
+                (1..m).collect::<Vec<_>>()
+            );
+            for (j, h) in (4..4 + m).enumerate() {
+                let part = if j == 0 { live } else { &terms[&j] };
+                assert!(
+                    *part == term(&s, j, 1, &live.to_vec())[..],
+                    "4+{m}, row {j}"
+                );
                 let sent: Vec<&Msg> = (out.iter())
                     .filter_map(|a| match a {
                         Action::Send { to, msg } if *to == NodeId(h) => Some(msg),
                         _ => None,
                     })
                     .collect();
-                assert_eq!(sent.len(), pages.len() + 1, "4+{m}, holder {h}");
+                let pages = part.pages();
+                assert_eq!((pages.len(), sent.len()), (4, 4), "4+{m}, holder {h}");
                 for (i, msg) in sent.into_iter().enumerate() {
-                    match msg {
-                        Msg::PayloadPart { offset, data, .. } => {
-                            assert_eq!(*offset, (i * PART_LEN) as u64);
-                            assert!(Arc::ptr_eq(data, &pages[i]), "4+{m}, holder {h}, part {i}");
-                        }
-                        Msg::Payload { data, .. } => {
-                            assert_eq!(i, pages.len());
-                            assert!(data[..] == last[..], "4+{m}, holder {h}");
-                        }
-                        other => panic!("4+{m}, holder {h}: {other:?}"),
-                    }
+                    let Msg::PayloadPart { offset, data, .. } = msg else {
+                        panic!("4+{m}, holder {h}: {msg:?}");
+                    };
+                    assert_eq!(*offset, (i * PART_LEN) as u64);
+                    assert!(Arc::ptr_eq(data, &pages[i]), "4+{m}, holder {h}, part {i}");
                 }
             }
         }
@@ -2822,7 +2842,7 @@ mod tests {
                     };
                     p.on_message(NodeId(0), begin, SimTime::ZERO);
                     for (i, image) in images.iter().enumerate() {
-                        for part in parts(epoch, i, image) {
+                        for part in parts(epoch, i, &term(&s, j, i, image)) {
                             p.on_message(NodeId(i), part, SimTime::ZERO);
                         }
                     }
@@ -3378,8 +3398,37 @@ mod tests {
             holders: vec![NodeId(4)],
         };
         let first = c.on_message(NodeId(1), begin.clone(), SimTime::ZERO);
-        assert!(sent_to(&first, |m| matches!(m, Msg::PayloadPart { .. })).len() == 3);
+        assert!(sent_to(&first, |m| matches!(m, Msg::PayloadPart { .. })).len() == 4);
         assert_eq!(first, fresh.on_message(NodeId(1), begin, SimTime::ZERO));
+
+        // A data member of 4+2 fenced in a capture window, its term made:
+        // the term goes with the rest, and it ships what a fresh boot does.
+        let s = ClusterSpec {
+            capture_delay: Duration::from_millis(5.0),
+            ..ragged(2)
+        };
+        let begin = Msg::RoundBegin {
+            epoch: 1,
+            sources: (0..4).map(NodeId).collect(),
+            holders: vec![NodeId(4), NodeId(5)],
+        };
+        let mut n = meshed_in(&s, 1);
+        n.on_message(NodeId(0), begin.clone(), SimTime::ZERO);
+        n.on_tick(SimTime::ZERO);
+        assert_eq!(n.group.terms.keys().collect::<Vec<_>>(), [&1]);
+        let rejected = Msg::Rejected {
+            node: NodeId(1),
+            required_epoch: 1,
+            coordinator: NodeId(0),
+        };
+        n.on_message(NodeId(0), rejected, SimTime::ZERO);
+        assert!(n.group.terms.is_empty() && n.resync.take().is_some());
+        let mut fresh = NodeCore::new(NodeId(1), s.clone(), 1);
+        let at = SimTime::ZERO + s.capture_delay;
+        for n in [&mut n, &mut fresh] {
+            n.on_message(NodeId(0), begin.clone(), SimTime::ZERO);
+        }
+        assert_eq!(n.on_tick(at), fresh.on_tick(at));
     }
 
     #[test]

@@ -113,6 +113,13 @@ const XXH_P3: u64 = 0x1656_67B1_9E37_79F9;
 const XXH_P4: u64 = 0x85EB_CA77_C2B2_AE63;
 const XXH_P5: u64 = 0x27D4_EB2F_1656_67C5;
 
+/// Little-endian word `i` of a 32-byte stripe.
+#[inline(always)]
+fn word(stripe: &[u8], i: usize) -> u64 {
+    let bytes = stripe[i * 8..i * 8 + 8].try_into().expect("8 bytes");
+    u64::from_le_bytes(bytes)
+}
+
 #[inline]
 fn xxh_round(acc: u64, lane: u64) -> u64 {
     acc.wrapping_add(lane.wrapping_mul(XXH_P2))
@@ -151,13 +158,6 @@ impl Default for Xxh64 {
 }
 
 impl Xxh64 {
-    fn stripe(lanes: &mut [u64; 4], stripe: &[u8]) {
-        for (lane, word) in lanes.iter_mut().zip(stripe.chunks_exact(8)) {
-            let word = u64::from_le_bytes(word.try_into().expect("chunks_exact(8)"));
-            *lane = xxh_round(*lane, word);
-        }
-    }
-
     /// Appends `bytes` to the digested stream.
     pub fn update(&mut self, mut bytes: &[u8]) {
         let held = (self.total % 32) as usize;
@@ -169,16 +169,22 @@ impl Xxh64 {
             if held + fill < 32 {
                 return;
             }
-            Self::stripe(&mut self.lanes, &self.tail);
+            for (i, lane) in self.lanes.iter_mut().enumerate() {
+                *lane = xxh_round(*lane, word(&self.tail, i));
+            }
         }
-        // Lanes in locals: this loop is the whole cost of a large image
-        // and must not round-trip through `self` per stripe.
-        let mut lanes = self.lanes;
+        // Each lane in a local of its own: this loop is the whole cost of a
+        // large image, and four independent rounds on registers pipeline
+        // where an indexed array round-trips through memory.
+        let [mut a, mut b, mut c, mut d] = self.lanes;
         let mut stripes = bytes.chunks_exact(32);
         for stripe in &mut stripes {
-            Self::stripe(&mut lanes, stripe);
+            a = xxh_round(a, word(stripe, 0));
+            b = xxh_round(b, word(stripe, 1));
+            c = xxh_round(c, word(stripe, 2));
+            d = xxh_round(d, word(stripe, 3));
         }
-        self.lanes = lanes;
+        self.lanes = [a, b, c, d];
         let rest = stripes.remainder();
         self.tail[..rest.len()].copy_from_slice(rest);
     }

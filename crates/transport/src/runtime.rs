@@ -287,7 +287,9 @@ impl NodeRuntime {
                 frame_errors: hub.counter("transport.frame_errors"),
                 codec_errors: hub.counter("transport.codec_errors"),
             };
-            std::thread::spawn(move || accept_loop(listener, event_tx, stop, reader_metrics))
+            let id = config.id.0;
+            let accept = move || accept_loop(id, listener, event_tx, stop, reader_metrics);
+            spawn_named(format!("accept{id}"), accept)
         };
 
         // --- outbound: one reconnecting writer thread per peer ---
@@ -326,7 +328,8 @@ impl NodeRuntime {
             };
             let peer = *peer;
             let events = event_tx.clone();
-            std::thread::spawn(move || writer_loop(peer, writer, rx, events));
+            let name = format!("write{}-{}", config.id.0, peer.0);
+            spawn_named(name, move || writer_loop(peer, writer, rx, events));
         }
 
         // --- event loop: owns the NodeCore ---
@@ -428,8 +431,10 @@ struct ReaderMetrics {
 }
 
 /// Accept inbound connections, blocking, until `stop` (seen on the next
-/// connection, which `run` makes); each gets a reader thread.
+/// connection, which `run` makes); each gets a reader thread, named for
+/// node `id`.
 fn accept_loop(
+    id: usize,
     listener: TcpListener,
     event_tx: SyncSender<Event>,
     stop: Arc<AtomicBool>,
@@ -446,12 +451,24 @@ fn accept_loop(
                 let writer = stream.try_clone().ok().map(|w| Arc::new(Mutex::new(w)));
                 let event_tx = event_tx.clone();
                 let metrics = metrics.clone();
-                std::thread::spawn(move || reader_loop(stream, writer, event_tx, metrics));
+                let read = move || reader_loop(stream, writer, event_tx, metrics);
+                spawn_named(format!("read{id}"), read);
             }
             // E.g. out of descriptors: back off, do not spin on the error.
             Err(_) => std::thread::sleep(StdDuration::from_millis(5)),
         }
     }
+}
+
+/// Spawns `f` on a thread called `name`, as `top -H` and
+/// `/proc/<pid>/task/*/comm` show it (Linux keeps its first 15 bytes).
+fn spawn_named<T: Send + 'static>(
+    name: String,
+    f: impl FnOnce() -> T + Send + 'static,
+) -> std::thread::JoinHandle<T> {
+    (std::thread::Builder::new().name(name))
+        .spawn(f)
+        .expect("failed to spawn thread")
 }
 
 /// Decode envelopes off one inbound connection until it closes or

@@ -137,8 +137,9 @@ proptest! {
         data in shards_strategy(4, 40),
     ) {
         // Every holder j of a k=4 XOR (m=1) and Reed-Solomon (m=2) group,
-        // fed the round's blocks in each of the 4! arrival orders, commits
-        // exactly the shard `encode` computes from all four at once.
+        // fed each source's term of its row (its block itself on row 0)
+        // in each of the 4! arrival orders, commits exactly the shard
+        // `encode` computes from all four blocks at once.
         let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
         for m in [1, 2] {
             let spec = ClusterSpec { parity_nodes: m, image_len: 40, ..ClusterSpec::default() };
@@ -155,11 +156,13 @@ proptest! {
                     };
                     node.on_message(NodeId(0), begin, SimTime::ZERO);
                     for &i in &order {
+                        let mut term = vec![0; data[i].len()];
+                        spec.code().apply_delta(j, &mut term, i, 0, &data[i]);
                         let block = Msg::Payload {
                             epoch: 1,
                             source: NodeId(i),
                             fence_epoch: 0,
-                            data: data[i].clone(),
+                            data: term,
                         };
                         node.on_message(NodeId(i), block, SimTime::ZERO);
                     }
